@@ -159,14 +159,17 @@ def polar(t: AntilinearMap) -> PolarParts:
 def chain(maps) -> AntilinearMap | np.ndarray:
     """Fold a sequence of antilinear maps t_n ∘ ... ∘ t_1 (first applied first).
 
-    An even count yields a linear matrix, an odd count an AntilinearMap.
+    An even count yields a linear matrix, an odd count an AntilinearMap.  The
+    fold starts at the last map, m_n @ conj(m_n-1) @ m_n-2 @ ..., so the
+    product associates left to right.
     """
     ts = list(maps)
     if not ts:
         raise DimMismatch("chain needs at least one map")
-    mat = ts[0].mat
-    for t in ts[1:]:
-        if t.dim_domain != mat.shape[0]:
-            raise DimMismatch(f"chain break: map wants {t.dim_domain}, has {mat.shape[0]}")
-        mat = t.mat @ np.conj(mat)
+    for inner, outer in zip(ts, ts[1:]):
+        if outer.dim_domain != inner.dim_codomain:
+            raise DimMismatch(f"chain break: map wants {outer.dim_domain}, has {inner.dim_codomain}")
+    mat = ts[-1].mat
+    for k, t in enumerate(reversed(ts[:-1])):
+        mat = mat @ (np.conj(t.mat) if k % 2 == 0 else t.mat)
     return mat if len(ts) % 2 == 0 else AntilinearMap(mat)

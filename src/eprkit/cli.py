@@ -14,9 +14,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from . import antilinear as al
 from . import bipartite as bp
 from . import modular as md
 from . import teleport as tp
@@ -30,8 +27,7 @@ from .formats import (
     matrix_from_json,
     matrix_to_json,
 )
-from .linalg import partial_trace, psd_sqrt
-from .sampling import complex_normal, random_state, random_unit_vector, rng_for
+from .sampling import random_state, random_unit_vector, rng_for, state_from_rng
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -57,51 +53,30 @@ def _load_state(path, what: str) -> bp.BipartiteVector:
     return bipartite_from_json(load_json(path), what)
 
 
-def _check(residuals: dict, tolerance: float):
-    worst = max(residuals, key=residuals.get)
-    if residuals[worst] > tolerance:
-        raise ToleranceExceeded(
-            f"residual {worst} = {residuals[worst]:.3e} exceeds tolerance {tolerance:.0e}"
-        )
+def _worst(table: vf.ResidualTable, tolerance: float | None) -> tuple[list[vf.IdentityResult], dict]:
+    """Results against the per-identity tolerances (or the override), and worst residual by name."""
+    results = table.results(tolerance)
+    return results, {r.name: r.residual for r in results}
 
 
 def cmd_epr(args) -> int:
     psi = _load_state(args.state, "state")
-    tolerance = args.tolerance if args.tolerance is not None else 1e-10
     pair = bp.epr_maps(psi)
     omega_a = bp.reduced(psi, "a")
     omega_b = bp.reduced(psi, "b")
 
+    table = vf.ResidualTable()
     rng = rng_for(args.seed, 1)
-    dense = np.outer(psi.to_vector(), np.conj(psi.to_vector()))
-    projection = pairing = inner = 0.0
     for _ in range(PROBE_COUNT):
         phi_a = random_unit_vector(rng, psi.dim_a)
         phi_b = random_unit_vector(rng, psi.dim_b)
-        image = al.apply(pair.s_ba, phi_a)
-        projection = max(
-            projection,
-            float(np.linalg.norm(bp.project_rank1(psi, phi_a).coeff - np.outer(phi_a, image))),
-        )
-        target = complex(np.vdot(np.kron(phi_a, phi_b), psi.to_vector()))
-        pairing = max(
-            pairing,
-            abs(complex(np.vdot(phi_b, image)) - target),
-            abs(complex(np.vdot(phi_a, al.apply(pair.s_ab, phi_b))) - target),
-        )
-        raw = complex_normal(rng, psi.dim_a, psi.dim_b)
-        chi = bp.BipartiteVector(raw / np.linalg.norm(raw))
-        inner = max(inner, abs(bp.inner_via_trace(chi, psi) - complex(np.vdot(chi.coeff, psi.coeff))))
-    reduction = max(
-        float(np.linalg.norm(omega_a - partial_trace(dense, psi.dim_a, psi.dim_b, "a"))),
-        float(np.linalg.norm(omega_b - partial_trace(dense, psi.dim_a, psi.dim_b, "b"))),
-    )
-    residuals = {
-        "projection": projection,
-        "pairing": pairing,
-        "inner_trace": inner,
-        "reduction": reduction,
-    }
+        table.record("epr.projection", vf.epr_projection(psi, pair, omega_a, phi_a))
+        table.record("epr.pairing", vf.epr_pairing(psi, pair, phi_a, phi_b))
+        chi = state_from_rng(rng, psi.dim_a, psi.dim_b)
+        table.record("epr.inner_trace", vf.epr_inner_trace(psi, pair, chi))
+    table.record("epr.reduction", vf.epr_reduction(psi, omega_a, omega_b))
+    results, worst = _worst(table, args.tolerance)
+    residuals = {name.removeprefix("epr."): value for name, value in worst.items()}
     report = {
         "s_ba": antilinear_to_json(pair.s_ba),
         "s_ab": antilinear_to_json(pair.s_ab),
@@ -112,44 +87,42 @@ def cmd_epr(args) -> int:
     }
     _emit(report, args.out)
     _say(f"state ({psi.dim_a}x{psi.dim_b}), max residual {max(residuals.values()):.3e}")
-    _check(residuals, tolerance)
+    vf.check_all(results)
     return EXIT_OK
 
 
 def cmd_teleport(args) -> int:
     psi = _load_state(args.psi, "psi_ab")
     phi = _load_state(args.phi, "phi_bc")
-    tolerance = args.tolerance if args.tolerance is not None else 1e-9
     tm = tp.teleport_map(psi, phi)
-    tn, fid = tp.trace_norm_fidelity(tm)
+    tnf = tp.trace_norm_fidelity(tm)
     bound = tp.success_bound(tm)
+    table = vf.ResidualTable()
     rng = rng_for(args.seed, 2)
-    oracle_residual = 0.0
     for _ in range(PROBE_COUNT):
-        v = random_unit_vector(rng, psi.dim_a)
-        oracle_residual = max(
-            oracle_residual,
-            float(np.linalg.norm(tm.t @ v - tp.teleport_oracle(psi, phi, v))),
-        )
+        probe = random_unit_vector(rng, psi.dim_a)
+        table.record("teleport.factorization", vf.teleport_factorization(tm, probe))
+    table.record("teleport.trace_fidelity", vf.teleport_trace_fidelity(tnf))
+    results, worst = _worst(table, args.tolerance)
+    oracle_residual = worst["teleport.factorization"]
     report = {
         "t": matrix_to_json(tm.t),
-        "trace_norm": tn,
-        "fidelity": fid,
+        "trace_norm": tnf.trace_norm,
+        "fidelity": tnf.fidelity,
         "op_bound": bound,
         "oracle_residual": oracle_residual,
     }
     _emit(report, args.out)
     _say(
-        f"teleport map {tm.t.shape[0]}x{tm.t.shape[1]}: trace norm {tn:.6f}, "
-        f"fidelity {fid:.6f}, bound {bound:.6f}, oracle residual {oracle_residual:.3e}"
+        f"teleport map {tm.t.shape[0]}x{tm.t.shape[1]}: trace norm {tnf.trace_norm:.6f}, "
+        f"fidelity {tnf.fidelity:.6f}, bound {bound:.6f}, oracle residual {oracle_residual:.3e}"
     )
-    _check({"oracle": oracle_residual, "trace_vs_fidelity": abs(tn - fid)}, tolerance)
+    vf.check_all(results)
     return EXIT_OK
 
 
 def cmd_luders(args) -> int:
     spec = load_json(args.channel)
-    tolerance = args.tolerance if args.tolerance is not None else 1e-9
     if "psis" in spec:
         psis = [bipartite_from_json(p, f"psis[{k}]") for k, p in enumerate(spec["psis"])]
     elif "psi_ab" in spec:
@@ -160,24 +133,22 @@ def cmd_luders(args) -> int:
         raise ParseError("channel spec needs 'phi_bc'")
     phi = bipartite_from_json(spec["phi_bc"], "phi_bc")
     ch = tp.luders_channel(psis, phi)
-    op_bound, trace_bound = tp.luders_bounds(ch)
+    bounds = tp.luders_bounds(ch)
 
+    table = vf.ResidualTable()
     rng = rng_for(args.seed, 3)
-    decoupling = 0.0
     for _ in range(PROBE_COUNT):
-        v = random_unit_vector(rng, ch.psis[0].dim_a)
-        dense = tp.luders_project(ch, v)
-        factored = np.zeros_like(dense)
-        for psi_k, t_k in zip(ch.psis, ch.maps):
-            factored += np.kron(psi_k.to_vector(), t_k @ v)
-        decoupling = max(decoupling, float(np.linalg.norm(dense - factored)))
-
+        probe = random_unit_vector(rng, ch.psis[0].dim_a)
+        table.record("luders.decoupling", vf.luders_decoupling(ch, probe))
+    table.record("luders.op_bound", vf.luders_op_bound(ch, bounds))
+    results, worst = _worst(table, args.tolerance)
+    decoupling = worst["luders.decoupling"]
     report = {
         "maps": [matrix_to_json(t) for t in ch.maps],
         "rank": ch.rank,
         "ancilla_norm_sq": ch.ancilla_norm_sq,
-        "op_bound": op_bound,
-        "trace_bound": trace_bound,
+        "op_bound": bounds.op_bound,
+        "trace_bound": bounds.trace_bound,
         "decoupling_residual": decoupling,
     }
     if args.nu:
@@ -185,61 +156,48 @@ def cmd_luders(args) -> int:
         report["output"] = matrix_to_json(tp.luders_apply(ch, nu))
     _emit(report, args.out)
     _say(
-        f"channel of rank {ch.rank}: op bound {op_bound:.6f} "
+        f"channel of rank {ch.rank}: op bound {bounds.op_bound:.6f} "
         f"(ancilla norm sq {ch.ancilla_norm_sq:.6f}), decoupling residual {decoupling:.3e}"
     )
-    _check({"decoupling": decoupling, "op_bound_excess": max(0.0, op_bound - ch.ancilla_norm_sq)}, tolerance)
+    vf.check_all(results)
     return EXIT_OK
 
 
 def cmd_chain(args) -> int:
     spec = load_json(args.chain)
-    tolerance = args.tolerance if args.tolerance is not None else 1e-10
     if "stages" not in spec or not isinstance(spec["stages"], list):
         raise ParseError("chain spec needs a 'stages' list")
     stages = [bipartite_from_json(s, f"stages[{k}]") for k, s in enumerate(spec["stages"])]
-    t_ea = tp.chain_teleport(stages)
+    t = tp.chain_teleport(stages)
+    table = vf.ResidualTable()
     rng = rng_for(args.seed, 4)
-    oracle_residual = 0.0
     for _ in range(PROBE_COUNT):
-        v = random_unit_vector(rng, stages[0].dim_a)
-        out = tp.chain_oracle(v, [stages[1], stages[3]], [stages[0], stages[2]])
-        oracle_residual = max(oracle_residual, float(np.linalg.norm(t_ea @ v - out)))
-    report = {"t": matrix_to_json(t_ea), "oracle_residual": oracle_residual}
+        probe = random_unit_vector(rng, stages[0].dim_a)
+        table.record("chain.factorization", vf.chain_factorization(stages, t, probe))
+    results, worst = _worst(table, args.tolerance)
+    oracle_residual = worst["chain.factorization"]
+    report = {"t": matrix_to_json(t), "oracle_residual": oracle_residual}
     _emit(report, args.out)
-    _say(f"chain map {t_ea.shape[0]}x{t_ea.shape[1]}, oracle residual {oracle_residual:.3e}")
-    _check({"oracle": oracle_residual}, tolerance)
+    _say(
+        f"chain map {t.shape[0]}x{t.shape[1]} over {len(stages) // 2} hops, "
+        f"oracle residual {oracle_residual:.3e}"
+    )
+    vf.check_all(results)
     return EXIT_OK
 
 
 def cmd_modular(args) -> int:
     phi = _load_state(args.phi, "phi")
     psi = _load_state(args.psi, "psi")
-    tolerance = args.tolerance if args.tolerance is not None else 1e-9
     triple = md.tomita_S(phi, psi)
-    d = psi.dim_a
-    defining = 0.0
-    for i in range(d):
-        for j in range(d):
-            e_ij = np.zeros((d, d), dtype=np.complex128)
-            e_ij[i, j] = 1.0
-            lhs = triple.s((e_ij @ psi.coeff).reshape(-1))
-            rhs = (e_ij.conj().T @ phi.coeff).reshape(-1)
-            defining = max(defining, float(np.linalg.norm(lhs - rhs)))
-    reconstruction = float(
-        np.linalg.norm(triple.s.mat - triple.j.mat @ np.conj(psd_sqrt(triple.delta)))
-    )
+    table = vf.ResidualTable()
+    table.record("modular.defining", vf.modular_defining(triple, phi, psi))
+    table.record("modular.reconstruction", vf.modular_reconstruction(triple))
     j_twisted = md.lift_operators(psi, phi).j
-    phase_match = float(np.linalg.norm(triple.j.mat - j_twisted.mat))
-    lhs = triple.s.mat @ np.conj(np.kron(np.eye(d), psd_sqrt(bp.reduced(psi, "b"))))
-    rhs = j_twisted.mat @ np.conj(np.kron(psd_sqrt(bp.reduced(phi, "a")), np.eye(d)))
-    intertwine = float(np.linalg.norm(lhs - rhs))
-    residuals = {
-        "defining": defining,
-        "reconstruction": reconstruction,
-        "phase_match": phase_match,
-        "intertwine": intertwine,
-    }
+    table.record("modular.phase_match", vf.modular_phase_match(triple, j_twisted))
+    table.record("modular.intertwine", vf.modular_intertwine(triple, j_twisted, phi, psi))
+    results, worst = _worst(table, args.tolerance)
+    residuals = {name.removeprefix("modular."): value for name, value in worst.items()}
     report = {
         "S": antilinear_to_json(triple.s),
         "Delta": matrix_to_json(triple.delta),
@@ -247,8 +205,8 @@ def cmd_modular(args) -> int:
         "residuals": residuals,
     }
     _emit(report, args.out)
-    _say(f"modular triple on {d}x{d}, max residual {max(residuals.values()):.3e}")
-    _check(residuals, tolerance)
+    _say(f"modular triple on {psi.dim_a}x{psi.dim_a}, max residual {max(residuals.values()):.3e}")
+    vf.check_all(results)
     return EXIT_OK
 
 
@@ -258,7 +216,6 @@ def cmd_verify(args) -> int:
         dims=args.dims,
         trials=args.trials,
         tolerance=args.tolerance,
-        jobs=args.jobs,
     )
     report = {
         "seed": args.seed,
@@ -300,58 +257,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tolerance_default_doc: str):
+    def common(p):
         p.add_argument("--seed", type=int, default=42, help="seed for probe vectors (default 42)")
         p.add_argument(
             "--tolerance",
             type=float,
             default=None,
-            help=f"residual tolerance (default {tolerance_default_doc})",
+            help="one residual tolerance for every identity (default: each identity's own)",
         )
         p.add_argument("--out", default=None, help="write the JSON report to this file")
 
     p = sub.add_parser("epr", help="induced maps, reductions, and residuals of one state")
     p.add_argument("state", help="bipartite vector JSON file")
-    common(p, "1e-10")
+    common(p)
     p.set_defaults(func=cmd_epr)
 
     p = sub.add_parser("teleport", help="channel matrix, norms, fidelity, oracle residual")
     p.add_argument("psi", help="measured vector psi_ab JSON file")
     p.add_argument("phi", help="ancilla phi_bc JSON file")
-    common(p, "1e-9")
+    common(p)
     p.set_defaults(func=cmd_teleport)
 
     p = sub.add_parser("luders", help="higher-rank measurement channel and its bounds")
     p.add_argument("channel", help="channel spec JSON file with 'psis' or 'psi_ab', and 'phi_bc'")
     p.add_argument("--nu", default=None, help="optional operator JSON file to push through the channel")
-    common(p, "1e-9")
+    common(p)
     p.set_defaults(func=cmd_luders)
 
-    p = sub.add_parser("chain", help="five-subsystem distributed channel")
-    p.add_argument("chain", help="chain spec JSON file with a 4-element 'stages' list")
-    common(p, "1e-10")
+    p = sub.add_parser("chain", help="distributed multi-hop channel")
+    p.add_argument("chain", help="chain spec JSON file with an even-length 'stages' list")
+    common(p)
     p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser("modular", help="modular operators S, Delta, J of a state pair")
     p.add_argument("phi", help="target state phi JSON file")
     p.add_argument("psi", help="completely entangled state psi JSON file")
-    common(p, "1e-9")
+    common(p)
     p.set_defaults(func=cmd_modular)
 
     p = sub.add_parser("verify", help="run every identity suite on seeded random instances")
-    common(p, "per identity")
+    common(p)
     p.add_argument("--dims", type=int, nargs="+", default=[2, 3, 4], help="dimensions to sample")
     p.add_argument("--trials", type=int, default=100, help="trials per suite (default 100)")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="run independent trial chunks on this many threads; the report is identical",
-    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("random", help="emit a seeded random bipartite vector")
-    common(p, "unused")
+    common(p)
     p.add_argument("--dims", type=int, nargs="+", default=[2, 2], help="dim_a dim_b")
     p.add_argument(
         "--entangled",
@@ -365,12 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if (
-        getattr(args, "trials", 1) < 1
-        or getattr(args, "jobs", 1) < 1
-        or (args.tolerance is not None and args.tolerance <= 0)
-    ):
-        _say("error: trials and jobs must be >= 1 and tolerance positive")
+    if getattr(args, "trials", 1) < 1 or (args.tolerance is not None and args.tolerance <= 0):
+        _say("error: trials must be >= 1 and tolerance positive")
         return EXIT_INVALID
     if any(d < 1 for d in getattr(args, "dims", [1])):
         _say("error: dimensions must be positive")

@@ -97,16 +97,16 @@ def psd_eigh(h, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def psd_sqrt(h) -> np.ndarray:
-    """Hermitian PSD square root via eigendecomposition."""
-    w, v = psd_eigh(h)
+def psd_sqrt(h, name: str = "matrix") -> np.ndarray:
+    """Hermitian PSD square root via eigendecomposition; errors name the operand."""
+    w, v = psd_eigh(h, name)
     s = (v * np.sqrt(w)) @ v.conj().T
     return (s + s.conj().T) / 2
 
 
-def support_projection(h) -> np.ndarray:
-    """Projection onto the range of a Hermitian PSD matrix."""
-    w, v = psd_eigh(h)
+def support_projection(h, name: str = "matrix") -> np.ndarray:
+    """Projection onto the range of a Hermitian PSD matrix; errors name the operand."""
+    w, v = psd_eigh(h, name)
     keep = w > 0
     vr = v[:, keep]
     return vr @ vr.conj().T

@@ -18,11 +18,13 @@ factors the result; the two routes agreeing is the whole point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bipartite import BipartiteVector, reduced
+from .antilinear import chain
+from .bipartite import BipartiteVector, epr_maps, reduced
 from .errors import (
     DimMismatch,
     DimTooLarge,
@@ -72,26 +74,13 @@ def _factor_out(result: np.ndarray, measured: np.ndarray, dim_rest: int, what: s
 
 
 def teleport_oracle(psi_ab: BipartiteVector, phi_bc: BipartiteVector, phi_a) -> np.ndarray:
-    """Brute-force channel output: dense projection on the full tripartite space.
+    """Brute-force channel output: the one-hop case of chain_oracle.
 
     Builds phi_a ⊗ phi_bc, applies |psi><psi| ⊗ 1_c as a dense projector,
     factors the result as psi ⊗ phi_c, and returns phi_c.  Must agree with
     teleport_map; a factorization residual beyond tolerance means a bug.
     """
-    if psi_ab.dim_b != phi_bc.dim_a:
-        raise DimMismatch(
-            f"shared b-dimension differs: psi has {psi_ab.dim_b}, ancilla has {phi_bc.dim_a}"
-        )
-    v_a = np.asarray(phi_a, dtype=np.complex128).reshape(-1)
-    if v_a.shape[0] != psi_ab.dim_a:
-        raise DimMismatch(f"phi_a length {v_a.shape[0]} != dim_a {psi_ab.dim_a}")
-    w_ab = psi_ab.to_vector()
-    n = float(np.linalg.norm(w_ab))
-    if abs(n - 1.0) > UNIT_TOL:
-        raise NotUnit(f"measured vector has norm {n!r}, expected 1")
-    full = np.kron(v_a, phi_bc.to_vector())
-    proj = np.kron(np.outer(w_ab, np.conj(w_ab)), np.eye(phi_bc.dim_b))
-    return _factor_out(proj @ full, w_ab, phi_bc.dim_b, "teleport_oracle")
+    return chain_oracle(phi_a, [psi_ab, phi_bc])
 
 
 def _unit_state(psi: BipartiteVector, what: str):
@@ -254,61 +243,44 @@ def luders_project(ch: LudersChannel, phi_a) -> np.ndarray:
 
 
 def chain_teleport(stages: Sequence[BipartiteVector]) -> np.ndarray:
-    """Distributed two-hop channel: compose the four induced maps into one matrix.
+    """Distributed multi-hop channel: fold the induced maps of all stages into one matrix.
 
-    `stages` is the chain [psi_ab, phi_bc, psi_cd, phi_de]: measured vectors
-    at odd positions, ancillae at even ones.  Four antilinear factors give a
-    linear composite from H_a to H_e.  Longer even chains can be folded with
-    antilinear.chain; odd counts would be antilinear and are rejected here.
+    `stages` is the chain [psi_ab, phi_bc, psi_cd, phi_de, ...]: measured
+    vectors at even positions, ancillae at odd ones.  An even number of
+    antilinear factors gives a linear composite from the first subsystem to
+    the last; odd counts would be antilinear and are rejected.
     """
     stages = list(stages)
     if len(stages) % 2 == 1:
         raise OddParity(f"{len(stages)} stages give an antilinear composite")
-    if len(stages) != 4:
-        raise DimMismatch("chain_teleport handles the five-subsystem chain of four stages")
-    mats = [s.coeff.T for s in stages]  # maps b<-a, c<-b, d<-c, e<-d
-    for left, right in zip(mats[1:], mats[:-1]):
-        if left.shape[1] != right.shape[0]:
-            raise DimMismatch("stage dimensions do not chain")
-    return mats[3] @ np.conj(mats[2]) @ mats[1] @ np.conj(mats[0])
+    return chain(epr_maps(s).s_ba for s in stages)
 
 
-def chain_oracle(
-    phi_a,
-    ancillae: Sequence[BipartiteVector],
-    measured_vectors: Sequence[BipartiteVector],
-) -> np.ndarray:
-    """Dense five-partite projection oracle for the two-hop chain.
+def chain_oracle(phi_a, stages: Sequence[BipartiteVector]) -> np.ndarray:
+    """Dense (2N+1)-partite projection oracle for an N-hop chain.
 
-    Builds phi_a ⊗ phi_bc ⊗ phi_de, applies both measurement projectors at
-    once, factors out psi_ab ⊗ psi_cd, and returns the conditional output in
-    H_e.
+    Builds phi_a ⊗ phi_bc ⊗ phi_de ⊗ ..., applies all N measurement
+    projectors at once, factors out psi_ab ⊗ psi_cd ⊗ ..., and returns the
+    conditional output in the last subsystem.  `stages` is ordered as for
+    chain_teleport.
     """
-    if len(ancillae) != 2 or len(measured_vectors) != 2:
-        raise DimMismatch("chain_oracle wants two ancillae and two measured vectors")
-    phi_bc, phi_de = ancillae
-    psi_ab, psi_cd = measured_vectors
+    stages = list(stages)
+    if not stages:
+        raise DimMismatch("chain_oracle needs at least one hop")
+    if len(stages) % 2 == 1:
+        raise OddParity(f"{len(stages)} stages give an antilinear composite")
+    measured, ancillae = stages[0::2], stages[1::2]
     v_a = np.asarray(phi_a, dtype=np.complex128).reshape(-1)
-    dims = (
-        v_a.shape[0], phi_bc.dim_a, phi_bc.dim_b, phi_de.dim_a, phi_de.dim_b,
-    )
-    if (psi_ab.dim_a, psi_ab.dim_b) != dims[:2]:
-        raise DimMismatch(f"psi_ab dims {(psi_ab.dim_a, psi_ab.dim_b)} != {dims[:2]}")
-    if (psi_cd.dim_a, psi_cd.dim_b) != dims[2:4]:
-        raise DimMismatch(f"psi_cd dims {(psi_cd.dim_a, psi_cd.dim_b)} != {dims[2:4]}")
+    dims = [v_a.shape[0]] + [s.dim_b for s in stages]
+    for k, s in enumerate(stages):
+        if s.dim_a != dims[k]:
+            raise DimMismatch(f"stages[{k}] has first dimension {s.dim_a}, the chain has {dims[k]} there")
     total = int(np.prod(dims))
     if total > DENSE_DIM_LIMIT:
         raise DimTooLarge(f"dense chain oracle needs dimension {total} > {DENSE_DIM_LIMIT}")
-    for m, name in ((psi_ab, "psi_ab"), (psi_cd, "psi_cd")):
-        n = m.norm()
-        if abs(n - 1.0) > UNIT_TOL:
-            raise NotUnit(f"{name} has norm {n!r}, expected 1")
-    full = np.kron(np.kron(v_a, phi_bc.to_vector()), phi_de.to_vector())
-    w_ab = psi_ab.to_vector()
-    w_cd = psi_cd.to_vector()
-    proj = np.kron(
-        np.kron(np.outer(w_ab, np.conj(w_ab)), np.outer(w_cd, np.conj(w_cd))),
-        np.eye(dims[4]),
-    )
-    measured = np.kron(w_ab, w_cd)
-    return _factor_out(proj @ full, measured, dims[4], "chain_oracle")
+    for k, m in enumerate(measured):
+        _unit_state(m, f"measured vector stages[{2 * k}]")
+    ws = [m.to_vector() for m in measured]
+    full = reduce(np.kron, (p.to_vector() for p in ancillae), v_a)
+    proj = np.kron(reduce(np.kron, (np.outer(w, np.conj(w)) for w in ws)), np.eye(dims[-1]))
+    return _factor_out(proj @ full, reduce(np.kron, ws), dims[-1], "chain_oracle")

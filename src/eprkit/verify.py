@@ -2,15 +2,17 @@
 
 Each trial draws its instances from an independent sub-stream of
 (seed, suite, trial index), so any reported residual is reproducible in
-isolation and disjoint trial ranges can run concurrently.  Residuals are
-Frobenius norms of differences (absolute values for scalars), maximized over
-trials; the max makes merging chunks order-independent.  Tolerances are
-pinned per identity; passing a global tolerance overrides all of them.
+isolation.  Residuals are Frobenius norms of differences (absolute values for
+scalars), maximized over trials.  Tolerances are pinned per identity; passing
+a global tolerance overrides all of them.
+
+The identities the CLI subcommands check on their inputs are each computed
+by one residual function below, which takes already-built operands; the
+suites and the CLI both call it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -99,10 +101,6 @@ class ResidualTable:
         if name not in self._max or v > self._max[name]:
             self._max[name] = v
 
-    def merge(self, other: "ResidualTable"):
-        for name, value in other._max.items():
-            self.record(name, value)
-
     def results(self, tolerance: float | None = None) -> list[IdentityResult]:
         return [
             IdentityResult(name, self._max[name], tolerance if tolerance is not None else TOLERANCES[name])
@@ -125,6 +123,103 @@ def _square_dims(dims) -> list[int]:
 
 def _vdot(x, y) -> complex:
     return complex(np.vdot(np.asarray(x).reshape(-1), np.asarray(y).reshape(-1)))
+
+
+def epr_projection(psi, pair, omega_a, phi_a) -> float:
+    """(|phi_a><phi_a| ⊗ 1) psi = phi_a ⊗ s_ba phi_a, with squared norm <phi_a, omega_a phi_a>."""
+    projected = bp.project_rank1(psi, phi_a)
+    return max(
+        _fro(projected.coeff - np.outer(phi_a, al.apply(pair.s_ba, phi_a))),
+        abs(projected.norm() ** 2 - _vdot(phi_a, omega_a @ phi_a).real),
+    )
+
+
+def epr_pairing(psi, pair, phi_a, phi_b) -> float:
+    """<phi_b, s_ba phi_a> = <phi_a, s_ab phi_b> = <phi_a ⊗ phi_b, psi>."""
+    rhs = _vdot(np.kron(phi_a, phi_b), psi.to_vector())
+    return max(
+        abs(_vdot(phi_b, al.apply(pair.s_ba, phi_a)) - rhs),
+        abs(_vdot(phi_a, al.apply(pair.s_ab, phi_b)) - rhs),
+    )
+
+
+def epr_inner_trace(psi, pair, chi) -> float:
+    """<chi, psi> as a trace of induced maps, on either factor."""
+    direct = _vdot(chi.coeff, psi.coeff)
+    trace_b = complex(np.trace(al.compose_aa(pair.s_ba, bp.epr_maps(chi).s_ab)))
+    return max(abs(bp.inner_via_trace(chi, psi) - direct), abs(trace_b - direct))
+
+
+def epr_reduction(psi, omega_a, omega_b) -> float:
+    """The reductions against partial traces of the dense projector |psi><psi|."""
+    dense = np.outer(psi.to_vector(), np.conj(psi.to_vector()))
+    return max(
+        _fro(omega_a - la.partial_trace(dense, psi.dim_a, psi.dim_b, "a")),
+        _fro(omega_b - la.partial_trace(dense, psi.dim_a, psi.dim_b, "b")),
+    )
+
+
+def teleport_factorization(tm, probe) -> float:
+    """Factorized channel output against the dense projection oracle."""
+    return _fro(tm.t @ probe - tp.teleport_oracle(tm.source_psi, tm.ancilla_phi, probe))
+
+
+def teleport_trace_fidelity(tnf) -> float:
+    """Trace norm of the channel matrix against the fidelity of the reductions."""
+    return abs(tnf.trace_norm - tnf.fidelity)
+
+
+def luders_decoupling(ch, probe) -> float:
+    """Dense (P ⊗ 1_c)(probe ⊗ phi) against sum_k psi_k ⊗ t_k probe."""
+    dense = tp.luders_project(ch, probe)
+    factored = np.zeros_like(dense)
+    for psi_k, t_k in zip(ch.psis, ch.maps):
+        factored += np.kron(psi_k.to_vector(), t_k @ probe)
+    return _fro(dense - factored)
+
+
+def luders_op_bound(ch, bounds) -> float:
+    """Excess of the operator bound over the squared ancilla norm, and its gap to the trace bound."""
+    return max(max(0.0, bounds.op_bound - ch.ancilla_norm_sq), abs(bounds.op_bound - bounds.trace_bound))
+
+
+def chain_factorization(stages, t, probe) -> float:
+    """Folded chain matrix against the dense chain oracle."""
+    return _fro(t @ probe - tp.chain_oracle(probe, stages))
+
+
+def modular_defining(triple, phi, psi) -> float:
+    """S (E_ij ⊗ 1) psi = (E_ij* ⊗ 1) phi on every matrix unit."""
+    d = psi.dim_a
+    worst = 0.0
+    for i in range(d):
+        for j in range(d):
+            e_ij = np.zeros((d, d), dtype=np.complex128)
+            e_ij[i, j] = 1.0
+            lhs = triple.s((e_ij @ psi.coeff).reshape(-1))
+            rhs = (e_ij.conj().T @ phi.coeff).reshape(-1)
+            worst = max(worst, _fro(lhs - rhs))
+    return worst
+
+
+def modular_reconstruction(triple) -> float:
+    """S = J Delta^(1/2)."""
+    return _fro(triple.s.mat - triple.j.mat @ np.conj(la.psd_sqrt(triple.delta, "Delta")))
+
+
+def modular_phase_match(triple, j_twisted) -> float:
+    """The polar phase of S against the twisted product of the phase maps."""
+    return _fro(triple.j.mat - j_twisted.mat)
+
+
+def modular_intertwine(triple, j_twisted, phi, psi) -> float:
+    """S (1 ⊗ omega_b(psi)^(1/2)) = J~ (omega_a(phi)^(1/2) ⊗ 1)."""
+    d = psi.dim_a
+    sq_b_psi = la.psd_sqrt(bp.reduced(psi, "b"), "omega_b(psi)")
+    sq_a_phi = la.psd_sqrt(bp.reduced(phi, "a"), "omega_a(phi)")
+    lhs = triple.s.mat @ np.conj(np.kron(np.eye(d), sq_b_psi))
+    rhs = j_twisted.mat @ np.conj(np.kron(sq_a_phi, np.eye(d)))
+    return _fro(lhs - rhs)
 
 
 def matcore_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
@@ -163,27 +258,12 @@ def epr_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         rng = rng_for(seed, 10, t)
         psi = state_from_rng(rng, da, db)
         pair = bp.epr_maps(psi)
+        omega_a, omega_b = bp.reduced(psi, "a"), bp.reduced(psi, "b")
         phi_a = random_unit_vector(rng, da)
         phi_b = complex_normal(rng, db)
-
-        projected = bp.project_rank1(psi, phi_a)
-        image = al.apply(pair.s_ba, phi_a)
-        table.record("epr.projection", _fro(projected.coeff - np.outer(phi_a, image)))
-        table.record(
-            "epr.projection",
-            abs(projected.norm() ** 2 - _vdot(phi_a, bp.reduced(psi, "a") @ phi_a).real),
-        )
-
-        lhs = _vdot(phi_b, al.apply(pair.s_ba, phi_a))
-        mid = _vdot(phi_a, al.apply(pair.s_ab, phi_b))
-        rhs = _vdot(np.kron(phi_a, phi_b), psi.to_vector())
-        table.record("epr.pairing", max(abs(lhs - rhs), abs(mid - rhs)))
-
-        chi = state_from_rng(rng, da, db)
-        direct = _vdot(chi.coeff, psi.coeff)
-        table.record("epr.inner_trace", abs(bp.inner_via_trace(chi, psi) - direct))
-        trace_b = complex(np.trace(al.compose_aa(pair.s_ba, bp.epr_maps(chi).s_ab)))
-        table.record("epr.inner_trace", abs(trace_b - direct))
+        table.record("epr.projection", epr_projection(psi, pair, omega_a, phi_a))
+        table.record("epr.pairing", epr_pairing(psi, pair, phi_a, phi_b))
+        table.record("epr.inner_trace", epr_inner_trace(psi, pair, state_from_rng(rng, da, db)))
 
         table.record(
             "epr.reconstruct",
@@ -195,14 +275,7 @@ def epr_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
             _fro(bp.reconstruct(pair.s_ba, a_psd).coeff - a_psd @ psi.coeff),
         )
 
-        dense = np.outer(psi.to_vector(), np.conj(psi.to_vector()))
-        table.record(
-            "epr.reduction",
-            max(
-                _fro(bp.reduced(psi, "a") - la.partial_trace(dense, da, db, "a")),
-                _fro(bp.reduced(psi, "b") - la.partial_trace(dense, da, db, "b")),
-            ),
-        )
+        table.record("epr.reduction", epr_reduction(psi, omega_a, omega_b))
 
         a_op = complex_normal(rng, da, da)
         b_op = complex_normal(rng, db, db)
@@ -378,11 +451,7 @@ def teleport_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int],
         psi = state_from_rng(rng, da, db)
         phi = state_from_rng(rng, db, dc)
         tm = tp.teleport_map(psi, phi)
-        probe = random_unit_vector(rng, da)
-        table.record(
-            "teleport.factorization",
-            _fro(tm.t @ probe - tp.teleport_oracle(psi, phi, probe)),
-        )
+        table.record("teleport.factorization", teleport_factorization(tm, random_unit_vector(rng, da)))
         bound = tp.success_bound(tm)
         worst = 0.0
         for _ in range(bound_probes):
@@ -391,8 +460,7 @@ def teleport_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int],
         table.record("teleport.bound_holds", max(0.0, worst - bound))
         top = float(np.linalg.svd(tm.t, compute_uv=False).max())
         table.record("teleport.bound_attained", abs(top**2 - bound))
-        tn, f = tp.trace_norm_fidelity(tm)
-        table.record("teleport.trace_fidelity", abs(tn - f))
+        table.record("teleport.trace_fidelity", teleport_trace_fidelity(tp.trace_norm_fidelity(tm)))
 
 
 def _orthonormal_states(rng, da: int, db: int, count: int) -> list[bp.BipartiteVector]:
@@ -415,12 +483,7 @@ def luders_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         single = tp.luders_channel(psis[:1], phi)
         table.record("luders.rank1", _fro(single.maps[0] - tp.teleport_map(psis[0], phi).t))
 
-        probe = random_unit_vector(rng, da)
-        dense = tp.luders_project(ch, probe)
-        factored = np.zeros_like(dense)
-        for psi_k, t_k in zip(ch.psis, ch.maps):
-            factored += np.kron(psi_k.to_vector(), t_k @ probe)
-        table.record("luders.decoupling", _fro(dense - factored))
+        table.record("luders.decoupling", luders_decoupling(ch, random_unit_vector(rng, da)))
 
         mix = random_unitary(rng, rank)
         flat = np.stack([p.to_vector() for p in psis])
@@ -429,10 +492,8 @@ def luders_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         nu = random_psd(rng, da)
         table.record("luders.independence", _fro(tp.luders_apply(ch, nu) - tp.luders_apply(ch2, nu)))
 
-        op_bound, trace_bound = tp.luders_bounds(ch)
+        table.record("luders.op_bound", luders_op_bound(ch, tp.luders_bounds(ch)))
         norm_sq = ch.ancilla_norm_sq
-        table.record("luders.op_bound", max(0.0, op_bound - norm_sq))
-        table.record("luders.op_bound", abs(op_bound - trace_bound))
         out_trace = float(np.trace(tp.luders_apply(ch, nu)).real)
         table.record("luders.trace_bound", max(0.0, out_trace - norm_sq * float(np.trace(nu).real)))
 
@@ -447,9 +508,7 @@ def chain_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         rng = rng_for(seed, 100, t)
         stages = [state_from_rng(rng, 2, 2) for _ in range(4)]
         t_ea = tp.chain_teleport(stages)
-        probe = random_unit_vector(rng, 2)
-        out = tp.chain_oracle(probe, [stages[1], stages[3]], [stages[0], stages[2]])
-        table.record("chain.factorization", _fro(t_ea @ probe - out))
+        table.record("chain.factorization", chain_factorization(stages, t_ea, random_unit_vector(rng, 2)))
 
 
 def twisted_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
@@ -545,16 +604,7 @@ def modular_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         psi = state_from_rng(rng, d, d, entangled=True)
         phi = state_from_rng(rng, d, d)
         triple = md.tomita_S(phi, psi)
-
-        worst = 0.0
-        for i in range(d):
-            for j in range(d):
-                e_ij = np.zeros((d, d), dtype=np.complex128)
-                e_ij[i, j] = 1.0
-                lhs = triple.s((e_ij @ psi.coeff).reshape(-1))
-                rhs = (e_ij.conj().T @ phi.coeff).reshape(-1)
-                worst = max(worst, _fro(lhs - rhs))
-        table.record("modular.defining", worst)
+        table.record("modular.defining", modular_defining(triple, phi, psi))
 
         # Delta carries an inverse, so its norm is unbounded over random states;
         # this dual-route residual is measured relative to it.
@@ -564,19 +614,10 @@ def modular_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         eigs = np.linalg.eigvalsh((triple.delta + triple.delta.conj().T) / 2)
         table.record("modular.delta", max(0.0, -float(eigs.min())) / scale)
 
-        table.record(
-            "modular.reconstruction",
-            _fro(triple.s.mat - triple.j.mat @ np.conj(la.psd_sqrt(triple.delta))),
-        )
-
+        table.record("modular.reconstruction", modular_reconstruction(triple))
         j_twisted = md.lift_operators(psi, phi).j
-        table.record("modular.phase_match", _fro(triple.j.mat - j_twisted.mat))
-
-        sq_b_psi = la.psd_sqrt(bp.reduced(psi, "b"))
-        sq_a_phi = la.psd_sqrt(bp.reduced(phi, "a"))
-        lhs = triple.s.mat @ np.conj(np.kron(np.eye(d), sq_b_psi))
-        rhs = j_twisted.mat @ np.conj(np.kron(sq_a_phi, np.eye(d)))
-        table.record("modular.intertwine", _fro(lhs - rhs))
+        table.record("modular.phase_match", modular_phase_match(triple, j_twisted))
+        table.record("modular.intertwine", modular_intertwine(triple, j_twisted, phi, psi))
 
         fixed = md.tomita_S(psi, psi)
         vec = psi.to_vector()
@@ -608,33 +649,12 @@ def run_all(
     dims=(2, 3, 4),
     trials: int = 100,
     tolerance: float | None = None,
-    jobs: int = 1,
 ) -> list[IdentityResult]:
-    """Run every suite; returns one result per identity, worst residual over trials.
-
-    With jobs > 1 the trial range is split into chunks executed on a thread
-    pool.  Trials are seeded independently and the tables merge by max, so
-    the result is identical to the single-threaded run no matter how chunks
-    are scheduled.
-    """
+    """Run every suite; returns one result per identity, worst residual over trials."""
     dims = [int(d) for d in dims]
-
-    def run_chunk(chunk: range) -> ResidualTable:
-        t = ResidualTable()
-        for suite in SUITES:
-            suite(t, seed, dims, chunk)
-        return t
-
     table = ResidualTable()
-    if jobs <= 1 or trials < 2:
-        table.merge(run_chunk(range(trials)))
-    else:
-        jobs = min(jobs, trials)
-        bounds = np.linspace(0, trials, jobs + 1, dtype=int)
-        chunks = [range(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(run_chunk, chunks):
-                table.merge(part)
+    for suite in SUITES:
+        suite(table, seed, dims, range(trials))
     return table.results(tolerance)
 
 

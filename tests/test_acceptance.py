@@ -273,7 +273,7 @@ def test_criterion_9_chain_theorem(acceptance_report):
         t = chain_teleport(stages)
         v = complex_normal(rng, 2)
         v /= np.linalg.norm(v)
-        out = chain_oracle(v, [stages[1], stages[3]], [stages[0], stages[2]])
+        out = chain_oracle(v, stages)
         worst = max(worst, fro(t @ v - out))
     bell_exact = float(np.abs(chain_teleport([bell(2)] * 4) - np.eye(2) / 4).max())
     verdict(

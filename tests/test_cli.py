@@ -1,6 +1,7 @@
 """Tests for the command-line interface: reports, exit codes, determinism."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -141,6 +142,16 @@ class TestChain:
         assert np.abs(t - np.eye(2) / 4).max() < 1e-14
         assert report["oracle_residual"] < 1e-10
 
+    def test_six_stages(self, capsys, tmp_path):
+        spec = {"stages": [bipartite_to_json(random_state((2, 2), seed=k)) for k in range(6)]}
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(spec))
+        code, report, err = run_cli(capsys, "chain", str(path))
+        assert code == 0
+        assert matrix_from_json(report["t"]).shape == (2, 2)
+        assert report["oracle_residual"] < 1e-10
+        assert "over 3 hops" in err
+
     def test_wrong_stage_count_exit_2(self, capsys, tmp_path):
         spec = {"stages": [bipartite_to_json(bell(2)) for _ in range(3)]}
         path = tmp_path / "chain.json"
@@ -204,13 +215,6 @@ class TestVerify:
         out2 = capsys.readouterr().out
         assert out1 == out2
 
-    def test_parallel_trials_match_serial(self, capsys):
-        main(["verify", "--trials", "6", "--dims", "2"])
-        serial = capsys.readouterr().out
-        main(["verify", "--trials", "6", "--dims", "2", "--jobs", "3"])
-        parallel = capsys.readouterr().out
-        assert serial == parallel
-
     def test_seed_changes_nothing_structural(self, capsys):
         _, report, _ = run_cli(capsys, "verify", "--trials", "2", "--dims", "2", "--seed", "7")
         names = [r["identity"] for r in report["results"]]
@@ -224,8 +228,39 @@ class TestVerify:
         assert captured.out == ""  # report went to the file, summary to stderr
         assert json.loads(out.read_text())["pass"] is True
 
-    def test_bad_jobs_exit_2(self, capsys):
-        assert main(["verify", "--trials", "1", "--dims", "2", "--jobs", "0"]) == 2
+
+def _write(tmp_path, name: str, obj) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, identities",
+    [
+        ("epr", {"epr.projection", "epr.pairing", "epr.inner_trace", "epr.reduction"}),
+        ("teleport", {"teleport.factorization", "teleport.trace_fidelity"}),
+        ("luders", {"luders.decoupling", "luders.op_bound"}),
+        ("chain", {"chain.factorization"}),
+        ("modular", {"modular.defining", "modular.reconstruction", "modular.phase_match",
+                     "modular.intertwine"}),
+    ],
+)
+def test_unattainable_tolerance_names_identity(capsys, tmp_path, command, identities):
+    def state(seed, entangled=False):
+        return bipartite_to_json(random_state((2, 2), seed=seed, entangled=entangled))
+
+    files = {
+        "epr": [_write(tmp_path, "psi.json", state(1))],
+        "teleport": [_write(tmp_path, "psi.json", state(1)), _write(tmp_path, "phi.json", state(2))],
+        "luders": [_write(tmp_path, "channel.json", {"psi_ab": state(1), "phi_bc": state(2)})],
+        "chain": [_write(tmp_path, "chain.json", {"stages": [state(k) for k in range(4)]})],
+        "modular": [_write(tmp_path, "phi.json", state(1)), _write(tmp_path, "psi.json", state(2, True))],
+    }[command]
+    code, _, err = run_cli(capsys, command, *files, "--tolerance", "1e-30")
+    assert code == 3
+    named = re.search(r"worst is (\S+) with residual", err).group(1)
+    assert named in identities
 
 
 class TestRandom:

@@ -86,6 +86,13 @@ class TestPsdSqrt:
         with pytest.raises(errors.NotPositive):
             psd_sqrt(np.diag([1.0, -0.5]))
 
+    def test_errors_name_the_operand(self):
+        skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(errors.NotHermitian, match="^Delta deviates from Hermiticity"):
+            psd_sqrt(skew, "Delta")
+        with pytest.raises(errors.NotPositive, match="^omega has eigenvalue"):
+            support_projection(np.diag([1.0, -0.5]), "omega")
+
     def test_roundoff_negative_clamped(self):
         s = psd_sqrt(np.diag([1.0, -1e-11]))
         assert_allclose(s, np.diag([1.0, 0.0]), atol=1e-12)

@@ -9,6 +9,7 @@ from eprkit.antilinear import AntilinearMap, compose_aa
 from eprkit.bipartite import BipartiteVector, reduced
 from eprkit.linalg import psd_sqrt, support_projection
 from eprkit.modular import (
+    ModularTriple,
     gns_check,
     lift_operators,
     tomita_S,
@@ -17,6 +18,7 @@ from eprkit.modular import (
     twisted_product,
 )
 from eprkit.sampling import complex_normal, state_from_rng
+from eprkit.verify import modular_reconstruction
 
 from util import basis_state, bell, random_unit_state, seeded_rng
 
@@ -231,6 +233,12 @@ class TestTomita:
         assert np.linalg.norm(
             triple.s.mat - triple.j.mat @ np.conj(psd_sqrt(triple.delta))
         ) < 1e-9
+
+    def test_reconstruction_residual_names_delta(self):
+        unit = AntilinearMap(np.eye(2))
+        skewed = ModularTriple(s=unit, delta=np.array([[1.0, 1e-6], [0.0, 1.0]]), j=unit)
+        with pytest.raises(errors.NotHermitian, match="^Delta deviates from Hermiticity"):
+            modular_reconstruction(skewed)
 
     def test_j_coincides_with_twisted_phase_lift(self):
         rng = seeded_rng(95)

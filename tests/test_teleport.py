@@ -20,6 +20,7 @@ from eprkit.teleport import (
     teleport_oracle,
     trace_norm_fidelity,
 )
+from eprkit.verify import TOLERANCES
 
 from util import basis_state, bell, random_unit_state, seeded_rng
 
@@ -73,6 +74,19 @@ class TestTeleportOracle:
     def test_requires_unit_measured_vector(self):
         with pytest.raises(errors.NotUnit):
             teleport_oracle(BipartiteVector(np.eye(2)), bell(2), [1.0, 0.0])
+
+    def test_bitwise_equal_to_tripartite_projection(self):
+        # The projection of phi_a ⊗ phi_bc by |psi><psi| ⊗ 1_c, written out for one hop.
+        rng = seeded_rng(78)
+        for _ in range(50):
+            da, db, dc = (int(rng.integers(2, 5)) for _ in range(3))
+            psi = random_unit_state(rng, da, db)
+            phi = random_unit_state(rng, db, dc)
+            v = complex_normal(rng, da)
+            w = psi.to_vector()
+            proj = np.kron(np.outer(w, np.conj(w)), np.eye(dc))
+            want = np.conj(w) @ (proj @ np.kron(v, phi.to_vector())).reshape(da * db, dc)
+            assert np.array_equal(teleport_oracle(psi, phi, v), want)
 
 
 class TestSuccessBound:
@@ -282,6 +296,21 @@ class TestLudersBounds:
         assert out == pytest.approx(ch.ancilla_norm_sq * np.trace(nu).real, abs=1e-9)
 
 
+def random_chain(rng, hops: int, max_dense: int = 1024):
+    """Unit stages of an N-hop chain with subsystem dims from {2, 3}, and a unit input.
+
+    The dense oracle's dimension is kept at most max_dense, below
+    DENSE_DIM_LIMIT, so its projector stays within 16 MB.
+    """
+    while True:
+        dims = [int(x) for x in rng.choice([2, 3], size=2 * hops + 1)]
+        if np.prod(dims) <= max_dense:
+            break
+    stages = [random_unit_state(rng, a, b) for a, b in zip(dims, dims[1:])]
+    v = complex_normal(rng, dims[0])
+    return stages, v / np.linalg.norm(v)
+
+
 class TestChain:
     def test_all_bell_is_quarter_identity(self):
         t = chain_teleport([bell(2)] * 4)
@@ -295,12 +324,11 @@ class TestChain:
         assert np.linalg.svd(t, compute_uv=False)[1] < 1e-12
 
     def test_oracle_all_bell(self):
-        out = chain_oracle([0.0, 1.0], [bell(2), bell(2)], [bell(2), bell(2)])
+        out = chain_oracle([0.0, 1.0], [bell(2)] * 4)
         assert_allclose(out, [0.0, 0.25], atol=1e-12)
 
     def test_oracle_kernel_input(self):
-        measured = [basis_state(0, 0, 2, 2), bell(2)]
-        out = chain_oracle([0.0, 1.0], [bell(2), bell(2)], measured)
+        out = chain_oracle([0.0, 1.0], [basis_state(0, 0, 2, 2), bell(2), bell(2), bell(2)])
         assert np.linalg.norm(out) < 1e-12
 
     def test_agreement_with_oracle(self):
@@ -310,14 +338,33 @@ class TestChain:
             t = chain_teleport(stages)
             v = complex_normal(rng, 2)
             v /= np.linalg.norm(v)
-            out = chain_oracle(v, [stages[1], stages[3]], [stages[0], stages[2]])
+            out = chain_oracle(v, stages)
             assert np.linalg.norm(t @ v - out) < 1e-10
 
+    @pytest.mark.parametrize("hops", [1, 2, 3, 4])
+    def test_hops_agree_with_oracle(self, hops):
+        assert np.abs(chain_teleport([bell(2)] * (2 * hops)) - np.eye(2) / 2**hops).max() < 1e-15
+        rng = seeded_rng(77, hops)
+        for _ in range(10):
+            stages, v = random_chain(rng, hops)
+            t = chain_teleport(stages)
+            assert t.shape == (stages[-1].dim_b, stages[0].dim_a)
+            assert np.linalg.norm(t @ v - chain_oracle(v, stages)) <= TOLERANCES["chain.factorization"]
+
+    def test_one_hop_is_teleport_map(self):
+        rng = seeded_rng(79)
+        for _ in range(20):
+            (psi, phi), _ = random_chain(rng, 1)
+            assert np.array_equal(chain_teleport([psi, phi]), teleport_map(psi, phi).t)
+
     def test_odd_count_rejected(self):
-        with pytest.raises(errors.OddParity):
-            chain_teleport([bell(2)] * 3)
+        for count in (1, 3, 5):
+            with pytest.raises(errors.OddParity):
+                chain_teleport([bell(2)] * count)
+            with pytest.raises(errors.OddParity):
+                chain_oracle([1.0, 0.0], [bell(2)] * count)
 
     def test_oracle_guards_dimension(self):
         big = BipartiteVector(np.ones((8, 8)) / 8)
         with pytest.raises(errors.DimTooLarge):
-            chain_oracle(np.ones(8) / np.sqrt(8), [big, big], [big, big])
+            chain_oracle(np.ones(8) / np.sqrt(8), [big] * 4)
