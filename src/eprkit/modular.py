@@ -7,13 +7,19 @@ vectors by crossing the factors,
 
 extended linearly when both factors are linear and antilinearly when both are
 antilinear; one of each is ill defined and rejected.  On the a-major Kronecker
-basis the matrix of the twisted product is kron(eta, xi) followed by the
-permutation that swaps the two slots, for either parity.
+basis its matrix is, for either parity, the broadcast product
+
+    mat[(i, k), (p, q)] = eta[i, q] * xi[k, p],
+
+so on a coefficient matrix X it acts as X -> eta X^T xi^T (linear) or
+X -> eta X† xi^T (antilinear).
 
 Applying this to the maps induced by two bipartite vectors lifts them to
 operators on the full product space; the lifted family reproduces, in finite
 dimensions, the modular operators S, Delta, J defined by
-S (A ⊗ 1) psi = (A* ⊗ 1) phi for a completely entangled psi.
+S (A ⊗ 1) psi = (A* ⊗ 1) phi for a completely entangled psi.  S and J are
+built here as twisted products of d×d factors, never by solving on the
+d²-dimensional space.
 """
 
 from __future__ import annotations
@@ -26,15 +32,6 @@ from .antilinear import AntilinearMap, adjoint
 from .bipartite import BipartiteVector, epr_maps, polar_of_state, reduced
 from .errors import DimMismatch, MixedParity, NotSeparating
 from .linalg import as_matrix, frozen, herm_eigh, numerical_rank
-
-
-def twist_permutation(dim_a: int, dim_b: int) -> np.ndarray:
-    """Permutation sending a-major index (k, l) of H_a ⊗ H_b to b-major (l, k)."""
-    cols = np.arange(dim_a * dim_b)
-    rows = (cols % dim_b) * dim_a + cols // dim_b
-    s = np.zeros((dim_a * dim_b, dim_a * dim_b))
-    s[rows, cols] = 1.0
-    return s
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,8 @@ def twisted_product(eta_ab, xi_ba) -> TwistedOperator:
     dim_a, dim_b = eta.shape
     if xi.shape != (dim_b, dim_a):
         raise DimMismatch(f"xi must map H_a({dim_a}) into H_b({dim_b}), got shape {xi.shape}")
-    mat = np.kron(eta, xi) @ twist_permutation(dim_a, dim_b)
+    eta, xi = np.ascontiguousarray(eta), np.ascontiguousarray(xi)  # so the product reshapes without a copy
+    mat = (eta[:, None, None, :] * xi[None, :, :, None]).reshape(dim_a * dim_b, dim_a * dim_b)
     return TwistedOperator(
         mat=mat,
         parity="antilinear" if eta_anti else "linear",
@@ -126,6 +124,11 @@ class LiftedOperators:
     j: TwistedOperator            # j_phi ⊗̃ j_psi
 
 
+def _phase_factors(phi: BipartiteVector, psi: BipartiteVector) -> tuple[AntilinearMap, AntilinearMap]:
+    """The phase maps j_phi_ab: H_b -> H_a and j_psi_ba: H_a -> H_b, the factors of the lifted J."""
+    return adjoint(polar_of_state(phi).phase), polar_of_state(psi).phase
+
+
 def lift_operators(phi: BipartiteVector, psi: BipartiteVector) -> LiftedOperators:
     """Lift the induced maps of (phi, psi) to the product space.
 
@@ -139,8 +142,7 @@ def lift_operators(phi: BipartiteVector, psi: BipartiteVector) -> LiftedOperator
         )
     s_phi_ab = epr_maps(phi).s_ab
     s_psi_ba = epr_maps(psi).s_ba
-    j_phi_ab = adjoint(polar_of_state(phi).phase)
-    j_psi_ba = polar_of_state(psi).phase
+    j_phi_ab, j_psi_ba = _phase_factors(phi, psi)
     return LiftedOperators(
         s_tilde=twisted_product(j_phi_ab, s_psi_ba),
         f_tilde=twisted_product(s_phi_ab, j_psi_ba),
@@ -181,12 +183,19 @@ class ModularTriple:
 def tomita_S(phi: BipartiteVector, psi: BipartiteVector) -> ModularTriple:
     """Modular operators of the pair (phi, psi) with psi completely entangled.
 
-    S is solved directly from its defining relation on the basis
-    {(E_ij ⊗ 1) psi}; no closure machinery is needed in finite dimensions.
-    Delta = omega_a(phi) ⊗ inverse(omega_b(psi)) with the inverse taken by
-    eigendecomposition; rank-deficient reductions of psi are rejected rather
-    than pseudo-inverted.  J is the polar phase of S and coincides with the
-    twisted product of the phase maps of (psi, phi), in that order.
+    On coefficient matrices S acts as X -> C_psi^(-†) X† C_phi, which is the
+    twisted product of C_psi^(-†) and C_phi^T; it follows from the defining
+    relation with X = A C_psi.  J is the twisted product of the phase maps of
+    (psi, phi), in that order, the same operator as lift_operators(psi, phi).j:
+    the polar phase of S, taken factor by factor.  Delta = omega_a(phi) ⊗
+    inverse(omega_b(psi)) with the inverse taken by eigendecomposition;
+    rank-deficient reductions of psi are rejected rather than pseudo-inverted.
+
+    The factors cost O(d³) (one inverse, two d×d SVDs, one eigendecomposition)
+    and the dense d²×d² matrices O(d⁴).  verify.modular_defining, which checks
+    S on all d² matrix units (they span the space because psi is cyclic), is
+    the brute-force oracle of S; verify.modular_phase_match compares J with
+    the phase of the dense SVD of S.
     """
     if (phi.dim_a, phi.dim_b) != (psi.dim_a, psi.dim_b):
         raise DimMismatch(
@@ -194,19 +203,7 @@ def tomita_S(phi: BipartiteVector, psi: BipartiteVector) -> ModularTriple:
         )
     if not gns_check(psi):
         raise NotSeparating("psi must be completely entangled (square, full-rank reductions)")
-    d = psi.dim_a
-    n = d * d
-    basis = np.empty((n, n), dtype=np.complex128)   # columns conj((E_ij ⊗ 1) psi)
-    target = np.empty((n, n), dtype=np.complex128)  # columns (E_ij* ⊗ 1) phi
-    col = 0
-    for i in range(d):
-        for j in range(d):
-            e_ij = np.zeros((d, d), dtype=np.complex128)
-            e_ij[i, j] = 1.0
-            basis[:, col] = np.conj((e_ij @ psi.coeff).reshape(-1))
-            target[:, col] = (e_ij.conj().T @ phi.coeff).reshape(-1)
-            col += 1
-    s_mat = np.linalg.solve(basis.T, target.T).T
+    s = twisted_product(AntilinearMap(np.linalg.inv(psi.coeff).conj().T), AntilinearMap(phi.coeff.T))
 
     w, v = herm_eigh(reduced(psi, "b"), "omega_b")
     if w.min() <= 0.0:
@@ -214,7 +211,5 @@ def tomita_S(phi: BipartiteVector, psi: BipartiteVector) -> ModularTriple:
     omega_b_inv = (v / w) @ v.conj().T
     delta = np.kron(reduced(phi, "a"), omega_b_inv)
 
-    u, sv, vh = np.linalg.svd(s_mat)
-    r = numerical_rank(sv)
-    j_mat = u[:, :r] @ vh[:r, :]
-    return ModularTriple(s=AntilinearMap(s_mat), delta=delta, j=AntilinearMap(j_mat))
+    j = twisted_product(*_phase_factors(psi, phi))
+    return ModularTriple(s=s.as_antilinear(), delta=delta, j=j.as_antilinear())

@@ -208,8 +208,9 @@ def modular_reconstruction(triple) -> float:
 
 
 def modular_phase_match(triple, j_twisted) -> float:
-    """The polar phase of S against the twisted product of the phase maps."""
-    return _fro(triple.j.mat - j_twisted.mat)
+    """The polar phase of S, from its dense SVD with the package rank rule, against the twisted phase lift."""
+    f = la.svd(triple.s.mat)
+    return _fro(f.u[:, : f.rank] @ f.v[:, : f.rank].conj().T - j_twisted.mat)
 
 
 def modular_intertwine(triple, j_twisted, phi, psi) -> float:

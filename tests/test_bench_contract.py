@@ -1,10 +1,12 @@
-"""The benchmark's tracer (perfbench/spans.py) still finds and restores what it wraps in eprkit.
+"""The benchmark's tracer and outside checks (perfbench/) still hold against eprkit.
 
 The tracer wraps the public functions of the nine layer modules from outside
 the package, re-binds them wherever eprkit holds them, and replaces
 ``verify.SUITES`` by a tuple of wrapped suites.  A refactor that renames a
 layer module, drops a suite from SUITES or hides a suite from it breaks the
-per-layer metrics without failing any other test.
+per-layer metrics without failing any other test.  The modular-dense
+workload checks each result from outside the package; a builder change that
+fails those checks would void the benchmark without failing a unit test.
 """
 
 import importlib.util
@@ -12,16 +14,26 @@ import json
 import sys
 from pathlib import Path
 
+import eprkit
 from eprkit import cli, verify
 from eprkit.formats import bipartite_to_json
 from eprkit.sampling import random_state
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
     module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def load_by_bare_name(monkeypatch, name: str):
+    """Load perfbench/<name>.py as module <name>, the way worker.py imports its siblings."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
@@ -62,3 +74,19 @@ def test_tracer_records_every_suite_and_restores_the_package(tmp_path, capsys):
     after = package_bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is obj for key, obj in before.items())
+
+
+def test_modular_runner_outside_checks_pass(monkeypatch):
+    for sibling in ("inputs", "spans"):
+        load_by_bare_name(monkeypatch, sibling)
+    worker = load_by_bare_name(monkeypatch, "worker")
+
+    op = worker.inputs.modular_ops(1, 1).ops[0]
+    runner = worker.ModularRunner(eprkit)
+    triple, lifted, error = runner.run(runner.states(op))
+    assert error is None
+    outcome = runner.check(op, (triple, lifted, None))
+    assert outcome.ok and outcome.correct and not outcome.failures
+
+    swapped = eprkit.ModularTriple(s=triple.j, delta=triple.delta, j=triple.s)
+    assert not runner.check(op, (swapped, lifted, None)).ok

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from eprkit import errors
 from eprkit.antilinear import AntilinearMap, compose_aa
 from eprkit.bipartite import BipartiteVector, reduced
-from eprkit.linalg import psd_sqrt, support_projection
+from eprkit.linalg import numerical_rank, psd_sqrt, support_projection
 from eprkit.modular import (
     ModularTriple,
     gns_check,
@@ -17,14 +17,51 @@ from eprkit.modular import (
     twisted_compose,
     twisted_product,
 )
-from eprkit.sampling import complex_normal, state_from_rng
-from eprkit.verify import modular_reconstruction
+from eprkit.sampling import complex_normal, random_unitary, state_from_rng
+from eprkit.verify import TOLERANCES, modular_defining, modular_phase_match, modular_reconstruction
 
 from util import basis_state, bell, random_unit_state, seeded_rng
 
 
 def random_anti(rng, dy, dx):
     return AntilinearMap(complex_normal(rng, dy, dx))
+
+
+def twisted_oracle(eta, xi) -> np.ndarray:
+    """kron(eta, xi) followed by the permutation sending a-major (k, l) to b-major (l, k)."""
+    dim_a, dim_b = eta.shape
+    cols = np.arange(dim_a * dim_b)
+    rows = (cols % dim_b) * dim_a + cols // dim_b
+    perm = np.zeros((dim_a * dim_b, dim_a * dim_b))
+    perm[rows, cols] = 1.0
+    return np.kron(eta, xi) @ perm
+
+
+def dense_modular_oracle(phi, psi) -> tuple[np.ndarray, np.ndarray]:
+    """S solved from its defining relation on all d² matrix units, and J as the phase of its dense SVD."""
+    d = psi.dim_a
+    n = d * d
+    basis = np.empty((n, n), dtype=np.complex128)   # columns conj((E_ij ⊗ 1) psi)
+    target = np.empty((n, n), dtype=np.complex128)  # columns (E_ij* ⊗ 1) phi
+    col = 0
+    for i in range(d):
+        for j in range(d):
+            e_ij = np.zeros((d, d), dtype=np.complex128)
+            e_ij[i, j] = 1.0
+            basis[:, col] = np.conj((e_ij @ psi.coeff).reshape(-1))
+            target[:, col] = (e_ij.conj().T @ phi.coeff).reshape(-1)
+            col += 1
+    s_mat = np.linalg.solve(basis.T, target.T).T
+    u, sv, vh = np.linalg.svd(s_mat)
+    r = numerical_rank(sv)
+    return s_mat, u[:, :r] @ vh[:r, :]
+
+
+def graded_state(rng, d: int, k: float) -> BipartiteVector:
+    """Unit state with Schmidt coefficients logspace(0, -k, d), normalized, in random bases."""
+    sigma = np.logspace(0, -k, d)
+    sigma /= np.linalg.norm(sigma)
+    return BipartiteVector((random_unitary(rng, d) * sigma) @ random_unitary(rng, d).conj().T)
 
 
 class TestTwistedProduct:
@@ -67,6 +104,16 @@ class TestTwistedProduct:
         with pytest.raises(errors.DimMismatch):
             twisted_product(AntilinearMap(np.ones((2, 3))), AntilinearMap(np.ones((2, 3))))
 
+    @pytest.mark.parametrize("dims", [(2, 2), (4, 4), (2, 3), (3, 2)])
+    def test_bit_identical_to_kron_and_permutation(self, dims):
+        dim_a, dim_b = dims
+        rng = seeded_rng(79, dim_a, dim_b)
+        eta = complex_normal(rng, dim_a, dim_b)
+        xi = complex_normal(rng, dim_b, dim_a)
+        want = twisted_oracle(eta, xi)
+        assert np.array_equal(twisted_product(eta, xi).mat, want)
+        assert np.array_equal(twisted_product(AntilinearMap(eta), AntilinearMap(xi)).mat, want)
+
 
 class TestTwistedCompose:
     def test_phase_lift_squares_to_support(self):
@@ -95,6 +142,16 @@ class TestTwistedCompose:
 
 
 class TestLiftOperators:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_bit_identical_to_kron_and_permutation(self, d):
+        rng = seeded_rng(78, d)
+        phi = random_unit_state(rng, d, d)
+        psi = random_unit_state(rng, d, d)
+        lifted = lift_operators(phi, psi)
+        for field in ("s_tilde", "f_tilde", "delta_tilde", "j"):
+            op = getattr(lifted, field)
+            assert np.array_equal(op.mat, twisted_oracle(*op.factors)), field
+
     def test_bell_conjugation_swap(self):
         lifted = lift_operators(bell(2), bell(2))
         rng = seeded_rng(84)
@@ -234,6 +291,27 @@ class TestTomita:
             triple.s.mat - triple.j.mat @ np.conj(psd_sqrt(triple.delta))
         ) < 1e-9
 
+    def test_phase_match_rejects_phase_of_another_pair(self):
+        rng = seeded_rng(103)
+        psi = state_from_rng(rng, 3, 3, entangled=True)
+        phi = random_unit_state(rng, 3, 3)
+        other = lift_operators(random_unit_state(rng, 3, 3), random_unit_state(rng, 3, 3)).j
+        triple = tomita_S(phi, psi)
+        assert modular_phase_match(triple, lift_operators(psi, phi).j) < TOLERANCES["modular.phase_match"]
+        assert modular_phase_match(triple, other) > TOLERANCES["modular.phase_match"]
+
+    def test_phase_match_reads_s_and_reconstruction_reads_j(self):
+        rng = seeded_rng(104)
+        psi = state_from_rng(rng, 3, 3, entangled=True)
+        phi = random_unit_state(rng, 3, 3)
+        good = tomita_S(phi, psi)
+        wrong_j = lift_operators(random_unit_state(rng, 3, 3), random_unit_state(rng, 3, 3)).j
+        bad = ModularTriple(s=good.s, delta=good.delta, j=wrong_j.as_antilinear())
+        j_twisted = lift_operators(psi, phi).j
+        assert modular_phase_match(bad, j_twisted) < TOLERANCES["modular.phase_match"]
+        assert modular_reconstruction(good) < TOLERANCES["modular.reconstruction"]
+        assert modular_reconstruction(bad) > TOLERANCES["modular.reconstruction"]
+
     def test_reconstruction_residual_names_delta(self):
         unit = AntilinearMap(np.eye(2))
         skewed = ModularTriple(s=unit, delta=np.array([[1.0, 1e-6], [0.0, 1.0]]), j=unit)
@@ -264,6 +342,32 @@ class TestTomita:
         phi = state_from_rng(rng, 3, 3, entangled=True)
         triple = tomita_S(phi, psi)
         assert np.linalg.norm(compose_aa(AntilinearMap(triple.j.mat.T), triple.j) - np.eye(9)) < 1e-9
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_factor_level_s_and_j_match_dense_oracle(self, d):
+        rng = seeded_rng(100, d)
+        psi = state_from_rng(rng, d, d, entangled=True)
+        phi = random_unit_state(rng, d, d)
+        triple = tomita_S(phi, psi)
+        s_dense, j_dense = dense_modular_oracle(phi, psi)
+        assert np.linalg.norm(triple.s.mat - s_dense) <= 1e-12 * np.linalg.norm(s_dense)
+        assert np.linalg.norm(triple.j.mat - j_dense) <= 1e-12 * np.linalg.norm(j_dense)
+
+    def test_defining_relation_at_d24(self):
+        rng = seeded_rng(101)
+        psi = state_from_rng(rng, 24, 24, entangled=True)
+        phi = random_unit_state(rng, 24, 24)
+        assert modular_defining(tomita_S(phi, psi), phi, psi) < 1e-9
+
+    def test_j_antiunitary_on_graded_spectra(self):
+        # Singular values of S are ratios of Schmidt coefficients and span 1e12
+        # here; a d²×d² SVD drops one of them and returned a J of rank 15.
+        rng = seeded_rng(102)
+        phi = graded_state(rng, 4, 6)
+        psi = graded_state(rng, 4, 6)
+        triple = tomita_S(phi, psi)
+        assert np.linalg.norm(compose_aa(AntilinearMap(triple.j.mat.T), triple.j) - np.eye(16)) < 1e-9
+        assert modular_defining(triple, phi, psi) < 1e-9
 
     def test_rank_deficient_psi_rejected(self):
         with pytest.raises(errors.NotSeparating):
