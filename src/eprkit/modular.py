@@ -31,7 +31,7 @@ import numpy as np
 from .antilinear import AntilinearMap, adjoint
 from .bipartite import BipartiteVector, epr_maps, polar_of_state, reduced
 from .errors import DimMismatch, MixedParity, NotSeparating
-from .linalg import as_matrix, frozen, herm_eigh, numerical_rank
+from .linalg import as_matrix, frozen, herm_eigh, kron, numerical_rank, seal
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def twisted_product(eta_ab, xi_ba) -> TwistedOperator:
     if xi.shape != (dim_b, dim_a):
         raise DimMismatch(f"xi must map H_a({dim_a}) into H_b({dim_b}), got shape {xi.shape}")
     eta, xi = np.ascontiguousarray(eta), np.ascontiguousarray(xi)  # so the product reshapes without a copy
-    mat = (eta[:, None, None, :] * xi[None, :, :, None]).reshape(dim_a * dim_b, dim_a * dim_b)
+    mat = seal((eta[:, None, None, :] * xi[None, :, :, None]).reshape(dim_a * dim_b, dim_a * dim_b))
     return TwistedOperator(
         mat=mat,
         parity="antilinear" if eta_anti else "linear",
@@ -209,7 +209,7 @@ def tomita_S(phi: BipartiteVector, psi: BipartiteVector) -> ModularTriple:
     if w.min() <= 0.0:
         raise NotSeparating("omega_b of psi is numerically singular")
     omega_b_inv = (v / w) @ v.conj().T
-    delta = np.kron(reduced(phi, "a"), omega_b_inv)
+    delta = seal(kron(reduced(phi, "a"), omega_b_inv))
 
     j = twisted_product(*_phase_factors(psi, phi))
     return ModularTriple(s=s.as_antilinear(), delta=delta, j=j.as_antilinear())

@@ -30,6 +30,16 @@ def random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def complex_normal_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """`count` draws of complex_normal(rng, dim) stacked as rows, in one call.
+
+    Takes the same bits from rng as the sequential draws and leaves it in the
+    same state.
+    """
+    x = rng.standard_normal((count, 2, dim))
+    return (x[:, 0] + 1j * x[:, 1]) / np.sqrt(2.0)
+
+
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-distributed unitary via QR with the phase convention fixed."""
     q, r = np.linalg.qr(complex_normal(rng, dim, dim))

@@ -11,8 +11,9 @@ subnormalized: the squared norm of t @ phi_a is the probability of the
 conditioning event, and no renormalization happens anywhere in this module.
 
 Every factorized computation here has a brute-force partner that builds the
-full multipartite vector, applies the measurement projector densely, and
-factors the result; the two routes agreeing is the whole point.
+full multipartite vector, applies the measurement projector to it on the
+measured subsystems, and factors the result; the two routes agreeing is the
+whole point.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .antilinear import chain
+from .antilinear import chain, polar
 from .bipartite import BipartiteVector, epr_maps, reduced
 from .errors import (
     DimMismatch,
@@ -33,7 +34,7 @@ from .errors import (
     NotUnit,
     OddParity,
 )
-from .linalg import as_matrix, fidelity, frozen, herm_eigh, psd_sqrt
+from .linalg import as_matrix, frozen, herm_eigh, kron, psd_sqrt, trace_norm
 
 UNIT_TOL = 1e-10
 ORTHO_TOL = 1e-10
@@ -76,9 +77,10 @@ def _factor_out(result: np.ndarray, measured: np.ndarray, dim_rest: int, what: s
 def teleport_oracle(psi_ab: BipartiteVector, phi_bc: BipartiteVector, phi_a) -> np.ndarray:
     """Brute-force channel output: the one-hop case of chain_oracle.
 
-    Builds phi_a ⊗ phi_bc, applies |psi><psi| ⊗ 1_c as a dense projector,
-    factors the result as psi ⊗ phi_c, and returns phi_c.  Must agree with
-    teleport_map; a factorization residual beyond tolerance means a bug.
+    Builds the tripartite vector phi_a ⊗ phi_bc, applies |psi><psi| ⊗ 1_c
+    by contracting psi against its a and b axes, factors the result as
+    psi ⊗ phi_c, and returns phi_c.  Must agree with teleport_map; a
+    factorization residual beyond tolerance means a bug.
     """
     return chain_oracle(phi_a, [psi_ab, phi_bc])
 
@@ -114,13 +116,18 @@ def trace_norm_fidelity(tm: TeleportMap) -> TraceNormFidelity:
     """Trace norm of t next to the fidelity of the two b-reductions.
 
     The two numbers are equal; they are computed along independent routes
-    (singular values of t versus the reduction fidelity).
+    (singular values of t versus the reduction fidelity).  The square roots
+    of the reductions rho = omega_b(psi) and omega = omega_b(phi) are the
+    positive polar parts of the maps into H_b, i.e. they come from the SVDs
+    of the coefficient matrices: eigh of rho would square their condition
+    number and floor singular values up to 1e-6 times the largest.
     """
     _unit_state(tm.source_psi, "measured vector")
     _unit_state(tm.ancilla_phi, "ancilla")
     tn = float(np.linalg.svd(tm.t, compute_uv=False).sum())
-    f = fidelity(reduced(tm.source_psi, "b"), reduced(tm.ancilla_phi, "a"))
-    return TraceNormFidelity(trace_norm=tn, fidelity=f)
+    sqrt_rho = polar(epr_maps(tm.source_psi).s_ba).positive
+    sqrt_omega = polar(epr_maps(tm.ancilla_phi).s_ab).positive
+    return TraceNormFidelity(trace_norm=tn, fidelity=trace_norm(sqrt_rho @ sqrt_omega))
 
 
 @dataclass(frozen=True)
@@ -234,12 +241,12 @@ def luders_project(ch: LudersChannel, phi_a) -> np.ndarray:
     dc = ch.ancilla_phi.dim_b
     if v_a.shape[0] != da:
         raise DimMismatch(f"phi_a length {v_a.shape[0]} != dim_a {da}")
-    full = np.kron(v_a, ch.ancilla_phi.to_vector())
+    full = kron(v_a, ch.ancilla_phi.to_vector())
     p = np.zeros((da * db, da * db), dtype=np.complex128)
     for psi in ch.psis:
         w = psi.to_vector()
         p += np.outer(w, np.conj(w))
-    return np.kron(p, np.eye(dc)) @ full
+    return kron(p, np.eye(dc)) @ full
 
 
 def chain_teleport(stages: Sequence[BipartiteVector]) -> np.ndarray:
@@ -259,10 +266,12 @@ def chain_teleport(stages: Sequence[BipartiteVector]) -> np.ndarray:
 def chain_oracle(phi_a, stages: Sequence[BipartiteVector]) -> np.ndarray:
     """Dense (2N+1)-partite projection oracle for an N-hop chain.
 
-    Builds phi_a ⊗ phi_bc ⊗ phi_de ⊗ ..., applies all N measurement
-    projectors at once, factors out psi_ab ⊗ psi_cd ⊗ ..., and returns the
-    conditional output in the last subsystem.  `stages` is ordered as for
-    chain_teleport.
+    Builds the vector phi_a ⊗ phi_bc ⊗ phi_de ⊗ ..., applies each measurement
+    projector |psi_k><psi_k| to its own two tensor axes by reshape and
+    contraction, factors out psi_ab ⊗ psi_cd ⊗ ..., and returns the
+    conditional output in the last subsystem.  It never uses the induced
+    maps; memory stays O(D) in the total dimension D, which DENSE_DIM_LIMIT
+    bounds.  `stages` is ordered as for chain_teleport.
     """
     stages = list(stages)
     if not stages:
@@ -281,6 +290,9 @@ def chain_oracle(phi_a, stages: Sequence[BipartiteVector]) -> np.ndarray:
     for k, m in enumerate(measured):
         _unit_state(m, f"measured vector stages[{2 * k}]")
     ws = [m.to_vector() for m in measured]
-    full = reduce(np.kron, (p.to_vector() for p in ancillae), v_a)
-    proj = np.kron(reduce(np.kron, (np.outer(w, np.conj(w)) for w in ws)), np.eye(dims[-1]))
-    return _factor_out(proj @ full, reduce(np.kron, ws), dims[-1], "chain_oracle")
+    full = reduce(kron, (p.to_vector() for p in ancillae), v_a)
+    for k, w in enumerate(ws):
+        # axes of hop k: everything before, its two subsystems, everything after
+        t = full.reshape(int(np.prod(dims[: 2 * k])), w.shape[0], -1)
+        full = (w[None, :, None] * (np.conj(w) @ t)[:, None, :]).reshape(-1)
+    return _factor_out(full, reduce(kron, ws), dims[-1], "chain_oracle")

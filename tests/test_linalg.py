@@ -7,9 +7,11 @@ from numpy.testing import assert_allclose
 from eprkit import errors
 from eprkit.linalg import (
     fidelity,
+    frozen,
     norms,
     partial_trace,
     psd_sqrt,
+    seal,
     support_projection,
     svd,
 )
@@ -193,3 +195,30 @@ class TestPartialTrace:
 def test_support_projection_rank():
     p = support_projection(np.diag([0.5, 0.0, 0.2]))
     assert_allclose(p, np.diag([1.0, 0.0, 1.0]), atol=1e-12)
+
+
+class TestFrozen:
+    def test_writable_input_is_copied(self):
+        a = np.eye(3, dtype=complex)
+        b = frozen(a)
+        assert not b.flags.writeable
+        assert not np.shares_memory(a, b)
+
+    def test_sealed_array_is_kept(self):
+        a = seal((np.ones((2, 1, 2)) * 1j).reshape(2, 2))
+        assert frozen(a) is a
+        assert frozen(a.T) is not a and np.shares_memory(frozen(a.T), a)
+
+    def test_read_only_view_of_writable_memory_is_copied(self):
+        a = np.eye(3, dtype=complex)
+        view = a[:2]
+        view.setflags(write=False)
+        b = frozen(view)
+        assert not b.flags.writeable
+        assert not np.shares_memory(a, b)
+
+    def test_other_dtypes_are_converted(self):
+        a = np.eye(2)
+        a.setflags(write=False)
+        b = frozen(a)
+        assert b.dtype == np.complex128 and not b.flags.writeable

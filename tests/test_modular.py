@@ -383,3 +383,47 @@ class TestTomita:
         rng = seeded_rng(99)
         with pytest.raises(errors.DimMismatch):
             tomita_S(random_unit_state(rng, 3, 3), bell(2))
+
+
+def assert_read_only(a):
+    with pytest.raises(ValueError):
+        a[(0,) * a.ndim] = 1.0
+
+
+class TestCopies:
+    """Each d²×d² matrix is written once; no value type aliases a writable caller array."""
+
+    def test_twisted_products_are_read_only_and_own_their_factors(self):
+        rng = seeded_rng(100)
+        eta, xi = complex_normal(rng, 2, 3), complex_normal(rng, 3, 2)
+        anti_eta, anti_xi = AntilinearMap(eta), AntilinearMap(xi)
+        for prod in (twisted_product(eta, xi), twisted_product(anti_eta, anti_xi)):
+            for a in (prod.mat, *prod.factors):
+                assert_read_only(a)
+                assert not np.shares_memory(a, eta) and not np.shares_memory(a, xi)
+        assert not np.shares_memory(anti_eta.mat, eta)
+
+    def test_as_antilinear_shares_the_built_matrix(self):
+        rng = seeded_rng(101)
+        prod = twisted_product(random_anti(rng, 3, 3), random_anti(rng, 3, 3))
+        assert np.shares_memory(prod.as_antilinear().mat, prod.mat)
+
+    def test_lifts_and_modular_triple_are_read_only(self):
+        rng = seeded_rng(102)
+        phi_c, psi_c = complex_normal(rng, 3, 3), complex_normal(rng, 3, 3)
+        phi = BipartiteVector(phi_c / np.linalg.norm(phi_c))
+        psi = BipartiteVector(psi_c / np.linalg.norm(psi_c))
+        lifts = lift_operators(phi, psi)
+        triple = tomita_S(phi, psi)
+        arrays = [triple.s.mat, triple.j.mat, triple.delta]
+        for op in (lifts.s_tilde, lifts.f_tilde, lifts.delta_tilde, lifts.j):
+            arrays += [op.mat, *op.factors]
+        for a in arrays:
+            assert_read_only(a)
+            assert not np.shares_memory(a, phi_c) and not np.shares_memory(a, psi_c)
+
+    def test_delta_from_a_writable_array_is_copied(self):
+        delta = np.eye(4, dtype=complex)
+        triple = ModularTriple(s=AntilinearMap(np.eye(4)), delta=delta, j=AntilinearMap(np.eye(4)))
+        assert_read_only(triple.delta)
+        assert not np.shares_memory(triple.delta, delta)

@@ -1,5 +1,8 @@
 """Tests for teleportation channels, their oracles, bounds, and chains."""
 
+import tracemalloc
+from functools import reduce
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -49,6 +52,16 @@ class TestTeleportMap:
             teleport_map(bell(2), random_unit_state(seeded_rng(61), 3, 2))
 
 
+def dense_projector_oracle(phi_a, stages) -> np.ndarray:
+    """The chain oracle written with one D×D projector kron(|w_1><w_1|, ..., 1_last) and np.kron."""
+    measured, ancillae = stages[0::2], stages[1::2]
+    ws = [m.to_vector() for m in measured]
+    full = reduce(np.kron, (p.to_vector() for p in ancillae), np.asarray(phi_a, dtype=complex))
+    proj = np.kron(reduce(np.kron, (np.outer(w, np.conj(w)) for w in ws)), np.eye(stages[-1].dim_b))
+    w_all = reduce(np.kron, ws)
+    return np.conj(w_all) @ (proj @ full).reshape(w_all.shape[0], stages[-1].dim_b)
+
+
 class TestTeleportOracle:
     def test_bell_bell_basis_input(self):
         out = teleport_oracle(bell(2), bell(2), [1.0, 0.0])
@@ -75,18 +88,30 @@ class TestTeleportOracle:
         with pytest.raises(errors.NotUnit):
             teleport_oracle(BipartiteVector(np.eye(2)), bell(2), [1.0, 0.0])
 
-    def test_bitwise_equal_to_tripartite_projection(self):
-        # The projection of phi_a ⊗ phi_bc by |psi><psi| ⊗ 1_c, written out for one hop.
+    def test_agrees_with_tripartite_projection(self):
         rng = seeded_rng(78)
         for _ in range(50):
             da, db, dc = (int(rng.integers(2, 5)) for _ in range(3))
             psi = random_unit_state(rng, da, db)
             phi = random_unit_state(rng, db, dc)
             v = complex_normal(rng, da)
-            w = psi.to_vector()
-            proj = np.kron(np.outer(w, np.conj(w)), np.eye(dc))
-            want = np.conj(w) @ (proj @ np.kron(v, phi.to_vector())).reshape(da * db, dc)
-            assert np.array_equal(teleport_oracle(psi, phi, v), want)
+            want = dense_projector_oracle(v, [psi, phi])
+            assert np.abs(teleport_oracle(psi, phi, v) - want).max() <= 1e-14
+
+    def test_memory_stays_linear_in_the_dimension(self):
+        # D = 16·16·16 = DENSE_DIM_LIMIT: the D×D projector alone would take 268 MB.
+        rng = seeded_rng(80)
+        psi = random_unit_state(rng, 16, 16)
+        phi = random_unit_state(rng, 16, 16)
+        v = complex_normal(rng, 16)
+        tracemalloc.start()
+        try:
+            out = teleport_oracle(psi, phi, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+        assert np.linalg.norm(teleport_map(psi, phi).t @ v - out) <= TOLERANCES["teleport.factorization"]
 
 
 class TestSuccessBound:
@@ -159,6 +184,23 @@ class TestTraceNormFidelity:
             phi = random_unit_state(rng, 3, 4)
             tn, f = trace_norm_fidelity(teleport_map(psi, phi))
             assert abs(tn - f) < 1e-9
+
+    def test_graded_spectra(self):
+        # Schmidt coefficients logspace(0, -6, min(dims)), normalized, placed by Haar
+        # isometries.  With the square roots taken by eigh, which floors eigenvalues
+        # below 1e-12 times the largest, this pair had |tn - f| = 8.0e-9.
+        def graded(rng, da, db):
+            m = min(da, db)
+            s = np.logspace(0, -6, m)
+            s /= np.linalg.norm(s)
+            return BipartiteVector((random_unitary(rng, da)[:, :m] * s) @ random_unitary(rng, db)[:, :m].conj().T)
+
+        rng = seeded_rng(81, 1)
+        psi = graded(rng, 2, 6)
+        phi = graded(rng, 6, 4)
+        tn, f = trace_norm_fidelity(teleport_map(psi, phi))
+        assert tn == pytest.approx(0.2696086951147123, abs=1e-14)
+        assert abs(tn - f) <= 1e-14
 
 
 def bell_basis() -> list[BipartiteVector]:
@@ -299,8 +341,8 @@ class TestLudersBounds:
 def random_chain(rng, hops: int, max_dense: int = 1024):
     """Unit stages of an N-hop chain with subsystem dims from {2, 3}, and a unit input.
 
-    The dense oracle's dimension is kept at most max_dense, below
-    DENSE_DIM_LIMIT, so its projector stays within 16 MB.
+    The dense dimension is kept at most max_dense, below DENSE_DIM_LIMIT,
+    so the projector of dense_projector_oracle stays within 16 MB.
     """
     while True:
         dims = [int(x) for x in rng.choice([2, 3], size=2 * hops + 1)]
@@ -340,6 +382,13 @@ class TestChain:
             v /= np.linalg.norm(v)
             out = chain_oracle(v, stages)
             assert np.linalg.norm(t @ v - out) < 1e-10
+
+    @pytest.mark.parametrize("hops", [1, 2, 3, 4])
+    def test_oracle_agrees_with_dense_projector(self, hops):
+        rng = seeded_rng(82, hops)
+        for _ in range(10):
+            stages, v = random_chain(rng, hops)
+            assert np.abs(chain_oracle(v, stages) - dense_projector_oracle(v, stages)).max() <= 1e-14
 
     @pytest.mark.parametrize("hops", [1, 2, 3, 4])
     def test_hops_agree_with_oracle(self, hops):
