@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch
-from .linalg import as_matrix, frozen, numerical_rank
+from .linalg import as_matrix, frozen, rank_mask, seal
 
 
 @dataclass(frozen=True)
@@ -91,11 +91,11 @@ def compose_mixed(linear, t: AntilinearMap, order: str) -> AntilinearMap:
     if order == "left":
         if lin.shape[1] != t.dim_codomain:
             raise DimMismatch(f"linear factor wants {lin.shape[1]}, map produces {t.dim_codomain}")
-        return AntilinearMap(lin @ t.mat)
+        return AntilinearMap(seal(lin @ t.mat))
     if order == "right":
         if t.dim_domain != lin.shape[0]:
             raise DimMismatch(f"map wants {t.dim_domain}, linear factor produces {lin.shape[0]}")
-        return AntilinearMap(t.mat @ np.conj(lin))
+        return AntilinearMap(seal(t.mat @ np.conj(lin)))
     raise DimMismatch(f"order must be 'left' or 'right', got {order!r}")
 
 
@@ -127,7 +127,13 @@ class PolarParts:
 
 
 def polar(t: AntilinearMap) -> PolarParts:
-    """Polar-decompose an antilinear map via the SVD of its matrix.
+    """Polar-decompose an antilinear map via the SVD of its matrix; see polar_arrays."""
+    positive, phase, support_dom, support_cod, positive_dom = (seal(x) for x in polar_arrays(t.mat))
+    return PolarParts(positive, AntilinearMap(phase), support_dom, support_cod, positive_dom)
+
+
+def polar_arrays(mat: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The fields of polar as raw arrays, for a matrix or a stack (..., m, n) of matrices.
 
     With mat = U diag(s) V† and r the numerical rank:
 
@@ -138,30 +144,31 @@ def polar(t: AntilinearMap) -> PolarParts:
         support_dom  = conj(V_r) V_r^T
 
     phase* ∘ phase and phase ∘ phase* are the two support projections, and
-    the adjoint of the phase is again its transpose, by construction.
+    the adjoint of the phase is again its transpose, by construction.  The
+    rank may differ across a stack: the singular vectors beyond each member's
+    rank are masked to zero.  Returns (positive, phase, support_dom,
+    support_cod, positive_dom).
     """
-    u, s, vh = np.linalg.svd(t.mat, full_matrices=False)
-    r = numerical_rank(s)
-    ur, sr, vhr = u[:, :r], s[:r], vh[:r, :]
-    vr = vhr.conj().T
-    phase = AntilinearMap(ur @ vhr)
-    positive = (ur * sr) @ ur.conj().T
-    positive_dom = (np.conj(vr) * sr) @ vr.T
-    return PolarParts(
-        positive=frozen((positive + positive.conj().T) / 2),
-        phase=phase,
-        support_dom=frozen(np.conj(vr) @ vr.T),
-        support_cod=frozen(ur @ ur.conj().T),
-        positive_dom=frozen((positive_dom + positive_dom.conj().T) / 2),
+    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    keep = rank_mask(s)
+    ur, sr, vhr = u * keep[..., None, :], s * keep, vh * keep[..., :, None]
+    vr = vhr.conj().mT
+    positive = (ur * sr[..., None, :]) @ ur.conj().mT
+    positive_dom = (np.conj(vr) * sr[..., None, :]) @ vr.mT
+    return (
+        (positive + positive.conj().mT) / 2,
+        ur @ vhr,
+        np.conj(vr) @ vr.mT,
+        ur @ ur.conj().mT,
+        (positive_dom + positive_dom.conj().mT) / 2,
     )
 
 
 def chain(maps) -> AntilinearMap | np.ndarray:
     """Fold a sequence of antilinear maps t_n ∘ ... ∘ t_1 (first applied first).
 
-    An even count yields a linear matrix, an odd count an AntilinearMap.  The
-    fold starts at the last map, m_n @ conj(m_n-1) @ m_n-2 @ ..., so the
-    product associates left to right.
+    An even count yields a linear matrix, an odd count an AntilinearMap; see
+    chain_matrices for the fold.
     """
     ts = list(maps)
     if not ts:
@@ -169,7 +176,17 @@ def chain(maps) -> AntilinearMap | np.ndarray:
     for inner, outer in zip(ts, ts[1:]):
         if outer.dim_domain != inner.dim_codomain:
             raise DimMismatch(f"chain break: map wants {outer.dim_domain}, has {inner.dim_codomain}")
-    mat = ts[-1].mat
-    for k, t in enumerate(reversed(ts[:-1])):
-        mat = mat @ (np.conj(t.mat) if k % 2 == 0 else t.mat)
+    mat = chain_matrices([t.mat for t in ts])
     return mat if len(ts) % 2 == 0 else AntilinearMap(mat)
+
+
+def chain_matrices(mats) -> np.ndarray:
+    """The matrix of t_n ∘ ... ∘ t_1 from the maps' matrices, single or stacked alike.
+
+    The fold starts at the last map, m_n @ conj(m_n-1) @ m_n-2 @ ..., so the
+    product associates left to right.
+    """
+    mat = mats[-1]
+    for k, m in enumerate(reversed(mats[:-1])):
+        mat = mat @ (np.conj(m) if k % 2 == 0 else m)
+    return mat

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antilinear import AntilinearMap, PolarParts, adjoint, apply, compose_aa, compose_mixed, polar
+from .antilinear import AntilinearMap, PolarParts, polar
 from .errors import DimMismatch, NotIsometry, NotUnit
-from .linalg import as_matrix, frozen, psd_eigh, psd_sqrt, support_projection
+from .linalg import _member, as_matrix, fro_norm, frozen, psd_eigh, psd_sqrt, seal, support_projection
 
 UNIT_TOL = 1e-10
 HERMITICITY_TOL = 1e-9
@@ -79,11 +79,12 @@ def epr_maps(psi: BipartiteVector) -> EprPair:
     return EprPair(s_ba=AntilinearMap(psi.coeff.T), s_ab=AntilinearMap(psi.coeff))
 
 
-def _check_same_dims(x: BipartiteVector, y: BipartiteVector):
-    if (x.dim_a, x.dim_b) != (y.dim_a, y.dim_b):
-        raise DimMismatch(
-            f"bipartite dimensions differ: {(x.dim_a, x.dim_b)} vs {(y.dim_a, y.dim_b)}"
-        )
+def _coeffs(*vectors) -> list[np.ndarray]:
+    """Coefficient matrices of BipartiteVectors or raw stacks (..., dim_a, dim_b), checked for equal dims."""
+    cs = [x.coeff if isinstance(x, BipartiteVector) else as_matrix(x, "coeff", stack=True) for x in vectors]
+    if any(c.shape[-2:] != cs[0].shape[-2:] for c in cs):
+        raise DimMismatch(f"bipartite dimensions differ: {cs[0].shape[-2:]} vs {cs[-1].shape[-2:]}")
+    return cs
 
 
 def _check_unit(v: np.ndarray, what: str, tol: float = UNIT_TOL):
@@ -106,9 +107,10 @@ def project_rank1(psi: BipartiteVector, phi_a) -> BipartiteVector:
 
 
 def inner_via_trace(phi: BipartiteVector, psi: BipartiteVector) -> complex:
-    """Scalar product <phi, psi> computed as Tr_a (s_psi_ab ∘ s_phi_ba)."""
-    _check_same_dims(phi, psi)
-    return complex(np.trace(psi.coeff @ np.conj(phi.coeff.T)))
+    """Scalar product <phi, psi> computed as Tr_a (s_psi_ab ∘ s_phi_ba); stacks give one per member."""
+    c_phi, c_psi = _coeffs(phi, psi)
+    tr = np.trace(c_psi @ np.conj(c_phi.mT), axis1=-2, axis2=-1)
+    return complex(tr) if tr.ndim == 0 else tr
 
 
 def reconstruct(s_ba: AntilinearMap, a_op) -> BipartiteVector:
@@ -121,27 +123,28 @@ def reconstruct(s_ba: AntilinearMap, a_op) -> BipartiteVector:
     a = as_matrix(a_op, "A")
     if a.shape != (s_ba.dim_domain, s_ba.dim_domain):
         raise DimMismatch(f"A must be {s_ba.dim_domain} square, got {a.shape}")
+    return BipartiteVector(rank_one_sum(s_ba.mat, a))
+
+
+def rank_one_sum(s_ba: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Coefficients of reconstruct from the matrix of s_ba, single or stacked: sum_k phi_k (s_ba phi_k)^T."""
     w, vecs = psd_eigh(a, "A")
-    coeff = np.zeros((s_ba.dim_domain, s_ba.dim_codomain), dtype=np.complex128)
-    for lam, v in zip(w, vecs.T):
-        if lam == 0.0:
-            continue
-        phi_k = np.sqrt(lam) * v
-        coeff += np.outer(phi_k, apply(s_ba, phi_k))
-    return BipartiteVector(coeff)
+    phis = vecs * np.sqrt(w)[..., None, :]
+    return phis @ (s_ba @ np.conj(phis)).mT
 
 
 def reduced(psi: BipartiteVector, side: str) -> np.ndarray:
     """Reduced operator of psi on one factor, via the map compositions.
 
     side="a": C @ C†, side="b": C.T @ conj(C).  Both agree with the partial
-    trace of |psi><psi| and share the trace ||psi||^2.
+    trace of |psi><psi| and share the trace ||psi||^2.  psi may also be a
+    coefficient stack (..., dim_a, dim_b), as for cross_gram and cloning_check.
     """
-    c = psi.coeff
+    (c,) = _coeffs(psi)
     if side == "a":
-        return c @ c.conj().T
+        return seal(c @ c.conj().mT)
     if side == "b":
-        return c.T @ np.conj(c)
+        return seal(c.mT @ np.conj(c))
     raise DimMismatch(f"side must be 'a' or 'b', got {side!r}")
 
 
@@ -172,8 +175,12 @@ def partner_operator(a_op, polar_of_psi: PolarParts) -> np.ndarray:
     a = as_matrix(a_op, "A")
     if a.shape != (j_ba.dim_domain, j_ba.dim_domain):
         raise DimMismatch(f"A must be {j_ba.dim_domain} square, got {a.shape}")
-    inner = compose_aa(j_ba, compose_mixed(a, adjoint(j_ba), "left"))
-    return inner.conj().T
+    return partner_matrix(a, j_ba.mat)
+
+
+def partner_matrix(a: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """partner_operator from the matrix j of the phase of s_ba, single or stacked: (j ∘ A ∘ j*)*."""
+    return (j @ np.conj(a @ j.mT)).conj().mT
 
 
 def purification_from_isometry(omega_a, w: AntilinearMap) -> BipartiteVector:
@@ -186,12 +193,16 @@ def purification_from_isometry(omega_a, w: AntilinearMap) -> BipartiteVector:
     om = as_matrix(omega_a, "omega_a")
     if om.shape != (w.dim_domain, w.dim_domain):
         raise DimMismatch(f"omega_a must be {w.dim_domain} square, got {om.shape}")
-    q = support_projection(om)
-    gram = compose_aa(adjoint(w), w)
-    if np.abs(q @ gram @ q - q).max() > ISOMETRY_TOL:
-        raise NotIsometry("w is not isometric on the support of omega_a")
-    s_ba = compose_mixed(psd_sqrt(om), w, "right")
-    return BipartiteVector(s_ba.mat.T)
+    return BipartiteVector(purify(om, w.mat))
+
+
+def purify(om: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Coefficients of purification_from_isometry from the matrix of w, single or stacked."""
+    q = support_projection(om, "omega_a")
+    off = np.abs(q @ (w.mT @ np.conj(w)) @ q - q).max(axis=(-2, -1))
+    if (off > ISOMETRY_TOL).any():
+        raise NotIsometry(f"{_member('w', off > ISOMETRY_TOL)[0]} is not isometric on the support of omega_a")
+    return (w @ np.conj(psd_sqrt(om, "omega_a"))).mT
 
 
 def cross_gram(phi: BipartiteVector, psi: BipartiteVector) -> np.ndarray:
@@ -201,8 +212,8 @@ def cross_gram(phi: BipartiteVector, psi: BipartiteVector) -> np.ndarray:
     (sqrt(rho_a) omega_a sqrt(rho_a))^(1/2) built from the two a-reductions,
     and Tr (s_phi_ba ∘ s_psi_ab) B = <psi, (1 ⊗ B) phi> for every B on H_b.
     """
-    _check_same_dims(phi, psi)
-    return phi.coeff.T @ np.conj(psi.coeff)
+    c_phi, c_psi = _coeffs(phi, psi)
+    return c_phi.mT @ np.conj(c_psi)
 
 
 def cloning_check(phi: BipartiteVector, psi: BipartiteVector) -> tuple[bool, float]:
@@ -214,17 +225,15 @@ def cloning_check(phi: BipartiteVector, psi: BipartiteVector) -> tuple[bool, flo
     [omega_psi_a, omega_phi_a].  Hermiticity forces the reductions to
     commute; the converse is not claimed.
     """
-    _check_same_dims(phi, psi)
-    x_b = phi.coeff.T @ np.conj(psi.coeff)
-    x_a = phi.coeff @ np.conj(psi.coeff.T)
-    hermitian = bool(
-        np.abs(x_b - x_b.conj().T).max() <= HERMITICITY_TOL
-        and np.abs(x_a - x_a.conj().T).max() <= HERMITICITY_TOL
+    c_phi, c_psi = _coeffs(phi, psi)
+    x_b = c_phi.mT @ np.conj(c_psi)
+    x_a = c_phi @ np.conj(c_psi.mT)
+    hermitian = (np.abs(x_b - x_b.conj().mT).max(axis=(-2, -1)) <= HERMITICITY_TOL) & (
+        np.abs(x_a - x_a.conj().mT).max(axis=(-2, -1)) <= HERMITICITY_TOL
     )
-    om_psi = reduced(psi, "a")
-    om_phi = reduced(phi, "a")
-    commutator_norm = float(np.linalg.norm(om_psi @ om_phi - om_phi @ om_psi))
-    return hermitian, commutator_norm
+    om_psi, om_phi = reduced(c_psi, "a"), reduced(c_phi, "a")
+    commutator_norm = fro_norm(om_psi @ om_phi - om_phi @ om_psi)
+    return (bool(hermitian) if hermitian.ndim == 0 else hermitian), commutator_norm
 
 
 def polar_of_state(psi: BipartiteVector) -> PolarParts:

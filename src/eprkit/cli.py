@@ -14,12 +14,15 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import bipartite as bp
 from . import modular as md
 from . import teleport as tp
 from . import verify as vf
 from .errors import EprkitError, FactorizationFailure, ParseError, ToleranceExceeded
 from .formats import (
+    ReportEncoder,
     antilinear_to_json,
     bipartite_from_json,
     bipartite_to_json,
@@ -27,7 +30,7 @@ from .formats import (
     matrix_from_json,
     matrix_to_json,
 )
-from .sampling import random_state, random_unit_vector, rng_for, state_from_rng
+from .sampling import coeff_from_rng, random_state, random_unit_vector, rng_for
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -37,7 +40,7 @@ PROBE_COUNT = 8  # seeded probe vectors per residual check
 
 
 def _emit(report: dict, out: str | None):
-    text = json.dumps(report, indent=2, sort_keys=False)
+    text = json.dumps(report, indent=2, sort_keys=False, cls=ReportEncoder)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -53,6 +56,11 @@ def _load_state(path, what: str) -> bp.BipartiteVector:
     return bipartite_from_json(load_json(path), what)
 
 
+def _probes(rng, dim: int) -> np.ndarray:
+    """PROBE_COUNT seeded unit probe vectors, stacked."""
+    return np.stack([random_unit_vector(rng, dim) for _ in range(PROBE_COUNT)])
+
+
 def _worst(table: vf.ResidualTable, tolerance: float | None) -> tuple[list[vf.IdentityResult], dict]:
     """Results against the per-identity tolerances (or the override), and worst residual by name."""
     results = table.results(tolerance)
@@ -65,16 +73,19 @@ def cmd_epr(args) -> int:
     omega_a = bp.reduced(psi, "a")
     omega_b = bp.reduced(psi, "b")
 
-    table = vf.ResidualTable()
     rng = rng_for(args.seed, 1)
-    for _ in range(PROBE_COUNT):
-        phi_a = random_unit_vector(rng, psi.dim_a)
-        phi_b = random_unit_vector(rng, psi.dim_b)
-        table.record("epr.projection", vf.epr_projection(psi, pair, omega_a, phi_a))
-        table.record("epr.pairing", vf.epr_pairing(psi, pair, phi_a, phi_b))
-        chi = state_from_rng(rng, psi.dim_a, psi.dim_b)
-        table.record("epr.inner_trace", vf.epr_inner_trace(psi, pair, chi))
-    table.record("epr.reduction", vf.epr_reduction(psi, omega_a, omega_b))
+    da, db = psi.dim_a, psi.dim_b
+    draws = [
+        (random_unit_vector(rng, da), random_unit_vector(rng, db), coeff_from_rng(rng, da, db))
+        for _ in range(PROBE_COUNT)
+    ]
+    phi_a, phi_b, chi = (np.stack(x) for x in zip(*draws))
+    c, s_ba, s_ab = psi.coeff, pair.s_ba.mat, pair.s_ab.mat
+    table = vf.ResidualTable()
+    table.record("epr.projection", vf.epr_projection(c, s_ba, omega_a, phi_a))
+    table.record("epr.pairing", vf.epr_pairing(c, s_ba, s_ab, phi_a, phi_b))
+    table.record("epr.inner_trace", vf.epr_inner_trace(c, s_ba, chi))
+    table.record("epr.reduction", vf.epr_reduction(c, omega_a, omega_b))
     results, worst = _worst(table, args.tolerance)
     residuals = {name.removeprefix("epr."): value for name, value in worst.items()}
     report = {
@@ -98,10 +109,8 @@ def cmd_teleport(args) -> int:
     tnf = tp.trace_norm_fidelity(tm)
     bound = tp.success_bound(tm)
     table = vf.ResidualTable()
-    rng = rng_for(args.seed, 2)
-    for _ in range(PROBE_COUNT):
-        probe = random_unit_vector(rng, psi.dim_a)
-        table.record("teleport.factorization", vf.teleport_factorization(tm, probe))
+    probes = _probes(rng_for(args.seed, 2), psi.dim_a)
+    table.record("teleport.factorization", vf.teleport_factorization(tm.t, psi.coeff, phi.coeff, probes))
     table.record("teleport.trace_fidelity", vf.teleport_trace_fidelity(tnf))
     results, worst = _worst(table, args.tolerance)
     oracle_residual = worst["teleport.factorization"]
@@ -135,12 +144,11 @@ def cmd_luders(args) -> int:
     ch = tp.luders_channel(psis, phi)
     bounds = tp.luders_bounds(ch)
 
+    maps, psis = np.stack(ch.maps), np.stack([p.coeff for p in ch.psis])
+    probes = _probes(rng_for(args.seed, 3), psis.shape[-2])
     table = vf.ResidualTable()
-    rng = rng_for(args.seed, 3)
-    for _ in range(PROBE_COUNT):
-        probe = random_unit_vector(rng, ch.psis[0].dim_a)
-        table.record("luders.decoupling", vf.luders_decoupling(ch, probe))
-    table.record("luders.op_bound", vf.luders_op_bound(ch, bounds))
+    table.record("luders.decoupling", vf.luders_decoupling(maps, psis, ch.ancilla_phi.coeff, probes))
+    table.record("luders.op_bound", vf.luders_op_bound(bounds, ch.ancilla_norm_sq))
     results, worst = _worst(table, args.tolerance)
     decoupling = worst["luders.decoupling"]
     report = {
@@ -170,10 +178,8 @@ def cmd_chain(args) -> int:
     stages = [bipartite_from_json(s, f"stages[{k}]") for k, s in enumerate(spec["stages"])]
     t = tp.chain_teleport(stages)
     table = vf.ResidualTable()
-    rng = rng_for(args.seed, 4)
-    for _ in range(PROBE_COUNT):
-        probe = random_unit_vector(rng, stages[0].dim_a)
-        table.record("chain.factorization", vf.chain_factorization(stages, t, probe))
+    probes = _probes(rng_for(args.seed, 4), stages[0].dim_a)
+    table.record("chain.factorization", vf.chain_factorization([s.coeff for s in stages], t, probes))
     results, worst = _worst(table, args.tolerance)
     oracle_residual = worst["chain.factorization"]
     report = {"t": matrix_to_json(t), "oracle_residual": oracle_residual}
@@ -190,12 +196,12 @@ def cmd_modular(args) -> int:
     phi = _load_state(args.phi, "phi")
     psi = _load_state(args.psi, "psi")
     triple = md.tomita_S(phi, psi)
+    s, j, j_twisted = triple.s.mat, triple.j.mat, md.lift_operators(psi, phi).j.mat
     table = vf.ResidualTable()
-    table.record("modular.defining", vf.modular_defining(triple, phi, psi))
-    table.record("modular.reconstruction", vf.modular_reconstruction(triple))
-    j_twisted = md.lift_operators(psi, phi).j
-    table.record("modular.phase_match", vf.modular_phase_match(triple, j_twisted))
-    table.record("modular.intertwine", vf.modular_intertwine(triple, j_twisted, phi, psi))
+    table.record("modular.defining", vf.modular_defining(s, phi.coeff, psi.coeff))
+    table.record("modular.reconstruction", vf.modular_reconstruction(s, j, phi.coeff, psi.coeff))
+    table.record("modular.phase_match", vf.modular_phase_match(s, j_twisted))
+    table.record("modular.intertwine", vf.modular_intertwine(s, j_twisted, phi.coeff, psi.coeff))
     results, worst = _worst(table, args.tolerance)
     residuals = {name.removeprefix("modular."): value for name, value in worst.items()}
     report = {
@@ -227,6 +233,7 @@ def cmd_verify(args) -> int:
                 "residual": r.residual,
                 "tolerance": r.tolerance,
                 "pass": r.passed,
+                "worst": {"stream": r.worst[0], "trial": r.worst[1], "dims": list(r.worst[2])},
             }
             for r in results
         ],

@@ -114,3 +114,56 @@ def load_json(path) -> dict:
     if not isinstance(obj, dict):
         raise ParseError(f"{path} must hold a JSON object")
     return obj
+
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _floats(values: list) -> list[str]:
+    """json's spelling of floats: repr, with NaN and ±Infinity for the non-finite ones."""
+    out = list(map(float.__repr__, values))
+    return out if all(map(math.isfinite, values)) else [_NONFINITE.get(s, s) for s in out]
+
+
+class ReportEncoder(json.JSONEncoder):
+    """The text of json.dumps(obj, indent=n), built by joins instead of the pure-Python encoder.
+
+    With an indent, json.dumps cannot use its C encoder; reports hold
+    thousands of matrix entries, each a [re, im] pair, and this writes a list
+    of such pairs by one format per pair.  Objects outside dict, list,
+    tuple, str, int, float, bool and None, or dicts with non-string keys,
+    fall back to the standard encoder.
+    """
+
+    def encode(self, o) -> str:
+        plain = (self.item_separator, self.key_separator) == (",", ": ") and self.ensure_ascii and self.allow_nan
+        if self.indent is None or self.sort_keys or self.skipkeys or not plain:
+            return super().encode(o)
+        try:
+            return self._text(o, "")
+        except (TypeError, RecursionError):
+            return super().encode(o)
+
+    def _text(self, o, ind: str) -> str:
+        if isinstance(o, str):
+            return json.encoder.encode_basestring_ascii(o)
+        if o is None or o is True or o is False:
+            return {None: "null", True: "true", False: "false"}[o]
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            return _floats([o])[0]
+        inner = ind + " " * self.indent
+        sep = ",\n" + inner
+        if isinstance(o, (list, tuple)) and o:
+            if all(type(v) is list and len(v) == 2 and type(v[0]) is float and type(v[1]) is float for v in o):
+                pair = "[\n" + inner + " " * self.indent + "{},\n" + inner + " " * self.indent + "{}\n" + inner + "]"
+                text = _floats([x for v in o for x in v])
+                return "[\n" + inner + sep.join(map(pair.format, text[0::2], text[1::2])) + "\n" + ind + "]"
+            return "[\n" + inner + sep.join([self._text(v, inner) for v in o]) + "\n" + ind + "]"
+        if isinstance(o, dict) and o and all(type(k) is str for k in o):
+            items = [json.encoder.encode_basestring_ascii(k) + ": " + self._text(v, inner) for k, v in o.items()]
+            return "{\n" + inner + sep.join(items) + "\n" + ind + "}"
+        if isinstance(o, (list, tuple, dict)) and not o:
+            return "[]" if isinstance(o, (list, tuple)) else "{}"
+        raise TypeError(f"{type(o).__name__} is left to the standard encoder")

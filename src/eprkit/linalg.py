@@ -5,6 +5,8 @@ operators) is built on the handful of primitives in this module, so the
 numerical conventions are fixed here once: complex128 throughout, Hermiticity
 checked entrywise at 1e-10, rank decided relative to the largest singular
 value at 1e-12.
+The kernels also take stacks (..., m, n), member by member with the same
+LAPACK and BLAS calls; every check runs on every member and names its index.
 """
 
 from __future__ import annotations
@@ -22,13 +24,22 @@ RANK_RTOL = 1e-12      # singular values below RANK_RTOL * sigma_max do not coun
 RANK_ATOL = 1e-14      # absolute fallback when sigma_max == 0
 
 
-def as_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite two-dimensional complex128 array."""
+def _member(name: str, bad: np.ndarray) -> tuple[str, tuple]:
+    """The operand's name and index of the first member flagged in `bad` (over the stack axes)."""
+    if bad.ndim == 0:
+        return name, ()
+    idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
+    return f"{name}[{', '.join(map(str, idx))}]", idx
+
+
+def as_matrix(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """Coerce to a finite complex128 matrix or, with stack=True, a stack (..., m, n) of them."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2:
+    if a.ndim != 2 and not (stack and a.ndim > 2):
         raise DimMismatch(f"{name} must be two-dimensional, got shape {a.shape}")
     if a.size and not np.isfinite(a).all():
-        raise NonFinite(f"{name} contains NaN or Inf entries")
+        label, _ = _member(name, ~np.isfinite(a).all(axis=(-2, -1)))
+        raise NonFinite(f"{label} contains NaN or Inf entries")
     return a
 
 
@@ -65,7 +76,7 @@ def seal(a: np.ndarray) -> np.ndarray:
 
 
 def kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Kronecker product of two vectors or two matrices by one broadcast.
+    """Kronecker product of two vectors, or of two matrices or stacks of matrices, by one broadcast.
 
     Gives the same bits as np.kron, whose general n-dimensional route costs
     several times more per call on small operands.
@@ -73,39 +84,55 @@ def kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     x, y = np.asarray(x), np.asarray(y)
     if x.ndim == y.ndim == 1:
         return (x[:, None] * y[None, :]).reshape(-1)
-    if x.ndim == y.ndim == 2:
-        return (x[:, None, :, None] * y[None, :, None, :]).reshape(
-            x.shape[0] * y.shape[0], x.shape[1] * y.shape[1]
+    if x.ndim >= 2 and y.ndim >= 2:
+        batch = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
+        return (x[..., :, None, :, None] * y[..., None, :, None, :]).reshape(
+            *batch, x.shape[-2] * y.shape[-2], x.shape[-1] * y.shape[-1]
         )
     raise DimMismatch(f"kron takes two vectors or two matrices, got shapes {x.shape} and {y.shape}")
 
 
+def _out(x: np.ndarray):
+    """A float for a single matrix's value, the array for a stack's."""
+    return float(x) if x.ndim == 0 else x
+
+
+def fro_norm(x, axes: int = 2):
+    """Frobenius norm over the last `axes` axes, member by member, with the bits of np.linalg.norm."""
+    x = np.asarray(x)
+    flat = x.reshape(*x.shape[: x.ndim - axes], 1, -1)
+    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
+    return _out(np.sqrt(sum((p @ p.mT)[..., 0, 0] for p in parts)))
+
+
 @dataclass(frozen=True)
 class SvdResult:
-    """Thin SVD with the rank decided by the package-wide threshold."""
+    """Thin SVD with the rank decided by the package-wide threshold; every field stacks."""
 
     u: np.ndarray       # isometry columns
     sigma: np.ndarray   # nonincreasing, nonnegative
     v: np.ndarray       # isometry columns; input = u @ diag(sigma) @ v†
-    rank: int
+    rank: int | np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.v.conj().T
+        return (self.u * self.sigma[..., None, :]) @ self.v.conj().mT
 
 
-def numerical_rank(sigma: np.ndarray) -> int:
+def rank_mask(sigma: np.ndarray) -> np.ndarray:
+    """Which singular values count toward the rank; sigma is nonincreasing along its last axis."""
+    top = sigma[..., :1]
+    return sigma > np.where(top > 0, RANK_RTOL * top, RANK_ATOL)
+
+
+def numerical_rank(sigma: np.ndarray) -> int | np.ndarray:
     """Count singular values above the relative threshold."""
-    if sigma.size == 0:
-        return 0
-    top = float(sigma[0])
-    cut = RANK_RTOL * top if top > 0 else RANK_ATOL
-    return int(np.count_nonzero(sigma > cut))
+    r = np.asarray(np.count_nonzero(rank_mask(np.asarray(sigma)), axis=-1))
+    return int(r) if r.ndim == 0 else r
 
 
 def svd(m) -> SvdResult:
-    a = as_matrix(m)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    return SvdResult(u=frozen(u), sigma=s.copy(), v=frozen(vh.conj().T), rank=numerical_rank(s))
+    u, s, vh = np.linalg.svd(as_matrix(m, stack=True), full_matrices=False)
+    return SvdResult(u=seal(u), sigma=s, v=seal(vh.conj().mT), rank=numerical_rank(s))
 
 
 def herm_eigh(h, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
@@ -114,14 +141,15 @@ def herm_eigh(h, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     The check bounds the max entry of (H - H†)/2; symmetrizing before eigh
     stabilizes downstream square roots.
     """
-    a = as_matrix(h, name)
-    if a.shape[0] != a.shape[1]:
+    a = as_matrix(h, name, stack=True)
+    if a.shape[-2] != a.shape[-1]:
         raise DimMismatch(f"{name} must be square, got shape {a.shape}")
-    skew = (a - a.conj().T) / 2
-    if skew.size and np.abs(skew).max() > HERMITIAN_TOL:
-        raise NotHermitian(f"{name} deviates from Hermiticity by {np.abs(skew).max():.3e}")
-    w, v = np.linalg.eigh((a + a.conj().T) / 2)
-    return w, v
+    if a.size:
+        skew = np.abs((a - a.conj().mT) / 2).max(axis=(-2, -1))
+        if (skew > HERMITIAN_TOL).any():
+            label, i = _member(name, skew > HERMITIAN_TOL)
+            raise NotHermitian(f"{label} deviates from Hermiticity by {skew[i]:.3e}")
+    return np.linalg.eigh((a + a.conj().mT) / 2)
 
 
 def psd_eigh(h, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
@@ -132,25 +160,26 @@ def psd_eigh(h, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     noise.
     """
     w, v = herm_eigh(h, name)
-    if w.size and w.min() < -EIG_CLAMP:
-        raise NotPositive(f"{name} has eigenvalue {w.min():.3e} below -{EIG_CLAMP:.0e}")
-    w = np.where(w < max(w.max(initial=0.0), 0.0) * RANK_RTOL, 0.0, w)
-    return w, v
+    low = w.min(axis=-1, initial=0.0)
+    if (low < -EIG_CLAMP).any():
+        label, i = _member(name, low < -EIG_CLAMP)
+        raise NotPositive(f"{label} has eigenvalue {low[i]:.3e} below -{EIG_CLAMP:.0e}")
+    top = np.maximum(w.max(axis=-1, initial=0.0), 0.0)[..., None]
+    return np.where(w < top * RANK_RTOL, 0.0, w), v
 
 
 def psd_sqrt(h, name: str = "matrix") -> np.ndarray:
     """Hermitian PSD square root via eigendecomposition; errors name the operand."""
     w, v = psd_eigh(h, name)
-    s = (v * np.sqrt(w)) @ v.conj().T
-    return (s + s.conj().T) / 2
+    s = (v * np.sqrt(w)[..., None, :]) @ v.conj().mT
+    return (s + s.conj().mT) / 2
 
 
 def support_projection(h, name: str = "matrix") -> np.ndarray:
     """Projection onto the range of a Hermitian PSD matrix; errors name the operand."""
     w, v = psd_eigh(h, name)
-    keep = w > 0
-    vr = v[:, keep]
-    return vr @ vr.conj().T
+    vr = v * (w > 0)[..., None, :]
+    return vr @ vr.conj().mT
 
 
 class MatrixNorms(NamedTuple):
@@ -161,12 +190,11 @@ class MatrixNorms(NamedTuple):
 
 def norms(m) -> MatrixNorms:
     """Operator, trace, and Hilbert-Schmidt norms from singular values."""
-    a = as_matrix(m)
-    s = np.linalg.svd(a, compute_uv=False)
+    s = np.linalg.svd(as_matrix(m, stack=True), compute_uv=False)
     return MatrixNorms(
-        operator=float(s.max(initial=0.0)),
-        trace=float(s.sum()),
-        hilbert_schmidt=float(np.sqrt((s * s).sum())),
+        operator=_out(s.max(axis=-1, initial=0.0)),
+        trace=_out(s.sum(axis=-1)),
+        hilbert_schmidt=_out(np.sqrt((s * s).sum(axis=-1))),
     )
 
 
@@ -182,11 +210,11 @@ def fidelity(rho, omega) -> float:
     eigenvalue square roots of a doubly-squared product, the accuracy killer
     near rank deficiency.
     """
-    r = as_matrix(rho, "rho")
-    o = as_matrix(omega, "omega")
+    r = as_matrix(rho, "rho", stack=True)
+    o = as_matrix(omega, "omega", stack=True)
     if r.shape != o.shape:
         raise DimMismatch(f"fidelity operands differ in shape: {r.shape} vs {o.shape}")
-    return trace_norm(psd_sqrt(r) @ psd_sqrt(o))
+    return trace_norm(psd_sqrt(r, "rho") @ psd_sqrt(o, "omega"))
 
 
 def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
@@ -195,13 +223,13 @@ def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
     `m` must be (dim_a*dim_b) square in the a-major Kronecker basis;
     `keep` selects the surviving factor, "a" or "b".
     """
-    a = as_matrix(m)
+    a = as_matrix(m, stack=True)
     n = dim_a * dim_b
-    if a.shape != (n, n):
+    if a.shape[-2:] != (n, n):
         raise DimMismatch(f"expected shape {(n, n)} for dims ({dim_a}, {dim_b}), got {a.shape}")
-    t = a.reshape(dim_a, dim_b, dim_a, dim_b)
+    t = a.reshape(*a.shape[:-2], dim_a, dim_b, dim_a, dim_b)
     if keep == "a":
-        return np.einsum("ijkj->ik", t)
+        return np.einsum("...ijkj->...ik", t)
     if keep == "b":
-        return np.einsum("ijil->jl", t)
+        return np.einsum("...ijil->...jl", t)
     raise DimMismatch(f"keep must be 'a' or 'b', got {keep!r}")

@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antilinear import AntilinearMap, adjoint
-from .bipartite import BipartiteVector, epr_maps, polar_of_state, reduced
+from .antilinear import AntilinearMap, polar_arrays
+from .bipartite import BipartiteVector, reduced
 from .errors import DimMismatch, MixedParity, NotSeparating
-from .linalg import as_matrix, frozen, herm_eigh, kron, numerical_rank, seal
+from .linalg import _member, as_matrix, frozen, herm_eigh, kron, numerical_rank, seal
 
 
 @dataclass(frozen=True)
@@ -81,14 +81,21 @@ def twisted_product(eta_ab, xi_ba) -> TwistedOperator:
     if xi.shape != (dim_b, dim_a):
         raise DimMismatch(f"xi must map H_a({dim_a}) into H_b({dim_b}), got shape {xi.shape}")
     eta, xi = np.ascontiguousarray(eta), np.ascontiguousarray(xi)  # so the product reshapes without a copy
-    mat = seal((eta[:, None, None, :] * xi[None, :, :, None]).reshape(dim_a * dim_b, dim_a * dim_b))
     return TwistedOperator(
-        mat=mat,
+        mat=seal(twisted_matrix(eta, xi)),
         parity="antilinear" if eta_anti else "linear",
         factors=(eta, xi),
         dim_a=dim_a,
         dim_b=dim_b,
     )
+
+
+def twisted_matrix(eta: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """The matrix of twisted_product from the factor matrices, single or stacked: one broadcast."""
+    dim_a, dim_b = eta.shape[-2:]
+    eta, xi = np.ascontiguousarray(eta), np.ascontiguousarray(xi)  # contiguous factors round alike
+    prod = eta[..., :, None, None, :] * xi[..., None, :, :, None]
+    return prod.reshape(*prod.shape[:-4], dim_a * dim_b, dim_a * dim_b)
 
 
 def twisted_adjoint(p: TwistedOperator) -> TwistedOperator:
@@ -124,9 +131,21 @@ class LiftedOperators:
     j: TwistedOperator            # j_phi ⊗̃ j_psi
 
 
-def _phase_factors(phi: BipartiteVector, psi: BipartiteVector) -> tuple[AntilinearMap, AntilinearMap]:
-    """The phase maps j_phi_ab: H_b -> H_a and j_psi_ba: H_a -> H_b, the factors of the lifted J."""
-    return adjoint(polar_of_state(phi).phase), polar_of_state(psi).phase
+def phase_factors(c_phi: np.ndarray, c_psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Matrices of the phase maps j_phi_ab: H_b -> H_a and j_psi_ba: H_a -> H_b, the factors of the lifted J."""
+    return polar_arrays(c_phi.mT)[1].mT, polar_arrays(c_psi.mT)[1]
+
+
+def lift_factors(c_phi: np.ndarray, c_psi: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The (eta, xi) factor matrices of the four lifts of lift_operators, single or stacked."""
+    j_phi_ab, j_psi_ba = phase_factors(c_phi, c_psi)
+    s_phi_ab, s_psi_ba = c_phi, c_psi.mT
+    return {
+        "s_tilde": (j_phi_ab, s_psi_ba),
+        "f_tilde": (s_phi_ab, j_psi_ba),
+        "delta_tilde": (s_phi_ab, s_psi_ba),
+        "j": (j_phi_ab, j_psi_ba),
+    }
 
 
 def lift_operators(phi: BipartiteVector, psi: BipartiteVector) -> LiftedOperators:
@@ -140,27 +159,24 @@ def lift_operators(phi: BipartiteVector, psi: BipartiteVector) -> LiftedOperator
         raise DimMismatch(
             f"state dimensions differ: {(phi.dim_a, phi.dim_b)} vs {(psi.dim_a, psi.dim_b)}"
         )
-    s_phi_ab = epr_maps(phi).s_ab
-    s_psi_ba = epr_maps(psi).s_ba
-    j_phi_ab, j_psi_ba = _phase_factors(phi, psi)
     return LiftedOperators(
-        s_tilde=twisted_product(j_phi_ab, s_psi_ba),
-        f_tilde=twisted_product(s_phi_ab, j_psi_ba),
-        delta_tilde=twisted_product(s_phi_ab, s_psi_ba),
-        j=twisted_product(j_phi_ab, j_psi_ba),
+        **{
+            name: twisted_product(AntilinearMap(eta), AntilinearMap(xi))
+            for name, (eta, xi) in lift_factors(phi.coeff, psi.coeff).items()
+        }
     )
 
 
-def gns_check(psi: BipartiteVector) -> bool:
-    """Whether both reductions of psi have full rank (complete entanglement).
+def gns_check(psi: BipartiteVector | np.ndarray) -> bool:
+    """Whether both reductions of psi (a BipartiteVector or its coefficient matrix) have full rank.
 
     True also certifies cyclicity: the vectors (E_ij ⊗ 1) psi then span the
     whole product space.  Requires square dimensions to be attainable at all.
     """
-    if psi.dim_a != psi.dim_b:
+    c = psi.coeff if isinstance(psi, BipartiteVector) else np.asarray(psi)
+    if c.shape[0] != c.shape[1]:
         return False
-    s = np.linalg.svd(psi.coeff, compute_uv=False)
-    return numerical_rank(s) == psi.dim_a
+    return numerical_rank(np.linalg.svd(c, compute_uv=False)) == c.shape[0]
 
 
 @dataclass(frozen=True)
@@ -187,11 +203,13 @@ def tomita_S(phi: BipartiteVector, psi: BipartiteVector) -> ModularTriple:
     twisted product of C_psi^(-†) and C_phi^T; it follows from the defining
     relation with X = A C_psi.  J is the twisted product of the phase maps of
     (psi, phi), in that order, the same operator as lift_operators(psi, phi).j:
-    the polar phase of S, taken factor by factor.  Delta = omega_a(phi) ⊗
+    the polar phase of S, taken factor by factor.  C_psi^(-†) = U Σ^(-1) V†
+    comes from the SVD C_psi = U Σ V†, the factorization the checks take
+    their square roots from, not from an LU solve.  Delta = omega_a(phi) ⊗
     inverse(omega_b(psi)) with the inverse taken by eigendecomposition;
     rank-deficient reductions of psi are rejected rather than pseudo-inverted.
 
-    The factors cost O(d³) (one inverse, two d×d SVDs, one eigendecomposition)
+    The factors cost O(d³) (three d×d SVDs, one eigendecomposition)
     and the dense d²×d² matrices O(d⁴).  verify.modular_defining, which checks
     S on all d² matrix units (they span the space because psi is cyclic), is
     the brute-force oracle of S; verify.modular_phase_match compares J with
@@ -203,13 +221,22 @@ def tomita_S(phi: BipartiteVector, psi: BipartiteVector) -> ModularTriple:
         )
     if not gns_check(psi):
         raise NotSeparating("psi must be completely entangled (square, full-rank reductions)")
-    s = twisted_product(AntilinearMap(np.linalg.inv(psi.coeff).conj().T), AntilinearMap(phi.coeff.T))
-
-    w, v = herm_eigh(reduced(psi, "b"), "omega_b")
-    if w.min() <= 0.0:
-        raise NotSeparating("omega_b of psi is numerically singular")
-    omega_b_inv = (v / w) @ v.conj().T
-    delta = seal(kron(reduced(phi, "a"), omega_b_inv))
-
-    j = twisted_product(*_phase_factors(psi, phi))
+    s = twisted_product(*(AntilinearMap(f) for f in s_factors(phi.coeff, psi.coeff)))
+    delta = seal(kron(*delta_factors(phi.coeff, psi.coeff)))
+    j = twisted_product(*(AntilinearMap(f) for f in phase_factors(psi.coeff, phi.coeff)))
     return ModularTriple(s=s.as_antilinear(), delta=delta, j=j.as_antilinear())
+
+
+def s_factors(c_phi: np.ndarray, c_psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The factors (C_psi^(-†), C_phi^T) of S, single or stacked; C_psi^(-†) = U Σ^(-1) V† by SVD."""
+    u, sigma, vh = np.linalg.svd(c_psi)
+    return (u / sigma[..., None, :]) @ vh, c_phi.mT
+
+
+def delta_factors(c_phi: np.ndarray, c_psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Kronecker factors (omega_a(phi), omega_b(psi)^(-1)) of Delta, single or stacked."""
+    w, v = herm_eigh(reduced(c_psi, "b"), "omega_b")
+    if (w.min(axis=-1) <= 0.0).any():
+        label, _ = _member("omega_b", w.min(axis=-1) <= 0.0)
+        raise NotSeparating(f"{label} of psi is numerically singular")
+    return reduced(c_phi, "a"), (v / w[..., None, :]) @ v.conj().mT

@@ -54,13 +54,18 @@ def random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def state_from_rng(rng: np.random.Generator, dim_a: int, dim_b: int, entangled: bool = False) -> BipartiteVector:
     """Unit random state; with entangled=True, rejection-sample full-rank reductions."""
+    return BipartiteVector(coeff_from_rng(rng, dim_a, dim_b, entangled))
+
+
+def coeff_from_rng(rng: np.random.Generator, dim_a: int, dim_b: int, entangled: bool = False) -> np.ndarray:
+    """The coefficient matrix of state_from_rng, drawn with the same bits."""
     if entangled and dim_a != dim_b:
         raise DimMismatch("completely entangled states need dim_a == dim_b")
     while True:
         c = complex_normal(rng, dim_a, dim_b)
-        psi = BipartiteVector(c / np.linalg.norm(c))
-        if not entangled or gns_check(psi):
-            return psi
+        c = c / np.linalg.norm(c)
+        if not entangled or gns_check(c):
+            return c
 
 
 def random_state(dims, seed: int, entangled: bool = False) -> BipartiteVector:

@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .antilinear import chain, polar
+from .antilinear import chain, polar_arrays
 from .bipartite import BipartiteVector, epr_maps, reduced
 from .errors import (
     DimMismatch,
@@ -34,7 +34,7 @@ from .errors import (
     NotUnit,
     OddParity,
 )
-from .linalg import as_matrix, frozen, herm_eigh, kron, psd_sqrt, trace_norm
+from .linalg import _member, _out, as_matrix, fro_norm, frozen, herm_eigh, psd_sqrt, trace_norm
 
 UNIT_TOL = 1e-10
 ORTHO_TOL = 1e-10
@@ -60,17 +60,44 @@ def teleport_map(psi_ab: BipartiteVector, phi_bc: BipartiteVector) -> TeleportMa
         raise DimMismatch(
             f"shared b-dimension differs: psi has {psi_ab.dim_b}, ancilla has {phi_bc.dim_a}"
         )
-    t = phi_bc.coeff.T @ np.conj(psi_ab.coeff.T)
-    return TeleportMap(t=t, source_psi=psi_ab, ancilla_phi=phi_bc)
+    return TeleportMap(t=teleport_matrix(psi_ab.coeff, phi_bc.coeff), source_psi=psi_ab, ancilla_phi=phi_bc)
+
+
+def teleport_matrix(c_psi: np.ndarray, c_phi: np.ndarray) -> np.ndarray:
+    """The matrix t of teleport_map from the two coefficient matrices, single or stacked."""
+    return c_phi.mT @ np.conj(c_psi.mT)
+
+
+def _kron_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Kronecker product of the vectors along the last axes, stack axes broadcast."""
+    return (x[..., :, None] * y[..., None, :]).reshape(*np.broadcast_shapes(x.shape[:-1], y.shape[:-1]), -1)
+
+
+def _check_dense(dims) -> None:
+    total = int(np.prod(dims))
+    if total > DENSE_DIM_LIMIT:
+        raise DimTooLarge(f"dense oracle needs dimension {total} > {DENSE_DIM_LIMIT}")
+
+
+def _project(full: np.ndarray, before: int, w: np.ndarray) -> np.ndarray:
+    """(1 ⊗ W W† ⊗ 1) full: W's orthonormal columns act on the axes after the first `before` indices.
+
+    Reshape and contraction instead of a D×D projector, so memory stays
+    O(D); every oracle applies its measurement projectors through here.
+    """
+    t = full.reshape(*full.shape[:-1], before, w.shape[-2], -1)
+    wh = np.conj(w).mT[..., None, :, :]
+    return (w[..., None, :, :] @ (wh @ t)).reshape(full.shape)
 
 
 def _factor_out(result: np.ndarray, measured: np.ndarray, dim_rest: int, what: str) -> np.ndarray:
-    """Extract x from result = measured ⊗ x, checking the rank-one residual."""
-    r = result.reshape(measured.shape[0], dim_rest)
-    x = np.conj(measured) @ r
-    residual = float(np.linalg.norm(r - np.outer(measured, x)))
-    if residual > FACTOR_TOL:
-        raise FactorizationFailure(f"{what}: residual {residual:.3e} exceeds {FACTOR_TOL:.0e}")
+    """Extract x from result = measured ⊗ x, checking the rank-one residual of every member."""
+    r = result.reshape(*result.shape[:-1], measured.shape[-1], dim_rest)
+    x = (np.conj(measured)[..., None, :] @ r)[..., 0, :]
+    residual = np.asarray(fro_norm(r - measured[..., :, None] * x[..., None, :]))
+    if (residual > FACTOR_TOL).any():
+        label, i = _member(what, residual > FACTOR_TOL)
+        raise FactorizationFailure(f"{label}: residual {residual[i]:.3e} exceeds {FACTOR_TOL:.0e}")
     return x
 
 
@@ -85,10 +112,12 @@ def teleport_oracle(psi_ab: BipartiteVector, phi_bc: BipartiteVector, phi_a) -> 
     return chain_oracle(phi_a, [psi_ab, phi_bc])
 
 
-def _unit_state(psi: BipartiteVector, what: str):
-    n = psi.norm()
-    if abs(n - 1.0) > UNIT_TOL:
-        raise NotUnit(f"{what} has norm {n!r}, expected 1")
+def _unit_state(psi, what: str):
+    """Check that a BipartiteVector, or every member of a coefficient stack, has unit norm."""
+    norm = np.asarray(fro_norm(psi.coeff if isinstance(psi, BipartiteVector) else psi))
+    if (np.abs(norm - 1.0) > UNIT_TOL).any():
+        label, i = _member(what, np.abs(norm - 1.0) > UNIT_TOL)
+        raise NotUnit(f"{label} has norm {float(norm[i])!r}, expected 1")
 
 
 def success_bound(tm: TeleportMap) -> float:
@@ -100,11 +129,16 @@ def success_bound(tm: TeleportMap) -> float:
     """
     _unit_state(tm.source_psi, "measured vector")
     _unit_state(tm.ancilla_phi, "ancilla")
-    rho = reduced(tm.source_psi, "b")
-    omega = reduced(tm.ancilla_phi, "a")  # ancilla lives in H_b ⊗ H_c; first factor is b
-    s = psd_sqrt(omega)
+    return success_bound_arrays(tm.source_psi.coeff, tm.ancilla_phi.coeff)
+
+
+def success_bound_arrays(c_psi: np.ndarray, c_phi: np.ndarray):
+    """success_bound from the two coefficient matrices, single or stacked."""
+    rho = reduced(c_psi, "b")
+    omega = reduced(c_phi, "a")  # ancilla lives in H_b ⊗ H_c; first factor is b
+    s = psd_sqrt(omega, "omega_b(phi)")
     w, _ = herm_eigh(s @ rho @ s)
-    return float(max(w.max(), 0.0))
+    return _out(np.maximum(w.max(axis=-1), 0.0))
 
 
 class TraceNormFidelity(NamedTuple):
@@ -124,10 +158,14 @@ def trace_norm_fidelity(tm: TeleportMap) -> TraceNormFidelity:
     """
     _unit_state(tm.source_psi, "measured vector")
     _unit_state(tm.ancilla_phi, "ancilla")
-    tn = float(np.linalg.svd(tm.t, compute_uv=False).sum())
-    sqrt_rho = polar(epr_maps(tm.source_psi).s_ba).positive
-    sqrt_omega = polar(epr_maps(tm.ancilla_phi).s_ab).positive
-    return TraceNormFidelity(trace_norm=tn, fidelity=trace_norm(sqrt_rho @ sqrt_omega))
+    return trace_norm_fidelity_arrays(tm.t, tm.source_psi.coeff, tm.ancilla_phi.coeff)
+
+
+def trace_norm_fidelity_arrays(t: np.ndarray, c_psi: np.ndarray, c_phi: np.ndarray) -> TraceNormFidelity:
+    """trace_norm_fidelity from the channel and coefficient matrices, single or stacked."""
+    sqrt_rho = polar_arrays(c_psi.mT)[0]   # positive part of s_ba(psi)
+    sqrt_omega = polar_arrays(c_phi)[0]    # positive part of s_ab(phi)
+    return TraceNormFidelity(trace_norm=trace_norm(t), fidelity=trace_norm(sqrt_rho @ sqrt_omega))
 
 
 @dataclass(frozen=True)
@@ -200,10 +238,12 @@ def luders_apply(ch: LudersChannel, nu_a) -> np.ndarray:
     da = ch.maps[0].shape[1]
     if nu.shape != (da, da):
         raise DimMismatch(f"nu must be {da} square, got {nu.shape}")
-    out = np.zeros((ch.maps[0].shape[0], ch.maps[0].shape[0]), dtype=np.complex128)
-    for t in ch.maps:
-        out += t @ nu @ t.conj().T
-    return out
+    return luders_apply_arrays(np.stack(ch.maps), nu)
+
+
+def luders_apply_arrays(maps: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """luders_apply on the stacked maps (..., rank, dim_c, dim_a) of one channel or a stack of channels."""
+    return (maps @ nu[..., None, :, :] @ maps.conj().mT).sum(axis=-3)
 
 
 class LudersBounds(NamedTuple):
@@ -220,33 +260,35 @@ def luders_bounds(ch: LudersChannel) -> LudersBounds:
     ||phi||^2 (not ||phi||) is the one the norm estimate actually yields; see
     the README note on the first power.
     """
-    da = ch.maps[0].shape[1]
-    k = np.zeros((da, da), dtype=np.complex128)
-    for t in ch.maps:
-        k += t.conj().T @ t
-    w, v = herm_eigh(k)
-    op_bound = float(max(w.max(), 0.0))
-    top = v[:, int(np.argmax(w))]
-    trace_bound = float(np.trace(luders_apply(ch, np.outer(top, np.conj(top)))).real)
-    return LudersBounds(op_bound=op_bound, trace_bound=trace_bound)
+    return luders_bounds_arrays(np.stack(ch.maps))
+
+
+def luders_bounds_arrays(maps: np.ndarray) -> LudersBounds:
+    """luders_bounds on the stacked maps (..., rank, dim_c, dim_a) of one channel or a stack of channels."""
+    w, v = herm_eigh((maps.conj().mT @ maps).sum(axis=-3), "K")
+    top = np.take_along_axis(v, np.argmax(w, axis=-1)[..., None, None], axis=-1)
+    trace_bound = np.trace(luders_apply_arrays(maps, top @ top.conj().mT), axis1=-2, axis2=-1).real
+    return LudersBounds(op_bound=_out(np.maximum(w.max(axis=-1), 0.0)), trace_bound=_out(trace_bound))
 
 
 def luders_project(ch: LudersChannel, phi_a) -> np.ndarray:
     """Dense (P ⊗ 1_c)(phi_a ⊗ phi_bc) for cross-checking the factorized maps.
 
+    P is applied to the a and b axes of the tripartite vector by contraction
+    with the measured vectors; phi_a may be a stack (..., dim_a) of inputs.
     The factorized form of the same vector is sum_k psi_k ⊗ (t_k phi_a).
     """
-    v_a = np.asarray(phi_a, dtype=np.complex128).reshape(-1)
-    da, db = ch.psis[0].dim_a, ch.psis[0].dim_b
-    dc = ch.ancilla_phi.dim_b
-    if v_a.shape[0] != da:
-        raise DimMismatch(f"phi_a length {v_a.shape[0]} != dim_a {da}")
-    full = kron(v_a, ch.ancilla_phi.to_vector())
-    p = np.zeros((da * db, da * db), dtype=np.complex128)
-    for psi in ch.psis:
-        w = psi.to_vector()
-        p += np.outer(w, np.conj(w))
-    return kron(p, np.eye(dc)) @ full
+    v_a = np.asarray(phi_a, dtype=np.complex128)
+    if v_a.ndim == 0 or v_a.shape[-1] != ch.psis[0].dim_a:
+        raise DimMismatch(f"phi_a length {v_a.shape[-1:]} != dim_a {ch.psis[0].dim_a}")
+    return luders_project_arrays(np.stack([psi.coeff for psi in ch.psis]), ch.ancilla_phi.coeff, v_a)
+
+
+def luders_project_arrays(psis: np.ndarray, c_phi: np.ndarray, phi_a: np.ndarray) -> np.ndarray:
+    """luders_project from the measured coefficient matrices (..., rank, dim_a, dim_b) and the ancilla's."""
+    _check_dense(psis.shape[-2:] + c_phi.shape[-1:])
+    full = _kron_rows(phi_a, c_phi.reshape(*c_phi.shape[:-2], -1))
+    return _project(full, 1, psis.reshape(*psis.shape[:-2], -1).mT)
 
 
 def chain_teleport(stages: Sequence[BipartiteVector]) -> np.ndarray:
@@ -271,28 +313,31 @@ def chain_oracle(phi_a, stages: Sequence[BipartiteVector]) -> np.ndarray:
     contraction, factors out psi_ab ⊗ psi_cd ⊗ ..., and returns the
     conditional output in the last subsystem.  It never uses the induced
     maps; memory stays O(D) in the total dimension D, which DENSE_DIM_LIMIT
-    bounds.  `stages` is ordered as for chain_teleport.
+    bounds.  `stages` is ordered as for chain_teleport.  phi_a may be a stack
+    (..., d_1) of inputs and each stage a coefficient stack (..., d_k, d_k+1)
+    instead of a BipartiteVector; stack axes broadcast.
     """
-    stages = list(stages)
-    if not stages:
+    coeffs = [
+        s.coeff if isinstance(s, BipartiteVector) else as_matrix(s, f"stages[{k}]", stack=True)
+        for k, s in enumerate(stages)
+    ]
+    if not coeffs:
         raise DimMismatch("chain_oracle needs at least one hop")
-    if len(stages) % 2 == 1:
-        raise OddParity(f"{len(stages)} stages give an antilinear composite")
-    measured, ancillae = stages[0::2], stages[1::2]
-    v_a = np.asarray(phi_a, dtype=np.complex128).reshape(-1)
-    dims = [v_a.shape[0]] + [s.dim_b for s in stages]
-    for k, s in enumerate(stages):
-        if s.dim_a != dims[k]:
-            raise DimMismatch(f"stages[{k}] has first dimension {s.dim_a}, the chain has {dims[k]} there")
-    total = int(np.prod(dims))
-    if total > DENSE_DIM_LIMIT:
-        raise DimTooLarge(f"dense chain oracle needs dimension {total} > {DENSE_DIM_LIMIT}")
-    for k, m in enumerate(measured):
-        _unit_state(m, f"measured vector stages[{2 * k}]")
-    ws = [m.to_vector() for m in measured]
-    full = reduce(kron, (p.to_vector() for p in ancillae), v_a)
+    if len(coeffs) % 2 == 1:
+        raise OddParity(f"{len(coeffs)} stages give an antilinear composite")
+    v_a = np.asarray(phi_a, dtype=np.complex128)
+    if v_a.ndim == 0:
+        v_a = v_a.reshape(1)
+    dims = [v_a.shape[-1]] + [c.shape[-1] for c in coeffs]
+    for k, c in enumerate(coeffs):
+        if c.shape[-2] != dims[k]:
+            raise DimMismatch(f"stages[{k}] has first dimension {c.shape[-2]}, the chain has {dims[k]} there")
+    _check_dense(dims)
+    for k, c in enumerate(coeffs[0::2]):
+        _unit_state(c, f"measured vector stages[{2 * k}]")
+    ws = [c.reshape(*c.shape[:-2], -1) for c in coeffs[0::2]]
+    full = reduce(_kron_rows, (c.reshape(*c.shape[:-2], -1) for c in coeffs[1::2]), v_a)
     for k, w in enumerate(ws):
         # axes of hop k: everything before, its two subsystems, everything after
-        t = full.reshape(int(np.prod(dims[: 2 * k])), w.shape[0], -1)
-        full = (w[None, :, None] * (np.conj(w) @ t)[:, None, :]).reshape(-1)
-    return _factor_out(full, reduce(kron, ws), dims[-1], "chain_oracle")
+        full = _project(full, int(np.prod(dims[: 2 * k])), w[..., :, None])
+    return _factor_out(full, reduce(_kron_rows, ws), dims[-1], "chain_oracle")

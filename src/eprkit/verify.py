@@ -1,19 +1,25 @@
 """Residual suites: every analytic identity of the library re-checked on seeded random instances.
 
-Each trial draws its instances from an independent sub-stream of
-(seed, suite, trial index), so any reported residual is reproducible in
-isolation.  Residuals are Frobenius norms of differences (absolute values for
-scalars), maximized over trials.  Tolerances are pinned per identity; passing
-a global tolerance overrides all of them.
+Each suite runs in two phases.  The draw phase takes trial t's instances
+from its own sub-stream of (seed, suite tag, t), so any reported residual is
+reproducible in isolation.  The compute phase groups the trials by their
+dims and evaluates each identity once per group, on stacks (n, ...) of raw
+arrays, through the same stacked kernels the value types are built on.
+Residuals are Frobenius norms of differences (absolute values for scalars),
+one per trial; the table keeps their max and the trial that attained it.
+Tolerances are pinned per identity; passing a global tolerance overrides all
+of them.
 
 The identities the CLI subcommands check on their inputs are each computed
-by one residual function below, which takes already-built operands; the
-suites and the CLI both call it.
+by one residual function below.  It takes already-built operands as raw
+arrays with optional leading stack axes and returns one residual per
+member; the suites call it on trial stacks and the CLI on its probe stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
 from typing import Iterable
 
 import numpy as np
@@ -25,13 +31,13 @@ from . import modular as md
 from . import teleport as tp
 from .errors import ToleranceExceeded
 from .sampling import (
+    coeff_from_rng,
     complex_normal,
     complex_normal_rows,
     random_psd,
     random_unit_vector,
     random_unitary,
     rng_for,
-    state_from_rng,
 )
 
 TOLERANCES = {
@@ -90,6 +96,7 @@ class IdentityResult:
     name: str
     residual: float
     tolerance: float
+    worst: tuple | None = None  # (stream tag, trial, dims) of the residual, for suite runs
 
     @property
     def passed(self) -> bool:
@@ -97,28 +104,36 @@ class IdentityResult:
 
 
 class ResidualTable:
-    """Running max residual per identity name."""
+    """Running max residual per identity name, and where it was attained."""
 
     def __init__(self):
-        self._max: dict[str, float] = {}
+        self._max: dict[str, tuple[float, tuple | None]] = {}
 
-    def record(self, name: str, value: float):
+    def record(self, name: str, values, origins=None):
+        """Record one residual per member of `values`; origins holds each member's (stream tag, trial, dims).
+
+        Of equal residuals the one from the lowest trial index is kept, so
+        the grouping of trials cannot change where the max sits.
+        """
         if name not in TOLERANCES:
             raise KeyError(f"unregistered identity {name!r}")
-        v = float(value)
-        if name not in self._max or v > self._max[name]:
-            self._max[name] = v
+        v = np.atleast_1d(np.asarray(values, dtype=float))
+        k = int(np.argmax(v))  # the first of equal maxima; members come in trial order
+        value, origin = float(v[k]), origins[k] if origins is not None else None
+        if name in self._max:
+            old, old_origin = self._max[name]
+            if not (value > old or (value == old and origin is not None and origin[1] < old_origin[1])):
+                return
+        self._max[name] = (value, origin)
 
     def results(self, tolerance: float | None = None) -> list[IdentityResult]:
         return [
-            IdentityResult(name, self._max[name], tolerance if tolerance is not None else TOLERANCES[name])
-            for name in TOLERANCES
-            if name in self._max
+            IdentityResult(name, value, tolerance if tolerance is not None else TOLERANCES[name], origin)
+            for name, (value, origin) in ((name, self._max[name]) for name in TOLERANCES if name in self._max)
         ]
 
 
-def _fro(x) -> float:
-    return float(np.linalg.norm(np.asarray(x).reshape(-1)))
+_fro = la.fro_norm
 
 
 def _dim_pairs(dims) -> list[tuple[int, int]]:
@@ -129,81 +144,129 @@ def _square_dims(dims) -> list[int]:
     return sorted(set(int(d) for d in dims))
 
 
-def _vdot(x, y) -> complex:
-    return complex(np.vdot(np.asarray(x).reshape(-1), np.asarray(y).reshape(-1)))
+def _vdot(x, y, axes: int = 1):
+    """<x, y> over the last `axes` axes, member by member, with the bits of np.vdot."""
+    x, y = np.asarray(x), np.asarray(y)
+    fx = x.reshape(*x.shape[: x.ndim - axes], 1, -1)
+    fy = y.reshape(*y.shape[: y.ndim - axes], -1, 1)
+    return (np.conj(fx) @ fy)[..., 0, 0]
 
 
-def epr_projection(psi, pair, omega_a, phi_a) -> float:
+def _mv(m, v):
+    """Matrix times vector, member by member."""
+    return (m @ v[..., None])[..., 0]
+
+
+def _outer(x, y):
+    return x[..., :, None] * y[..., None, :]
+
+
+def _trace(m):
+    return np.trace(m, axis1=-2, axis2=-1)
+
+
+def _max(*residuals):
+    return reduce(np.maximum, residuals)
+
+
+def _draw(seed: int, stream: int, trials: Iterable[int], draw) -> list:
+    """Draw phase: trial t takes its instances from its own sub-stream; draw(rng, t) returns (dims, arrays)."""
+    return [(t, *draw(rng_for(seed, stream, t), t)) for t in trials]
+
+
+def _groups(table: ResidualTable, stream: int, drawn):
+    """Compute phase: the drawn trials grouped by dims, each array stacked over its group.
+
+    Yields (record, dims, stacks) per group in first-seen order, the trials
+    of a group in trial order; record(name, values) enters one residual per
+    member, with the member's (stream, trial, dims), into the table.
+    """
+    groups: dict = {}
+    for t, dims, arrays in drawn:
+        groups.setdefault(dims, []).append((t, arrays))
+    for dims, members in groups.items():
+        origins = [(stream, t, dims) for t, _ in members]
+        yield partial(table.record, origins=origins), dims, [np.stack(x) for x in zip(*(a for _, a in members))]
+
+
+def _stacked(table: ResidualTable, seed: int, stream: int, trials: Iterable[int], draw):
+    return _groups(table, stream, _draw(seed, stream, trials, draw))
+
+
+def epr_projection(c, s_ba, omega_a, phi_a):
     """(|phi_a><phi_a| ⊗ 1) psi = phi_a ⊗ s_ba phi_a, with squared norm <phi_a, omega_a phi_a>."""
-    projected = bp.project_rank1(psi, phi_a)
-    return max(
-        _fro(projected.coeff - np.outer(phi_a, al.apply(pair.s_ba, phi_a))),
-        abs(projected.norm() ** 2 - _vdot(phi_a, omega_a @ phi_a).real),
+    projected = _outer(phi_a, np.conj(phi_a)) @ c
+    return np.maximum(
+        _fro(projected - _outer(phi_a, _mv(s_ba, np.conj(phi_a)))),
+        np.abs(_fro(projected) ** 2 - _vdot(phi_a, _mv(omega_a, phi_a)).real),
     )
 
 
-def epr_pairing(psi, pair, phi_a, phi_b) -> float:
+def epr_pairing(c, s_ba, s_ab, phi_a, phi_b):
     """<phi_b, s_ba phi_a> = <phi_a, s_ab phi_b> = <phi_a ⊗ phi_b, psi>."""
-    rhs = _vdot(la.kron(phi_a, phi_b), psi.to_vector())
-    return max(
-        abs(_vdot(phi_b, al.apply(pair.s_ba, phi_a)) - rhs),
-        abs(_vdot(phi_a, al.apply(pair.s_ab, phi_b)) - rhs),
+    rhs = _vdot(_outer(phi_a, phi_b), c, 2)
+    return np.maximum(
+        np.abs(_vdot(phi_b, _mv(s_ba, np.conj(phi_a))) - rhs),
+        np.abs(_vdot(phi_a, _mv(s_ab, np.conj(phi_b))) - rhs),
     )
 
 
-def epr_inner_trace(psi, pair, chi) -> float:
+def epr_inner_trace(c, s_ba, chi):
     """<chi, psi> as a trace of induced maps, on either factor."""
-    direct = _vdot(chi.coeff, psi.coeff)
-    trace_b = complex(np.trace(al.compose_aa(pair.s_ba, bp.epr_maps(chi).s_ab)))
-    return max(abs(bp.inner_via_trace(chi, psi) - direct), abs(trace_b - direct))
+    direct = _vdot(chi, c, 2)
+    trace_b = _trace(s_ba @ np.conj(chi))  # s_ba(psi) ∘ s_ab(chi)
+    return np.maximum(np.abs(bp.inner_via_trace(chi, c) - direct), np.abs(trace_b - direct))
 
 
-def epr_reduction(psi, omega_a, omega_b) -> float:
+def epr_reduction(c, omega_a, omega_b):
     """The reductions against partial traces of the dense projector |psi><psi|."""
-    dense = np.outer(psi.to_vector(), np.conj(psi.to_vector()))
-    return max(
-        _fro(omega_a - la.partial_trace(dense, psi.dim_a, psi.dim_b, "a")),
-        _fro(omega_b - la.partial_trace(dense, psi.dim_a, psi.dim_b, "b")),
+    da, db = c.shape[-2:]
+    vec = c.reshape(*c.shape[:-2], da * db)
+    dense = _outer(vec, np.conj(vec))
+    return np.maximum(
+        _fro(omega_a - la.partial_trace(dense, da, db, "a")),
+        _fro(omega_b - la.partial_trace(dense, da, db, "b")),
     )
 
 
-def teleport_factorization(tm, probe) -> float:
+def teleport_factorization(t, c_psi, c_phi, probe):
     """Factorized channel output against the dense projection oracle."""
-    return _fro(tm.t @ probe - tp.teleport_oracle(tm.source_psi, tm.ancilla_phi, probe))
+    return _fro(_mv(t, probe) - tp.teleport_oracle(c_psi, c_phi, probe), 1)
 
 
-def teleport_bound_holds(tm, probes, bound) -> float:
+def teleport_bound_holds(t, probes, bound):
     """Excess of the largest squared output norm over the success bound, on the normalized probe rows."""
-    v = probes / np.linalg.norm(probes, axis=1, keepdims=True)
-    worst = float(np.linalg.norm(v @ tm.t.T, axis=1).max(initial=0.0)) ** 2
-    return max(0.0, worst - bound)
+    v = probes / np.linalg.norm(probes, axis=-1, keepdims=True)
+    worst = np.linalg.norm(v @ t.mT, axis=-1).max(axis=-1, initial=0.0) ** 2
+    return np.maximum(0.0, worst - bound)
 
 
-def teleport_trace_fidelity(tnf) -> float:
+def teleport_trace_fidelity(tnf):
     """Trace norm of the channel matrix against the fidelity of the reductions."""
-    return abs(tnf.trace_norm - tnf.fidelity)
+    return np.abs(tnf.trace_norm - tnf.fidelity)
 
 
-def luders_decoupling(ch, probe) -> float:
-    """Dense (P ⊗ 1_c)(probe ⊗ phi) against sum_k psi_k ⊗ t_k probe."""
-    dense = tp.luders_project(ch, probe)
-    factored = np.zeros_like(dense)
-    for psi_k, t_k in zip(ch.psis, ch.maps):
-        factored += la.kron(psi_k.to_vector(), t_k @ probe)
-    return _fro(dense - factored)
+def luders_decoupling(maps, psis, c_phi, probe):
+    """Dense (P ⊗ 1_c)(probe ⊗ phi) against sum_k psi_k ⊗ t_k probe; maps and psis stacked along the rank."""
+    dense = tp.luders_project_arrays(psis, c_phi, probe)
+    vecs = psis.reshape(*psis.shape[:-2], -1)
+    factored = _outer(vecs, _mv(maps, probe[..., None, :])).sum(axis=-3)
+    return _fro(dense - factored.reshape(dense.shape), 1)
 
 
-def luders_op_bound(ch, bounds) -> float:
+def luders_op_bound(bounds, ancilla_norm_sq):
     """Excess of the operator bound over the squared ancilla norm, and its gap to the trace bound."""
-    return max(max(0.0, bounds.op_bound - ch.ancilla_norm_sq), abs(bounds.op_bound - bounds.trace_bound))
+    return np.maximum(
+        np.maximum(0.0, bounds.op_bound - ancilla_norm_sq), np.abs(bounds.op_bound - bounds.trace_bound)
+    )
 
 
-def chain_factorization(stages, t, probe) -> float:
-    """Folded chain matrix against the dense chain oracle."""
-    return _fro(t @ probe - tp.chain_oracle(probe, stages))
+def chain_factorization(coeffs, t, probe):
+    """Folded chain matrix against the dense chain oracle, from the stages' coefficient matrices."""
+    return _fro(_mv(t, probe) - tp.chain_oracle(probe, coeffs), 1)
 
 
-def twisted_action(prod, eta, xi) -> float:
+def twisted_action(mat, eta, xi):
     """(eta ⊗̃ xi)(e_i ⊗ e_j) = (eta e_j) ⊗ (xi e_i) on all basis vectors at once.
 
     Column (i, j) of the operator applied to the identity is its action on
@@ -211,441 +274,379 @@ def twisted_action(prod, eta, xi) -> float:
     two column indices swapped.  Basis vectors are real, so either parity
     acts on them by its plain matrix.
     """
-    eta_mat = eta.mat if isinstance(eta, al.AntilinearMap) else eta
-    xi_mat = xi.mat if isinstance(xi, al.AntilinearMap) else xi
-    da, db = prod.dim_a, prod.dim_b
+    da, db = eta.shape[-2:]
     n = da * db
-    want = la.kron(eta_mat, xi_mat).reshape(n, db, da).transpose(0, 2, 1).reshape(n, n)
-    return float(np.linalg.norm(prod.mat @ np.eye(n) - want, axis=0).max(initial=0.0))
+    want = la.kron(eta, xi)
+    want = want.reshape(*want.shape[:-1], db, da).swapaxes(-1, -2).reshape(want.shape)
+    return np.linalg.norm(mat @ np.eye(n) - want, axis=-2).max(axis=-1, initial=0.0)
 
 
-def modular_defining(triple, phi, psi) -> float:
-    """S (E_ij ⊗ 1) psi = (E_ij* ⊗ 1) phi on every matrix unit."""
-    d = psi.dim_a
-    worst = 0.0
-    for i in range(d):
-        for j in range(d):
-            e_ij = np.zeros((d, d), dtype=np.complex128)
-            e_ij[i, j] = 1.0
-            lhs = triple.s((e_ij @ psi.coeff).reshape(-1))
-            rhs = (e_ij.conj().T @ phi.coeff).reshape(-1)
-            worst = max(worst, _fro(lhs - rhs))
-    return worst
+def modular_defining(s, c_phi, c_psi):
+    """S (E_ij ⊗ 1) psi = (E_ij* ⊗ 1) phi on all d² matrix units at once.
+
+    Row (i, j) of the unit stack is (E_ij ⊗ 1) psi, whose coefficient matrix
+    holds row j of C_psi in its row i; (E_ij* ⊗ 1) phi holds row i of C_phi
+    in its row j.  S acts antilinearly, so on rows it is conj(x) @ S^T.
+    """
+    d = c_psi.shape[-1]
+    eye = np.eye(d)
+    units = (eye[:, None, :, None] * c_psi[..., None, :, None, :]).reshape(*c_psi.shape[:-2], d * d, d * d)
+    want = (eye[None, :, :, None] * c_phi[..., :, None, None, :]).reshape(units.shape)
+    return np.linalg.norm(np.conj(units) @ s.mT - want, axis=-1).max(axis=-1)
 
 
-def modular_reconstruction(triple) -> float:
-    """S = J Delta^(1/2)."""
-    return _fro(triple.s.mat - triple.j.mat @ np.conj(la.psd_sqrt(triple.delta, "Delta")))
+def modular_reconstruction(s, j, c_phi, c_psi):
+    """S = J Delta^(1/2), with Delta^(1/2) = omega_a(phi)^(1/2) ⊗ omega_b(psi)^(-1/2).
+
+    Both factors come from the SVDs of the coefficient matrices, never from
+    a square root of Delta: omega_a(phi)^(1/2) is the positive polar part of
+    s_ab(phi) = C_phi, and with s_ba(psi) = C_psi^T = U Σ V†,
+    omega_b(psi)^(-1/2) = U Σ^(-1) U†.
+    """
+    u, sigma, _ = np.linalg.svd(c_psi.mT)
+    inv_sqrt_b = (u / sigma[..., None, :]) @ u.conj().mT
+    return _fro(s - j @ np.conj(la.kron(al.polar_arrays(c_phi)[0], inv_sqrt_b)))
 
 
-def modular_phase_match(triple, j_twisted) -> float:
+def modular_phase_match(s, j_twisted):
     """The polar phase of S, from its dense SVD with the package rank rule, against the twisted phase lift."""
-    f = la.svd(triple.s.mat)
-    return _fro(f.u[:, : f.rank] @ f.v[:, : f.rank].conj().T - j_twisted.mat)
+    f = la.svd(s)
+    return _fro((f.u * la.rank_mask(f.sigma)[..., None, :]) @ f.v.conj().mT - j_twisted)
 
 
-def modular_intertwine(triple, j_twisted, phi, psi) -> float:
-    """S (1 ⊗ omega_b(psi)^(1/2)) = J~ (omega_a(phi)^(1/2) ⊗ 1)."""
-    d = psi.dim_a
-    sq_b_psi = la.psd_sqrt(bp.reduced(psi, "b"), "omega_b(psi)")
-    sq_a_phi = la.psd_sqrt(bp.reduced(phi, "a"), "omega_a(phi)")
-    lhs = triple.s.mat @ np.conj(la.kron(np.eye(d), sq_b_psi))
-    rhs = j_twisted.mat @ np.conj(la.kron(sq_a_phi, np.eye(d)))
+def modular_intertwine(s, j_twisted, c_phi, c_psi):
+    """S (1 ⊗ omega_b(psi)^(1/2)) = J~ (omega_a(phi)^(1/2) ⊗ 1); roots from polar parts of C_psi^T, C_phi."""
+    eye = np.eye(c_psi.shape[-1])
+    lhs = s @ np.conj(la.kron(eye, al.polar_arrays(c_psi.mT)[0]))
+    rhs = j_twisted @ np.conj(la.kron(al.polar_arrays(c_phi)[0], eye))
     return _fro(lhs - rhs)
 
 
 def matcore_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     sizes = sorted(set(list(dims) + [16]))
-    for t in trials:
-        rng = rng_for(seed, 5, t)
-        d = sizes[t % len(sizes)]
+    pairs = _dim_pairs(dims)
+
+    def draw(rng, t):
+        d, (da, db) = sizes[t % len(sizes)], pairs[t % len(pairs)]
         m = complex_normal(rng, d, d)
-        table.record("matcore.svd_reconstruct", _fro(la.svd(m).reconstruct() - m))
+        h, rho, omega = random_psd(rng, d), random_psd(rng, d), random_psd(rng, d)
+        return (d, da, db), (m, h, rho, omega, random_psd(rng, da * db), random_unitary(rng, da))
 
-        h = random_psd(rng, d)
+    drawn = _draw(seed, 5, trials, draw)
+    for rec, _, (m, h, rho, omega) in _groups(table, 5, [(t, k[:1], a[:4]) for t, k, a in drawn]):
+        rec("matcore.svd_reconstruct", _fro(la.svd(m).reconstruct() - m))
         s = la.psd_sqrt(h)
-        table.record("matcore.psd_sqrt", _fro(s @ s - h))
-
-        rho, omega = random_psd(rng, d), random_psd(rng, d)
-        table.record(
-            "matcore.fidelity_symmetry", abs(la.fidelity(rho, omega) - la.fidelity(omega, rho))
-        )
-
-        da, db = _dim_pairs(dims)[t % len(_dim_pairs(dims))]
-        big = random_psd(rng, da * db)
-        u = la.kron(random_unitary(rng, da), np.eye(db))
-        table.record(
-            "matcore.partial_trace_invariance",
-            _fro(
-                la.partial_trace(u @ big @ u.conj().T, da, db, "b")
-                - la.partial_trace(big, da, db, "b")
-            ),
-        )
+        rec("matcore.psd_sqrt", _fro(s @ s - h))
+        rec("matcore.fidelity_symmetry", np.abs(la.fidelity(rho, omega) - la.fidelity(omega, rho)))
+    for rec, (da, db), (big, u_a) in _groups(table, 5, [(t, k[1:], a[4:]) for t, k, a in drawn]):
+        u = la.kron(u_a, np.eye(db))
+        moved = la.partial_trace(u @ big @ u.conj().mT, da, db, "b")
+        rec("matcore.partial_trace_invariance", _fro(moved - la.partial_trace(big, da, db, "b")))
 
 
 def epr_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     pairs = _dim_pairs(dims)
-    for t in trials:
+
+    def draw(rng, t):
         da, db = pairs[t % len(pairs)]
-        rng = rng_for(seed, 10, t)
-        psi = state_from_rng(rng, da, db)
-        pair = bp.epr_maps(psi)
-        omega_a, omega_b = bp.reduced(psi, "a"), bp.reduced(psi, "b")
-        phi_a = random_unit_vector(rng, da)
-        phi_b = complex_normal(rng, db)
-        table.record("epr.projection", epr_projection(psi, pair, omega_a, phi_a))
-        table.record("epr.pairing", epr_pairing(psi, pair, phi_a, phi_b))
-        table.record("epr.inner_trace", epr_inner_trace(psi, pair, state_from_rng(rng, da, db)))
+        c = coeff_from_rng(rng, da, db)
+        phi_a, phi_b = random_unit_vector(rng, da), complex_normal(rng, db)
+        chi = coeff_from_rng(rng, da, db)
+        a_psd, a_op, b_op = random_psd(rng, da), complex_normal(rng, da, da), complex_normal(rng, db, db)
+        return (da, db), (c, phi_a, phi_b, chi, a_psd, a_op, b_op)
 
-        table.record(
-            "epr.reconstruct",
-            _fro(bp.reconstruct(pair.s_ba, np.eye(da)).coeff - psi.coeff),
-        )
-        a_psd = random_psd(rng, da)
-        table.record(
-            "epr.reconstruct",
-            _fro(bp.reconstruct(pair.s_ba, a_psd).coeff - a_psd @ psi.coeff),
-        )
-
-        table.record("epr.reduction", epr_reduction(psi, omega_a, omega_b))
-
-        a_op = complex_normal(rng, da, da)
-        b_op = complex_normal(rng, db, db)
-        moved = bp.local_transform(psi, a_op, b_op)
-        via_maps_ba = al.compose_mixed(b_op, al.compose_mixed(a_op.conj().T, pair.s_ba, "right"), "left")
-        via_maps_ab = al.compose_mixed(a_op, al.compose_mixed(b_op.conj().T, pair.s_ab, "right"), "left")
-        table.record(
-            "epr.local_transform",
-            max(
-                _fro(bp.epr_maps(moved).s_ba.mat - via_maps_ba.mat),
-                _fro(bp.epr_maps(moved).s_ab.mat - via_maps_ab.mat),
-            ),
-        )
+    for rec, (da, _), (c, phi_a, phi_b, chi, a_psd, a_op, b_op) in _stacked(table, seed, 10, trials, draw):
+        s_ba, s_ab = c.mT, c  # the matrices of epr_maps
+        omega_a, omega_b = bp.reduced(c, "a"), bp.reduced(c, "b")
+        rec("epr.projection", epr_projection(c, s_ba, omega_a, phi_a))
+        rec("epr.pairing", epr_pairing(c, s_ba, s_ab, phi_a, phi_b))
+        rec("epr.inner_trace", epr_inner_trace(c, s_ba, chi))
+        rec("epr.reconstruct", _fro(bp.rank_one_sum(s_ba, np.eye(da)) - c))
+        rec("epr.reconstruct", _fro(bp.rank_one_sum(s_ba, a_psd) - a_psd @ c))
+        rec("epr.reduction", epr_reduction(c, omega_a, omega_b))
+        moved = a_op @ c @ b_op.mT  # local_transform by A ⊗ B
+        via_maps_ba = b_op @ (s_ba @ np.conj(a_op.conj().mT))  # B ∘ s_ba ∘ A*
+        via_maps_ab = a_op @ (s_ab @ np.conj(b_op.conj().mT))  # A ∘ s_ab ∘ B*
+        rec("epr.local_transform", np.maximum(_fro(moved.mT - via_maps_ba), _fro(moved - via_maps_ab)))
 
 
 def antilinear_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     pairs = _dim_pairs(dims)
-    for t in trials:
-        da, db = pairs[t % len(pairs)]
-        rng = rng_for(seed, 20, t)
-        t1 = al.AntilinearMap(complex_normal(rng, db, da))
-        t2 = al.AntilinearMap(complex_normal(rng, da, db))
-        x = complex_normal(rng, da)
-        y = complex_normal(rng, db)
 
-        table.record(
-            "anti.adjoint_pairing",
-            abs(_vdot(y, al.apply(t1, x)) - _vdot(x, al.apply(al.adjoint(t1), y))),
-        )
-        table.record("anti.involution", _fro(al.adjoint(al.adjoint(t1)).mat - t1.mat))
-        table.record(
-            "anti.compose_adjoint",
-            _fro(al.compose_aa(t1, t2).conj().T - al.compose_aa(al.adjoint(t2), al.adjoint(t1))),
-        )
-        lin_cod = complex_normal(rng, db, db)
-        lin_dom = complex_normal(rng, da, da)
-        table.record(
+    def draw(rng, t):
+        da, db = pairs[t % len(pairs)]
+        shapes = ((db, da), (da, db), (da,), (db,), (db, db), (da, da))
+        return (da, db), tuple(complex_normal(rng, *shape) for shape in shapes)
+
+    # The matrix convention of antilinear.py: t(v) = M conj(v), t* = M^T, t1 ∘ t2 = M1 conj(M2).
+    for rec, _, (t1, t2, x, y, lin_cod, lin_dom) in _stacked(table, seed, 20, trials, draw):
+        rec("anti.adjoint_pairing", np.abs(_vdot(y, _mv(t1, np.conj(x))) - _vdot(x, _mv(t1.mT, np.conj(y)))))
+        rec("anti.involution", _fro(t1.mT.mT - t1))
+        rec("anti.compose_adjoint", _fro((t1 @ np.conj(t2)).conj().mT - t2.mT @ np.conj(t1.mT)))
+        rec(
             "anti.mixed_compose",
-            max(
-                _fro(lin_cod @ al.apply(t1, x) - al.apply(al.compose_mixed(lin_cod, t1, "left"), x)),
-                _fro(al.apply(t1, lin_dom @ x) - al.apply(al.compose_mixed(lin_dom, t1, "right"), x)),
+            np.maximum(
+                _fro(_mv(lin_cod, _mv(t1, np.conj(x))) - _mv(lin_cod @ t1, np.conj(x)), 1),
+                _fro(_mv(t1, np.conj(_mv(lin_dom, x))) - _mv(t1 @ np.conj(lin_dom), np.conj(x)), 1),
             ),
         )
-        table.record(
-            "anti.trace_conjugation",
-            abs(al.trace_product(t1, t2) - np.conj(al.trace_product(t2, t1))),
-        )
-
-
-def _maybe_deficient(rng, da, db, t) -> bp.BipartiteVector:
-    """Random unit state; every third trial has one coefficient row zeroed."""
-    c = complex_normal(rng, da, db)
-    if t % 3 == 2 and da > 1:
-        c[int(rng.integers(da))] = 0.0
-    return bp.BipartiteVector(c / np.linalg.norm(c))
+        rec("anti.trace_conjugation", np.abs(_trace(t1 @ np.conj(t2)) - np.conj(_trace(t2 @ np.conj(t1)))))
 
 
 def polar_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     pairs = _dim_pairs(dims)
-    for t in trials:
-        da, db = pairs[t % len(pairs)]
-        rng = rng_for(seed, 30, t)
-        psi = _maybe_deficient(rng, da, db, t)
-        pair = bp.epr_maps(psi)
-        parts = al.polar(pair.s_ba)
-        parts_ab = al.polar(pair.s_ab)
 
-        table.record(
+    def draw(rng, t):
+        """Random unit coefficient matrix; every third trial has one row zeroed."""
+        da, db = pairs[t % len(pairs)]
+        c = complex_normal(rng, da, db)
+        if t % 3 == 2 and da > 1:
+            c[int(rng.integers(da))] = 0.0
+        return (da, db), (c / np.linalg.norm(c),)
+
+    for rec, _, (c,) in _stacked(table, seed, 30, trials, draw):
+        s_ba, s_ab = c.mT, c
+        positive, phase, support_dom, support_cod, positive_dom = al.polar_arrays(s_ba)
+        positive_ab, phase_ab, _, _, positive_dom_ab = al.polar_arrays(s_ab)
+        omega_a, omega_b = bp.reduced(c, "a"), bp.reduced(c, "b")
+        rec(
             "polar.factorizations",
-            max(
-                _fro(pair.s_ba.mat - parts.positive @ parts.phase.mat),
-                _fro(pair.s_ba.mat - parts.phase.mat @ np.conj(parts.positive_dom)),
-                _fro(pair.s_ab.mat - parts_ab.positive @ parts_ab.phase.mat),
-                _fro(pair.s_ab.mat - parts_ab.phase.mat @ np.conj(parts_ab.positive_dom)),
-                _fro(parts.positive - la.psd_sqrt(bp.reduced(psi, "b"))),
-                _fro(parts.positive_dom - la.psd_sqrt(bp.reduced(psi, "a"))),
+            _max(
+                _fro(s_ba - positive @ phase),
+                _fro(s_ba - phase @ np.conj(positive_dom)),
+                _fro(s_ab - positive_ab @ phase_ab),
+                _fro(s_ab - phase_ab @ np.conj(positive_dom_ab)),
+                _fro(positive - la.psd_sqrt(omega_b)),
+                _fro(positive_dom - la.psd_sqrt(omega_a)),
             ),
         )
-        table.record(
+        rec(
             "polar.supports",
-            max(
-                _fro(al.compose_aa(al.adjoint(parts.phase), parts.phase) - parts.support_dom),
-                _fro(al.compose_aa(parts.phase, al.adjoint(parts.phase)) - parts.support_cod),
-                _fro(parts.support_dom - la.support_projection(bp.reduced(psi, "a"))),
-                _fro(parts.support_cod - la.support_projection(bp.reduced(psi, "b"))),
+            _max(
+                _fro(phase.mT @ np.conj(phase) - support_dom),
+                _fro(phase @ np.conj(phase.mT) - support_cod),
+                _fro(support_dom - la.support_projection(omega_a)),
+                _fro(support_cod - la.support_projection(omega_b)),
             ),
         )
-        conjugated = al.compose_aa(
-            al.compose_mixed(bp.reduced(psi, "a"), parts.phase, "right"),
-            al.adjoint(parts.phase),
-        )
-        table.record("polar.conjugate_reduction", _fro(conjugated - bp.reduced(psi, "b")))
+        conjugated = (phase @ np.conj(omega_a)) @ np.conj(phase.mT)  # phase ∘ omega_a ∘ phase*
+        rec("polar.conjugate_reduction", _fro(conjugated - omega_b))
 
 
 def partner_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     squares = _square_dims(dims)
-    for t in trials:
+
+    def draw(rng, t):
         d = squares[t % len(squares)]
-        rng = rng_for(seed, 40, t)
-        psi = state_from_rng(rng, d, d, entangled=True)
-        parts = bp.polar_of_state(psi)
-        a_op = complex_normal(rng, d, d)
-        b_op = bp.partner_operator(a_op, parts)
-        table.record(
-            "partner.trace",
-            abs(np.trace(bp.reduced(psi, "a") @ a_op) - np.trace(bp.reduced(psi, "b") @ b_op)),
-        )
-        j = parts.phase.mat
-        q_dom_conj = np.conj(parts.support_dom)
-        table.record(
-            "partner.intertwine",
-            _fro((b_op.conj().T @ j - j @ np.conj(a_op)) @ q_dom_conj),
-        )
+        return (d,), (coeff_from_rng(rng, d, d, entangled=True), complex_normal(rng, d, d))
+
+    for rec, _, (c, a_op) in _stacked(table, seed, 40, trials, draw):
+        _, j, support_dom, _, _ = al.polar_arrays(c.mT)
+        b_op = bp.partner_matrix(a_op, j)
+        rec("partner.trace", np.abs(_trace(bp.reduced(c, "a") @ a_op) - _trace(bp.reduced(c, "b") @ b_op)))
+        rec("partner.intertwine", _fro((b_op.conj().mT @ j - j @ np.conj(a_op)) @ np.conj(support_dom)))
 
 
 def cloning_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     squares = _square_dims(dims)
-    for t in trials:
+
+    def draw(rng, t):
         d = squares[t % len(squares)]
-        rng = rng_for(seed, 50, t)
-        u_a = random_unitary(rng, d)
-        u_b = random_unitary(rng, d)
-        p = rng.random(d) + 0.05
-        q = rng.random(d) + 0.05
-        phi = bp.BipartiteVector(u_a @ np.diag(np.sqrt(p / p.sum())) @ u_b.conj().T)
-        psi = bp.BipartiteVector(u_a @ np.diag(np.sqrt(q / q.sum())) @ u_b.conj().T)
+        u_a, u_b = random_unitary(rng, d), random_unitary(rng, d)
+        p, q = rng.random(d) + 0.05, rng.random(d) + 0.05
+        return (d,), tuple(u_a @ np.diag(np.sqrt(x / x.sum())) @ u_b.conj().T for x in (p, q))
+
+    for rec, _, (phi, psi) in _stacked(table, seed, 50, trials, draw):
         hermitian, commutator = bp.cloning_check(phi, psi)
-        table.record("cloning.commutator", commutator if hermitian else 1.0)
+        rec("cloning.commutator", np.where(hermitian, commutator, 1.0))
 
 
 def crossgram_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     pairs = _dim_pairs(dims)
-    for t in trials:
+
+    def draw(rng, t):
         da, db = pairs[t % len(pairs)]
-        rng = rng_for(seed, 60, t)
-        phi = state_from_rng(rng, da, db)
-        psi = state_from_rng(rng, da, db)
+        return (da, db), (coeff_from_rng(rng, da, db), coeff_from_rng(rng, da, db), complex_normal(rng, db, db))
+
+    for rec, (da, db), (phi, psi, b_op) in _stacked(table, seed, 60, trials, draw):
         cross = bp.cross_gram(phi, psi)
         sv = np.linalg.svd(cross, compute_uv=False)
-        oracle = np.linalg.svd(
-            la.psd_sqrt(bp.reduced(phi, "a")) @ la.psd_sqrt(bp.reduced(psi, "a")),
-            compute_uv=False,
-        )
-        n = max(sv.size, oracle.size)
-        table.record(
-            "crossgram.singulars",
-            float(np.abs(np.pad(sv, (0, n - sv.size)) - np.pad(oracle, (0, n - oracle.size))).max()),
-        )
-        b_op = complex_normal(rng, db, db)
-        lhs = complex(np.trace(cross @ b_op))
-        rhs = _vdot(psi.coeff, phi.coeff @ b_op.T)
-        table.record("crossgram.trace", abs(lhs - rhs))
+        sqrts = la.psd_sqrt(bp.reduced(phi, "a")) @ la.psd_sqrt(bp.reduced(psi, "a"))
+        oracle = np.linalg.svd(sqrts, compute_uv=False)
+        n = max(da, db)
+        gap = np.pad(sv, [(0, 0), (0, n - db)]) - np.pad(oracle, [(0, 0), (0, n - da)])
+        rec("crossgram.singulars", np.abs(gap).max(axis=-1))
+        rec("crossgram.trace", np.abs(_trace(cross @ b_op) - _vdot(psi, phi @ b_op.mT, 2)))
 
 
 def purification_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     squares = _square_dims(dims)
-    for t in trials:
+
+    def draw(rng, t):
         d = squares[t % len(squares)]
-        rng = rng_for(seed, 70, t)
         omega = random_psd(rng, d)
         omega /= np.trace(omega).real
-        w = al.AntilinearMap(random_unitary(rng, d))
-        psi = bp.purification_from_isometry(omega, w)
-        table.record("purification.roundtrip", _fro(bp.reduced(psi, "a") - omega))
+        return (d,), (omega, random_unitary(rng, d))
+
+    for rec, _, (omega, w) in _stacked(table, seed, 70, trials, draw):
+        rec("purification.roundtrip", _fro(bp.reduced(bp.purify(omega, w), "a") - omega))
 
 
 def teleport_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int], bound_probes: int = 100):
     small = [d for d in dims if d <= 4] or [2]
     triples = [(da, db, dc) for da in small for db in small for dc in small]
-    for t in trials:
+
+    def draw(rng, t):
         da, db, dc = triples[t % len(triples)]
-        rng = rng_for(seed, 80, t)
-        psi = state_from_rng(rng, da, db)
-        phi = state_from_rng(rng, db, dc)
-        tm = tp.teleport_map(psi, phi)
-        table.record("teleport.factorization", teleport_factorization(tm, random_unit_vector(rng, da)))
-        bound = tp.success_bound(tm)
-        probes = complex_normal_rows(rng, bound_probes, da)
-        table.record("teleport.bound_holds", teleport_bound_holds(tm, probes, bound))
-        top = float(np.linalg.svd(tm.t, compute_uv=False).max())
-        table.record("teleport.bound_attained", abs(top**2 - bound))
-        table.record("teleport.trace_fidelity", teleport_trace_fidelity(tp.trace_norm_fidelity(tm)))
+        c_psi, c_phi = coeff_from_rng(rng, da, db), coeff_from_rng(rng, db, dc)
+        probe, probes = random_unit_vector(rng, da), complex_normal_rows(rng, bound_probes, da)
+        return (da, db, dc), (c_psi, c_phi, probe, probes)
+
+    for rec, _, (c_psi, c_phi, probe, probes) in _stacked(table, seed, 80, trials, draw):
+        t_mat = tp.teleport_matrix(c_psi, c_phi)
+        rec("teleport.factorization", teleport_factorization(t_mat, c_psi, c_phi, probe))
+        bound = tp.success_bound_arrays(c_psi, c_phi)
+        rec("teleport.bound_holds", teleport_bound_holds(t_mat, probes, bound))
+        rec("teleport.bound_attained", np.abs(np.linalg.svd(t_mat, compute_uv=False).max(axis=-1) ** 2 - bound))
+        tnf = tp.trace_norm_fidelity_arrays(t_mat, c_psi, c_phi)
+        rec("teleport.trace_fidelity", teleport_trace_fidelity(tnf))
 
 
-def _orthonormal_states(rng, da: int, db: int, count: int) -> list[bp.BipartiteVector]:
-    u = random_unitary(rng, da * db)
-    return [bp.BipartiteVector.from_vector(u[:, k], da, db) for k in range(count)]
+def _orthonormal_states(rng, da: int, db: int, count: int) -> np.ndarray:
+    """Coefficient matrices (count, da, db) of the first `count` columns of a Haar unitary."""
+    return random_unitary(rng, da * db)[:, :count].T.reshape(count, da, db)
 
 
 def luders_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     small = [d for d in dims if d <= 3] or [2]
     pairs = [(da, db) for da in small for db in small]
-    for t in trials:
-        da, db = pairs[t % len(pairs)]
-        rng = rng_for(seed, 90, t)
-        dc = small[t % len(small)]
-        phi = state_from_rng(rng, db, dc)
+
+    def draw(rng, t):
+        (da, db), dc = pairs[t % len(pairs)], small[t % len(small)]
+        phi = coeff_from_rng(rng, db, dc)
         rank = 1 + int(rng.integers(da * db))
         psis = _orthonormal_states(rng, da, db, rank)
-        ch = tp.luders_channel(psis, phi)
+        arrays = (phi, psis, random_unit_vector(rng, da), random_unitary(rng, rank), random_psd(rng, da))
+        full = (_orthonormal_states(rng, da, db, da * db),) if da * db <= 6 else ()
+        return (da, db, dc, rank), arrays + full
 
-        single = tp.luders_channel(psis[:1], phi)
-        table.record("luders.rank1", _fro(single.maps[0] - tp.teleport_map(psis[0], phi).t))
-
-        table.record("luders.decoupling", luders_decoupling(ch, random_unit_vector(rng, da)))
-
-        mix = random_unitary(rng, rank)
-        flat = np.stack([p.to_vector() for p in psis])
-        psis2 = [bp.BipartiteVector.from_vector(v, da, db) for v in (mix.T @ flat)]
-        ch2 = tp.luders_channel(psis2, phi)
-        nu = random_psd(rng, da)
-        table.record("luders.independence", _fro(tp.luders_apply(ch, nu) - tp.luders_apply(ch2, nu)))
-
-        table.record("luders.op_bound", luders_op_bound(ch, tp.luders_bounds(ch)))
-        norm_sq = ch.ancilla_norm_sq
-        out_trace = float(np.trace(tp.luders_apply(ch, nu)).real)
-        table.record("luders.trace_bound", max(0.0, out_trace - norm_sq * float(np.trace(nu).real)))
-
-        if da * db <= 6:
-            full = tp.luders_channel(_orthonormal_states(rng, da, db, da * db), phi)
-            out = float(np.trace(tp.luders_apply(full, nu)).real)
-            table.record("luders.completeness", abs(out - norm_sq * float(np.trace(nu).real)))
+    # Channels are grouped by rank as well; maps[:, k] is the map of the k-th measured vector.
+    for rec, _, (phi, psis, probe, mix, nu, *full) in _stacked(table, seed, 90, trials, draw):
+        maps = tp.teleport_matrix(psis, phi[:, None])
+        rec("luders.rank1", _fro(maps[:, 0] - tp.teleport_matrix(psis[:, 0], phi)))
+        rec("luders.decoupling", luders_decoupling(maps, psis, phi, probe))
+        mixed = (mix.mT @ psis.reshape(*psis.shape[:2], -1)).reshape(psis.shape)
+        out = tp.luders_apply_arrays(maps, nu)
+        out_mixed = tp.luders_apply_arrays(tp.teleport_matrix(mixed, phi[:, None]), nu)
+        rec("luders.independence", _fro(out - out_mixed))
+        norm_sq = _fro(phi) ** 2
+        rec("luders.op_bound", luders_op_bound(tp.luders_bounds_arrays(maps), norm_sq))
+        rec("luders.trace_bound", np.maximum(0.0, _trace(out).real - norm_sq * _trace(nu).real))
+        if full:
+            out_full = tp.luders_apply_arrays(tp.teleport_matrix(full[0], phi[:, None]), nu)
+            rec("luders.completeness", np.abs(_trace(out_full).real - norm_sq * _trace(nu).real))
 
 
 def chain_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
-    for t in trials:
-        rng = rng_for(seed, 100, t)
-        stages = [state_from_rng(rng, 2, 2) for _ in range(4)]
-        t_ea = tp.chain_teleport(stages)
-        table.record("chain.factorization", chain_factorization(stages, t_ea, random_unit_vector(rng, 2)))
+    def draw(rng, t):
+        return (2, 2, 2, 2, 2), [coeff_from_rng(rng, 2, 2) for _ in range(4)] + [random_unit_vector(rng, 2)]
+
+    for rec, _, (*coeffs, probe) in _stacked(table, seed, 100, trials, draw):
+        t_ea = al.chain_matrices([c.mT for c in coeffs])  # the fold of chain_teleport
+        rec("chain.factorization", chain_factorization(coeffs, t_ea, probe))
 
 
 def twisted_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     squares = _square_dims(dims)
-    for t in trials:
+
+    def draw(rng, t):
         d = squares[t % len(squares)]
-        rng = rng_for(seed, 110, t)
+        factors = tuple(complex_normal(rng, d, d) for _ in range(6))
+        return (d,), factors + (coeff_from_rng(rng, d, d), coeff_from_rng(rng, d, d))
 
-        eta = al.AntilinearMap(complex_normal(rng, d, d))
-        xi = al.AntilinearMap(complex_normal(rng, d, d))
-        prod = md.twisted_product(eta, xi)
-        lin_eta = complex_normal(rng, d, d)
-        lin_xi = complex_normal(rng, d, d)
-        lin_prod = md.twisted_product(lin_eta, lin_xi)
-        table.record(
-            "twisted.action", max(twisted_action(prod, eta, xi), twisted_action(lin_prod, lin_eta, lin_xi))
-        )
-
-        table.record(
+    for rec, _, (eta, xi, lin_eta, lin_xi, eta2, xi2, phi, psi) in _stacked(table, seed, 110, trials, draw):
+        prod, lin_prod, prod2 = (md.twisted_matrix(*f) for f in ((eta, xi), (lin_eta, lin_xi), (eta2, xi2)))
+        action = np.maximum(twisted_action(prod, eta, xi), twisted_action(lin_prod, lin_eta, lin_xi))
+        rec("twisted.action", action)
+        rec(
             "twisted.adjoint",
-            max(
-                _fro(md.twisted_adjoint(prod).mat - prod.mat.T),
-                _fro(md.twisted_adjoint(lin_prod).mat - lin_prod.mat.conj().T),
+            np.maximum(
+                _fro(md.twisted_matrix(xi.mT, eta.mT) - prod.mT),
+                _fro(md.twisted_matrix(lin_xi.conj().mT, lin_eta.conj().mT) - lin_prod.conj().mT),
             ),
         )
+        rec("twisted.compose", _fro(prod @ np.conj(prod2) - la.kron(eta @ np.conj(xi2), xi @ np.conj(eta2))))
 
-        eta2 = al.AntilinearMap(complex_normal(rng, d, d))
-        xi2 = al.AntilinearMap(complex_normal(rng, d, d))
-        prod2 = md.twisted_product(eta2, xi2)
-        table.record(
-            "twisted.compose",
-            _fro(
-                md.twisted_compose(prod, prod2)
-                - la.kron(al.compose_aa(eta, xi2), al.compose_aa(xi, eta2))
-            ),
-        )
-
-        phi = state_from_rng(rng, d, d)
-        psi = state_from_rng(rng, d, d)
-        fwd = md.lift_operators(phi, psi)
-        bwd = md.lift_operators(psi, phi)
+        fwd = {name: md.twisted_matrix(*f) for name, f in md.lift_factors(phi, psi).items()}
+        bwd = {name: md.twisted_matrix(*f) for name, f in md.lift_factors(psi, phi).items()}
         # Adjoints exchange the arguments; for the mixed lifts they also swap
         # the j-factor and s-factor roles, crossing s_tilde into f_tilde.
-        table.record(
+        rec(
             "twisted.adjoint_exchange",
-            max(
-                _fro(fwd.delta_tilde.mat.T - bwd.delta_tilde.mat),
-                _fro(fwd.s_tilde.mat.T - bwd.f_tilde.mat),
-                _fro(fwd.f_tilde.mat.T - bwd.s_tilde.mat),
-                _fro(fwd.j.mat.T - bwd.j.mat),
+            _max(
+                _fro(fwd["delta_tilde"].mT - bwd["delta_tilde"]),
+                _fro(fwd["s_tilde"].mT - bwd["f_tilde"]),
+                _fro(fwd["f_tilde"].mT - bwd["s_tilde"]),
+                _fro(fwd["j"].mT - bwd["j"]),
             ),
         )
 
-        om_a_phi, om_b_phi = bp.reduced(phi, "a"), bp.reduced(phi, "b")
-        om_a_psi, om_b_psi = bp.reduced(psi, "a"), bp.reduced(psi, "b")
-        q_a_phi, q_b_phi = la.support_projection(om_a_phi), la.support_projection(om_b_phi)
-        q_a_psi, q_b_psi = la.support_projection(om_a_psi), la.support_projection(om_b_psi)
-        table.record(
+        om_a_phi, om_b_phi, om_a_psi, om_b_psi = (bp.reduced(c, side) for c in (phi, psi) for side in "ab")
+        q_a_phi, q_b_phi, q_a_psi, q_b_psi = (
+            la.support_projection(om) for om in (om_a_phi, om_b_phi, om_a_psi, om_b_psi)
+        )
+        rec(
             "twisted.reductions",
-            max(
-                _fro(md.twisted_compose(fwd.delta_tilde, bwd.delta_tilde) - la.kron(om_a_phi, om_b_psi)),
-                _fro(md.twisted_compose(fwd.j, bwd.j) - la.kron(q_a_phi, q_b_psi)),
+            np.maximum(
+                _fro(fwd["delta_tilde"] @ np.conj(bwd["delta_tilde"]) - la.kron(om_a_phi, om_b_psi)),
+                _fro(fwd["j"] @ np.conj(bwd["j"]) - la.kron(q_a_phi, q_b_psi)),
             ),
         )
-
-        j_mat = fwd.j.mat
-        table.record(
+        j_mat = fwd["j"]
+        rec(
             "twisted.polar",
-            max(
-                _fro(fwd.delta_tilde.mat - la.psd_sqrt(la.kron(om_a_phi, om_b_psi)) @ j_mat),
-                _fro(fwd.delta_tilde.mat - j_mat @ np.conj(la.psd_sqrt(la.kron(om_a_psi, om_b_phi)))),
-                _fro(fwd.s_tilde.mat - la.kron(q_a_phi, la.psd_sqrt(om_b_psi)) @ j_mat),
-                _fro(fwd.s_tilde.mat - j_mat @ np.conj(la.kron(la.psd_sqrt(om_a_psi), q_b_phi))),
-                _fro(fwd.f_tilde.mat - la.kron(la.psd_sqrt(om_a_phi), q_b_psi) @ j_mat),
-                _fro(fwd.f_tilde.mat - j_mat @ np.conj(la.kron(q_a_psi, la.psd_sqrt(om_b_phi)))),
+            _max(
+                _fro(fwd["delta_tilde"] - la.psd_sqrt(la.kron(om_a_phi, om_b_psi)) @ j_mat),
+                _fro(fwd["delta_tilde"] - j_mat @ np.conj(la.psd_sqrt(la.kron(om_a_psi, om_b_phi)))),
+                _fro(fwd["s_tilde"] - la.kron(q_a_phi, la.psd_sqrt(om_b_psi)) @ j_mat),
+                _fro(fwd["s_tilde"] - j_mat @ np.conj(la.kron(la.psd_sqrt(om_a_psi), q_b_phi))),
+                _fro(fwd["f_tilde"] - la.kron(la.psd_sqrt(om_a_phi), q_b_psi) @ j_mat),
+                _fro(fwd["f_tilde"] - j_mat @ np.conj(la.kron(q_a_psi, la.psd_sqrt(om_b_phi)))),
             ),
         )
 
 
 def modular_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     squares = [d for d in _square_dims(dims) if d >= 2] or [2]
-    for t in trials:
+
+    def draw(rng, t):
         d = squares[t % len(squares)]
-        rng = rng_for(seed, 120, t)
-        psi = state_from_rng(rng, d, d, entangled=True)
-        phi = state_from_rng(rng, d, d)
-        triple = md.tomita_S(phi, psi)
-        table.record("modular.defining", modular_defining(triple, phi, psi))
+        return (d,), (coeff_from_rng(rng, d, d, entangled=True), coeff_from_rng(rng, d, d))
+
+    for rec, _, (psi, phi) in _stacked(table, seed, 120, trials, draw):
+        s = md.twisted_matrix(*md.s_factors(phi, psi))
+        delta = la.kron(*md.delta_factors(phi, psi))
+        j = md.twisted_matrix(*md.phase_factors(psi, phi))
+        rec("modular.defining", modular_defining(s, phi, psi))
 
         # Delta carries an inverse, so its norm is unbounded over random states;
         # this dual-route residual is measured relative to it.
-        delta_from_s = al.compose_aa(al.adjoint(triple.s), triple.s)
-        scale = 1.0 + _fro(triple.delta)
-        table.record("modular.delta", _fro(delta_from_s - triple.delta) / scale)
-        eigs = np.linalg.eigvalsh((triple.delta + triple.delta.conj().T) / 2)
-        table.record("modular.delta", max(0.0, -float(eigs.min())) / scale)
+        scale = 1.0 + _fro(delta)
+        rec("modular.delta", _fro(s.mT @ np.conj(s) - delta) / scale)  # S* ∘ S = Delta
+        eigs = np.linalg.eigvalsh((delta + delta.conj().mT) / 2)
+        rec("modular.delta", np.maximum(0.0, -eigs.min(axis=-1)) / scale)
 
-        table.record("modular.reconstruction", modular_reconstruction(triple))
-        j_twisted = md.lift_operators(psi, phi).j
-        table.record("modular.phase_match", modular_phase_match(triple, j_twisted))
-        table.record("modular.intertwine", modular_intertwine(triple, j_twisted, phi, psi))
+        rec("modular.reconstruction", modular_reconstruction(s, j, phi, psi))
+        j_twisted = md.twisted_matrix(*md.lift_factors(psi, phi)["j"])
+        rec("modular.phase_match", modular_phase_match(s, j_twisted))
+        rec("modular.intertwine", modular_intertwine(s, j_twisted, phi, psi))
 
-        fixed = md.tomita_S(psi, psi)
-        vec = psi.to_vector()
-        table.record(
-            "modular.fixed_point",
-            max(_fro(fixed.s(vec) - vec), _fro(fixed.j(vec) - vec)),
-        )
+        vec = psi.reshape(*psi.shape[:-2], -1)
+        fixed = [
+            _fro(_mv(md.twisted_matrix(*f), np.conj(vec)) - vec, 1)
+            for f in (md.s_factors(psi, psi), md.phase_factors(psi, psi))
+        ]
+        rec("modular.fixed_point", np.maximum(*fixed))
 
 
 SUITES = (

@@ -180,6 +180,20 @@ class TestModular:
         path.write_text(json.dumps(bipartite_to_json(psi3)))
         assert main(["modular", bell_file, str(path)]) == 2
 
+    def test_graded_k4_pair_exit_0(self, capsys, tmp_path):
+        # Schmidt spectra logspace(0, -4, 4): exited 2 ("Delta deviates from
+        # Hermiticity") while the reconstruction took the square root of Delta.
+        from test_modular import graded_state
+
+        rng = np.random.default_rng(3)
+        paths = []
+        for name, state in (("phi", graded_state(rng, 4, 4)), ("psi", graded_state(rng, 4, 4))):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(bipartite_to_json(state)))
+        code, report, _ = run_cli(capsys, "modular", *map(str, paths))
+        assert code == 0
+        assert report["residuals"]["reconstruction"] <= 1e-9
+
     def test_emitted_operators_parse_back(self, capsys, bell_file):
         from eprkit.formats import antilinear_from_json
 

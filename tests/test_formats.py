@@ -1,5 +1,7 @@
 """Tests for the JSON serialization formats."""
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,6 +9,7 @@ from numpy.testing import assert_allclose
 from eprkit import errors
 from eprkit.antilinear import AntilinearMap
 from eprkit.formats import (
+    ReportEncoder,
     antilinear_from_json,
     antilinear_to_json,
     bipartite_from_json,
@@ -104,3 +107,53 @@ def test_load_json_errors(tmp_path):
     array.write_text("[1, 2]")
     with pytest.raises(errors.ParseError):
         load_json(array)
+
+
+class TestReportEncoder:
+    """ReportEncoder writes the bytes json.dumps(obj, indent=2) writes."""
+
+    CASES = [
+        {},
+        [],
+        {"a": [], "b": {}, "c": [[]], "d": [{}]},
+        {"x": [1.5, -0.0, 1e-300, 1e300, float("nan"), float("inf"), -float("inf")]},
+        {"pairs": [[0.1, -0.2], [float("nan"), 3.0]], "mixed": [[0.1, 2], [0.1, 0.2, 0.3], (0.5, 0.5)]},
+        {"s": "é\n\"q\"", "t": True, "f": False, "n": None, "i": -3, "big": 10**30, "np": np.float64(0.1)},
+        [{"nested": [{"deep": [[1.0, 2.0]]}]}, "tail"],
+        {1: "non-string key", "k": [3]},
+    ]
+
+    @pytest.mark.parametrize("obj", CASES)
+    def test_same_bytes_as_json_dumps(self, obj):
+        assert json.dumps(obj, indent=2, cls=ReportEncoder) == json.dumps(obj, indent=2)
+
+    def test_matrix_reports(self):
+        rng = seeded_rng(105)
+        report = {
+            "map": antilinear_to_json(AntilinearMap(complex_normal(rng, 4, 3))),
+            "matrix": matrix_to_json(complex_normal(rng, 5, 5)),
+            "residuals": {"a": 1.2e-16, "b": 0.0},
+            "rank": 2,
+        }
+        assert json.dumps(report, indent=2, cls=ReportEncoder) == json.dumps(report, indent=2)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"indent": 2, "sort_keys": True}, {"indent": 2, "ensure_ascii": False},
+         {"indent": 2, "separators": (",", ":")}, {"indent": "\t"}],
+    )
+    def test_other_settings_keep_the_standard_output(self, kwargs):
+        obj = {"b": [[0.5, float("nan")]], "a": "é"}
+        assert json.dumps(obj, cls=ReportEncoder, **kwargs) == json.dumps(obj, **kwargs)
+
+    def test_allow_nan_false_still_raises(self):
+        with pytest.raises(ValueError):
+            json.dumps({"x": [[0.5, float("nan")]]}, indent=2, cls=ReportEncoder, allow_nan=False)
+
+    def test_unserializable_raises_as_json_does(self):
+        with pytest.raises(TypeError):
+            json.dumps({"a": object()}, indent=2, cls=ReportEncoder)
+        loop = []
+        loop.append(loop)
+        with pytest.raises(ValueError):
+            json.dumps(loop, indent=2, cls=ReportEncoder)

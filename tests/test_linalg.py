@@ -222,3 +222,27 @@ class TestFrozen:
         a.setflags(write=False)
         b = frozen(a)
         assert b.dtype == np.complex128 and not b.flags.writeable
+
+
+class TestSealedResults:
+    """Builders that allocate their results mark them read-only, so value types keep them uncopied."""
+
+    def test_polar_compose_mixed_epr_maps_and_reduced(self):
+        from eprkit.antilinear import AntilinearMap, compose_mixed, polar
+        from eprkit.bipartite import BipartiteVector, epr_maps, reduced
+
+        rng = seeded_rng(11)
+        c = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        lin = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        psi = BipartiteVector(c / np.linalg.norm(c))
+        pair = epr_maps(psi)
+        parts = polar(pair.s_ba)
+        left = compose_mixed(lin, pair.s_ba, "left")
+        arrays = [pair.s_ba.mat, pair.s_ab.mat, reduced(psi, "a"), reduced(psi, "b"), left.mat]
+        arrays += [parts.positive, parts.phase.mat, parts.support_dom, parts.support_cod, parts.positive_dom]
+        for a in arrays:
+            assert not a.flags.writeable
+            assert frozen(a) is a
+            assert not np.shares_memory(a, c) and not np.shares_memory(a, lin)
+        assert AntilinearMap(left.mat).mat is left.mat
+        assert np.shares_memory(pair.s_ba.mat, psi.coeff)

@@ -18,7 +18,15 @@ from eprkit.modular import (
     twisted_product,
 )
 from eprkit.sampling import complex_normal, random_unitary, state_from_rng
-from eprkit.verify import TOLERANCES, modular_defining, modular_phase_match, modular_reconstruction
+from eprkit.verify import (
+    TOLERANCES,
+    ResidualTable,
+    modular_defining,
+    modular_intertwine,
+    modular_phase_match,
+    modular_reconstruction,
+    modular_suite,
+)
 
 from util import basis_state, bell, random_unit_state, seeded_rng
 
@@ -297,8 +305,8 @@ class TestTomita:
         phi = random_unit_state(rng, 3, 3)
         other = lift_operators(random_unit_state(rng, 3, 3), random_unit_state(rng, 3, 3)).j
         triple = tomita_S(phi, psi)
-        assert modular_phase_match(triple, lift_operators(psi, phi).j) < TOLERANCES["modular.phase_match"]
-        assert modular_phase_match(triple, other) > TOLERANCES["modular.phase_match"]
+        assert modular_phase_match(triple.s.mat, lift_operators(psi, phi).j.mat) < TOLERANCES["modular.phase_match"]
+        assert modular_phase_match(triple.s.mat, other.mat) > TOLERANCES["modular.phase_match"]
 
     def test_phase_match_reads_s_and_reconstruction_reads_j(self):
         rng = seeded_rng(104)
@@ -308,15 +316,35 @@ class TestTomita:
         wrong_j = lift_operators(random_unit_state(rng, 3, 3), random_unit_state(rng, 3, 3)).j
         bad = ModularTriple(s=good.s, delta=good.delta, j=wrong_j.as_antilinear())
         j_twisted = lift_operators(psi, phi).j
-        assert modular_phase_match(bad, j_twisted) < TOLERANCES["modular.phase_match"]
-        assert modular_reconstruction(good) < TOLERANCES["modular.reconstruction"]
-        assert modular_reconstruction(bad) > TOLERANCES["modular.reconstruction"]
+        assert modular_phase_match(bad.s.mat, j_twisted.mat) < TOLERANCES["modular.phase_match"]
+        tol = TOLERANCES["modular.reconstruction"]
+        assert modular_reconstruction(good.s.mat, good.j.mat, phi.coeff, psi.coeff) < tol
+        assert modular_reconstruction(bad.s.mat, bad.j.mat, phi.coeff, psi.coeff) > tol
 
-    def test_reconstruction_residual_names_delta(self):
-        unit = AntilinearMap(np.eye(2))
-        skewed = ModularTriple(s=unit, delta=np.array([[1.0, 1e-6], [0.0, 1.0]]), j=unit)
-        with pytest.raises(errors.NotHermitian, match="^Delta deviates from Hermiticity"):
-            modular_reconstruction(skewed)
+    def test_graded_pair_k4_passes_reconstruction_and_intertwine(self):
+        # Both spectra logspace(0, -4, 4): ||Delta|| ~ 1e8 and Delta is skew by
+        # 2.3e-9, so a square root of Delta failed its Hermiticity check
+        # ("Delta deviates from Hermiticity") and `eprkit modular` exited 2.
+        # The square roots now come from the SVDs of the coefficient matrices.
+        rng = np.random.default_rng(3)
+        phi, psi = graded_state(rng, 4, 4), graded_state(rng, 4, 4)
+        triple = tomita_S(phi, psi)
+        j_twisted = lift_operators(psi, phi).j.mat
+        s = triple.s.mat
+        assert modular_reconstruction(s, triple.j.mat, phi.coeff, psi.coeff) <= TOLERANCES["modular.reconstruction"]
+        assert modular_intertwine(s, j_twisted, phi.coeff, psi.coeff) <= 1e-2 * TOLERANCES["modular.intertwine"]
+        assert modular_defining(s, phi.coeff, psi.coeff) <= TOLERANCES["modular.defining"]
+        assert modular_phase_match(s, j_twisted) <= TOLERANCES["modular.phase_match"]
+
+    def test_verify_seed_19_trial_80(self):
+        # d = 4, smallest Schmidt coefficient of psi 2.4e-3: reconstruction
+        # through psd_sqrt(Delta) gave 2.38e-9 > 1e-9 and `verify --seed 19` exited 3.
+        table = ResidualTable()
+        modular_suite(table, 19, [2, 3, 4], [80])
+        results = {r.name: r for r in table.results()}
+        assert results["modular.reconstruction"].worst == (120, 80, (4,))
+        assert results["modular.reconstruction"].residual < 1e-11
+        assert all(r.passed for r in results.values())
 
     def test_j_coincides_with_twisted_phase_lift(self):
         rng = seeded_rng(95)
@@ -357,7 +385,7 @@ class TestTomita:
         rng = seeded_rng(101)
         psi = state_from_rng(rng, 24, 24, entangled=True)
         phi = random_unit_state(rng, 24, 24)
-        assert modular_defining(tomita_S(phi, psi), phi, psi) < 1e-9
+        assert modular_defining(tomita_S(phi, psi).s.mat, phi.coeff, psi.coeff) < 1e-9
 
     def test_j_antiunitary_on_graded_spectra(self):
         # Singular values of S are ratios of Schmidt coefficients and span 1e12
@@ -367,7 +395,7 @@ class TestTomita:
         psi = graded_state(rng, 4, 6)
         triple = tomita_S(phi, psi)
         assert np.linalg.norm(compose_aa(AntilinearMap(triple.j.mat.T), triple.j) - np.eye(16)) < 1e-9
-        assert modular_defining(triple, phi, psi) < 1e-9
+        assert modular_defining(triple.s.mat, phi.coeff, psi.coeff) < 1e-9
 
     def test_rank_deficient_psi_rejected(self):
         with pytest.raises(errors.NotSeparating):

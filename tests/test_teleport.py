@@ -114,6 +114,29 @@ class TestTeleportOracle:
         assert np.linalg.norm(teleport_map(psi, phi).t @ v - out) <= TOLERANCES["teleport.factorization"]
 
 
+class TestLudersProjectMemory:
+    def test_rank_one_channel_at_12x12x12_stays_small(self):
+        # The dense kron(P, 1_c) projector alone would take 48 MB here.
+        rng = seeded_rng(76)
+        ch = luders_channel([random_unit_state(rng, 12, 12)], random_unit_state(rng, 12, 12))
+        v = complex_normal(rng, 12)
+        tracemalloc.start()
+        try:
+            dense = luders_project(ch, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+        factored = np.kron(ch.psis[0].to_vector(), ch.maps[0] @ v)
+        assert np.linalg.norm(dense - factored) <= TOLERANCES["luders.decoupling"]
+
+    def test_beyond_the_dense_limit_is_refused(self):
+        rng = seeded_rng(77)
+        ch = luders_channel([random_unit_state(rng, 16, 16)], random_unit_state(rng, 16, 17))
+        with pytest.raises(errors.DimTooLarge):
+            luders_project(ch, complex_normal(rng, 16))
+
+
 class TestSuccessBound:
     def test_bell_bell_quarter(self):
         tm = teleport_map(bell(2), bell(2))
