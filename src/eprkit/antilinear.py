@@ -34,32 +34,34 @@ class AntilinearMap:
     """Antilinear map represented by its matrix in the standard basis.
 
     ``mat`` has shape (dim_codomain, dim_domain) and the action is
-    ``v -> mat @ conj(v)``.
+    ``v -> mat @ conj(v)``.  It may also be a stack (..., dim_codomain,
+    dim_domain) of such matrices, one map per member; every function of
+    this module then acts member by member, stack axes broadcasting.
     """
 
     mat: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mat", frozen(as_matrix(self.mat, "mat")))
+        object.__setattr__(self, "mat", frozen(as_matrix(self.mat, "mat", stack=True)))
 
     @property
     def dim_domain(self) -> int:
-        return self.mat.shape[1]
+        return self.mat.shape[-1]
 
     @property
     def dim_codomain(self) -> int:
-        return self.mat.shape[0]
+        return self.mat.shape[-2]
 
     def __call__(self, v) -> np.ndarray:
         return apply(self, v)
 
 
 def apply(t: AntilinearMap, v) -> np.ndarray:
-    """Apply t to a vector: mat @ conj(v)."""
-    vec = np.asarray(v, dtype=np.complex128).reshape(-1)
-    if vec.shape[0] != t.dim_domain:
-        raise DimMismatch(f"vector length {vec.shape[0]} != domain dimension {t.dim_domain}")
-    return t.mat @ np.conj(vec)
+    """Apply t to a vector, or to a stack (..., dim_domain) of them: mat @ conj(v)."""
+    vec = np.asarray(v, dtype=np.complex128)
+    if vec.ndim == 0 or vec.shape[-1] != t.dim_domain:
+        raise DimMismatch(f"vector length {vec.shape[-1:]} != domain dimension {t.dim_domain}")
+    return (t.mat @ np.conj(vec)[..., None])[..., 0]
 
 
 def adjoint(t: AntilinearMap) -> AntilinearMap:
@@ -69,7 +71,7 @@ def adjoint(t: AntilinearMap) -> AntilinearMap:
     nothing: the pairing itself supplies the conjugations).  adjoint is an
     involution, exactly.
     """
-    return AntilinearMap(t.mat.T)
+    return AntilinearMap(t.mat.mT)
 
 
 def compose_aa(t1: AntilinearMap, t2: AntilinearMap) -> np.ndarray:
@@ -82,31 +84,32 @@ def compose_aa(t1: AntilinearMap, t2: AntilinearMap) -> np.ndarray:
 
 
 def compose_mixed(linear, t: AntilinearMap, order: str) -> AntilinearMap:
-    """Compose a linear matrix with an antilinear map; the result stays antilinear.
+    """Compose a linear matrix (or stack) with an antilinear map; the result stays antilinear.
 
     order="left"  : linear ∘ t, matrix  L @ M
     order="right" : t ∘ linear, matrix  M @ conj(L)
     """
-    lin = as_matrix(linear, "linear factor")
+    lin = as_matrix(linear, "linear factor", stack=True)
     if order == "left":
-        if lin.shape[1] != t.dim_codomain:
-            raise DimMismatch(f"linear factor wants {lin.shape[1]}, map produces {t.dim_codomain}")
+        if lin.shape[-1] != t.dim_codomain:
+            raise DimMismatch(f"linear factor wants {lin.shape[-1]}, map produces {t.dim_codomain}")
         return AntilinearMap(seal(lin @ t.mat))
     if order == "right":
-        if t.dim_domain != lin.shape[0]:
-            raise DimMismatch(f"map wants {t.dim_domain}, linear factor produces {lin.shape[0]}")
+        if t.dim_domain != lin.shape[-2]:
+            raise DimMismatch(f"map wants {t.dim_domain}, linear factor produces {lin.shape[-2]}")
         return AntilinearMap(seal(t.mat @ np.conj(lin)))
     raise DimMismatch(f"order must be 'left' or 'right', got {order!r}")
 
 
-def trace_product(t1: AntilinearMap, t2: AntilinearMap) -> complex:
-    """Trace of t1 ∘ t2 for maps composable both ways.
+def trace_product(t1: AntilinearMap, t2: AntilinearMap):
+    """Trace of t1 ∘ t2 for maps composable both ways; one complex per member for stacks.
 
     Swapping the factors conjugates the value: Tr(t1 t2) = conj(Tr(t2 t1)).
     """
     if t1.dim_domain != t2.dim_codomain or t2.dim_domain != t1.dim_codomain:
         raise DimMismatch("trace_product needs maps composable in both orders")
-    return complex(np.trace(compose_aa(t1, t2)))
+    tr = np.trace(compose_aa(t1, t2), axis1=-2, axis2=-1)
+    return complex(tr) if tr.ndim == 0 else tr
 
 
 @dataclass(frozen=True)
@@ -127,13 +130,7 @@ class PolarParts:
 
 
 def polar(t: AntilinearMap) -> PolarParts:
-    """Polar-decompose an antilinear map via the SVD of its matrix; see polar_arrays."""
-    positive, phase, support_dom, support_cod, positive_dom = (seal(x) for x in polar_arrays(t.mat))
-    return PolarParts(positive, AntilinearMap(phase), support_dom, support_cod, positive_dom)
-
-
-def polar_arrays(mat: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The fields of polar as raw arrays, for a matrix or a stack (..., m, n) of matrices.
+    """Polar-decompose an antilinear map (or a stack of them) via the SVD of its matrix.
 
     With mat = U diag(s) V† and r the numerical rank:
 
@@ -146,29 +143,29 @@ def polar_arrays(mat: np.ndarray) -> tuple[np.ndarray, ...]:
     phase* ∘ phase and phase ∘ phase* are the two support projections, and
     the adjoint of the phase is again its transpose, by construction.  The
     rank may differ across a stack: the singular vectors beyond each member's
-    rank are masked to zero.  Returns (positive, phase, support_dom,
-    support_cod, positive_dom).
+    rank are masked to zero.
     """
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    u, s, vh = np.linalg.svd(t.mat, full_matrices=False)
     keep = rank_mask(s)
     ur, sr, vhr = u * keep[..., None, :], s * keep, vh * keep[..., :, None]
     vr = vhr.conj().mT
     positive = (ur * sr[..., None, :]) @ ur.conj().mT
     positive_dom = (np.conj(vr) * sr[..., None, :]) @ vr.mT
-    return (
-        (positive + positive.conj().mT) / 2,
-        ur @ vhr,
-        np.conj(vr) @ vr.mT,
-        ur @ ur.conj().mT,
-        (positive_dom + positive_dom.conj().mT) / 2,
+    return PolarParts(
+        positive=seal((positive + positive.conj().mT) / 2),
+        phase=AntilinearMap(seal(ur @ vhr)),
+        support_dom=seal(np.conj(vr) @ vr.mT),
+        support_cod=seal(ur @ ur.conj().mT),
+        positive_dom=seal((positive_dom + positive_dom.conj().mT) / 2),
     )
 
 
 def chain(maps) -> AntilinearMap | np.ndarray:
     """Fold a sequence of antilinear maps t_n ∘ ... ∘ t_1 (first applied first).
 
-    An even count yields a linear matrix, an odd count an AntilinearMap; see
-    chain_matrices for the fold.
+    An even count yields a linear matrix, an odd count an AntilinearMap.  The
+    fold starts at the last map, m_n @ conj(m_n-1) @ m_n-2 @ ..., so the
+    product associates left to right.
     """
     ts = list(maps)
     if not ts:
@@ -176,17 +173,7 @@ def chain(maps) -> AntilinearMap | np.ndarray:
     for inner, outer in zip(ts, ts[1:]):
         if outer.dim_domain != inner.dim_codomain:
             raise DimMismatch(f"chain break: map wants {outer.dim_domain}, has {inner.dim_codomain}")
-    mat = chain_matrices([t.mat for t in ts])
+    mat = ts[-1].mat
+    for k, t in enumerate(reversed(ts[:-1])):
+        mat = mat @ (np.conj(t.mat) if k % 2 == 0 else t.mat)
     return mat if len(ts) % 2 == 0 else AntilinearMap(mat)
-
-
-def chain_matrices(mats) -> np.ndarray:
-    """The matrix of t_n ∘ ... ∘ t_1 from the maps' matrices, single or stacked alike.
-
-    The fold starts at the last map, m_n @ conj(m_n-1) @ m_n-2 @ ..., so the
-    product associates left to right.
-    """
-    mat = mats[-1]
-    for k, m in enumerate(reversed(mats[:-1])):
-        mat = mat @ (np.conj(m) if k % 2 == 0 else m)
-    return mat

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antilinear import AntilinearMap, PolarParts, polar
+from .antilinear import AntilinearMap, PolarParts, adjoint, compose_aa, compose_mixed, polar
 from .errors import DimMismatch, NotIsometry, NotUnit
 from .linalg import _member, as_matrix, fro_norm, frozen, psd_eigh, psd_sqrt, seal, support_projection
 
@@ -32,31 +32,33 @@ class BipartiteVector:
     """Vector in H_a ⊗ H_b held as its (dim_a x dim_b) coefficient matrix.
 
     Unit norm is not required; subnormalized vectors carry event
-    probabilities in their norm squared.
+    probabilities in their norm squared.  ``coeff`` may also be a stack
+    (..., dim_a, dim_b), one vector per member; every function of this
+    module then acts member by member, stack axes broadcasting.
     """
 
     coeff: np.ndarray
 
     def __post_init__(self):
-        c = as_matrix(self.coeff, "coeff")
-        if c.shape[0] < 1 or c.shape[1] < 1:
-            raise DimMismatch(f"dimensions must be positive, got {c.shape}")
+        c = as_matrix(self.coeff, "coeff", stack=True)
+        if c.shape[-2] < 1 or c.shape[-1] < 1:
+            raise DimMismatch(f"dimensions must be positive, got {c.shape[-2:]}")
         object.__setattr__(self, "coeff", frozen(c))
 
     @property
     def dim_a(self) -> int:
-        return self.coeff.shape[0]
+        return self.coeff.shape[-2]
 
     @property
     def dim_b(self) -> int:
-        return self.coeff.shape[1]
+        return self.coeff.shape[-1]
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeff))
+    def norm(self):
+        return fro_norm(self.coeff)
 
     def to_vector(self) -> np.ndarray:
         """Flatten to the a-major Kronecker basis: index (i, j) -> i*dim_b + j."""
-        return self.coeff.reshape(-1).copy()
+        return self.coeff.reshape(*self.coeff.shape[:-2], -1).copy()
 
     @classmethod
     def from_vector(cls, vec, dim_a: int, dim_b: int) -> "BipartiteVector":
@@ -76,40 +78,40 @@ class EprPair:
 
 def epr_maps(psi: BipartiteVector) -> EprPair:
     """Build both maps from the coefficient matrix; see the module docstring."""
-    return EprPair(s_ba=AntilinearMap(psi.coeff.T), s_ab=AntilinearMap(psi.coeff))
+    return EprPair(s_ba=AntilinearMap(psi.coeff.mT), s_ab=AntilinearMap(psi.coeff))
 
 
-def _coeffs(*vectors) -> list[np.ndarray]:
-    """Coefficient matrices of BipartiteVectors or raw stacks (..., dim_a, dim_b), checked for equal dims."""
-    cs = [x.coeff if isinstance(x, BipartiteVector) else as_matrix(x, "coeff", stack=True) for x in vectors]
-    if any(c.shape[-2:] != cs[0].shape[-2:] for c in cs):
-        raise DimMismatch(f"bipartite dimensions differ: {cs[0].shape[-2:]} vs {cs[-1].shape[-2:]}")
-    return cs
+def _check_same_dims(x: BipartiteVector, y: BipartiteVector):
+    if (x.dim_a, x.dim_b) != (y.dim_a, y.dim_b):
+        raise DimMismatch(
+            f"bipartite dimensions differ: {(x.dim_a, x.dim_b)} vs {(y.dim_a, y.dim_b)}"
+        )
 
 
 def _check_unit(v: np.ndarray, what: str, tol: float = UNIT_TOL):
-    n = float(np.linalg.norm(v))
-    if abs(n - 1.0) > tol:
-        raise NotUnit(f"{what} has norm {n!r}, expected 1 within {tol:.0e}")
+    n = np.linalg.norm(v, axis=-1)
+    if (np.abs(n - 1.0) > tol).any():
+        label, i = _member(what, np.abs(n - 1.0) > tol)
+        raise NotUnit(f"{label} has norm {float(n[i])!r}, expected 1 within {tol:.0e}")
 
 
 def project_rank1(psi: BipartiteVector, phi_a) -> BipartiteVector:
-    """Apply (|phi_a><phi_a| ⊗ 1) to psi for a unit vector phi_a.
+    """Apply (|phi_a><phi_a| ⊗ 1) to psi for a unit vector phi_a (or a stack of them).
 
     The result equals phi_a ⊗ (s_ba phi_a); this is the identity that makes
     the induced maps independent of how psi is decomposed into product terms.
     """
-    v = np.asarray(phi_a, dtype=np.complex128).reshape(-1)
-    if v.shape[0] != psi.dim_a:
-        raise DimMismatch(f"phi_a length {v.shape[0]} != dim_a {psi.dim_a}")
+    v = np.asarray(phi_a, dtype=np.complex128)
+    if v.ndim == 0 or v.shape[-1] != psi.dim_a:
+        raise DimMismatch(f"phi_a length {v.shape[-1:]} != dim_a {psi.dim_a}")
     _check_unit(v, "phi_a")
-    return BipartiteVector(np.outer(v, np.conj(v)) @ psi.coeff)
+    return BipartiteVector((v[..., :, None] * np.conj(v)[..., None, :]) @ psi.coeff)
 
 
 def inner_via_trace(phi: BipartiteVector, psi: BipartiteVector) -> complex:
     """Scalar product <phi, psi> computed as Tr_a (s_psi_ab ∘ s_phi_ba); stacks give one per member."""
-    c_phi, c_psi = _coeffs(phi, psi)
-    tr = np.trace(c_psi @ np.conj(c_phi.mT), axis1=-2, axis2=-1)
+    _check_same_dims(phi, psi)
+    tr = np.trace(psi.coeff @ np.conj(phi.coeff.mT), axis1=-2, axis2=-1)
     return complex(tr) if tr.ndim == 0 else tr
 
 
@@ -120,27 +122,21 @@ def reconstruct(s_ba: AntilinearMap, a_op) -> BipartiteVector:
     the result is sum_k phi_k ⊗ (s_ba phi_k) for phi_k = sqrt(l_k) v_k.
     With A = 1 this returns psi itself.
     """
-    a = as_matrix(a_op, "A")
-    if a.shape != (s_ba.dim_domain, s_ba.dim_domain):
+    a = as_matrix(a_op, "A", stack=True)
+    if a.shape[-2:] != (s_ba.dim_domain, s_ba.dim_domain):
         raise DimMismatch(f"A must be {s_ba.dim_domain} square, got {a.shape}")
-    return BipartiteVector(rank_one_sum(s_ba.mat, a))
-
-
-def rank_one_sum(s_ba: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Coefficients of reconstruct from the matrix of s_ba, single or stacked: sum_k phi_k (s_ba phi_k)^T."""
     w, vecs = psd_eigh(a, "A")
     phis = vecs * np.sqrt(w)[..., None, :]
-    return phis @ (s_ba @ np.conj(phis)).mT
+    return BipartiteVector(phis @ (s_ba.mat @ np.conj(phis)).mT)
 
 
 def reduced(psi: BipartiteVector, side: str) -> np.ndarray:
     """Reduced operator of psi on one factor, via the map compositions.
 
     side="a": C @ C†, side="b": C.T @ conj(C).  Both agree with the partial
-    trace of |psi><psi| and share the trace ||psi||^2.  psi may also be a
-    coefficient stack (..., dim_a, dim_b), as for cross_gram and cloning_check.
+    trace of |psi><psi| and share the trace ||psi||^2.
     """
-    (c,) = _coeffs(psi)
+    c = psi.coeff
     if side == "a":
         return seal(c @ c.conj().mT)
     if side == "b":
@@ -154,13 +150,13 @@ def local_transform(psi: BipartiteVector, a_op, b_op) -> BipartiteVector:
     The maps transform covariantly: the new s_ba is B ∘ s_ba ∘ A* and the new
     s_ab is A ∘ s_ab ∘ B*.
     """
-    a = as_matrix(a_op, "A")
-    b = as_matrix(b_op, "B")
-    if a.shape != (psi.dim_a, psi.dim_a):
+    a = as_matrix(a_op, "A", stack=True)
+    b = as_matrix(b_op, "B", stack=True)
+    if a.shape[-2:] != (psi.dim_a, psi.dim_a):
         raise DimMismatch(f"A must be {psi.dim_a} square, got {a.shape}")
-    if b.shape != (psi.dim_b, psi.dim_b):
+    if b.shape[-2:] != (psi.dim_b, psi.dim_b):
         raise DimMismatch(f"B must be {psi.dim_b} square, got {b.shape}")
-    return BipartiteVector(a @ psi.coeff @ b.T)
+    return BipartiteVector(a @ psi.coeff @ b.mT)
 
 
 def partner_operator(a_op, polar_of_psi: PolarParts) -> np.ndarray:
@@ -172,15 +168,11 @@ def partner_operator(a_op, polar_of_psi: PolarParts) -> np.ndarray:
     B is zero.
     """
     j_ba = polar_of_psi.phase
-    a = as_matrix(a_op, "A")
-    if a.shape != (j_ba.dim_domain, j_ba.dim_domain):
+    a = as_matrix(a_op, "A", stack=True)
+    if a.shape[-2:] != (j_ba.dim_domain, j_ba.dim_domain):
         raise DimMismatch(f"A must be {j_ba.dim_domain} square, got {a.shape}")
-    return partner_matrix(a, j_ba.mat)
-
-
-def partner_matrix(a: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """partner_operator from the matrix j of the phase of s_ba, single or stacked: (j ∘ A ∘ j*)*."""
-    return (j @ np.conj(a @ j.mT)).conj().mT
+    inner = compose_aa(j_ba, compose_mixed(a, adjoint(j_ba), "left"))
+    return inner.conj().mT
 
 
 def purification_from_isometry(omega_a, w: AntilinearMap) -> BipartiteVector:
@@ -190,19 +182,16 @@ def purification_from_isometry(omega_a, w: AntilinearMap) -> BipartiteVector:
     w must be isometric on the support of omega_a (its behavior off the
     support never enters).
     """
-    om = as_matrix(omega_a, "omega_a")
-    if om.shape != (w.dim_domain, w.dim_domain):
+    om = as_matrix(omega_a, "omega_a", stack=True)
+    if om.shape[-2:] != (w.dim_domain, w.dim_domain):
         raise DimMismatch(f"omega_a must be {w.dim_domain} square, got {om.shape}")
-    return BipartiteVector(purify(om, w.mat))
-
-
-def purify(om: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Coefficients of purification_from_isometry from the matrix of w, single or stacked."""
     q = support_projection(om, "omega_a")
-    off = np.abs(q @ (w.mT @ np.conj(w)) @ q - q).max(axis=(-2, -1))
+    gram = compose_aa(adjoint(w), w)
+    off = np.abs(q @ gram @ q - q).max(axis=(-2, -1))
     if (off > ISOMETRY_TOL).any():
         raise NotIsometry(f"{_member('w', off > ISOMETRY_TOL)[0]} is not isometric on the support of omega_a")
-    return (w @ np.conj(psd_sqrt(om, "omega_a"))).mT
+    s_ba = compose_mixed(psd_sqrt(om, "omega_a"), w, "right")
+    return BipartiteVector(s_ba.mat.mT)
 
 
 def cross_gram(phi: BipartiteVector, psi: BipartiteVector) -> np.ndarray:
@@ -212,8 +201,8 @@ def cross_gram(phi: BipartiteVector, psi: BipartiteVector) -> np.ndarray:
     (sqrt(rho_a) omega_a sqrt(rho_a))^(1/2) built from the two a-reductions,
     and Tr (s_phi_ba ∘ s_psi_ab) B = <psi, (1 ⊗ B) phi> for every B on H_b.
     """
-    c_phi, c_psi = _coeffs(phi, psi)
-    return c_phi.mT @ np.conj(c_psi)
+    _check_same_dims(phi, psi)
+    return phi.coeff.mT @ np.conj(psi.coeff)
 
 
 def cloning_check(phi: BipartiteVector, psi: BipartiteVector) -> tuple[bool, float]:
@@ -223,15 +212,17 @@ def cloning_check(phi: BipartiteVector, psi: BipartiteVector) -> tuple[bool, flo
     s_phi_ba ∘ s_psi_ab and s_phi_ab ∘ s_psi_ba are Hermitian within 1e-9,
     and commutator_norm is the Frobenius norm of
     [omega_psi_a, omega_phi_a].  Hermiticity forces the reductions to
-    commute; the converse is not claimed.
+    commute; the converse is not claimed.  Stacks give one pair of values
+    per member.
     """
-    c_phi, c_psi = _coeffs(phi, psi)
+    _check_same_dims(phi, psi)
+    c_phi, c_psi = phi.coeff, psi.coeff
     x_b = c_phi.mT @ np.conj(c_psi)
     x_a = c_phi @ np.conj(c_psi.mT)
     hermitian = (np.abs(x_b - x_b.conj().mT).max(axis=(-2, -1)) <= HERMITICITY_TOL) & (
         np.abs(x_a - x_a.conj().mT).max(axis=(-2, -1)) <= HERMITICITY_TOL
     )
-    om_psi, om_phi = reduced(c_psi, "a"), reduced(c_phi, "a")
+    om_psi, om_phi = reduced(psi, "a"), reduced(phi, "a")
     commutator_norm = fro_norm(om_psi @ om_phi - om_phi @ om_psi)
     return (bool(hermitian) if hermitian.ndim == 0 else hermitian), commutator_norm
 

@@ -80,12 +80,11 @@ def cmd_epr(args) -> int:
         for _ in range(PROBE_COUNT)
     ]
     phi_a, phi_b, chi = (np.stack(x) for x in zip(*draws))
-    c, s_ba, s_ab = psi.coeff, pair.s_ba.mat, pair.s_ab.mat
     table = vf.ResidualTable()
-    table.record("epr.projection", vf.epr_projection(c, s_ba, omega_a, phi_a))
-    table.record("epr.pairing", vf.epr_pairing(c, s_ba, s_ab, phi_a, phi_b))
-    table.record("epr.inner_trace", vf.epr_inner_trace(c, s_ba, chi))
-    table.record("epr.reduction", vf.epr_reduction(c, omega_a, omega_b))
+    table.record("epr.projection", vf.epr_projection(psi, pair, omega_a, phi_a))
+    table.record("epr.pairing", vf.epr_pairing(psi, pair, phi_a, phi_b))
+    table.record("epr.inner_trace", vf.epr_inner_trace(psi, pair, bp.BipartiteVector(chi)))
+    table.record("epr.reduction", vf.epr_reduction(psi, omega_a, omega_b))
     results, worst = _worst(table, args.tolerance)
     residuals = {name.removeprefix("epr."): value for name, value in worst.items()}
     report = {
@@ -110,7 +109,7 @@ def cmd_teleport(args) -> int:
     bound = tp.success_bound(tm)
     table = vf.ResidualTable()
     probes = _probes(rng_for(args.seed, 2), psi.dim_a)
-    table.record("teleport.factorization", vf.teleport_factorization(tm.t, psi.coeff, phi.coeff, probes))
+    table.record("teleport.factorization", vf.teleport_factorization(tm, probes))
     table.record("teleport.trace_fidelity", vf.teleport_trace_fidelity(tnf))
     results, worst = _worst(table, args.tolerance)
     oracle_residual = worst["teleport.factorization"]
@@ -144,11 +143,10 @@ def cmd_luders(args) -> int:
     ch = tp.luders_channel(psis, phi)
     bounds = tp.luders_bounds(ch)
 
-    maps, psis = np.stack(ch.maps), np.stack([p.coeff for p in ch.psis])
-    probes = _probes(rng_for(args.seed, 3), psis.shape[-2])
+    probes = _probes(rng_for(args.seed, 3), psis[0].dim_a)
     table = vf.ResidualTable()
-    table.record("luders.decoupling", vf.luders_decoupling(maps, psis, ch.ancilla_phi.coeff, probes))
-    table.record("luders.op_bound", vf.luders_op_bound(bounds, ch.ancilla_norm_sq))
+    table.record("luders.decoupling", vf.luders_decoupling(ch, probes))
+    table.record("luders.op_bound", vf.luders_op_bound(ch, bounds))
     results, worst = _worst(table, args.tolerance)
     decoupling = worst["luders.decoupling"]
     report = {
@@ -179,7 +177,7 @@ def cmd_chain(args) -> int:
     t = tp.chain_teleport(stages)
     table = vf.ResidualTable()
     probes = _probes(rng_for(args.seed, 4), stages[0].dim_a)
-    table.record("chain.factorization", vf.chain_factorization([s.coeff for s in stages], t, probes))
+    table.record("chain.factorization", vf.chain_factorization(stages, t, probes))
     results, worst = _worst(table, args.tolerance)
     oracle_residual = worst["chain.factorization"]
     report = {"t": matrix_to_json(t), "oracle_residual": oracle_residual}
@@ -196,12 +194,13 @@ def cmd_modular(args) -> int:
     phi = _load_state(args.phi, "phi")
     psi = _load_state(args.psi, "psi")
     triple = md.tomita_S(phi, psi)
-    s, j, j_twisted = triple.s.mat, triple.j.mat, md.lift_operators(psi, phi).j.mat
+    j_twisted = md.lift_operators(psi, phi).j
     table = vf.ResidualTable()
-    table.record("modular.defining", vf.modular_defining(s, phi.coeff, psi.coeff))
-    table.record("modular.reconstruction", vf.modular_reconstruction(s, j, phi.coeff, psi.coeff))
-    table.record("modular.phase_match", vf.modular_phase_match(s, j_twisted))
-    table.record("modular.intertwine", vf.modular_intertwine(s, j_twisted, phi.coeff, psi.coeff))
+    table.record("modular.defining", vf.modular_defining(triple, phi, psi))
+    table.record("modular.delta", vf.modular_delta(triple))
+    table.record("modular.reconstruction", vf.modular_reconstruction(triple, phi, psi))
+    table.record("modular.phase_match", vf.modular_phase_match(triple, j_twisted))
+    table.record("modular.intertwine", vf.modular_intertwine(triple, j_twisted, phi, psi))
     results, worst = _worst(table, args.tolerance)
     residuals = {name.removeprefix("modular."): value for name, value in worst.items()}
     report = {

@@ -126,23 +126,20 @@ def _floats(values: list) -> list[str]:
 
 
 class ReportEncoder(json.JSONEncoder):
-    """The text of json.dumps(obj, indent=n), built by joins instead of the pure-Python encoder.
+    """The text of json.dumps(obj, indent=2), built by string joins; the CLI writes its reports with it.
 
-    With an indent, json.dumps cannot use its C encoder; reports hold
-    thousands of matrix entries, each a [re, im] pair, and this writes a list
-    of such pairs by one format per pair.  Objects outside dict, list,
-    tuple, str, int, float, bool and None, or dicts with non-string keys,
-    fall back to the standard encoder.
+    An indent keeps json.dumps off its C encoder, and a report holds
+    thousands of [re, im] pairs, which this writes by one format per pair.
+    It takes dicts with string keys, lists, tuples, str, int, float, bool
+    and None and raises TypeError on anything else; any setting but
+    indent=2 goes to the standard encoder.
     """
 
     def encode(self, o) -> str:
-        plain = (self.item_separator, self.key_separator) == (",", ": ") and self.ensure_ascii and self.allow_nan
-        if self.indent is None or self.sort_keys or self.skipkeys or not plain:
+        settings = (self.indent, self.item_separator, self.key_separator, self.sort_keys, self.skipkeys)
+        if settings != (2, ",", ": ", False, False) or not (self.ensure_ascii and self.allow_nan):
             return super().encode(o)
-        try:
-            return self._text(o, "")
-        except (TypeError, RecursionError):
-            return super().encode(o)
+        return self._text(o, "")
 
     def _text(self, o, ind: str) -> str:
         if isinstance(o, str):
@@ -153,17 +150,19 @@ class ReportEncoder(json.JSONEncoder):
             return int.__repr__(o)
         if isinstance(o, float):
             return _floats([o])[0]
-        inner = ind + " " * self.indent
+        inner = ind + "  "
         sep = ",\n" + inner
-        if isinstance(o, (list, tuple)) and o:
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
             if all(type(v) is list and len(v) == 2 and type(v[0]) is float and type(v[1]) is float for v in o):
-                pair = "[\n" + inner + " " * self.indent + "{},\n" + inner + " " * self.indent + "{}\n" + inner + "]"
+                pair = "[\n" + inner + "  {},\n" + inner + "  {}\n" + inner + "]"
                 text = _floats([x for v in o for x in v])
                 return "[\n" + inner + sep.join(map(pair.format, text[0::2], text[1::2])) + "\n" + ind + "]"
             return "[\n" + inner + sep.join([self._text(v, inner) for v in o]) + "\n" + ind + "]"
-        if isinstance(o, dict) and o and all(type(k) is str for k in o):
+        if isinstance(o, dict) and all(type(k) is str for k in o):
+            if not o:
+                return "{}"
             items = [json.encoder.encode_basestring_ascii(k) + ": " + self._text(v, inner) for k, v in o.items()]
             return "{\n" + inner + sep.join(items) + "\n" + ind + "}"
-        if isinstance(o, (list, tuple, dict)) and not o:
-            return "[]" if isinstance(o, (list, tuple)) else "{}"
-        raise TypeError(f"{type(o).__name__} is left to the standard encoder")
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable by ReportEncoder")

@@ -75,15 +75,17 @@ def seal(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Kronecker product of two vectors, or of two matrices or stacks of matrices, by one broadcast.
+def kron(x: np.ndarray, y: np.ndarray, vectors: bool = False) -> np.ndarray:
+    """Kronecker product of two matrices, or with vectors=True of two vectors, by one broadcast.
 
+    Leading axes are stack axes and broadcast; two 1-D operands are vectors.
     Gives the same bits as np.kron, whose general n-dimensional route costs
     several times more per call on small operands.
     """
     x, y = np.asarray(x), np.asarray(y)
-    if x.ndim == y.ndim == 1:
-        return (x[:, None] * y[None, :]).reshape(-1)
+    if (vectors and x.ndim and y.ndim) or x.ndim == y.ndim == 1:
+        prod = x[..., :, None] * y[..., None, :]
+        return prod.reshape(*prod.shape[:-2], -1)
     if x.ndim >= 2 and y.ndim >= 2:
         batch = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
         return (x[..., :, None, :, None] * y[..., None, :, None, :]).reshape(

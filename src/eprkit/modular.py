@@ -28,15 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antilinear import AntilinearMap, polar_arrays
-from .bipartite import BipartiteVector, reduced
+from .antilinear import AntilinearMap, adjoint
+from .bipartite import BipartiteVector, _check_same_dims, epr_maps, polar_of_state, reduced
 from .errors import DimMismatch, MixedParity, NotSeparating
-from .linalg import _member, as_matrix, frozen, herm_eigh, kron, numerical_rank, seal
+from .linalg import _member, as_matrix, frozen, kron, numerical_rank, seal
 
 
 @dataclass(frozen=True)
 class TwistedOperator:
-    """Operator on H_a ⊗ H_b built as a twisted product of two factor maps.
+    """Operator on H_a ⊗ H_b built as a twisted product of two factor maps (or a stack of them).
 
     ``parity`` is the common parity of the factors; the matrix acts on the
     conjugated vector when antilinear.  ``factors`` records the two factor
@@ -54,10 +54,10 @@ class TwistedOperator:
         object.__setattr__(self, "factors", tuple(frozen(f) for f in self.factors))
 
     def __call__(self, v) -> np.ndarray:
-        vec = np.asarray(v, dtype=np.complex128).reshape(-1)
-        if vec.shape[0] != self.mat.shape[1]:
-            raise DimMismatch(f"vector length {vec.shape[0]} != {self.mat.shape[1]}")
-        return self.mat @ (np.conj(vec) if self.parity == "antilinear" else vec)
+        vec = np.asarray(v, dtype=np.complex128)
+        if vec.ndim == 0 or vec.shape[-1] != self.mat.shape[-1]:
+            raise DimMismatch(f"vector length {vec.shape[-1:]} != {self.mat.shape[-1]}")
+        return (self.mat @ (np.conj(vec) if self.parity == "antilinear" else vec)[..., None])[..., 0]
 
     def as_antilinear(self) -> AntilinearMap:
         if self.parity != "antilinear":
@@ -69,20 +69,22 @@ def twisted_product(eta_ab, xi_ba) -> TwistedOperator:
     """Twisted product of eta: H_b -> H_a and xi: H_a -> H_b of equal parity.
 
     Pass both factors as AntilinearMap for the antilinear case or both as
-    plain matrices for the linear case.
+    plain matrices for the linear case; stacked factors give a stack of
+    operators.  The matrix is one broadcast product of the factors.
     """
     eta_anti = isinstance(eta_ab, AntilinearMap)
     xi_anti = isinstance(xi_ba, AntilinearMap)
     if eta_anti != xi_anti:
         raise MixedParity("twisted product of a linear and an antilinear factor is ill defined")
-    eta = eta_ab.mat if eta_anti else as_matrix(eta_ab, "eta")
-    xi = xi_ba.mat if xi_anti else as_matrix(xi_ba, "xi")
-    dim_a, dim_b = eta.shape
-    if xi.shape != (dim_b, dim_a):
+    eta = eta_ab.mat if eta_anti else as_matrix(eta_ab, "eta", stack=True)
+    xi = xi_ba.mat if xi_anti else as_matrix(xi_ba, "xi", stack=True)
+    dim_a, dim_b = eta.shape[-2:]
+    if xi.shape[-2:] != (dim_b, dim_a):
         raise DimMismatch(f"xi must map H_a({dim_a}) into H_b({dim_b}), got shape {xi.shape}")
     eta, xi = np.ascontiguousarray(eta), np.ascontiguousarray(xi)  # so the product reshapes without a copy
+    prod = eta[..., :, None, None, :] * xi[..., None, :, :, None]
     return TwistedOperator(
-        mat=seal(twisted_matrix(eta, xi)),
+        mat=seal(prod.reshape(*prod.shape[:-4], dim_a * dim_b, dim_a * dim_b)),
         parity="antilinear" if eta_anti else "linear",
         factors=(eta, xi),
         dim_a=dim_a,
@@ -90,20 +92,12 @@ def twisted_product(eta_ab, xi_ba) -> TwistedOperator:
     )
 
 
-def twisted_matrix(eta: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """The matrix of twisted_product from the factor matrices, single or stacked: one broadcast."""
-    dim_a, dim_b = eta.shape[-2:]
-    eta, xi = np.ascontiguousarray(eta), np.ascontiguousarray(xi)  # contiguous factors round alike
-    prod = eta[..., :, None, None, :] * xi[..., None, :, :, None]
-    return prod.reshape(*prod.shape[:-4], dim_a * dim_b, dim_a * dim_b)
-
-
 def twisted_adjoint(p: TwistedOperator) -> TwistedOperator:
     """Hermitian adjoint: exchange and adjoin the factors, xi* ⊗̃ eta*."""
     eta, xi = p.factors
     if p.parity == "antilinear":
-        return twisted_product(AntilinearMap(xi.T), AntilinearMap(eta.T))
-    return twisted_product(xi.conj().T, eta.conj().T)
+        return twisted_product(AntilinearMap(xi.mT), AntilinearMap(eta.mT))
+    return twisted_product(xi.conj().mT, eta.conj().mT)
 
 
 def twisted_compose(p1: TwistedOperator, p2: TwistedOperator) -> np.ndarray:
@@ -131,21 +125,9 @@ class LiftedOperators:
     j: TwistedOperator            # j_phi ⊗̃ j_psi
 
 
-def phase_factors(c_phi: np.ndarray, c_psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices of the phase maps j_phi_ab: H_b -> H_a and j_psi_ba: H_a -> H_b, the factors of the lifted J."""
-    return polar_arrays(c_phi.mT)[1].mT, polar_arrays(c_psi.mT)[1]
-
-
-def lift_factors(c_phi: np.ndarray, c_psi: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """The (eta, xi) factor matrices of the four lifts of lift_operators, single or stacked."""
-    j_phi_ab, j_psi_ba = phase_factors(c_phi, c_psi)
-    s_phi_ab, s_psi_ba = c_phi, c_psi.mT
-    return {
-        "s_tilde": (j_phi_ab, s_psi_ba),
-        "f_tilde": (s_phi_ab, j_psi_ba),
-        "delta_tilde": (s_phi_ab, s_psi_ba),
-        "j": (j_phi_ab, j_psi_ba),
-    }
+def _phases(phi: BipartiteVector, psi: BipartiteVector) -> tuple[AntilinearMap, AntilinearMap]:
+    """The phase maps j_phi_ab: H_b -> H_a (the adjoint of the phase of s_phi_ba) and j_psi_ba."""
+    return adjoint(polar_of_state(phi).phase), polar_of_state(psi).phase
 
 
 def lift_operators(phi: BipartiteVector, psi: BipartiteVector) -> LiftedOperators:
@@ -155,28 +137,29 @@ def lift_operators(phi: BipartiteVector, psi: BipartiteVector) -> LiftedOperator
     superscript ab), the second the H_a -> H_b factors.  Hermitian adjoints
     exchange the two arguments.
     """
-    if (phi.dim_a, phi.dim_b) != (psi.dim_a, psi.dim_b):
-        raise DimMismatch(
-            f"state dimensions differ: {(phi.dim_a, phi.dim_b)} vs {(psi.dim_a, psi.dim_b)}"
-        )
+    _check_same_dims(phi, psi)
+    j_phi_ab, j_psi_ba = _phases(phi, psi)
+    s_phi_ab, s_psi_ba = epr_maps(phi).s_ab, epr_maps(psi).s_ba
     return LiftedOperators(
-        **{
-            name: twisted_product(AntilinearMap(eta), AntilinearMap(xi))
-            for name, (eta, xi) in lift_factors(phi.coeff, psi.coeff).items()
-        }
+        s_tilde=twisted_product(j_phi_ab, s_psi_ba),
+        f_tilde=twisted_product(s_phi_ab, j_psi_ba),
+        delta_tilde=twisted_product(s_phi_ab, s_psi_ba),
+        j=twisted_product(j_phi_ab, j_psi_ba),
     )
 
 
-def gns_check(psi: BipartiteVector | np.ndarray) -> bool:
+def gns_check(psi: BipartiteVector | np.ndarray):
     """Whether both reductions of psi (a BipartiteVector or its coefficient matrix) have full rank.
 
     True also certifies cyclicity: the vectors (E_ij ⊗ 1) psi then span the
     whole product space.  Requires square dimensions to be attainable at all.
+    A stack gives one answer per member.
     """
     c = psi.coeff if isinstance(psi, BipartiteVector) else np.asarray(psi)
-    if c.shape[0] != c.shape[1]:
+    if c.shape[-2] != c.shape[-1]:
         return False
-    return numerical_rank(np.linalg.svd(c, compute_uv=False)) == c.shape[0]
+    full = np.asarray(numerical_rank(np.linalg.svd(c, compute_uv=False)) == c.shape[-1])
+    return bool(full) if full.ndim == 0 else full
 
 
 @dataclass(frozen=True)
@@ -206,37 +189,26 @@ def tomita_S(phi: BipartiteVector, psi: BipartiteVector) -> ModularTriple:
     the polar phase of S, taken factor by factor.  C_psi^(-†) = U Σ^(-1) V†
     comes from the SVD C_psi = U Σ V†, the factorization the checks take
     their square roots from, not from an LU solve.  Delta = omega_a(phi) ⊗
-    inverse(omega_b(psi)) with the inverse taken by eigendecomposition;
-    rank-deficient reductions of psi are rejected rather than pseudo-inverted.
+    inverse(omega_b(psi)), and since omega_b(psi) = conj(V) Σ² V^T the
+    inverse is conj(V) Σ^(-2) V^T from the same SVD: an eigendecomposition of
+    omega_b would square the condition number of C_psi.  Rank-deficient
+    reductions of psi are rejected rather than pseudo-inverted.
+    Stacked states give stacked operators.
 
-    The factors cost O(d³) (three d×d SVDs, one eigendecomposition)
+    The factors cost O(d³) (three d×d SVDs)
     and the dense d²×d² matrices O(d⁴).  verify.modular_defining, which checks
     S on all d² matrix units (they span the space because psi is cyclic), is
     the brute-force oracle of S; verify.modular_phase_match compares J with
     the phase of the dense SVD of S.
     """
-    if (phi.dim_a, phi.dim_b) != (psi.dim_a, psi.dim_b):
-        raise DimMismatch(
-            f"state dimensions differ: {(phi.dim_a, phi.dim_b)} vs {(psi.dim_a, psi.dim_b)}"
-        )
-    if not gns_check(psi):
-        raise NotSeparating("psi must be completely entangled (square, full-rank reductions)")
-    s = twisted_product(*(AntilinearMap(f) for f in s_factors(phi.coeff, psi.coeff)))
-    delta = seal(kron(*delta_factors(phi.coeff, psi.coeff)))
-    j = twisted_product(*(AntilinearMap(f) for f in phase_factors(psi.coeff, phi.coeff)))
+    _check_same_dims(phi, psi)
+    entangled = np.asarray(gns_check(psi))
+    if not entangled.all():
+        label, _ = _member("psi", ~entangled)
+        raise NotSeparating(f"{label} must be completely entangled (square, full-rank reductions)")
+    # Each d²×d² operator is built right after its own factors.
+    u, sigma, vh = np.linalg.svd(psi.coeff)
+    s = twisted_product(AntilinearMap((u / sigma[..., None, :]) @ vh), AntilinearMap(phi.coeff.mT))
+    delta = seal(kron(reduced(phi, "a"), (vh.mT / sigma[..., None, :] ** 2) @ vh.conj()))
+    j = twisted_product(*_phases(psi, phi))
     return ModularTriple(s=s.as_antilinear(), delta=delta, j=j.as_antilinear())
-
-
-def s_factors(c_phi: np.ndarray, c_psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The factors (C_psi^(-†), C_phi^T) of S, single or stacked; C_psi^(-†) = U Σ^(-1) V† by SVD."""
-    u, sigma, vh = np.linalg.svd(c_psi)
-    return (u / sigma[..., None, :]) @ vh, c_phi.mT
-
-
-def delta_factors(c_phi: np.ndarray, c_psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Kronecker factors (omega_a(phi), omega_b(psi)^(-1)) of Delta, single or stacked."""
-    w, v = herm_eigh(reduced(c_psi, "b"), "omega_b")
-    if (w.min(axis=-1) <= 0.0).any():
-        label, _ = _member("omega_b", w.min(axis=-1) <= 0.0)
-        raise NotSeparating(f"{label} of psi is numerically singular")
-    return reduced(c_phi, "a"), (v / w[..., None, :]) @ v.conj().mT

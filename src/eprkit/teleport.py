@@ -19,12 +19,12 @@ whole point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .antilinear import chain, polar_arrays
+from .antilinear import chain, polar
 from .bipartite import BipartiteVector, epr_maps, reduced
 from .errors import (
     DimMismatch,
@@ -34,7 +34,7 @@ from .errors import (
     NotUnit,
     OddParity,
 )
-from .linalg import _member, _out, as_matrix, fro_norm, frozen, herm_eigh, psd_sqrt, trace_norm
+from .linalg import _member, _out, as_matrix, fro_norm, frozen, herm_eigh, kron, psd_sqrt, trace_norm
 
 UNIT_TOL = 1e-10
 ORTHO_TOL = 1e-10
@@ -44,7 +44,7 @@ DENSE_DIM_LIMIT = 4096
 
 @dataclass(frozen=True)
 class TeleportMap:
-    """Conditional input-output map of one rank-one-triggered channel."""
+    """Conditional input-output map of one rank-one-triggered channel (or a stack of them)."""
 
     t: np.ndarray                  # (dim_c, dim_a)
     source_psi: BipartiteVector    # measured vector in H_a ⊗ H_b
@@ -60,17 +60,7 @@ def teleport_map(psi_ab: BipartiteVector, phi_bc: BipartiteVector) -> TeleportMa
         raise DimMismatch(
             f"shared b-dimension differs: psi has {psi_ab.dim_b}, ancilla has {phi_bc.dim_a}"
         )
-    return TeleportMap(t=teleport_matrix(psi_ab.coeff, phi_bc.coeff), source_psi=psi_ab, ancilla_phi=phi_bc)
-
-
-def teleport_matrix(c_psi: np.ndarray, c_phi: np.ndarray) -> np.ndarray:
-    """The matrix t of teleport_map from the two coefficient matrices, single or stacked."""
-    return c_phi.mT @ np.conj(c_psi.mT)
-
-
-def _kron_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Kronecker product of the vectors along the last axes, stack axes broadcast."""
-    return (x[..., :, None] * y[..., None, :]).reshape(*np.broadcast_shapes(x.shape[:-1], y.shape[:-1]), -1)
+    return TeleportMap(t=phi_bc.coeff.mT @ np.conj(psi_ab.coeff.mT), source_psi=psi_ab, ancilla_phi=phi_bc)
 
 
 def _check_dense(dims) -> None:
@@ -84,10 +74,12 @@ def _project(full: np.ndarray, before: int, w: np.ndarray) -> np.ndarray:
 
     Reshape and contraction instead of a D×D projector, so memory stays
     O(D); every oracle applies its measurement projectors through here.
+    Stack axes of full and W broadcast.
     """
     t = full.reshape(*full.shape[:-1], before, w.shape[-2], -1)
     wh = np.conj(w).mT[..., None, :, :]
-    return (w[..., None, :, :] @ (wh @ t)).reshape(full.shape)
+    out = w[..., None, :, :] @ (wh @ t)
+    return out.reshape(*out.shape[:-3], -1)
 
 
 def _factor_out(result: np.ndarray, measured: np.ndarray, dim_rest: int, what: str) -> np.ndarray:
@@ -112,15 +104,15 @@ def teleport_oracle(psi_ab: BipartiteVector, phi_bc: BipartiteVector, phi_a) -> 
     return chain_oracle(phi_a, [psi_ab, phi_bc])
 
 
-def _unit_state(psi, what: str):
-    """Check that a BipartiteVector, or every member of a coefficient stack, has unit norm."""
-    norm = np.asarray(fro_norm(psi.coeff if isinstance(psi, BipartiteVector) else psi))
+def _unit_state(psi: BipartiteVector, what: str):
+    """Check that psi, or every member of a stack, has unit norm."""
+    norm = np.asarray(psi.norm())
     if (np.abs(norm - 1.0) > UNIT_TOL).any():
         label, i = _member(what, np.abs(norm - 1.0) > UNIT_TOL)
         raise NotUnit(f"{label} has norm {float(norm[i])!r}, expected 1")
 
 
-def success_bound(tm: TeleportMap) -> float:
+def success_bound(tm: TeleportMap):
     """Largest eigenvalue of sqrt(omega) rho sqrt(omega) on the shared system.
 
     rho and omega are the b-reductions of the measured vector and of the
@@ -129,13 +121,8 @@ def success_bound(tm: TeleportMap) -> float:
     """
     _unit_state(tm.source_psi, "measured vector")
     _unit_state(tm.ancilla_phi, "ancilla")
-    return success_bound_arrays(tm.source_psi.coeff, tm.ancilla_phi.coeff)
-
-
-def success_bound_arrays(c_psi: np.ndarray, c_phi: np.ndarray):
-    """success_bound from the two coefficient matrices, single or stacked."""
-    rho = reduced(c_psi, "b")
-    omega = reduced(c_phi, "a")  # ancilla lives in H_b ⊗ H_c; first factor is b
+    rho = reduced(tm.source_psi, "b")
+    omega = reduced(tm.ancilla_phi, "a")  # ancilla lives in H_b ⊗ H_c; first factor is b
     s = psd_sqrt(omega, "omega_b(phi)")
     w, _ = herm_eigh(s @ rho @ s)
     return _out(np.maximum(w.max(axis=-1), 0.0))
@@ -158,14 +145,9 @@ def trace_norm_fidelity(tm: TeleportMap) -> TraceNormFidelity:
     """
     _unit_state(tm.source_psi, "measured vector")
     _unit_state(tm.ancilla_phi, "ancilla")
-    return trace_norm_fidelity_arrays(tm.t, tm.source_psi.coeff, tm.ancilla_phi.coeff)
-
-
-def trace_norm_fidelity_arrays(t: np.ndarray, c_psi: np.ndarray, c_phi: np.ndarray) -> TraceNormFidelity:
-    """trace_norm_fidelity from the channel and coefficient matrices, single or stacked."""
-    sqrt_rho = polar_arrays(c_psi.mT)[0]   # positive part of s_ba(psi)
-    sqrt_omega = polar_arrays(c_phi)[0]    # positive part of s_ab(phi)
-    return TraceNormFidelity(trace_norm=trace_norm(t), fidelity=trace_norm(sqrt_rho @ sqrt_omega))
+    sqrt_rho = polar(epr_maps(tm.source_psi).s_ba).positive
+    sqrt_omega = polar(epr_maps(tm.ancilla_phi).s_ab).positive
+    return TraceNormFidelity(trace_norm=trace_norm(tm.t), fidelity=trace_norm(sqrt_rho @ sqrt_omega))
 
 
 @dataclass(frozen=True)
@@ -174,7 +156,8 @@ class LudersChannel:
 
     Holds one factorized map per vector of an orthonormal rank-one
     decomposition of the projection; the channel action and all bounds are
-    invariant under the choice of decomposition.
+    invariant under the choice of decomposition.  With stacked vectors each
+    map is a stack, one channel per member.
     """
 
     maps: tuple[np.ndarray, ...]
@@ -189,8 +172,8 @@ class LudersChannel:
         return len(self.maps)
 
     @property
-    def ancilla_norm_sq(self) -> float:
-        return float(self.ancilla_phi.norm() ** 2)
+    def ancilla_norm_sq(self):
+        return self.ancilla_phi.norm() ** 2
 
 
 def luders_channel(psis: Sequence[BipartiteVector], phi_bc: BipartiteVector) -> LudersChannel:
@@ -206,10 +189,10 @@ def luders_channel(psis: Sequence[BipartiteVector], phi_bc: BipartiteVector) -> 
         raise DimMismatch(
             f"shared b-dimension differs: measured vectors have {db}, ancilla has {phi_bc.dim_a}"
         )
-    flat = np.stack([p.to_vector() for p in psis])
-    gram = flat @ flat.conj().T
-    if np.abs(gram - np.eye(len(psis))).max() > ORTHO_TOL:
-        raise NotOrthonormal("measured vectors are not orthonormal within 1e-10")
+    flat = np.stack([p.to_vector() for p in psis], axis=-2)
+    off = np.abs(flat @ flat.conj().mT - np.eye(len(psis))).max(axis=(-2, -1))
+    if (off > ORTHO_TOL).any():
+        raise NotOrthonormal(f"{_member('measured vectors', off > ORTHO_TOL)[0]} are not orthonormal within 1e-10")
     maps = tuple(teleport_map(p, phi_bc).t for p in psis)
     return LudersChannel(maps=maps, psis=psis, ancilla_phi=phi_bc)
 
@@ -234,15 +217,11 @@ def projection_decomposition(p_op, dim_a: int, dim_b: int) -> list[BipartiteVect
 
 def luders_apply(ch: LudersChannel, nu_a) -> np.ndarray:
     """Channel action on an operator: sum_k t_k nu t_k†."""
-    nu = as_matrix(nu_a, "nu")
-    da = ch.maps[0].shape[1]
-    if nu.shape != (da, da):
+    nu = as_matrix(nu_a, "nu", stack=True)
+    da = ch.maps[0].shape[-1]
+    if nu.shape[-2:] != (da, da):
         raise DimMismatch(f"nu must be {da} square, got {nu.shape}")
-    return luders_apply_arrays(np.stack(ch.maps), nu)
-
-
-def luders_apply_arrays(maps: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """luders_apply on the stacked maps (..., rank, dim_c, dim_a) of one channel or a stack of channels."""
+    maps = np.stack(ch.maps, axis=-3)  # (..., rank, dim_c, dim_a)
     return (maps @ nu[..., None, :, :] @ maps.conj().mT).sum(axis=-3)
 
 
@@ -260,14 +239,10 @@ def luders_bounds(ch: LudersChannel) -> LudersBounds:
     ||phi||^2 (not ||phi||) is the one the norm estimate actually yields; see
     the README note on the first power.
     """
-    return luders_bounds_arrays(np.stack(ch.maps))
-
-
-def luders_bounds_arrays(maps: np.ndarray) -> LudersBounds:
-    """luders_bounds on the stacked maps (..., rank, dim_c, dim_a) of one channel or a stack of channels."""
+    maps = np.stack(ch.maps, axis=-3)
     w, v = herm_eigh((maps.conj().mT @ maps).sum(axis=-3), "K")
     top = np.take_along_axis(v, np.argmax(w, axis=-1)[..., None, None], axis=-1)
-    trace_bound = np.trace(luders_apply_arrays(maps, top @ top.conj().mT), axis1=-2, axis2=-1).real
+    trace_bound = np.trace(luders_apply(ch, top @ top.conj().mT), axis1=-2, axis2=-1).real
     return LudersBounds(op_bound=_out(np.maximum(w.max(axis=-1), 0.0)), trace_bound=_out(trace_bound))
 
 
@@ -275,20 +250,16 @@ def luders_project(ch: LudersChannel, phi_a) -> np.ndarray:
     """Dense (P ⊗ 1_c)(phi_a ⊗ phi_bc) for cross-checking the factorized maps.
 
     P is applied to the a and b axes of the tripartite vector by contraction
-    with the measured vectors; phi_a may be a stack (..., dim_a) of inputs.
-    The factorized form of the same vector is sum_k psi_k ⊗ (t_k phi_a).
+    with the measured vectors, through the helper and the DENSE_DIM_LIMIT
+    guard of chain_oracle; phi_a may be a stack (..., dim_a) of inputs.  The
+    factorized form of the same vector is sum_k psi_k ⊗ (t_k phi_a).
     """
     v_a = np.asarray(phi_a, dtype=np.complex128)
     if v_a.ndim == 0 or v_a.shape[-1] != ch.psis[0].dim_a:
         raise DimMismatch(f"phi_a length {v_a.shape[-1:]} != dim_a {ch.psis[0].dim_a}")
-    return luders_project_arrays(np.stack([psi.coeff for psi in ch.psis]), ch.ancilla_phi.coeff, v_a)
-
-
-def luders_project_arrays(psis: np.ndarray, c_phi: np.ndarray, phi_a: np.ndarray) -> np.ndarray:
-    """luders_project from the measured coefficient matrices (..., rank, dim_a, dim_b) and the ancilla's."""
-    _check_dense(psis.shape[-2:] + c_phi.shape[-1:])
-    full = _kron_rows(phi_a, c_phi.reshape(*c_phi.shape[:-2], -1))
-    return _project(full, 1, psis.reshape(*psis.shape[:-2], -1).mT)
+    _check_dense((ch.psis[0].dim_a, ch.psis[0].dim_b, ch.ancilla_phi.dim_b))
+    w = np.stack([p.to_vector() for p in ch.psis], axis=-1)
+    return _project(kron(v_a, ch.ancilla_phi.to_vector(), vectors=True), 1, w)
 
 
 def chain_teleport(stages: Sequence[BipartiteVector]) -> np.ndarray:
@@ -314,30 +285,27 @@ def chain_oracle(phi_a, stages: Sequence[BipartiteVector]) -> np.ndarray:
     conditional output in the last subsystem.  It never uses the induced
     maps; memory stays O(D) in the total dimension D, which DENSE_DIM_LIMIT
     bounds.  `stages` is ordered as for chain_teleport.  phi_a may be a stack
-    (..., d_1) of inputs and each stage a coefficient stack (..., d_k, d_k+1)
-    instead of a BipartiteVector; stack axes broadcast.
+    (..., d_1) of inputs and each stage a stacked BipartiteVector; stack axes
+    broadcast.
     """
-    coeffs = [
-        s.coeff if isinstance(s, BipartiteVector) else as_matrix(s, f"stages[{k}]", stack=True)
-        for k, s in enumerate(stages)
-    ]
-    if not coeffs:
+    stages = list(stages)
+    if not stages:
         raise DimMismatch("chain_oracle needs at least one hop")
-    if len(coeffs) % 2 == 1:
-        raise OddParity(f"{len(coeffs)} stages give an antilinear composite")
+    if len(stages) % 2 == 1:
+        raise OddParity(f"{len(stages)} stages give an antilinear composite")
     v_a = np.asarray(phi_a, dtype=np.complex128)
     if v_a.ndim == 0:
         v_a = v_a.reshape(1)
-    dims = [v_a.shape[-1]] + [c.shape[-1] for c in coeffs]
-    for k, c in enumerate(coeffs):
-        if c.shape[-2] != dims[k]:
-            raise DimMismatch(f"stages[{k}] has first dimension {c.shape[-2]}, the chain has {dims[k]} there")
+    dims = [v_a.shape[-1]] + [s.dim_b for s in stages]
+    for k, s in enumerate(stages):
+        if s.dim_a != dims[k]:
+            raise DimMismatch(f"stages[{k}] has first dimension {s.dim_a}, the chain has {dims[k]} there")
     _check_dense(dims)
-    for k, c in enumerate(coeffs[0::2]):
-        _unit_state(c, f"measured vector stages[{2 * k}]")
-    ws = [c.reshape(*c.shape[:-2], -1) for c in coeffs[0::2]]
-    full = reduce(_kron_rows, (c.reshape(*c.shape[:-2], -1) for c in coeffs[1::2]), v_a)
+    for k, s in enumerate(stages[0::2]):
+        _unit_state(s, f"measured vector stages[{2 * k}]")
+    ws = [s.to_vector() for s in stages[0::2]]
+    full = reduce(partial(kron, vectors=True), (s.to_vector() for s in stages[1::2]), v_a)
     for k, w in enumerate(ws):
         # axes of hop k: everything before, its two subsystems, everything after
         full = _project(full, int(np.prod(dims[: 2 * k])), w[..., :, None])
-    return _factor_out(full, reduce(_kron_rows, ws), dims[-1], "chain_oracle")
+    return _factor_out(full, reduce(partial(kron, vectors=True), ws), dims[-1], "chain_oracle")

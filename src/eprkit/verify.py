@@ -3,17 +3,18 @@
 Each suite runs in two phases.  The draw phase takes trial t's instances
 from its own sub-stream of (seed, suite tag, t), so any reported residual is
 reproducible in isolation.  The compute phase groups the trials by their
-dims and evaluates each identity once per group, on stacks (n, ...) of raw
-arrays, through the same stacked kernels the value types are built on.
-Residuals are Frobenius norms of differences (absolute values for scalars),
-one per trial; the table keeps their max and the trial that attained it.
-Tolerances are pinned per identity; passing a global tolerance overrides all
-of them.
+dims and evaluates each identity once per group: the drawn arrays are
+stacked (n, ...) and wrapped in value types that hold the whole stack, so
+each library function runs once per group, on the same code path a single
+instance takes.  Residuals are Frobenius norms of differences (absolute
+values for scalars), one per trial; the table keeps their max and the trial
+that attained it.  Tolerances are pinned per identity; passing a global
+tolerance overrides all of them.
 
 The identities the CLI subcommands check on their inputs are each computed
-by one residual function below.  It takes already-built operands as raw
-arrays with optional leading stack axes and returns one residual per
-member; the suites call it on trial stacks and the CLI on its probe stack.
+by one residual function below.  It takes already-built operands, single
+or stacked, and returns one residual per member; the suites call it on
+trial stacks and the CLI on its stack of probes.
 """
 
 from __future__ import annotations
@@ -193,51 +194,50 @@ def _stacked(table: ResidualTable, seed: int, stream: int, trials: Iterable[int]
     return _groups(table, stream, _draw(seed, stream, trials, draw))
 
 
-def epr_projection(c, s_ba, omega_a, phi_a):
+def epr_projection(psi, pair, omega_a, phi_a):
     """(|phi_a><phi_a| ⊗ 1) psi = phi_a ⊗ s_ba phi_a, with squared norm <phi_a, omega_a phi_a>."""
-    projected = _outer(phi_a, np.conj(phi_a)) @ c
+    projected = bp.project_rank1(psi, phi_a)
     return np.maximum(
-        _fro(projected - _outer(phi_a, _mv(s_ba, np.conj(phi_a)))),
-        np.abs(_fro(projected) ** 2 - _vdot(phi_a, _mv(omega_a, phi_a)).real),
+        _fro(projected.coeff - _outer(phi_a, al.apply(pair.s_ba, phi_a))),
+        np.abs(projected.norm() ** 2 - _vdot(phi_a, _mv(omega_a, phi_a)).real),
     )
 
 
-def epr_pairing(c, s_ba, s_ab, phi_a, phi_b):
+def epr_pairing(psi, pair, phi_a, phi_b):
     """<phi_b, s_ba phi_a> = <phi_a, s_ab phi_b> = <phi_a ⊗ phi_b, psi>."""
-    rhs = _vdot(_outer(phi_a, phi_b), c, 2)
+    rhs = _vdot(la.kron(phi_a, phi_b, vectors=True), psi.to_vector())
     return np.maximum(
-        np.abs(_vdot(phi_b, _mv(s_ba, np.conj(phi_a))) - rhs),
-        np.abs(_vdot(phi_a, _mv(s_ab, np.conj(phi_b))) - rhs),
+        np.abs(_vdot(phi_b, al.apply(pair.s_ba, phi_a)) - rhs),
+        np.abs(_vdot(phi_a, al.apply(pair.s_ab, phi_b)) - rhs),
     )
 
 
-def epr_inner_trace(c, s_ba, chi):
+def epr_inner_trace(psi, pair, chi):
     """<chi, psi> as a trace of induced maps, on either factor."""
-    direct = _vdot(chi, c, 2)
-    trace_b = _trace(s_ba @ np.conj(chi))  # s_ba(psi) ∘ s_ab(chi)
-    return np.maximum(np.abs(bp.inner_via_trace(chi, c) - direct), np.abs(trace_b - direct))
+    direct = _vdot(chi.coeff, psi.coeff, 2)
+    trace_b = al.trace_product(pair.s_ba, bp.epr_maps(chi).s_ab)
+    return np.maximum(np.abs(bp.inner_via_trace(chi, psi) - direct), np.abs(trace_b - direct))
 
 
-def epr_reduction(c, omega_a, omega_b):
+def epr_reduction(psi, omega_a, omega_b):
     """The reductions against partial traces of the dense projector |psi><psi|."""
-    da, db = c.shape[-2:]
-    vec = c.reshape(*c.shape[:-2], da * db)
+    vec = psi.to_vector()
     dense = _outer(vec, np.conj(vec))
     return np.maximum(
-        _fro(omega_a - la.partial_trace(dense, da, db, "a")),
-        _fro(omega_b - la.partial_trace(dense, da, db, "b")),
+        _fro(omega_a - la.partial_trace(dense, psi.dim_a, psi.dim_b, "a")),
+        _fro(omega_b - la.partial_trace(dense, psi.dim_a, psi.dim_b, "b")),
     )
 
 
-def teleport_factorization(t, c_psi, c_phi, probe):
+def teleport_factorization(tm, probe):
     """Factorized channel output against the dense projection oracle."""
-    return _fro(_mv(t, probe) - tp.teleport_oracle(c_psi, c_phi, probe), 1)
+    return _fro(_mv(tm.t, probe) - tp.teleport_oracle(tm.source_psi, tm.ancilla_phi, probe), 1)
 
 
-def teleport_bound_holds(t, probes, bound):
+def teleport_bound_holds(tm, probes, bound):
     """Excess of the largest squared output norm over the success bound, on the normalized probe rows."""
     v = probes / np.linalg.norm(probes, axis=-1, keepdims=True)
-    worst = np.linalg.norm(v @ t.mT, axis=-1).max(axis=-1, initial=0.0) ** 2
+    worst = np.linalg.norm(v @ tm.t.mT, axis=-1).max(axis=-1, initial=0.0) ** 2
     return np.maximum(0.0, worst - bound)
 
 
@@ -246,27 +246,26 @@ def teleport_trace_fidelity(tnf):
     return np.abs(tnf.trace_norm - tnf.fidelity)
 
 
-def luders_decoupling(maps, psis, c_phi, probe):
-    """Dense (P ⊗ 1_c)(probe ⊗ phi) against sum_k psi_k ⊗ t_k probe; maps and psis stacked along the rank."""
-    dense = tp.luders_project_arrays(psis, c_phi, probe)
-    vecs = psis.reshape(*psis.shape[:-2], -1)
-    factored = _outer(vecs, _mv(maps, probe[..., None, :])).sum(axis=-3)
-    return _fro(dense - factored.reshape(dense.shape), 1)
+def luders_decoupling(ch, probe):
+    """Dense (P ⊗ 1_c)(probe ⊗ phi) against sum_k psi_k ⊗ t_k probe."""
+    dense = tp.luders_project(ch, probe)
+    factored = sum(la.kron(p.to_vector(), _mv(t, probe), vectors=True) for p, t in zip(ch.psis, ch.maps))
+    return _fro(dense - factored, 1)
 
 
-def luders_op_bound(bounds, ancilla_norm_sq):
+def luders_op_bound(ch, bounds):
     """Excess of the operator bound over the squared ancilla norm, and its gap to the trace bound."""
     return np.maximum(
-        np.maximum(0.0, bounds.op_bound - ancilla_norm_sq), np.abs(bounds.op_bound - bounds.trace_bound)
+        np.maximum(0.0, bounds.op_bound - ch.ancilla_norm_sq), np.abs(bounds.op_bound - bounds.trace_bound)
     )
 
 
-def chain_factorization(coeffs, t, probe):
-    """Folded chain matrix against the dense chain oracle, from the stages' coefficient matrices."""
-    return _fro(_mv(t, probe) - tp.chain_oracle(probe, coeffs), 1)
+def chain_factorization(stages, t, probe):
+    """Folded chain matrix against the dense chain oracle."""
+    return _fro(_mv(t, probe) - tp.chain_oracle(probe, stages), 1)
 
 
-def twisted_action(mat, eta, xi):
+def twisted_action(prod, eta, xi):
     """(eta ⊗̃ xi)(e_i ⊗ e_j) = (eta e_j) ⊗ (xi e_i) on all basis vectors at once.
 
     Column (i, j) of the operator applied to the identity is its action on
@@ -274,28 +273,42 @@ def twisted_action(mat, eta, xi):
     two column indices swapped.  Basis vectors are real, so either parity
     acts on them by its plain matrix.
     """
-    da, db = eta.shape[-2:]
+    eta_mat, xi_mat = (f.mat if isinstance(f, al.AntilinearMap) else f for f in (eta, xi))
+    da, db = prod.dim_a, prod.dim_b
     n = da * db
-    want = la.kron(eta, xi)
+    want = la.kron(eta_mat, xi_mat)
     want = want.reshape(*want.shape[:-1], db, da).swapaxes(-1, -2).reshape(want.shape)
-    return np.linalg.norm(mat @ np.eye(n) - want, axis=-2).max(axis=-1, initial=0.0)
+    return np.linalg.norm(prod.mat @ np.eye(n) - want, axis=-2).max(axis=-1, initial=0.0)
 
 
-def modular_defining(s, c_phi, c_psi):
+def modular_defining(triple, phi, psi):
     """S (E_ij ⊗ 1) psi = (E_ij* ⊗ 1) phi on all d² matrix units at once.
 
     Row (i, j) of the unit stack is (E_ij ⊗ 1) psi, whose coefficient matrix
     holds row j of C_psi in its row i; (E_ij* ⊗ 1) phi holds row i of C_phi
     in its row j.  S acts antilinearly, so on rows it is conj(x) @ S^T.
     """
-    d = c_psi.shape[-1]
+    c_phi, c_psi = phi.coeff, psi.coeff
+    d = psi.dim_b
     eye = np.eye(d)
     units = (eye[:, None, :, None] * c_psi[..., None, :, None, :]).reshape(*c_psi.shape[:-2], d * d, d * d)
     want = (eye[None, :, :, None] * c_phi[..., :, None, None, :]).reshape(units.shape)
-    return np.linalg.norm(np.conj(units) @ s.mT - want, axis=-1).max(axis=-1)
+    return np.linalg.norm(np.conj(units) @ triple.s.mat.mT - want, axis=-1).max(axis=-1)
 
 
-def modular_reconstruction(s, j, c_phi, c_psi):
+def modular_delta(triple):
+    """S* ∘ S = Delta and Delta >= 0, relative to 1 + ||Delta||.
+
+    Delta carries an inverse, so its norm is unbounded over random states;
+    this dual-route residual is measured relative to it.
+    """
+    delta = triple.delta
+    gap = _fro(al.compose_aa(al.adjoint(triple.s), triple.s) - delta)
+    eigs = np.linalg.eigvalsh((delta + delta.conj().mT) / 2)
+    return np.maximum(gap, np.maximum(0.0, -eigs.min(axis=-1))) / (1.0 + _fro(delta))
+
+
+def modular_reconstruction(triple, phi, psi):
     """S = J Delta^(1/2), with Delta^(1/2) = omega_a(phi)^(1/2) ⊗ omega_b(psi)^(-1/2).
 
     Both factors come from the SVDs of the coefficient matrices, never from
@@ -303,22 +316,23 @@ def modular_reconstruction(s, j, c_phi, c_psi):
     s_ab(phi) = C_phi, and with s_ba(psi) = C_psi^T = U Σ V†,
     omega_b(psi)^(-1/2) = U Σ^(-1) U†.
     """
-    u, sigma, _ = np.linalg.svd(c_psi.mT)
+    u, sigma, _ = np.linalg.svd(psi.coeff.mT)
     inv_sqrt_b = (u / sigma[..., None, :]) @ u.conj().mT
-    return _fro(s - j @ np.conj(la.kron(al.polar_arrays(c_phi)[0], inv_sqrt_b)))
+    sqrt_a = al.polar(bp.epr_maps(phi).s_ab).positive
+    return _fro(triple.s.mat - triple.j.mat @ np.conj(la.kron(sqrt_a, inv_sqrt_b)))
 
 
-def modular_phase_match(s, j_twisted):
+def modular_phase_match(triple, j_twisted):
     """The polar phase of S, from its dense SVD with the package rank rule, against the twisted phase lift."""
-    f = la.svd(s)
-    return _fro((f.u * la.rank_mask(f.sigma)[..., None, :]) @ f.v.conj().mT - j_twisted)
+    f = la.svd(triple.s.mat)
+    return _fro((f.u * la.rank_mask(f.sigma)[..., None, :]) @ f.v.conj().mT - j_twisted.mat)
 
 
-def modular_intertwine(s, j_twisted, c_phi, c_psi):
-    """S (1 ⊗ omega_b(psi)^(1/2)) = J~ (omega_a(phi)^(1/2) ⊗ 1); roots from polar parts of C_psi^T, C_phi."""
-    eye = np.eye(c_psi.shape[-1])
-    lhs = s @ np.conj(la.kron(eye, al.polar_arrays(c_psi.mT)[0]))
-    rhs = j_twisted @ np.conj(la.kron(al.polar_arrays(c_phi)[0], eye))
+def modular_intertwine(triple, j_twisted, phi, psi):
+    """S (1 ⊗ omega_b(psi)^(1/2)) = J~ (omega_a(phi)^(1/2) ⊗ 1); roots from the polar parts of s_ba(psi), s_ab(phi)."""
+    eye = np.eye(psi.dim_b)
+    lhs = triple.s.mat @ np.conj(la.kron(eye, bp.polar_of_state(psi).positive))
+    rhs = j_twisted.mat @ np.conj(la.kron(al.polar(bp.epr_maps(phi).s_ab).positive, eye))
     return _fro(lhs - rhs)
 
 
@@ -356,18 +370,22 @@ def epr_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         return (da, db), (c, phi_a, phi_b, chi, a_psd, a_op, b_op)
 
     for rec, (da, _), (c, phi_a, phi_b, chi, a_psd, a_op, b_op) in _stacked(table, seed, 10, trials, draw):
-        s_ba, s_ab = c.mT, c  # the matrices of epr_maps
-        omega_a, omega_b = bp.reduced(c, "a"), bp.reduced(c, "b")
-        rec("epr.projection", epr_projection(c, s_ba, omega_a, phi_a))
-        rec("epr.pairing", epr_pairing(c, s_ba, s_ab, phi_a, phi_b))
-        rec("epr.inner_trace", epr_inner_trace(c, s_ba, chi))
-        rec("epr.reconstruct", _fro(bp.rank_one_sum(s_ba, np.eye(da)) - c))
-        rec("epr.reconstruct", _fro(bp.rank_one_sum(s_ba, a_psd) - a_psd @ c))
-        rec("epr.reduction", epr_reduction(c, omega_a, omega_b))
-        moved = a_op @ c @ b_op.mT  # local_transform by A ⊗ B
-        via_maps_ba = b_op @ (s_ba @ np.conj(a_op.conj().mT))  # B ∘ s_ba ∘ A*
-        via_maps_ab = a_op @ (s_ab @ np.conj(b_op.conj().mT))  # A ∘ s_ab ∘ B*
-        rec("epr.local_transform", np.maximum(_fro(moved.mT - via_maps_ba), _fro(moved - via_maps_ab)))
+        psi = bp.BipartiteVector(c)
+        pair = bp.epr_maps(psi)
+        omega_a, omega_b = bp.reduced(psi, "a"), bp.reduced(psi, "b")
+        rec("epr.projection", epr_projection(psi, pair, omega_a, phi_a))
+        rec("epr.pairing", epr_pairing(psi, pair, phi_a, phi_b))
+        rec("epr.inner_trace", epr_inner_trace(psi, pair, bp.BipartiteVector(chi)))
+        rec("epr.reconstruct", _fro(bp.reconstruct(pair.s_ba, np.eye(da)).coeff - c))
+        rec("epr.reconstruct", _fro(bp.reconstruct(pair.s_ba, a_psd).coeff - a_psd @ c))
+        rec("epr.reduction", epr_reduction(psi, omega_a, omega_b))
+        moved = bp.epr_maps(bp.local_transform(psi, a_op, b_op))
+        via_maps_ba = al.compose_mixed(b_op, al.compose_mixed(a_op.conj().mT, pair.s_ba, "right"), "left")
+        via_maps_ab = al.compose_mixed(a_op, al.compose_mixed(b_op.conj().mT, pair.s_ab, "right"), "left")
+        rec(
+            "epr.local_transform",
+            np.maximum(_fro(moved.s_ba.mat - via_maps_ba.mat), _fro(moved.s_ab.mat - via_maps_ab.mat)),
+        )
 
 
 def antilinear_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
@@ -378,19 +396,22 @@ def antilinear_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int
         shapes = ((db, da), (da, db), (da,), (db,), (db, db), (da, da))
         return (da, db), tuple(complex_normal(rng, *shape) for shape in shapes)
 
-    # The matrix convention of antilinear.py: t(v) = M conj(v), t* = M^T, t1 ∘ t2 = M1 conj(M2).
-    for rec, _, (t1, t2, x, y, lin_cod, lin_dom) in _stacked(table, seed, 20, trials, draw):
-        rec("anti.adjoint_pairing", np.abs(_vdot(y, _mv(t1, np.conj(x))) - _vdot(x, _mv(t1.mT, np.conj(y)))))
-        rec("anti.involution", _fro(t1.mT.mT - t1))
-        rec("anti.compose_adjoint", _fro((t1 @ np.conj(t2)).conj().mT - t2.mT @ np.conj(t1.mT)))
+    for rec, _, (m1, m2, x, y, lin_cod, lin_dom) in _stacked(table, seed, 20, trials, draw):
+        t1, t2 = al.AntilinearMap(m1), al.AntilinearMap(m2)
+        rec("anti.adjoint_pairing", np.abs(_vdot(y, al.apply(t1, x)) - _vdot(x, al.apply(al.adjoint(t1), y))))
+        rec("anti.involution", _fro(al.adjoint(al.adjoint(t1)).mat - t1.mat))
+        rec(
+            "anti.compose_adjoint",
+            _fro(al.compose_aa(t1, t2).conj().mT - al.compose_aa(al.adjoint(t2), al.adjoint(t1))),
+        )
         rec(
             "anti.mixed_compose",
             np.maximum(
-                _fro(_mv(lin_cod, _mv(t1, np.conj(x))) - _mv(lin_cod @ t1, np.conj(x)), 1),
-                _fro(_mv(t1, np.conj(_mv(lin_dom, x))) - _mv(t1 @ np.conj(lin_dom), np.conj(x)), 1),
+                _fro(_mv(lin_cod, al.apply(t1, x)) - al.apply(al.compose_mixed(lin_cod, t1, "left"), x), 1),
+                _fro(al.apply(t1, _mv(lin_dom, x)) - al.apply(al.compose_mixed(lin_dom, t1, "right"), x), 1),
             ),
         )
-        rec("anti.trace_conjugation", np.abs(_trace(t1 @ np.conj(t2)) - np.conj(_trace(t2 @ np.conj(t1)))))
+        rec("anti.trace_conjugation", np.abs(al.trace_product(t1, t2) - np.conj(al.trace_product(t2, t1))))
 
 
 def polar_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
@@ -405,31 +426,31 @@ def polar_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         return (da, db), (c / np.linalg.norm(c),)
 
     for rec, _, (c,) in _stacked(table, seed, 30, trials, draw):
-        s_ba, s_ab = c.mT, c
-        positive, phase, support_dom, support_cod, positive_dom = al.polar_arrays(s_ba)
-        positive_ab, phase_ab, _, _, positive_dom_ab = al.polar_arrays(s_ab)
-        omega_a, omega_b = bp.reduced(c, "a"), bp.reduced(c, "b")
+        psi = bp.BipartiteVector(c)
+        pair = bp.epr_maps(psi)
+        parts, parts_ab = al.polar(pair.s_ba), al.polar(pair.s_ab)
+        omega_a, omega_b = bp.reduced(psi, "a"), bp.reduced(psi, "b")
         rec(
             "polar.factorizations",
             _max(
-                _fro(s_ba - positive @ phase),
-                _fro(s_ba - phase @ np.conj(positive_dom)),
-                _fro(s_ab - positive_ab @ phase_ab),
-                _fro(s_ab - phase_ab @ np.conj(positive_dom_ab)),
-                _fro(positive - la.psd_sqrt(omega_b)),
-                _fro(positive_dom - la.psd_sqrt(omega_a)),
+                _fro(pair.s_ba.mat - al.compose_mixed(parts.positive, parts.phase, "left").mat),
+                _fro(pair.s_ba.mat - al.compose_mixed(parts.positive_dom, parts.phase, "right").mat),
+                _fro(pair.s_ab.mat - al.compose_mixed(parts_ab.positive, parts_ab.phase, "left").mat),
+                _fro(pair.s_ab.mat - al.compose_mixed(parts_ab.positive_dom, parts_ab.phase, "right").mat),
+                _fro(parts.positive - la.psd_sqrt(omega_b)),
+                _fro(parts.positive_dom - la.psd_sqrt(omega_a)),
             ),
         )
         rec(
             "polar.supports",
             _max(
-                _fro(phase.mT @ np.conj(phase) - support_dom),
-                _fro(phase @ np.conj(phase.mT) - support_cod),
-                _fro(support_dom - la.support_projection(omega_a)),
-                _fro(support_cod - la.support_projection(omega_b)),
+                _fro(al.compose_aa(al.adjoint(parts.phase), parts.phase) - parts.support_dom),
+                _fro(al.compose_aa(parts.phase, al.adjoint(parts.phase)) - parts.support_cod),
+                _fro(parts.support_dom - la.support_projection(omega_a)),
+                _fro(parts.support_cod - la.support_projection(omega_b)),
             ),
         )
-        conjugated = (phase @ np.conj(omega_a)) @ np.conj(phase.mT)  # phase ∘ omega_a ∘ phase*
+        conjugated = al.compose_aa(al.compose_mixed(omega_a, parts.phase, "right"), al.adjoint(parts.phase))
         rec("polar.conjugate_reduction", _fro(conjugated - omega_b))
 
 
@@ -441,10 +462,12 @@ def partner_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         return (d,), (coeff_from_rng(rng, d, d, entangled=True), complex_normal(rng, d, d))
 
     for rec, _, (c, a_op) in _stacked(table, seed, 40, trials, draw):
-        _, j, support_dom, _, _ = al.polar_arrays(c.mT)
-        b_op = bp.partner_matrix(a_op, j)
-        rec("partner.trace", np.abs(_trace(bp.reduced(c, "a") @ a_op) - _trace(bp.reduced(c, "b") @ b_op)))
-        rec("partner.intertwine", _fro((b_op.conj().mT @ j - j @ np.conj(a_op)) @ np.conj(support_dom)))
+        psi = bp.BipartiteVector(c)
+        parts = bp.polar_of_state(psi)
+        b_op = bp.partner_operator(a_op, parts)
+        rec("partner.trace", np.abs(_trace(bp.reduced(psi, "a") @ a_op) - _trace(bp.reduced(psi, "b") @ b_op)))
+        j = parts.phase.mat
+        rec("partner.intertwine", _fro((b_op.conj().mT @ j - j @ np.conj(a_op)) @ np.conj(parts.support_dom)))
 
 
 def cloning_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
@@ -457,7 +480,7 @@ def cloning_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         return (d,), tuple(u_a @ np.diag(np.sqrt(x / x.sum())) @ u_b.conj().T for x in (p, q))
 
     for rec, _, (phi, psi) in _stacked(table, seed, 50, trials, draw):
-        hermitian, commutator = bp.cloning_check(phi, psi)
+        hermitian, commutator = bp.cloning_check(bp.BipartiteVector(phi), bp.BipartiteVector(psi))
         rec("cloning.commutator", np.where(hermitian, commutator, 1.0))
 
 
@@ -468,15 +491,17 @@ def crossgram_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]
         da, db = pairs[t % len(pairs)]
         return (da, db), (coeff_from_rng(rng, da, db), coeff_from_rng(rng, da, db), complex_normal(rng, db, db))
 
-    for rec, (da, db), (phi, psi, b_op) in _stacked(table, seed, 60, trials, draw):
+    for rec, (da, db), (c_phi, c_psi, b_op) in _stacked(table, seed, 60, trials, draw):
+        phi, psi = bp.BipartiteVector(c_phi), bp.BipartiteVector(c_psi)
         cross = bp.cross_gram(phi, psi)
         sv = np.linalg.svd(cross, compute_uv=False)
         sqrts = la.psd_sqrt(bp.reduced(phi, "a")) @ la.psd_sqrt(bp.reduced(psi, "a"))
         oracle = np.linalg.svd(sqrts, compute_uv=False)
         n = max(da, db)
-        gap = np.pad(sv, [(0, 0), (0, n - db)]) - np.pad(oracle, [(0, 0), (0, n - da)])
+        pad = [(0, 0)] * (sv.ndim - 1)
+        gap = np.pad(sv, pad + [(0, n - db)]) - np.pad(oracle, pad + [(0, n - da)])
         rec("crossgram.singulars", np.abs(gap).max(axis=-1))
-        rec("crossgram.trace", np.abs(_trace(cross @ b_op) - _vdot(psi, phi @ b_op.mT, 2)))
+        rec("crossgram.trace", np.abs(_trace(cross @ b_op) - _vdot(c_psi, c_phi @ b_op.mT, 2)))
 
 
 def purification_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
@@ -489,7 +514,8 @@ def purification_suite(table: ResidualTable, seed: int, dims, trials: Iterable[i
         return (d,), (omega, random_unitary(rng, d))
 
     for rec, _, (omega, w) in _stacked(table, seed, 70, trials, draw):
-        rec("purification.roundtrip", _fro(bp.reduced(bp.purify(omega, w), "a") - omega))
+        psi = bp.purification_from_isometry(omega, al.AntilinearMap(w))
+        rec("purification.roundtrip", _fro(bp.reduced(psi, "a") - omega))
 
 
 def teleport_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int], bound_probes: int = 100):
@@ -503,18 +529,22 @@ def teleport_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int],
         return (da, db, dc), (c_psi, c_phi, probe, probes)
 
     for rec, _, (c_psi, c_phi, probe, probes) in _stacked(table, seed, 80, trials, draw):
-        t_mat = tp.teleport_matrix(c_psi, c_phi)
-        rec("teleport.factorization", teleport_factorization(t_mat, c_psi, c_phi, probe))
-        bound = tp.success_bound_arrays(c_psi, c_phi)
-        rec("teleport.bound_holds", teleport_bound_holds(t_mat, probes, bound))
-        rec("teleport.bound_attained", np.abs(np.linalg.svd(t_mat, compute_uv=False).max(axis=-1) ** 2 - bound))
-        tnf = tp.trace_norm_fidelity_arrays(t_mat, c_psi, c_phi)
-        rec("teleport.trace_fidelity", teleport_trace_fidelity(tnf))
+        tm = tp.teleport_map(bp.BipartiteVector(c_psi), bp.BipartiteVector(c_phi))
+        rec("teleport.factorization", teleport_factorization(tm, probe))
+        bound = tp.success_bound(tm)
+        rec("teleport.bound_holds", teleport_bound_holds(tm, probes, bound))
+        rec("teleport.bound_attained", np.abs(np.linalg.svd(tm.t, compute_uv=False).max(axis=-1) ** 2 - bound))
+        rec("teleport.trace_fidelity", teleport_trace_fidelity(tp.trace_norm_fidelity(tm)))
 
 
 def _orthonormal_states(rng, da: int, db: int, count: int) -> np.ndarray:
     """Coefficient matrices (count, da, db) of the first `count` columns of a Haar unitary."""
     return random_unitary(rng, da * db)[:, :count].T.reshape(count, da, db)
+
+
+def _states(coeffs: np.ndarray) -> list:
+    """The BipartiteVectors along the third-to-last axis of a coefficient stack (..., count, da, db)."""
+    return [bp.BipartiteVector(coeffs[..., k, :, :]) for k in range(coeffs.shape[-3])]
 
 
 def luders_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
@@ -530,20 +560,20 @@ def luders_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         full = (_orthonormal_states(rng, da, db, da * db),) if da * db <= 6 else ()
         return (da, db, dc, rank), arrays + full
 
-    # Channels are grouped by rank as well; maps[:, k] is the map of the k-th measured vector.
-    for rec, _, (phi, psis, probe, mix, nu, *full) in _stacked(table, seed, 90, trials, draw):
-        maps = tp.teleport_matrix(psis, phi[:, None])
-        rec("luders.rank1", _fro(maps[:, 0] - tp.teleport_matrix(psis[:, 0], phi)))
-        rec("luders.decoupling", luders_decoupling(maps, psis, phi, probe))
-        mixed = (mix.mT @ psis.reshape(*psis.shape[:2], -1)).reshape(psis.shape)
-        out = tp.luders_apply_arrays(maps, nu)
-        out_mixed = tp.luders_apply_arrays(tp.teleport_matrix(mixed, phi[:, None]), nu)
-        rec("luders.independence", _fro(out - out_mixed))
-        norm_sq = _fro(phi) ** 2
-        rec("luders.op_bound", luders_op_bound(tp.luders_bounds_arrays(maps), norm_sq))
+    # Channels are grouped by rank as well, so each group stacks channels of one rank.
+    for rec, _, (c_phi, c_psis, probe, mix, nu, *full) in _stacked(table, seed, 90, trials, draw):
+        phi, psis = bp.BipartiteVector(c_phi), _states(c_psis)
+        ch = tp.luders_channel(psis, phi)
+        rec("luders.rank1", _fro(tp.luders_channel(psis[:1], phi).maps[0] - tp.teleport_map(psis[0], phi).t))
+        rec("luders.decoupling", luders_decoupling(ch, probe))
+        mixed = (mix.mT @ c_psis.reshape(*c_psis.shape[:-2], -1)).reshape(c_psis.shape)
+        out = tp.luders_apply(ch, nu)
+        rec("luders.independence", _fro(out - tp.luders_apply(tp.luders_channel(_states(mixed), phi), nu)))
+        rec("luders.op_bound", luders_op_bound(ch, tp.luders_bounds(ch)))
+        norm_sq = ch.ancilla_norm_sq
         rec("luders.trace_bound", np.maximum(0.0, _trace(out).real - norm_sq * _trace(nu).real))
         if full:
-            out_full = tp.luders_apply_arrays(tp.teleport_matrix(full[0], phi[:, None]), nu)
+            out_full = tp.luders_apply(tp.luders_channel(_states(full[0]), phi), nu)
             rec("luders.completeness", np.abs(_trace(out_full).real - norm_sq * _trace(nu).real))
 
 
@@ -552,8 +582,8 @@ def chain_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         return (2, 2, 2, 2, 2), [coeff_from_rng(rng, 2, 2) for _ in range(4)] + [random_unit_vector(rng, 2)]
 
     for rec, _, (*coeffs, probe) in _stacked(table, seed, 100, trials, draw):
-        t_ea = al.chain_matrices([c.mT for c in coeffs])  # the fold of chain_teleport
-        rec("chain.factorization", chain_factorization(coeffs, t_ea, probe))
+        stages = [bp.BipartiteVector(c) for c in coeffs]
+        rec("chain.factorization", chain_factorization(stages, tp.chain_teleport(stages), probe))
 
 
 def twisted_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
@@ -564,54 +594,56 @@ def twisted_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         factors = tuple(complex_normal(rng, d, d) for _ in range(6))
         return (d,), factors + (coeff_from_rng(rng, d, d), coeff_from_rng(rng, d, d))
 
-    for rec, _, (eta, xi, lin_eta, lin_xi, eta2, xi2, phi, psi) in _stacked(table, seed, 110, trials, draw):
-        prod, lin_prod, prod2 = (md.twisted_matrix(*f) for f in ((eta, xi), (lin_eta, lin_xi), (eta2, xi2)))
-        action = np.maximum(twisted_action(prod, eta, xi), twisted_action(lin_prod, lin_eta, lin_xi))
-        rec("twisted.action", action)
+    for rec, _, (m_eta, m_xi, lin_eta, lin_xi, m_eta2, m_xi2, c_phi, c_psi) in _stacked(table, seed, 110, trials, draw):
+        eta, xi, eta2, xi2 = (al.AntilinearMap(m) for m in (m_eta, m_xi, m_eta2, m_xi2))
+        prod, prod2 = md.twisted_product(eta, xi), md.twisted_product(eta2, xi2)
+        lin_prod = md.twisted_product(lin_eta, lin_xi)
+        rec("twisted.action", np.maximum(twisted_action(prod, eta, xi), twisted_action(lin_prod, lin_eta, lin_xi)))
         rec(
             "twisted.adjoint",
             np.maximum(
-                _fro(md.twisted_matrix(xi.mT, eta.mT) - prod.mT),
-                _fro(md.twisted_matrix(lin_xi.conj().mT, lin_eta.conj().mT) - lin_prod.conj().mT),
+                _fro(md.twisted_adjoint(prod).mat - prod.mat.mT),
+                _fro(md.twisted_adjoint(lin_prod).mat - lin_prod.mat.conj().mT),
             ),
         )
-        rec("twisted.compose", _fro(prod @ np.conj(prod2) - la.kron(eta @ np.conj(xi2), xi @ np.conj(eta2))))
+        composite = la.kron(al.compose_aa(eta, xi2), al.compose_aa(xi, eta2))
+        rec("twisted.compose", _fro(md.twisted_compose(prod, prod2) - composite))
 
-        fwd = {name: md.twisted_matrix(*f) for name, f in md.lift_factors(phi, psi).items()}
-        bwd = {name: md.twisted_matrix(*f) for name, f in md.lift_factors(psi, phi).items()}
+        phi, psi = bp.BipartiteVector(c_phi), bp.BipartiteVector(c_psi)
+        fwd, bwd = md.lift_operators(phi, psi), md.lift_operators(psi, phi)
         # Adjoints exchange the arguments; for the mixed lifts they also swap
         # the j-factor and s-factor roles, crossing s_tilde into f_tilde.
         rec(
             "twisted.adjoint_exchange",
             _max(
-                _fro(fwd["delta_tilde"].mT - bwd["delta_tilde"]),
-                _fro(fwd["s_tilde"].mT - bwd["f_tilde"]),
-                _fro(fwd["f_tilde"].mT - bwd["s_tilde"]),
-                _fro(fwd["j"].mT - bwd["j"]),
+                _fro(fwd.delta_tilde.mat.mT - bwd.delta_tilde.mat),
+                _fro(fwd.s_tilde.mat.mT - bwd.f_tilde.mat),
+                _fro(fwd.f_tilde.mat.mT - bwd.s_tilde.mat),
+                _fro(fwd.j.mat.mT - bwd.j.mat),
             ),
         )
 
-        om_a_phi, om_b_phi, om_a_psi, om_b_psi = (bp.reduced(c, side) for c in (phi, psi) for side in "ab")
+        om_a_phi, om_b_phi, om_a_psi, om_b_psi = (bp.reduced(v, side) for v in (phi, psi) for side in "ab")
         q_a_phi, q_b_phi, q_a_psi, q_b_psi = (
             la.support_projection(om) for om in (om_a_phi, om_b_phi, om_a_psi, om_b_psi)
         )
         rec(
             "twisted.reductions",
             np.maximum(
-                _fro(fwd["delta_tilde"] @ np.conj(bwd["delta_tilde"]) - la.kron(om_a_phi, om_b_psi)),
-                _fro(fwd["j"] @ np.conj(bwd["j"]) - la.kron(q_a_phi, q_b_psi)),
+                _fro(md.twisted_compose(fwd.delta_tilde, bwd.delta_tilde) - la.kron(om_a_phi, om_b_psi)),
+                _fro(md.twisted_compose(fwd.j, bwd.j) - la.kron(q_a_phi, q_b_psi)),
             ),
         )
-        j_mat = fwd["j"]
+        j_mat = fwd.j.mat
         rec(
             "twisted.polar",
             _max(
-                _fro(fwd["delta_tilde"] - la.psd_sqrt(la.kron(om_a_phi, om_b_psi)) @ j_mat),
-                _fro(fwd["delta_tilde"] - j_mat @ np.conj(la.psd_sqrt(la.kron(om_a_psi, om_b_phi)))),
-                _fro(fwd["s_tilde"] - la.kron(q_a_phi, la.psd_sqrt(om_b_psi)) @ j_mat),
-                _fro(fwd["s_tilde"] - j_mat @ np.conj(la.kron(la.psd_sqrt(om_a_psi), q_b_phi))),
-                _fro(fwd["f_tilde"] - la.kron(la.psd_sqrt(om_a_phi), q_b_psi) @ j_mat),
-                _fro(fwd["f_tilde"] - j_mat @ np.conj(la.kron(q_a_psi, la.psd_sqrt(om_b_phi)))),
+                _fro(fwd.delta_tilde.mat - la.psd_sqrt(la.kron(om_a_phi, om_b_psi)) @ j_mat),
+                _fro(fwd.delta_tilde.mat - j_mat @ np.conj(la.psd_sqrt(la.kron(om_a_psi, om_b_phi)))),
+                _fro(fwd.s_tilde.mat - la.kron(q_a_phi, la.psd_sqrt(om_b_psi)) @ j_mat),
+                _fro(fwd.s_tilde.mat - j_mat @ np.conj(la.kron(la.psd_sqrt(om_a_psi), q_b_phi))),
+                _fro(fwd.f_tilde.mat - la.kron(la.psd_sqrt(om_a_phi), q_b_psi) @ j_mat),
+                _fro(fwd.f_tilde.mat - j_mat @ np.conj(la.kron(q_a_psi, la.psd_sqrt(om_b_phi)))),
             ),
         )
 
@@ -623,30 +655,19 @@ def modular_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         d = squares[t % len(squares)]
         return (d,), (coeff_from_rng(rng, d, d, entangled=True), coeff_from_rng(rng, d, d))
 
-    for rec, _, (psi, phi) in _stacked(table, seed, 120, trials, draw):
-        s = md.twisted_matrix(*md.s_factors(phi, psi))
-        delta = la.kron(*md.delta_factors(phi, psi))
-        j = md.twisted_matrix(*md.phase_factors(psi, phi))
-        rec("modular.defining", modular_defining(s, phi, psi))
+    for rec, _, (c_psi, c_phi) in _stacked(table, seed, 120, trials, draw):
+        psi, phi = bp.BipartiteVector(c_psi), bp.BipartiteVector(c_phi)
+        triple = md.tomita_S(phi, psi)
+        rec("modular.defining", modular_defining(triple, phi, psi))
+        rec("modular.delta", modular_delta(triple))
+        rec("modular.reconstruction", modular_reconstruction(triple, phi, psi))
+        j_twisted = md.lift_operators(psi, phi).j
+        rec("modular.phase_match", modular_phase_match(triple, j_twisted))
+        rec("modular.intertwine", modular_intertwine(triple, j_twisted, phi, psi))
 
-        # Delta carries an inverse, so its norm is unbounded over random states;
-        # this dual-route residual is measured relative to it.
-        scale = 1.0 + _fro(delta)
-        rec("modular.delta", _fro(s.mT @ np.conj(s) - delta) / scale)  # S* ∘ S = Delta
-        eigs = np.linalg.eigvalsh((delta + delta.conj().mT) / 2)
-        rec("modular.delta", np.maximum(0.0, -eigs.min(axis=-1)) / scale)
-
-        rec("modular.reconstruction", modular_reconstruction(s, j, phi, psi))
-        j_twisted = md.twisted_matrix(*md.lift_factors(psi, phi)["j"])
-        rec("modular.phase_match", modular_phase_match(s, j_twisted))
-        rec("modular.intertwine", modular_intertwine(s, j_twisted, phi, psi))
-
-        vec = psi.reshape(*psi.shape[:-2], -1)
-        fixed = [
-            _fro(_mv(md.twisted_matrix(*f), np.conj(vec)) - vec, 1)
-            for f in (md.s_factors(psi, psi), md.phase_factors(psi, psi))
-        ]
-        rec("modular.fixed_point", np.maximum(*fixed))
+        own = md.tomita_S(psi, psi)
+        vec = psi.to_vector()
+        rec("modular.fixed_point", np.maximum(_fro(al.apply(own.s, vec) - vec, 1), _fro(al.apply(own.j, vec) - vec, 1)))
 
 
 SUITES = (

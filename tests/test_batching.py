@@ -1,13 +1,13 @@
 """The batched verify suites and CLI probe stacks against per-trial and per-probe loops.
 
 Each suite draws every trial from its own sub-stream and then evaluates each
-identity once per group of equal dims on stacked arrays.  The loops below
-draw the same instances in the same order and compute each residual one
-trial at a time through the public single-instance functions (value types,
-one matrix per call); both routes must give the same residuals.
+identity once per group of equal dims on stacked value types.  Run one trial
+at a time on unstacked draws, the same suite code calls the public
+single-instance functions; both routes must give the same residuals.
 """
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,14 +16,12 @@ from eprkit import antilinear as al
 from eprkit import bipartite as bp
 from eprkit import errors
 from eprkit import linalg as la
-from eprkit import modular as md
 from eprkit import teleport as tp
 from eprkit import verify as vf
 from eprkit.cli import PROBE_COUNT, main
 from eprkit.formats import bipartite_to_json
 from eprkit.sampling import (
     complex_normal,
-    complex_normal_rows,
     random_psd,
     random_state,
     random_unit_vector,
@@ -42,361 +40,28 @@ def fro(x) -> float:
     return float(np.linalg.norm(np.asarray(x).reshape(-1)))
 
 
-def loop_matcore(rec, seed, t):
-    sizes = sorted(set(DIMS + [16]))
-    pairs = [(a, b) for a in DIMS for b in DIMS]
-    rng = rng_for(seed, 5, t)
-    d = sizes[t % len(sizes)]
-    m = complex_normal(rng, d, d)
-    rec("matcore.svd_reconstruct", fro(la.svd(m).reconstruct() - m))
-    h = random_psd(rng, d)
-    s = la.psd_sqrt(h)
-    rec("matcore.psd_sqrt", fro(s @ s - h))
-    rho, omega = random_psd(rng, d), random_psd(rng, d)
-    rec("matcore.fidelity_symmetry", abs(la.fidelity(rho, omega) - la.fidelity(omega, rho)))
-    da, db = pairs[t % len(pairs)]
-    big = random_psd(rng, da * db)
-    u = np.kron(random_unitary(rng, da), np.eye(db))
-    rec(
-        "matcore.partial_trace_invariance",
-        fro(la.partial_trace(u @ big @ u.conj().T, da, db, "b") - la.partial_trace(big, da, db, "b")),
-    )
-
-
-def loop_epr(rec, seed, t):
-    pairs = [(a, b) for a in DIMS for b in DIMS]
-    da, db = pairs[t % len(pairs)]
-    rng = rng_for(seed, 10, t)
-    psi = state_from_rng(rng, da, db)
-    pair = bp.epr_maps(psi)
-    omega_a, omega_b = bp.reduced(psi, "a"), bp.reduced(psi, "b")
-    phi_a = random_unit_vector(rng, da)
-    phi_b = complex_normal(rng, db)
-    projected = bp.project_rank1(psi, phi_a)
-    rec(
-        "epr.projection",
-        max(
-            fro(projected.coeff - np.outer(phi_a, al.apply(pair.s_ba, phi_a))),
-            abs(projected.norm() ** 2 - np.vdot(phi_a, omega_a @ phi_a).real),
-        ),
-    )
-    rhs = np.vdot(np.kron(phi_a, phi_b), psi.to_vector())
-    rec(
-        "epr.pairing",
-        max(
-            abs(np.vdot(phi_b, al.apply(pair.s_ba, phi_a)) - rhs),
-            abs(np.vdot(phi_a, al.apply(pair.s_ab, phi_b)) - rhs),
-        ),
-    )
-    chi = state_from_rng(rng, da, db)
-    direct = np.vdot(chi.coeff, psi.coeff)
-    trace_b = np.trace(al.compose_aa(pair.s_ba, bp.epr_maps(chi).s_ab))
-    rec("epr.inner_trace", max(abs(bp.inner_via_trace(chi, psi) - direct), abs(trace_b - direct)))
-    rec("epr.reconstruct", fro(bp.reconstruct(pair.s_ba, np.eye(da)).coeff - psi.coeff))
-    a_psd = random_psd(rng, da)
-    rec("epr.reconstruct", fro(bp.reconstruct(pair.s_ba, a_psd).coeff - a_psd @ psi.coeff))
-    dense = np.outer(psi.to_vector(), np.conj(psi.to_vector()))
-    rec(
-        "epr.reduction",
-        max(
-            fro(omega_a - la.partial_trace(dense, da, db, "a")),
-            fro(omega_b - la.partial_trace(dense, da, db, "b")),
-        ),
-    )
-    a_op, b_op = complex_normal(rng, da, da), complex_normal(rng, db, db)
-    moved = bp.epr_maps(bp.local_transform(psi, a_op, b_op))
-    via_ba = al.compose_mixed(b_op, al.compose_mixed(a_op.conj().T, pair.s_ba, "right"), "left")
-    via_ab = al.compose_mixed(a_op, al.compose_mixed(b_op.conj().T, pair.s_ab, "right"), "left")
-    rec("epr.local_transform", max(fro(moved.s_ba.mat - via_ba.mat), fro(moved.s_ab.mat - via_ab.mat)))
-
-
-def loop_antilinear(rec, seed, t):
-    pairs = [(a, b) for a in DIMS for b in DIMS]
-    da, db = pairs[t % len(pairs)]
-    rng = rng_for(seed, 20, t)
-    t1 = al.AntilinearMap(complex_normal(rng, db, da))
-    t2 = al.AntilinearMap(complex_normal(rng, da, db))
-    x, y = complex_normal(rng, da), complex_normal(rng, db)
-    rec("anti.adjoint_pairing", abs(np.vdot(y, t1(x)) - np.vdot(x, al.adjoint(t1)(y))))
-    rec("anti.involution", fro(al.adjoint(al.adjoint(t1)).mat - t1.mat))
-    rec(
-        "anti.compose_adjoint",
-        fro(al.compose_aa(t1, t2).conj().T - al.compose_aa(al.adjoint(t2), al.adjoint(t1))),
-    )
-    lin_cod, lin_dom = complex_normal(rng, db, db), complex_normal(rng, da, da)
-    rec(
-        "anti.mixed_compose",
-        max(
-            fro(lin_cod @ t1(x) - al.compose_mixed(lin_cod, t1, "left")(x)),
-            fro(t1(lin_dom @ x) - al.compose_mixed(lin_dom, t1, "right")(x)),
-        ),
-    )
-    rec("anti.trace_conjugation", abs(al.trace_product(t1, t2) - np.conj(al.trace_product(t2, t1))))
-
-
-def loop_polar(rec, seed, t):
-    pairs = [(a, b) for a in DIMS for b in DIMS]
-    da, db = pairs[t % len(pairs)]
-    rng = rng_for(seed, 30, t)
-    c = complex_normal(rng, da, db)
-    if t % 3 == 2 and da > 1:
-        c[int(rng.integers(da))] = 0.0
-    psi = bp.BipartiteVector(c / np.linalg.norm(c))
-    pair = bp.epr_maps(psi)
-    parts, parts_ab = al.polar(pair.s_ba), al.polar(pair.s_ab)
-    om_a, om_b = bp.reduced(psi, "a"), bp.reduced(psi, "b")
-    rec(
-        "polar.factorizations",
-        max(
-            fro(pair.s_ba.mat - parts.positive @ parts.phase.mat),
-            fro(pair.s_ba.mat - parts.phase.mat @ np.conj(parts.positive_dom)),
-            fro(pair.s_ab.mat - parts_ab.positive @ parts_ab.phase.mat),
-            fro(pair.s_ab.mat - parts_ab.phase.mat @ np.conj(parts_ab.positive_dom)),
-            fro(parts.positive - la.psd_sqrt(om_b)),
-            fro(parts.positive_dom - la.psd_sqrt(om_a)),
-        ),
-    )
-    rec(
-        "polar.supports",
-        max(
-            fro(al.compose_aa(al.adjoint(parts.phase), parts.phase) - parts.support_dom),
-            fro(al.compose_aa(parts.phase, al.adjoint(parts.phase)) - parts.support_cod),
-            fro(parts.support_dom - la.support_projection(om_a)),
-            fro(parts.support_cod - la.support_projection(om_b)),
-        ),
-    )
-    conjugated = al.compose_aa(al.compose_mixed(om_a, parts.phase, "right"), al.adjoint(parts.phase))
-    rec("polar.conjugate_reduction", fro(conjugated - om_b))
-
-
-def loop_partner(rec, seed, t):
-    d = DIMS[t % len(DIMS)]
-    rng = rng_for(seed, 40, t)
-    psi = state_from_rng(rng, d, d, entangled=True)
-    parts = bp.polar_of_state(psi)
-    a_op = complex_normal(rng, d, d)
-    b_op = bp.partner_operator(a_op, parts)
-    rec("partner.trace", abs(np.trace(bp.reduced(psi, "a") @ a_op) - np.trace(bp.reduced(psi, "b") @ b_op)))
-    j = parts.phase.mat
-    rec("partner.intertwine", fro((b_op.conj().T @ j - j @ np.conj(a_op)) @ np.conj(parts.support_dom)))
-
-
-def loop_cloning(rec, seed, t):
-    d = DIMS[t % len(DIMS)]
-    rng = rng_for(seed, 50, t)
-    u_a, u_b = random_unitary(rng, d), random_unitary(rng, d)
-    p, q = rng.random(d) + 0.05, rng.random(d) + 0.05
-    phi = bp.BipartiteVector(u_a @ np.diag(np.sqrt(p / p.sum())) @ u_b.conj().T)
-    psi = bp.BipartiteVector(u_a @ np.diag(np.sqrt(q / q.sum())) @ u_b.conj().T)
-    hermitian, commutator = bp.cloning_check(phi, psi)
-    rec("cloning.commutator", commutator if hermitian else 1.0)
-
-
-def loop_crossgram(rec, seed, t):
-    pairs = [(a, b) for a in DIMS for b in DIMS]
-    da, db = pairs[t % len(pairs)]
-    rng = rng_for(seed, 60, t)
-    phi, psi = state_from_rng(rng, da, db), state_from_rng(rng, da, db)
-    cross = bp.cross_gram(phi, psi)
-    sv = np.linalg.svd(cross, compute_uv=False)
-    oracle = np.linalg.svd(
-        la.psd_sqrt(bp.reduced(phi, "a")) @ la.psd_sqrt(bp.reduced(psi, "a")), compute_uv=False
-    )
-    n = max(sv.size, oracle.size)
-    rec("crossgram.singulars", np.abs(np.pad(sv, (0, n - sv.size)) - np.pad(oracle, (0, n - oracle.size))).max())
-    b_op = complex_normal(rng, db, db)
-    rec("crossgram.trace", abs(np.trace(cross @ b_op) - np.vdot(psi.coeff, phi.coeff @ b_op.T)))
-
-
-def loop_purification(rec, seed, t):
-    d = DIMS[t % len(DIMS)]
-    rng = rng_for(seed, 70, t)
-    omega = random_psd(rng, d)
-    omega /= np.trace(omega).real
-    psi = bp.purification_from_isometry(omega, al.AntilinearMap(random_unitary(rng, d)))
-    rec("purification.roundtrip", fro(bp.reduced(psi, "a") - omega))
-
-
-def loop_teleport(rec, seed, t):
-    triples = [(a, b, c) for a in DIMS for b in DIMS for c in DIMS]
-    da, db, dc = triples[t % len(triples)]
-    rng = rng_for(seed, 80, t)
-    psi, phi = state_from_rng(rng, da, db), state_from_rng(rng, db, dc)
-    tm = tp.teleport_map(psi, phi)
-    probe = random_unit_vector(rng, da)
-    rec("teleport.factorization", fro(tm.t @ probe - tp.teleport_oracle(psi, phi, probe)))
-    bound = tp.success_bound(tm)
-    rec("teleport.bound_holds", vf.teleport_bound_holds(tm.t, complex_normal_rows(rng, 100, da), bound))
-    rec("teleport.bound_attained", abs(np.linalg.svd(tm.t, compute_uv=False).max() ** 2 - bound))
-    tnf = tp.trace_norm_fidelity(tm)
-    rec("teleport.trace_fidelity", abs(tnf.trace_norm - tnf.fidelity))
-
-
-def loop_luders(rec, seed, t):
-    small = [2, 3]
-    da, db = [(a, b) for a in small for b in small][t % 4]
-    rng = rng_for(seed, 90, t)
-    phi = state_from_rng(rng, db, small[t % 2])
-    rank = 1 + int(rng.integers(da * db))
-
-    def orthonormal(count):
-        u = random_unitary(rng, da * db)
-        return [bp.BipartiteVector.from_vector(u[:, k], da, db) for k in range(count)]
-
-    psis = orthonormal(rank)
-    ch = tp.luders_channel(psis, phi)
-    rec("luders.rank1", fro(tp.luders_channel(psis[:1], phi).maps[0] - tp.teleport_map(psis[0], phi).t))
-    probe = random_unit_vector(rng, da)
-    factored = sum(np.kron(p.to_vector(), m @ probe) for p, m in zip(ch.psis, ch.maps))
-    rec("luders.decoupling", fro(tp.luders_project(ch, probe) - factored))
-    mix = random_unitary(rng, rank)
-    flat = np.stack([p.to_vector() for p in psis])
-    ch2 = tp.luders_channel([bp.BipartiteVector.from_vector(v, da, db) for v in mix.T @ flat], phi)
-    nu = random_psd(rng, da)
-    rec("luders.independence", fro(tp.luders_apply(ch, nu) - tp.luders_apply(ch2, nu)))
-    bounds = tp.luders_bounds(ch)
-    norm_sq = ch.ancilla_norm_sq
-    rec("luders.op_bound", max(max(0.0, bounds.op_bound - norm_sq), abs(bounds.op_bound - bounds.trace_bound)))
-    out_trace = np.trace(tp.luders_apply(ch, nu)).real
-    rec("luders.trace_bound", max(0.0, out_trace - norm_sq * np.trace(nu).real))
-    if da * db <= 6:
-        out = np.trace(tp.luders_apply(tp.luders_channel(orthonormal(da * db), phi), nu)).real
-        rec("luders.completeness", abs(out - norm_sq * np.trace(nu).real))
-
-
-def loop_chain(rec, seed, t):
-    rng = rng_for(seed, 100, t)
-    stages = [state_from_rng(rng, 2, 2) for _ in range(4)]
-    probe = random_unit_vector(rng, 2)
-    rec("chain.factorization", fro(tp.chain_teleport(stages) @ probe - tp.chain_oracle(probe, stages)))
-
-
-def loop_twisted(rec, seed, t):
-    d = DIMS[t % len(DIMS)]
-    rng = rng_for(seed, 110, t)
-    eta, xi = al.AntilinearMap(complex_normal(rng, d, d)), al.AntilinearMap(complex_normal(rng, d, d))
-    prod = md.twisted_product(eta, xi)
-    lin_eta, lin_xi = complex_normal(rng, d, d), complex_normal(rng, d, d)
-    lin_prod = md.twisted_product(lin_eta, lin_xi)
-    e = np.eye(d)
-    rec(
-        "twisted.action",
-        max(
-            fro(p(np.kron(e[i], e[j])) - np.kron(x @ e[j], y @ e[i]))
-            for p, x, y in ((prod, eta.mat, xi.mat), (lin_prod, lin_eta, lin_xi))
-            for i in range(d)
-            for j in range(d)
-        ),
-    )
-    rec(
-        "twisted.adjoint",
-        max(
-            fro(md.twisted_adjoint(prod).mat - prod.mat.T),
-            fro(md.twisted_adjoint(lin_prod).mat - lin_prod.mat.conj().T),
-        ),
-    )
-    eta2, xi2 = al.AntilinearMap(complex_normal(rng, d, d)), al.AntilinearMap(complex_normal(rng, d, d))
-    prod2 = md.twisted_product(eta2, xi2)
-    rec(
-        "twisted.compose",
-        fro(md.twisted_compose(prod, prod2) - np.kron(al.compose_aa(eta, xi2), al.compose_aa(xi, eta2))),
-    )
-    phi, psi = state_from_rng(rng, d, d), state_from_rng(rng, d, d)
-    fwd, bwd = md.lift_operators(phi, psi), md.lift_operators(psi, phi)
-    rec(
-        "twisted.adjoint_exchange",
-        max(
-            fro(fwd.delta_tilde.mat.T - bwd.delta_tilde.mat),
-            fro(fwd.s_tilde.mat.T - bwd.f_tilde.mat),
-            fro(fwd.f_tilde.mat.T - bwd.s_tilde.mat),
-            fro(fwd.j.mat.T - bwd.j.mat),
-        ),
-    )
-    om = {(w, s): bp.reduced(v, s) for w, v in (("phi", phi), ("psi", psi)) for s in "ab"}
-    q = {k: la.support_projection(v) for k, v in om.items()}
-    rec(
-        "twisted.reductions",
-        max(
-            fro(md.twisted_compose(fwd.delta_tilde, bwd.delta_tilde) - np.kron(om["phi", "a"], om["psi", "b"])),
-            fro(md.twisted_compose(fwd.j, bwd.j) - np.kron(q["phi", "a"], q["psi", "b"])),
-        ),
-    )
-    j = fwd.j.mat
-    sq = {k: la.psd_sqrt(v) for k, v in om.items()}
-    rec(
-        "twisted.polar",
-        max(
-            fro(fwd.delta_tilde.mat - la.psd_sqrt(np.kron(om["phi", "a"], om["psi", "b"])) @ j),
-            fro(fwd.delta_tilde.mat - j @ np.conj(la.psd_sqrt(np.kron(om["psi", "a"], om["phi", "b"])))),
-            fro(fwd.s_tilde.mat - np.kron(q["phi", "a"], sq["psi", "b"]) @ j),
-            fro(fwd.s_tilde.mat - j @ np.conj(np.kron(sq["psi", "a"], q["phi", "b"]))),
-            fro(fwd.f_tilde.mat - np.kron(sq["phi", "a"], q["psi", "b"]) @ j),
-            fro(fwd.f_tilde.mat - j @ np.conj(np.kron(q["psi", "a"], sq["phi", "b"]))),
-        ),
-    )
-
-
-def loop_modular(rec, seed, t):
-    d = DIMS[t % len(DIMS)]
-    rng = rng_for(seed, 120, t)
-    psi = state_from_rng(rng, d, d, entangled=True)
-    phi = state_from_rng(rng, d, d)
-    triple = md.tomita_S(phi, psi)
-    s, j = triple.s.mat, triple.j.mat
-    e = np.eye(d)
-    rec(
-        "modular.defining",
-        max(
-            fro(triple.s((np.outer(e[i], e[j]) @ psi.coeff).reshape(-1)) - (np.outer(e[j], e[i]) @ phi.coeff).reshape(-1))
-            for i in range(d)
-            for j in range(d)
-        ),
-    )
-    scale = 1.0 + fro(triple.delta)
-    rec("modular.delta", fro(al.compose_aa(al.adjoint(triple.s), triple.s) - triple.delta) / scale)
-    rec("modular.delta", max(0.0, -np.linalg.eigvalsh((triple.delta + triple.delta.conj().T) / 2).min()) / scale)
-    rec("modular.reconstruction", vf.modular_reconstruction(s, j, phi.coeff, psi.coeff))
-    j_twisted = md.lift_operators(psi, phi).j.mat
-    rec("modular.phase_match", vf.modular_phase_match(s, j_twisted))
-    rec("modular.intertwine", vf.modular_intertwine(s, j_twisted, phi.coeff, psi.coeff))
-    fixed, vec = md.tomita_S(psi, psi), psi.to_vector()
-    rec("modular.fixed_point", max(fro(fixed.s(vec) - vec), fro(fixed.j(vec) - vec)))
-
-
-LOOPS = {
-    "matcore_suite": loop_matcore,
-    "epr_suite": loop_epr,
-    "antilinear_suite": loop_antilinear,
-    "polar_suite": loop_polar,
-    "partner_suite": loop_partner,
-    "cloning_suite": loop_cloning,
-    "crossgram_suite": loop_crossgram,
-    "purification_suite": loop_purification,
-    "teleport_suite": loop_teleport,
-    "luders_suite": loop_luders,
-    "chain_suite": loop_chain,
-    "twisted_suite": loop_twisted,
-    "modular_suite": loop_modular,
-}
+def per_trial_groups(table, stream, drawn):
+    """The suites' compute phase one trial at a time on its unstacked draws, in place of verify._groups."""
+    for t, dims, arrays in drawn:
+        yield partial(table.record, origins=[(stream, t, dims)]), dims, list(arrays)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("suite", vf.SUITES, ids=lambda s: s.__name__)
-def test_batched_suite_equals_per_trial_loop(suite, seed):
+def test_batched_suite_equals_per_trial_loop(suite, seed, monkeypatch):
     table = vf.ResidualTable()
     suite(table, seed, DIMS, range(TRIALS))
-    batched = {r.name: r.residual for r in table.results()}
-    looped: dict[str, float] = {}
-    for t in range(TRIALS):
-        def rec(name, value):
-            looped[name] = max(looped.get(name, 0.0), float(value))
-
-        LOOPS[suite.__name__](rec, seed, t)
-    assert batched.keys() == looped.keys()
-    for name, value in batched.items():
-        # The routes may round differently (stacked matmul against matvec
-        # loops), never by more than a small fraction of the tolerance.
-        assert abs(value - looped[name]) <= 1e-4 * vf.TOLERANCES[name], name
+    batched = {r.name: r for r in table.results()}
+    # The same suite code on each trial's own draws, without a stack axis:
+    # every library call is then the public single-instance call.
+    monkeypatch.setattr(vf, "_groups", per_trial_groups)
+    looped = vf.ResidualTable()
+    suite(looped, seed, DIMS, range(TRIALS))
+    single = {r.name: r for r in looped.results()}
+    assert batched.keys() == single.keys()
+    for name, r in batched.items():
+        assert r.residual == single[name].residual, name
+        assert r.worst == single[name].worst, name
 
 
 def test_every_reported_worst_trial_replays_bit_for_bit():
@@ -459,16 +124,17 @@ class TestStackChecks:
         assert np.array_equal(la.psd_sqrt(h[None])[0], la.psd_sqrt(h))
         assert np.array_equal(la.support_projection(h[None])[0], la.support_projection(h))
         single = al.polar(al.AntilinearMap(m))
-        stacked = al.polar_arrays(m[None])
-        assert np.array_equal(stacked[0][0], single.positive)
-        assert np.array_equal(stacked[1][0], single.phase.mat)
+        stacked = al.polar(al.AntilinearMap(m[None]))
+        assert np.array_equal(stacked.positive[0], single.positive)
+        assert np.array_equal(stacked.phase.mat[0], single.phase.mat)
         assert la.fidelity(h[None], h[None] / 2)[0] == la.fidelity(h, h / 2)
 
     def test_ragged_rank_is_masked(self):
         rng = seeded_rng(203)
         full = complex_normal(rng, 3, 3)
         deficient = np.outer(complex_normal(rng, 3), complex_normal(rng, 3))
-        positive, phase, support_dom, support_cod, _ = al.polar_arrays(np.stack([full, deficient]))
+        parts = al.polar(al.AntilinearMap(np.stack([full, deficient])))
+        positive, phase, support_cod = parts.positive, parts.phase.mat, parts.support_cod
         assert np.allclose(support_cod[0], np.eye(3), atol=1e-12)
         assert np.trace(support_cod[1]).real == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(phase[1] @ phase[1].conj().T, support_cod[1], atol=1e-12)
@@ -492,17 +158,17 @@ class TestCliProbeStacks:
         psi = random_state((3, 2), seed=11)
         assert main(["epr", write_state(tmp_path, "psi", psi), "--seed", "5"]) == 0
         report = json.loads(capsys.readouterr().out)
-        pair, c = bp.epr_maps(psi), psi.coeff
+        pair = bp.epr_maps(psi)
         omega_a = bp.reduced(psi, "a")
         rng = rng_for(5, 1)
         worst = {"projection": 0.0, "pairing": 0.0, "inner_trace": 0.0}
         for _ in range(PROBE_COUNT):
             phi_a, phi_b = random_unit_vector(rng, 3), random_unit_vector(rng, 2)
-            chi = state_from_rng(rng, 3, 2).coeff
+            chi = state_from_rng(rng, 3, 2)
             for name, value in (
-                ("projection", vf.epr_projection(c, pair.s_ba.mat, omega_a, phi_a)),
-                ("pairing", vf.epr_pairing(c, pair.s_ba.mat, pair.s_ab.mat, phi_a, phi_b)),
-                ("inner_trace", vf.epr_inner_trace(c, pair.s_ba.mat, chi)),
+                ("projection", vf.epr_projection(psi, pair, omega_a, phi_a)),
+                ("pairing", vf.epr_pairing(psi, pair, phi_a, phi_b)),
+                ("inner_trace", vf.epr_inner_trace(psi, pair, chi)),
             ):
                 worst[name] = max(worst[name], float(value))
         assert {k: report["residuals"][k] for k in worst} == worst

@@ -194,6 +194,27 @@ class TestModular:
         assert code == 0
         assert report["residuals"]["reconstruction"] <= 1e-9
 
+    def test_wrong_delta_exit_3(self, capsys, monkeypatch, tmp_path):
+        # S and J right, Delta off by one part in 1e6: only modular.delta sees it.
+        from eprkit import modular as md
+
+        tomita_S = md.tomita_S
+
+        def wrong_delta(phi, psi):
+            triple = tomita_S(phi, psi)
+            return md.ModularTriple(s=triple.s, delta=triple.delta * (1 + 1e-6), j=triple.j)
+
+        monkeypatch.setattr(md, "tomita_S", wrong_delta)
+        paths = []
+        for name, seed in (("phi", 5), ("psi", 6)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(bipartite_to_json(random_state((3, 3), seed=seed, entangled=True))))
+        code, report, err = run_cli(capsys, "modular", *map(str, paths))
+        assert code == 3
+        assert report["residuals"]["delta"] > 1e-9
+        assert all(v < 1e-9 for k, v in report["residuals"].items() if k != "delta")
+        assert "modular.delta" in err
+
     def test_emitted_operators_parse_back(self, capsys, bell_file):
         from eprkit.formats import antilinear_from_json
 

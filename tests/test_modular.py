@@ -22,6 +22,7 @@ from eprkit.verify import (
     TOLERANCES,
     ResidualTable,
     modular_defining,
+    modular_delta,
     modular_intertwine,
     modular_phase_match,
     modular_reconstruction,
@@ -305,8 +306,8 @@ class TestTomita:
         phi = random_unit_state(rng, 3, 3)
         other = lift_operators(random_unit_state(rng, 3, 3), random_unit_state(rng, 3, 3)).j
         triple = tomita_S(phi, psi)
-        assert modular_phase_match(triple.s.mat, lift_operators(psi, phi).j.mat) < TOLERANCES["modular.phase_match"]
-        assert modular_phase_match(triple.s.mat, other.mat) > TOLERANCES["modular.phase_match"]
+        assert modular_phase_match(triple, lift_operators(psi, phi).j) < TOLERANCES["modular.phase_match"]
+        assert modular_phase_match(triple, other) > TOLERANCES["modular.phase_match"]
 
     def test_phase_match_reads_s_and_reconstruction_reads_j(self):
         rng = seeded_rng(104)
@@ -316,25 +317,27 @@ class TestTomita:
         wrong_j = lift_operators(random_unit_state(rng, 3, 3), random_unit_state(rng, 3, 3)).j
         bad = ModularTriple(s=good.s, delta=good.delta, j=wrong_j.as_antilinear())
         j_twisted = lift_operators(psi, phi).j
-        assert modular_phase_match(bad.s.mat, j_twisted.mat) < TOLERANCES["modular.phase_match"]
+        assert modular_phase_match(bad, j_twisted) < TOLERANCES["modular.phase_match"]
         tol = TOLERANCES["modular.reconstruction"]
-        assert modular_reconstruction(good.s.mat, good.j.mat, phi.coeff, psi.coeff) < tol
-        assert modular_reconstruction(bad.s.mat, bad.j.mat, phi.coeff, psi.coeff) > tol
+        assert modular_reconstruction(good, phi, psi) < tol
+        assert modular_reconstruction(bad, phi, psi) > tol
 
     def test_graded_pair_k4_passes_reconstruction_and_intertwine(self):
         # Both spectra logspace(0, -4, 4): ||Delta|| ~ 1e8 and Delta is skew by
         # 2.3e-9, so a square root of Delta failed its Hermiticity check
         # ("Delta deviates from Hermiticity") and `eprkit modular` exited 2.
-        # The square roots now come from the SVDs of the coefficient matrices.
+        # The square roots now come from the SVDs of the coefficient matrices,
+        # and so does Delta's inverse factor: from an eigendecomposition of
+        # omega_b(psi) it missed S* S by 5.2e-9 relative.
         rng = np.random.default_rng(3)
         phi, psi = graded_state(rng, 4, 4), graded_state(rng, 4, 4)
         triple = tomita_S(phi, psi)
-        j_twisted = lift_operators(psi, phi).j.mat
-        s = triple.s.mat
-        assert modular_reconstruction(s, triple.j.mat, phi.coeff, psi.coeff) <= TOLERANCES["modular.reconstruction"]
-        assert modular_intertwine(s, j_twisted, phi.coeff, psi.coeff) <= 1e-2 * TOLERANCES["modular.intertwine"]
-        assert modular_defining(s, phi.coeff, psi.coeff) <= TOLERANCES["modular.defining"]
-        assert modular_phase_match(s, j_twisted) <= TOLERANCES["modular.phase_match"]
+        j_twisted = lift_operators(psi, phi).j
+        assert modular_reconstruction(triple, phi, psi) <= TOLERANCES["modular.reconstruction"]
+        assert modular_intertwine(triple, j_twisted, phi, psi) <= 1e-2 * TOLERANCES["modular.intertwine"]
+        assert modular_defining(triple, phi, psi) <= TOLERANCES["modular.defining"]
+        assert modular_phase_match(triple, j_twisted) <= TOLERANCES["modular.phase_match"]
+        assert modular_delta(triple) <= TOLERANCES["modular.delta"]
 
     def test_verify_seed_19_trial_80(self):
         # d = 4, smallest Schmidt coefficient of psi 2.4e-3: reconstruction
@@ -385,7 +388,7 @@ class TestTomita:
         rng = seeded_rng(101)
         psi = state_from_rng(rng, 24, 24, entangled=True)
         phi = random_unit_state(rng, 24, 24)
-        assert modular_defining(tomita_S(phi, psi).s.mat, phi.coeff, psi.coeff) < 1e-9
+        assert modular_defining(tomita_S(phi, psi), phi, psi) < 1e-9
 
     def test_j_antiunitary_on_graded_spectra(self):
         # Singular values of S are ratios of Schmidt coefficients and span 1e12
@@ -395,7 +398,7 @@ class TestTomita:
         psi = graded_state(rng, 4, 6)
         triple = tomita_S(phi, psi)
         assert np.linalg.norm(compose_aa(AntilinearMap(triple.j.mat.T), triple.j) - np.eye(16)) < 1e-9
-        assert modular_defining(triple.s.mat, phi.coeff, psi.coeff) < 1e-9
+        assert modular_defining(triple, phi, psi) < 1e-9
 
     def test_rank_deficient_psi_rejected(self):
         with pytest.raises(errors.NotSeparating):

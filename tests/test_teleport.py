@@ -423,6 +423,25 @@ class TestChain:
             assert t.shape == (stages[-1].dim_b, stages[0].dim_a)
             assert np.linalg.norm(t @ v - chain_oracle(v, stages)) <= TOLERANCES["chain.factorization"]
 
+    @pytest.mark.parametrize("stacked", [[0], [1], [0, 3], [0, 1, 2, 3]])
+    def test_oracle_broadcasts_stacked_stages(self, stacked):
+        # Some stages stacked (three members), the rest and the probe single.
+        rng = seeded_rng(83, len(stacked))
+        dims = [2, 3, 2, 3, 2]
+        members = [[random_unit_state(rng, x, y) for x, y in zip(dims, dims[1:])] for _ in range(3)]
+        stages = [
+            BipartiteVector(np.stack([m[k].coeff for m in members])) if k in stacked else members[0][k]
+            for k in range(4)
+        ]
+        v = complex_normal(rng, 2)
+        v /= np.linalg.norm(v)
+        out = chain_oracle(v, stages)
+        assert out.shape == (3, 2)
+        for i, chain in enumerate(members):
+            single = [chain[k] if k in stacked else members[0][k] for k in range(4)]
+            assert np.abs(out[i] - chain_oracle(v, single)).max() <= 1e-15
+        assert np.abs(out - chain_oracle(np.stack([v] * 3), stages)).max() <= 1e-15
+
     def test_one_hop_is_teleport_map(self):
         rng = seeded_rng(79)
         for _ in range(20):

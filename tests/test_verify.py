@@ -28,12 +28,12 @@ class TestTeleportBoundHolds:
         top = 3.0 * np.linalg.svd(tm.t)[2][0].conj()
         probes = np.vstack([complex_normal_rows(rng, 20, da), top])
         tol = TOLERANCES["teleport.bound_holds"]
-        assert teleport_bound_holds(tm.t, probes, bound) <= tol
-        assert teleport_bound_holds(tm.t, probes, bound - 1e-6) > tol
+        assert teleport_bound_holds(tm, probes, bound) <= tol
+        assert teleport_bound_holds(tm, probes, bound - 1e-6) > tol
 
     def test_no_probes_gives_zero(self):
         tm = teleport_map(random_unit_state(seeded_rng(92), 2, 2), random_unit_state(seeded_rng(93), 2, 3))
-        assert teleport_bound_holds(tm.t, np.zeros((0, 2), dtype=complex), success_bound(tm)) == 0.0
+        assert teleport_bound_holds(tm, np.zeros((0, 2), dtype=complex), success_bound(tm)) == 0.0
 
 
 class TestTwistedAction:
@@ -42,9 +42,9 @@ class TestTwistedAction:
         da, db = dims
         rng = seeded_rng(94, da, db)
         eta, xi = complex_normal(rng, da, db), complex_normal(rng, db, da)
-        assert twisted_action(twisted_product(eta, xi).mat, eta, xi) == 0.0
+        assert twisted_action(twisted_product(eta, xi), eta, xi) == 0.0
         anti_eta, anti_xi = AntilinearMap(eta), AntilinearMap(xi)
-        assert twisted_action(twisted_product(anti_eta, anti_xi).mat, anti_eta.mat, anti_xi.mat) == 0.0
+        assert twisted_action(twisted_product(anti_eta, anti_xi), anti_eta, anti_xi) == 0.0
 
     @pytest.mark.parametrize("parity", ["linear", "antilinear"])
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3)])
@@ -52,12 +52,14 @@ class TestTwistedAction:
         da, db = dims
         rng = seeded_rng(95, da, db)
         eta, xi = complex_normal(rng, da, db), complex_normal(rng, db, da)
-        prod = twisted_product(*((AntilinearMap(eta), AntilinearMap(xi)) if parity == "antilinear" else (eta, xi)))
+        if parity == "antilinear":
+            eta, xi = AntilinearMap(eta), AntilinearMap(xi)
+        prod = twisted_product(eta, xi)
         assert prod.parity == parity
         swapped = prod.mat.copy()
         swapped[:, [0, da * db - 1]] = swapped[:, [da * db - 1, 0]]
         broken = dataclasses.replace(prod, mat=swapped)
-        assert twisted_action(broken.mat, eta, xi) > TOLERANCES["twisted.action"]
+        assert twisted_action(broken, eta, xi) > TOLERANCES["twisted.action"]
 
 
 class TestStackedDraw:
