@@ -42,7 +42,7 @@ class AntilinearMap:
     mat: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mat", frozen(as_matrix(self.mat, "mat", stack=True)))
+        object.__setattr__(self, "mat", frozen(as_matrix(self.mat, "mat")))
 
     @property
     def dim_domain(self) -> int:
@@ -89,7 +89,7 @@ def compose_mixed(linear, t: AntilinearMap, order: str) -> AntilinearMap:
     order="left"  : linear ∘ t, matrix  L @ M
     order="right" : t ∘ linear, matrix  M @ conj(L)
     """
-    lin = as_matrix(linear, "linear factor", stack=True)
+    lin = as_matrix(linear, "linear factor")
     if order == "left":
         if lin.shape[-1] != t.dim_codomain:
             raise DimMismatch(f"linear factor wants {lin.shape[-1]}, map produces {t.dim_codomain}")

@@ -40,7 +40,7 @@ class BipartiteVector:
     coeff: np.ndarray
 
     def __post_init__(self):
-        c = as_matrix(self.coeff, "coeff", stack=True)
+        c = as_matrix(self.coeff, "coeff")
         if c.shape[-2] < 1 or c.shape[-1] < 1:
             raise DimMismatch(f"dimensions must be positive, got {c.shape[-2:]}")
         object.__setattr__(self, "coeff", frozen(c))
@@ -88,11 +88,13 @@ def _check_same_dims(x: BipartiteVector, y: BipartiteVector):
         )
 
 
-def _check_unit(v: np.ndarray, what: str, tol: float = UNIT_TOL):
-    n = np.linalg.norm(v, axis=-1)
-    if (np.abs(n - 1.0) > tol).any():
-        label, i = _member(what, np.abs(n - 1.0) > tol)
-        raise NotUnit(f"{label} has norm {float(n[i])!r}, expected 1 within {tol:.0e}")
+def _check_unit(n, what: str):
+    """Raise NotUnit naming the first member whose norm in `n` is not 1 within UNIT_TOL."""
+    n = np.asarray(n)
+    off = np.abs(n - 1.0) > UNIT_TOL
+    if off.any():
+        label, i = _member(what, off)
+        raise NotUnit(f"{label} has norm {float(n[i])!r}, expected 1 within {UNIT_TOL:.0e}")
 
 
 def project_rank1(psi: BipartiteVector, phi_a) -> BipartiteVector:
@@ -104,7 +106,7 @@ def project_rank1(psi: BipartiteVector, phi_a) -> BipartiteVector:
     v = np.asarray(phi_a, dtype=np.complex128)
     if v.ndim == 0 or v.shape[-1] != psi.dim_a:
         raise DimMismatch(f"phi_a length {v.shape[-1:]} != dim_a {psi.dim_a}")
-    _check_unit(v, "phi_a")
+    _check_unit(np.linalg.norm(v, axis=-1), "phi_a")
     return BipartiteVector((v[..., :, None] * np.conj(v)[..., None, :]) @ psi.coeff)
 
 
@@ -122,7 +124,7 @@ def reconstruct(s_ba: AntilinearMap, a_op) -> BipartiteVector:
     the result is sum_k phi_k ⊗ (s_ba phi_k) for phi_k = sqrt(l_k) v_k.
     With A = 1 this returns psi itself.
     """
-    a = as_matrix(a_op, "A", stack=True)
+    a = as_matrix(a_op, "A")
     if a.shape[-2:] != (s_ba.dim_domain, s_ba.dim_domain):
         raise DimMismatch(f"A must be {s_ba.dim_domain} square, got {a.shape}")
     w, vecs = psd_eigh(a, "A")
@@ -150,8 +152,8 @@ def local_transform(psi: BipartiteVector, a_op, b_op) -> BipartiteVector:
     The maps transform covariantly: the new s_ba is B ∘ s_ba ∘ A* and the new
     s_ab is A ∘ s_ab ∘ B*.
     """
-    a = as_matrix(a_op, "A", stack=True)
-    b = as_matrix(b_op, "B", stack=True)
+    a = as_matrix(a_op, "A")
+    b = as_matrix(b_op, "B")
     if a.shape[-2:] != (psi.dim_a, psi.dim_a):
         raise DimMismatch(f"A must be {psi.dim_a} square, got {a.shape}")
     if b.shape[-2:] != (psi.dim_b, psi.dim_b):
@@ -168,7 +170,7 @@ def partner_operator(a_op, polar_of_psi: PolarParts) -> np.ndarray:
     B is zero.
     """
     j_ba = polar_of_psi.phase
-    a = as_matrix(a_op, "A", stack=True)
+    a = as_matrix(a_op, "A")
     if a.shape[-2:] != (j_ba.dim_domain, j_ba.dim_domain):
         raise DimMismatch(f"A must be {j_ba.dim_domain} square, got {a.shape}")
     inner = compose_aa(j_ba, compose_mixed(a, adjoint(j_ba), "left"))
@@ -182,7 +184,7 @@ def purification_from_isometry(omega_a, w: AntilinearMap) -> BipartiteVector:
     w must be isometric on the support of omega_a (its behavior off the
     support never enters).
     """
-    om = as_matrix(omega_a, "omega_a", stack=True)
+    om = as_matrix(omega_a, "omega_a")
     if om.shape[-2:] != (w.dim_domain, w.dim_domain):
         raise DimMismatch(f"omega_a must be {w.dim_domain} square, got {om.shape}")
     q = support_projection(om, "omega_a")

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: epr, teleport, luders, chain, modular, verify, random.  Each
-emits a single JSON report on stdout (or to --out) and a short human summary
-on stderr.  Reports carry no timestamps, so identical invocations with the
-same seed are byte-identical.
+emits a single JSON report, one line of compact JSON, on stdout (or to
+--out) and a short human summary on stderr.  Reports carry no timestamps,
+so identical invocations with the same seed are byte-identical.
 
 Exit codes: 0 success, 2 invalid input, 3 residual beyond tolerance.
 """
@@ -22,7 +22,6 @@ from . import teleport as tp
 from . import verify as vf
 from .errors import EprkitError, FactorizationFailure, ParseError, ToleranceExceeded
 from .formats import (
-    ReportEncoder,
     antilinear_to_json,
     bipartite_from_json,
     bipartite_to_json,
@@ -40,7 +39,7 @@ PROBE_COUNT = 8  # seeded probe vectors per residual check
 
 
 def _emit(report: dict, out: str | None):
-    text = json.dumps(report, indent=2, sort_keys=False, cls=ReportEncoder)
+    text = json.dumps(report)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -194,13 +193,12 @@ def cmd_modular(args) -> int:
     phi = _load_state(args.phi, "phi")
     psi = _load_state(args.psi, "psi")
     triple = md.tomita_S(phi, psi)
-    j_twisted = md.lift_operators(psi, phi).j
     table = vf.ResidualTable()
     table.record("modular.defining", vf.modular_defining(triple, phi, psi))
     table.record("modular.delta", vf.modular_delta(triple))
     table.record("modular.reconstruction", vf.modular_reconstruction(triple, phi, psi))
-    table.record("modular.phase_match", vf.modular_phase_match(triple, j_twisted))
-    table.record("modular.intertwine", vf.modular_intertwine(triple, j_twisted, phi, psi))
+    table.record("modular.phase_match", vf.modular_phase_match(triple))
+    table.record("modular.intertwine", vf.modular_intertwine(triple, phi, psi))
     results, worst = _worst(table, args.tolerance)
     residuals = {name.removeprefix("modular."): value for name, value in worst.items()}
     report = {

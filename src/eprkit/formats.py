@@ -26,7 +26,7 @@ def matrix_to_json(m) -> dict:
     return {
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
-        "data": [[float(z.real), float(z.imag)] for z in a.reshape(-1)],
+        "data": np.stack([a.real, a.imag], -1).reshape(-1, 2).tolist(),
     }
 
 
@@ -114,55 +114,3 @@ def load_json(path) -> dict:
     if not isinstance(obj, dict):
         raise ParseError(f"{path} must hold a JSON object")
     return obj
-
-
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _floats(values: list) -> list[str]:
-    """json's spelling of floats: repr, with NaN and ±Infinity for the non-finite ones."""
-    out = list(map(float.__repr__, values))
-    return out if all(map(math.isfinite, values)) else [_NONFINITE.get(s, s) for s in out]
-
-
-class ReportEncoder(json.JSONEncoder):
-    """The text of json.dumps(obj, indent=2), built by string joins; the CLI writes its reports with it.
-
-    An indent keeps json.dumps off its C encoder, and a report holds
-    thousands of [re, im] pairs, which this writes by one format per pair.
-    It takes dicts with string keys, lists, tuples, str, int, float, bool
-    and None and raises TypeError on anything else; any setting but
-    indent=2 goes to the standard encoder.
-    """
-
-    def encode(self, o) -> str:
-        settings = (self.indent, self.item_separator, self.key_separator, self.sort_keys, self.skipkeys)
-        if settings != (2, ",", ": ", False, False) or not (self.ensure_ascii and self.allow_nan):
-            return super().encode(o)
-        return self._text(o, "")
-
-    def _text(self, o, ind: str) -> str:
-        if isinstance(o, str):
-            return json.encoder.encode_basestring_ascii(o)
-        if o is None or o is True or o is False:
-            return {None: "null", True: "true", False: "false"}[o]
-        if isinstance(o, int):
-            return int.__repr__(o)
-        if isinstance(o, float):
-            return _floats([o])[0]
-        inner = ind + "  "
-        sep = ",\n" + inner
-        if isinstance(o, (list, tuple)):
-            if not o:
-                return "[]"
-            if all(type(v) is list and len(v) == 2 and type(v[0]) is float and type(v[1]) is float for v in o):
-                pair = "[\n" + inner + "  {},\n" + inner + "  {}\n" + inner + "]"
-                text = _floats([x for v in o for x in v])
-                return "[\n" + inner + sep.join(map(pair.format, text[0::2], text[1::2])) + "\n" + ind + "]"
-            return "[\n" + inner + sep.join([self._text(v, inner) for v in o]) + "\n" + ind + "]"
-        if isinstance(o, dict) and all(type(k) is str for k in o):
-            if not o:
-                return "{}"
-            items = [json.encoder.encode_basestring_ascii(k) + ": " + self._text(v, inner) for k, v in o.items()]
-            return "{\n" + inner + sep.join(items) + "\n" + ind + "}"
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable by ReportEncoder")

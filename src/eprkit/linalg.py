@@ -32,11 +32,11 @@ def _member(name: str, bad: np.ndarray) -> tuple[str, tuple]:
     return f"{name}[{', '.join(map(str, idx))}]", idx
 
 
-def as_matrix(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
-    """Coerce to a finite complex128 matrix or, with stack=True, a stack (..., m, n) of them."""
+def as_matrix(m, name: str = "matrix") -> np.ndarray:
+    """Coerce to a finite complex128 matrix or a stack (..., m, n) of them."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 and not (stack and a.ndim > 2):
-        raise DimMismatch(f"{name} must be two-dimensional, got shape {a.shape}")
+    if a.ndim < 2:
+        raise DimMismatch(f"{name} must be at least two-dimensional, got shape {a.shape}")
     if a.size and not np.isfinite(a).all():
         label, _ = _member(name, ~np.isfinite(a).all(axis=(-2, -1)))
         raise NonFinite(f"{label} contains NaN or Inf entries")
@@ -133,7 +133,7 @@ def numerical_rank(sigma: np.ndarray) -> int | np.ndarray:
 
 
 def svd(m) -> SvdResult:
-    u, s, vh = np.linalg.svd(as_matrix(m, stack=True), full_matrices=False)
+    u, s, vh = np.linalg.svd(as_matrix(m), full_matrices=False)
     return SvdResult(u=seal(u), sigma=s, v=seal(vh.conj().mT), rank=numerical_rank(s))
 
 
@@ -143,7 +143,7 @@ def herm_eigh(h, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     The check bounds the max entry of (H - H†)/2; symmetrizing before eigh
     stabilizes downstream square roots.
     """
-    a = as_matrix(h, name, stack=True)
+    a = as_matrix(h, name)
     if a.shape[-2] != a.shape[-1]:
         raise DimMismatch(f"{name} must be square, got shape {a.shape}")
     if a.size:
@@ -192,7 +192,7 @@ class MatrixNorms(NamedTuple):
 
 def norms(m) -> MatrixNorms:
     """Operator, trace, and Hilbert-Schmidt norms from singular values."""
-    s = np.linalg.svd(as_matrix(m, stack=True), compute_uv=False)
+    s = np.linalg.svd(as_matrix(m), compute_uv=False)
     return MatrixNorms(
         operator=_out(s.max(axis=-1, initial=0.0)),
         trace=_out(s.sum(axis=-1)),
@@ -212,8 +212,8 @@ def fidelity(rho, omega) -> float:
     eigenvalue square roots of a doubly-squared product, the accuracy killer
     near rank deficiency.
     """
-    r = as_matrix(rho, "rho", stack=True)
-    o = as_matrix(omega, "omega", stack=True)
+    r = as_matrix(rho, "rho")
+    o = as_matrix(omega, "omega")
     if r.shape != o.shape:
         raise DimMismatch(f"fidelity operands differ in shape: {r.shape} vs {o.shape}")
     return trace_norm(psd_sqrt(r, "rho") @ psd_sqrt(o, "omega"))
@@ -225,7 +225,7 @@ def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
     `m` must be (dim_a*dim_b) square in the a-major Kronecker basis;
     `keep` selects the surviving factor, "a" or "b".
     """
-    a = as_matrix(m, stack=True)
+    a = as_matrix(m)
     n = dim_a * dim_b
     if a.shape[-2:] != (n, n):
         raise DimMismatch(f"expected shape {(n, n)} for dims ({dim_a}, {dim_b}), got {a.shape}")

@@ -76,8 +76,8 @@ def twisted_product(eta_ab, xi_ba) -> TwistedOperator:
     xi_anti = isinstance(xi_ba, AntilinearMap)
     if eta_anti != xi_anti:
         raise MixedParity("twisted product of a linear and an antilinear factor is ill defined")
-    eta = eta_ab.mat if eta_anti else as_matrix(eta_ab, "eta", stack=True)
-    xi = xi_ba.mat if xi_anti else as_matrix(xi_ba, "xi", stack=True)
+    eta = eta_ab.mat if eta_anti else as_matrix(eta_ab, "eta")
+    xi = xi_ba.mat if xi_anti else as_matrix(xi_ba, "xi")
     dim_a, dim_b = eta.shape[-2:]
     if xi.shape[-2:] != (dim_b, dim_a):
         raise DimMismatch(f"xi must map H_a({dim_a}) into H_b({dim_b}), got shape {xi.shape}")

@@ -25,18 +25,16 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .antilinear import chain, polar
-from .bipartite import BipartiteVector, epr_maps, reduced
+from .bipartite import BipartiteVector, _check_unit, epr_maps, reduced
 from .errors import (
     DimMismatch,
     DimTooLarge,
     FactorizationFailure,
     NotOrthonormal,
-    NotUnit,
     OddParity,
 )
 from .linalg import _member, _out, as_matrix, fro_norm, frozen, herm_eigh, kron, psd_sqrt, trace_norm
 
-UNIT_TOL = 1e-10
 ORTHO_TOL = 1e-10
 FACTOR_TOL = 1e-8
 DENSE_DIM_LIMIT = 4096
@@ -104,14 +102,6 @@ def teleport_oracle(psi_ab: BipartiteVector, phi_bc: BipartiteVector, phi_a) -> 
     return chain_oracle(phi_a, [psi_ab, phi_bc])
 
 
-def _unit_state(psi: BipartiteVector, what: str):
-    """Check that psi, or every member of a stack, has unit norm."""
-    norm = np.asarray(psi.norm())
-    if (np.abs(norm - 1.0) > UNIT_TOL).any():
-        label, i = _member(what, np.abs(norm - 1.0) > UNIT_TOL)
-        raise NotUnit(f"{label} has norm {float(norm[i])!r}, expected 1")
-
-
 def success_bound(tm: TeleportMap):
     """Largest eigenvalue of sqrt(omega) rho sqrt(omega) on the shared system.
 
@@ -119,8 +109,8 @@ def success_bound(tm: TeleportMap):
     ancilla.  The squared output norm of every unit input stays below this
     number, and the top right-singular vector of t attains it.
     """
-    _unit_state(tm.source_psi, "measured vector")
-    _unit_state(tm.ancilla_phi, "ancilla")
+    _check_unit(tm.source_psi.norm(), "measured vector")
+    _check_unit(tm.ancilla_phi.norm(), "ancilla")
     rho = reduced(tm.source_psi, "b")
     omega = reduced(tm.ancilla_phi, "a")  # ancilla lives in H_b ⊗ H_c; first factor is b
     s = psd_sqrt(omega, "omega_b(phi)")
@@ -143,8 +133,8 @@ def trace_norm_fidelity(tm: TeleportMap) -> TraceNormFidelity:
     of the coefficient matrices: eigh of rho would square their condition
     number and floor singular values up to 1e-6 times the largest.
     """
-    _unit_state(tm.source_psi, "measured vector")
-    _unit_state(tm.ancilla_phi, "ancilla")
+    _check_unit(tm.source_psi.norm(), "measured vector")
+    _check_unit(tm.ancilla_phi.norm(), "ancilla")
     sqrt_rho = polar(epr_maps(tm.source_psi).s_ba).positive
     sqrt_omega = polar(epr_maps(tm.ancilla_phi).s_ab).positive
     return TraceNormFidelity(trace_norm=trace_norm(tm.t), fidelity=trace_norm(sqrt_rho @ sqrt_omega))
@@ -217,7 +207,7 @@ def projection_decomposition(p_op, dim_a: int, dim_b: int) -> list[BipartiteVect
 
 def luders_apply(ch: LudersChannel, nu_a) -> np.ndarray:
     """Channel action on an operator: sum_k t_k nu t_k†."""
-    nu = as_matrix(nu_a, "nu", stack=True)
+    nu = as_matrix(nu_a, "nu")
     da = ch.maps[0].shape[-1]
     if nu.shape[-2:] != (da, da):
         raise DimMismatch(f"nu must be {da} square, got {nu.shape}")
@@ -302,7 +292,7 @@ def chain_oracle(phi_a, stages: Sequence[BipartiteVector]) -> np.ndarray:
             raise DimMismatch(f"stages[{k}] has first dimension {s.dim_a}, the chain has {dims[k]} there")
     _check_dense(dims)
     for k, s in enumerate(stages[0::2]):
-        _unit_state(s, f"measured vector stages[{2 * k}]")
+        _check_unit(s.norm(), f"measured vector stages[{2 * k}]")
     ws = [s.to_vector() for s in stages[0::2]]
     full = reduce(partial(kron, vectors=True), (s.to_vector() for s in stages[1::2]), v_a)
     for k, w in enumerate(ws):

@@ -322,17 +322,17 @@ def modular_reconstruction(triple, phi, psi):
     return _fro(triple.s.mat - triple.j.mat @ np.conj(la.kron(sqrt_a, inv_sqrt_b)))
 
 
-def modular_phase_match(triple, j_twisted):
-    """The polar phase of S, from its dense SVD with the package rank rule, against the twisted phase lift."""
+def modular_phase_match(triple):
+    """The polar phase of S, from its dense SVD with the package rank rule, against the triple's J."""
     f = la.svd(triple.s.mat)
-    return _fro((f.u * la.rank_mask(f.sigma)[..., None, :]) @ f.v.conj().mT - j_twisted.mat)
+    return _fro((f.u * la.rank_mask(f.sigma)[..., None, :]) @ f.v.conj().mT - triple.j.mat)
 
 
-def modular_intertwine(triple, j_twisted, phi, psi):
-    """S (1 ⊗ omega_b(psi)^(1/2)) = J~ (omega_a(phi)^(1/2) ⊗ 1); roots from the polar parts of s_ba(psi), s_ab(phi)."""
+def modular_intertwine(triple, phi, psi):
+    """S (1 ⊗ omega_b(psi)^(1/2)) = J (omega_a(phi)^(1/2) ⊗ 1); roots from the polar parts of s_ba(psi), s_ab(phi)."""
     eye = np.eye(psi.dim_b)
     lhs = triple.s.mat @ np.conj(la.kron(eye, bp.polar_of_state(psi).positive))
-    rhs = j_twisted.mat @ np.conj(la.kron(al.polar(bp.epr_maps(phi).s_ab).positive, eye))
+    rhs = triple.j.mat @ np.conj(la.kron(al.polar(bp.epr_maps(phi).s_ab).positive, eye))
     return _fro(lhs - rhs)
 
 
@@ -661,9 +661,8 @@ def modular_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         rec("modular.defining", modular_defining(triple, phi, psi))
         rec("modular.delta", modular_delta(triple))
         rec("modular.reconstruction", modular_reconstruction(triple, phi, psi))
-        j_twisted = md.lift_operators(psi, phi).j
-        rec("modular.phase_match", modular_phase_match(triple, j_twisted))
-        rec("modular.intertwine", modular_intertwine(triple, j_twisted, phi, psi))
+        rec("modular.phase_match", modular_phase_match(triple))
+        rec("modular.intertwine", modular_intertwine(triple, phi, psi))
 
         own = md.tomita_S(psi, psi)
         vec = psi.to_vector()

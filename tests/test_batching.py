@@ -115,7 +115,7 @@ class TestStackChecks:
         stack = np.zeros((4, 2, 2))
         stack[2, 1, 1] = np.inf
         with pytest.raises(errors.NonFinite, match=r"^A\[2\] contains"):
-            la.as_matrix(stack, "A", stack=True)
+            la.as_matrix(stack, "A")
 
     def test_stack_of_one_gives_the_single_bits(self):
         rng = seeded_rng(202)

@@ -282,20 +282,40 @@ def _write(tmp_path, name: str, obj) -> str:
     ],
 )
 def test_unattainable_tolerance_names_identity(capsys, tmp_path, command, identities):
-    def state(seed, entangled=False):
-        return bipartite_to_json(random_state((2, 2), seed=seed, entangled=entangled))
-
-    files = {
-        "epr": [_write(tmp_path, "psi.json", state(1))],
-        "teleport": [_write(tmp_path, "psi.json", state(1)), _write(tmp_path, "phi.json", state(2))],
-        "luders": [_write(tmp_path, "channel.json", {"psi_ab": state(1), "phi_bc": state(2)})],
-        "chain": [_write(tmp_path, "chain.json", {"stages": [state(k) for k in range(4)]})],
-        "modular": [_write(tmp_path, "phi.json", state(1)), _write(tmp_path, "psi.json", state(2, True))],
-    }[command]
-    code, _, err = run_cli(capsys, command, *files, "--tolerance", "1e-30")
+    code, _, err = run_cli(capsys, command, *_arguments(tmp_path, command), "--tolerance", "1e-30")
     assert code == 3
     named = re.search(r"worst is (\S+) with residual", err).group(1)
     assert named in identities
+
+
+def _arguments(tmp_path, command: str) -> list[str]:
+    """Arguments for one run of `command` on seeded 2x2 states, input files written to tmp_path."""
+    def state(seed, entangled=False):
+        return bipartite_to_json(random_state((2, 2), seed=seed, entangled=entangled))
+
+    if command == "epr":
+        return [_write(tmp_path, "psi.json", state(1))]
+    if command == "teleport":
+        return [_write(tmp_path, "psi.json", state(1)), _write(tmp_path, "phi.json", state(2))]
+    if command == "luders":
+        return [_write(tmp_path, "channel.json", {"psi_ab": state(1), "phi_bc": state(2)})]
+    if command == "chain":
+        return [_write(tmp_path, "chain.json", {"stages": [state(k) for k in range(4)]})]
+    if command == "modular":
+        return [_write(tmp_path, "phi.json", state(1)), _write(tmp_path, "psi.json", state(2, True))]
+    return {"verify": ["--trials", "1", "--dims", "2"], "random": ["--dims", "2", "3"]}[command]
+
+
+@pytest.mark.parametrize("command", ["epr", "teleport", "luders", "chain", "modular", "verify", "random"])
+def test_report_is_one_line_of_compact_json(capsys, tmp_path, command):
+    argv = [command, *_arguments(tmp_path, command)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out)) + "\n"
+    path = tmp_path / "report.json"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out.encode("utf-8")
 
 
 class TestRandom:
