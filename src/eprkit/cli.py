@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: epr, teleport, luders, chain, modular, verify, random.  Each
-emits a single JSON report, one line of compact JSON, on stdout (or to
---out) and a short human summary on stderr.  Reports carry no timestamps,
-so identical invocations with the same seed are byte-identical.
+returns a report, its identity results and a summary; main alone writes the
+report as one line of compact JSON (no timestamps: byte-identical for the
+same invocation) on stdout or to --out, the summary on stderr, then checks.
 
 Exit codes: 0 success, 2 invalid input, 3 residual beyond tolerance.
 """
@@ -60,13 +60,12 @@ def _probes(rng, dim: int) -> np.ndarray:
     return np.stack([random_unit_vector(rng, dim) for _ in range(PROBE_COUNT)])
 
 
-def _worst(table: vf.ResidualTable, tolerance: float | None) -> tuple[list[vf.IdentityResult], dict]:
-    """Results against the per-identity tolerances (or the override), and worst residual by name."""
-    results = table.results(tolerance)
-    return results, {r.name: r.residual for r in results}
+def _residuals(table: vf.ResidualTable, prefix: str) -> dict:
+    """Worst residual per identity, named without the subcommand's prefix."""
+    return {r.name.removeprefix(prefix): r.residual for r in table.results()}
 
 
-def cmd_epr(args) -> int:
+def cmd_epr(args) -> tuple[dict, list[vf.IdentityResult], str]:
     psi = _load_state(args.state, "state")
     pair = bp.epr_maps(psi)
     omega_a = bp.reduced(psi, "a")
@@ -84,8 +83,7 @@ def cmd_epr(args) -> int:
     table.record("epr.pairing", vf.epr_pairing(psi, pair, phi_a, phi_b))
     table.record("epr.inner_trace", vf.epr_inner_trace(psi, pair, bp.BipartiteVector(chi)))
     table.record("epr.reduction", vf.epr_reduction(psi, omega_a, omega_b))
-    results, worst = _worst(table, args.tolerance)
-    residuals = {name.removeprefix("epr."): value for name, value in worst.items()}
+    residuals = _residuals(table, "epr.")
     report = {
         "s_ba": antilinear_to_json(pair.s_ba),
         "s_ab": antilinear_to_json(pair.s_ab),
@@ -94,13 +92,11 @@ def cmd_epr(args) -> int:
         "norm_sq": psi.norm() ** 2,
         "residuals": residuals,
     }
-    _emit(report, args.out)
-    _say(f"state ({psi.dim_a}x{psi.dim_b}), max residual {max(residuals.values()):.3e}")
-    vf.check_all(results)
-    return EXIT_OK
+    summary = f"state ({psi.dim_a}x{psi.dim_b}), max residual {max(residuals.values()):.3e}"
+    return report, table.results(args.tolerance), summary
 
 
-def cmd_teleport(args) -> int:
+def cmd_teleport(args) -> tuple[dict, list[vf.IdentityResult], str]:
     psi = _load_state(args.psi, "psi_ab")
     phi = _load_state(args.phi, "phi_bc")
     tm = tp.teleport_map(psi, phi)
@@ -110,8 +106,7 @@ def cmd_teleport(args) -> int:
     probes = _probes(rng_for(args.seed, 2), psi.dim_a)
     table.record("teleport.factorization", vf.teleport_factorization(tm, probes))
     table.record("teleport.trace_fidelity", vf.teleport_trace_fidelity(tnf))
-    results, worst = _worst(table, args.tolerance)
-    oracle_residual = worst["teleport.factorization"]
+    oracle_residual = _residuals(table, "teleport.")["factorization"]
     report = {
         "t": matrix_to_json(tm.t),
         "trace_norm": tnf.trace_norm,
@@ -119,16 +114,14 @@ def cmd_teleport(args) -> int:
         "op_bound": bound,
         "oracle_residual": oracle_residual,
     }
-    _emit(report, args.out)
-    _say(
+    summary = (
         f"teleport map {tm.t.shape[0]}x{tm.t.shape[1]}: trace norm {tnf.trace_norm:.6f}, "
         f"fidelity {tnf.fidelity:.6f}, bound {bound:.6f}, oracle residual {oracle_residual:.3e}"
     )
-    vf.check_all(results)
-    return EXIT_OK
+    return report, table.results(args.tolerance), summary
 
 
-def cmd_luders(args) -> int:
+def cmd_luders(args) -> tuple[dict, list[vf.IdentityResult], str]:
     spec = load_json(args.channel)
     if "psis" in spec:
         psis = [bipartite_from_json(p, f"psis[{k}]") for k, p in enumerate(spec["psis"])]
@@ -146,8 +139,7 @@ def cmd_luders(args) -> int:
     table = vf.ResidualTable()
     table.record("luders.decoupling", vf.luders_decoupling(ch, probes))
     table.record("luders.op_bound", vf.luders_op_bound(ch, bounds))
-    results, worst = _worst(table, args.tolerance)
-    decoupling = worst["luders.decoupling"]
+    decoupling = _residuals(table, "luders.")["decoupling"]
     report = {
         "maps": [matrix_to_json(t) for t in ch.maps],
         "rank": ch.rank,
@@ -159,16 +151,14 @@ def cmd_luders(args) -> int:
     if args.nu:
         nu = matrix_from_json(load_json(args.nu), "nu")
         report["output"] = matrix_to_json(tp.luders_apply(ch, nu))
-    _emit(report, args.out)
-    _say(
+    summary = (
         f"channel of rank {ch.rank}: op bound {bounds.op_bound:.6f} "
         f"(ancilla norm sq {ch.ancilla_norm_sq:.6f}), decoupling residual {decoupling:.3e}"
     )
-    vf.check_all(results)
-    return EXIT_OK
+    return report, table.results(args.tolerance), summary
 
 
-def cmd_chain(args) -> int:
+def cmd_chain(args) -> tuple[dict, list[vf.IdentityResult], str]:
     spec = load_json(args.chain)
     if "stages" not in spec or not isinstance(spec["stages"], list):
         raise ParseError("chain spec needs a 'stages' list")
@@ -177,19 +167,13 @@ def cmd_chain(args) -> int:
     table = vf.ResidualTable()
     probes = _probes(rng_for(args.seed, 4), stages[0].dim_a)
     table.record("chain.factorization", vf.chain_factorization(stages, t, probes))
-    results, worst = _worst(table, args.tolerance)
-    oracle_residual = worst["chain.factorization"]
+    oracle_residual = _residuals(table, "chain.")["factorization"]
     report = {"t": matrix_to_json(t), "oracle_residual": oracle_residual}
-    _emit(report, args.out)
-    _say(
-        f"chain map {t.shape[0]}x{t.shape[1]} over {len(stages) // 2} hops, "
-        f"oracle residual {oracle_residual:.3e}"
-    )
-    vf.check_all(results)
-    return EXIT_OK
+    summary = f"chain map {t.shape[0]}x{t.shape[1]} over {len(stages) // 2} hops, oracle residual {oracle_residual:.3e}"
+    return report, table.results(args.tolerance), summary
 
 
-def cmd_modular(args) -> int:
+def cmd_modular(args) -> tuple[dict, list[vf.IdentityResult], str]:
     phi = _load_state(args.phi, "phi")
     psi = _load_state(args.psi, "psi")
     triple = md.tomita_S(phi, psi)
@@ -199,27 +183,19 @@ def cmd_modular(args) -> int:
     table.record("modular.reconstruction", vf.modular_reconstruction(triple, phi, psi))
     table.record("modular.phase_match", vf.modular_phase_match(triple))
     table.record("modular.intertwine", vf.modular_intertwine(triple, phi, psi))
-    results, worst = _worst(table, args.tolerance)
-    residuals = {name.removeprefix("modular."): value for name, value in worst.items()}
+    residuals = _residuals(table, "modular.")
     report = {
         "S": antilinear_to_json(triple.s),
         "Delta": matrix_to_json(triple.delta),
         "J": antilinear_to_json(triple.j),
         "residuals": residuals,
     }
-    _emit(report, args.out)
-    _say(f"modular triple on {psi.dim_a}x{psi.dim_a}, max residual {max(residuals.values()):.3e}")
-    vf.check_all(results)
-    return EXIT_OK
+    summary = f"modular triple on {psi.dim_a}x{psi.dim_a}, max residual {max(residuals.values()):.3e}"
+    return report, table.results(args.tolerance), summary
 
 
-def cmd_verify(args) -> int:
-    results = vf.run_all(
-        seed=args.seed,
-        dims=args.dims,
-        trials=args.trials,
-        tolerance=args.tolerance,
-    )
+def cmd_verify(args) -> tuple[dict, list[vf.IdentityResult], str]:
+    results = vf.run_all(seed=args.seed, dims=args.dims, trials=args.trials, tolerance=args.tolerance)
     report = {
         "seed": args.seed,
         "dims": list(args.dims),
@@ -236,22 +212,20 @@ def cmd_verify(args) -> int:
         ],
         "pass": all(r.passed for r in results),
     }
-    _emit(report, args.out)
     width = max(len(r.name) for r in results)
-    for r in results:
-        _say(f"{'ok  ' if r.passed else 'FAIL'} {r.name:<{width}}  {r.residual:.3e}  (tol {r.tolerance:.0e})")
-    _say(f"{sum(r.passed for r in results)}/{len(results)} identities within tolerance")
-    vf.check_all(results)
-    return EXIT_OK
+    lines = [
+        f"{'ok  ' if r.passed else 'FAIL'} {r.name:<{width}}  {r.residual:.3e}  (tol {r.tolerance:.0e})"
+        for r in results
+    ]
+    lines.append(f"{sum(r.passed for r in results)}/{len(results)} identities within tolerance")
+    return report, results, "\n".join(lines)
 
 
-def cmd_random(args) -> int:
+def cmd_random(args) -> tuple[dict, list[vf.IdentityResult], str]:
     if len(args.dims) != 2:
         raise ParseError("random needs exactly two dimensions, e.g. --dims 2 2")
     psi = random_state(args.dims, args.seed, entangled=args.entangled)
-    _emit(bipartite_to_json(psi), args.out)
-    _say(f"random state ({psi.dim_a}x{psi.dim_b}), seed {args.seed}")
-    return EXIT_OK
+    return bipartite_to_json(psi), [], f"random state ({psi.dim_a}x{psi.dim_b}), seed {args.seed}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,23 +294,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "trials", 1) < 1 or (args.tolerance is not None and args.tolerance <= 0):
-        _say("error: trials must be >= 1 and tolerance positive")
-        return EXIT_INVALID
-    if any(d < 1 for d in getattr(args, "dims", [1])):
-        _say("error: dimensions must be positive")
-        return EXIT_INVALID
     try:
-        return args.func(args)
-    except (ToleranceExceeded, FactorizationFailure) as exc:
+        if getattr(args, "trials", 1) < 1 or (args.tolerance is not None and not args.tolerance > 0):
+            raise ParseError("trials must be >= 1 and tolerance positive")
+        if any(d < 1 for d in getattr(args, "dims", [1])):
+            raise ParseError("dimensions must be positive")
+        report, results, summary = args.func(args)
+        _emit(report, args.out)
+        _say(summary)
+        vf.check_all(results)
+        return EXIT_OK
+    except (EprkitError, OSError) as exc:
         _say(f"error: {exc}")
-        return EXIT_TOLERANCE
-    except EprkitError as exc:
-        _say(f"error: {exc}")
-        return EXIT_INVALID
-    except OSError as exc:
-        _say(f"error: {exc}")
-        return EXIT_INVALID
+        return EXIT_TOLERANCE if isinstance(exc, (ToleranceExceeded, FactorizationFailure)) else EXIT_INVALID
 
 
 if __name__ == "__main__":

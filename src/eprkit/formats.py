@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -38,26 +39,34 @@ def _require(obj, keys: set[str], what: str) -> None:
         raise ParseError(f"{what} is missing fields {sorted(missing)}")
 
 
+def _finite(x) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the float64 range
+        return False
+
+
 def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
     _require(obj, {"rows", "cols", "data"}, what)
     rows, cols = obj["rows"], obj["cols"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    if type(rows) is not int or type(cols) is not int or rows < 1 or cols < 1:
         raise ParseError(f"{what}: rows and cols must be positive integers")
     data = obj["data"]
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ParseError(f"{what}: data must hold {rows * cols} [re, im] pairs")
-    out = np.empty(rows * cols, dtype=np.complex128)
-    for k, entry in enumerate(data):
-        if (
-            not isinstance(entry, (list, tuple))
-            or len(entry) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
-        ):
+    try:
+        pairs = np.array(data, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        pairs = np.empty(0)
+    # bools, strings and null convert to float64 as well, so the entry types are checked once the shape is right
+    numbers = pairs.shape == (rows * cols, 2) and set(map(type, chain.from_iterable(data))) <= {int, float}
+    if numbers and np.isfinite(pairs).all():
+        return pairs.view(np.complex128).reshape(rows, cols)  # keeps the sign of every zero
+    for k, entry in enumerate(data):  # name the first bad entry
+        if not isinstance(entry, list) or len(entry) != 2 or not set(map(type, entry)) <= {int, float}:
             raise ParseError(f"{what}: data[{k}] is not a [re, im] pair of numbers")
-        if not (math.isfinite(entry[0]) and math.isfinite(entry[1])):
+        if not (_finite(entry[0]) and _finite(entry[1])):
             raise NonFinite(f"{what}: data[{k}] is not finite")
-        out[k] = complex(entry[0], entry[1])
-    return out.reshape(rows, cols)
 
 
 def antilinear_to_json(t: AntilinearMap) -> dict:

@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .antilinear import chain, polar
-from .bipartite import BipartiteVector, _check_unit, epr_maps, reduced
+from .bipartite import BipartiteVector, _check_unit, epr_maps
 from .errors import (
     DimMismatch,
     DimTooLarge,
@@ -33,7 +33,7 @@ from .errors import (
     NotOrthonormal,
     OddParity,
 )
-from .linalg import _member, _out, as_matrix, fro_norm, frozen, herm_eigh, kron, psd_sqrt, trace_norm
+from .linalg import _member, _out, as_matrix, fro_norm, frozen, herm_eigh, kron, norms, trace_norm
 
 ORTHO_TOL = 1e-10
 FACTOR_TOL = 1e-8
@@ -102,20 +102,27 @@ def teleport_oracle(psi_ab: BipartiteVector, phi_bc: BipartiteVector, phi_a) -> 
     return chain_oracle(phi_a, [psi_ab, phi_bc])
 
 
-def success_bound(tm: TeleportMap):
-    """Largest eigenvalue of sqrt(omega) rho sqrt(omega) on the shared system.
+def _root_product(tm: TeleportMap) -> np.ndarray:
+    """sqrt(rho) sqrt(omega) for the b-reductions rho of the measured vector and omega of the ancilla.
 
-    rho and omega are the b-reductions of the measured vector and of the
-    ancilla.  The squared output norm of every unit input stays below this
-    number, and the top right-singular vector of t attains it.
+    The square roots are the positive polar parts of the maps into H_b, from
+    the SVDs of the coefficient matrices: eigh of rho would square their
+    condition number and floor singular values up to 1e-6 times the largest.
     """
     _check_unit(tm.source_psi.norm(), "measured vector")
     _check_unit(tm.ancilla_phi.norm(), "ancilla")
-    rho = reduced(tm.source_psi, "b")
-    omega = reduced(tm.ancilla_phi, "a")  # ancilla lives in H_b ⊗ H_c; first factor is b
-    s = psd_sqrt(omega, "omega_b(phi)")
-    w, _ = herm_eigh(s @ rho @ s)
-    return _out(np.maximum(w.max(axis=-1), 0.0))
+    sqrt_rho = polar(epr_maps(tm.source_psi).s_ba).positive
+    sqrt_omega = polar(epr_maps(tm.ancilla_phi).s_ab).positive
+    return sqrt_rho @ sqrt_omega
+
+
+def success_bound(tm: TeleportMap):
+    """Largest eigenvalue of sqrt(omega) rho sqrt(omega): the squared top singular value of sqrt(rho) sqrt(omega).
+
+    The squared output norm of every unit input stays below this number, and
+    the top right-singular vector of t attains it.
+    """
+    return norms(_root_product(tm)).operator ** 2
 
 
 class TraceNormFidelity(NamedTuple):
@@ -127,17 +134,9 @@ def trace_norm_fidelity(tm: TeleportMap) -> TraceNormFidelity:
     """Trace norm of t next to the fidelity of the two b-reductions.
 
     The two numbers are equal; they are computed along independent routes
-    (singular values of t versus the reduction fidelity).  The square roots
-    of the reductions rho = omega_b(psi) and omega = omega_b(phi) are the
-    positive polar parts of the maps into H_b, i.e. they come from the SVDs
-    of the coefficient matrices: eigh of rho would square their condition
-    number and floor singular values up to 1e-6 times the largest.
+    (singular values of t versus the trace norm of sqrt(rho) sqrt(omega)).
     """
-    _check_unit(tm.source_psi.norm(), "measured vector")
-    _check_unit(tm.ancilla_phi.norm(), "ancilla")
-    sqrt_rho = polar(epr_maps(tm.source_psi).s_ba).positive
-    sqrt_omega = polar(epr_maps(tm.ancilla_phi).s_ab).positive
-    return TraceNormFidelity(trace_norm=trace_norm(tm.t), fidelity=trace_norm(sqrt_rho @ sqrt_omega))
+    return TraceNormFidelity(trace_norm=trace_norm(tm.t), fidelity=trace_norm(_root_product(tm)))
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,8 @@ TOLERANCES = {
     "modular.fixed_point": 1e-10,
 }
 
+BOUND_PROBES = 100  # random inputs per teleport trial that the success bound must dominate
+
 
 @dataclass(frozen=True)
 class IdentityResult:
@@ -518,14 +520,14 @@ def purification_suite(table: ResidualTable, seed: int, dims, trials: Iterable[i
         rec("purification.roundtrip", _fro(bp.reduced(psi, "a") - omega))
 
 
-def teleport_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int], bound_probes: int = 100):
+def teleport_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     small = [d for d in dims if d <= 4] or [2]
     triples = [(da, db, dc) for da in small for db in small for dc in small]
 
     def draw(rng, t):
         da, db, dc = triples[t % len(triples)]
         c_psi, c_phi = coeff_from_rng(rng, da, db), coeff_from_rng(rng, db, dc)
-        probe, probes = random_unit_vector(rng, da), complex_normal_rows(rng, bound_probes, da)
+        probe, probes = random_unit_vector(rng, da), complex_normal_rows(rng, BOUND_PROBES, da)
         return (da, db, dc), (c_psi, c_phi, probe, probes)
 
     for rec, _, (c_psi, c_phi, probe, probes) in _stacked(table, seed, 80, trials, draw):

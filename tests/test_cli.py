@@ -318,6 +318,52 @@ def test_report_is_one_line_of_compact_json(capsys, tmp_path, command):
     assert path.read_bytes() == out.encode("utf-8")
 
 
+def _invalid_arguments(tmp_path, case: str) -> list[str]:
+    """Arguments that each must end in exit 2, input files written to tmp_path."""
+    bell_json = bipartite_to_json(bell(2))
+    if case == "entry-beyond-float64":
+        bell_json["coeff"]["data"][1] = [0.0, 10**400]
+        return ["epr", _write(tmp_path, "huge.json", bell_json)]
+    if case == "bool-rows":
+        coeff = {"rows": True, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0]]}
+        return ["epr", _write(tmp_path, "bool.json", {"dim_a": 1, "dim_b": 2, "coeff": coeff})]
+    if case == "luders-without-phi_bc":
+        return ["luders", _write(tmp_path, "channel.json", {"psi_ab": bell_json})]
+    if case == "chain-stages-not-a-list":
+        return ["chain", _write(tmp_path, "chain.json", {"stages": {"0": bell_json, "1": bell_json}})]
+    if case == "nan-tolerance":
+        return ["epr", _write(tmp_path, "bell.json", bell_json), "--tolerance", "nan"]
+    if case == "out-into-missing-directory":
+        return ["random", "--out", str(tmp_path / "missing" / "state.json")]
+    return {
+        "random-one-dimension": ["random", "--dims", "2"],
+        "verify-zero-trials": ["verify", "--trials", "0"],
+        "verify-zero-tolerance": ["verify", "--tolerance", "0"],
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "entry-beyond-float64",
+        "bool-rows",
+        "luders-without-phi_bc",
+        "chain-stages-not-a-list",
+        "nan-tolerance",
+        "out-into-missing-directory",
+        "random-one-dimension",
+        "verify-zero-trials",
+        "verify-zero-tolerance",
+    ],
+)
+def test_invalid_input_exit_2(capsys, tmp_path, case):
+    code = main(_invalid_arguments(tmp_path, case))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 class TestRandom:
     def test_deterministic_output(self, capsys):
         code, report1, _ = run_cli(capsys, "random", "--dims", "2", "3", "--seed", "11")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from eprkit import errors
@@ -44,9 +46,14 @@ def test_matrix_row_major_layout():
         {"rows": 2, "cols": 2, "data": [[1.0], [0.0], [0.0], [0.0]]},  # not pairs
         {"rows": 2.0, "cols": 2, "data": [[1.0, 0.0]] * 4},            # non-int dims
         [1, 2, 3],                                                     # not an object
+        {"rows": True, "cols": 2, "data": [[1.0, 0.0]] * 2},           # bool dims
+        {"rows": 1, "cols": 2, "data": [[1.0, 0.0], [True, 0.0]]},     # bool entry
+        {"rows": 1, "cols": 2, "data": [[1.0, 0.0], ["1", 0.0]]},      # string entry
+        {"rows": 1, "cols": 2, "data": [[1.0, 0.0], [None, 0.0]]},     # null entry
     ],
 )
 def test_matrix_malformed(broken):
+    # bools, strings and null all convert to float64, so the entry types must be checked
     with pytest.raises(errors.ParseError):
         matrix_from_json(broken)
 
@@ -54,6 +61,60 @@ def test_matrix_malformed(broken):
 def test_matrix_nonfinite():
     with pytest.raises(errors.NonFinite):
         matrix_from_json({"rows": 1, "cols": 1, "data": [[float("inf"), 0.0]]})
+
+
+def test_matrix_integer_beyond_float64_is_nonfinite():
+    # 10**400 is a JSON number, but its float64 conversion overflows
+    with pytest.raises(errors.NonFinite, match=r"data\[1\]"):
+        matrix_from_json({"rows": 1, "cols": 2, "data": [[1.0, 0.0], [0.0, 10**400]]})
+
+
+def test_matrix_keeps_negative_zeros_bit_for_bit():
+    m = np.array([[complex(-0.0, -0.0), complex(-0.0, 1e-300)], [complex(5e-324, -0.0), complex(1.5, -2.0)]])
+    got = matrix_from_json(matrix_to_json(m))
+    assert got.dtype == np.complex128 and got.shape == (2, 2)
+    assert np.array_equal(got.view(np.float64), m.view(np.float64))
+    assert np.signbit(got.view(np.float64)).tolist() == np.signbit(m.view(np.float64)).tolist()
+
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([10**400, -(10**309), 2**1024])
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=3)
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+_DIMS = st.integers(min_value=1, max_value=3) | st.booleans() | _JSON
+_ENTRY = st.lists(st.floats(-1e3, 1e3) | _SCALARS, min_size=2, max_size=2) | _JSON
+
+
+@st.composite
+def _coeff_fields(draw):
+    rows, cols = draw(_DIMS), draw(_DIMS)
+    size = rows * cols if type(rows) is int and type(cols) is int and 0 < rows * cols <= 9 else 2
+    return rows, cols, draw(st.lists(_ENTRY, min_size=size, max_size=size) | _JSON)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_coeff_fields())
+@example((True, 2, [[1.0, 0.0], [0.0, 0.0]]))  # crashed with TypeError
+@example((1, 1, [[10**400, 0.0]]))  # crashed with OverflowError
+def test_bipartite_from_json_gives_finite_matrix_or_eprkit_error(fields):
+    rows, cols, data = fields
+    obj = {"dim_a": rows, "dim_b": cols, "coeff": {"rows": rows, "cols": cols, "data": data}}
+    try:
+        psi = bipartite_from_json(obj)
+    except errors.EprkitError:
+        return
+    assert psi.coeff.dtype == np.complex128
+    assert psi.coeff.shape == (rows, cols)
+    assert np.isfinite(psi.coeff).all()
 
 
 def test_antilinear_roundtrip():

@@ -30,6 +30,14 @@ from util import basis_state, bell, random_unit_state, seeded_rng
 SKEW = np.diag([np.sqrt(0.8), np.sqrt(0.2)])
 
 
+def graded(rng, da, db, k=6):
+    """Unit state with Schmidt coefficients logspace(0, -k, min(dims)), normalized, placed by Haar isometries."""
+    m = min(da, db)
+    s = np.logspace(0, -k, m)
+    s /= np.linalg.norm(s)
+    return BipartiteVector((random_unitary(rng, da)[:, :m] * s) @ random_unitary(rng, db)[:, :m].conj().T)
+
+
 class TestTeleportMap:
     def test_bell_bell(self):
         tm = teleport_map(bell(2), bell(2))
@@ -180,6 +188,17 @@ class TestSuccessBound:
         with pytest.raises(errors.NotUnit):
             success_bound(tm)
 
+    @pytest.mark.parametrize("dims", [(2, 6, 4), (6, 6, 6)])
+    def test_graded_spectra_attained_to_rounding(self, dims):
+        # Schmidt spectra logspace(0, -6, .): with sqrt(omega) taken by eigh and the
+        # top eigenvalue of sqrt(omega) rho sqrt(omega) by eigh, the bound missed
+        # sigma_max(t)^2 by up to 5.5e-13 on these pairs; from the SVD roots, by 1e-15.
+        for i in range(6):
+            rng = seeded_rng(82, i)
+            tm = teleport_map(graded(rng, dims[0], dims[1]), graded(rng, dims[1], dims[2]))
+            top = np.linalg.svd(tm.t, compute_uv=False).max()
+            assert abs(top**2 - success_bound(tm)) <= 1e-14
+
 
 class TestTraceNormFidelity:
     def test_bell_bell(self):
@@ -209,15 +228,8 @@ class TestTraceNormFidelity:
             assert abs(tn - f) < 1e-9
 
     def test_graded_spectra(self):
-        # Schmidt coefficients logspace(0, -6, min(dims)), normalized, placed by Haar
-        # isometries.  With the square roots taken by eigh, which floors eigenvalues
-        # below 1e-12 times the largest, this pair had |tn - f| = 8.0e-9.
-        def graded(rng, da, db):
-            m = min(da, db)
-            s = np.logspace(0, -6, m)
-            s /= np.linalg.norm(s)
-            return BipartiteVector((random_unitary(rng, da)[:, :m] * s) @ random_unitary(rng, db)[:, :m].conj().T)
-
+        # With the square roots taken by eigh, which floors eigenvalues below
+        # 1e-12 times the largest, this k = 6 pair had |tn - f| = 8.0e-9.
         rng = seeded_rng(81, 1)
         psi = graded(rng, 2, 6)
         phi = graded(rng, 6, 4)
