@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -54,19 +53,14 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
     data = obj["data"]
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ParseError(f"{what}: data must hold {rows * cols} [re, im] pairs")
-    try:
-        pairs = np.array(data, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        pairs = np.empty(0)
-    # bools, strings and null convert to float64 as well, so the entry types are checked once the shape is right
-    numbers = pairs.shape == (rows * cols, 2) and set(map(type, chain.from_iterable(data))) <= {int, float}
-    if numbers and np.isfinite(pairs).all():
-        return pairs.view(np.complex128).reshape(rows, cols)  # keeps the sign of every zero
-    for k, entry in enumerate(data):  # name the first bad entry
-        if not isinstance(entry, list) or len(entry) != 2 or not set(map(type, entry)) <= {int, float}:
+    out = np.empty(rows * cols, dtype=np.complex128)
+    for k, entry in enumerate(data):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2 or not all(type(x) in (int, float) for x in entry):
             raise ParseError(f"{what}: data[{k}] is not a [re, im] pair of numbers")
         if not (_finite(entry[0]) and _finite(entry[1])):
             raise NonFinite(f"{what}: data[{k}] is not finite")
+        out[k] = complex(entry[0], entry[1])
+    return out.reshape(rows, cols)
 
 
 def antilinear_to_json(t: AntilinearMap) -> dict:
@@ -83,7 +77,8 @@ def antilinear_from_json(obj, what: str = "antilinear map") -> AntilinearMap:
     if obj["parity"] != "antilinear":
         raise ParseError(f"{what}: parity must be 'antilinear', got {obj['parity']!r}")
     mat = matrix_from_json(obj["mat"], f"{what}.mat")
-    if mat.shape != (obj["dim_codomain"], obj["dim_domain"]):
+    dims = (obj["dim_codomain"], obj["dim_domain"])
+    if mat.shape != dims or not all(type(d) is int for d in dims):  # True == 1 and 2.0 == 2 are no dimensions
         raise ParseError(
             f"{what}: mat shape {mat.shape} does not match declared dimensions "
             f"({obj['dim_codomain']}, {obj['dim_domain']})"
@@ -102,7 +97,8 @@ def bipartite_to_json(psi: BipartiteVector) -> dict:
 def bipartite_from_json(obj, what: str = "bipartite vector") -> BipartiteVector:
     _require(obj, {"dim_a", "dim_b", "coeff"}, what)
     coeff = matrix_from_json(obj["coeff"], f"{what}.coeff")
-    if coeff.shape != (obj["dim_a"], obj["dim_b"]):
+    dims = (obj["dim_a"], obj["dim_b"])
+    if coeff.shape != dims or not all(type(d) is int for d in dims):
         raise ParseError(
             f"{what}: coeff shape {coeff.shape} does not match declared dimensions "
             f"({obj['dim_a']}, {obj['dim_b']})"

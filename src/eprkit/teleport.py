@@ -19,7 +19,7 @@ whole point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -33,7 +33,7 @@ from .errors import (
     NotOrthonormal,
     OddParity,
 )
-from .linalg import _member, _out, as_matrix, fro_norm, frozen, herm_eigh, kron, norms, trace_norm
+from .linalg import MatrixNorms, _member, _out, as_matrix, fro_norm, frozen, herm_eigh, kron, norms, trace_norm
 
 ORTHO_TOL = 1e-10
 FACTOR_TOL = 1e-8
@@ -50,6 +50,22 @@ class TeleportMap:
 
     def __post_init__(self):
         object.__setattr__(self, "t", frozen(self.t))
+
+    @cached_property
+    def root_norms(self) -> MatrixNorms:
+        """Norms of sqrt(rho) sqrt(omega), rho and omega the b-reductions of the measured vector and the ancilla.
+
+        One SVD serves success_bound (operator norm squared) and
+        trace_norm_fidelity (trace norm).  The square roots are the positive
+        polar parts of the maps into H_b, from the SVDs of the coefficient
+        matrices: eigh of rho would square their condition number and floor
+        singular values up to 1e-6 times the largest.
+        """
+        _check_unit(self.source_psi.norm(), "measured vector")
+        _check_unit(self.ancilla_phi.norm(), "ancilla")
+        sqrt_rho = polar(epr_maps(self.source_psi).s_ba).positive
+        sqrt_omega = polar(epr_maps(self.ancilla_phi).s_ab).positive
+        return norms(sqrt_rho @ sqrt_omega)
 
 
 def teleport_map(psi_ab: BipartiteVector, phi_bc: BipartiteVector) -> TeleportMap:
@@ -102,27 +118,13 @@ def teleport_oracle(psi_ab: BipartiteVector, phi_bc: BipartiteVector, phi_a) -> 
     return chain_oracle(phi_a, [psi_ab, phi_bc])
 
 
-def _root_product(tm: TeleportMap) -> np.ndarray:
-    """sqrt(rho) sqrt(omega) for the b-reductions rho of the measured vector and omega of the ancilla.
-
-    The square roots are the positive polar parts of the maps into H_b, from
-    the SVDs of the coefficient matrices: eigh of rho would square their
-    condition number and floor singular values up to 1e-6 times the largest.
-    """
-    _check_unit(tm.source_psi.norm(), "measured vector")
-    _check_unit(tm.ancilla_phi.norm(), "ancilla")
-    sqrt_rho = polar(epr_maps(tm.source_psi).s_ba).positive
-    sqrt_omega = polar(epr_maps(tm.ancilla_phi).s_ab).positive
-    return sqrt_rho @ sqrt_omega
-
-
 def success_bound(tm: TeleportMap):
     """Largest eigenvalue of sqrt(omega) rho sqrt(omega): the squared top singular value of sqrt(rho) sqrt(omega).
 
     The squared output norm of every unit input stays below this number, and
     the top right-singular vector of t attains it.
     """
-    return norms(_root_product(tm)).operator ** 2
+    return tm.root_norms.operator ** 2
 
 
 class TraceNormFidelity(NamedTuple):
@@ -136,7 +138,7 @@ def trace_norm_fidelity(tm: TeleportMap) -> TraceNormFidelity:
     The two numbers are equal; they are computed along independent routes
     (singular values of t versus the trace norm of sqrt(rho) sqrt(omega)).
     """
-    return TraceNormFidelity(trace_norm=trace_norm(tm.t), fidelity=trace_norm(_root_product(tm)))
+    return TraceNormFidelity(trace_norm=trace_norm(tm.t), fidelity=tm.root_norms.trace)
 
 
 @dataclass(frozen=True)

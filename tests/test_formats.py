@@ -153,6 +153,17 @@ def test_bipartite_dimension_check():
         bipartite_from_json(obj)
 
 
+@pytest.mark.parametrize("dims", [(True, 2.0), (1.0, 2), (1, True)])
+def test_declared_dimensions_must_be_integers(dims):
+    # True == 1 and 2.0 == 2, so a comparison with the shape alone accepts them
+    psi = {"dim_a": dims[0], "dim_b": dims[1], "coeff": matrix_to_json(np.ones((1, 2)))}
+    with pytest.raises(errors.ParseError):
+        bipartite_from_json(psi)
+    t = {"dim_codomain": dims[0], "dim_domain": dims[1], "mat": matrix_to_json(np.ones((1, 2))), "parity": "antilinear"}
+    with pytest.raises(errors.ParseError):
+        antilinear_from_json(t)
+
+
 def test_load_json_errors(tmp_path):
     missing = tmp_path / "missing.json"
     with pytest.raises(errors.ParseError):
