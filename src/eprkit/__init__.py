@@ -18,6 +18,7 @@ from .bipartite import (
 )
 from .linalg import MatrixNorms, SvdResult, fidelity, norms, partial_trace, psd_sqrt, svd, trace_norm
 from .modular import (
+    KroneckerProduct,
     LiftedOperators,
     ModularTriple,
     TwistedOperator,

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 invalid input, 3 residual beyond tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -25,9 +26,11 @@ from .formats import (
     antilinear_to_json,
     bipartite_from_json,
     bipartite_to_json,
+    kronecker_to_json,
     load_json,
     matrix_from_json,
     matrix_to_json,
+    twisted_to_json,
 )
 from .sampling import coeff_from_rng, random_state, random_unit_vector, rng_for
 
@@ -185,9 +188,9 @@ def cmd_modular(args) -> tuple[dict, list[vf.IdentityResult], str]:
     table.record("modular.intertwine", vf.modular_intertwine(triple, phi, psi))
     residuals = _residuals(table, "modular.")
     report = {
-        "S": antilinear_to_json(triple.s),
-        "Delta": matrix_to_json(triple.delta),
-        "J": antilinear_to_json(triple.j),
+        "S": twisted_to_json(triple.s),
+        "Delta": kronecker_to_json(triple.delta),
+        "J": twisted_to_json(triple.j),
         "residuals": residuals,
     }
     summary = f"modular triple on {psi.dim_a}x{psi.dim_a}, max residual {max(residuals.values()):.3e}"
@@ -228,7 +231,9 @@ def cmd_random(args) -> tuple[dict, list[vf.IdentityResult], str]:
     return bipartite_to_json(psi), [], f"random state ({psi.dim_a}x{psi.dim_b}), seed {args.seed}"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; main finds each subcommand's cmd_* function by name."""
     parser = argparse.ArgumentParser(
         prog="eprkit",
         description="Antilinear maps of bipartite states, teleportation channels, modular operators.",
@@ -248,58 +253,52 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("epr", help="induced maps, reductions, and residuals of one state")
     p.add_argument("state", help="bipartite vector JSON file")
     common(p)
-    p.set_defaults(func=cmd_epr)
 
     p = sub.add_parser("teleport", help="channel matrix, norms, fidelity, oracle residual")
     p.add_argument("psi", help="measured vector psi_ab JSON file")
     p.add_argument("phi", help="ancilla phi_bc JSON file")
     common(p)
-    p.set_defaults(func=cmd_teleport)
 
     p = sub.add_parser("luders", help="higher-rank measurement channel and its bounds")
     p.add_argument("channel", help="channel spec JSON file with 'psis' or 'psi_ab', and 'phi_bc'")
     p.add_argument("--nu", default=None, help="optional operator JSON file to push through the channel")
     common(p)
-    p.set_defaults(func=cmd_luders)
 
     p = sub.add_parser("chain", help="distributed multi-hop channel")
     p.add_argument("chain", help="chain spec JSON file with an even-length 'stages' list")
     common(p)
-    p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser("modular", help="modular operators S, Delta, J of a state pair")
     p.add_argument("phi", help="target state phi JSON file")
     p.add_argument("psi", help="completely entangled state psi JSON file")
     common(p)
-    p.set_defaults(func=cmd_modular)
 
     p = sub.add_parser("verify", help="run every identity suite on seeded random instances")
     common(p)
-    p.add_argument("--dims", type=int, nargs="+", default=[2, 3, 4], help="dimensions to sample")
+    p.add_argument("--dims", type=int, nargs="+", default=(2, 3, 4), help="dimensions to sample")
     p.add_argument("--trials", type=int, default=100, help="trials per suite (default 100)")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("random", help="emit a seeded random bipartite vector")
     common(p)
-    p.add_argument("--dims", type=int, nargs="+", default=[2, 2], help="dim_a dim_b")
+    p.add_argument("--dims", type=int, nargs="+", default=(2, 2), help="dim_a dim_b")
     p.add_argument(
         "--entangled",
         action="store_true",
         help="rejection-sample until both reductions have full rank",
     )
-    p.set_defaults(func=cmd_random)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; cmd_<command> is looked up at call time, so rebinding it takes effect."""
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "trials", 1) < 1 or (args.tolerance is not None and not args.tolerance > 0):
             raise ParseError("trials must be >= 1 and tolerance positive")
         if any(d < 1 for d in getattr(args, "dims", [1])):
             raise ParseError("dimensions must be positive")
-        report, results, summary = args.func(args)
+        report, results, summary = globals()[f"cmd_{args.command}"](args)
         _emit(report, args.out)
         _say(summary)
         vf.check_all(results)

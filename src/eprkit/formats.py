@@ -1,9 +1,13 @@
-"""JSON schemas for matrices, antilinear maps, and bipartite vectors.
+"""JSON schemas for matrices, antilinear maps, bipartite vectors, and factored operators.
 
 A matrix is {"rows": int, "cols": int, "data": [[re, im], ...]} with the data
 row-major; an antilinear map wraps a matrix together with its two dimensions
 and the literal parity tag "antilinear"; a bipartite vector wraps its
-coefficient matrix with the two factor dimensions.  Field names are exact.
+coefficient matrix with the two factor dimensions.  Operators on H_a ⊗ H_b
+are written by their d×d factors: a twisted product as {"parity", "dim_a",
+"dim_b", "eta", "xi"} with eta dim_a×dim_b and xi dim_b×dim_a, a Kronecker
+product a ⊗ b as {"dim_a", "dim_b", "a", "b"} with square factors.  Field
+names are exact, and declared dimensions are exact ints matching the shapes.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import numpy as np
 from .antilinear import AntilinearMap
 from .bipartite import BipartiteVector
 from .errors import NonFinite, ParseError
+from .modular import KroneckerProduct, TwistedOperator, twisted_product
 
 
 def matrix_to_json(m) -> dict:
@@ -63,6 +68,11 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
     return out.reshape(rows, cols)
 
 
+def _check_shape(what: str, field: str, m: np.ndarray, dims: tuple) -> None:
+    if m.shape != dims or not all(type(d) is int for d in dims):  # True == 1 and 2.0 == 2 are no dimensions
+        raise ParseError(f"{what}: {field} shape {m.shape} does not match declared dimensions {dims}")
+
+
 def antilinear_to_json(t: AntilinearMap) -> dict:
     return {
         "dim_domain": t.dim_domain,
@@ -77,12 +87,7 @@ def antilinear_from_json(obj, what: str = "antilinear map") -> AntilinearMap:
     if obj["parity"] != "antilinear":
         raise ParseError(f"{what}: parity must be 'antilinear', got {obj['parity']!r}")
     mat = matrix_from_json(obj["mat"], f"{what}.mat")
-    dims = (obj["dim_codomain"], obj["dim_domain"])
-    if mat.shape != dims or not all(type(d) is int for d in dims):  # True == 1 and 2.0 == 2 are no dimensions
-        raise ParseError(
-            f"{what}: mat shape {mat.shape} does not match declared dimensions "
-            f"({obj['dim_codomain']}, {obj['dim_domain']})"
-        )
+    _check_shape(what, "mat", mat, (obj["dim_codomain"], obj["dim_domain"]))
     return AntilinearMap(mat)
 
 
@@ -97,13 +102,47 @@ def bipartite_to_json(psi: BipartiteVector) -> dict:
 def bipartite_from_json(obj, what: str = "bipartite vector") -> BipartiteVector:
     _require(obj, {"dim_a", "dim_b", "coeff"}, what)
     coeff = matrix_from_json(obj["coeff"], f"{what}.coeff")
-    dims = (obj["dim_a"], obj["dim_b"])
-    if coeff.shape != dims or not all(type(d) is int for d in dims):
-        raise ParseError(
-            f"{what}: coeff shape {coeff.shape} does not match declared dimensions "
-            f"({obj['dim_a']}, {obj['dim_b']})"
-        )
+    _check_shape(what, "coeff", coeff, (obj["dim_a"], obj["dim_b"]))
     return BipartiteVector(coeff)
+
+
+def twisted_to_json(op: TwistedOperator) -> dict:
+    eta, xi = op.factors
+    return {
+        "parity": op.parity,
+        "dim_a": op.dim_a,
+        "dim_b": op.dim_b,
+        "eta": matrix_to_json(eta),
+        "xi": matrix_to_json(xi),
+    }
+
+
+def twisted_from_json(obj, what: str = "twisted operator") -> TwistedOperator:
+    _require(obj, {"parity", "dim_a", "dim_b", "eta", "xi"}, what)
+    parity = obj["parity"]
+    if parity not in ("linear", "antilinear"):
+        raise ParseError(f"{what}: parity must be 'linear' or 'antilinear', got {parity!r}")
+    eta = matrix_from_json(obj["eta"], f"{what}.eta")
+    xi = matrix_from_json(obj["xi"], f"{what}.xi")
+    _check_shape(what, "eta", eta, (obj["dim_a"], obj["dim_b"]))
+    _check_shape(what, "xi", xi, (obj["dim_b"], obj["dim_a"]))
+    if parity == "antilinear":
+        return twisted_product(AntilinearMap(eta), AntilinearMap(xi))
+    return twisted_product(eta, xi)
+
+
+def kronecker_to_json(op: KroneckerProduct) -> dict:
+    a, b = op.factors
+    return {"dim_a": op.dim_a, "dim_b": op.dim_b, "a": matrix_to_json(a), "b": matrix_to_json(b)}
+
+
+def kronecker_from_json(obj, what: str = "Kronecker product") -> KroneckerProduct:
+    _require(obj, {"dim_a", "dim_b", "a", "b"}, what)
+    a = matrix_from_json(obj["a"], f"{what}.a")
+    b = matrix_from_json(obj["b"], f"{what}.b")
+    _check_shape(what, "a", a, (obj["dim_a"], obj["dim_a"]))
+    _check_shape(what, "b", b, (obj["dim_b"], obj["dim_b"]))
+    return KroneckerProduct((a, b))
 
 
 def load_json(path) -> dict:

@@ -16,12 +16,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimMismatch, NonFinite, NotHermitian, NotPositive
+from .errors import DimMismatch, DimTooLarge, NonFinite, NotHermitian, NotPositive
 
 HERMITIAN_TOL = 1e-10  # max-entry bound on (H - H†)/2
 EIG_CLAMP = 1e-10      # eigenvalues in [-EIG_CLAMP, 0) count as roundoff and clamp to 0
 RANK_RTOL = 1e-12      # singular values below RANK_RTOL * sigma_max do not count toward rank
 RANK_ATOL = 1e-14      # absolute fallback when sigma_max == 0
+DENSE_DIM_LIMIT = 4096  # largest dimension of a dense operator or oracle state built on request
 
 
 def _member(name: str, bad: np.ndarray) -> tuple[str, tuple]:
@@ -30,6 +31,11 @@ def _member(name: str, bad: np.ndarray) -> tuple[str, tuple]:
         return name, ()
     idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
     return f"{name}[{', '.join(map(str, idx))}]", idx
+
+
+def _check_dense(total: int, what: str) -> None:
+    if total > DENSE_DIM_LIMIT:
+        raise DimTooLarge(f"{what} needs dimension {total} > {DENSE_DIM_LIMIT}")
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:

@@ -6,58 +6,78 @@ vectors by crossing the factors,
     (eta ⊗̃ xi)(u ⊗ v) = (eta v) ⊗ (xi u),
 
 extended linearly when both factors are linear and antilinearly when both are
-antilinear; one of each is ill defined and rejected.  On the a-major Kronecker
-basis its matrix is, for either parity, the broadcast product
+antilinear; one of each is ill defined and rejected.  On a coefficient matrix
+X it acts as X -> eta X^T xi^T (linear) or X -> eta X† xi^T (antilinear), and
+on the a-major Kronecker basis its matrix is, for either parity, the
+broadcast product
 
-    mat[(i, k), (p, q)] = eta[i, q] * xi[k, p],
-
-so on a coefficient matrix X it acts as X -> eta X^T xi^T (linear) or
-X -> eta X† xi^T (antilinear).
+    mat[(i, k), (p, q)] = eta[i, q] * xi[k, p].
 
 Applying this to the maps induced by two bipartite vectors lifts them to
 operators on the full product space; the lifted family reproduces, in finite
 dimensions, the modular operators S, Delta, J defined by
 S (A ⊗ 1) psi = (A* ⊗ 1) phi for a completely entangled psi.  S and J are
-built here as twisted products of d×d factors, never by solving on the
-d²-dimensional space.
+twisted products and Delta a Kronecker product of d×d factors, and every
+operator here is held by its factors (Van Loan, "The ubiquitous Kronecker
+product", 2000): the dense d²×d² matrix is built only when read, and refused
+beyond DENSE_DIM_LIMIT.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .antilinear import AntilinearMap, adjoint
 from .bipartite import BipartiteVector, _check_same_dims, epr_maps, polar_of_state, reduced
 from .errors import DimMismatch, MixedParity, NotSeparating
-from .linalg import _member, as_matrix, frozen, kron, numerical_rank, seal
+from .linalg import _check_dense, _member, as_matrix, frozen, kron, numerical_rank, seal
 
 
 @dataclass(frozen=True)
 class TwistedOperator:
-    """Operator on H_a ⊗ H_b built as a twisted product of two factor maps (or a stack of them).
+    """Operator on H_a ⊗ H_b held as the twisted product of two factor maps (or a stack of them).
 
-    ``parity`` is the common parity of the factors; the matrix acts on the
-    conjugated vector when antilinear.  ``factors`` records the two factor
-    matrices (eta, xi) the operator came from.
+    ``factors`` holds the factor matrices (eta, xi), eta: H_b -> H_a and
+    xi: H_a -> H_b, and ``parity`` their common parity; the dense matrix
+    ``mat`` acts on the conjugated vector when antilinear.
     """
 
-    mat: np.ndarray
-    parity: str                               # "linear" | "antilinear"
     factors: tuple[np.ndarray, np.ndarray]    # (eta matrix, xi matrix)
-    dim_a: int
-    dim_b: int
+    parity: str                               # "linear" | "antilinear"
 
     def __post_init__(self):
-        object.__setattr__(self, "mat", frozen(self.mat))
         object.__setattr__(self, "factors", tuple(frozen(f) for f in self.factors))
 
+    @property
+    def dim_a(self) -> int:
+        return self.factors[0].shape[-2]
+
+    @property
+    def dim_b(self) -> int:
+        return self.factors[0].shape[-1]
+
     def __call__(self, v) -> np.ndarray:
+        """Act on a vector (or a stack of them) through the factors, never the dense matrix."""
         vec = np.asarray(v, dtype=np.complex128)
-        if vec.ndim == 0 or vec.shape[-1] != self.mat.shape[-1]:
-            raise DimMismatch(f"vector length {vec.shape[-1:]} != {self.mat.shape[-1]}")
-        return (self.mat @ (np.conj(vec) if self.parity == "antilinear" else vec)[..., None])[..., 0]
+        n = self.dim_a * self.dim_b
+        if vec.ndim == 0 or vec.shape[-1] != n:
+            raise DimMismatch(f"vector length {vec.shape[-1:]} != {n}")
+        x = vec.reshape(*vec.shape[:-1], self.dim_a, self.dim_b)
+        eta, xi = self.factors
+        out = eta @ (np.conj(x) if self.parity == "antilinear" else x).mT @ xi.mT
+        return out.reshape(*out.shape[:-2], n)
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        """The dense d²×d² matrix, one broadcast product of the factors, built on first read."""
+        n = self.dim_a * self.dim_b
+        _check_dense(n, f"dense matrix of a {self.parity} twisted product")
+        eta, xi = (np.ascontiguousarray(f) for f in self.factors)  # so the product reshapes without a copy
+        prod = eta[..., :, None, None, :] * xi[..., None, :, :, None]
+        return seal(prod.reshape(*prod.shape[:-4], n, n))
 
     def as_antilinear(self) -> AntilinearMap:
         if self.parity != "antilinear":
@@ -65,12 +85,39 @@ class TwistedOperator:
         return AntilinearMap(self.mat)
 
 
+@dataclass(frozen=True)
+class KroneckerProduct:
+    """Linear operator a ⊗ b on H_a ⊗ H_b held by its factors (a, b), or stacks of them.
+
+    On a coefficient matrix X it acts as X -> a X b^T; the dense matrix
+    ``mat`` is built on first read.
+    """
+
+    factors: tuple[np.ndarray, np.ndarray]    # (a on H_a, b on H_b)
+
+    def __post_init__(self):
+        object.__setattr__(self, "factors", tuple(frozen(f) for f in self.factors))
+
+    @property
+    def dim_a(self) -> int:
+        return self.factors[0].shape[-1]
+
+    @property
+    def dim_b(self) -> int:
+        return self.factors[1].shape[-1]
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        _check_dense(self.dim_a * self.dim_b, "dense matrix of a Kronecker product")
+        return seal(kron(*self.factors))
+
+
 def twisted_product(eta_ab, xi_ba) -> TwistedOperator:
     """Twisted product of eta: H_b -> H_a and xi: H_a -> H_b of equal parity.
 
     Pass both factors as AntilinearMap for the antilinear case or both as
     plain matrices for the linear case; stacked factors give a stack of
-    operators.  The matrix is one broadcast product of the factors.
+    operators.
     """
     eta_anti = isinstance(eta_ab, AntilinearMap)
     xi_anti = isinstance(xi_ba, AntilinearMap)
@@ -81,15 +128,7 @@ def twisted_product(eta_ab, xi_ba) -> TwistedOperator:
     dim_a, dim_b = eta.shape[-2:]
     if xi.shape[-2:] != (dim_b, dim_a):
         raise DimMismatch(f"xi must map H_a({dim_a}) into H_b({dim_b}), got shape {xi.shape}")
-    eta, xi = np.ascontiguousarray(eta), np.ascontiguousarray(xi)  # so the product reshapes without a copy
-    prod = eta[..., :, None, None, :] * xi[..., None, :, :, None]
-    return TwistedOperator(
-        mat=seal(prod.reshape(*prod.shape[:-4], dim_a * dim_b, dim_a * dim_b)),
-        parity="antilinear" if eta_anti else "linear",
-        factors=(eta, xi),
-        dim_a=dim_a,
-        dim_b=dim_b,
-    )
+    return TwistedOperator(factors=(eta, xi), parity="antilinear" if eta_anti else "linear")
 
 
 def twisted_adjoint(p: TwistedOperator) -> TwistedOperator:
@@ -164,19 +203,16 @@ def gns_check(psi: BipartiteVector | np.ndarray):
 
 @dataclass(frozen=True)
 class ModularTriple:
-    """Closed operators S = J Delta^(1/2) of the finite-dimensional modular setup.
+    """Closed operators S = J Delta^(1/2) of the finite-dimensional modular setup, held by their factors.
 
     S is antilinear with S (A ⊗ 1) psi = (A* ⊗ 1) phi; Delta is the positive
     operator omega_a(phi) ⊗ inverse(omega_b(psi)); J is the antilinear phase
     of S, antiunitary whenever phi has full-rank reductions too.
     """
 
-    s: AntilinearMap
-    delta: np.ndarray
-    j: AntilinearMap
-
-    def __post_init__(self):
-        object.__setattr__(self, "delta", frozen(self.delta))
+    s: TwistedOperator
+    delta: KroneckerProduct
+    j: TwistedOperator
 
 
 def tomita_S(phi: BipartiteVector, psi: BipartiteVector) -> ModularTriple:
@@ -195,20 +231,21 @@ def tomita_S(phi: BipartiteVector, psi: BipartiteVector) -> ModularTriple:
     reductions of psi are rejected rather than pseudo-inverted.
     Stacked states give stacked operators.
 
-    The factors cost O(d³) (three d×d SVDs)
-    and the dense d²×d² matrices O(d⁴).  verify.modular_defining, which checks
-    S on all d² matrix units (they span the space because psi is cyclic), is
-    the brute-force oracle of S; verify.modular_phase_match compares J with
-    the phase of the dense SVD of S.
+    Everything costs O(d³) time and O(d²) memory (three d×d SVDs); the
+    dense d²×d² matrices are built only when read.  verify.modular_defining_oracle,
+    which checks the dense S on all d² matrix units (they span the space
+    because psi is cyclic), is the brute-force oracle of S, and
+    verify.modular_phase_match_oracle compares J with the phase of the dense
+    SVD of S.
     """
     _check_same_dims(phi, psi)
     entangled = np.asarray(gns_check(psi))
     if not entangled.all():
         label, _ = _member("psi", ~entangled)
         raise NotSeparating(f"{label} must be completely entangled (square, full-rank reductions)")
-    # Each d²×d² operator is built right after its own factors.
     u, sigma, vh = np.linalg.svd(psi.coeff)
-    s = twisted_product(AntilinearMap((u / sigma[..., None, :]) @ vh), AntilinearMap(phi.coeff.mT))
-    delta = seal(kron(reduced(phi, "a"), (vh.mT / sigma[..., None, :] ** 2) @ vh.conj()))
-    j = twisted_product(*_phases(psi, phi))
-    return ModularTriple(s=s.as_antilinear(), delta=delta, j=j.as_antilinear())
+    return ModularTriple(
+        s=twisted_product(AntilinearMap((u / sigma[..., None, :]) @ vh), AntilinearMap(phi.coeff.mT)),
+        delta=KroneckerProduct((reduced(phi, "a"), seal((vh.mT / sigma[..., None, :] ** 2) @ vh.conj()))),
+        j=twisted_product(*_phases(psi, phi)),
+    )

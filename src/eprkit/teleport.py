@@ -28,16 +28,15 @@ from .antilinear import chain, polar
 from .bipartite import BipartiteVector, _check_unit, epr_maps
 from .errors import (
     DimMismatch,
-    DimTooLarge,
     FactorizationFailure,
     NotOrthonormal,
     OddParity,
 )
-from .linalg import MatrixNorms, _member, _out, as_matrix, fro_norm, frozen, herm_eigh, kron, norms, trace_norm
+from .linalg import MatrixNorms, _check_dense, _member, _out, as_matrix, fro_norm, frozen, herm_eigh, kron, norms
+from .linalg import trace_norm
 
 ORTHO_TOL = 1e-10
 FACTOR_TOL = 1e-8
-DENSE_DIM_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -75,12 +74,6 @@ def teleport_map(psi_ab: BipartiteVector, phi_bc: BipartiteVector) -> TeleportMa
             f"shared b-dimension differs: psi has {psi_ab.dim_b}, ancilla has {phi_bc.dim_a}"
         )
     return TeleportMap(t=phi_bc.coeff.mT @ np.conj(psi_ab.coeff.mT), source_psi=psi_ab, ancilla_phi=phi_bc)
-
-
-def _check_dense(dims) -> None:
-    total = int(np.prod(dims))
-    if total > DENSE_DIM_LIMIT:
-        raise DimTooLarge(f"dense oracle needs dimension {total} > {DENSE_DIM_LIMIT}")
 
 
 def _project(full: np.ndarray, before: int, w: np.ndarray) -> np.ndarray:
@@ -248,7 +241,7 @@ def luders_project(ch: LudersChannel, phi_a) -> np.ndarray:
     v_a = np.asarray(phi_a, dtype=np.complex128)
     if v_a.ndim == 0 or v_a.shape[-1] != ch.psis[0].dim_a:
         raise DimMismatch(f"phi_a length {v_a.shape[-1:]} != dim_a {ch.psis[0].dim_a}")
-    _check_dense((ch.psis[0].dim_a, ch.psis[0].dim_b, ch.ancilla_phi.dim_b))
+    _check_dense(ch.psis[0].dim_a * ch.psis[0].dim_b * ch.ancilla_phi.dim_b, "dense oracle")
     w = np.stack([p.to_vector() for p in ch.psis], axis=-1)
     return _project(kron(v_a, ch.ancilla_phi.to_vector(), vectors=True), 1, w)
 
@@ -291,7 +284,7 @@ def chain_oracle(phi_a, stages: Sequence[BipartiteVector]) -> np.ndarray:
     for k, s in enumerate(stages):
         if s.dim_a != dims[k]:
             raise DimMismatch(f"stages[{k}] has first dimension {s.dim_a}, the chain has {dims[k]} there")
-    _check_dense(dims)
+    _check_dense(int(np.prod(dims)), "dense oracle")
     for k, s in enumerate(stages[0::2]):
         _check_unit(s.norm(), f"measured vector stages[{2 * k}]")
     ws = [s.to_vector() for s in stages[0::2]]

@@ -92,6 +92,7 @@ TOLERANCES = {
 }
 
 BOUND_PROBES = 100  # random inputs per teleport trial that the success bound must dominate
+ORACLE_DIM = 4  # modular_suite also runs the dense d²×d² oracles up to this d
 
 
 @dataclass(frozen=True)
@@ -283,8 +284,129 @@ def twisted_action(prod, eta, xi):
     return np.linalg.norm(prod.mat @ np.eye(n) - want, axis=-2).max(axis=-1, initial=0.0)
 
 
+def _r(*cols):
+    """The 2×2 R factor of the matrix whose columns are the two vectors `cols` (last axis), member by member.
+
+    With L = Q_L R_L and R = Q_R R_R, ||L Rᵀ||_F = ||R_L R_Rᵀ||_F, so the norm
+    of a sum of two outer products comes without summing squared norms, and
+    a cancellation between the two terms costs no more than rounding.
+    """
+    return np.linalg.qr(np.stack(cols, -1), mode="r")
+
+
+def _kron_gap(f1, f2):
+    """||x1 ⊗ y1 - x2 ⊗ y2||_F of two factor pairs (x, y), in O(d²) from the factors.
+
+    Two twisted products differ by the same column permutation of these
+    Kronecker products, so this also measures their difference.  The
+    rearrangement x ⊗ y -> vec(x) vec(y)ᵀ keeps the Frobenius norm (Van Loan
+    and Pitsianis), and the difference rearranges to the rank-two
+    vec(x1 - x2) vec(y1)ᵀ + vec(x2) vec(y1 - y2)ᵀ, whose terms are small when
+    the factors nearly agree.
+    """
+    (x1, y1), (x2, y2) = f1, f2
+
+    def flat(m):
+        return m.reshape(*m.shape[:-2], -1)
+
+    return _fro(_r(flat(x1 - x2), flat(x2)) @ _r(flat(y1), flat(y1 - y2)).mT)
+
+
+def _phase(m):
+    """The polar phase of m from its SVD, singular values below the package rank rule dropped."""
+    u, sigma, vh = np.linalg.svd(m, full_matrices=False)
+    return (u * la.rank_mask(sigma)[..., None, :]) @ vh
+
+
+def _roots(phi, psi):
+    """omega_a(phi)^(1/2), omega_b(psi)^(1/2) and omega_b(psi)^(-1/2), from the SVDs of C_phi and C_psi^T.
+
+    omega_a(phi)^(1/2) and omega_b(psi)^(1/2) are the positive polar parts
+    of s_ab(phi) = C_phi and s_ba(psi) = C_psi^T (rank rule applied, as in
+    antilinear.polar), and with C_psi^T = U Σ V†, omega_b(psi)^(-1/2) =
+    U Σ^(-1) U†: never a square root of Delta or of a reduction.
+    """
+    def positive(u, sigma):
+        ur = u * la.rank_mask(sigma)[..., None, :]
+        p = (ur * sigma[..., None, :]) @ ur.conj().mT
+        return (p + p.conj().mT) / 2
+
+    u_a, sigma_a, _ = np.linalg.svd(phi.coeff, full_matrices=False)
+    u_b, sigma_b, _ = np.linalg.svd(psi.coeff.mT, full_matrices=False)
+    return positive(u_a, sigma_a), positive(u_b, sigma_b), (u_b / sigma_b[..., None, :]) @ u_b.conj().mT
+
+
 def modular_defining(triple, phi, psi):
-    """S (E_ij ⊗ 1) psi = (E_ij* ⊗ 1) phi on all d² matrix units at once.
+    """S (E_ij ⊗ 1) psi = (E_ij* ⊗ 1) phi on all d² matrix units: the worst unit's residual, from the factors.
+
+    S = eta ⊗̃ xi maps E_ij C_psi to g_j h_iᵀ, with g_j column j of
+    G = eta C_psi† and h_i row i of xi^T, against e_j f_iᵀ, f_i row i of
+    C_phi.  The residual (g_j - e_j) h_iᵀ + e_j (h_i - f_i)ᵀ has rank two,
+    and its norm is that of the product of the R factors of [g_j - e_j, e_j]
+    and [h_i, h_i - f_i]: O(d³) for G, O(d²) for all d² units.
+    """
+    eta, xi = triple.s.factors
+    g = eta @ psi.coeff.conj().mT
+    eye = np.broadcast_to(np.eye(g.shape[-1]), g.shape)
+    r_j, r_i = _r((g - eye).mT, eye), _r(xi.mT, xi.mT - phi.coeff)
+    return _fro(r_j[..., None, :, :, :] @ r_i[..., :, None, :, :].mT).max(axis=(-2, -1))
+
+
+def modular_delta(triple):
+    """S* ∘ S = Delta and Delta >= 0, relative to 1 + ||Delta||, from the factors.
+
+    Delta carries an inverse, so its norm is unbounded over random states;
+    this dual-route residual is measured relative to it.  For S = eta ⊗̃ xi,
+    S* ∘ S = (xi^T conj(xi)) ⊗ (eta^T conj(eta)), a Kronecker product like
+    Delta = a ⊗ b.  The eigenvalues of Delta are those of a times those of b,
+    taken from their Hermitian parts; when a or b is not exactly Hermitian
+    the Hermitian part of Delta differs from that product by the product of
+    their skew parts, second order in rounding for the built factors.
+    """
+    eta, xi = triple.s.factors
+    a, b = triple.delta.factors
+    gap = _kron_gap((xi.mT @ np.conj(xi), eta.mT @ np.conj(eta)), (a, b))
+    w_a, w_b = (np.linalg.eigvalsh((m + m.conj().mT) / 2) for m in (a, b))
+    low = (w_a[..., :, None] * w_b[..., None, :]).min(axis=(-2, -1))
+    return np.maximum(gap, np.maximum(0.0, -low)) / (1.0 + _fro(a) * _fro(b))
+
+
+def modular_reconstruction(triple, phi, psi):
+    """S = J Delta^(1/2), with Delta^(1/2) = omega_a(phi)^(1/2) ⊗ omega_b(psi)^(-1/2), from the factors.
+
+    J ∘ (P ⊗ Q) = (eta_J conj(Q)) ⊗̃ (xi_J conj(P)) for linear P, Q, so both
+    sides are twisted products.
+    """
+    sqrt_a, _, inv_sqrt_b = _roots(phi, psi)
+    eta_j, xi_j = triple.j.factors
+    return _kron_gap(triple.s.factors, (eta_j @ np.conj(inv_sqrt_b), xi_j @ np.conj(sqrt_a)))
+
+
+def modular_phase_match(triple):
+    """The polar phase of S, phase(eta) ⊗̃ phase(xi), against the triple's J.
+
+    The phase of a twisted product is the twisted product of the factor
+    phases; the package rank rule applies to each factor, not to the
+    singular values of S, which are products of theirs.
+    """
+    eta, xi = triple.s.factors
+    return _kron_gap((_phase(eta), _phase(xi)), triple.j.factors)
+
+
+def modular_intertwine(triple, phi, psi):
+    """S (1 ⊗ omega_b(psi)^(1/2)) = J (omega_a(phi)^(1/2) ⊗ 1), from the factors.
+
+    The roots are the polar parts of s_ba(psi) and s_ab(phi); both sides are
+    twisted products, as in modular_reconstruction.
+    """
+    eta, xi = triple.s.factors
+    eta_j, xi_j = triple.j.factors
+    sqrt_a, sqrt_b, _ = _roots(phi, psi)
+    return _kron_gap((eta @ np.conj(sqrt_b), xi), (eta_j, xi_j @ np.conj(sqrt_a)))
+
+
+def modular_defining_oracle(triple, phi, psi):
+    """Dense oracle of modular_defining: the dense S on all d² matrix units at once.
 
     Row (i, j) of the unit stack is (E_ij ⊗ 1) psi, whose coefficient matrix
     holds row j of C_psi in its row i; (E_ij* ⊗ 1) phi holds row i of C_phi
@@ -298,44 +420,30 @@ def modular_defining(triple, phi, psi):
     return np.linalg.norm(np.conj(units) @ triple.s.mat.mT - want, axis=-1).max(axis=-1)
 
 
-def modular_delta(triple):
-    """S* ∘ S = Delta and Delta >= 0, relative to 1 + ||Delta||.
-
-    Delta carries an inverse, so its norm is unbounded over random states;
-    this dual-route residual is measured relative to it.
-    """
-    delta = triple.delta
-    gap = _fro(al.compose_aa(al.adjoint(triple.s), triple.s) - delta)
+def modular_delta_oracle(triple):
+    """Dense oracle of modular_delta: the dense S* ∘ S against the dense Delta and its eigenvalues."""
+    s, delta = triple.s.as_antilinear(), triple.delta.mat
+    gap = _fro(al.compose_aa(al.adjoint(s), s) - delta)
     eigs = np.linalg.eigvalsh((delta + delta.conj().mT) / 2)
     return np.maximum(gap, np.maximum(0.0, -eigs.min(axis=-1))) / (1.0 + _fro(delta))
 
 
-def modular_reconstruction(triple, phi, psi):
-    """S = J Delta^(1/2), with Delta^(1/2) = omega_a(phi)^(1/2) ⊗ omega_b(psi)^(-1/2).
-
-    Both factors come from the SVDs of the coefficient matrices, never from
-    a square root of Delta: omega_a(phi)^(1/2) is the positive polar part of
-    s_ab(phi) = C_phi, and with s_ba(psi) = C_psi^T = U Σ V†,
-    omega_b(psi)^(-1/2) = U Σ^(-1) U†.
-    """
-    u, sigma, _ = np.linalg.svd(psi.coeff.mT)
-    inv_sqrt_b = (u / sigma[..., None, :]) @ u.conj().mT
-    sqrt_a = al.polar(bp.epr_maps(phi).s_ab).positive
+def modular_reconstruction_oracle(triple, phi, psi):
+    """Dense oracle of modular_reconstruction: S against J conj(Delta^(1/2)) as d²×d² matrices."""
+    sqrt_a, _, inv_sqrt_b = _roots(phi, psi)
     return _fro(triple.s.mat - triple.j.mat @ np.conj(la.kron(sqrt_a, inv_sqrt_b)))
 
 
-def modular_phase_match(triple):
-    """The polar phase of S, from its dense SVD with the package rank rule, against the triple's J."""
-    f = la.svd(triple.s.mat)
-    return _fro((f.u * la.rank_mask(f.sigma)[..., None, :]) @ f.v.conj().mT - triple.j.mat)
+def modular_phase_match_oracle(triple):
+    """Dense oracle of modular_phase_match: the phase of the dense SVD of S, with the package rank rule."""
+    return _fro(_phase(triple.s.mat) - triple.j.mat)
 
 
-def modular_intertwine(triple, phi, psi):
-    """S (1 ⊗ omega_b(psi)^(1/2)) = J (omega_a(phi)^(1/2) ⊗ 1); roots from the polar parts of s_ba(psi), s_ab(phi)."""
+def modular_intertwine_oracle(triple, phi, psi):
+    """Dense oracle of modular_intertwine, on d²×d² matrices."""
+    sqrt_a, sqrt_b, _ = _roots(phi, psi)
     eye = np.eye(psi.dim_b)
-    lhs = triple.s.mat @ np.conj(la.kron(eye, bp.polar_of_state(psi).positive))
-    rhs = triple.j.mat @ np.conj(la.kron(al.polar(bp.epr_maps(phi).s_ab).positive, eye))
-    return _fro(lhs - rhs)
+    return _fro(triple.s.mat @ np.conj(la.kron(eye, sqrt_b)) - triple.j.mat @ np.conj(la.kron(sqrt_a, eye)))
 
 
 def matcore_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
@@ -657,18 +765,24 @@ def modular_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         d = squares[t % len(squares)]
         return (d,), (coeff_from_rng(rng, d, d, entangled=True), coeff_from_rng(rng, d, d))
 
-    for rec, _, (c_psi, c_phi) in _stacked(table, seed, 120, trials, draw):
+    for rec, (d,), (c_psi, c_phi) in _stacked(table, seed, 120, trials, draw):
         psi, phi = bp.BipartiteVector(c_psi), bp.BipartiteVector(c_phi)
         triple = md.tomita_S(phi, psi)
-        rec("modular.defining", modular_defining(triple, phi, psi))
-        rec("modular.delta", modular_delta(triple))
-        rec("modular.reconstruction", modular_reconstruction(triple, phi, psi))
-        rec("modular.phase_match", modular_phase_match(triple))
-        rec("modular.intertwine", modular_intertwine(triple, phi, psi))
+        # Each identity is checked by its factor route and, up to ORACLE_DIM, by its dense oracle too.
+        for name, route, oracle, args in (
+            ("modular.defining", modular_defining, modular_defining_oracle, (triple, phi, psi)),
+            ("modular.delta", modular_delta, modular_delta_oracle, (triple,)),
+            ("modular.reconstruction", modular_reconstruction, modular_reconstruction_oracle, (triple, phi, psi)),
+            ("modular.phase_match", modular_phase_match, modular_phase_match_oracle, (triple,)),
+            ("modular.intertwine", modular_intertwine, modular_intertwine_oracle, (triple, phi, psi)),
+        ):
+            rec(name, route(*args))
+            if d <= ORACLE_DIM:
+                rec(name, oracle(*args))
 
         own = md.tomita_S(psi, psi)
         vec = psi.to_vector()
-        rec("modular.fixed_point", np.maximum(_fro(al.apply(own.s, vec) - vec, 1), _fro(al.apply(own.j, vec) - vec, 1)))
+        rec("modular.fixed_point", np.maximum(_fro(own.s(vec) - vec, 1), _fro(own.j(vec) - vec, 1)))
 
 
 SUITES = (

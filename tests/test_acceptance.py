@@ -338,7 +338,7 @@ def test_criterion_10_twisted_modular_suite(acceptance_report):
                 )
         worst = max(
             worst,
-            fro(triple.s.mat - triple.j.mat @ np.conj(psd_sqrt(triple.delta))),
+            fro(triple.s.mat - triple.j.mat @ np.conj(psd_sqrt(triple.delta.mat))),
             fro(triple.j.mat - bwd.j.mat),
             fro(
                 triple.s.mat @ np.conj(np.kron(np.eye(d), psd_sqrt(om_b_psi)))

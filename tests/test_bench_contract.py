@@ -16,6 +16,7 @@ from pathlib import Path
 
 import eprkit
 from eprkit import cli, verify
+from eprkit.formats import twisted_from_json
 from eprkit.formats import bipartite_to_json
 from eprkit.sampling import random_state
 
@@ -90,3 +91,41 @@ def test_modular_runner_outside_checks_pass(monkeypatch):
 
     swapped = eprkit.ModularTriple(s=triple.j, delta=triple.delta, j=triple.s)
     assert not runner.check(op, (swapped, lifted, None)).ok
+
+
+def test_cli_session_op_traced_with_the_cached_parser(monkeypatch, tmp_path):
+    # Op 2 of seed 1 runs `modular` at d = 8 on Gaussian states; every command exits 0 at the parent.
+    for sibling in ("inputs", "spans"):
+        load_by_bare_name(monkeypatch, sibling)
+    worker = load_by_bare_name(monkeypatch, "worker")
+    ops = worker.inputs.session_ops(1, 3)
+    op = ops.ops[2]
+    ops.write(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    cli.build_parser()  # the parser is cached before the tracer re-binds cli.cmd_*
+    before = package_bindings()
+
+    runner = worker.CliRunner(eprkit, "cli-session")
+    tracer = worker.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op()
+        raw = runner.run(op)
+        tracer.end_op(0)
+    finally:
+        tracer.uninstall()
+
+    results, _ = raw
+    assert [(cmd, code) for cmd, _, code, _ in results] == [
+        ("epr", 0), ("teleport", 0), ("luders", 0), ("chain", 0), ("modular", 0)
+    ]
+    outcome = runner.check(op, raw)
+    assert outcome.ok and outcome.correct
+    calls = dict(zip(tracer.names, tracer.op_totals(0)[0]))
+    assert all(calls[f"cli.cmd_{cmd}"] == 1 for cmd, _ in op.commands)
+    assert calls["cli.report_encode"] == 5
+    assert twisted_from_json(json.loads((tmp_path / "out-modular.json").read_text())["S"]).dim_a == 8
+
+    after = package_bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is obj for key, obj in before.items())

@@ -4,12 +4,14 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from eprkit.cli import main
-from eprkit.formats import bipartite_to_json, matrix_from_json, matrix_to_json
+from eprkit.errors import DimTooLarge
+from eprkit.formats import bipartite_to_json, kronecker_from_json, matrix_from_json, matrix_to_json, twisted_from_json
 from eprkit.sampling import random_state
 
 from util import bell
@@ -163,7 +165,7 @@ class TestModular:
     def test_bell_pair(self, capsys, bell_file):
         code, report, _ = run_cli(capsys, "modular", bell_file, bell_file)
         assert code == 0
-        delta = matrix_from_json(report["Delta"])
+        delta = kronecker_from_json(report["Delta"]).mat
         assert np.linalg.norm(delta - np.eye(4)) < 1e-9
         assert report["S"]["parity"] == "antilinear"
         assert all(v < 1e-9 for v in report["residuals"].values())
@@ -202,7 +204,8 @@ class TestModular:
 
         def wrong_delta(phi, psi):
             triple = tomita_S(phi, psi)
-            return md.ModularTriple(s=triple.s, delta=triple.delta * (1 + 1e-6), j=triple.j)
+            a, b = triple.delta.factors
+            return md.ModularTriple(s=triple.s, delta=md.KroneckerProduct((a * (1 + 1e-6), b)), j=triple.j)
 
         monkeypatch.setattr(md, "tomita_S", wrong_delta)
         paths = []
@@ -216,13 +219,33 @@ class TestModular:
         assert "modular.delta" in err
 
     def test_emitted_operators_parse_back(self, capsys, bell_file):
-        from eprkit.formats import antilinear_from_json
-
         _, report, _ = run_cli(capsys, "modular", bell_file, bell_file)
-        s = antilinear_from_json(report["S"])
-        j = antilinear_from_json(report["J"])
-        assert s.dim_domain == s.dim_codomain == 4
+        s = twisted_from_json(report["S"])
+        j = twisted_from_json(report["J"])
+        assert s.dim_a == s.dim_b == 2 and s.mat.shape == (4, 4)
         assert np.linalg.norm(s.mat - j.mat) < 1e-9  # Delta = 1 for this pair
+
+
+    def test_beyond_the_dense_limit_from_factors(self, capsys, tmp_path):
+        # d = 80: d² = 6400 > DENSE_DIM_LIMIT, and one dense 6400² complex matrix would take 655 MB.
+        paths = [
+            _write(tmp_path, f"{name}.json", bipartite_to_json(random_state((80, 80), seed=seed, entangled=True)))
+            for name, seed in (("phi", 7), ("psi", 8))
+        ]
+        out = tmp_path / "modular.json"
+        tracemalloc.start()
+        try:
+            code = main(["modular", *paths, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak < 16e6
+        report = json.loads(out.read_text())
+        assert report["Delta"]["dim_a"] == report["Delta"]["dim_b"] == 80
+        with pytest.raises(DimTooLarge):
+            twisted_from_json(report["S"]).mat
 
 
 class TestVerify:

@@ -1,5 +1,7 @@
 """Tests for the JSON serialization formats."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,11 +15,16 @@ from eprkit.formats import (
     antilinear_to_json,
     bipartite_from_json,
     bipartite_to_json,
+    kronecker_from_json,
+    kronecker_to_json,
     load_json,
     matrix_from_json,
     matrix_to_json,
+    twisted_from_json,
+    twisted_to_json,
 )
-from eprkit.sampling import complex_normal
+from eprkit.modular import KroneckerProduct, tomita_S, twisted_product
+from eprkit.sampling import complex_normal, state_from_rng
 
 from util import bell, seeded_rng
 
@@ -117,6 +124,33 @@ def test_bipartite_from_json_gives_finite_matrix_or_eprkit_error(fields):
     assert np.isfinite(psi.coeff).all()
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_coeff_fields(), st.sampled_from(["linear", "antilinear"]) | _JSON)
+@example((True, 2, [[1.0, 0.0], [0.0, 0.0]]), "linear")  # a bool dimension
+@example((2, 1, [[1.0, 0.0], [0.0, 0.0]]), "antilinear")  # valid twisted product, non-square Kronecker factor
+def test_factored_operators_from_json_give_finite_factors_or_eprkit_error(fields, parity):
+    rows, cols, data = fields
+    mat = {"rows": rows, "cols": cols, "data": data}
+    transposed = {"rows": cols, "cols": rows, "data": data}
+    cases = [
+        (twisted_from_json, {"parity": parity, "dim_a": rows, "dim_b": cols, "eta": mat, "xi": transposed}),
+        (kronecker_from_json, {"dim_a": rows, "dim_b": cols, "a": mat, "b": transposed}),
+    ]
+    for reader, obj in cases:
+        try:
+            op = reader(obj)
+        except errors.EprkitError:
+            continue
+        assert op.dim_a == rows and op.dim_b == cols
+        for f in op.factors:
+            assert f.dtype == np.complex128 and np.isfinite(f).all()
+        if reader is twisted_from_json:
+            assert op.parity == parity
+            assert [f.shape for f in op.factors] == [(rows, cols), (cols, rows)]
+        else:
+            assert [f.shape for f in op.factors] == [(rows, rows), (cols, cols)]
+
+
 def test_antilinear_roundtrip():
     rng = seeded_rng(101)
     t = AntilinearMap(complex_normal(rng, 2, 3))
@@ -177,3 +211,68 @@ def test_load_json_errors(tmp_path):
     with pytest.raises(errors.ParseError):
         load_json(array)
 
+
+
+class TestFactoredOperators:
+    @pytest.mark.parametrize("parity", ["linear", "antilinear"])
+    def test_twisted_roundtrip(self, parity):
+        rng = seeded_rng(102)
+        eta, xi = complex_normal(rng, 2, 3), complex_normal(rng, 3, 2)
+        if parity == "antilinear":
+            eta, xi = AntilinearMap(eta), AntilinearMap(xi)
+        op = twisted_product(eta, xi)
+        obj = twisted_to_json(op)
+        assert set(obj) == {"parity", "dim_a", "dim_b", "eta", "xi"}
+        assert (obj["parity"], obj["dim_a"], obj["dim_b"]) == (parity, 2, 3)
+        back = twisted_from_json(obj)
+        assert back.parity == parity
+        assert np.array_equal(back.mat, op.mat)
+
+    def test_kronecker_roundtrip(self):
+        rng = seeded_rng(103)
+        op = KroneckerProduct((complex_normal(rng, 2, 2), complex_normal(rng, 3, 3)))
+        obj = kronecker_to_json(op)
+        assert set(obj) == {"dim_a", "dim_b", "a", "b"}
+        assert np.array_equal(kronecker_from_json(obj).mat, op.mat)
+
+    def test_modular_triple_densifies_bit_for_bit_through_json(self):
+        rng = seeded_rng(104)
+        phi, psi = state_from_rng(rng, 3, 3), state_from_rng(rng, 3, 3, entangled=True)
+        triple = tomita_S(phi, psi)
+        parsed = json.loads(json.dumps({
+            "S": twisted_to_json(triple.s), "Delta": kronecker_to_json(triple.delta), "J": twisted_to_json(triple.j),
+        }))
+        assert np.array_equal(twisted_from_json(parsed["S"]).mat, triple.s.mat)
+        assert np.array_equal(twisted_from_json(parsed["J"]).mat, triple.j.mat)
+        assert np.array_equal(kronecker_from_json(parsed["Delta"]).mat, triple.delta.mat)
+
+    @pytest.mark.parametrize("parity", ["Antilinear", "", None, 1])
+    def test_twisted_parity_literal(self, parity):
+        obj = twisted_to_json(twisted_product(np.eye(2), np.eye(2)))
+        obj["parity"] = parity
+        with pytest.raises(errors.ParseError, match="parity"):
+            twisted_from_json(obj)
+
+    @pytest.mark.parametrize("dims", [(2.0, 2), (2, True), ("2", 2), (2, 3)])
+    def test_declared_dimensions_exact_and_matching(self, dims):
+        twisted = twisted_to_json(twisted_product(np.eye(2), np.eye(2)))
+        kron = kronecker_to_json(KroneckerProduct((np.eye(2), np.eye(2))))
+        for reader, obj in ((twisted_from_json, twisted), (kronecker_from_json, kron)):
+            obj["dim_a"], obj["dim_b"] = dims
+            with pytest.raises(errors.ParseError):
+                reader(obj)
+
+    def test_factor_shapes_must_agree(self):
+        eye2, eye3 = matrix_to_json(np.eye(2)), matrix_to_json(np.eye(3))
+        bad_twisted = {"parity": "linear", "dim_a": 2, "dim_b": 2, "eta": eye2, "xi": eye3}
+        with pytest.raises(errors.ParseError, match="xi shape"):
+            twisted_from_json(bad_twisted)
+        ones = matrix_to_json(np.ones((2, 3)))
+        with pytest.raises(errors.ParseError, match="a shape"):
+            kronecker_from_json({"dim_a": 2, "dim_b": 3, "a": ones, "b": eye3})
+
+    def test_missing_field(self):
+        obj = twisted_to_json(twisted_product(np.eye(2), np.eye(2)))
+        del obj["xi"]
+        with pytest.raises(errors.ParseError, match="missing"):
+            twisted_from_json(obj)

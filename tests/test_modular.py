@@ -1,14 +1,17 @@
 """Tests for twisted products, lifted operators, and the modular triple."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eprkit import errors
+from eprkit import errors, verify
 from eprkit.antilinear import AntilinearMap, compose_aa
 from eprkit.bipartite import BipartiteVector, reduced
 from eprkit.linalg import numerical_rank, psd_sqrt, support_projection
 from eprkit.modular import (
+    KroneckerProduct,
     ModularTriple,
     gns_check,
     lift_operators,
@@ -25,6 +28,7 @@ from eprkit.verify import (
     modular_delta,
     modular_intertwine,
     modular_phase_match,
+    modular_phase_match_oracle,
     modular_reconstruction,
     modular_suite,
 )
@@ -251,7 +255,7 @@ class TestGnsCheck:
 class TestTomita:
     def test_bell_delta_identity_and_j_equals_s(self):
         triple = tomita_S(bell(2), bell(2))
-        assert_allclose(triple.delta, np.eye(4), atol=1e-12)
+        assert_allclose(triple.delta.mat, np.eye(4), atol=1e-12)
         assert np.linalg.norm(triple.j.mat - triple.s.mat) < 1e-12
 
     def test_bell_maps_matrix_unit(self):
@@ -293,11 +297,11 @@ class TestTomita:
         w = np.linalg.eigvalsh(reduced(psi, "b"))
         assert w.min() > 0
         delta_direct = compose_aa(
-            AntilinearMap(triple.s.mat.T), triple.s
+            AntilinearMap(triple.s.mat.T), triple.s.as_antilinear()
         )
-        assert np.linalg.norm(delta_direct - triple.delta) < 1e-9
+        assert np.linalg.norm(delta_direct - triple.delta.mat) < 1e-9
         assert np.linalg.norm(
-            triple.s.mat - triple.j.mat @ np.conj(psd_sqrt(triple.delta))
+            triple.s.mat - triple.j.mat @ np.conj(psd_sqrt(triple.delta.mat))
         ) < 1e-9
 
     def test_phase_match_rejects_phase_of_another_pair(self):
@@ -306,7 +310,7 @@ class TestTomita:
         phi = random_unit_state(rng, 3, 3)
         other = lift_operators(random_unit_state(rng, 3, 3), random_unit_state(rng, 3, 3)).j
         triple = tomita_S(phi, psi)
-        foreign = ModularTriple(s=triple.s, delta=triple.delta, j=other.as_antilinear())
+        foreign = ModularTriple(s=triple.s, delta=triple.delta, j=other)
         assert modular_phase_match(triple) < TOLERANCES["modular.phase_match"]
         assert modular_phase_match(foreign) > TOLERANCES["modular.phase_match"]
 
@@ -316,7 +320,7 @@ class TestTomita:
         phi = random_unit_state(rng, 3, 3)
         good = tomita_S(phi, psi)
         wrong_j = lift_operators(random_unit_state(rng, 3, 3), random_unit_state(rng, 3, 3)).j
-        bad = ModularTriple(s=good.s, delta=good.delta, j=wrong_j.as_antilinear())
+        bad = ModularTriple(s=good.s, delta=good.delta, j=wrong_j)
         assert modular_phase_match(good) < TOLERANCES["modular.phase_match"]
         assert modular_phase_match(bad) > TOLERANCES["modular.phase_match"]
         tol = TOLERANCES["modular.reconstruction"]
@@ -372,7 +376,7 @@ class TestTomita:
         psi = state_from_rng(rng, 3, 3, entangled=True)
         phi = state_from_rng(rng, 3, 3, entangled=True)
         triple = tomita_S(phi, psi)
-        assert np.linalg.norm(compose_aa(AntilinearMap(triple.j.mat.T), triple.j) - np.eye(9)) < 1e-9
+        assert np.linalg.norm(compose_aa(AntilinearMap(triple.j.mat.T), triple.j.as_antilinear()) - np.eye(9)) < 1e-9
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8])
     def test_factor_level_s_and_j_match_dense_oracle(self, d):
@@ -397,7 +401,7 @@ class TestTomita:
         phi = graded_state(rng, 4, 6)
         psi = graded_state(rng, 4, 6)
         triple = tomita_S(phi, psi)
-        assert np.linalg.norm(compose_aa(AntilinearMap(triple.j.mat.T), triple.j) - np.eye(16)) < 1e-9
+        assert np.linalg.norm(compose_aa(AntilinearMap(triple.j.mat.T), triple.j.as_antilinear()) - np.eye(16)) < 1e-9
         assert modular_defining(triple, phi, psi) < 1e-9
 
     def test_rank_deficient_psi_rejected(self):
@@ -414,6 +418,98 @@ class TestTomita:
         rng = seeded_rng(99)
         with pytest.raises(errors.DimMismatch):
             tomita_S(random_unit_state(rng, 3, 3), bell(2))
+
+
+MODULAR_IDENTITIES = ("defining", "delta", "reconstruction", "phase_match", "intertwine")
+
+
+def modular_residuals(triple, phi, psi, oracle: bool = False) -> dict:
+    """Every modular identity's residual, by its factor route or by its dense oracle."""
+    out = {}
+    for name in MODULAR_IDENTITIES:
+        fn = getattr(verify, f"modular_{name}_oracle" if oracle else f"modular_{name}")
+        out[name] = float(fn(triple) if name in ("delta", "phase_match") else fn(triple, phi, psi))
+    return out
+
+
+def modular_pair(family: str, d: int):
+    rng = seeded_rng(105, d, len(family))
+    if family == "gaussian":
+        return random_unit_state(rng, d, d), state_from_rng(rng, d, d, entangled=True)
+    k = int(family.removeprefix("graded-k"))
+    return graded_state(rng, d, k), graded_state(rng, d, k)
+
+
+class TestFactorRoutes:
+    """The CLI's factor-level modular checks against the dense d²×d² oracles that verify keeps."""
+
+    @pytest.mark.parametrize("family", ["gaussian", "graded-k2", "graded-k4"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_equal_to_dense_oracles(self, family, d):
+        # On the built triple both routes give rounding-level residuals, which
+        # cannot agree to a relative bound; S, Delta and J with every factor
+        # perturbed by 1e-2 give residuals well above rounding, the same
+        # quantity by both routes.
+        phi, psi = modular_pair(family, d)
+        triple = tomita_S(phi, psi)
+        rng = seeded_rng(106, d, len(family))
+
+        def nudge(m):
+            return m + 1e-2 * np.linalg.norm(m) / d * complex_normal(rng, *m.shape)
+
+        (eta, xi), (eta_j, xi_j), (a, b) = triple.s.factors, triple.j.factors, triple.delta.factors
+        perturbed = ModularTriple(
+            s=twisted_product(AntilinearMap(nudge(eta)), AntilinearMap(xi)),
+            delta=KroneckerProduct((nudge(a), b)),
+            j=twisted_product(AntilinearMap(eta_j), AntilinearMap(nudge(xi_j))),
+        )
+        factor = modular_residuals(perturbed, phi, psi)
+        dense = modular_residuals(perturbed, phi, psi, oracle=True)
+        for name in MODULAR_IDENTITIES:
+            assert dense[name] > 1e3 * TOLERANCES[f"modular.{name}"], name
+            assert abs(factor[name] - dense[name]) <= 1e-10 * dense[name], name
+
+    @pytest.mark.parametrize("c", [3.0, 1e-3, 2.0 - 1.0j])
+    def test_rescaled_factors_pass(self, c):
+        # (c eta) ⊗̃ (xi / c) is the same operator; no identity may see the scale.
+        phi, psi = modular_pair("gaussian", 4)
+        triple = tomita_S(phi, psi)
+        eta, xi = triple.s.factors
+        rescaled = replace(triple, s=twisted_product(AntilinearMap(c * eta), AntilinearMap(xi / c)))
+        assert np.linalg.norm(rescaled.s.mat - triple.s.mat) <= 1e-14 * np.linalg.norm(triple.s.mat)
+        for name, value in modular_residuals(rescaled, phi, psi).items():
+            assert value <= TOLERANCES[f"modular.{name}"], name
+
+    def test_perturbed_eta_fails_defining(self):
+        phi, psi = modular_pair("gaussian", 4)
+        triple = tomita_S(phi, psi)
+        eta, xi = triple.s.factors
+        bumped = replace(triple, s=twisted_product(AntilinearMap(eta * (1 + 1e-6)), AntilinearMap(xi)))
+        assert modular_defining(triple, phi, psi) <= TOLERANCES["modular.defining"]
+        assert modular_defining(bumped, phi, psi) > TOLERANCES["modular.defining"]
+
+    @pytest.mark.parametrize("seed, dense", [(5, 1.0), (3, 2.19e-6)])
+    def test_phase_match_graded_k6_at_d8(self, seed, dense):
+        # Schmidt spectra logspace(0, -6, 8): the singular values of S spread
+        # over 1e12, so the dense SVD's rank rule drops one (seed 5, residual
+        # 1.0 as in `eprkit modular`) or keeps a phase accurate to only ~1e-6.
+        # The rank rule now applies to each factor, whose singular values
+        # spread over 1e6.
+        rng = np.random.default_rng(seed)
+        phi, psi = graded_state(rng, 8, 6), graded_state(rng, 8, 6)
+        triple = tomita_S(phi, psi)
+        assert modular_phase_match_oracle(triple) == pytest.approx(dense, rel=1e-2)
+        assert modular_phase_match(triple) <= 1e-9
+
+    def test_dense_matrices_refused_above_the_limit(self):
+        rng = seeded_rng(107)
+        d = 65  # d² = 4225 > DENSE_DIM_LIMIT = 4096
+        phi, psi = random_unit_state(rng, d, d), state_from_rng(rng, d, d, entangled=True)
+        triple = tomita_S(phi, psi)
+        for op in (triple.s, triple.j, triple.delta, lift_operators(psi, phi).j):
+            with pytest.raises(errors.DimTooLarge):
+                op.mat
+        assert modular_defining(triple, phi, psi) <= TOLERANCES["modular.defining"]
 
 
 def assert_read_only(a):
@@ -446,7 +542,9 @@ class TestCopies:
         psi = BipartiteVector(psi_c / np.linalg.norm(psi_c))
         lifts = lift_operators(phi, psi)
         triple = tomita_S(phi, psi)
-        arrays = [triple.s.mat, triple.j.mat, triple.delta]
+        arrays = [triple.s.mat, triple.j.mat, triple.delta.mat]
+        for op in (triple.s, triple.j, triple.delta):
+            arrays += op.factors
         for op in (lifts.s_tilde, lifts.f_tilde, lifts.delta_tilde, lifts.j):
             arrays += [op.mat, *op.factors]
         for a in arrays:
@@ -454,7 +552,9 @@ class TestCopies:
             assert not np.shares_memory(a, phi_c) and not np.shares_memory(a, psi_c)
 
     def test_delta_from_a_writable_array_is_copied(self):
-        delta = np.eye(4, dtype=complex)
-        triple = ModularTriple(s=AntilinearMap(np.eye(4)), delta=delta, j=AntilinearMap(np.eye(4)))
-        assert_read_only(triple.delta)
-        assert not np.shares_memory(triple.delta, delta)
+        factor = np.eye(2, dtype=complex)
+        conj = twisted_product(AntilinearMap(np.eye(2)), AntilinearMap(np.eye(2)))
+        triple = ModularTriple(s=conj, delta=KroneckerProduct((factor, factor)), j=conj)
+        for a in (triple.delta.mat, *triple.delta.factors):
+            assert_read_only(a)
+            assert not np.shares_memory(a, factor)

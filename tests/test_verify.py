@@ -1,6 +1,6 @@
 """Tests that the vectorized verify checks still catch faults, and of the array helpers they use."""
 
-import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -58,7 +58,7 @@ class TestTwistedAction:
         assert prod.parity == parity
         swapped = prod.mat.copy()
         swapped[:, [0, da * db - 1]] = swapped[:, [da * db - 1, 0]]
-        broken = dataclasses.replace(prod, mat=swapped)
+        broken = SimpleNamespace(mat=swapped, dim_a=da, dim_b=db)
         assert twisted_action(broken, eta, xi) > TOLERANCES["twisted.action"]
 
 
