@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch
-from .linalg import as_matrix, frozen, rank_mask, seal
+from .linalg import SvdResult, as_matrix, frozen, rank_mask, seal, svd
 
 
 @dataclass(frozen=True)
@@ -127,6 +127,7 @@ class PolarParts:
     support_dom: np.ndarray     # projection onto the domain-side support
     support_cod: np.ndarray     # projection onto the codomain-side support
     positive_dom: np.ndarray    # Hermitian PSD on the domain
+    svd: SvdResult              # the SVD of the map's matrix that the parts come from
 
 
 def polar(t: AntilinearMap) -> PolarParts:
@@ -143,9 +144,11 @@ def polar(t: AntilinearMap) -> PolarParts:
     phase* ∘ phase and phase ∘ phase* are the two support projections, and
     the adjoint of the phase is again its transpose, by construction.  The
     rank may differ across a stack: the singular vectors beyond each member's
-    rank are masked to zero.
+    rank are masked to zero.  This is the package's one route from an SVD to
+    phases and roots; the SVD itself comes from linalg.svd and is kept.
     """
-    u, s, vh = np.linalg.svd(t.mat, full_matrices=False)
+    res = svd(t.mat)
+    u, s, vh = res.u, res.sigma, res.v.conj().mT
     keep = rank_mask(s)
     ur, sr, vhr = u * keep[..., None, :], s * keep, vh * keep[..., :, None]
     vr = vhr.conj().mT
@@ -157,6 +160,7 @@ def polar(t: AntilinearMap) -> PolarParts:
         support_dom=seal(np.conj(vr) @ vr.mT),
         support_cod=seal(ur @ ur.conj().mT),
         positive_dom=seal((positive_dom + positive_dom.conj().mT) / 2),
+        svd=res,
     )
 
 

@@ -127,6 +127,8 @@ def cmd_teleport(args) -> tuple[dict, list[vf.IdentityResult], str]:
 def cmd_luders(args) -> tuple[dict, list[vf.IdentityResult], str]:
     spec = load_json(args.channel)
     if "psis" in spec:
+        if not isinstance(spec["psis"], list):
+            raise ParseError("channel spec 'psis' must be a list")
         psis = [bipartite_from_json(p, f"psis[{k}]") for k, p in enumerate(spec["psis"])]
     elif "psi_ab" in spec:
         psis = [bipartite_from_json(spec["psi_ab"], "psi_ab")]

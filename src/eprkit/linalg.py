@@ -140,7 +140,7 @@ def numerical_rank(sigma: np.ndarray) -> int | np.ndarray:
 
 def svd(m) -> SvdResult:
     u, s, vh = np.linalg.svd(as_matrix(m), full_matrices=False)
-    return SvdResult(u=seal(u), sigma=s, v=seal(vh.conj().mT), rank=numerical_rank(s))
+    return SvdResult(u=seal(u), sigma=seal(s), v=seal(vh.conj().mT), rank=numerical_rank(s))
 
 
 def herm_eigh(h, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:

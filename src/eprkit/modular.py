@@ -33,7 +33,7 @@ import numpy as np
 from .antilinear import AntilinearMap, adjoint
 from .bipartite import BipartiteVector, _check_same_dims, epr_maps, polar_of_state, reduced
 from .errors import DimMismatch, MixedParity, NotSeparating
-from .linalg import _check_dense, _member, as_matrix, frozen, kron, numerical_rank, seal
+from .linalg import _check_dense, _member, as_matrix, frozen, kron, numerical_rank, seal, svd
 
 
 @dataclass(frozen=True)
@@ -222,16 +222,17 @@ def tomita_S(phi: BipartiteVector, psi: BipartiteVector) -> ModularTriple:
     twisted product of C_psi^(-†) and C_phi^T; it follows from the defining
     relation with X = A C_psi.  J is the twisted product of the phase maps of
     (psi, phi), in that order, the same operator as lift_operators(psi, phi).j:
-    the polar phase of S, taken factor by factor.  C_psi^(-†) = U Σ^(-1) V†
-    comes from the SVD C_psi = U Σ V†, the factorization the checks take
-    their square roots from, not from an LU solve.  Delta = omega_a(phi) ⊗
-    inverse(omega_b(psi)), and since omega_b(psi) = conj(V) Σ² V^T the
+    the polar phase of S, taken factor by factor.  One SVD C_psi = U Σ V†
+    decides that psi is completely entangled (square, full numerical rank)
+    and gives C_psi^(-†) = U Σ^(-1) V†, not an LU solve.  Delta = omega_a(phi)
+    ⊗ inverse(omega_b(psi)), and since omega_b(psi) = conj(V) Σ² V^T the
     inverse is conj(V) Σ^(-2) V^T from the same SVD: an eigendecomposition of
     omega_b would square the condition number of C_psi.  Rank-deficient
     reductions of psi are rejected rather than pseudo-inverted.
     Stacked states give stacked operators.
 
-    Everything costs O(d³) time and O(d²) memory (three d×d SVDs); the
+    Everything costs O(d³) time and O(d²) memory (three d×d SVDs: C_psi's
+    and the two polar phases of J); the
     dense d²×d² matrices are built only when read.  verify.modular_defining_oracle,
     which checks the dense S on all d² matrix units (they span the space
     because psi is cyclic), is the brute-force oracle of S, and
@@ -239,11 +240,12 @@ def tomita_S(phi: BipartiteVector, psi: BipartiteVector) -> ModularTriple:
     SVD of S.
     """
     _check_same_dims(phi, psi)
-    entangled = np.asarray(gns_check(psi))
+    res = svd(psi.coeff)
+    entangled = np.asarray(psi.dim_a == psi.dim_b and res.rank == psi.dim_b)
     if not entangled.all():
         label, _ = _member("psi", ~entangled)
         raise NotSeparating(f"{label} must be completely entangled (square, full-rank reductions)")
-    u, sigma, vh = np.linalg.svd(psi.coeff)
+    u, sigma, vh = res.u, res.sigma, res.v.conj().mT
     return ModularTriple(
         s=twisted_product(AntilinearMap((u / sigma[..., None, :]) @ vh), AntilinearMap(phi.coeff.mT)),
         delta=KroneckerProduct((reduced(phi, "a"), seal((vh.mT / sigma[..., None, :] ** 2) @ vh.conj()))),

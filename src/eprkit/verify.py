@@ -223,7 +223,8 @@ def epr_inner_trace(psi, pair, chi):
 
 
 def epr_reduction(psi, omega_a, omega_b):
-    """The reductions against partial traces of the dense projector |psi><psi|."""
+    """The reductions against partial traces of the dense projector |psi><psi|, refused beyond DENSE_DIM_LIMIT."""
+    la._check_dense(psi.dim_a * psi.dim_b, "dense oracle")
     vec = psi.to_vector()
     dense = _outer(vec, np.conj(vec))
     return np.maximum(
@@ -312,28 +313,17 @@ def _kron_gap(f1, f2):
     return _fro(_r(flat(x1 - x2), flat(x2)) @ _r(flat(y1), flat(y1 - y2)).mT)
 
 
-def _phase(m):
-    """The polar phase of m from its SVD, singular values below the package rank rule dropped."""
-    u, sigma, vh = np.linalg.svd(m, full_matrices=False)
-    return (u * la.rank_mask(sigma)[..., None, :]) @ vh
-
-
 def _roots(phi, psi):
     """omega_a(phi)^(1/2), omega_b(psi)^(1/2) and omega_b(psi)^(-1/2), from the SVDs of C_phi and C_psi^T.
 
     omega_a(phi)^(1/2) and omega_b(psi)^(1/2) are the positive polar parts
-    of s_ab(phi) = C_phi and s_ba(psi) = C_psi^T (rank rule applied, as in
-    antilinear.polar), and with C_psi^T = U Σ V†, omega_b(psi)^(-1/2) =
-    U Σ^(-1) U†: never a square root of Delta or of a reduction.
+    of s_ab(phi) = C_phi and s_ba(psi) = C_psi^T, and with C_psi^T = U Σ V†,
+    omega_b(psi)^(-1/2) = U Σ^(-1) U†: never a square root of Delta or of a
+    reduction.  These SVDs are the checks' own, not the builder's.
     """
-    def positive(u, sigma):
-        ur = u * la.rank_mask(sigma)[..., None, :]
-        p = (ur * sigma[..., None, :]) @ ur.conj().mT
-        return (p + p.conj().mT) / 2
-
-    u_a, sigma_a, _ = np.linalg.svd(phi.coeff, full_matrices=False)
-    u_b, sigma_b, _ = np.linalg.svd(psi.coeff.mT, full_matrices=False)
-    return positive(u_a, sigma_a), positive(u_b, sigma_b), (u_b / sigma_b[..., None, :]) @ u_b.conj().mT
+    root_a, root_b = al.polar(bp.epr_maps(phi).s_ab), al.polar(bp.epr_maps(psi).s_ba)
+    u_b, sigma_b = root_b.svd.u, root_b.svd.sigma
+    return root_a.positive, root_b.positive, (u_b / sigma_b[..., None, :]) @ u_b.conj().mT
 
 
 def modular_defining(triple, phi, psi):
@@ -389,8 +379,8 @@ def modular_phase_match(triple):
     phases; the package rank rule applies to each factor, not to the
     singular values of S, which are products of theirs.
     """
-    eta, xi = triple.s.factors
-    return _kron_gap((_phase(eta), _phase(xi)), triple.j.factors)
+    phases = tuple(al.polar(al.AntilinearMap(f)).phase.mat for f in triple.s.factors)
+    return _kron_gap(phases, triple.j.factors)
 
 
 def modular_intertwine(triple, phi, psi):
@@ -436,7 +426,7 @@ def modular_reconstruction_oracle(triple, phi, psi):
 
 def modular_phase_match_oracle(triple):
     """Dense oracle of modular_phase_match: the phase of the dense SVD of S, with the package rank rule."""
-    return _fro(_phase(triple.s.mat) - triple.j.mat)
+    return _fro(al.polar(triple.s.as_antilinear()).phase.mat - triple.j.mat)
 
 
 def modular_intertwine_oracle(triple, phi, psi):

@@ -189,6 +189,17 @@ class TestPolar:
                 compose_aa(parts.phase, adjoint(parts.phase)) - parts.support_cod
             ) < 1e-9
 
+    def test_keeps_the_read_only_svd_its_parts_come_from(self):
+        rng = seeded_rng(21)
+        for dy, dx in [(3, 3), (4, 2), (2, 4)]:
+            t = random_map(rng, dy, dx)
+            res = polar(t).svd
+            u, sigma, vh = np.linalg.svd(t.mat, full_matrices=False)
+            assert np.array_equal(res.u, u) and np.array_equal(res.sigma, sigma)
+            assert np.array_equal(res.v, vh.conj().T) and res.rank == min(dy, dx)
+            assert not any(a.flags.writeable for a in (res.u, res.sigma, res.v))
+            assert np.array_equal(polar(t).phase.mat, u @ vh)
+
 
 class TestChain:
     def test_even_count_is_linear_matrix(self):

@@ -360,6 +360,8 @@ def test_bipartite_vector_validation():
         BipartiteVector([[np.inf, 0.0]])
     with pytest.raises(errors.DimMismatch):
         BipartiteVector.from_vector([1.0, 0.0, 0.0], 2, 2)
+    with pytest.raises(errors.DimMismatch, match="positive"):
+        BipartiteVector(np.zeros((0, 2)))
 
 
 def test_coefficients_are_read_only():

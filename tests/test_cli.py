@@ -70,6 +70,21 @@ class TestEpr:
         capsys.readouterr()
         assert code == 3
 
+    def test_beyond_the_dense_limit_exit_2(self, capsys, tmp_path):
+        # 65·64 = 4160 > DENSE_DIM_LIMIT: the dense projector |psi><psi| alone would take 277 MB.
+        path = _write(tmp_path, "psi.json", bipartite_to_json(random_state((65, 64), seed=1)))
+        tracemalloc.start()
+        try:
+            code = main(["epr", path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 2
+        assert peak < 16e6
+        assert captured.out == ""
+        assert "4160 > 4096" in captured.err
+
 
 class TestTeleport:
     def test_bell_bell_values(self, capsys, bell_file):
@@ -352,6 +367,9 @@ def _invalid_arguments(tmp_path, case: str) -> list[str]:
         return ["epr", _write(tmp_path, "bool.json", {"dim_a": 1, "dim_b": 2, "coeff": coeff})]
     if case == "luders-without-phi_bc":
         return ["luders", _write(tmp_path, "channel.json", {"psi_ab": bell_json})]
+    if case.startswith("luders-psis-"):
+        psis = {"luders-psis-int": 5, "luders-psis-null": None, "luders-psis-true": True}[case]
+        return ["luders", _write(tmp_path, "channel.json", {"psis": psis, "phi_bc": bell_json})]
     if case == "chain-stages-not-a-list":
         return ["chain", _write(tmp_path, "chain.json", {"stages": {"0": bell_json, "1": bell_json}})]
     if case == "nan-tolerance":
@@ -371,6 +389,9 @@ def _invalid_arguments(tmp_path, case: str) -> list[str]:
         "entry-beyond-float64",
         "bool-rows",
         "luders-without-phi_bc",
+        "luders-psis-int",
+        "luders-psis-null",
+        "luders-psis-true",
         "chain-stages-not-a-list",
         "nan-tolerance",
         "out-into-missing-directory",

@@ -65,6 +65,11 @@ def test_matrix_malformed(broken):
         matrix_from_json(broken)
 
 
+def test_matrix_to_json_needs_two_dimensions():
+    with pytest.raises(errors.ParseError):
+        matrix_to_json(np.ones(3))
+
+
 def test_matrix_nonfinite():
     with pytest.raises(errors.NonFinite):
         matrix_from_json({"rows": 1, "cols": 1, "data": [[float("inf"), 0.0]]})

@@ -153,6 +153,13 @@ class TestTwistedCompose:
         want = np.kron(compose_aa(eta1, xi2), compose_aa(xi1, eta2))
         assert np.linalg.norm(got - want) < 1e-10
 
+    def test_linear_factors_give_the_kron_formula(self):
+        rng = seeded_rng(84)
+        eta1, xi1 = complex_normal(rng, 2, 3), complex_normal(rng, 3, 2)
+        eta2, xi2 = complex_normal(rng, 2, 3), complex_normal(rng, 3, 2)
+        got = twisted_compose(twisted_product(eta1, xi1), twisted_product(eta2, xi2))
+        assert np.linalg.norm(got - np.kron(eta1 @ xi2, xi1 @ eta2)) < 1e-10
+
 
 class TestLiftOperators:
     @pytest.mark.parametrize("d", [2, 3, 4])

@@ -30,6 +30,11 @@ def test_entangled_flag():
         assert gns_check(random_state((2, 2), seed=seed, entangled=True))
 
 
+def test_zero_dimension_rejected():
+    with pytest.raises(errors.DimMismatch):
+        random_state((0, 2), seed=0)
+
+
 def test_entangled_needs_square_dims():
     with pytest.raises(errors.DimMismatch):
         random_state((2, 3), seed=0, entangled=True)

@@ -11,6 +11,7 @@ from eprkit import errors
 from eprkit.bipartite import BipartiteVector, reduced
 from eprkit.sampling import complex_normal, random_psd, random_unitary
 from eprkit.teleport import (
+    _factor_out,
     chain_oracle,
     chain_teleport,
     luders_apply,
@@ -143,6 +144,11 @@ class TestLudersProjectMemory:
         ch = luders_channel([random_unit_state(rng, 16, 16)], random_unit_state(rng, 16, 17))
         with pytest.raises(errors.DimTooLarge):
             luders_project(ch, complex_normal(rng, 16))
+
+    def test_wrong_probe_length_is_refused(self):
+        ch = luders_channel([bell(2)], bell(2))
+        with pytest.raises(errors.DimMismatch):
+            luders_project(ch, np.ones(3))
 
 
 class TestSuccessBound:
@@ -466,6 +472,22 @@ class TestChain:
                 chain_teleport([bell(2)] * count)
             with pytest.raises(errors.OddParity):
                 chain_oracle([1.0, 0.0], [bell(2)] * count)
+
+    def test_oracle_needs_a_hop(self):
+        with pytest.raises(errors.DimMismatch):
+            chain_oracle([1.0], [])
+
+    def test_oracle_takes_a_scalar_input_on_a_one_dimensional_first_factor(self):
+        rng = seeded_rng(84)
+        stages = [random_unit_state(rng, 1, 2), random_unit_state(rng, 2, 3)]
+        out = chain_oracle(1.0, stages)
+        assert out.shape == (3,)
+        assert np.linalg.norm(out - chain_teleport(stages)[:, 0]) <= TOLERANCES["chain.factorization"]
+
+    def test_factor_out_rejects_an_entangled_result(self):
+        # (e_0 ⊗ e_0 + e_1 ⊗ e_1)/√2 is not e_0 ⊗ x for any x: the rank-one residual is 1/√2.
+        with pytest.raises(errors.FactorizationFailure, match="oracle"):
+            _factor_out(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2), np.array([1.0, 0.0]), 2, "oracle")
 
     def test_oracle_guards_dimension(self):
         big = BipartiteVector(np.ones((8, 8)) / 8)

@@ -12,7 +12,7 @@ from eprkit.linalg import kron
 from eprkit.modular import twisted_product
 from eprkit.sampling import complex_normal, complex_normal_rows, random_unit_vector, rng_for
 from eprkit.teleport import success_bound, teleport_map
-from eprkit.verify import TOLERANCES, teleport_bound_holds, twisted_action
+from eprkit.verify import TOLERANCES, ResidualTable, teleport_bound_holds, twisted_action
 
 from util import random_unit_state, seeded_rng
 
@@ -34,6 +34,11 @@ class TestTeleportBoundHolds:
     def test_no_probes_gives_zero(self):
         tm = teleport_map(random_unit_state(seeded_rng(92), 2, 2), random_unit_state(seeded_rng(93), 2, 3))
         assert teleport_bound_holds(tm, np.zeros((0, 2), dtype=complex), success_bound(tm)) == 0.0
+
+
+def test_recording_an_unregistered_identity_raises():
+    with pytest.raises(KeyError, match="unregistered"):
+        ResidualTable().record("epr.no_such_identity", [0.0])
 
 
 class TestTwistedAction:
