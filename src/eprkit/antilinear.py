@@ -22,6 +22,7 @@ rejected; mixing them silently is how conjugations get lost.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -112,56 +113,69 @@ def trace_product(t1: AntilinearMap, t2: AntilinearMap):
     return complex(tr) if tr.ndim == 0 else tr
 
 
+def _hermitian(m: np.ndarray) -> np.ndarray:
+    return seal((m + m.conj().mT) / 2)
+
+
 @dataclass(frozen=True)
 class PolarParts:
-    """Polar decomposition t = positive ∘ phase = phase ∘ positive_dom.
+    """Polar decomposition t = positive ∘ phase = phase ∘ positive_dom, built from the SVD of t's matrix.
 
-    ``positive`` lives on the codomain, ``positive_dom`` on the domain;
-    ``phase`` is an antilinear partial isometry vanishing off the supports.
-    The phase is unique only on the support: with degenerate singular values
-    the off-support extension is a free choice, fixed here as zero.
-    """
+    With mat = U diag(s) V† and r the numerical rank (the singular vectors
+    beyond each member's rank masked to zero), each part is built from the
+    kept ``svd`` on first read and then held read-only:
 
-    positive: np.ndarray        # Hermitian PSD on the codomain
-    phase: AntilinearMap
-    support_dom: np.ndarray     # projection onto the domain-side support
-    support_cod: np.ndarray     # projection onto the codomain-side support
-    positive_dom: np.ndarray    # Hermitian PSD on the domain
-    svd: SvdResult              # the SVD of the map's matrix that the parts come from
-
-
-def polar(t: AntilinearMap) -> PolarParts:
-    """Polar-decompose an antilinear map (or a stack of them) via the SVD of its matrix.
-
-    With mat = U diag(s) V† and r the numerical rank:
-
-        phase        = U_r V_r†          (antilinear partial isometry)
-        positive     = U_r diag(s_r) U_r†
-        positive_dom = conj(V_r) diag(s_r) V_r^T
+        phase        = U_r V_r†                    (antilinear partial isometry)
+        positive     = U_r diag(s_r) U_r†          (Hermitian PSD on the codomain)
+        positive_dom = conj(V_r) diag(s_r) V_r^T   (Hermitian PSD on the domain)
         support_cod  = U_r U_r†
         support_dom  = conj(V_r) V_r^T
 
     phase* ∘ phase and phase ∘ phase* are the two support projections, and
     the adjoint of the phase is again its transpose, by construction.  The
-    rank may differ across a stack: the singular vectors beyond each member's
-    rank are masked to zero.  This is the package's one route from an SVD to
-    phases and roots; the SVD itself comes from linalg.svd and is kept.
+    phase is unique only on the support: with degenerate singular values the
+    off-support extension is a free choice, fixed here as zero.
     """
-    res = svd(t.mat)
-    u, s, vh = res.u, res.sigma, res.v.conj().mT
-    keep = rank_mask(s)
-    ur, sr, vhr = u * keep[..., None, :], s * keep, vh * keep[..., :, None]
-    vr = vhr.conj().mT
-    positive = (ur * sr[..., None, :]) @ ur.conj().mT
-    positive_dom = (np.conj(vr) * sr[..., None, :]) @ vr.mT
-    return PolarParts(
-        positive=seal((positive + positive.conj().mT) / 2),
-        phase=AntilinearMap(seal(ur @ vhr)),
-        support_dom=seal(np.conj(vr) @ vr.mT),
-        support_cod=seal(ur @ ur.conj().mT),
-        positive_dom=seal((positive_dom + positive_dom.conj().mT) / 2),
-        svd=res,
-    )
+
+    svd: SvdResult
+
+    @cached_property
+    def _kept(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """U_r, s_r and V_r†."""
+        keep = rank_mask(self.svd.sigma)
+        return self.svd.u * keep[..., None, :], self.svd.sigma * keep, self.svd.v.conj().mT * keep[..., :, None]
+
+    @cached_property
+    def positive(self) -> np.ndarray:
+        ur, sr, _ = self._kept
+        return _hermitian((ur * sr[..., None, :]) @ ur.conj().mT)
+
+    @cached_property
+    def phase(self) -> AntilinearMap:
+        return AntilinearMap(seal(self._kept[0] @ self._kept[2]))
+
+    @cached_property
+    def support_dom(self) -> np.ndarray:
+        vr = self._kept[2].conj().mT
+        return seal(np.conj(vr) @ vr.mT)
+
+    @cached_property
+    def support_cod(self) -> np.ndarray:
+        return seal(self._kept[0] @ self._kept[0].conj().mT)
+
+    @cached_property
+    def positive_dom(self) -> np.ndarray:
+        vr = self._kept[2].conj().mT
+        return _hermitian((np.conj(vr) * self._kept[1][..., None, :]) @ vr.mT)
+
+
+def polar(t: AntilinearMap) -> PolarParts:
+    """Polar-decompose an antilinear map (or a stack of them): the package's one route from an SVD to phases and roots.
+
+    The SVD comes from linalg.svd and is kept; the parts are built from it as
+    they are read (see PolarParts).
+    """
+    return PolarParts(svd(t.mat))
 
 
 def chain(maps) -> AntilinearMap | np.ndarray:

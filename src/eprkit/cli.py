@@ -32,7 +32,7 @@ from .formats import (
     matrix_to_json,
     twisted_to_json,
 )
-from .sampling import coeff_from_rng, random_state, random_unit_vector, rng_for
+from .sampling import complex_normal_rows, normal_count, random_state, rng_for, split_complex, unit
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -59,8 +59,8 @@ def _load_state(path, what: str) -> bp.BipartiteVector:
 
 
 def _probes(rng, dim: int) -> np.ndarray:
-    """PROBE_COUNT seeded unit probe vectors, stacked."""
-    return np.stack([random_unit_vector(rng, dim) for _ in range(PROBE_COUNT)])
+    """PROBE_COUNT seeded unit probe vectors, stacked: the bits of as many random_unit_vector draws."""
+    return unit(complex_normal_rows(rng, PROBE_COUNT, dim))
 
 
 def _residuals(table: vf.ResidualTable, prefix: str) -> dict:
@@ -74,13 +74,10 @@ def cmd_epr(args) -> tuple[dict, list[vf.IdentityResult], str]:
     omega_a = bp.reduced(psi, "a")
     omega_b = bp.reduced(psi, "b")
 
-    rng = rng_for(args.seed, 1)
-    da, db = psi.dim_a, psi.dim_b
-    draws = [
-        (random_unit_vector(rng, da), random_unit_vector(rng, db), coeff_from_rng(rng, da, db))
-        for _ in range(PROBE_COUNT)
-    ]
-    phi_a, phi_b, chi = (np.stack(x) for x in zip(*draws))
+    # Per probe, the normals of unit vectors phi_a and phi_b and of a unit state chi, in that order.
+    shapes = (psi.dim_a,), (psi.dim_b,), (psi.dim_a, psi.dim_b)
+    x = rng_for(args.seed, 1).standard_normal((PROBE_COUNT, normal_count(*shapes)))
+    phi_a, phi_b, chi = (unit(z, len(shape)) for z, shape in zip(split_complex(x, *shapes), shapes))
     table = vf.ResidualTable()
     table.record("epr.projection", vf.epr_projection(psi, pair, omega_a, phi_a))
     table.record("epr.pairing", vf.epr_pairing(psi, pair, phi_a, phi_b))
@@ -181,13 +178,13 @@ def cmd_chain(args) -> tuple[dict, list[vf.IdentityResult], str]:
 def cmd_modular(args) -> tuple[dict, list[vf.IdentityResult], str]:
     phi = _load_state(args.phi, "phi")
     psi = _load_state(args.psi, "psi")
-    triple = md.tomita_S(phi, psi)
+    triple, roots = md.tomita_S(phi, psi), vf.modular_roots(phi, psi)
     table = vf.ResidualTable()
     table.record("modular.defining", vf.modular_defining(triple, phi, psi))
     table.record("modular.delta", vf.modular_delta(triple))
-    table.record("modular.reconstruction", vf.modular_reconstruction(triple, phi, psi))
+    table.record("modular.reconstruction", vf.modular_reconstruction(triple, roots))
     table.record("modular.phase_match", vf.modular_phase_match(triple))
-    table.record("modular.intertwine", vf.modular_intertwine(triple, phi, psi))
+    table.record("modular.intertwine", vf.modular_intertwine(triple, roots))
     residuals = _residuals(table, "modular.")
     report = {
         "S": twisted_to_json(triple.s),

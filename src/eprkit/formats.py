@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .antilinear import AntilinearMap
 from .bipartite import BipartiteVector
-from .errors import NonFinite, ParseError
+from .errors import EprkitError, NonFinite, ParseError
 from .modular import KroneckerProduct, TwistedOperator, twisted_product
 
 
@@ -58,14 +59,27 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
     data = obj["data"]
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ParseError(f"{what}: data must hold {rows * cols} [re, im] pairs")
-    out = np.empty(rows * cols, dtype=np.complex128)
+    # One pass over the types, one conversion, one finiteness test; the entry loop only names a bad entry.
+    typed = set(map(type, data)) <= {list, tuple} and set(map(len, data)) == {2}
+    if not (typed and set(map(type, chain.from_iterable(data))) <= {int, float}) and (error := _bad_entry(data, what)):
+        raise error  # entries of list and tuple subclasses get here with no error
+    try:
+        pairs = np.array(data, dtype=np.float64)
+        if np.isfinite(pairs).all():
+            return pairs.view(np.complex128).reshape(rows, cols)
+    except OverflowError:  # an integer beyond the float64 range
+        pass
+    raise _bad_entry(data, what)
+
+
+def _bad_entry(data: list, what: str) -> EprkitError | None:
+    """The error for the first entry that is not a finite [re, im] pair of numbers, if there is one."""
     for k, entry in enumerate(data):
         if not isinstance(entry, (list, tuple)) or len(entry) != 2 or not all(type(x) in (int, float) for x in entry):
-            raise ParseError(f"{what}: data[{k}] is not a [re, im] pair of numbers")
+            return ParseError(f"{what}: data[{k}] is not a [re, im] pair of numbers")
         if not (_finite(entry[0]) and _finite(entry[1])):
-            raise NonFinite(f"{what}: data[{k}] is not finite")
-        out[k] = complex(entry[0], entry[1])
-    return out.reshape(rows, cols)
+            return NonFinite(f"{what}: data[{k}] is not finite")
+    return None
 
 
 def _check_shape(what: str, field: str, m: np.ndarray, dims: tuple) -> None:

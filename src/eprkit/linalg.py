@@ -3,8 +3,8 @@
 Everything downstream (antilinear maps, teleportation channels, modular
 operators) is built on the handful of primitives in this module, so the
 numerical conventions are fixed here once: complex128 throughout, Hermiticity
-checked entrywise at 1e-10, rank decided relative to the largest singular
-value at 1e-12.
+checked entrywise at 1e-10 relative to max(1, max |H_ij|), rank decided
+relative to the largest singular value at 1e-12.
 The kernels also take stacks (..., m, n), member by member with the same
 LAPACK and BLAS calls; every check runs on every member and names its index.
 """
@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import DimMismatch, DimTooLarge, NonFinite, NotHermitian, NotPositive
 
-HERMITIAN_TOL = 1e-10  # max-entry bound on (H - H†)/2
-EIG_CLAMP = 1e-10      # eigenvalues in [-EIG_CLAMP, 0) count as roundoff and clamp to 0
+HERMITIAN_TOL = 1e-10  # max-entry bound on (H - H†)/2, times max(1, max |H_ij|)
+EIG_CLAMP = 1e-10      # eigenvalues in [-EIG_CLAMP, 0), times max(1, max |H_ij|), count as roundoff and clamp to 0
 RANK_RTOL = 1e-12      # singular values below RANK_RTOL * sigma_max do not count toward rank
 RANK_ATOL = 1e-14      # absolute fallback when sigma_max == 0
 DENSE_DIM_LIMIT = 4096  # largest dimension of a dense operator or oracle state built on request
@@ -143,35 +143,43 @@ def svd(m) -> SvdResult:
     return SvdResult(u=seal(u), sigma=seal(s), v=seal(vh.conj().mT), rank=numerical_rank(s))
 
 
+def _scale(a: np.ndarray) -> np.ndarray:
+    """max(1, max |a_ij|) per member: the input checks' bounds scale with it and are never finer than absolute."""
+    return np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
+
+
 def herm_eigh(h, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, symmetrized after the check.
 
-    The check bounds the max entry of (H - H†)/2; symmetrizing before eigh
-    stabilizes downstream square roots.
+    The check bounds the max entry of (H - H†)/2 relative to the input's
+    scale, so rounding in a valid matrix of any norm passes; symmetrizing
+    before eigh stabilizes downstream square roots.
     """
     a = as_matrix(h, name)
     if a.shape[-2] != a.shape[-1]:
         raise DimMismatch(f"{name} must be square, got shape {a.shape}")
     if a.size:
         skew = np.abs((a - a.conj().mT) / 2).max(axis=(-2, -1))
-        if (skew > HERMITIAN_TOL).any():
-            label, i = _member(name, skew > HERMITIAN_TOL)
+        bad = skew > HERMITIAN_TOL * _scale(a)
+        if bad.any():
+            label, i = _member(name, bad)
             raise NotHermitian(f"{label} deviates from Hermiticity by {skew[i]:.3e}")
     return np.linalg.eigh((a + a.conj().mT) / 2)
 
 
 def psd_eigh(h, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
-    """Like herm_eigh but requires eigenvalues >= -EIG_CLAMP and clamps roundoff to zero.
+    """Like herm_eigh but requires eigenvalues >= -EIG_CLAMP times the scale, and clamps roundoff to zero.
 
     Eigenvalues below RANK_RTOL times the largest are floored to exactly zero,
     so square roots of rank-deficient inputs do not pick up sqrt-of-roundoff
     noise.
     """
     w, v = herm_eigh(h, name)
-    low = w.min(axis=-1, initial=0.0)
-    if (low < -EIG_CLAMP).any():
-        label, i = _member(name, low < -EIG_CLAMP)
-        raise NotPositive(f"{label} has eigenvalue {low[i]:.3e} below -{EIG_CLAMP:.0e}")
+    low, scale = w.min(axis=-1, initial=0.0), _scale(np.asarray(h))
+    bad = low < -EIG_CLAMP * scale
+    if bad.any():
+        label, i = _member(name, bad)
+        raise NotPositive(f"{label} has eigenvalue {low[i]:.3e} below {-EIG_CLAMP * scale[i]:.3e}")
     top = np.maximum(w.max(axis=-1, initial=0.0), 0.0)[..., None]
     return np.where(w < top * RANK_RTOL, 0.0, w), v
 

@@ -3,15 +3,23 @@
 All randomness flows through numpy's PCG64 generator seeded from an integer
 sequence (seed, *stream): distinct stream paths (for instance per trial index)
 give independent, platform-stable draws, so any reported residual can be
-reproduced from its seed alone.
+reproduced from its seed alone.  Draws are raw and assembly is stacked: a
+sampler takes its standard normals in one call, real parts before imaginary
+ones, and complex_from, unit, haar and gram assemble raw normals over any
+leading stack axes.  The per-call samplers are that assembly on one draw, so
+verify draws per trial and assembles each group at once, with the same bits.
 """
 
 from __future__ import annotations
+
+import math
+from itertools import accumulate
 
 import numpy as np
 
 from .bipartite import BipartiteVector
 from .errors import DimMismatch
+from .linalg import fro_norm
 from .modular import gns_check
 
 
@@ -20,36 +28,62 @@ def rng_for(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng([int(seed)] + [int(s) for s in stream])
 
 
+def normal_count(*shapes) -> int:
+    """How many standard normals the complex arrays of these shapes take."""
+    return sum(2 * math.prod(shape) for shape in shapes)
+
+
+def complex_from(x: np.ndarray, *shape: int) -> np.ndarray:
+    """Standard complex normals of `shape` from raw normals x (..., normal_count(shape)), real parts first."""
+    n = x.shape[-1] // 2
+    return ((x[..., :n] + 1j * x[..., n:]) / np.sqrt(2.0)).reshape(*x.shape[:-1], *shape)
+
+
+def split_complex(x: np.ndarray, *shapes) -> list[np.ndarray]:
+    """Consecutive complex draws of the given shapes from raw normals x (..., normal_count(*shapes))."""
+    ends = list(accumulate(normal_count(shape) for shape in shapes))
+    return [complex_from(x[..., start:end], *shape) for shape, start, end in zip(shapes, [0] + ends, ends)]
+
+
+def unit(z: np.ndarray, axes: int = 1) -> np.ndarray:
+    """z divided by its Frobenius norm over the last `axes` axes, with the bits of z / np.linalg.norm(z)."""
+    norm = np.asarray(fro_norm(z, axes))
+    return z / norm.reshape(norm.shape + (1,) * axes)
+
+
+def haar(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from complex normal matrices (..., d, d): QR with the phase convention fixed."""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def gram(z: np.ndarray) -> np.ndarray:
+    """z z†, member by member: a random PSD matrix from a complex normal one."""
+    return z @ z.conj().mT
+
+
 def complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:
     """IID standard complex normal entries (unit total variance per entry)."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    return complex_from(rng.standard_normal(normal_count(shape)), *shape)
 
 
 def random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = complex_normal(rng, dim)
-    return v / np.linalg.norm(v)
+    return unit(complex_normal(rng, dim))
 
 
 def complex_normal_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """`count` draws of complex_normal(rng, dim) stacked as rows, in one call.
-
-    Takes the same bits from rng as the sequential draws and leaves it in the
-    same state.
-    """
-    x = rng.standard_normal((count, 2, dim))
-    return (x[:, 0] + 1j * x[:, 1]) / np.sqrt(2.0)
+    """`count` draws of complex_normal(rng, dim) stacked as rows, in one call, with their bits."""
+    return complex_from(rng.standard_normal((count, normal_count((dim,)))), dim)
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-distributed unitary via QR with the phase convention fixed."""
-    q, r = np.linalg.qr(complex_normal(rng, dim, dim))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return haar(complex_normal(rng, dim, dim))
 
 
 def random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
-    a = complex_normal(rng, dim, dim)
-    return a @ a.conj().T
+    return gram(complex_normal(rng, dim, dim))
 
 
 def state_from_rng(rng: np.random.Generator, dim_a: int, dim_b: int, entangled: bool = False) -> BipartiteVector:
@@ -57,15 +91,19 @@ def state_from_rng(rng: np.random.Generator, dim_a: int, dim_b: int, entangled: 
     return BipartiteVector(coeff_from_rng(rng, dim_a, dim_b, entangled))
 
 
-def coeff_from_rng(rng: np.random.Generator, dim_a: int, dim_b: int, entangled: bool = False) -> np.ndarray:
-    """The coefficient matrix of state_from_rng, drawn with the same bits."""
+def coeff_normals(rng: np.random.Generator, dim_a: int, dim_b: int, entangled: bool = False) -> np.ndarray:
+    """The raw normals of coeff_from_rng's accepted draw; unit(complex_from(x, dim_a, dim_b), 2) assembles them."""
     if entangled and dim_a != dim_b:
         raise DimMismatch("completely entangled states need dim_a == dim_b")
     while True:
-        c = complex_normal(rng, dim_a, dim_b)
-        c = c / np.linalg.norm(c)
-        if not entangled or gns_check(c):
-            return c
+        x = rng.standard_normal(normal_count((dim_a, dim_b)))
+        if not entangled or gns_check(unit(complex_from(x, dim_a, dim_b), 2)):
+            return x
+
+
+def coeff_from_rng(rng: np.random.Generator, dim_a: int, dim_b: int, entangled: bool = False) -> np.ndarray:
+    """The coefficient matrix of state_from_rng, drawn with the same bits."""
+    return unit(complex_from(coeff_normals(rng, dim_a, dim_b, entangled), dim_a, dim_b), 2)
 
 
 def random_state(dims, seed: int, entangled: bool = False) -> BipartiteVector:

@@ -1,12 +1,13 @@
 """Residual suites: every analytic identity of the library re-checked on seeded random instances.
 
-Each suite runs in two phases.  The draw phase takes trial t's instances
+Each suite runs in two phases.  The draw phase takes trial t's raw draws
 from its own sub-stream of (seed, suite tag, t), so any reported residual is
-reproducible in isolation.  The compute phase groups the trials by their
-dims and evaluates each identity once per group: the drawn arrays are
-stacked (n, ...) and wrapped in value types that hold the whole stack, so
-each library function runs once per group, on the same code path a single
-instance takes.  Residuals are Frobenius norms of differences (absolute
+reproducible in isolation: its normals in one generator call per run between
+integer, uniform and rejection draws, and no arithmetic.  The compute phase
+groups the trials by their dims, stacks the raw draws (n, ...), assembles
+them with sampling's stacked assembly and evaluates each identity once per
+group on value types that hold the whole stack, so each library function
+runs once per group, on the same code path a single instance takes.  Residuals are Frobenius norms of differences (absolute
 values for scalars), one per trial; the table keeps their max and the trial
 that attained it.  Tolerances are pinned per identity; passing a global
 tolerance overrides all of them.
@@ -31,15 +32,7 @@ from . import linalg as la
 from . import modular as md
 from . import teleport as tp
 from .errors import ToleranceExceeded
-from .sampling import (
-    coeff_from_rng,
-    complex_normal,
-    complex_normal_rows,
-    random_psd,
-    random_unit_vector,
-    random_unitary,
-    rng_for,
-)
+from .sampling import coeff_normals, complex_from, gram, haar, normal_count, rng_for, split_complex, unit
 
 TOLERANCES = {
     "matcore.svd_reconstruct": 1e-10,
@@ -197,6 +190,21 @@ def _stacked(table: ResidualTable, seed: int, stream: int, trials: Iterable[int]
     return _groups(table, stream, _draw(seed, stream, trials, draw))
 
 
+def _complex_trials(table: ResidualTable, seed: int, stream: int, trials: Iterable[int], dims_list, shapes):
+    """_stacked for trials of complex normals only: trial t has dims_list[t % len] and draws shapes(*dims) in one call.
+
+    Yields each group's complex arrays, split from the stacked raw normals.
+    """
+
+    counts = [normal_count(*shapes(*dims)) for dims in dims_list]
+
+    def draw(rng, t):
+        return dims_list[t % len(dims_list)], (rng.standard_normal(counts[t % len(dims_list)]),)
+
+    for rec, dims, (x,) in _stacked(table, seed, stream, trials, draw):
+        yield rec, dims, split_complex(x, *shapes(*dims))
+
+
 def epr_projection(psi, pair, omega_a, phi_a):
     """(|phi_a><phi_a| ⊗ 1) psi = phi_a ⊗ s_ba phi_a, with squared norm <phi_a, omega_a phi_a>."""
     projected = bp.project_rank1(psi, phi_a)
@@ -278,11 +286,9 @@ def twisted_action(prod, eta, xi):
     acts on them by its plain matrix.
     """
     eta_mat, xi_mat = (f.mat if isinstance(f, al.AntilinearMap) else f for f in (eta, xi))
-    da, db = prod.dim_a, prod.dim_b
-    n = da * db
     want = la.kron(eta_mat, xi_mat)
-    want = want.reshape(*want.shape[:-1], db, da).swapaxes(-1, -2).reshape(want.shape)
-    return np.linalg.norm(prod.mat @ np.eye(n) - want, axis=-2).max(axis=-1, initial=0.0)
+    want = want.reshape(*want.shape[:-1], prod.dim_b, prod.dim_a).swapaxes(-1, -2).reshape(want.shape)
+    return np.linalg.norm(prod.mat - want, axis=-2).max(axis=-1, initial=0.0)
 
 
 def _r(*cols):
@@ -313,13 +319,14 @@ def _kron_gap(f1, f2):
     return _fro(_r(flat(x1 - x2), flat(x2)) @ _r(flat(y1), flat(y1 - y2)).mT)
 
 
-def _roots(phi, psi):
+def modular_roots(phi, psi):
     """omega_a(phi)^(1/2), omega_b(psi)^(1/2) and omega_b(psi)^(-1/2), from the SVDs of C_phi and C_psi^T.
 
     omega_a(phi)^(1/2) and omega_b(psi)^(1/2) are the positive polar parts
     of s_ab(phi) = C_phi and s_ba(psi) = C_psi^T, and with C_psi^T = U Σ V†,
     omega_b(psi)^(-1/2) = U Σ^(-1) U†: never a square root of Delta or of a
-    reduction.  These SVDs are the checks' own, not the builder's.
+    reduction.  These SVDs are the checks' own, not the builder's; they are
+    taken once per (phi, psi) and passed to the checks that read them.
     """
     root_a, root_b = al.polar(bp.epr_maps(phi).s_ab), al.polar(bp.epr_maps(psi).s_ba)
     u_b, sigma_b = root_b.svd.u, root_b.svd.sigma
@@ -361,13 +368,13 @@ def modular_delta(triple):
     return np.maximum(gap, np.maximum(0.0, -low)) / (1.0 + _fro(a) * _fro(b))
 
 
-def modular_reconstruction(triple, phi, psi):
+def modular_reconstruction(triple, roots):
     """S = J Delta^(1/2), with Delta^(1/2) = omega_a(phi)^(1/2) ⊗ omega_b(psi)^(-1/2), from the factors.
 
     J ∘ (P ⊗ Q) = (eta_J conj(Q)) ⊗̃ (xi_J conj(P)) for linear P, Q, so both
-    sides are twisted products.
+    sides are twisted products.  `roots` is modular_roots(phi, psi).
     """
-    sqrt_a, _, inv_sqrt_b = _roots(phi, psi)
+    sqrt_a, _, inv_sqrt_b = roots
     eta_j, xi_j = triple.j.factors
     return _kron_gap(triple.s.factors, (eta_j @ np.conj(inv_sqrt_b), xi_j @ np.conj(sqrt_a)))
 
@@ -383,15 +390,15 @@ def modular_phase_match(triple):
     return _kron_gap(phases, triple.j.factors)
 
 
-def modular_intertwine(triple, phi, psi):
+def modular_intertwine(triple, roots):
     """S (1 ⊗ omega_b(psi)^(1/2)) = J (omega_a(phi)^(1/2) ⊗ 1), from the factors.
 
-    The roots are the polar parts of s_ba(psi) and s_ab(phi); both sides are
-    twisted products, as in modular_reconstruction.
+    The roots, modular_roots(phi, psi), are the polar parts of s_ba(psi) and
+    s_ab(phi); both sides are twisted products, as in modular_reconstruction.
     """
     eta, xi = triple.s.factors
     eta_j, xi_j = triple.j.factors
-    sqrt_a, sqrt_b, _ = _roots(phi, psi)
+    sqrt_a, sqrt_b, _ = roots
     return _kron_gap((eta @ np.conj(sqrt_b), xi), (eta_j, xi_j @ np.conj(sqrt_a)))
 
 
@@ -418,9 +425,9 @@ def modular_delta_oracle(triple):
     return np.maximum(gap, np.maximum(0.0, -eigs.min(axis=-1))) / (1.0 + _fro(delta))
 
 
-def modular_reconstruction_oracle(triple, phi, psi):
+def modular_reconstruction_oracle(triple, roots):
     """Dense oracle of modular_reconstruction: S against J conj(Delta^(1/2)) as d²×d² matrices."""
-    sqrt_a, _, inv_sqrt_b = _roots(phi, psi)
+    sqrt_a, _, inv_sqrt_b = roots
     return _fro(triple.s.mat - triple.j.mat @ np.conj(la.kron(sqrt_a, inv_sqrt_b)))
 
 
@@ -429,10 +436,10 @@ def modular_phase_match_oracle(triple):
     return _fro(al.polar(triple.s.as_antilinear()).phase.mat - triple.j.mat)
 
 
-def modular_intertwine_oracle(triple, phi, psi):
+def modular_intertwine_oracle(triple, roots):
     """Dense oracle of modular_intertwine, on d²×d² matrices."""
-    sqrt_a, sqrt_b, _ = _roots(phi, psi)
-    eye = np.eye(psi.dim_b)
+    sqrt_a, sqrt_b, _ = roots
+    eye = np.eye(sqrt_b.shape[-1])
     return _fro(triple.s.mat @ np.conj(la.kron(eye, sqrt_b)) - triple.j.mat @ np.conj(la.kron(sqrt_a, eye)))
 
 
@@ -442,34 +449,32 @@ def matcore_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
 
     def draw(rng, t):
         d, (da, db) = sizes[t % len(sizes)], pairs[t % len(pairs)]
-        m = complex_normal(rng, d, d)
-        h, rho, omega = random_psd(rng, d), random_psd(rng, d), random_psd(rng, d)
-        return (d, da, db), (m, h, rho, omega, random_psd(rng, da * db), random_unitary(rng, da))
+        x = rng.standard_normal(normal_count(*[(d, d)] * 4, (da * db, da * db), (da, da)))
+        n = normal_count(*[(d, d)] * 4)
+        return (d, da, db), (x[:n], x[n:])
 
     drawn = _draw(seed, 5, trials, draw)
-    for rec, _, (m, h, rho, omega) in _groups(table, 5, [(t, k[:1], a[:4]) for t, k, a in drawn]):
+    for rec, (d,), (x,) in _groups(table, 5, [(t, k[:1], a[:1]) for t, k, a in drawn]):
+        m, *psd = split_complex(x, *[(d, d)] * 4)
+        h, rho, omega = (gram(z) for z in psd)
         rec("matcore.svd_reconstruct", _fro(la.svd(m).reconstruct() - m))
         s = la.psd_sqrt(h)
         rec("matcore.psd_sqrt", _fro(s @ s - h))
         rec("matcore.fidelity_symmetry", np.abs(la.fidelity(rho, omega) - la.fidelity(omega, rho)))
-    for rec, (da, db), (big, u_a) in _groups(table, 5, [(t, k[1:], a[4:]) for t, k, a in drawn]):
-        u = la.kron(u_a, np.eye(db))
+    for rec, (da, db), (x,) in _groups(table, 5, [(t, k[1:], a[1:]) for t, k, a in drawn]):
+        big, u_a = split_complex(x, (da * db, da * db), (da, da))
+        big, u = gram(big), la.kron(haar(u_a), np.eye(db))
         moved = la.partial_trace(u @ big @ u.conj().mT, da, db, "b")
         rec("matcore.partial_trace_invariance", _fro(moved - la.partial_trace(big, da, db, "b")))
 
 
 def epr_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
-    pairs = _dim_pairs(dims)
+    def shapes(da, db):
+        return (da, db), (da,), (db,), (da, db), (da, da), (da, da), (db, db)
 
-    def draw(rng, t):
-        da, db = pairs[t % len(pairs)]
-        c = coeff_from_rng(rng, da, db)
-        phi_a, phi_b = random_unit_vector(rng, da), complex_normal(rng, db)
-        chi = coeff_from_rng(rng, da, db)
-        a_psd, a_op, b_op = random_psd(rng, da), complex_normal(rng, da, da), complex_normal(rng, db, db)
-        return (da, db), (c, phi_a, phi_b, chi, a_psd, a_op, b_op)
-
-    for rec, (da, _), (c, phi_a, phi_b, chi, a_psd, a_op, b_op) in _stacked(table, seed, 10, trials, draw):
+    for rec, (da, _), draws in _complex_trials(table, seed, 10, trials, _dim_pairs(dims), shapes):
+        c, phi_a, phi_b, chi, a_psd, a_op, b_op = draws
+        c, phi_a, chi, a_psd = unit(c, 2), unit(phi_a), unit(chi, 2), gram(a_psd)
         psi = bp.BipartiteVector(c)
         pair = bp.epr_maps(psi)
         omega_a, omega_b = bp.reduced(psi, "a"), bp.reduced(psi, "b")
@@ -489,14 +494,10 @@ def epr_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
 
 
 def antilinear_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
-    pairs = _dim_pairs(dims)
+    def shapes(da, db):
+        return (db, da), (da, db), (da,), (db,), (db, db), (da, da)
 
-    def draw(rng, t):
-        da, db = pairs[t % len(pairs)]
-        shapes = ((db, da), (da, db), (da,), (db,), (db, db), (da, da))
-        return (da, db), tuple(complex_normal(rng, *shape) for shape in shapes)
-
-    for rec, _, (m1, m2, x, y, lin_cod, lin_dom) in _stacked(table, seed, 20, trials, draw):
+    for rec, _, (m1, m2, x, y, lin_cod, lin_dom) in _complex_trials(table, seed, 20, trials, _dim_pairs(dims), shapes):
         t1, t2 = al.AntilinearMap(m1), al.AntilinearMap(m2)
         rec("anti.adjoint_pairing", np.abs(_vdot(y, al.apply(t1, x)) - _vdot(x, al.apply(al.adjoint(t1), y))))
         rec("anti.involution", _fro(al.adjoint(al.adjoint(t1)).mat - t1.mat))
@@ -518,15 +519,14 @@ def polar_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     pairs = _dim_pairs(dims)
 
     def draw(rng, t):
-        """Random unit coefficient matrix; every third trial has one row zeroed."""
+        """Random unit coefficient matrix; every third trial has one row zeroed (row -1: none)."""
         da, db = pairs[t % len(pairs)]
-        c = complex_normal(rng, da, db)
-        if t % 3 == 2 and da > 1:
-            c[int(rng.integers(da))] = 0.0
-        return (da, db), (c / np.linalg.norm(c),)
+        x = rng.standard_normal(normal_count((da, db)))
+        return (da, db), (x, int(rng.integers(da)) if t % 3 == 2 and da > 1 else -1)
 
-    for rec, _, (c,) in _stacked(table, seed, 30, trials, draw):
-        psi = bp.BipartiteVector(c)
+    for rec, (da, db), (x, row) in _stacked(table, seed, 30, trials, draw):
+        zeroed = np.arange(da)[:, None] == np.asarray(row)[..., None, None]
+        psi = bp.BipartiteVector(unit(np.where(zeroed, 0.0, complex_from(x, da, db)), 2))
         pair = bp.epr_maps(psi)
         parts, parts_ab = al.polar(pair.s_ba), al.polar(pair.s_ab)
         omega_a, omega_b = bp.reduced(psi, "a"), bp.reduced(psi, "b")
@@ -559,10 +559,10 @@ def partner_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
 
     def draw(rng, t):
         d = squares[t % len(squares)]
-        return (d,), (coeff_from_rng(rng, d, d, entangled=True), complex_normal(rng, d, d))
+        return (d,), (coeff_normals(rng, d, d, entangled=True), rng.standard_normal(normal_count((d, d))))
 
-    for rec, _, (c, a_op) in _stacked(table, seed, 40, trials, draw):
-        psi = bp.BipartiteVector(c)
+    for rec, (d,), (x_psi, x_op) in _stacked(table, seed, 40, trials, draw):
+        psi, a_op = bp.BipartiteVector(unit(complex_from(x_psi, d, d), 2)), complex_from(x_op, d, d)
         parts = bp.polar_of_state(psi)
         b_op = bp.partner_operator(a_op, parts)
         rec("partner.trace", np.abs(_trace(bp.reduced(psi, "a") @ a_op) - _trace(bp.reduced(psi, "b") @ b_op)))
@@ -575,23 +575,22 @@ def cloning_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
 
     def draw(rng, t):
         d = squares[t % len(squares)]
-        u_a, u_b = random_unitary(rng, d), random_unitary(rng, d)
-        p, q = rng.random(d) + 0.05, rng.random(d) + 0.05
-        return (d,), tuple(u_a @ np.diag(np.sqrt(x / x.sum())) @ u_b.conj().T for x in (p, q))
+        return (d,), (rng.standard_normal(normal_count((d, d), (d, d))), rng.random(d), rng.random(d))
 
-    for rec, _, (phi, psi) in _stacked(table, seed, 50, trials, draw):
+    for rec, (d,), (x, p, q) in _stacked(table, seed, 50, trials, draw):
+        u_a, u_b = (haar(z) for z in split_complex(x, (d, d), (d, d)))
+        diags = (np.eye(d) * np.sqrt(w / w.sum(-1, keepdims=True))[..., None, :] for w in (p + 0.05, q + 0.05))
+        phi, psi = (u_a @ diag @ u_b.conj().mT for diag in diags)
         hermitian, commutator = bp.cloning_check(bp.BipartiteVector(phi), bp.BipartiteVector(psi))
         rec("cloning.commutator", np.where(hermitian, commutator, 1.0))
 
 
 def crossgram_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
-    pairs = _dim_pairs(dims)
+    def shapes(da, db):
+        return (da, db), (da, db), (db, db)
 
-    def draw(rng, t):
-        da, db = pairs[t % len(pairs)]
-        return (da, db), (coeff_from_rng(rng, da, db), coeff_from_rng(rng, da, db), complex_normal(rng, db, db))
-
-    for rec, (da, db), (c_phi, c_psi, b_op) in _stacked(table, seed, 60, trials, draw):
+    for rec, (da, db), (c_phi, c_psi, b_op) in _complex_trials(table, seed, 60, trials, _dim_pairs(dims), shapes):
+        c_phi, c_psi = unit(c_phi, 2), unit(c_psi, 2)
         phi, psi = bp.BipartiteVector(c_phi), bp.BipartiteVector(c_psi)
         cross = bp.cross_gram(phi, psi)
         sv = np.linalg.svd(cross, compute_uv=False)
@@ -605,16 +604,14 @@ def crossgram_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]
 
 
 def purification_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
-    squares = _square_dims(dims)
+    def shapes(d):
+        return (d, d), (d, d)
 
-    def draw(rng, t):
-        d = squares[t % len(squares)]
-        omega = random_psd(rng, d)
-        omega /= np.trace(omega).real
-        return (d,), (omega, random_unitary(rng, d))
-
-    for rec, _, (omega, w) in _stacked(table, seed, 70, trials, draw):
-        psi = bp.purification_from_isometry(omega, al.AntilinearMap(w))
+    squares = [(d,) for d in _square_dims(dims)]
+    for rec, _, (a, w) in _complex_trials(table, seed, 70, trials, squares, shapes):
+        omega = gram(a)
+        omega = omega / np.asarray(_trace(omega).real)[..., None, None]
+        psi = bp.purification_from_isometry(omega, al.AntilinearMap(haar(w)))
         rec("purification.roundtrip", _fro(bp.reduced(psi, "a") - omega))
 
 
@@ -623,23 +620,25 @@ def teleport_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int])
     triples = [(da, db, dc) for da in small for db in small for dc in small]
 
     def draw(rng, t):
+        """One normal call: two states, a probe, then BOUND_PROBES rows as complex_normal_rows draws them."""
         da, db, dc = triples[t % len(triples)]
-        c_psi, c_phi = coeff_from_rng(rng, da, db), coeff_from_rng(rng, db, dc)
-        probe, probes = random_unit_vector(rng, da), complex_normal_rows(rng, BOUND_PROBES, da)
-        return (da, db, dc), (c_psi, c_phi, probe, probes)
+        x = rng.standard_normal(normal_count((da, db), (db, dc), (da,), (BOUND_PROBES, da)))
+        n = normal_count((BOUND_PROBES, da))
+        return (da, db, dc), (x[:-n], x[-n:].reshape(BOUND_PROBES, -1))
 
-    for rec, _, (c_psi, c_phi, probe, probes) in _stacked(table, seed, 80, trials, draw):
-        tm = tp.teleport_map(bp.BipartiteVector(c_psi), bp.BipartiteVector(c_phi))
-        rec("teleport.factorization", teleport_factorization(tm, probe))
+    for rec, (da, db, dc), (x, rows) in _stacked(table, seed, 80, trials, draw):
+        c_psi, c_phi, probe = split_complex(x, (da, db), (db, dc), (da,))
+        tm = tp.teleport_map(bp.BipartiteVector(unit(c_psi, 2)), bp.BipartiteVector(unit(c_phi, 2)))
+        rec("teleport.factorization", teleport_factorization(tm, unit(probe)))
         bound = tp.success_bound(tm)
-        rec("teleport.bound_holds", teleport_bound_holds(tm, probes, bound))
+        rec("teleport.bound_holds", teleport_bound_holds(tm, complex_from(rows, da), bound))
         rec("teleport.bound_attained", np.abs(np.linalg.svd(tm.t, compute_uv=False).max(axis=-1) ** 2 - bound))
         rec("teleport.trace_fidelity", teleport_trace_fidelity(tp.trace_norm_fidelity(tm)))
 
 
-def _orthonormal_states(rng, da: int, db: int, count: int) -> np.ndarray:
-    """Coefficient matrices (count, da, db) of the first `count` columns of a Haar unitary."""
-    return random_unitary(rng, da * db)[:, :count].T.reshape(count, da, db)
+def _orthonormal_states(u: np.ndarray, da: int, db: int, count: int) -> np.ndarray:
+    """Coefficient matrices (..., count, da, db) of the first `count` columns of unitaries u (..., da·db, da·db)."""
+    return u[..., :count].mT.reshape(*u.shape[:-2], count, da, db)
 
 
 def _states(coeffs: np.ndarray) -> list:
@@ -651,21 +650,25 @@ def luders_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     small = [d for d in dims if d <= 3] or [2]
     pairs = [(da, db) for da in small for db in small]
 
+    def shapes(da, db, rank):
+        """The Haar basis, probe, mixing unitary and operator, then a full basis when da·db <= 6."""
+        n = da * db
+        return ((n, n), (da,), (rank, rank), (da, da)) + (((n, n),) if n <= 6 else ())
+
     def draw(rng, t):
         (da, db), dc = pairs[t % len(pairs)], small[t % len(small)]
-        phi = coeff_from_rng(rng, db, dc)
+        x_phi = rng.standard_normal(normal_count((db, dc)))
         rank = 1 + int(rng.integers(da * db))
-        psis = _orthonormal_states(rng, da, db, rank)
-        arrays = (phi, psis, random_unit_vector(rng, da), random_unitary(rng, rank), random_psd(rng, da))
-        full = (_orthonormal_states(rng, da, db, da * db),) if da * db <= 6 else ()
-        return (da, db, dc, rank), arrays + full
+        return (da, db, dc, rank), (x_phi, rng.standard_normal(normal_count(*shapes(da, db, rank))))
 
     # Channels are grouped by rank as well, so each group stacks channels of one rank.
-    for rec, _, (c_phi, c_psis, probe, mix, nu, *full) in _stacked(table, seed, 90, trials, draw):
-        phi, psis = bp.BipartiteVector(c_phi), _states(c_psis)
+    for rec, (da, db, dc, rank), (x_phi, x) in _stacked(table, seed, 90, trials, draw):
+        basis, probe, mix, nu, *full = split_complex(x, *shapes(da, db, rank))
+        c_psis, mix, nu = _orthonormal_states(haar(basis), da, db, rank), haar(mix), gram(nu)
+        phi, psis = bp.BipartiteVector(unit(complex_from(x_phi, db, dc), 2)), _states(c_psis)
         ch = tp.luders_channel(psis, phi)
         rec("luders.rank1", _fro(tp.luders_channel(psis[:1], phi).maps[0] - tp.teleport_map(psis[0], phi).t))
-        rec("luders.decoupling", luders_decoupling(ch, probe))
+        rec("luders.decoupling", luders_decoupling(ch, unit(probe)))
         mixed = (mix.mT @ c_psis.reshape(*c_psis.shape[:-2], -1)).reshape(c_psis.shape)
         out = tp.luders_apply(ch, nu)
         rec("luders.independence", _fro(out - tp.luders_apply(tp.luders_channel(_states(mixed), phi), nu)))
@@ -673,28 +676,27 @@ def luders_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         norm_sq = ch.ancilla_norm_sq
         rec("luders.trace_bound", np.maximum(0.0, _trace(out).real - norm_sq * _trace(nu).real))
         if full:
-            out_full = tp.luders_apply(tp.luders_channel(_states(full[0]), phi), nu)
+            full_basis = _states(_orthonormal_states(haar(full[0]), da, db, da * db))
+            out_full = tp.luders_apply(tp.luders_channel(full_basis, phi), nu)
             rec("luders.completeness", np.abs(_trace(out_full).real - norm_sq * _trace(nu).real))
 
 
 def chain_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
-    def draw(rng, t):
-        return (2, 2, 2, 2, 2), [coeff_from_rng(rng, 2, 2) for _ in range(4)] + [random_unit_vector(rng, 2)]
+    def shapes(*_):
+        return (2, 2), (2, 2), (2, 2), (2, 2), (2,)
 
-    for rec, _, (*coeffs, probe) in _stacked(table, seed, 100, trials, draw):
-        stages = [bp.BipartiteVector(c) for c in coeffs]
-        rec("chain.factorization", chain_factorization(stages, tp.chain_teleport(stages), probe))
+    for rec, _, (*coeffs, probe) in _complex_trials(table, seed, 100, trials, [(2, 2, 2, 2, 2)], shapes):
+        stages = [bp.BipartiteVector(unit(c, 2)) for c in coeffs]
+        rec("chain.factorization", chain_factorization(stages, tp.chain_teleport(stages), unit(probe)))
 
 
 def twisted_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
-    squares = _square_dims(dims)
+    def shapes(d):
+        return ((d, d),) * 8
 
-    def draw(rng, t):
-        d = squares[t % len(squares)]
-        factors = tuple(complex_normal(rng, d, d) for _ in range(6))
-        return (d,), factors + (coeff_from_rng(rng, d, d), coeff_from_rng(rng, d, d))
-
-    for rec, _, (m_eta, m_xi, lin_eta, lin_xi, m_eta2, m_xi2, c_phi, c_psi) in _stacked(table, seed, 110, trials, draw):
+    squares = [(d,) for d in _square_dims(dims)]
+    for rec, _, draws in _complex_trials(table, seed, 110, trials, squares, shapes):
+        m_eta, m_xi, lin_eta, lin_xi, m_eta2, m_xi2, c_phi, c_psi = draws
         eta, xi, eta2, xi2 = (al.AntilinearMap(m) for m in (m_eta, m_xi, m_eta2, m_xi2))
         prod, prod2 = md.twisted_product(eta, xi), md.twisted_product(eta2, xi2)
         lin_prod = md.twisted_product(lin_eta, lin_xi)
@@ -709,7 +711,7 @@ def twisted_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         composite = la.kron(al.compose_aa(eta, xi2), al.compose_aa(xi, eta2))
         rec("twisted.compose", _fro(md.twisted_compose(prod, prod2) - composite))
 
-        phi, psi = bp.BipartiteVector(c_phi), bp.BipartiteVector(c_psi)
+        phi, psi = bp.BipartiteVector(unit(c_phi, 2)), bp.BipartiteVector(unit(c_psi, 2))
         fwd, bwd = md.lift_operators(phi, psi), md.lift_operators(psi, phi)
         # Adjoints exchange the arguments; for the mixed lifts they also swap
         # the j-factor and s-factor roles, crossing s_tilde into f_tilde.
@@ -753,18 +755,18 @@ def modular_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
 
     def draw(rng, t):
         d = squares[t % len(squares)]
-        return (d,), (coeff_from_rng(rng, d, d, entangled=True), coeff_from_rng(rng, d, d))
+        return (d,), (coeff_normals(rng, d, d, entangled=True), coeff_normals(rng, d, d))
 
-    for rec, (d,), (c_psi, c_phi) in _stacked(table, seed, 120, trials, draw):
-        psi, phi = bp.BipartiteVector(c_psi), bp.BipartiteVector(c_phi)
-        triple = md.tomita_S(phi, psi)
+    for rec, (d,), (x_psi, x_phi) in _stacked(table, seed, 120, trials, draw):
+        psi, phi = (bp.BipartiteVector(unit(complex_from(x, d, d), 2)) for x in (x_psi, x_phi))
+        triple, roots = md.tomita_S(phi, psi), modular_roots(phi, psi)
         # Each identity is checked by its factor route and, up to ORACLE_DIM, by its dense oracle too.
         for name, route, oracle, args in (
             ("modular.defining", modular_defining, modular_defining_oracle, (triple, phi, psi)),
             ("modular.delta", modular_delta, modular_delta_oracle, (triple,)),
-            ("modular.reconstruction", modular_reconstruction, modular_reconstruction_oracle, (triple, phi, psi)),
+            ("modular.reconstruction", modular_reconstruction, modular_reconstruction_oracle, (triple, roots)),
             ("modular.phase_match", modular_phase_match, modular_phase_match_oracle, (triple,)),
-            ("modular.intertwine", modular_intertwine, modular_intertwine_oracle, (triple, phi, psi)),
+            ("modular.intertwine", modular_intertwine, modular_intertwine_oracle, (triple, roots)),
         ):
             rec(name, route(*args))
             if d <= ORACLE_DIM:

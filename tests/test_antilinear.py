@@ -15,6 +15,7 @@ from eprkit.antilinear import (
     polar,
     trace_product,
 )
+from eprkit.linalg import rank_mask
 from eprkit.sampling import complex_normal
 
 from util import seeded_rng
@@ -199,6 +200,61 @@ class TestPolar:
             assert np.array_equal(res.v, vh.conj().T) and res.rank == min(dy, dx)
             assert not any(a.flags.writeable for a in (res.u, res.sigma, res.v))
             assert np.array_equal(polar(t).phase.mat, u @ vh)
+
+
+def eager_polar_parts(mat):
+    """The five polar parts by the eager formula that polar applied to every part before they were lazy."""
+    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    keep = rank_mask(s)
+    ur, sr, vhr = u * keep[..., None, :], s * keep, vh * keep[..., :, None]
+    vr = vhr.conj().mT
+    positive = (ur * sr[..., None, :]) @ ur.conj().mT
+    positive_dom = (np.conj(vr) * sr[..., None, :]) @ vr.mT
+    return {
+        "positive": (positive + positive.conj().mT) / 2,
+        "phase": ur @ vhr,
+        "support_dom": np.conj(vr) @ vr.mT,
+        "support_cod": ur @ ur.conj().mT,
+        "positive_dom": (positive_dom + positive_dom.conj().mT) / 2,
+    }
+
+
+POLAR_PARTS = ("positive", "phase", "support_dom", "support_cod", "positive_dom")
+
+
+class TestLazyPolarParts:
+    def maps(self):
+        rng = seeded_rng(22)
+        deficient = np.outer(complex_normal(rng, 3), complex_normal(rng, 4))
+        yield complex_normal(rng, 3, 3)
+        yield complex_normal(rng, 4, 2)
+        yield deficient
+        yield np.stack([complex_normal(rng, 3, 4), deficient])
+
+    def test_each_part_has_the_bits_of_the_eager_formula_and_is_read_only(self):
+        for mat in self.maps():
+            parts = polar(AntilinearMap(mat))
+            want = eager_polar_parts(mat)
+            for name in POLAR_PARTS:
+                got = getattr(parts, name)
+                got = got.mat if name == "phase" else got
+                assert np.array_equal(got, want[name]), name
+                assert not got.flags.writeable, name
+                assert getattr(parts, name) is getattr(parts, name), name  # built once
+
+    def test_reading_the_phase_builds_no_other_part(self):
+        parts = polar(AntilinearMap(complex_normal(seeded_rng(23), 3, 3)))
+        assert not set(POLAR_PARTS) & set(vars(parts))
+        parts.phase
+        assert set(POLAR_PARTS) & set(vars(parts)) == {"phase"}
+        parts.positive
+        assert set(POLAR_PARTS) & set(vars(parts)) == {"phase", "positive"}
+
+    def test_parts_cannot_be_reassigned(self):
+        parts = polar(AntilinearMap(np.eye(2)))
+        for name in ("svd",) + POLAR_PARTS:
+            with pytest.raises(AttributeError):
+                setattr(parts, name, None)
 
 
 class TestChain:

@@ -81,6 +81,29 @@ def test_matrix_integer_beyond_float64_is_nonfinite():
         matrix_from_json({"rows": 1, "cols": 2, "data": [[1.0, 0.0], [0.0, 10**400]]})
 
 
+@pytest.mark.parametrize(
+    "data, error, k",
+    [
+        ([[1.0, 0.0], [float("nan"), 0.0], ["x", 0.0]], errors.NonFinite, 1),
+        ([[1.0, 0.0], ["x", 0.0], [float("nan"), 0.0]], errors.ParseError, 1),
+        ([[1.0, 0.0], [2, 0], [1.0, 2.0, 3.0]], errors.ParseError, 2),
+        ([[1.0, 0.0], [0.0, 1.0], 5], errors.ParseError, 2),
+        ([[1, 0], [0.0, False], [10**400, 0]], errors.ParseError, 1),
+        ([[1, 0], [2**1024, 0.0], [True, 0]], errors.NonFinite, 1),
+    ],
+)
+def test_matrix_names_the_first_bad_entry(data, error, k):
+    with pytest.raises(error, match=rf"^m: data\[{k}\] is not"):
+        matrix_from_json({"rows": 1, "cols": 3, "data": data}, "m")
+
+
+def test_matrix_from_integers_tuples_and_large_numbers():
+    data = [(1, -2), [2**60 + 1, 0.5], [10**300, -(2**64)]]
+    got = matrix_from_json({"rows": 3, "cols": 1, "data": data})
+    assert got.dtype == np.complex128 and got.shape == (3, 1)
+    assert got[:, 0].tolist() == [complex(re, im) for re, im in data]
+
+
 def test_matrix_keeps_negative_zeros_bit_for_bit():
     m = np.array([[complex(-0.0, -0.0), complex(-0.0, 1e-300)], [complex(5e-324, -0.0), complex(1.5, -2.0)]])
     got = matrix_from_json(matrix_to_json(m))

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from eprkit import errors
 from eprkit.linalg import (
+    HERMITIAN_TOL,
     fidelity,
     frozen,
     norms,
@@ -15,6 +16,8 @@ from eprkit.linalg import (
     support_projection,
     svd,
 )
+
+from eprkit.sampling import random_unitary
 
 from util import bell, seeded_rng
 
@@ -98,6 +101,43 @@ class TestPsdSqrt:
     def test_roundoff_negative_clamped(self):
         s = psd_sqrt(np.diag([1.0, -1e-11]))
         assert_allclose(s, np.diag([1.0, 0.0]), atol=1e-12)
+
+
+def psd_of_norm_1e8():
+    """A valid 8×8 PSD matrix with spectrum logspace(8, 0, 8), whose rounding skew passes 1e-10."""
+    u = random_unitary(seeded_rng(30), 8)
+    return (u * np.logspace(8, 0, 8)) @ u.conj().T
+
+
+class TestChecksScaleWithTheInput:
+    """The Hermiticity and PSD checks hold relative to max(1, max |H_ij|), not absolutely."""
+
+    def test_psd_sqrt_and_fidelity_accept_a_valid_matrix_of_norm_1e8(self):
+        h = psd_of_norm_1e8()
+        skew = np.abs((h - h.conj().T) / 2).max()
+        assert skew > HERMITIAN_TOL  # the absolute check refused this matrix with NotHermitian
+        s = psd_sqrt(h, "h")
+        assert np.linalg.norm(s @ s - h) <= 1e-12 * np.linalg.norm(h)
+        assert fidelity(h, h) == pytest.approx(np.trace(h).real, rel=1e-12)
+        assert fidelity(h, h / 4) == pytest.approx(np.trace(h).real / 2, rel=1e-12)
+
+    def test_a_skew_above_the_scaled_bound_is_still_refused(self):
+        h = psd_of_norm_1e8().copy()
+        h[0, 1] += 1e-10 * np.abs(h).max() * 4  # skew 2x the scaled bound
+        with pytest.raises(errors.NotHermitian, match=r"^h deviates from Hermiticity"):
+            psd_sqrt(h, "h")
+
+    def test_a_negative_eigenvalue_above_the_scaled_clamp_is_still_refused(self):
+        h = np.diag([1e8, -1e-1])
+        with pytest.raises(errors.NotPositive, match=r"^h has eigenvalue -1\.000e-01 below -1\.000e-02"):
+            psd_sqrt(h, "h")
+        assert_allclose(psd_sqrt(np.diag([1e8, -1e-3])), np.diag([1e4, 0.0]), rtol=1e-15)
+
+    def test_small_inputs_keep_the_absolute_bounds(self):
+        with pytest.raises(errors.NotHermitian):
+            psd_sqrt(np.array([[1e-3, 4e-10], [0.0, 1e-3]]))  # skew 2e-10
+        with pytest.raises(errors.NotPositive, match=r"below -1\.000e-10"):
+            psd_sqrt(np.diag([1e-3, -2e-10]))
 
 
 class TestNorms:

@@ -1,5 +1,6 @@
 """Tests for twisted products, lifted operators, and the modular triple."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,8 @@ from numpy.testing import assert_allclose
 from eprkit import errors, verify
 from eprkit.antilinear import AntilinearMap, compose_aa
 from eprkit.bipartite import BipartiteVector, reduced
+from eprkit.cli import main
+from eprkit.formats import bipartite_to_json
 from eprkit.linalg import numerical_rank, psd_sqrt, support_projection
 from eprkit.modular import (
     KroneckerProduct,
@@ -30,6 +33,7 @@ from eprkit.verify import (
     modular_phase_match,
     modular_phase_match_oracle,
     modular_reconstruction,
+    modular_roots,
     modular_suite,
 )
 
@@ -331,8 +335,8 @@ class TestTomita:
         assert modular_phase_match(good) < TOLERANCES["modular.phase_match"]
         assert modular_phase_match(bad) > TOLERANCES["modular.phase_match"]
         tol = TOLERANCES["modular.reconstruction"]
-        assert modular_reconstruction(good, phi, psi) < tol
-        assert modular_reconstruction(bad, phi, psi) > tol
+        assert modular_reconstruction(good, modular_roots(phi, psi)) < tol
+        assert modular_reconstruction(bad, modular_roots(phi, psi)) > tol
 
     def test_graded_pair_k4_passes_reconstruction_and_intertwine(self):
         # Both spectra logspace(0, -4, 4): ||Delta|| ~ 1e8 and Delta is skew by
@@ -344,8 +348,9 @@ class TestTomita:
         rng = np.random.default_rng(3)
         phi, psi = graded_state(rng, 4, 4), graded_state(rng, 4, 4)
         triple = tomita_S(phi, psi)
-        assert modular_reconstruction(triple, phi, psi) <= TOLERANCES["modular.reconstruction"]
-        assert modular_intertwine(triple, phi, psi) <= 1e-2 * TOLERANCES["modular.intertwine"]
+        roots = modular_roots(phi, psi)
+        assert modular_reconstruction(triple, roots) <= TOLERANCES["modular.reconstruction"]
+        assert modular_intertwine(triple, roots) <= 1e-2 * TOLERANCES["modular.intertwine"]
         assert modular_defining(triple, phi, psi) <= TOLERANCES["modular.defining"]
         assert modular_phase_match(triple) <= TOLERANCES["modular.phase_match"]
         assert modular_delta(triple) <= TOLERANCES["modular.delta"]
@@ -359,6 +364,25 @@ class TestTomita:
         assert results["modular.reconstruction"].worst == (120, 80, (4,))
         assert results["modular.reconstruction"].residual < 1e-11
         assert all(r.passed for r in results.values())
+
+    def test_roots_are_taken_once_per_dims_group_and_per_command(self, monkeypatch, tmp_path):
+        calls = []
+
+        def counted(phi, psi):
+            calls.append(phi.coeff.shape)
+            return modular_roots(phi, psi)
+
+        monkeypatch.setattr(verify, "modular_roots", counted)
+        modular_suite(ResidualTable(), 5, [2, 3, 4], range(9))
+        assert calls == [(3, 2, 2), (3, 3, 3), (3, 4, 4)]
+        rng = seeded_rng(107)
+        paths = []
+        for name, psi in (("phi", random_unit_state(rng, 3, 3)), ("psi", state_from_rng(rng, 3, 3, entangled=True))):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(bipartite_to_json(psi)))
+        del calls[:]
+        assert main(["modular", *map(str, paths), "--out", str(tmp_path / "report.json")]) == 0
+        assert calls == [(3, 3)]
 
     def test_j_coincides_with_twisted_phase_lift(self):
         rng = seeded_rng(95)
@@ -432,10 +456,12 @@ MODULAR_IDENTITIES = ("defining", "delta", "reconstruction", "phase_match", "int
 
 def modular_residuals(triple, phi, psi, oracle: bool = False) -> dict:
     """Every modular identity's residual, by its factor route or by its dense oracle."""
+    args = {"defining": (triple, phi, psi), "delta": (triple,), "phase_match": (triple,)}
+    roots = modular_roots(phi, psi)
     out = {}
     for name in MODULAR_IDENTITIES:
         fn = getattr(verify, f"modular_{name}_oracle" if oracle else f"modular_{name}")
-        out[name] = float(fn(triple) if name in ("delta", "phase_match") else fn(triple, phi, psi))
+        out[name] = float(fn(*args.get(name, (triple, roots))))
     return out
 
 

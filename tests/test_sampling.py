@@ -1,11 +1,29 @@
 """Tests for seeded state and operator generation."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from eprkit import errors
+from eprkit import sampling
 from eprkit.modular import gns_check
-from eprkit.sampling import random_psd, random_state, random_unitary, rng_for
+from eprkit.sampling import (
+    coeff_from_rng,
+    coeff_normals,
+    complex_normal,
+    complex_normal_rows,
+    gram,
+    haar,
+    normal_count,
+    random_psd,
+    random_state,
+    random_unit_vector,
+    random_unitary,
+    rng_for,
+    split_complex,
+    unit,
+)
 
 
 def test_random_state_deterministic():
@@ -54,3 +72,100 @@ def test_random_unitary_is_unitary():
 def test_random_psd_is_psd():
     m = random_psd(rng_for(3), 4)
     assert np.linalg.eigvalsh(m).min() > -1e-12
+
+
+# The samplers as they were defined before draws and assembly were split,
+# one generator call per real or imaginary part and all arithmetic per call.
+def sequential_complex_normal(rng, *shape):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def sequential_unit(v):
+    return v / np.linalg.norm(v)
+
+
+def sequential_unitary(rng, dim):
+    q, r = np.linalg.qr(sequential_complex_normal(rng, dim, dim))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def sequential_psd(rng, dim):
+    a = sequential_complex_normal(rng, dim, dim)
+    return a @ a.conj().T
+
+
+def sequential_coeff(rng, dim_a, dim_b, entangled=False):
+    while True:
+        c = sequential_unit(sequential_complex_normal(rng, dim_a, dim_b))
+        if not entangled or gns_check(c):
+            return c
+
+
+PER_CALL = {
+    "complex_normal": (complex_normal, sequential_complex_normal, (3, 2)),
+    "random_unit_vector": (random_unit_vector, lambda rng, d: sequential_unit(sequential_complex_normal(rng, d)), (5,)),
+    "random_unitary": (random_unitary, sequential_unitary, (4,)),
+    "random_psd": (random_psd, sequential_psd, (3,)),
+    "coeff_from_rng": (coeff_from_rng, sequential_coeff, (2, 3)),
+    "coeff_from_rng-entangled": (
+        partial(coeff_from_rng, entangled=True),
+        partial(sequential_coeff, entangled=True),
+        (3, 3),
+    ),
+    "complex_normal_rows": (
+        complex_normal_rows,
+        lambda rng, count, d: np.stack([sequential_complex_normal(rng, d) for _ in range(count)]),
+        (7, 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PER_CALL)
+def test_per_call_sampler_matches_the_sequential_draws(name):
+    sampler, sequential, args = PER_CALL[name]
+    for seed in range(5):
+        rng, seq_rng = rng_for(seed, 9), rng_for(seed, 9)
+        for _ in range(3):
+            assert np.array_equal(sampler(rng, *args), sequential(seq_rng, *args))
+        assert rng.bit_generator.state == seq_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 9])
+def test_stacked_assembly_matches_the_sequential_draws(d):
+    """Raw normals per trial, one call each, assembled as one stack: the bits of per-call draws."""
+    trials, shapes = 12, [(d, d), (d,), (d, d), (d, d), (d, 2)]
+    raw, want = [], []
+    for t in range(trials):
+        rng, seq_rng = rng_for(3, d, t), rng_for(3, d, t)
+        raw.append(rng.standard_normal(normal_count(*shapes)))
+        want.append(
+            (
+                sequential_unitary(seq_rng, d),
+                sequential_unit(sequential_complex_normal(seq_rng, d)),
+                sequential_psd(seq_rng, d),
+                sequential_complex_normal(seq_rng, d, d),
+                sequential_coeff(seq_rng, d, 2),
+            )
+        )
+        assert rng.bit_generator.state == seq_rng.bit_generator.state
+    u, v, a, m, c = split_complex(np.stack(raw), *shapes)
+    got = (haar(u), unit(v), gram(a), m, unit(c, 2))
+    for k, stack in enumerate(got):
+        assert np.array_equal(stack, np.stack([w[k] for w in want])), k
+
+
+def test_coeff_normals_redraws_until_gns_check_accepts(monkeypatch):
+    calls = []
+
+    def reject_twice(c):
+        calls.append(c)
+        return len(calls) > 2
+
+    monkeypatch.setattr(sampling, "gns_check", reject_twice)
+    rng, seq_rng = rng_for(4), rng_for(4)
+    x = coeff_normals(rng, 2, 2, entangled=True)
+    for _ in range(3):
+        want = seq_rng.standard_normal(8)
+    assert len(calls) == 3 and np.array_equal(x, want)
+    assert rng.bit_generator.state == seq_rng.bit_generator.state
