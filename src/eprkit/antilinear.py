@@ -78,9 +78,7 @@ def adjoint(t: AntilinearMap) -> AntilinearMap:
 def compose_aa(t1: AntilinearMap, t2: AntilinearMap) -> np.ndarray:
     """Compose two antilinear maps; the result t1 ∘ t2 is linear: M1 @ conj(M2)."""
     if t1.dim_domain != t2.dim_codomain:
-        raise DimMismatch(
-            f"cannot compose: domain {t1.dim_domain} != codomain {t2.dim_codomain}"
-        )
+        raise DimMismatch(f"cannot compose: domain {t1.dim_domain} != codomain {t2.dim_codomain}")
     return t1.mat @ np.conj(t2.mat)
 
 
@@ -111,10 +109,6 @@ def trace_product(t1: AntilinearMap, t2: AntilinearMap):
         raise DimMismatch("trace_product needs maps composable in both orders")
     tr = np.trace(compose_aa(t1, t2), axis1=-2, axis2=-1)
     return complex(tr) if tr.ndim == 0 else tr
-
-
-def _hermitian(m: np.ndarray) -> np.ndarray:
-    return seal((m + m.conj().mT) / 2)
 
 
 @dataclass(frozen=True)
@@ -148,7 +142,8 @@ class PolarParts:
     @cached_property
     def positive(self) -> np.ndarray:
         ur, sr, _ = self._kept
-        return _hermitian((ur * sr[..., None, :]) @ ur.conj().mT)
+        p = (ur * sr[..., None, :]) @ ur.conj().mT
+        return seal((p + p.conj().mT) / 2)
 
     @cached_property
     def phase(self) -> AntilinearMap:
@@ -156,8 +151,7 @@ class PolarParts:
 
     @cached_property
     def support_dom(self) -> np.ndarray:
-        vr = self._kept[2].conj().mT
-        return seal(np.conj(vr) @ vr.mT)
+        return seal(self._kept[2].mT @ self._kept[2].conj())
 
     @cached_property
     def support_cod(self) -> np.ndarray:
@@ -165,16 +159,13 @@ class PolarParts:
 
     @cached_property
     def positive_dom(self) -> np.ndarray:
-        vr = self._kept[2].conj().mT
-        return _hermitian((np.conj(vr) * self._kept[1][..., None, :]) @ vr.mT)
+        _, sr, vhr = self._kept
+        p = (vhr.mT * sr[..., None, :]) @ vhr.conj()
+        return seal((p + p.conj().mT) / 2)
 
 
 def polar(t: AntilinearMap) -> PolarParts:
-    """Polar-decompose an antilinear map (or a stack of them): the package's one route from an SVD to phases and roots.
-
-    The SVD comes from linalg.svd and is kept; the parts are built from it as
-    they are read (see PolarParts).
-    """
+    """Polar-decompose an antilinear map (or a stack): the package's one route from an SVD to phases and roots."""
     return PolarParts(svd(t.mat))
 
 

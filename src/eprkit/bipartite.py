@@ -83,9 +83,7 @@ def epr_maps(psi: BipartiteVector) -> EprPair:
 
 def _check_same_dims(x: BipartiteVector, y: BipartiteVector):
     if (x.dim_a, x.dim_b) != (y.dim_a, y.dim_b):
-        raise DimMismatch(
-            f"bipartite dimensions differ: {(x.dim_a, x.dim_b)} vs {(y.dim_a, y.dim_b)}"
-        )
+        raise DimMismatch(f"bipartite dimensions differ: {(x.dim_a, x.dim_b)} vs {(y.dim_a, y.dim_b)}")
 
 
 def _check_unit(n, what: str):

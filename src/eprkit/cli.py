@@ -18,20 +18,11 @@ import sys
 import numpy as np
 
 from . import bipartite as bp
+from . import formats as fm
 from . import modular as md
 from . import teleport as tp
 from . import verify as vf
 from .errors import EprkitError, FactorizationFailure, ParseError, ToleranceExceeded
-from .formats import (
-    antilinear_to_json,
-    bipartite_from_json,
-    bipartite_to_json,
-    kronecker_to_json,
-    load_json,
-    matrix_from_json,
-    matrix_to_json,
-    twisted_to_json,
-)
 from .sampling import complex_normal_rows, normal_count, random_state, rng_for, split_complex, unit
 
 EXIT_OK = 0
@@ -55,7 +46,7 @@ def _say(msg: str):
 
 
 def _load_state(path, what: str) -> bp.BipartiteVector:
-    return bipartite_from_json(load_json(path), what)
+    return fm.bipartite_from_json(fm.load_json(path), what)
 
 
 def _probes(rng, dim: int) -> np.ndarray:
@@ -85,10 +76,10 @@ def cmd_epr(args) -> tuple[dict, list[vf.IdentityResult], str]:
     table.record("epr.reduction", vf.epr_reduction(psi, omega_a, omega_b))
     residuals = _residuals(table, "epr.")
     report = {
-        "s_ba": antilinear_to_json(pair.s_ba),
-        "s_ab": antilinear_to_json(pair.s_ab),
-        "omega_a": matrix_to_json(omega_a),
-        "omega_b": matrix_to_json(omega_b),
+        "s_ba": fm.antilinear_to_json(pair.s_ba),
+        "s_ab": fm.antilinear_to_json(pair.s_ab),
+        "omega_a": fm.matrix_to_json(omega_a),
+        "omega_b": fm.matrix_to_json(omega_b),
         "norm_sq": psi.norm() ** 2,
         "residuals": residuals,
     }
@@ -108,7 +99,7 @@ def cmd_teleport(args) -> tuple[dict, list[vf.IdentityResult], str]:
     table.record("teleport.trace_fidelity", vf.teleport_trace_fidelity(tnf))
     oracle_residual = _residuals(table, "teleport.")["factorization"]
     report = {
-        "t": matrix_to_json(tm.t),
+        "t": fm.matrix_to_json(tm.t),
         "trace_norm": tnf.trace_norm,
         "fidelity": tnf.fidelity,
         "op_bound": bound,
@@ -122,18 +113,18 @@ def cmd_teleport(args) -> tuple[dict, list[vf.IdentityResult], str]:
 
 
 def cmd_luders(args) -> tuple[dict, list[vf.IdentityResult], str]:
-    spec = load_json(args.channel)
+    spec = fm.load_json(args.channel)
     if "psis" in spec:
         if not isinstance(spec["psis"], list):
             raise ParseError("channel spec 'psis' must be a list")
-        psis = [bipartite_from_json(p, f"psis[{k}]") for k, p in enumerate(spec["psis"])]
+        psis = [fm.bipartite_from_json(p, f"psis[{k}]") for k, p in enumerate(spec["psis"])]
     elif "psi_ab" in spec:
-        psis = [bipartite_from_json(spec["psi_ab"], "psi_ab")]
+        psis = [fm.bipartite_from_json(spec["psi_ab"], "psi_ab")]
     else:
         raise ParseError("channel spec needs 'psis' (list) or 'psi_ab'")
     if "phi_bc" not in spec:
         raise ParseError("channel spec needs 'phi_bc'")
-    phi = bipartite_from_json(spec["phi_bc"], "phi_bc")
+    phi = fm.bipartite_from_json(spec["phi_bc"], "phi_bc")
     ch = tp.luders_channel(psis, phi)
     bounds = tp.luders_bounds(ch)
 
@@ -143,7 +134,7 @@ def cmd_luders(args) -> tuple[dict, list[vf.IdentityResult], str]:
     table.record("luders.op_bound", vf.luders_op_bound(ch, bounds))
     decoupling = _residuals(table, "luders.")["decoupling"]
     report = {
-        "maps": [matrix_to_json(t) for t in ch.maps],
+        "maps": [fm.matrix_to_json(t) for t in ch.maps],
         "rank": ch.rank,
         "ancilla_norm_sq": ch.ancilla_norm_sq,
         "op_bound": bounds.op_bound,
@@ -151,8 +142,8 @@ def cmd_luders(args) -> tuple[dict, list[vf.IdentityResult], str]:
         "decoupling_residual": decoupling,
     }
     if args.nu:
-        nu = matrix_from_json(load_json(args.nu), "nu")
-        report["output"] = matrix_to_json(tp.luders_apply(ch, nu))
+        nu = fm.matrix_from_json(fm.load_json(args.nu), "nu")
+        report["output"] = fm.matrix_to_json(tp.luders_apply(ch, nu))
     summary = (
         f"channel of rank {ch.rank}: op bound {bounds.op_bound:.6f} "
         f"(ancilla norm sq {ch.ancilla_norm_sq:.6f}), decoupling residual {decoupling:.3e}"
@@ -161,16 +152,16 @@ def cmd_luders(args) -> tuple[dict, list[vf.IdentityResult], str]:
 
 
 def cmd_chain(args) -> tuple[dict, list[vf.IdentityResult], str]:
-    spec = load_json(args.chain)
+    spec = fm.load_json(args.chain)
     if "stages" not in spec or not isinstance(spec["stages"], list):
         raise ParseError("chain spec needs a 'stages' list")
-    stages = [bipartite_from_json(s, f"stages[{k}]") for k, s in enumerate(spec["stages"])]
+    stages = [fm.bipartite_from_json(s, f"stages[{k}]") for k, s in enumerate(spec["stages"])]
     t = tp.chain_teleport(stages)
     table = vf.ResidualTable()
     probes = _probes(rng_for(args.seed, 4), stages[0].dim_a)
     table.record("chain.factorization", vf.chain_factorization(stages, t, probes))
     oracle_residual = _residuals(table, "chain.")["factorization"]
-    report = {"t": matrix_to_json(t), "oracle_residual": oracle_residual}
+    report = {"t": fm.matrix_to_json(t), "oracle_residual": oracle_residual}
     summary = f"chain map {t.shape[0]}x{t.shape[1]} over {len(stages) // 2} hops, oracle residual {oracle_residual:.3e}"
     return report, table.results(args.tolerance), summary
 
@@ -187,9 +178,9 @@ def cmd_modular(args) -> tuple[dict, list[vf.IdentityResult], str]:
     table.record("modular.intertwine", vf.modular_intertwine(triple, roots))
     residuals = _residuals(table, "modular.")
     report = {
-        "S": twisted_to_json(triple.s),
-        "Delta": kronecker_to_json(triple.delta),
-        "J": twisted_to_json(triple.j),
+        "S": fm.twisted_to_json(triple.s),
+        "Delta": fm.kronecker_to_json(triple.delta),
+        "J": fm.twisted_to_json(triple.j),
         "residuals": residuals,
     }
     summary = f"modular triple on {psi.dim_a}x{psi.dim_a}, max residual {max(residuals.values()):.3e}"
@@ -227,7 +218,7 @@ def cmd_random(args) -> tuple[dict, list[vf.IdentityResult], str]:
     if len(args.dims) != 2:
         raise ParseError("random needs exactly two dimensions, e.g. --dims 2 2")
     psi = random_state(args.dims, args.seed, entangled=args.entangled)
-    return bipartite_to_json(psi), [], f"random state ({psi.dim_a}x{psi.dim_b}), seed {args.seed}"
+    return fm.bipartite_to_json(psi), [], f"random state ({psi.dim_a}x{psi.dim_b}), seed {args.seed}"
 
 
 @functools.cache
@@ -280,11 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("random", help="emit a seeded random bipartite vector")
     common(p)
     p.add_argument("--dims", type=int, nargs="+", default=(2, 2), help="dim_a dim_b")
-    p.add_argument(
-        "--entangled",
-        action="store_true",
-        help="rejection-sample until both reductions have full rank",
-    )
+    p.add_argument("--entangled", action="store_true", help="rejection-sample until both reductions have full rank")
 
     return parser
 

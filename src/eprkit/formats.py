@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .antilinear import AntilinearMap
 from .bipartite import BipartiteVector
-from .errors import EprkitError, NonFinite, ParseError
+from .errors import NonFinite, ParseError
 from .modular import KroneckerProduct, TwistedOperator, twisted_product
 
 
@@ -44,13 +43,6 @@ def _require(obj, keys: set[str], what: str) -> None:
         raise ParseError(f"{what} is missing fields {sorted(missing)}")
 
 
-def _finite(x) -> bool:
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an integer beyond the float64 range
-        return False
-
-
 def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
     _require(obj, {"rows", "cols", "data"}, what)
     rows, cols = obj["rows"], obj["cols"]
@@ -59,27 +51,17 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
     data = obj["data"]
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ParseError(f"{what}: data must hold {rows * cols} [re, im] pairs")
-    # One pass over the types, one conversion, one finiteness test; the entry loop only names a bad entry.
-    typed = set(map(type, data)) <= {list, tuple} and set(map(len, data)) == {2}
-    if not (typed and set(map(type, chain.from_iterable(data))) <= {int, float}) and (error := _bad_entry(data, what)):
-        raise error  # entries of list and tuple subclasses get here with no error
+    pairs = []
     try:
-        pairs = np.array(data, dtype=np.float64)
-        if np.isfinite(pairs).all():
-            return pairs.view(np.complex128).reshape(rows, cols)
-    except OverflowError:  # an integer beyond the float64 range
-        pass
-    raise _bad_entry(data, what)
-
-
-def _bad_entry(data: list, what: str) -> EprkitError | None:
-    """The error for the first entry that is not a finite [re, im] pair of numbers, if there is one."""
-    for k, entry in enumerate(data):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2 or not all(type(x) in (int, float) for x in entry):
-            return ParseError(f"{what}: data[{k}] is not a [re, im] pair of numbers")
-        if not (_finite(entry[0]) and _finite(entry[1])):
-            return NonFinite(f"{what}: data[{k}] is not finite")
-    return None
+        for k, entry in enumerate(data):
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2 or not set(map(type, entry)) <= {int, float}:
+                raise ParseError(f"{what}: data[{k}] is not a [re, im] pair of numbers")
+            if not (math.isfinite(entry[0]) and math.isfinite(entry[1])):
+                raise NonFinite(f"{what}: data[{k}] is not finite")
+            pairs += entry
+    except OverflowError:  # data[k] holds an integer beyond the float64 range
+        raise NonFinite(f"{what}: data[{k}] is not finite") from None
+    return np.array(pairs, dtype=np.float64).view(np.complex128).reshape(rows, cols)
 
 
 def _check_shape(what: str, field: str, m: np.ndarray, dims: tuple) -> None:

@@ -4,10 +4,10 @@ All randomness flows through numpy's PCG64 generator seeded from an integer
 sequence (seed, *stream): distinct stream paths (for instance per trial index)
 give independent, platform-stable draws, so any reported residual can be
 reproduced from its seed alone.  Draws are raw and assembly is stacked: a
-sampler takes its standard normals in one call, real parts before imaginary
-ones, and complex_from, unit, haar and gram assemble raw normals over any
-leading stack axes.  The per-call samplers are that assembly on one draw, so
-verify draws per trial and assembles each group at once, with the same bits.
+sampler takes its standard normals in one call, real parts first, and
+complex_from, unit and haar assemble them over any leading stack axes.  The
+per-call samplers are that assembly on one draw, so verify can draw per trial
+and assemble each group at once with the same bits.
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ def split_complex(x: np.ndarray, *shapes) -> list[np.ndarray]:
 
 def unit(z: np.ndarray, axes: int = 1) -> np.ndarray:
     """z divided by its Frobenius norm over the last `axes` axes, with the bits of z / np.linalg.norm(z)."""
-    norm = np.asarray(fro_norm(z, axes))
-    return z / norm.reshape(norm.shape + (1,) * axes)
+    return z / np.asarray(fro_norm(z, axes))[(...,) + (None,) * axes]
 
 
 def haar(z: np.ndarray) -> np.ndarray:
@@ -56,11 +55,6 @@ def haar(z: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
-
-
-def gram(z: np.ndarray) -> np.ndarray:
-    """z z†, member by member: a random PSD matrix from a complex normal one."""
-    return z @ z.conj().mT
 
 
 def complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:
@@ -83,7 +77,8 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return gram(complex_normal(rng, dim, dim))
+    a = complex_normal(rng, dim, dim)
+    return a @ a.conj().mT
 
 
 def state_from_rng(rng: np.random.Generator, dim_a: int, dim_b: int, entangled: bool = False) -> BipartiteVector:

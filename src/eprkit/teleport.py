@@ -26,14 +26,8 @@ import numpy as np
 
 from .antilinear import chain, polar
 from .bipartite import BipartiteVector, _check_unit, epr_maps
-from .errors import (
-    DimMismatch,
-    FactorizationFailure,
-    NotOrthonormal,
-    OddParity,
-)
+from .errors import DimMismatch, FactorizationFailure, NotOrthonormal, OddParity
 from .linalg import MatrixNorms, _check_dense, _member, _out, as_matrix, fro_norm, frozen, herm_eigh, kron, norms
-from .linalg import trace_norm
 
 ORTHO_TOL = 1e-10
 FACTOR_TOL = 1e-8
@@ -70,9 +64,7 @@ class TeleportMap:
 def teleport_map(psi_ab: BipartiteVector, phi_bc: BipartiteVector) -> TeleportMap:
     """Factorized channel matrix t = s_phi_cb ∘ s_psi_ba."""
     if psi_ab.dim_b != phi_bc.dim_a:
-        raise DimMismatch(
-            f"shared b-dimension differs: psi has {psi_ab.dim_b}, ancilla has {phi_bc.dim_a}"
-        )
+        raise DimMismatch(f"shared b-dimension differs: psi has {psi_ab.dim_b}, ancilla has {phi_bc.dim_a}")
     return TeleportMap(t=phi_bc.coeff.mT @ np.conj(psi_ab.coeff.mT), source_psi=psi_ab, ancilla_phi=phi_bc)
 
 
@@ -131,7 +123,7 @@ def trace_norm_fidelity(tm: TeleportMap) -> TraceNormFidelity:
     The two numbers are equal; they are computed along independent routes
     (singular values of t versus the trace norm of sqrt(rho) sqrt(omega)).
     """
-    return TraceNormFidelity(trace_norm=trace_norm(tm.t), fidelity=tm.root_norms.trace)
+    return TraceNormFidelity(trace_norm=norms(tm.t).trace, fidelity=tm.root_norms.trace)
 
 
 @dataclass(frozen=True)
@@ -166,13 +158,10 @@ def luders_channel(psis: Sequence[BipartiteVector], phi_bc: BipartiteVector) -> 
     if not psis:
         raise DimMismatch("need at least one measured vector")
     da, db = psis[0].dim_a, psis[0].dim_b
-    for p in psis:
-        if (p.dim_a, p.dim_b) != (da, db):
-            raise DimMismatch("measured vectors live on different spaces")
+    if any((p.dim_a, p.dim_b) != (da, db) for p in psis):
+        raise DimMismatch("measured vectors live on different spaces")
     if db != phi_bc.dim_a:
-        raise DimMismatch(
-            f"shared b-dimension differs: measured vectors have {db}, ancilla has {phi_bc.dim_a}"
-        )
+        raise DimMismatch(f"shared b-dimension differs: measured vectors have {db}, ancilla has {phi_bc.dim_a}")
     flat = np.stack([p.to_vector() for p in psis], axis=-2)
     off = np.abs(flat @ flat.conj().mT - np.eye(len(psis))).max(axis=(-2, -1))
     if (off > ORTHO_TOL).any():
@@ -192,11 +181,7 @@ def projection_decomposition(p_op, dim_a: int, dim_b: int) -> list[BipartiteVect
     if p.shape != (n, n):
         raise DimMismatch(f"P must be {n} square for dims ({dim_a}, {dim_b}), got {p.shape}")
     w, v = herm_eigh(p, "P")
-    return [
-        BipartiteVector.from_vector(v[:, k], dim_a, dim_b)
-        for k in range(n)
-        if w[k] > 0.5
-    ]
+    return [BipartiteVector.from_vector(v[:, k], dim_a, dim_b) for k in range(n) if w[k] > 0.5]
 
 
 def luders_apply(ch: LudersChannel, nu_a) -> np.ndarray:
@@ -277,9 +262,7 @@ def chain_oracle(phi_a, stages: Sequence[BipartiteVector]) -> np.ndarray:
         raise DimMismatch("chain_oracle needs at least one hop")
     if len(stages) % 2 == 1:
         raise OddParity(f"{len(stages)} stages give an antilinear composite")
-    v_a = np.asarray(phi_a, dtype=np.complex128)
-    if v_a.ndim == 0:
-        v_a = v_a.reshape(1)
+    v_a = np.atleast_1d(np.asarray(phi_a, dtype=np.complex128))
     dims = [v_a.shape[-1]] + [s.dim_b for s in stages]
     for k, s in enumerate(stages):
         if s.dim_a != dims[k]:

@@ -2,15 +2,15 @@
 
 Each suite runs in two phases.  The draw phase takes trial t's raw draws
 from its own sub-stream of (seed, suite tag, t), so any reported residual is
-reproducible in isolation: its normals in one generator call per run between
-integer, uniform and rejection draws, and no arithmetic.  The compute phase
-groups the trials by their dims, stacks the raw draws (n, ...), assembles
-them with sampling's stacked assembly and evaluates each identity once per
-group on value types that hold the whole stack, so each library function
-runs once per group, on the same code path a single instance takes.  Residuals are Frobenius norms of differences (absolute
-values for scalars), one per trial; the table keeps their max and the trial
-that attained it.  Tolerances are pinned per identity; passing a global
-tolerance overrides all of them.
+reproducible in isolation; it does no arithmetic, and each run of normals
+is one generator call.  The compute phase groups the trials by their dims,
+stacks the draws (n, ...), assembles them with sampling's stacked assembly
+and evaluates each identity once per group on value types that hold the
+whole stack: each library function runs once per group, on the code path a
+single instance takes.  Residuals are Frobenius norms of differences
+(absolute values for scalars), one per trial; the table keeps their max and
+the trial that attained it.  Tolerances are pinned per identity; passing a
+global tolerance overrides all of them.
 
 The identities the CLI subcommands check on their inputs are each computed
 by one residual function below.  It takes already-built operands, single
@@ -32,7 +32,7 @@ from . import linalg as la
 from . import modular as md
 from . import teleport as tp
 from .errors import ToleranceExceeded
-from .sampling import coeff_normals, complex_from, gram, haar, normal_count, rng_for, split_complex, unit
+from .sampling import coeff_normals, complex_from, haar, normal_count, rng_for, split_complex, unit
 
 TOLERANCES = {
     "matcore.svd_reconstruct": 1e-10,
@@ -191,11 +191,7 @@ def _stacked(table: ResidualTable, seed: int, stream: int, trials: Iterable[int]
 
 
 def _complex_trials(table: ResidualTable, seed: int, stream: int, trials: Iterable[int], dims_list, shapes):
-    """_stacked for trials of complex normals only: trial t has dims_list[t % len] and draws shapes(*dims) in one call.
-
-    Yields each group's complex arrays, split from the stacked raw normals.
-    """
-
+    """_stacked for trials of normals only: dims_list[t % len] and one call for shapes(*dims); yields complex arrays."""
     counts = [normal_count(*shapes(*dims)) for dims in dims_list]
 
     def draw(rng, t):
@@ -456,14 +452,14 @@ def matcore_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     drawn = _draw(seed, 5, trials, draw)
     for rec, (d,), (x,) in _groups(table, 5, [(t, k[:1], a[:1]) for t, k, a in drawn]):
         m, *psd = split_complex(x, *[(d, d)] * 4)
-        h, rho, omega = (gram(z) for z in psd)
+        h, rho, omega = (z @ z.conj().mT for z in psd)
         rec("matcore.svd_reconstruct", _fro(la.svd(m).reconstruct() - m))
         s = la.psd_sqrt(h)
         rec("matcore.psd_sqrt", _fro(s @ s - h))
         rec("matcore.fidelity_symmetry", np.abs(la.fidelity(rho, omega) - la.fidelity(omega, rho)))
     for rec, (da, db), (x,) in _groups(table, 5, [(t, k[1:], a[1:]) for t, k, a in drawn]):
         big, u_a = split_complex(x, (da * db, da * db), (da, da))
-        big, u = gram(big), la.kron(haar(u_a), np.eye(db))
+        big, u = big @ big.conj().mT, la.kron(haar(u_a), np.eye(db))
         moved = la.partial_trace(u @ big @ u.conj().mT, da, db, "b")
         rec("matcore.partial_trace_invariance", _fro(moved - la.partial_trace(big, da, db, "b")))
 
@@ -474,7 +470,7 @@ def epr_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
 
     for rec, (da, _), draws in _complex_trials(table, seed, 10, trials, _dim_pairs(dims), shapes):
         c, phi_a, phi_b, chi, a_psd, a_op, b_op = draws
-        c, phi_a, chi, a_psd = unit(c, 2), unit(phi_a), unit(chi, 2), gram(a_psd)
+        c, phi_a, chi, a_psd = unit(c, 2), unit(phi_a), unit(chi, 2), a_psd @ a_psd.conj().mT
         psi = bp.BipartiteVector(c)
         pair = bp.epr_maps(psi)
         omega_a, omega_b = bp.reduced(psi, "a"), bp.reduced(psi, "b")
@@ -609,7 +605,7 @@ def purification_suite(table: ResidualTable, seed: int, dims, trials: Iterable[i
 
     squares = [(d,) for d in _square_dims(dims)]
     for rec, _, (a, w) in _complex_trials(table, seed, 70, trials, squares, shapes):
-        omega = gram(a)
+        omega = a @ a.conj().mT
         omega = omega / np.asarray(_trace(omega).real)[..., None, None]
         psi = bp.purification_from_isometry(omega, al.AntilinearMap(haar(w)))
         rec("purification.roundtrip", _fro(bp.reduced(psi, "a") - omega))
@@ -664,7 +660,7 @@ def luders_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     # Channels are grouped by rank as well, so each group stacks channels of one rank.
     for rec, (da, db, dc, rank), (x_phi, x) in _stacked(table, seed, 90, trials, draw):
         basis, probe, mix, nu, *full = split_complex(x, *shapes(da, db, rank))
-        c_psis, mix, nu = _orthonormal_states(haar(basis), da, db, rank), haar(mix), gram(nu)
+        c_psis, mix, nu = _orthonormal_states(haar(basis), da, db, rank), haar(mix), nu @ nu.conj().mT
         phi, psis = bp.BipartiteVector(unit(complex_from(x_phi, db, dc), 2)), _states(c_psis)
         ch = tp.luders_channel(psis, phi)
         rec("luders.rank1", _fro(tp.luders_channel(psis[:1], phi).maps[0] - tp.teleport_map(psis[0], phi).t))
@@ -726,9 +722,7 @@ def twisted_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         )
 
         om_a_phi, om_b_phi, om_a_psi, om_b_psi = (bp.reduced(v, side) for v in (phi, psi) for side in "ab")
-        q_a_phi, q_b_phi, q_a_psi, q_b_psi = (
-            la.support_projection(om) for om in (om_a_phi, om_b_phi, om_a_psi, om_b_psi)
-        )
+        q_a_phi, q_b_phi, q_a_psi, q_b_psi = map(la.support_projection, (om_a_phi, om_b_phi, om_a_psi, om_b_psi))
         rec(
             "twisted.reductions",
             np.maximum(

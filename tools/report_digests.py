@@ -17,7 +17,6 @@ One line per invocation: the argv, the exit code and the report digest
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -27,31 +26,28 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = 100      # eprkit verify --seed 1..SEEDS
+SESSIONS = 353   # seed-1 cli-session ops, five commands each
 
 
-def invocations(seeds: int, sessions: int) -> tuple[list[list[str]], dict[str, bytes]]:
+def invocations() -> tuple[list[list[str]], dict[str, bytes]]:
     """The argv of every invocation, and the input files the session commands read."""
     sys.dont_write_bytecode = True  # leave no cache files in perfbench/
     sys.path.insert(0, str(ROOT / "perfbench"))
     import inputs
 
-    ops = inputs.session_ops(1, sessions)
-    argvs = [["verify", "--seed", str(s)] for s in range(1, seeds + 1)]
+    ops = inputs.session_ops(1, SESSIONS)
+    argvs = [["verify", "--seed", str(s)] for s in range(1, SEEDS + 1)]
     argvs += [argv for op in ops.ops for _, argv in op.commands]
     return argvs, ops.files
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=100, help="verify seeds 1..SEEDS (default 100)")
-    parser.add_argument("--sessions", type=int, default=353, help="seed-1 cli-session ops (default 353)")
-    args = parser.parse_args(argv)
-
+def main() -> int:
     import eprkit
     from eprkit.cli import main as eprkit_main
 
     print(f"eprkit from {Path(eprkit.__file__).parent}", file=sys.stderr)
-    argvs, files = invocations(args.seeds, args.sessions)
+    argvs, files = invocations()
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
