@@ -227,11 +227,13 @@ def tomita_S(phi: BipartiteVector, psi: BipartiteVector) -> ModularTriple:
     ⊗ inverse(omega_b(psi)), and since omega_b(psi) = conj(V) Σ² V^T the
     inverse is conj(V) Σ^(-2) V^T from the same SVD: an eigendecomposition of
     omega_b would square the condition number of C_psi.  Rank-deficient
-    reductions of psi are rejected rather than pseudo-inverted.  Stacked states give stacked operators.
+    reductions of psi are rejected rather than pseudo-inverted.
+    Stacked states give stacked operators.
 
     Everything costs O(d³) time and O(d²) memory (three d×d SVDs: C_psi's
-    and the two polar phases of J); the dense d²×d² matrices are built only
-    when read.  verify.modular_defining_oracle, which checks the dense S on all d² matrix units (they span the space
+    and the two polar phases of J); the
+    dense d²×d² matrices are built only when read.  verify.modular_defining_oracle,
+    which checks the dense S on all d² matrix units (they span the space
     because psi is cyclic), is the brute-force oracle of S, and
     verify.modular_phase_match_oracle compares J with the phase of the dense
     SVD of S.

@@ -5,9 +5,8 @@ sequence (seed, *stream): distinct stream paths (for instance per trial index)
 give independent, platform-stable draws, so any reported residual can be
 reproduced from its seed alone.  Draws are raw and assembly is stacked: a
 sampler takes its standard normals in one call, real parts first, and
-complex_from, unit and haar assemble them over any leading stack axes.  The
-per-call samplers are that assembly on one draw, so verify can draw per trial
-and assemble each group at once with the same bits.
+complex_from, unit and haar assemble them over any leading stack axes: the
+per-call samplers run them on one draw, verify on a stack of per-trial draws.
 """
 
 from __future__ import annotations

@@ -321,8 +321,7 @@ def modular_roots(phi, psi):
     omega_a(phi)^(1/2) and omega_b(psi)^(1/2) are the positive polar parts
     of s_ab(phi) = C_phi and s_ba(psi) = C_psi^T, and with C_psi^T = U Σ V†,
     omega_b(psi)^(-1/2) = U Σ^(-1) U†: never a square root of Delta or of a
-    reduction.  These SVDs are the checks' own, not the builder's; they are
-    taken once per (phi, psi) and passed to the checks that read them.
+    reduction.  These SVDs are the checks' own, not the builder's.
     """
     root_a, root_b = al.polar(bp.epr_maps(phi).s_ab), al.polar(bp.epr_maps(psi).s_ba)
     u_b, sigma_b = root_b.svd.u, root_b.svd.sigma
