@@ -284,6 +284,8 @@ def main(argv=None) -> int:
             raise ParseError("trials must be >= 1 and tolerance positive")
         if any(d < 1 for d in getattr(args, "dims", [1])):
             raise ParseError("dimensions must be positive")
+        if args.seed < 0:
+            raise ParseError(f"seed must be non-negative, got {args.seed}")
         report, results, summary = globals()[f"cmd_{args.command}"](args)
         _emit(report, args.out)
         _say(summary)

@@ -3,7 +3,9 @@
 All randomness flows through numpy's PCG64 generator seeded from an integer
 sequence (seed, *stream): distinct stream paths (for instance per trial index)
 give independent, platform-stable draws, so any reported residual can be
-reproduced from its seed alone.  Draws are raw and assembly is stacked: a
+reproduced from its seed alone; rng_for defines that generator, and
+trial_rngs seeds the generators of many trials (seed, *stream, t) at once
+with the same states, bit for bit.  Draws are raw and assembly is stacked: a
 sampler takes its standard normals in one call, real parts first, and
 complex_from, unit and haar assemble them over any leading stack axes: the
 per-call samplers run them on one draw, verify on a stack of per-trial draws.
@@ -22,9 +24,58 @@ from .linalg import fro_norm
 from .modular import gns_check
 
 
+# numpy's SeedSequence (numpy.random.bit_generator): pool size, running-hash constants, mixing multipliers.
+_POOL, _INIT_A, _MULT_A, _INIT_B, _MULT_B = 4, 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+
+
 def rng_for(seed: int, *stream: int) -> np.random.Generator:
     """Generator for the sub-stream identified by (seed, *stream)."""
     return np.random.default_rng([int(seed)] + [int(s) for s in stream])
+
+
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands PCG64 the generate_state(4, uint64) words computed for it."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _hash(v, const: int, mult: int, steps: int):
+    """SeedSequence's running hash from `const`, step k on row k of v broadcast to (steps, n); and the next constant."""
+    c = np.array(list(accumulate(range(steps), lambda c, _: c * mult & 0xFFFFFFFF, initial=const)), np.uint32)
+    v = (v ^ c[:-1, None]) * c[1:, None]
+    return v ^ v >> _SHIFT, int(c[-1])
+
+
+def trial_rngs(seed: int, *stream: int, trials) -> list[np.random.Generator]:
+    """The generators rng_for(seed, *stream, t) for t in trials, bit for bit, seeded in one vectorized pass.
+
+    numpy's SeedSequence steps run on uint32 rows with one column per trial:
+    hash four entropy words (zero words past its end) into the pool, mix
+    each pool word into the other three, then each remaining word into all
+    four, and hash the pool out into the four uint64 words PCG64 takes.  A
+    negative value, which rng_for refuses, or a trial from 2^32 on sends
+    every trial through rng_for.
+    """
+    head, trials = [int(v) for v in (seed, *stream)], [int(t) for t in trials]
+    if min(head) < 0 or not all(0 <= t < 1 << 32 for t in trials):
+        return [rng_for(seed, *stream, t) for t in trials]
+    words = [v >> 32 * k & 0xFFFFFFFF for v in head for k in range(max(1, (v.bit_length() + 31) // 32))]
+    entropy = np.zeros((max(_POOL, len(words) + 1), len(trials)), np.uint32)
+    entropy[: len(words)], entropy[len(words)] = np.array(words, np.uint32)[:, None], trials
+    pool, const = _hash(entropy[:_POOL], _INIT_A, _MULT_A, _POOL)
+    for s in range(len(entropy)):
+        dst = [d for d in range(_POOL) if d != s]
+        h, const = _hash(pool[s] if s < _POOL else entropy[s], const, _MULT_A, len(dst))
+        r = _MIX_L * pool[dst] - _MIX_R * h
+        pool[dst] = r ^ r >> _SHIFT
+    out, _ = _hash(pool[np.arange(2 * _POOL) % _POOL], _INIT_B, _MULT_B, 2 * _POOL)
+    states = np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in states]
 
 
 def normal_count(*shapes) -> int:

@@ -2,8 +2,9 @@
 
 Each suite runs in two phases.  The draw phase takes trial t's raw draws
 from its own sub-stream of (seed, suite tag, t), so any reported residual is
-reproducible in isolation; it does no arithmetic, and each run of normals
-is one generator call.  The compute phase groups the trials by their dims,
+reproducible in isolation; it does no arithmetic but one full-rank check of
+entangled candidates per dims stack, and each run of normals is one
+generator call.  The compute phase groups the trials by their dims,
 stacks the draws (n, ...), assembles them with sampling's stacked assembly
 and evaluates each identity once per group on value types that hold the
 whole stack: each library function runs once per group, on the code path a
@@ -32,7 +33,7 @@ from . import linalg as la
 from . import modular as md
 from . import teleport as tp
 from .errors import ToleranceExceeded
-from .sampling import coeff_normals, complex_from, haar, normal_count, rng_for, split_complex, unit
+from .sampling import coeff_normals, complex_from, haar, normal_count, rng_for, split_complex, trial_rngs, unit
 
 TOLERANCES = {
     "matcore.svd_reconstruct": 1e-10,
@@ -168,7 +169,25 @@ def _max(*residuals):
 
 def _draw(seed: int, stream: int, trials: Iterable[int], draw) -> list:
     """Draw phase: trial t takes its instances from its own sub-stream; draw(rng, t) returns (dims, arrays)."""
-    return [(t, *draw(rng_for(seed, stream, t), t)) for t in trials]
+    trials = list(trials)
+    return [(t, *draw(rng, t)) for t, rng in zip(trials, trial_rngs(seed, stream, trials=trials))]
+
+
+def _entangled_draw(seed: int, stream: int, trials: Iterable[int], draw) -> list:
+    """_draw where array 0 is coeff_normals(rng, d, d, entangled), dims (d,): first candidates unchecked.
+
+    gns_check then runs once per dims stack; a trial it rejects is redrawn
+    with the checking loop from a fresh generator.  An accepted candidate
+    leaves the generator where that loop would, so the bits are the loop's.
+    """
+    drawn = _draw(seed, stream, trials, partial(draw, entangled=False))
+    for dims in dict.fromkeys(dims for _, dims, _ in drawn):
+        (d,), at = dims, [i for i, (_, k, _) in enumerate(drawn) if k == dims]
+        candidates = unit(complex_from(np.stack([drawn[i][2][0] for i in at]), d, d), 2)
+        for i in np.asarray(at)[~md.gns_check(candidates)]:
+            t = drawn[i][0]
+            drawn[i] = (t, *draw(rng_for(seed, stream, t), t, entangled=True))
+    return drawn
 
 
 def _groups(table: ResidualTable, stream: int, drawn):
@@ -552,11 +571,11 @@ def polar_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
 def partner_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     squares = _square_dims(dims)
 
-    def draw(rng, t):
+    def draw(rng, t, entangled):
         d = squares[t % len(squares)]
-        return (d,), (coeff_normals(rng, d, d, entangled=True), rng.standard_normal(normal_count((d, d))))
+        return (d,), (coeff_normals(rng, d, d, entangled), rng.standard_normal(normal_count((d, d))))
 
-    for rec, (d,), (x_psi, x_op) in _stacked(table, seed, 40, trials, draw):
+    for rec, (d,), (x_psi, x_op) in _groups(table, 40, _entangled_draw(seed, 40, trials, draw)):
         psi, a_op = bp.BipartiteVector(unit(complex_from(x_psi, d, d), 2)), complex_from(x_op, d, d)
         parts = bp.polar_of_state(psi)
         b_op = bp.partner_operator(a_op, parts)
@@ -746,11 +765,11 @@ def twisted_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
 def modular_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     squares = [d for d in _square_dims(dims) if d >= 2] or [2]
 
-    def draw(rng, t):
+    def draw(rng, t, entangled):
         d = squares[t % len(squares)]
-        return (d,), (coeff_normals(rng, d, d, entangled=True), coeff_normals(rng, d, d))
+        return (d,), (coeff_normals(rng, d, d, entangled), coeff_normals(rng, d, d))
 
-    for rec, (d,), (x_psi, x_phi) in _stacked(table, seed, 120, trials, draw):
+    for rec, (d,), (x_psi, x_phi) in _groups(table, 120, _entangled_draw(seed, 120, trials, draw)):
         psi, phi = (bp.BipartiteVector(unit(complex_from(x, d, d), 2)) for x in (x_psi, x_phi))
         triple, roots = md.tomita_S(phi, psi), modular_roots(phi, psi)
         # Each identity is checked by its factor route and, up to ORACLE_DIM, by its dense oracle too.
@@ -795,6 +814,7 @@ def run_all(
 ) -> list[IdentityResult]:
     """Run every suite; returns one result per identity, worst residual over trials."""
     dims = [int(d) for d in dims]
+    la._check_dense(max(dims) ** 2, f"dims {max(dims)}: the dense {max(dims)}·{max(dims)} pair operator")
     table = ResidualTable()
     for suite in SUITES:
         suite(table, seed, dims, range(trials))

@@ -16,11 +16,14 @@ from eprkit import antilinear as al
 from eprkit import bipartite as bp
 from eprkit import errors
 from eprkit import linalg as la
+from eprkit import modular as md
+from eprkit import sampling
 from eprkit import teleport as tp
 from eprkit import verify as vf
 from eprkit.cli import PROBE_COUNT, main
 from eprkit.formats import bipartite_to_json
 from eprkit.sampling import (
+    coeff_normals,
     complex_normal,
     random_psd,
     random_state,
@@ -62,6 +65,41 @@ def test_batched_suite_equals_per_trial_loop(suite, seed, monkeypatch):
     for name, r in batched.items():
         assert r.residual == single[name].residual, name
         assert r.worst == single[name].worst, name
+
+
+def per_trial_rngs(seed, *stream, trials):
+    """One rng_for call per trial, in place of the vectorized seeding of verify's draw phase."""
+    return [rng_for(seed, *stream, t) for t in trials]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_vectorized_seeding_gives_the_per_trial_results(seed, monkeypatch):
+    fast = vf.run_all(seed=seed, trials=20)
+    monkeypatch.setattr(vf, "trial_rngs", per_trial_rngs)
+    assert vf.run_all(seed=seed, trials=20) == fast
+
+
+def test_rejected_first_candidates_are_redrawn_with_the_checking_loop(monkeypatch):
+    """Under a rule that rejects about half the candidates, stacked checks and redraws give the checked draws."""
+    full_rank = md.gns_check
+
+    def accept(c):
+        return full_rank(c) & (np.asarray(c)[..., 0, 0].real > 0)
+
+    monkeypatch.setattr(sampling, "gns_check", accept)  # coeff_normals' checking loop
+    monkeypatch.setattr(md, "gns_check", accept)  # the stacked check of the draw phase
+
+    def draw(rng, t, entangled):
+        d = 2 + t % 2
+        return (d,), (coeff_normals(rng, d, d, entangled), rng.standard_normal(3))
+
+    drawn = vf._entangled_draw(5, 40, range(12), draw)
+    assert [t for t, _, _ in drawn] == list(range(12))
+    for t, dims, arrays in drawn:
+        want_dims, want = draw(rng_for(5, 40, t), t, entangled=True)
+        assert dims == want_dims and all(np.array_equal(a, b) for a, b in zip(arrays, want, strict=True)), t
+    first = [rng_for(5, 40, t).standard_normal(2 * d * d) for t, (d,), _ in drawn]
+    assert sum(not np.array_equal(x, f) for (_, _, (x, _)), f in zip(drawn, first)) >= 3
 
 
 def test_every_reported_worst_trial_replays_bit_for_bit():

@@ -293,6 +293,21 @@ class TestVerify:
         names = [r["identity"] for r in report["results"]]
         assert len(names) == len(set(names))
 
+    @pytest.mark.parametrize("d", [65, 5000])
+    def test_dims_beyond_the_dense_limit_exit_2(self, capsys, d):
+        # 65² = 4225 > DENSE_DIM_LIMIT; at d = 5000 matcore's draw alone would ask for 8.9 PiB.
+        tracemalloc.start()
+        try:
+            code = main(["verify", "--dims", "2", str(d), "--trials", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 2
+        assert peak < 4e6
+        assert captured.out == ""
+        assert f"dims {d}" in captured.err and f"{d * d} > 4096" in captured.err
+
     def test_out_flag_writes_report(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         code = main(["verify", "--trials", "1", "--dims", "2", "--out", str(out)])
@@ -354,6 +369,16 @@ def test_report_is_one_line_of_compact_json(capsys, tmp_path, command):
     assert main([*argv, "--out", str(path)]) == 0
     assert capsys.readouterr().out == ""
     assert path.read_bytes() == out.encode("utf-8")
+
+
+@pytest.mark.parametrize("command", ["epr", "teleport", "luders", "chain", "modular", "verify", "random"])
+def test_negative_seed_exit_2(capsys, tmp_path, command):
+    # Sub-stream seeds must be non-negative integers; -1 used to end in a traceback from SeedSequence.
+    code = main([command, *_arguments(tmp_path, command), "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: seed must be non-negative, got -1\n"
 
 
 def _invalid_arguments(tmp_path, case: str) -> list[str]:

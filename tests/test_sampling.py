@@ -21,6 +21,7 @@ from eprkit.sampling import (
     random_unitary,
     rng_for,
     split_complex,
+    trial_rngs,
     unit,
 )
 
@@ -168,3 +169,30 @@ def test_coeff_normals_redraws_until_gns_check_accepts(monkeypatch):
         want = seq_rng.standard_normal(8)
     assert len(calls) == 3 and np.array_equal(x, want)
     assert rng.bit_generator.state == seq_rng.bit_generator.state
+
+
+# Seeds of one to three uint32 words, streams of zero to three, trials up to the last one-word index.
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**20]
+STREAMS = [(), (120,), (40, 7), (1, 2, 3), (5, 2**32 + 1)]
+TRIALS = [0, 1, 99, 2**32 - 1]
+
+
+@pytest.mark.parametrize("stream", STREAMS, ids=str)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_trial_rngs_equal_rng_for(seed, stream):
+    """The vectorized seeding against the one-call definition: the same draws, then the same state."""
+    rngs = trial_rngs(seed, *stream, trials=TRIALS)
+    assert len(rngs) == len(TRIALS)
+    for t, rng in zip(TRIALS, rngs):
+        want = rng_for(seed, *stream, t)
+        assert np.array_equal(rng.standard_normal(5), want.standard_normal(5))
+        assert rng.bit_generator.state == want.bit_generator.state
+
+
+def test_trial_rngs_outside_one_word_trials():
+    (rng,) = trial_rngs(3, 40, trials=[2**32])
+    assert rng.bit_generator.state == rng_for(3, 40, 2**32).bit_generator.state
+    assert trial_rngs(3, 40, trials=[]) == []
+    for seed, stream, trial in [(-1, 40, 0), (3, -40, 0), (3, 40, -1)]:
+        with pytest.raises(ValueError, match="non-negative"):
+            trial_rngs(seed, stream, trials=[trial])
