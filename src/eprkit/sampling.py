@@ -13,6 +13,7 @@ per-call samplers run them on one draw, verify on a stack of per-trial draws.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import accumulate
 
@@ -34,14 +35,21 @@ def rng_for(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng([int(seed)] + [int(s) for s in stream])
 
 
-class _StateWords(np.random.bit_generator.ISeedSequence):
-    """A seed sequence that hands PCG64 the generate_state(4, uint64) words computed for it."""
+@functools.cache
+def _precomputed_seed_sequence() -> type:
+    """A seed sequence type that hands PCG64 the generate_state(4, uint64) words computed for it.
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    Built on first use: subclassing ISeedSequence imports numpy.random, which importing eprkit does not.
+    """
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+    class PrecomputedSeedSequence(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return PrecomputedSeedSequence
 
 
 def _hash(v, const: int, mult: int, steps: int):
@@ -75,7 +83,8 @@ def trial_rngs(seed: int, *stream: int, trials) -> list[np.random.Generator]:
         pool[dst] = r ^ r >> _SHIFT
     out, _ = _hash(pool[np.arange(2 * _POOL) % _POOL], _INIT_B, _MULT_B, 2 * _POOL)
     states = np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64)
-    return [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in states]
+    seed_sequence = _precomputed_seed_sequence()
+    return [np.random.Generator(np.random.PCG64(seed_sequence(w))) for w in states]
 
 
 def normal_count(*shapes) -> int:

@@ -1,6 +1,10 @@
 """Tests for seeded state and operator generation."""
 
+import os
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,6 +174,8 @@ def test_coeff_normals_redraws_until_gns_check_accepts(monkeypatch):
     assert len(calls) == 3 and np.array_equal(x, want)
     assert rng.bit_generator.state == seq_rng.bit_generator.state
 
+SRC = str(Path(sampling.__file__).resolve().parent.parent)
+
 
 # Seeds of one to three uint32 words, streams of zero to three, trials up to the last one-word index.
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**20]
@@ -196,3 +202,9 @@ def test_trial_rngs_outside_one_word_trials():
     for seed, stream, trial in [(-1, 40, 0), (3, -40, 0), (3, 40, -1)]:
         with pytest.raises(ValueError, match="non-negative"):
             trial_rngs(seed, stream, trials=[trial])
+
+
+def test_importing_eprkit_leaves_numpy_random_unimported():
+    # trial_rngs builds its seed sequence type on first use, so the import time of eprkit stays as it was.
+    code = "import sys, eprkit.cli; sys.exit('numpy.random' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC}, timeout=60).returncode == 0
