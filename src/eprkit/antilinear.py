@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimMismatch
-from .linalg import SvdResult, as_matrix, frozen, rank_mask, seal, svd
+from .linalg import SvdResult, _out, as_matrix, frozen, rank_mask, seal, svd
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,7 @@ def trace_product(t1: AntilinearMap, t2: AntilinearMap):
     """
     if t1.dim_domain != t2.dim_codomain or t2.dim_domain != t1.dim_codomain:
         raise DimMismatch("trace_product needs maps composable in both orders")
-    tr = np.trace(compose_aa(t1, t2), axis1=-2, axis2=-1)
-    return complex(tr) if tr.ndim == 0 else tr
+    return _out(np.trace(compose_aa(t1, t2), axis1=-2, axis2=-1))
 
 
 @dataclass(frozen=True)

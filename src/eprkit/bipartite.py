@@ -20,7 +20,7 @@ import numpy as np
 
 from .antilinear import AntilinearMap, PolarParts, adjoint, compose_aa, compose_mixed, polar
 from .errors import DimMismatch, NotIsometry, NotUnit
-from .linalg import _member, as_matrix, fro_norm, frozen, psd_eigh, psd_sqrt, seal, support_projection
+from .linalg import _member, _out, as_matrix, fro_norm, frozen, psd_eigh, psd_sqrt, seal, support_projection
 
 UNIT_TOL = 1e-10
 HERMITICITY_TOL = 1e-9
@@ -111,8 +111,7 @@ def project_rank1(psi: BipartiteVector, phi_a) -> BipartiteVector:
 def inner_via_trace(phi: BipartiteVector, psi: BipartiteVector) -> complex:
     """Scalar product <phi, psi> computed as Tr_a (s_psi_ab ∘ s_phi_ba); stacks give one per member."""
     _check_same_dims(phi, psi)
-    tr = np.trace(psi.coeff @ np.conj(phi.coeff.mT), axis1=-2, axis2=-1)
-    return complex(tr) if tr.ndim == 0 else tr
+    return _out(np.trace(psi.coeff @ np.conj(phi.coeff.mT), axis1=-2, axis2=-1))
 
 
 def reconstruct(s_ba: AntilinearMap, a_op) -> BipartiteVector:
@@ -224,7 +223,7 @@ def cloning_check(phi: BipartiteVector, psi: BipartiteVector) -> tuple[bool, flo
     )
     om_psi, om_phi = reduced(psi, "a"), reduced(phi, "a")
     commutator_norm = fro_norm(om_psi @ om_phi - om_phi @ om_psi)
-    return (bool(hermitian) if hermitian.ndim == 0 else hermitian), commutator_norm
+    return _out(hermitian), commutator_norm
 
 
 def polar_of_state(psi: BipartiteVector) -> PolarParts:

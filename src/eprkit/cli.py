@@ -128,7 +128,7 @@ def cmd_luders(args) -> tuple[dict, list[vf.IdentityResult], str]:
     ch = tp.luders_channel(psis, phi)
     bounds = tp.luders_bounds(ch)
 
-    probes = _probes(rng_for(args.seed, 3), psis[0].dim_a)
+    probes = _probes(rng_for(args.seed, 3), ch.psis.dim_a)
     table = vf.ResidualTable()
     table.record("luders.decoupling", vf.luders_decoupling(ch, probes))
     table.record("luders.op_bound", vf.luders_op_bound(ch, bounds))

@@ -101,8 +101,8 @@ def kron(x: np.ndarray, y: np.ndarray, vectors: bool = False) -> np.ndarray:
 
 
 def _out(x: np.ndarray):
-    """A float for a single matrix's value, the array for a stack's."""
-    return float(x) if x.ndim == 0 else x
+    """A Python scalar (float, complex, bool or int) for a single input's value, the array for a stack's."""
+    return x.item() if x.ndim == 0 else x
 
 
 def fro_norm(x, axes: int = 2):
@@ -134,8 +134,7 @@ def rank_mask(sigma: np.ndarray) -> np.ndarray:
 
 def numerical_rank(sigma: np.ndarray) -> int | np.ndarray:
     """Count singular values above the relative threshold."""
-    r = np.asarray(np.count_nonzero(rank_mask(np.asarray(sigma)), axis=-1))
-    return int(r) if r.ndim == 0 else r
+    return _out(np.asarray(np.count_nonzero(rank_mask(np.asarray(sigma)), axis=-1)))
 
 
 def svd(m) -> SvdResult:

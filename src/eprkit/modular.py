@@ -33,7 +33,7 @@ import numpy as np
 from .antilinear import AntilinearMap, adjoint
 from .bipartite import BipartiteVector, _check_same_dims, epr_maps, polar_of_state, reduced
 from .errors import DimMismatch, MixedParity, NotSeparating
-from .linalg import _check_dense, _member, as_matrix, frozen, kron, numerical_rank, seal, svd
+from .linalg import _check_dense, _member, _out, as_matrix, frozen, kron, numerical_rank, seal, svd
 
 
 @dataclass(frozen=True)
@@ -138,19 +138,20 @@ def twisted_adjoint(p: TwistedOperator) -> TwistedOperator:
     return twisted_product(xi.conj().mT, eta.conj().mT)
 
 
-def twisted_compose(p1: TwistedOperator, p2: TwistedOperator) -> np.ndarray:
-    """Composition of two twisted operators of equal parity, as a plain matrix.
+def twisted_compose(p1: TwistedOperator, p2: TwistedOperator) -> KroneckerProduct:
+    """Composition of two twisted operators of equal parity, held by its factors in O(d³).
 
-    For antilinear factors the composite is the ordinary (untwisted) Kronecker
-    product (eta1 ∘ xi2) ⊗ (xi1 ∘ eta2) of linear maps.
+    The composite is the ordinary (untwisted) Kronecker product
+    (eta1 ∘ xi2) ⊗ (xi1 ∘ eta2) of linear maps; antilinear factors compose as eta1 conj(xi2).
     """
     if p1.parity != p2.parity:
         raise MixedParity("cannot compose twisted operators of different parity")
     if (p1.dim_a, p1.dim_b) != (p2.dim_a, p2.dim_b):
         raise DimMismatch("twisted operators live on different product spaces")
+    (eta1, xi1), (eta2, xi2) = p1.factors, p2.factors
     if p1.parity == "antilinear":
-        return p1.mat @ np.conj(p2.mat)
-    return p1.mat @ p2.mat
+        eta2, xi2 = np.conj(eta2), np.conj(xi2)
+    return KroneckerProduct((eta1 @ xi2, xi1 @ eta2))
 
 
 @dataclass(frozen=True)
@@ -196,8 +197,7 @@ def gns_check(psi: BipartiteVector | np.ndarray):
     c = psi.coeff if isinstance(psi, BipartiteVector) else np.asarray(psi)
     if c.shape[-2] != c.shape[-1]:
         return False
-    full = np.asarray(numerical_rank(np.linalg.svd(c, compute_uv=False)) == c.shape[-1])
-    return bool(full) if full.ndim == 0 else full
+    return _out(np.asarray(numerical_rank(np.linalg.svd(c, compute_uv=False)) == c.shape[-1]))
 
 
 @dataclass(frozen=True)

@@ -132,46 +132,55 @@ class LudersChannel:
 
     Holds one factorized map per vector of an orthonormal rank-one
     decomposition of the projection; the channel action and all bounds are
-    invariant under the choice of decomposition.  With stacked vectors each
-    map is a stack, one channel per member.
+    invariant under the choice of decomposition.  Axis -3 of both fields is
+    the rank axis; axes before it stack channels, one per member.
     """
 
-    maps: tuple[np.ndarray, ...]
-    psis: tuple[BipartiteVector, ...]
+    maps: np.ndarray               # (..., rank, dim_c, dim_a)
+    psis: BipartiteVector          # (..., rank, dim_a, dim_b)
     ancilla_phi: BipartiteVector
 
     def __post_init__(self):
-        object.__setattr__(self, "maps", tuple(frozen(t) for t in self.maps))
+        object.__setattr__(self, "maps", frozen(self.maps))
 
     @property
     def rank(self) -> int:
-        return len(self.maps)
+        return self.maps.shape[-3]
 
     @property
     def ancilla_norm_sq(self):
         return self.ancilla_phi.norm() ** 2
 
 
-def luders_channel(psis: Sequence[BipartiteVector], phi_bc: BipartiteVector) -> LudersChannel:
-    """Build the channel from orthonormal measured vectors and one ancilla."""
-    psis = tuple(psis)
-    if not psis:
+def luders_channel(psis: Sequence[BipartiteVector] | BipartiteVector, phi_bc: BipartiteVector) -> LudersChannel:
+    """Build the channel from one ancilla and orthonormal measured vectors: a list, or a stack on axis -3."""
+    if isinstance(psis, BipartiteVector):
+        if psis.coeff.ndim < 3:
+            raise DimMismatch(f"a stack of measured vectors needs a rank axis -3, got shape {psis.coeff.shape}")
+        stack = psis.coeff
+    else:
+        psis = list(psis)
+        if not psis:
+            raise DimMismatch("need at least one measured vector")
+        for k, p in enumerate(psis):
+            if (p.dim_a, p.dim_b) != (psis[0].dim_a, psis[0].dim_b):
+                raise DimMismatch(f"psis[{k}] lives on {(p.dim_a, p.dim_b)}, psis[0] on {(psis[0].dim_a, psis[0].dim_b)}")
+        stack = np.stack([p.coeff for p in psis], axis=-3)
+    if stack.shape[-3] == 0:
         raise DimMismatch("need at least one measured vector")
-    da, db = psis[0].dim_a, psis[0].dim_b
-    if any((p.dim_a, p.dim_b) != (da, db) for p in psis):
-        raise DimMismatch("measured vectors live on different spaces")
-    if db != phi_bc.dim_a:
-        raise DimMismatch(f"shared b-dimension differs: measured vectors have {db}, ancilla has {phi_bc.dim_a}")
-    flat = np.stack([p.to_vector() for p in psis], axis=-2)
-    off = np.abs(flat @ flat.conj().mT - np.eye(len(psis))).max(axis=(-2, -1))
+    psis = BipartiteVector(np.ascontiguousarray(stack))  # in C order each t_k below has teleport_map's bits
+    if psis.dim_b != phi_bc.dim_a:
+        raise DimMismatch(f"shared b-dimension differs: measured vectors have {psis.dim_b}, ancilla has {phi_bc.dim_a}")
+    flat = psis.to_vector()
+    off = np.abs(flat @ flat.conj().mT - np.eye(flat.shape[-2])).max(axis=(-2, -1))
     if (off > ORTHO_TOL).any():
         raise NotOrthonormal(f"{_member('measured vectors', off > ORTHO_TOL)[0]} are not orthonormal within 1e-10")
-    maps = tuple(teleport_map(p, phi_bc).t for p in psis)
+    maps = teleport_map(psis, BipartiteVector(phi_bc.coeff[..., None, :, :])).t
     return LudersChannel(maps=maps, psis=psis, ancilla_phi=phi_bc)
 
 
-def projection_decomposition(p_op, dim_a: int, dim_b: int) -> list[BipartiteVector]:
-    """Orthonormal rank-one decomposition of a projection on H_a ⊗ H_b.
+def projection_decomposition(p_op, dim_a: int, dim_b: int) -> BipartiteVector:
+    """Orthonormal rank-one decomposition of a projection on H_a ⊗ H_b, stacked as (rank, dim_a, dim_b).
 
     Eigenvectors with eigenvalue above 0.5 span the range; any orthonormal
     basis of it defines the same channel.
@@ -181,17 +190,16 @@ def projection_decomposition(p_op, dim_a: int, dim_b: int) -> list[BipartiteVect
     if p.shape != (n, n):
         raise DimMismatch(f"P must be {n} square for dims ({dim_a}, {dim_b}), got {p.shape}")
     w, v = herm_eigh(p, "P")
-    return [BipartiteVector.from_vector(v[:, k], dim_a, dim_b) for k in range(n) if w[k] > 0.5]
+    return BipartiteVector(v[:, w > 0.5].T.reshape(-1, dim_a, dim_b))
 
 
 def luders_apply(ch: LudersChannel, nu_a) -> np.ndarray:
     """Channel action on an operator: sum_k t_k nu t_k†."""
     nu = as_matrix(nu_a, "nu")
-    da = ch.maps[0].shape[-1]
+    da = ch.maps.shape[-1]
     if nu.shape[-2:] != (da, da):
         raise DimMismatch(f"nu must be {da} square, got {nu.shape}")
-    maps = np.stack(ch.maps, axis=-3)  # (..., rank, dim_c, dim_a)
-    return (maps @ nu[..., None, :, :] @ maps.conj().mT).sum(axis=-3)
+    return (ch.maps @ nu[..., None, :, :] @ ch.maps.conj().mT).sum(axis=-3)
 
 
 class LudersBounds(NamedTuple):
@@ -208,8 +216,7 @@ def luders_bounds(ch: LudersChannel) -> LudersBounds:
     ||phi||^2 (not ||phi||) is the one the norm estimate actually yields; see
     the README note on the first power.
     """
-    maps = np.stack(ch.maps, axis=-3)
-    w, v = herm_eigh((maps.conj().mT @ maps).sum(axis=-3), "K")
+    w, v = herm_eigh((ch.maps.conj().mT @ ch.maps).sum(axis=-3), "K")
     top = np.take_along_axis(v, np.argmax(w, axis=-1)[..., None, None], axis=-1)
     trace_bound = np.trace(luders_apply(ch, top @ top.conj().mT), axis1=-2, axis2=-1).real
     return LudersBounds(op_bound=_out(np.maximum(w.max(axis=-1), 0.0)), trace_bound=_out(trace_bound))
@@ -224,11 +231,10 @@ def luders_project(ch: LudersChannel, phi_a) -> np.ndarray:
     factorized form of the same vector is sum_k psi_k ⊗ (t_k phi_a).
     """
     v_a = np.asarray(phi_a, dtype=np.complex128)
-    if v_a.ndim == 0 or v_a.shape[-1] != ch.psis[0].dim_a:
-        raise DimMismatch(f"phi_a length {v_a.shape[-1:]} != dim_a {ch.psis[0].dim_a}")
-    _check_dense(ch.psis[0].dim_a * ch.psis[0].dim_b * ch.ancilla_phi.dim_b, "dense oracle")
-    w = np.stack([p.to_vector() for p in ch.psis], axis=-1)
-    return _project(kron(v_a, ch.ancilla_phi.to_vector(), vectors=True), 1, w)
+    if v_a.ndim == 0 or v_a.shape[-1] != ch.psis.dim_a:
+        raise DimMismatch(f"phi_a length {v_a.shape[-1:]} != dim_a {ch.psis.dim_a}")
+    _check_dense(ch.psis.dim_a * ch.psis.dim_b * ch.ancilla_phi.dim_b, "dense oracle")
+    return _project(kron(v_a, ch.ancilla_phi.to_vector(), vectors=True), 1, ch.psis.to_vector().mT)
 
 
 def chain_teleport(stages: Sequence[BipartiteVector]) -> np.ndarray:

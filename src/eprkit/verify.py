@@ -276,7 +276,7 @@ def teleport_trace_fidelity(tnf):
 def luders_decoupling(ch, probe):
     """Dense (P ⊗ 1_c)(probe ⊗ phi) against sum_k psi_k ⊗ t_k probe."""
     dense = tp.luders_project(ch, probe)
-    factored = sum(la.kron(p.to_vector(), _mv(t, probe), vectors=True) for p, t in zip(ch.psis, ch.maps))
+    factored = la.kron(ch.psis.to_vector(), _mv(ch.maps, probe[..., None, :]), vectors=True).sum(axis=-2)
     return _fro(dense - factored, 1)
 
 
@@ -650,16 +650,6 @@ def teleport_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int])
         rec("teleport.trace_fidelity", teleport_trace_fidelity(tp.trace_norm_fidelity(tm)))
 
 
-def _orthonormal_states(u: np.ndarray, da: int, db: int, count: int) -> np.ndarray:
-    """Coefficient matrices (..., count, da, db) of the first `count` columns of unitaries u (..., da·db, da·db)."""
-    return u[..., :count].mT.reshape(*u.shape[:-2], count, da, db)
-
-
-def _states(coeffs: np.ndarray) -> list:
-    """The BipartiteVectors along the third-to-last axis of a coefficient stack (..., count, da, db)."""
-    return [bp.BipartiteVector(coeffs[..., k, :, :]) for k in range(coeffs.shape[-3])]
-
-
 def luders_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     small = [d for d in dims if d <= 3] or [2]
     pairs = [(da, db) for da in small for db in small]
@@ -678,19 +668,20 @@ def luders_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     # Channels are grouped by rank as well, so each group stacks channels of one rank.
     for rec, (da, db, dc, rank), (x_phi, x) in _stacked(table, seed, 90, trials, draw):
         basis, probe, mix, nu, *full = split_complex(x, *shapes(da, db, rank))
-        c_psis, mix, nu = _orthonormal_states(haar(basis), da, db, rank), haar(mix), nu @ nu.conj().mT
-        phi, psis = bp.BipartiteVector(unit(complex_from(x_phi, db, dc), 2)), _states(c_psis)
-        ch = tp.luders_channel(psis, phi)
-        rec("luders.rank1", _fro(tp.luders_channel(psis[:1], phi).maps[0] - tp.teleport_map(psis[0], phi).t))
+        mix, nu = haar(mix), nu @ nu.conj().mT
+        phi = bp.BipartiteVector(unit(complex_from(x_phi, db, dc), 2))
+        ch = tp.luders_channel(bp.BipartiteVector(haar(basis)[..., :rank].mT.reshape(-1, rank, da, db)), phi)
+        first = bp.BipartiteVector(ch.psis.coeff[..., 0, :, :])
+        rec("luders.rank1", _fro(tp.luders_channel([first], phi).maps[..., 0, :, :] - tp.teleport_map(first, phi).t))
         rec("luders.decoupling", luders_decoupling(ch, unit(probe)))
-        mixed = (mix.mT @ c_psis.reshape(*c_psis.shape[:-2], -1)).reshape(c_psis.shape)
+        mixed = bp.BipartiteVector((mix.mT @ ch.psis.to_vector()).reshape(ch.psis.coeff.shape))
         out = tp.luders_apply(ch, nu)
-        rec("luders.independence", _fro(out - tp.luders_apply(tp.luders_channel(_states(mixed), phi), nu)))
+        rec("luders.independence", _fro(out - tp.luders_apply(tp.luders_channel(mixed, phi), nu)))
         rec("luders.op_bound", luders_op_bound(ch, tp.luders_bounds(ch)))
         norm_sq = ch.ancilla_norm_sq
         rec("luders.trace_bound", np.maximum(0.0, _trace(out).real - norm_sq * _trace(nu).real))
         if full:
-            full_basis = _states(_orthonormal_states(haar(full[0]), da, db, da * db))
+            full_basis = bp.BipartiteVector(haar(full[0]).mT.reshape(-1, da * db, da, db))
             out_full = tp.luders_apply(tp.luders_channel(full_basis, phi), nu)
             rec("luders.completeness", np.abs(_trace(out_full).real - norm_sq * _trace(nu).real))
 
@@ -723,7 +714,7 @@ def twisted_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
             ),
         )
         composite = la.kron(al.compose_aa(eta, xi2), al.compose_aa(xi, eta2))
-        rec("twisted.compose", _fro(md.twisted_compose(prod, prod2) - composite))
+        rec("twisted.compose", _fro(prod.mat @ np.conj(prod2.mat) - composite))
 
         phi, psi = bp.BipartiteVector(unit(c_phi, 2)), bp.BipartiteVector(unit(c_psi, 2))
         fwd, bwd = md.lift_operators(phi, psi), md.lift_operators(psi, phi)
@@ -744,8 +735,8 @@ def twisted_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         rec(
             "twisted.reductions",
             np.maximum(
-                _fro(md.twisted_compose(fwd.delta_tilde, bwd.delta_tilde) - la.kron(om_a_phi, om_b_psi)),
-                _fro(md.twisted_compose(fwd.j, bwd.j) - la.kron(q_a_phi, q_b_psi)),
+                _fro(fwd.delta_tilde.mat @ np.conj(bwd.delta_tilde.mat) - la.kron(om_a_phi, om_b_psi)),
+                _fro(fwd.j.mat @ np.conj(bwd.j.mat) - la.kron(q_a_phi, q_b_psi)),
             ),
         )
         j_mat = fwd.j.mat

@@ -253,7 +253,7 @@ def test_criterion_8_luders_suite(acceptance_report):
 
         single = luders_channel(psis[:1], phi)
         rank1_exact = rank1_exact and np.array_equal(
-            single.maps[0], teleport_map(psis[0], phi).t
+            single.maps[..., 0, :, :], teleport_map(psis[0], phi).t
         )
     worst = max(worst_indep, worst_bound, 0.0)
     verdict(
@@ -299,7 +299,7 @@ def test_criterion_10_twisted_modular_suite(acceptance_report):
         worst = max(
             worst,
             fro(twisted_adjoint(p1).mat - p1.mat.T),
-            fro(twisted_compose(p1, p2) - np.kron(compose_aa(eta1, xi2), compose_aa(xi1, eta2))),
+            fro(twisted_compose(p1, p2).mat - np.kron(compose_aa(eta1, xi2), compose_aa(xi1, eta2))),
         )
 
         fwd = lift_operators(phi, psi)
@@ -308,9 +308,9 @@ def test_criterion_10_twisted_modular_suite(acceptance_report):
         om_a_psi, om_b_psi = reduced(psi, "a"), reduced(psi, "b")
         worst = max(
             worst,
-            fro(twisted_compose(fwd.delta_tilde, bwd.delta_tilde) - np.kron(om_a_phi, om_b_psi)),
+            fro(twisted_compose(fwd.delta_tilde, bwd.delta_tilde).mat - np.kron(om_a_phi, om_b_psi)),
             fro(
-                twisted_compose(fwd.j, bwd.j)
+                twisted_compose(fwd.j, bwd.j).mat
                 - np.kron(support_projection(om_a_phi), support_projection(om_b_psi))
             ),
         )

@@ -179,6 +179,27 @@ class TestStackChecks:
         assert np.allclose(positive[1] @ phase[1], deficient, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "fn, kind",
+    [
+        (lambda x, y: al.trace_product(al.AntilinearMap(x), al.AntilinearMap(y)), complex),
+        (lambda x, y: bp.inner_via_trace(bp.BipartiteVector(x), bp.BipartiteVector(y)), complex),
+        (lambda x, y: bp.cloning_check(bp.BipartiteVector(x), bp.BipartiteVector(y))[0], bool),
+        (lambda x, y: la.numerical_rank(np.linalg.svd(x, compute_uv=False)), int),
+        (lambda x, y: md.gns_check(x), bool),
+    ],
+    ids=["trace_product", "inner_via_trace", "cloning_check", "numerical_rank", "gns_check"],
+)
+def test_single_inputs_give_python_scalars_and_stacks_arrays(fn, kind):
+    rng = seeded_rng(206)
+    x, y = complex_normal(rng, 3, 3), complex_normal(rng, 3, 3)
+    single = fn(x, y)
+    assert type(single) is kind
+    stacked = fn(np.stack([x, y]), np.stack([y, x]))
+    assert isinstance(stacked, np.ndarray) and stacked.shape == (2,)
+    assert stacked[0] == single
+
+
 def write_state(tmp_path, name, psi):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(bipartite_to_json(psi)))
@@ -230,7 +251,7 @@ class TestCliProbeStacks:
         report = json.loads(capsys.readouterr().out)
         ch = tp.luders_channel(psis, phi)
         loop = max(
-            fro(tp.luders_project(ch, v) - sum(np.kron(p.to_vector(), t @ v) for p, t in zip(ch.psis, ch.maps)))
+            fro(tp.luders_project(ch, v) - sum(np.kron(w, t @ v) for w, t in zip(ch.psis.to_vector(), ch.maps)))
             for v in self.probes(42, 3, 2)
         )
         assert report["decoupling_residual"] == loop

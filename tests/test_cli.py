@@ -147,6 +147,14 @@ class TestLuders:
         path.write_text(json.dumps({"phi_bc": bipartite_to_json(bell(2))}))
         assert main(["luders", str(path)]) == 2
 
+    def test_mixed_spaces_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "channel.json"
+        spec = {"psis": [bipartite_to_json(bell(2)), bipartite_to_json(bell(3))], "phi_bc": bipartite_to_json(bell(2))}
+        path.write_text(json.dumps(spec))
+        code, report, err = run_cli(capsys, "luders", str(path))
+        assert (code, report) == (2, None)
+        assert "psis[1] lives on (3, 3), psis[0] on (2, 2)" in err
+
 
 class TestChain:
     def test_all_bell(self, capsys, tmp_path):

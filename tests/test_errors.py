@@ -122,13 +122,24 @@ def test_teleport_oracle_wrong_input_length():
 
 
 def test_luders_channel_empty():
-    with pytest.raises(errors.DimMismatch):
+    with pytest.raises(errors.DimMismatch, match=r"^need at least one measured vector$"):
         luders_channel([], bell(2))
+    # A projection of rank 0 decomposes into an empty stack.
+    with pytest.raises(errors.DimMismatch, match=r"^need at least one measured vector$"):
+        luders_channel(projection_decomposition(np.zeros((4, 4)), 2, 2), bell(2))
 
 
 def test_luders_channel_mixed_spaces():
-    with pytest.raises(errors.DimMismatch):
+    with pytest.raises(errors.DimMismatch, match=r"^psis\[1\] lives on \(3, 3\), psis\[0\] on \(2, 2\)$"):
         luders_channel([bell(2), bell(3)], bell(2))
+    psis = [bell(2), basis_state(0, 1, 2, 2), basis_state(0, 0, 2, 3)]
+    with pytest.raises(errors.DimMismatch, match=r"^psis\[2\] lives on \(2, 3\), psis\[0\] on \(2, 2\)$"):
+        luders_channel(psis, bell(2))
+
+
+def test_luders_channel_stack_without_rank_axis():
+    with pytest.raises(errors.DimMismatch, match=r"needs a rank axis -3, got shape \(2, 2\)$"):
+        luders_channel(bell(2), bell(2))
 
 
 def test_luders_channel_ancilla_mismatch():

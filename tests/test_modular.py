@@ -139,12 +139,12 @@ class TestTwistedCompose:
         psi = state_from_rng(rng, 3, 3, entangled=True)
         fwd = lift_operators(phi, psi)
         bwd = lift_operators(psi, phi)
-        assert np.linalg.norm(twisted_compose(fwd.j, bwd.j) - np.eye(9)) < 1e-9
+        assert np.linalg.norm(twisted_compose(fwd.j, bwd.j).mat - np.eye(9)) < 1e-9
 
     def test_conjugation_lift_squared_is_identity(self):
         c = AntilinearMap(np.eye(2))
         p = twisted_product(c, c)
-        assert_allclose(twisted_compose(p, p), np.eye(4))
+        assert_allclose(twisted_compose(p, p).mat, np.eye(4))
 
     def test_against_dense_product_and_kron_formula(self):
         rng = seeded_rng(83)
@@ -152,7 +152,7 @@ class TestTwistedCompose:
         eta2, xi2 = random_anti(rng, 2, 3), random_anti(rng, 3, 2)
         p1 = twisted_product(eta1, xi1)
         p2 = twisted_product(eta2, xi2)
-        got = twisted_compose(p1, p2)
+        got = twisted_compose(p1, p2).mat
         assert np.linalg.norm(got - p1.mat @ np.conj(p2.mat)) < 1e-12
         want = np.kron(compose_aa(eta1, xi2), compose_aa(xi1, eta2))
         assert np.linalg.norm(got - want) < 1e-10
@@ -161,8 +161,30 @@ class TestTwistedCompose:
         rng = seeded_rng(84)
         eta1, xi1 = complex_normal(rng, 2, 3), complex_normal(rng, 3, 2)
         eta2, xi2 = complex_normal(rng, 2, 3), complex_normal(rng, 3, 2)
-        got = twisted_compose(twisted_product(eta1, xi1), twisted_product(eta2, xi2))
+        got = twisted_compose(twisted_product(eta1, xi1), twisted_product(eta2, xi2)).mat
         assert np.linalg.norm(got - np.kron(eta1 @ xi2, xi1 @ eta2)) < 1e-10
+
+    def test_factors_beyond_the_dense_limit(self):
+        rng = seeded_rng(109)
+        d = 80
+        eta, xi = random_anti(rng, d, d), random_anti(rng, d, d)
+        got = twisted_compose(twisted_product(eta, xi), twisted_product(eta, xi))
+        assert isinstance(got, KroneckerProduct)
+        assert np.array_equal(got.factors[0], eta.mat @ np.conj(xi.mat))
+        assert np.array_equal(got.factors[1], xi.mat @ np.conj(eta.mat))
+        with pytest.raises(errors.DimTooLarge):
+            got.mat
+
+    @pytest.mark.parametrize("parity", ["linear", "antilinear"])
+    @pytest.mark.parametrize("da, db", [(1, 1), (1, 3), (2, 3), (3, 2), (4, 4)])
+    def test_mat_matches_the_dense_product(self, parity, da, db):
+        rng = seeded_rng(110, da, db)
+        wrap = AntilinearMap if parity == "antilinear" else np.asarray
+        p1, p2 = (
+            twisted_product(wrap(complex_normal(rng, da, db)), wrap(complex_normal(rng, db, da))) for _ in range(2)
+        )
+        want = p1.mat @ (np.conj(p2.mat) if parity == "antilinear" else p2.mat)
+        assert np.linalg.norm(twisted_compose(p1, p2).mat - want) <= 1e-13
 
 
 class TestLiftOperators:
@@ -191,9 +213,9 @@ class TestLiftOperators:
         psi = random_unit_state(rng, 3, 3)
         fwd = lift_operators(phi, psi)
         bwd = lift_operators(psi, phi)
-        got = twisted_compose(fwd.delta_tilde, bwd.delta_tilde)
+        got = twisted_compose(fwd.delta_tilde, bwd.delta_tilde).mat
         assert np.linalg.norm(got - np.kron(reduced(phi, "a"), reduced(psi, "b"))) < 1e-9
-        got_j = twisted_compose(fwd.j, bwd.j)
+        got_j = twisted_compose(fwd.j, bwd.j).mat
         want_j = np.kron(
             support_projection(reduced(phi, "a")), support_projection(reduced(psi, "b"))
         )

@@ -1,5 +1,6 @@
 """Tests for teleportation channels, their oracles, bounds, and chains."""
 
+import itertools
 import tracemalloc
 from functools import reduce
 
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from eprkit import errors
 from eprkit.bipartite import BipartiteVector, reduced
-from eprkit.sampling import complex_normal, random_psd, random_unitary
+from eprkit.sampling import complex_normal, haar, random_psd, random_unitary
 from eprkit.teleport import (
     _factor_out,
     chain_oracle,
@@ -136,7 +137,7 @@ class TestLudersProjectMemory:
         finally:
             tracemalloc.stop()
         assert peak < 5e6
-        factored = np.kron(ch.psis[0].to_vector(), ch.maps[0] @ v)
+        factored = np.kron(ch.psis.to_vector()[..., 0, :], ch.maps[..., 0, :, :] @ v)
         assert np.linalg.norm(dense - factored) <= TOLERANCES["luders.decoupling"]
 
     def test_beyond_the_dense_limit_is_refused(self):
@@ -286,7 +287,7 @@ class TestLudersChannel:
             v = complex_normal(rng, 2)
             dense = luders_project(ch, v)
             factored = sum(
-                np.kron(p.to_vector(), t @ v) for p, t in zip(ch.psis, ch.maps)
+                np.kron(ch.psis.to_vector()[..., k, :], ch.maps[..., k, :, :] @ v) for k in range(ch.rank)
             )
             assert np.linalg.norm(dense - factored) < 1e-10
 
@@ -308,9 +309,31 @@ class TestLudersChannel:
         u = random_unitary(rng, 6)
         p = u[:, :3] @ u[:, :3].conj().T
         psis = projection_decomposition(p, 2, 3)
-        assert len(psis) == 3
-        rebuilt = sum(np.outer(v.to_vector(), np.conj(v.to_vector())) for v in psis)
+        assert psis.coeff.shape == (3, 2, 3)
+        flat = psis.to_vector()
+        rebuilt = flat.T @ np.conj(flat)
         assert np.linalg.norm(rebuilt - p) < 1e-10
+        assert luders_channel(psis, random_unit_state(rng, 3, 2)).rank == 3
+
+
+class TestLudersRankAxis:
+    """Stacks shaped like verify's, (n, rank, d_a, d_b): one channel per trial, its vectors on axis -3."""
+
+    @pytest.mark.parametrize("da, db, dc", list(itertools.product([1, 2, 3], repeat=3)))
+    def test_maps_have_the_teleport_map_bits_and_list_equals_stack(self, da, db, dc):
+        rng = seeded_rng(108, da, db, dc)
+        n = 5
+        phi = BipartiteVector(complex_normal(rng, n, db, dc))
+        for rank in range(1, da * db + 1):
+            coeffs = haar(complex_normal(rng, n, da * db, da * db))[..., :rank].mT.reshape(n, rank, da, db)
+            stacked = luders_channel(BipartiteVector(coeffs), phi)
+            listed = luders_channel([BipartiteVector(coeffs[:, k]) for k in range(rank)], phi)
+            assert stacked.rank == listed.rank == rank
+            assert stacked.maps.shape == (n, rank, dc, da)
+            assert np.array_equal(stacked.psis.coeff, listed.psis.coeff)
+            assert np.array_equal(stacked.maps, listed.maps)
+            for k in range(rank):
+                assert np.array_equal(stacked.maps[..., k, :, :], teleport_map(BipartiteVector(coeffs[:, k]), phi).t)
 
 
 class TestLudersApply:
