@@ -56,6 +56,10 @@ class AntilinearMap:
     def __call__(self, v) -> np.ndarray:
         return apply(self, v)
 
+    @cached_property
+    def _polar(self) -> PolarParts:
+        return PolarParts(svd(self.mat))
+
 
 def apply(t: AntilinearMap, v) -> np.ndarray:
     """Apply t to a vector, or to a stack (..., dim_domain) of them: mat @ conj(v)."""
@@ -164,8 +168,8 @@ class PolarParts:
 
 
 def polar(t: AntilinearMap) -> PolarParts:
-    """Polar-decompose an antilinear map (or a stack): the package's one route from an SVD to phases and roots."""
-    return PolarParts(svd(t.mat))
+    """Polar-decompose an antilinear map (or a stack), once per map: the one route from an SVD to phases and roots."""
+    return t._polar
 
 
 def chain(maps) -> AntilinearMap | np.ndarray:

@@ -15,12 +15,13 @@ C.T @ conj(C).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .antilinear import AntilinearMap, PolarParts, adjoint, compose_aa, compose_mixed, polar
 from .errors import DimMismatch, NotIsometry, NotUnit
-from .linalg import _member, _out, as_matrix, fro_norm, frozen, psd_eigh, psd_sqrt, seal, support_projection
+from .linalg import _member, _out, as_matrix, finite, fro_norm, frozen, psd_eigh, psd_sqrt, seal, support_projection
 
 UNIT_TOL = 1e-10
 HERMITICITY_TOL = 1e-9
@@ -67,6 +68,10 @@ class BipartiteVector:
             raise DimMismatch(f"vector length {v.shape[0]} != {dim_a}*{dim_b}")
         return cls(v.reshape(dim_a, dim_b))
 
+    @cached_property
+    def _epr(self) -> EprPair:
+        return EprPair(s_ba=AntilinearMap(self.coeff.mT), s_ab=AntilinearMap(self.coeff))
+
 
 @dataclass(frozen=True)
 class EprPair:
@@ -77,8 +82,8 @@ class EprPair:
 
 
 def epr_maps(psi: BipartiteVector) -> EprPair:
-    """Build both maps from the coefficient matrix; see the module docstring."""
-    return EprPair(s_ba=AntilinearMap(psi.coeff.mT), s_ab=AntilinearMap(psi.coeff))
+    """Both maps of psi, built once per state from its coefficient matrix; see the module docstring."""
+    return psi._epr
 
 
 def _check_same_dims(x: BipartiteVector, y: BipartiteVector):
@@ -129,18 +134,19 @@ def reconstruct(s_ba: AntilinearMap, a_op) -> BipartiteVector:
     return BipartiteVector(phis @ (s_ba.mat @ np.conj(phis)).mT)
 
 
-def reduced(psi: BipartiteVector, side: str) -> np.ndarray:
+def reduced(psi: BipartiteVector, side: str, name: str = "psi") -> np.ndarray:
     """Reduced operator of psi on one factor, via the map compositions.
 
     side="a": C @ C†, side="b": C.T @ conj(C).  Both agree with the partial
-    trace of |psi><psi| and share the trace ||psi||^2.
+    trace of |psi><psi| and share the trace ||psi||^2.  One that overflows
+    raises NonFinite naming it and `name`, without a warning.
     """
     c = psi.coeff
-    if side == "a":
-        return seal(c @ c.conj().mT)
-    if side == "b":
-        return seal(c.mT @ np.conj(c))
-    raise DimMismatch(f"side must be 'a' or 'b', got {side!r}")
+    if side not in ("a", "b"):
+        raise DimMismatch(f"side must be 'a' or 'b', got {side!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        om = c @ c.conj().mT if side == "a" else c.mT @ np.conj(c)
+    return seal(finite(om, f"omega_{side} of {name}", "is not finite"))
 
 
 def local_transform(psi: BipartiteVector, a_op, b_op) -> BipartiteVector:

@@ -62,8 +62,8 @@ def _residuals(table: vf.ResidualTable, prefix: str) -> dict:
 def cmd_epr(args) -> tuple[dict, list[vf.IdentityResult], str]:
     psi = _load_state(args.state, "state")
     pair = bp.epr_maps(psi)
-    omega_a = bp.reduced(psi, "a")
-    omega_b = bp.reduced(psi, "b")
+    omega_a = bp.reduced(psi, "a", "state")
+    omega_b = bp.reduced(psi, "b", "state")
 
     # Per probe, the normals of unit vectors phi_a and phi_b and of a unit state chi, in that order.
     shapes = (psi.dim_a,), (psi.dim_b,), (psi.dim_a, psi.dim_b)

@@ -11,7 +11,9 @@ LAPACK and BLAS calls; every check runs on every member and names its index.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -43,29 +45,39 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim < 2:
         raise DimMismatch(f"{name} must be at least two-dimensional, got shape {a.shape}")
+    return finite(a, name)
+
+
+def finite(a: np.ndarray, name: str, what: str = "contains NaN or Inf entries") -> np.ndarray:
+    """Return a matrix (or stack) if every entry is finite; else NonFinite names the operand, the member and `what`."""
     if a.size and not np.isfinite(a).all():
         label, _ = _member(name, ~np.isfinite(a).all(axis=(-2, -1)))
-        raise NonFinite(f"{label} contains NaN or Inf entries")
+        raise NonFinite(f"{label} {what}")
     return a
+
+
+# Owners of the arrays this package made read-only (seal results, frozen's copies), by id; an
+# entry goes when its owner dies.  Cheaper per call than a WeakValueDictionary.
+_SEALED: dict[int, weakref.ref] = {}
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
     """Return a read-only complex128 array; value types hold immutable arrays.
 
-    An array that is already complex128 and read-only down to the array that
-    owns its memory is returned as it is; builders mark what they have just
-    allocated read-only so that their results are not copied again.  Anything
-    else is copied.
+    An array that is complex128 and read-only down to an owner this package
+    sealed (a `seal` result or an earlier `frozen` copy) is returned as it
+    is, so builders' results are not copied again.  Anything else, a
+    caller's read-only array too (its owner can turn writing back on), is
+    copied once in its own memory order.
     """
     if isinstance(a, np.ndarray) and a.dtype == np.complex128:
         b = a
-        while isinstance(b, np.ndarray) and not b.flags.writeable:
-            if b.base is None:
-                return a
+        while not b.flags.writeable and isinstance(b.base, np.ndarray):
             b = b.base
-    b = np.array(a, dtype=np.complex128, copy=True)
-    b.setflags(write=False)
-    return b
+        ref = _SEALED.get(id(b))
+        if not b.flags.writeable and ref is not None and ref() is b:
+            return a
+    return seal(np.array(a, dtype=np.complex128, copy=True))
 
 
 def seal(a: np.ndarray) -> np.ndarray:
@@ -75,9 +87,11 @@ def seal(a: np.ndarray) -> np.ndarray:
     elsewhere would still alias the sealed memory.
     """
     b = a
-    while isinstance(b, np.ndarray):
-        b.setflags(write=False)
+    b.setflags(write=False)
+    while isinstance(b.base, np.ndarray):
         b = b.base
+        b.setflags(write=False)
+    _SEALED[id(b)] = weakref.ref(b, partial(_SEALED.pop, id(b)))
     return a
 
 

@@ -30,10 +30,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .antilinear import AntilinearMap, adjoint
+from .antilinear import AntilinearMap, adjoint, polar
 from .bipartite import BipartiteVector, _check_same_dims, epr_maps, polar_of_state, reduced
 from .errors import DimMismatch, MixedParity, NotSeparating
-from .linalg import _check_dense, _member, _out, as_matrix, frozen, kron, numerical_rank, seal, svd
+from .linalg import _check_dense, _member, _out, as_matrix, finite, frozen, kron, numerical_rank, seal
 
 
 @dataclass(frozen=True)
@@ -230,23 +230,26 @@ def tomita_S(phi: BipartiteVector, psi: BipartiteVector) -> ModularTriple:
     reductions of psi are rejected rather than pseudo-inverted.
     Stacked states give stacked operators.
 
-    Everything costs O(d³) time and O(d²) memory (three d×d SVDs: C_psi's
-    and the two polar phases of J); the
-    dense d²×d² matrices are built only when read.  verify.modular_defining_oracle,
+    Everything costs O(d³) time and O(d²) memory (three d×d SVDs, C_psi's and
+    J's two phases, all cached on the states' maps: lift_operators(psi, phi)
+    then takes none); a reduction or inverse that overflows raises NonFinite.
+    The dense d²×d² matrices are built only when read.  verify.modular_defining_oracle,
     which checks the dense S on all d² matrix units (they span the space
     because psi is cyclic), is the brute-force oracle of S, and
     verify.modular_phase_match_oracle compares J with the phase of the dense
     SVD of S.
     """
     _check_same_dims(phi, psi)
-    res = svd(psi.coeff)
+    res = polar(epr_maps(psi).s_ab).svd
     entangled = np.asarray(psi.dim_a == psi.dim_b and res.rank == psi.dim_b)
     if not entangled.all():
         label, _ = _member("psi", ~entangled)
         raise NotSeparating(f"{label} must be completely entangled (square, full-rank reductions)")
     u, sigma, vh = res.u, res.sigma, res.v.conj().mT
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        eta, inv_b = (u / sigma[..., None, :]) @ vh, (vh.mT / sigma[..., None, :] ** 2) @ vh.conj()
     return ModularTriple(
-        s=twisted_product(AntilinearMap((u / sigma[..., None, :]) @ vh), AntilinearMap(phi.coeff.mT)),
-        delta=KroneckerProduct((reduced(phi, "a"), seal((vh.mT / sigma[..., None, :] ** 2) @ vh.conj()))),
+        s=twisted_product(AntilinearMap(seal(eta)), AntilinearMap(phi.coeff.mT)),
+        delta=KroneckerProduct((reduced(phi, "a", "phi"), seal(finite(inv_b, "inverse of omega_b of psi", "is not finite")))),
         j=twisted_product(*_phases(psi, phi)),
     )

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from eprkit.bipartite import BipartiteVector
 from eprkit.cli import main
 from eprkit.errors import DimTooLarge
 from eprkit.formats import bipartite_to_json, kronecker_from_json, matrix_from_json, matrix_to_json, twisted_from_json
@@ -403,6 +404,14 @@ def _invalid_arguments(tmp_path, case: str) -> list[str]:
     if case.startswith("luders-psis-"):
         psis = {"luders-psis-int": 5, "luders-psis-null": None, "luders-psis-true": True}[case]
         return ["luders", _write(tmp_path, "channel.json", {"psis": psis, "phi_bc": bell_json})]
+    if case in ("epr-overflowing-reduction", "modular-overflowing-phi", "modular-underflowing-psi"):
+        # Coefficients whose reductions overflow (or, for psi, whose inverse reduction does) in float64.
+        scale = 1e-200 if case == "modular-underflowing-psi" else 1e200
+        extreme = _write(tmp_path, "extreme.json", bipartite_to_json(BipartiteVector(np.diag([scale, scale]))))
+        if case == "epr-overflowing-reduction":
+            return ["epr", extreme]
+        bell_path = _write(tmp_path, "bell.json", bell_json)
+        return ["modular", *((bell_path, extreme) if case == "modular-underflowing-psi" else (extreme, bell_path))]
     if case == "chain-stages-not-a-list":
         return ["chain", _write(tmp_path, "chain.json", {"stages": {"0": bell_json, "1": bell_json}})]
     if case == "nan-tolerance":
@@ -426,6 +435,9 @@ def _invalid_arguments(tmp_path, case: str) -> list[str]:
         "luders-psis-null",
         "luders-psis-true",
         "chain-stages-not-a-list",
+        "epr-overflowing-reduction",
+        "modular-overflowing-phi",
+        "modular-underflowing-psi",
         "nan-tolerance",
         "out-into-missing-directory",
         "random-one-dimension",
@@ -439,6 +451,20 @@ def test_invalid_input_exit_2(capsys, tmp_path, case):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("epr-overflowing-reduction", "omega_a of state is not finite"),
+        ("modular-overflowing-phi", "omega_a of phi is not finite"),
+        ("modular-underflowing-psi", "inverse of omega_b of psi is not finite"),
+    ],
+)
+def test_overflowing_reduction_names_its_operand(capsys, tmp_path, case, message):
+    # Warnings fail the suite, so this also checks that the refusal emits none.
+    assert main(_invalid_arguments(tmp_path, case)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestRandom:
