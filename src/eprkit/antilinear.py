@@ -96,11 +96,11 @@ def compose_mixed(linear, t: AntilinearMap, order: str) -> AntilinearMap:
     if order == "left":
         if lin.shape[-1] != t.dim_codomain:
             raise DimMismatch(f"linear factor wants {lin.shape[-1]}, map produces {t.dim_codomain}")
-        return AntilinearMap(seal(lin @ t.mat))
+        return AntilinearMap(lin @ t.mat)
     if order == "right":
         if t.dim_domain != lin.shape[-2]:
             raise DimMismatch(f"map wants {t.dim_domain}, linear factor produces {lin.shape[-2]}")
-        return AntilinearMap(seal(t.mat @ np.conj(lin)))
+        return AntilinearMap(t.mat @ np.conj(lin))
     raise DimMismatch(f"order must be 'left' or 'right', got {order!r}")
 
 
@@ -150,7 +150,7 @@ class PolarParts:
 
     @cached_property
     def phase(self) -> AntilinearMap:
-        return AntilinearMap(seal(self._kept[0] @ self._kept[2]))
+        return AntilinearMap(self._kept[0] @ self._kept[2])
 
     @cached_property
     def support_dom(self) -> np.ndarray:

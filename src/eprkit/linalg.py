@@ -11,9 +11,7 @@ LAPACK and BLAS calls; every check runs on every member and names its index.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -56,42 +54,30 @@ def finite(a: np.ndarray, name: str, what: str = "contains NaN or Inf entries") 
     return a
 
 
-# Owners of the arrays this package made read-only (seal results, frozen's copies), by id; an
-# entry goes when its owner dies.  Cheaper per call than a WeakValueDictionary.
-_SEALED: dict[int, weakref.ref] = {}
-
-
 def frozen(a: np.ndarray) -> np.ndarray:
-    """Return a read-only complex128 array; value types hold immutable arrays.
+    """A read-only complex128 copy of `a` in its own memory order: the one way a value type holds an array.
 
-    An array that is complex128 and read-only down to an owner this package
-    sealed (a `seal` result or an earlier `frozen` copy) is returned as it
-    is, so builders' results are not copied again.  Anything else, a
-    caller's read-only array too (its owner can turn writing back on), is
-    copied once in its own memory order.
+    Every value type holds such a copy of what it is given, a caller's
+    read-only array and the package's own results alike, so nothing outside
+    the value can change what it holds or what it caches.  The order is
+    numpy's default "K", so the copy keeps the layout and the bits of `a`.
     """
-    if isinstance(a, np.ndarray) and a.dtype == np.complex128:
-        b = a
-        while not b.flags.writeable and isinstance(b.base, np.ndarray):
-            b = b.base
-        ref = _SEALED.get(id(b))
-        if not b.flags.writeable and ref is not None and ref() is b:
-            return a
-    return seal(np.array(a, dtype=np.complex128, copy=True))
+    b = np.array(a, dtype=np.complex128, copy=True)
+    b.setflags(write=False)
+    return b
 
 
 def seal(a: np.ndarray) -> np.ndarray:
-    """Mark a freshly built array and every array it views read-only, so frozen keeps it uncopied.
+    """Mark an array the package returns, and every array it views, read-only, and return it.
 
     Only for arrays the caller has just allocated: a writable view held
-    elsewhere would still alias the sealed memory.
+    elsewhere would still alias the memory.
     """
     b = a
     b.setflags(write=False)
     while isinstance(b.base, np.ndarray):
         b = b.base
         b.setflags(write=False)
-    _SEALED[id(b)] = weakref.ref(b, partial(_SEALED.pop, id(b)))
     return a
 
 

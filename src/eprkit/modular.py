@@ -232,7 +232,8 @@ def tomita_S(phi: BipartiteVector, psi: BipartiteVector) -> ModularTriple:
 
     Everything costs O(d³) time and O(d²) memory (three d×d SVDs, C_psi's and
     J's two phases, all cached on the states' maps: lift_operators(psi, phi)
-    then takes none); a reduction or inverse that overflows raises NonFinite.
+    then takes none); a reduction or inverse that overflows raises NonFinite,
+    omega_b(psi) judged by Σ² without building it.
     The dense d²×d² matrices are built only when read.  verify.modular_defining_oracle,
     which checks the dense S on all d² matrix units (they span the space
     because psi is cyclic), is the brute-force oracle of S, and
@@ -247,9 +248,11 @@ def tomita_S(phi: BipartiteVector, psi: BipartiteVector) -> ModularTriple:
         raise NotSeparating(f"{label} must be completely entangled (square, full-rank reductions)")
     u, sigma, vh = res.u, res.sigma, res.v.conj().mT
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        eta, inv_b = (u / sigma[..., None, :]) @ vh, (vh.mT / sigma[..., None, :] ** 2) @ vh.conj()
+        sq = sigma[..., None, :] ** 2  # the eigenvalues of omega_b(psi) = conj(V) Σ² V^T
+        eta, inv_b = (u / sigma[..., None, :]) @ vh, (vh.mT / sq) @ vh.conj()
+    finite(sq, "omega_b of psi", "is not finite")
     return ModularTriple(
-        s=twisted_product(AntilinearMap(seal(eta)), AntilinearMap(phi.coeff.mT)),
-        delta=KroneckerProduct((reduced(phi, "a", "phi"), seal(finite(inv_b, "inverse of omega_b of psi", "is not finite")))),
+        s=twisted_product(AntilinearMap(eta), AntilinearMap(phi.coeff.mT)),
+        delta=KroneckerProduct((reduced(phi, "a", "phi"), finite(inv_b, "inverse of omega_b of psi", "is not finite"))),
         j=twisted_product(*_phases(psi, phi)),
     )

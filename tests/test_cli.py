@@ -404,14 +404,14 @@ def _invalid_arguments(tmp_path, case: str) -> list[str]:
     if case.startswith("luders-psis-"):
         psis = {"luders-psis-int": 5, "luders-psis-null": None, "luders-psis-true": True}[case]
         return ["luders", _write(tmp_path, "channel.json", {"psis": psis, "phi_bc": bell_json})]
-    if case in ("epr-overflowing-reduction", "modular-overflowing-phi", "modular-underflowing-psi"):
+    if case in ("epr-overflowing-reduction", "modular-overflowing-phi", "modular-overflowing-psi", "modular-underflowing-psi"):
         # Coefficients whose reductions overflow (or, for psi, whose inverse reduction does) in float64.
         scale = 1e-200 if case == "modular-underflowing-psi" else 1e200
         extreme = _write(tmp_path, "extreme.json", bipartite_to_json(BipartiteVector(np.diag([scale, scale]))))
         if case == "epr-overflowing-reduction":
             return ["epr", extreme]
         bell_path = _write(tmp_path, "bell.json", bell_json)
-        return ["modular", *((bell_path, extreme) if case == "modular-underflowing-psi" else (extreme, bell_path))]
+        return ["modular", *((extreme, bell_path) if case == "modular-overflowing-phi" else (bell_path, extreme))]
     if case == "chain-stages-not-a-list":
         return ["chain", _write(tmp_path, "chain.json", {"stages": {"0": bell_json, "1": bell_json}})]
     if case == "nan-tolerance":
@@ -437,6 +437,7 @@ def _invalid_arguments(tmp_path, case: str) -> list[str]:
         "chain-stages-not-a-list",
         "epr-overflowing-reduction",
         "modular-overflowing-phi",
+        "modular-overflowing-psi",
         "modular-underflowing-psi",
         "nan-tolerance",
         "out-into-missing-directory",
@@ -458,6 +459,7 @@ def test_invalid_input_exit_2(capsys, tmp_path, case):
     [
         ("epr-overflowing-reduction", "omega_a of state is not finite"),
         ("modular-overflowing-phi", "omega_a of phi is not finite"),
+        ("modular-overflowing-psi", "omega_b of psi is not finite"),
         ("modular-underflowing-psi", "inverse of omega_b of psi is not finite"),
     ],
 )

@@ -244,10 +244,13 @@ class TestFrozen:
         assert not b.flags.writeable
         assert not np.shares_memory(a, b)
 
-    def test_sealed_array_is_kept(self):
+    def test_sealed_array_is_copied(self):
         a = seal((np.ones((2, 1, 2)) * 1j).reshape(2, 2))
-        assert frozen(a) is a
-        assert frozen(a.T) is not a and np.shares_memory(frozen(a.T), a)
+        for view in (a, a.T):
+            b = frozen(view)
+            assert b is not view and not b.flags.writeable
+            assert not np.shares_memory(b, a) and np.array_equal(b, view)
+        assert frozen(a.T).flags.f_contiguous
 
     def test_read_only_view_of_writable_memory_is_copied(self):
         a = np.eye(3, dtype=complex)
@@ -265,7 +268,7 @@ class TestFrozen:
 
 
 class TestSealedResults:
-    """Builders that allocate their results mark them read-only, so value types keep them uncopied."""
+    """Builders mark the arrays they return read-only; value types still hold copies of them."""
 
     def test_polar_compose_mixed_epr_maps_and_reduced(self):
         from eprkit.antilinear import AntilinearMap, compose_mixed, polar
@@ -282,7 +285,8 @@ class TestSealedResults:
         arrays += [parts.positive, parts.phase.mat, parts.support_dom, parts.support_cod, parts.positive_dom]
         for a in arrays:
             assert not a.flags.writeable
-            assert frozen(a) is a
+            assert frozen(a) is not a and not np.shares_memory(frozen(a), a)
             assert not np.shares_memory(a, c) and not np.shares_memory(a, lin)
-        assert AntilinearMap(left.mat).mat is left.mat
-        assert np.shares_memory(pair.s_ba.mat, psi.coeff)
+        held = AntilinearMap(left.mat).mat
+        assert held is not left.mat and not np.shares_memory(held, left.mat)
+        assert not np.shares_memory(pair.s_ba.mat, psi.coeff) and not np.shares_memory(pair.s_ab.mat, psi.coeff)

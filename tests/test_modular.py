@@ -573,7 +573,7 @@ def assert_read_only(a):
 
 
 class TestCopies:
-    """Each d²×d² matrix is written once; no value type aliases a writable caller array."""
+    """Each d²×d² matrix is built once per operator; no value type aliases an array it is given."""
 
     def test_twisted_products_are_read_only_and_own_their_factors(self):
         rng = seeded_rng(100)
@@ -585,10 +585,12 @@ class TestCopies:
                 assert not np.shares_memory(a, eta) and not np.shares_memory(a, xi)
         assert not np.shares_memory(anti_eta.mat, eta)
 
-    def test_as_antilinear_shares_the_built_matrix(self):
+    def test_as_antilinear_copies_the_built_matrix(self):
         rng = seeded_rng(101)
         prod = twisted_product(random_anti(rng, 3, 3), random_anti(rng, 3, 3))
-        assert np.shares_memory(prod.as_antilinear().mat, prod.mat)
+        anti = prod.as_antilinear()
+        assert_read_only(anti.mat)
+        assert np.array_equal(anti.mat, prod.mat) and not np.shares_memory(anti.mat, prod.mat)
 
     def test_lifts_and_modular_triple_are_read_only(self):
         rng = seeded_rng(102)

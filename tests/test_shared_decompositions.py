@@ -17,8 +17,8 @@ from eprkit.antilinear import AntilinearMap, polar
 from eprkit.bipartite import BipartiteVector, epr_maps, polar_of_state
 from eprkit.cli import main
 from eprkit.formats import bipartite_to_json
-from eprkit.modular import lift_operators, tomita_S
-from eprkit.teleport import teleport_map
+from eprkit.modular import KroneckerProduct, lift_operators, tomita_S, twisted_product
+from eprkit.teleport import LudersChannel, TeleportMap, teleport_map
 from eprkit.verify import modular_roots
 
 from util import bell, random_unit_state, seeded_rng
@@ -84,7 +84,8 @@ class TestIdentity:
             assert polar_of_state(psi1) is not polar_of_state(psi2)
         t1 = AntilinearMap(c)
         t2 = AntilinearMap(t1.mat)
-        assert t2.mat is t1.mat and polar(t1) is not polar(t2)
+        assert np.array_equal(t2.mat, t1.mat) and not np.shares_memory(t2.mat, t1.mat)
+        assert polar(t1) is not polar(t2)
 
 
 def _bits(*arrays) -> list[bytes]:
@@ -120,8 +121,40 @@ class TestSameBits:
         assert teleport_map(psi, phi).root_norms == fresh
 
 
+def _values(arrays) -> list[tuple]:
+    return [(a.shape, a.tobytes(order="A")) for a in arrays]
+
+
+def _parts(p) -> list[np.ndarray]:
+    return [p.svd.u, p.svd.sigma, p.svd.v, p.positive, p.phase.mat, p.support_dom, p.support_cod, p.positive_dom]
+
+
+# Each value type built from one caller array x, a stack of two unit 3×3 matrices: the arrays it
+# holds (the one made from x first) and the results it caches.
+VALUE_TYPES = {
+    "AntilinearMap": (AntilinearMap, lambda t: [t.mat], lambda t: _parts(polar(t))),
+    "BipartiteVector": (
+        BipartiteVector,
+        lambda psi: [psi.coeff],
+        lambda psi: [epr_maps(psi).s_ba.mat, epr_maps(psi).s_ab.mat, *_parts(polar_of_state(psi))],
+    ),
+    "TwistedOperator": (lambda x: twisted_product(x, x), lambda op: list(op.factors), lambda op: [op.mat]),
+    "KroneckerProduct": (lambda x: KroneckerProduct((x, x)), lambda op: list(op.factors), lambda op: [op.mat]),
+    "TeleportMap": (
+        lambda x: TeleportMap(t=x, source_psi=BipartiteVector(x), ancilla_phi=BipartiteVector(x)),
+        lambda tm: [tm.t, tm.source_psi.coeff, tm.ancilla_phi.coeff],
+        lambda tm: list(tm.root_norms),
+    ),
+    "LudersChannel": (
+        lambda x: LudersChannel(maps=x, psis=BipartiteVector(x), ancilla_phi=BipartiteVector(x)),
+        lambda ch: [ch.maps, ch.psis.coeff, ch.ancilla_phi.coeff],
+        lambda ch: [epr_maps(ch.psis).s_ba.mat],
+    ),
+}
+
+
 class TestCallerArrays:
-    """A caller's read-only array is copied once, so cached results cannot go stale when its owner writes again."""
+    """Every value type holds a read-only copy of what it is given, so its caches cannot go stale when a caller writes."""
 
     def test_caches_ignore_later_writes(self):
         x = np.diag([0.6, 0.8]).astype(complex)
@@ -141,11 +174,30 @@ class TestCallerArrays:
         assert_allclose(polar_of_state(psi).positive @ polar_of_state(psi).positive, psi.coeff.mT @ psi.coeff.conj())
         assert np.array_equal(tm.t, t) and np.array_equal(tm.source_psi.coeff, want)
 
-    def test_package_arrays_are_kept_and_forgotten_with_their_owner(self):
-        a = linalg.seal(np.ones((2, 2), dtype=complex))
-        kept = linalg.frozen(np.array([[1j]]))
-        assert linalg.frozen(a) is a and linalg.frozen(kept) is kept
-        key = id(a)
-        assert key in linalg._SEALED
-        del a
-        assert key not in linalg._SEALED
+    def test_package_arrays_are_copied(self):
+        sealed = linalg.seal(np.ones((2, 2), dtype=complex))
+        earlier = linalg.frozen(np.array([[1j]]))
+        for a in (sealed, earlier):
+            b = linalg.frozen(a)
+            assert b is not a and not b.flags.writeable
+            assert np.array_equal(b, a) and not np.shares_memory(b, a)
+
+    @pytest.mark.parametrize("build, held, cached", VALUE_TYPES.values(), ids=VALUE_TYPES.keys())
+    def test_value_types_own_their_arrays(self, build, held, cached):
+        rng = seeded_rng(307)
+        c = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+        x = np.array(c / np.linalg.norm(c, axis=(-2, -1), keepdims=True), order="F")  # owns its memory
+        want = build(x.copy(order="F"))
+        want_held, want_cached = _values(held(want)), _values(cached(want))
+        x.setflags(write=False)
+        filled = build(x)
+        cached(filled)
+        late = build(x)
+        x.setflags(write=True)
+        x[...] = np.arange(x.size).reshape(x.shape)
+        for value in (filled, late):
+            arrays = held(value)
+            assert arrays[0].flags.f_contiguous and not arrays[0].flags.c_contiguous
+            assert _values(arrays) == want_held and _values(cached(value)) == want_cached
+            assert not any(a.flags.writeable for a in arrays)
+            assert not any(np.shares_memory(a, x) for a in arrays + cached(value))
