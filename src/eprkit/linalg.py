@@ -204,13 +204,10 @@ class MatrixNorms(NamedTuple):
 
 
 def norms(m) -> MatrixNorms:
-    """Operator, trace, and Hilbert-Schmidt norms from singular values."""
+    """Operator, trace, and Hilbert-Schmidt norms from singular values; a stack's are read-only arrays."""
     s = np.linalg.svd(as_matrix(m), compute_uv=False)
-    return MatrixNorms(
-        operator=_out(s.max(axis=-1, initial=0.0)),
-        trace=_out(s.sum(axis=-1)),
-        hilbert_schmidt=_out(np.sqrt((s * s).sum(axis=-1))),
-    )
+    values = s.max(axis=-1, initial=0.0), s.sum(axis=-1), np.sqrt((s * s).sum(axis=-1))
+    return MatrixNorms(*(_out(seal(np.asarray(v))) for v in values))
 
 
 def trace_norm(m) -> float:

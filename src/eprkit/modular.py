@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .antilinear import AntilinearMap, adjoint, polar
+from .antilinear import AntilinearMap
 from .bipartite import BipartiteVector, _check_same_dims, epr_maps, polar_of_state, reduced
 from .errors import DimMismatch, MixedParity, NotSeparating
 from .linalg import _check_dense, _member, _out, as_matrix, finite, frozen, kron, numerical_rank, seal
@@ -134,8 +134,8 @@ def twisted_adjoint(p: TwistedOperator) -> TwistedOperator:
     """Hermitian adjoint: exchange and adjoin the factors, xi* ⊗̃ eta*."""
     eta, xi = p.factors
     if p.parity == "antilinear":
-        return twisted_product(AntilinearMap(xi.mT), AntilinearMap(eta.mT))
-    return twisted_product(xi.conj().mT, eta.conj().mT)
+        return TwistedOperator((xi.mT, eta.mT), p.parity)
+    return TwistedOperator((xi.conj().mT, eta.conj().mT), p.parity)
 
 
 def twisted_compose(p1: TwistedOperator, p2: TwistedOperator) -> KroneckerProduct:
@@ -164,9 +164,9 @@ class LiftedOperators:
     j: TwistedOperator            # j_phi ⊗̃ j_psi
 
 
-def _phases(phi: BipartiteVector, psi: BipartiteVector) -> tuple[AntilinearMap, AntilinearMap]:
-    """The phase maps j_phi_ab: H_b -> H_a (the adjoint of the phase of s_phi_ba) and j_psi_ba."""
-    return adjoint(polar_of_state(phi).phase), polar_of_state(psi).phase
+def _phases(phi: BipartiteVector, psi: BipartiteVector) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices of the phase maps j_phi_ab: H_b -> H_a (the adjoint of the phase of s_phi_ba) and j_psi_ba."""
+    return polar_of_state(phi).phase.mat.mT, polar_of_state(psi).phase.mat
 
 
 def lift_operators(phi: BipartiteVector, psi: BipartiteVector) -> LiftedOperators:
@@ -178,12 +178,12 @@ def lift_operators(phi: BipartiteVector, psi: BipartiteVector) -> LiftedOperator
     """
     _check_same_dims(phi, psi)
     j_phi_ab, j_psi_ba = _phases(phi, psi)
-    s_phi_ab, s_psi_ba = epr_maps(phi).s_ab, epr_maps(psi).s_ba
+    s_phi_ab, s_psi_ba = epr_maps(phi).s_ab.mat, epr_maps(psi).s_ba.mat
     return LiftedOperators(
-        s_tilde=twisted_product(j_phi_ab, s_psi_ba),
-        f_tilde=twisted_product(s_phi_ab, j_psi_ba),
-        delta_tilde=twisted_product(s_phi_ab, s_psi_ba),
-        j=twisted_product(j_phi_ab, j_psi_ba),
+        s_tilde=TwistedOperator((j_phi_ab, s_psi_ba), "antilinear"),
+        f_tilde=TwistedOperator((s_phi_ab, j_psi_ba), "antilinear"),
+        delta_tilde=TwistedOperator((s_phi_ab, s_psi_ba), "antilinear"),
+        j=TwistedOperator((j_phi_ab, j_psi_ba), "antilinear"),
     )
 
 
@@ -221,19 +221,19 @@ def tomita_S(phi: BipartiteVector, psi: BipartiteVector) -> ModularTriple:
     twisted product of C_psi^(-†) and C_phi^T; it follows from the defining
     relation with X = A C_psi.  J is the twisted product of the phase maps of
     (psi, phi), in that order, the same operator as lift_operators(psi, phi).j:
-    the polar phase of S, taken factor by factor.  One SVD C_psi = U Σ V†
-    decides that psi is completely entangled (square, full numerical rank)
-    and gives C_psi^(-†) = U Σ^(-1) V†, not an LU solve.  Delta = omega_a(phi)
-    ⊗ inverse(omega_b(psi)), and since omega_b(psi) = conj(V) Σ² V^T the
-    inverse is conj(V) Σ^(-2) V^T from the same SVD: an eigendecomposition of
-    omega_b would square the condition number of C_psi.  Rank-deficient
-    reductions of psi are rejected rather than pseudo-inverted.
+    the polar phase of S, taken factor by factor.  One SVD C_psi^T = U Σ V†,
+    J's (C_psi is its adjoint), decides that psi is completely entangled
+    (square, full numerical rank) and gives C_psi^(-†) = conj(V) Σ^(-1) U^T,
+    not an LU solve.  Delta = omega_a(phi) ⊗ inverse(omega_b(psi)), and since
+    omega_b(psi) = U Σ² U† the inverse is U Σ^(-2) U† from the same SVD: an
+    eigendecomposition of omega_b would square the condition number of C_psi.
+    Rank-deficient reductions of psi are rejected rather than pseudo-inverted.
     Stacked states give stacked operators.
 
-    Everything costs O(d³) time and O(d²) memory (three d×d SVDs, C_psi's and
-    J's two phases, all cached on the states' maps: lift_operators(psi, phi)
-    then takes none); a reduction or inverse that overflows raises NonFinite,
-    omega_b(psi) judged by Σ² without building it.
+    Everything costs O(d³) time and O(d²) memory (two d×d SVDs, of C_psi^T
+    and C_phi^T, both cached on the states' maps: lift_operators(psi, phi)
+    then takes none); a reduction, C_psi^(-†) or inverse that overflows
+    raises NonFinite, omega_b(psi) judged by Σ² without building it.
     The dense d²×d² matrices are built only when read.  verify.modular_defining_oracle,
     which checks the dense S on all d² matrix units (they span the space
     because psi is cyclic), is the brute-force oracle of S, and
@@ -241,18 +241,19 @@ def tomita_S(phi: BipartiteVector, psi: BipartiteVector) -> ModularTriple:
     SVD of S.
     """
     _check_same_dims(phi, psi)
-    res = polar(epr_maps(psi).s_ab).svd
+    res = polar_of_state(psi).svd
     entangled = np.asarray(psi.dim_a == psi.dim_b and res.rank == psi.dim_b)
     if not entangled.all():
         label, _ = _member("psi", ~entangled)
         raise NotSeparating(f"{label} must be completely entangled (square, full-rank reductions)")
-    u, sigma, vh = res.u, res.sigma, res.v.conj().mT
+    u, sigma, v = res.u, res.sigma[..., None, :], res.v
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        sq = sigma[..., None, :] ** 2  # the eigenvalues of omega_b(psi) = conj(V) Σ² V^T
-        eta, inv_b = (u / sigma[..., None, :]) @ vh, (vh.mT / sq) @ vh.conj()
+        sq = sigma**2  # the eigenvalues of omega_b(psi) = U Σ² U†
+        eta, inv_b = (np.conj(v) / sigma) @ u.mT, (u / sq) @ u.conj().mT
     finite(sq, "omega_b of psi", "is not finite")
+    finite(eta, "inverse of C_psi (S's eta) of psi", "is not finite")
     return ModularTriple(
-        s=twisted_product(AntilinearMap(eta), AntilinearMap(phi.coeff.mT)),
+        s=TwistedOperator((eta, phi.coeff.mT), "antilinear"),
         delta=KroneckerProduct((reduced(phi, "a", "phi"), finite(inv_b, "inverse of omega_b of psi", "is not finite"))),
-        j=twisted_product(*_phases(psi, phi)),
+        j=TwistedOperator(_phases(psi, phi), "antilinear"),
     )

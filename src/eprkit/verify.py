@@ -341,7 +341,8 @@ def modular_roots(phi, psi):
     of s_ab(phi) = C_phi and s_ba(psi) = C_psi^T, and with C_psi^T = U Σ V†,
     omega_b(psi)^(-1/2) = U Σ^(-1) U†: never a square root of Delta or of a
     reduction.  The SVD of C_phi is the checks' own; that of C_psi^T, cached
-    on psi's map, is J's phase in tomita_S, the bits a second SVD would give.
+    on psi's map, is the one tomita_S builds S's eta, Delta's inverse factor
+    and J's phase from, the bits a second SVD would give.
     """
     root_a, root_b = al.polar(bp.epr_maps(phi).s_ab), al.polar(bp.epr_maps(psi).s_ba)
     u_b, sigma_b = root_b.svd.u, root_b.svd.sigma

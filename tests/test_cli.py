@@ -404,9 +404,10 @@ def _invalid_arguments(tmp_path, case: str) -> list[str]:
     if case.startswith("luders-psis-"):
         psis = {"luders-psis-int": 5, "luders-psis-null": None, "luders-psis-true": True}[case]
         return ["luders", _write(tmp_path, "channel.json", {"psis": psis, "phi_bc": bell_json})]
-    if case in ("epr-overflowing-reduction", "modular-overflowing-phi", "modular-overflowing-psi", "modular-underflowing-psi"):
-        # Coefficients whose reductions overflow (or, for psi, whose inverse reduction does) in float64.
-        scale = 1e-200 if case == "modular-underflowing-psi" else 1e200
+    if case == "epr-overflowing-reduction" or case.startswith("modular-"):
+        # Coefficients whose reductions overflow in float64, or, for psi, whose
+        # inverse reduction does (1e-200) or whose inverse C_psi^(-†) does too (1e-310).
+        scale = {"modular-underflowing-psi": 1e-200, "modular-subnormal-psi": 1e-310}.get(case, 1e200)
         extreme = _write(tmp_path, "extreme.json", bipartite_to_json(BipartiteVector(np.diag([scale, scale]))))
         if case == "epr-overflowing-reduction":
             return ["epr", extreme]
@@ -439,6 +440,7 @@ def _invalid_arguments(tmp_path, case: str) -> list[str]:
         "modular-overflowing-phi",
         "modular-overflowing-psi",
         "modular-underflowing-psi",
+        "modular-subnormal-psi",
         "nan-tolerance",
         "out-into-missing-directory",
         "random-one-dimension",
@@ -461,6 +463,7 @@ def test_invalid_input_exit_2(capsys, tmp_path, case):
         ("modular-overflowing-phi", "omega_a of phi is not finite"),
         ("modular-overflowing-psi", "omega_b of psi is not finite"),
         ("modular-underflowing-psi", "inverse of omega_b of psi is not finite"),
+        ("modular-subnormal-psi", "inverse of C_psi (S's eta) of psi is not finite"),
     ],
 )
 def test_overflowing_reduction_names_its_operand(capsys, tmp_path, case, message):

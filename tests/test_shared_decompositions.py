@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eprkit import linalg
+from eprkit import antilinear, bipartite, linalg, modular
 from eprkit.antilinear import AntilinearMap, polar
 from eprkit.bipartite import BipartiteVector, epr_maps, polar_of_state
 from eprkit.cli import main
@@ -45,26 +45,51 @@ def pair(d: int, stream: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TestSvdCounts:
-    def test_tomita_then_lift_takes_three(self, svd_calls):
+    def test_tomita_then_lift_takes_two(self, svd_calls):
         c_phi, c_psi = pair(24, 300)
         phi, psi = BipartiteVector(c_phi), BipartiteVector(c_psi)
         tomita_S(phi, psi)
-        assert len(svd_calls) == 3  # C_psi, and the phases of C_psi^T and C_phi^T
+        assert len(svd_calls) == 2  # C_psi^T (S, Delta and J's phase) and C_phi^T (J's phase)
         lift_operators(psi, phi)
-        assert len(svd_calls) == 3
+        assert len(svd_calls) == 2
         modular_roots(phi, psi)  # C_phi is new, C_psi^T is J's
-        assert len(svd_calls) == 4
+        assert len(svd_calls) == 3
         tomita_S(phi, psi)
-        assert len(svd_calls) == 4
+        assert len(svd_calls) == 3
 
-    def test_cli_modular_takes_six(self, svd_calls, tmp_path):
+    def test_tomita_leaves_c_psi_undecomposed(self):
+        # s_ab(psi) = C_psi is the adjoint of s_ba(psi): S and Delta read the SVD of C_psi^T.
+        phi, psi = (BipartiteVector(c) for c in pair(5, 300))
+        tomita_S(phi, psi)
+        assert "_polar" in vars(epr_maps(psi).s_ba) and "_polar" not in vars(epr_maps(psi).s_ab)
+
+    def test_cli_modular_takes_five(self, svd_calls, tmp_path):
         paths = []
         for name, c in zip(("phi", "psi"), pair(8, 301)):
             paths.append(tmp_path / f"{name}.json")
             paths[-1].write_text(json.dumps(bipartite_to_json(BipartiteVector(c))))
         assert main(["modular", *map(str, paths), "--out", str(tmp_path / "report.json")]) == 0
-        # tomita_S 3, modular_roots 1 (C_phi), modular_phase_match 2 (the factors of S).
-        assert len(svd_calls) == 6
+        # tomita_S 2, modular_roots 1 (C_phi), modular_phase_match 2 (the factors of S).
+        assert len(svd_calls) == 5
+
+
+def test_modular_builders_copy_each_factor_once(monkeypatch):
+    # Each factor goes straight into the TwistedOperator or KroneckerProduct that holds it.
+    copies = []
+    plain = linalg.frozen
+
+    def counting(a):
+        copies.append(np.shape(a))
+        return plain(a)
+
+    for module in (linalg, antilinear, bipartite, modular):
+        monkeypatch.setattr(module, "frozen", counting)
+    phi, psi = (BipartiteVector(c) for c in pair(24, 300))
+    del copies[:]
+    tomita_S(phi, psi)
+    assert len(copies) == 12  # S, Delta, J 2 each; the EPR maps of psi and phi 2 each; J's phases 1 each
+    lift_operators(psi, phi)
+    assert len(copies) == 20  # the four lifted products 2 each
 
 
 class TestIdentity:
@@ -199,5 +224,5 @@ class TestCallerArrays:
             arrays = held(value)
             assert arrays[0].flags.f_contiguous and not arrays[0].flags.c_contiguous
             assert _values(arrays) == want_held and _values(cached(value)) == want_cached
-            assert not any(a.flags.writeable for a in arrays)
+            assert not any(a.flags.writeable for a in arrays + cached(value))
             assert not any(np.shares_memory(a, x) for a in arrays + cached(value))
