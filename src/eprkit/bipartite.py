@@ -220,10 +220,8 @@ def cloning_check(phi: BipartiteVector, psi: BipartiteVector) -> tuple[bool, flo
     commute; the converse is not claimed.  Stacks give one pair of values
     per member.
     """
-    _check_same_dims(phi, psi)
-    c_phi, c_psi = phi.coeff, psi.coeff
-    x_b = c_phi.mT @ np.conj(c_psi)
-    x_a = c_phi @ np.conj(c_psi.mT)
+    x_b = cross_gram(phi, psi)
+    x_a = phi.coeff @ np.conj(psi.coeff.mT)
     hermitian = (np.abs(x_b - x_b.conj().mT).max(axis=(-2, -1)) <= HERMITICITY_TOL) & (
         np.abs(x_a - x_a.conj().mT).max(axis=(-2, -1)) <= HERMITICITY_TOL
     )

@@ -21,7 +21,7 @@ import numpy as np
 from .antilinear import AntilinearMap
 from .bipartite import BipartiteVector
 from .errors import NonFinite, ParseError
-from .modular import KroneckerProduct, TwistedOperator, twisted_product
+from .modular import KroneckerProduct, TwistedOperator
 
 
 def matrix_to_json(m) -> dict:
@@ -122,9 +122,7 @@ def twisted_from_json(obj, what: str = "twisted operator") -> TwistedOperator:
     xi = matrix_from_json(obj["xi"], f"{what}.xi")
     _check_shape(what, "eta", eta, (obj["dim_a"], obj["dim_b"]))
     _check_shape(what, "xi", xi, (obj["dim_b"], obj["dim_a"]))
-    if parity == "antilinear":
-        return twisted_product(AntilinearMap(eta), AntilinearMap(xi))
-    return twisted_product(eta, xi)
+    return TwistedOperator((eta, xi), parity)
 
 
 def kronecker_to_json(op: KroneckerProduct) -> dict:

@@ -49,7 +49,12 @@ class TwistedOperator:
     parity: str                               # "linear" | "antilinear"
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(frozen(f) for f in self.factors))
+        if self.parity not in ("linear", "antilinear"):
+            raise MixedParity(f"parity must be 'linear' or 'antilinear', got {self.parity!r}")
+        eta, xi = (frozen(f) for f in self.factors)
+        if eta.ndim < 2 or xi.shape[-2:] != eta.shape[:-3:-1]:
+            raise DimMismatch(f"eta (..., dim_a, dim_b) needs xi (..., dim_b, dim_a), got {eta.shape} and {xi.shape}")
+        object.__setattr__(self, "factors", (eta, xi))
 
     @property
     def dim_a(self) -> int:
@@ -96,7 +101,10 @@ class KroneckerProduct:
     factors: tuple[np.ndarray, np.ndarray]    # (a on H_a, b on H_b)
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(frozen(f) for f in self.factors))
+        factors = tuple(frozen(f) for f in self.factors)
+        if any(f.ndim < 2 or f.shape[-1] != f.shape[-2] for f in factors):
+            raise DimMismatch(f"Kronecker factors must be square, got shapes {[f.shape for f in factors]}")
+        object.__setattr__(self, "factors", factors)
 
     @property
     def dim_a(self) -> int:
@@ -124,9 +132,6 @@ def twisted_product(eta_ab, xi_ba) -> TwistedOperator:
         raise MixedParity("twisted product of a linear and an antilinear factor is ill defined")
     eta = eta_ab.mat if eta_anti else as_matrix(eta_ab, "eta")
     xi = xi_ba.mat if xi_anti else as_matrix(xi_ba, "xi")
-    dim_a, dim_b = eta.shape[-2:]
-    if xi.shape[-2:] != (dim_b, dim_a):
-        raise DimMismatch(f"xi must map H_a({dim_a}) into H_b({dim_b}), got shape {xi.shape}")
     return TwistedOperator(factors=(eta, xi), parity="antilinear" if eta_anti else "linear")
 
 

@@ -306,6 +306,41 @@ def twisted_action(prod, eta, xi):
     return np.linalg.norm(prod.mat - want, axis=-2).max(axis=-1, initial=0.0)
 
 
+def twisted_reductions(fwd, bwd, phi, psi):
+    """Lifts of (phi, psi) after those of (psi, phi): Delta~ Delta~' = omega_a(phi) ⊗ omega_b(psi), J J' = the supports.
+
+    `fwd` and `bwd` are lift_operators(phi, psi) and lift_operators(psi,
+    phi).  The supports are those of the states' polar parts, from the SVDs
+    J's phases come from, so they share J's rank rule.
+    """
+    p_phi, p_psi = bp.polar_of_state(phi), bp.polar_of_state(psi)
+    reductions = la.kron(bp.reduced(phi, "a"), bp.reduced(psi, "b"))
+    return np.maximum(
+        _fro(fwd.delta_tilde.mat @ np.conj(bwd.delta_tilde.mat) - reductions),
+        _fro(fwd.j.mat @ np.conj(bwd.j.mat) - la.kron(p_phi.support_dom, p_psi.support_cod)),
+    )
+
+
+def twisted_polar(fwd, phi, psi):
+    """The lifts of (phi, psi) are J times roots and supports of the reductions, on either side of J = fwd.j.
+
+    Delta~ = (omega_a(phi) ⊗ omega_b(psi))^(1/2) J = J conj((omega_a(psi) ⊗
+    omega_b(phi))^(1/2)), and S~ and F~ trade one root for a support.  The
+    root of a Kronecker product is the Kronecker product of the roots, and
+    roots and supports are the states' polar parts.
+    """
+    p_phi, p_psi = bp.polar_of_state(phi), bp.polar_of_state(psi)
+    j = fwd.j.mat
+    return _max(
+        _fro(fwd.delta_tilde.mat - la.kron(p_phi.positive_dom, p_psi.positive) @ j),
+        _fro(fwd.delta_tilde.mat - j @ np.conj(la.kron(p_psi.positive_dom, p_phi.positive))),
+        _fro(fwd.s_tilde.mat - la.kron(p_phi.support_dom, p_psi.positive) @ j),
+        _fro(fwd.s_tilde.mat - j @ np.conj(la.kron(p_psi.positive_dom, p_phi.support_cod))),
+        _fro(fwd.f_tilde.mat - la.kron(p_phi.positive_dom, p_psi.support_cod) @ j),
+        _fro(fwd.f_tilde.mat - j @ np.conj(la.kron(p_psi.support_dom, p_phi.positive))),
+    )
+
+
 def _r(*cols):
     """The 2×2 R factor of the matrix whose columns are the two vectors `cols` (last axis), member by member.
 
@@ -610,8 +645,8 @@ def crossgram_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]
         phi, psi = bp.BipartiteVector(c_phi), bp.BipartiteVector(c_psi)
         cross = bp.cross_gram(phi, psi)
         sv = np.linalg.svd(cross, compute_uv=False)
-        sqrts = la.psd_sqrt(bp.reduced(phi, "a")) @ la.psd_sqrt(bp.reduced(psi, "a"))
-        oracle = np.linalg.svd(sqrts, compute_uv=False)
+        roots = bp.polar_of_state(phi).positive_dom @ bp.polar_of_state(psi).positive_dom
+        oracle = np.linalg.svd(roots, compute_uv=False)
         n = max(da, db)
         pad = [(0, 0)] * (sv.ndim - 1)
         gap = np.pad(sv, pad + [(0, n - db)]) - np.pad(oracle, pad + [(0, n - da)])
@@ -715,8 +750,7 @@ def twisted_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
                 _fro(md.twisted_adjoint(lin_prod).mat - lin_prod.mat.conj().mT),
             ),
         )
-        composite = la.kron(al.compose_aa(eta, xi2), al.compose_aa(xi, eta2))
-        rec("twisted.compose", _fro(prod.mat @ np.conj(prod2.mat) - composite))
+        rec("twisted.compose", _fro(prod.mat @ np.conj(prod2.mat) - md.twisted_compose(prod, prod2).mat))
 
         phi, psi = bp.BipartiteVector(unit(c_phi, 2)), bp.BipartiteVector(unit(c_psi, 2))
         fwd, bwd = md.lift_operators(phi, psi), md.lift_operators(psi, phi)
@@ -732,27 +766,8 @@ def twisted_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
             ),
         )
 
-        om_a_phi, om_b_phi, om_a_psi, om_b_psi = (bp.reduced(v, side) for v in (phi, psi) for side in "ab")
-        q_a_phi, q_b_phi, q_a_psi, q_b_psi = map(la.support_projection, (om_a_phi, om_b_phi, om_a_psi, om_b_psi))
-        rec(
-            "twisted.reductions",
-            np.maximum(
-                _fro(fwd.delta_tilde.mat @ np.conj(bwd.delta_tilde.mat) - la.kron(om_a_phi, om_b_psi)),
-                _fro(fwd.j.mat @ np.conj(bwd.j.mat) - la.kron(q_a_phi, q_b_psi)),
-            ),
-        )
-        j_mat = fwd.j.mat
-        rec(
-            "twisted.polar",
-            _max(
-                _fro(fwd.delta_tilde.mat - la.psd_sqrt(la.kron(om_a_phi, om_b_psi)) @ j_mat),
-                _fro(fwd.delta_tilde.mat - j_mat @ np.conj(la.psd_sqrt(la.kron(om_a_psi, om_b_phi)))),
-                _fro(fwd.s_tilde.mat - la.kron(q_a_phi, la.psd_sqrt(om_b_psi)) @ j_mat),
-                _fro(fwd.s_tilde.mat - j_mat @ np.conj(la.kron(la.psd_sqrt(om_a_psi), q_b_phi))),
-                _fro(fwd.f_tilde.mat - la.kron(la.psd_sqrt(om_a_phi), q_b_psi) @ j_mat),
-                _fro(fwd.f_tilde.mat - j_mat @ np.conj(la.kron(q_a_psi, la.psd_sqrt(om_b_phi)))),
-            ),
-        )
+        rec("twisted.reductions", twisted_reductions(fwd, bwd, phi, psi))
+        rec("twisted.polar", twisted_polar(fwd, phi, psi))
 
 
 def modular_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):

@@ -19,6 +19,7 @@ from eprkit.linalg import numerical_rank, psd_sqrt, support_projection
 from eprkit.modular import (
     KroneckerProduct,
     ModularTriple,
+    TwistedOperator,
     gns_check,
     lift_operators,
     tomita_S,
@@ -38,6 +39,9 @@ from eprkit.verify import (
     modular_reconstruction,
     modular_roots,
     modular_suite,
+    twisted_polar,
+    twisted_reductions,
+    twisted_suite,
 )
 
 from util import basis_state, bell, random_unit_state, seeded_rng
@@ -125,6 +129,21 @@ class TestTwistedProduct:
     def test_dim_mismatch(self):
         with pytest.raises(errors.DimMismatch):
             twisted_product(AntilinearMap(np.ones((2, 3))), AntilinearMap(np.ones((2, 3))))
+
+    def test_constructor_rejects_an_unknown_parity(self):
+        # It used to build, and then acted as a linear product.
+        with pytest.raises(errors.MixedParity):
+            TwistedOperator((np.eye(2), np.eye(2)), "bogus")
+
+    def test_constructor_rejects_xi_not_mapping_h_a_into_h_b(self):
+        # It used to build, and its mat was 6×6.
+        with pytest.raises(errors.DimMismatch):
+            TwistedOperator((np.ones((2, 3)), np.ones((2, 3))), "linear")
+
+    def test_kronecker_product_rejects_a_nonsquare_factor(self):
+        # It used to report dims (3, 2) and a 4×6 mat.
+        with pytest.raises(errors.DimMismatch):
+            KroneckerProduct((np.ones((2, 3)), np.eye(2)))
 
     @pytest.mark.parametrize("dims", [(2, 2), (4, 4), (2, 3), (3, 2)])
     def test_bit_identical_to_kron_and_permutation(self, dims):
@@ -260,6 +279,62 @@ class TestLiftOperators:
         ]
         for got, want in checks:
             assert np.linalg.norm(got - want) < 1e-9
+
+
+def graded_pairs(d: int, k: float, count: int = 10) -> tuple[BipartiteVector, BipartiteVector]:
+    """Stacks of `count` seeded pairs of graded states, Schmidt spectra logspace(0, -k, d) in Haar bases."""
+    rng = seeded_rng(111, d, k)
+    pairs = [(graded_state(rng, d, k).coeff, graded_state(rng, d, k).coeff) for _ in range(count)]
+    return tuple(BipartiteVector(np.stack(c)) for c in zip(*pairs))
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Count np.linalg.eigh calls and np.linalg.svd calls that return singular vectors, by name."""
+    calls = {"eigh": 0, "svd": 0}
+
+    def counting(name, plain):
+        def counted(a, *args, **kwargs):
+            calls[name] += kwargs.get("compute_uv", True)
+            return plain(a, *args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return calls
+
+
+class TestTwistedResiduals:
+    @pytest.mark.parametrize("k", [4, 6])
+    @pytest.mark.parametrize("d", [3, 4, 8])
+    def test_graded_pairs(self, d, k):
+        # With roots and supports from eigendecompositions of the reductions,
+        # twisted_polar read up to 1.4e-6 here at k = 4.  At k = 6 the smallest
+        # eigenvalue of omega is 1e-12 of the largest, at the rank rule on σ²,
+        # and twisted_polar read 1.0 and twisted_reductions 3.87.
+        phi, psi = graded_pairs(d, k)
+        fwd, bwd = lift_operators(phi, psi), lift_operators(psi, phi)
+        assert np.max(twisted_reductions(fwd, bwd, phi, psi)) <= 1e-12
+        assert np.max(twisted_polar(fwd, phi, psi)) <= 1e-12
+
+    @pytest.mark.parametrize("suite, svds", [(twisted_suite, 6), (verify.crossgram_suite, 18)])
+    def test_suites_take_roots_and_supports_from_svds(self, suite, svds, decompositions):
+        # Two SVDs per dims group, of C_phi^T and C_psi^T: in twisted_suite the
+        # ones J's phases take.  The eigen route took 30 and 18 eigensolves.
+        suite(ResidualTable(), 42, [2, 3, 4], range(100))
+        assert decompositions == {"eigh": 0, "svd": svds}
+
+    def test_compose_reads_twisted_compose(self, monkeypatch):
+        def nudged(p1, p2):
+            a, b = twisted_compose(p1, p2).factors
+            return KroneckerProduct((a * (1 + 1e-6), b))
+
+        monkeypatch.setattr("eprkit.modular.twisted_compose", nudged)
+        table = ResidualTable()
+        twisted_suite(table, 42, [2, 3], range(4))
+        results = {r.name: r.residual for r in table.results()}
+        assert results["twisted.compose"] > TOLERANCES["twisted.compose"]
 
 
 class TestGnsCheck:
