@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimMismatch
-from .linalg import SvdResult, _out, as_matrix, frozen, rank_mask, seal, svd
+from .linalg import SvdResult, _adopt, _out, _svd, as_matrix, frozen, rank_mask, seal
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class AntilinearMap:
 
     @cached_property
     def _polar(self) -> PolarParts:
-        return PolarParts(svd(self.mat))
+        return PolarParts(_svd(self.mat))
 
 
 def apply(t: AntilinearMap, v) -> np.ndarray:
@@ -138,9 +138,12 @@ class PolarParts:
 
     @cached_property
     def _kept(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """U_r, s_r and V_r†."""
-        keep = rank_mask(self.svd.sigma)
-        return self.svd.u * keep[..., None, :], self.svd.sigma * keep, self.svd.v.conj().mT * keep[..., :, None]
+        """U_r, s_r and V_r†; at full rank on every member the mask would be all ones and is skipped."""
+        u, sigma, vh = self.svd.u, self.svd.sigma, self.svd.vh
+        if np.asarray(self.svd.rank == sigma.shape[-1]).all():
+            return u, sigma, vh
+        keep = rank_mask(sigma)
+        return u * keep[..., None, :], sigma * keep, vh * keep[..., :, None]
 
     @cached_property
     def positive(self) -> np.ndarray:
@@ -150,7 +153,7 @@ class PolarParts:
 
     @cached_property
     def phase(self) -> AntilinearMap:
-        return AntilinearMap(self._kept[0] @ self._kept[2])
+        return _adopt(AntilinearMap, mat=self._kept[0] @ self._kept[2])
 
     @cached_property
     def support_dom(self) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,7 @@ def _require(obj, keys: set[str], what: str) -> None:
 
 
 def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
+    """The matrix of a JSON object; well-formed data converts in one pass, other data is refused entry by entry."""
     _require(obj, {"rows", "cols", "data"}, what)
     rows, cols = obj["rows"], obj["cols"]
     if type(rows) is not int or type(cols) is not int or rows < 1 or cols < 1:
@@ -51,6 +53,19 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
     data = obj["data"]
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ParseError(f"{what}: data must hold {rows * cols} [re, im] pairs")
+    pairs = None
+    if set(map(type, data)) == {list} and set(map(len, data)) == {2} and set(map(type, chain.from_iterable(data))) <= {int, float}:
+        try:
+            pairs = np.array(data, dtype=np.float64)
+        except OverflowError:  # an integer beyond the float64 range
+            pass
+    if pairs is None or not np.isfinite(pairs).all():
+        pairs = _pairs_by_entry(data, what)
+    return pairs.view(np.complex128).reshape(rows, cols)
+
+
+def _pairs_by_entry(data: list, what: str) -> np.ndarray:
+    """The [re, im] pairs of `data` as float64 rows, checked one entry at a time so that a refusal names data[k]."""
     pairs = []
     try:
         for k, entry in enumerate(data):
@@ -61,7 +76,7 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
             pairs += entry
     except OverflowError:  # data[k] holds an integer beyond the float64 range
         raise NonFinite(f"{what}: data[{k}] is not finite") from None
-    return np.array(pairs, dtype=np.float64).view(np.complex128).reshape(rows, cols)
+    return np.array(pairs, dtype=np.float64).reshape(-1, 2)
 
 
 def _check_shape(what: str, field: str, m: np.ndarray, dims: tuple) -> None:

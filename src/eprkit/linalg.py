@@ -55,12 +55,13 @@ def finite(a: np.ndarray, name: str, what: str = "contains NaN or Inf entries") 
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
-    """A read-only complex128 copy of `a` in its own memory order: the one way a value type holds an array.
+    """A read-only complex128 copy of `a` in its own memory order: how a public constructor holds what it is given.
 
-    Every value type holds such a copy of what it is given, a caller's
-    read-only array and the package's own results alike, so nothing outside
-    the value can change what it holds or what it caches.  The order is
-    numpy's default "K", so the copy keeps the layout and the bits of `a`.
+    A value type copies every array a caller hands its constructor, a
+    read-only one too, so nothing outside the value can change what it holds
+    or what it caches.  Package builders instead hand over arrays they own
+    through `_adopt`.  The order is numpy's default "K", so the copy keeps the
+    layout and the bits of `a`.
     """
     b = np.array(a, dtype=np.complex128, copy=True)
     b.setflags(write=False)
@@ -79,6 +80,23 @@ def seal(a: np.ndarray) -> np.ndarray:
         b = b.base
         b.setflags(write=False)
     return a
+
+
+def _adopt(cls, **fields):
+    """A value of the frozen dataclass `cls` that holds a builder's arrays as given: no copy, check or finiteness scan.
+
+    Each array, alone or in a tuple field, is sealed here and must be one the
+    builder has just computed from checked values, or a read-only view of an
+    array another value already holds, so no caller can write through it.
+    """
+    value = object.__new__(cls)
+    for name, field in fields.items():
+        if isinstance(field, np.ndarray):
+            field = seal(field)
+        elif isinstance(field, tuple):
+            field = tuple(map(seal, field))
+        object.__setattr__(value, name, field)
+    return value
 
 
 def kron(x: np.ndarray, y: np.ndarray, vectors: bool = False) -> np.ndarray:
@@ -119,11 +137,16 @@ class SvdResult:
 
     u: np.ndarray       # isometry columns
     sigma: np.ndarray   # nonincreasing, nonnegative
-    v: np.ndarray       # isometry columns; input = u @ diag(sigma) @ v†
+    vh: np.ndarray      # isometry rows, as LAPACK returns them; input = u @ diag(sigma) @ vh
     rank: int | np.ndarray
 
+    @property
+    def v(self) -> np.ndarray:
+        """The isometry columns vh†, read-only."""
+        return seal(self.vh.conj().mT)
+
     def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma[..., None, :]) @ self.v.conj().mT
+        return (self.u * self.sigma[..., None, :]) @ self.vh
 
 
 def rank_mask(sigma: np.ndarray) -> np.ndarray:
@@ -138,8 +161,13 @@ def numerical_rank(sigma: np.ndarray) -> int | np.ndarray:
 
 
 def svd(m) -> SvdResult:
-    u, s, vh = np.linalg.svd(as_matrix(m), full_matrices=False)
-    return SvdResult(u=seal(u), sigma=seal(s), v=seal(vh.conj().mT), rank=numerical_rank(s))
+    return _svd(as_matrix(m))
+
+
+def _svd(a: np.ndarray) -> SvdResult:
+    """svd of a complex128 matrix or stack that is already checked finite."""
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    return SvdResult(u=seal(u), sigma=seal(s), vh=seal(vh), rank=numerical_rank(s))
 
 
 def _scale(a: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ import numpy as np
 from .antilinear import AntilinearMap
 from .bipartite import BipartiteVector, _check_same_dims, epr_maps, polar_of_state, reduced
 from .errors import DimMismatch, MixedParity, NotSeparating
-from .linalg import _check_dense, _member, _out, as_matrix, finite, frozen, kron, numerical_rank, seal
+from .linalg import _adopt, _check_dense, _member, _out, as_matrix, finite, frozen, kron, numerical_rank, seal
 
 
 @dataclass(frozen=True)
@@ -169,6 +169,11 @@ class LiftedOperators:
     j: TwistedOperator            # j_phi ⊗̃ j_psi
 
 
+def _adopted(eta: np.ndarray, xi: np.ndarray) -> TwistedOperator:
+    """The antilinear twisted product of factor matrices a builder owns, held without a copy (see linalg._adopt)."""
+    return _adopt(TwistedOperator, factors=(eta, xi), parity="antilinear")
+
+
 def _phases(phi: BipartiteVector, psi: BipartiteVector) -> tuple[np.ndarray, np.ndarray]:
     """The matrices of the phase maps j_phi_ab: H_b -> H_a (the adjoint of the phase of s_phi_ba) and j_psi_ba."""
     return polar_of_state(phi).phase.mat.mT, polar_of_state(psi).phase.mat
@@ -185,10 +190,10 @@ def lift_operators(phi: BipartiteVector, psi: BipartiteVector) -> LiftedOperator
     j_phi_ab, j_psi_ba = _phases(phi, psi)
     s_phi_ab, s_psi_ba = epr_maps(phi).s_ab.mat, epr_maps(psi).s_ba.mat
     return LiftedOperators(
-        s_tilde=TwistedOperator((j_phi_ab, s_psi_ba), "antilinear"),
-        f_tilde=TwistedOperator((s_phi_ab, j_psi_ba), "antilinear"),
-        delta_tilde=TwistedOperator((s_phi_ab, s_psi_ba), "antilinear"),
-        j=TwistedOperator((j_phi_ab, j_psi_ba), "antilinear"),
+        s_tilde=_adopted(j_phi_ab, s_psi_ba),
+        f_tilde=_adopted(s_phi_ab, j_psi_ba),
+        delta_tilde=_adopted(s_phi_ab, s_psi_ba),
+        j=_adopted(j_phi_ab, j_psi_ba),
     )
 
 
@@ -201,7 +206,7 @@ def gns_check(psi: BipartiteVector | np.ndarray):
     """
     c = psi.coeff if isinstance(psi, BipartiteVector) else np.asarray(psi)
     if c.shape[-2] != c.shape[-1]:
-        return False
+        return _out(np.zeros(c.shape[:-2], dtype=bool))
     return _out(np.asarray(numerical_rank(np.linalg.svd(c, compute_uv=False)) == c.shape[-1]))
 
 
@@ -251,14 +256,15 @@ def tomita_S(phi: BipartiteVector, psi: BipartiteVector) -> ModularTriple:
     if not entangled.all():
         label, _ = _member("psi", ~entangled)
         raise NotSeparating(f"{label} must be completely entangled (square, full-rank reductions)")
-    u, sigma, v = res.u, res.sigma[..., None, :], res.v
+    u, sigma, vh = res.u, res.sigma[..., None, :], res.vh
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         sq = sigma**2  # the eigenvalues of omega_b(psi) = U Σ² U†
-        eta, inv_b = (np.conj(v) / sigma) @ u.mT, (u / sq) @ u.conj().mT
+        eta, inv_b = (vh.mT / sigma) @ u.mT, (u / sq) @ u.conj().mT  # conj(V) = vh^T
     finite(sq, "omega_b of psi", "is not finite")
     finite(eta, "inverse of C_psi (S's eta) of psi", "is not finite")
+    delta = (reduced(phi, "a", "phi"), finite(inv_b, "inverse of omega_b of psi", "is not finite"))
     return ModularTriple(
-        s=TwistedOperator((eta, phi.coeff.mT), "antilinear"),
-        delta=KroneckerProduct((reduced(phi, "a", "phi"), finite(inv_b, "inverse of omega_b of psi", "is not finite"))),
-        j=TwistedOperator(_phases(psi, phi), "antilinear"),
+        s=_adopted(eta, phi.coeff.mT),
+        delta=_adopt(KroneckerProduct, factors=delta),
+        j=_adopted(*_phases(psi, phi)),
     )

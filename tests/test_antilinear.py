@@ -242,6 +242,22 @@ class TestLazyPolarParts:
                 assert not got.flags.writeable, name
                 assert getattr(parts, name) is getattr(parts, name), name  # built once
 
+    def test_full_rank_skips_the_mask_with_the_masked_bits(self):
+        rng = seeded_rng(24)
+        full = complex_normal(rng, 2, 3, 3)
+        deficient = np.stack([full[0], np.outer(complex_normal(rng, 3), complex_normal(rng, 3))])
+        for mat, skipped in ((full, True), (deficient, False)):
+            parts = polar(AntilinearMap(mat))
+            res = parts.svd
+            keep = rank_mask(res.sigma)
+            masked = res.u * keep[..., None, :], res.sigma * keep, res.vh * keep[..., :, None]
+            assert all(a is b for a, b in zip(parts._kept, (res.u, res.sigma, res.vh))) == skipped
+            assert [a.tobytes() for a in parts._kept] == [a.tobytes() for a in masked]
+            want = eager_polar_parts(mat)
+            for name in POLAR_PARTS:
+                got = getattr(parts, name)
+                assert (got.mat if name == "phase" else got).tobytes() == want[name].tobytes(), name
+
     def test_reading_the_phase_builds_no_other_part(self):
         parts = polar(AntilinearMap(complex_normal(seeded_rng(23), 3, 3)))
         assert not set(POLAR_PARTS) & set(vars(parts))

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from eprkit import errors
 from eprkit.antilinear import AntilinearMap
 from eprkit.formats import (
+    _pairs_by_entry,
     antilinear_from_json,
     antilinear_to_json,
     bipartite_from_json,
@@ -110,6 +111,44 @@ def test_matrix_keeps_negative_zeros_bit_for_bit():
     assert got.dtype == np.complex128 and got.shape == (2, 2)
     assert np.array_equal(got.view(np.float64), m.view(np.float64))
     assert np.signbit(got.view(np.float64)).tolist() == np.signbit(m.view(np.float64)).tolist()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2**70), 2**70)
+_NUMBERS = _FINITE | st.sampled_from(
+    [-0.0, float("nan"), float("inf"), -float("inf"), 10**400, -(2**1024), 2**1024 - 2**970, 2**1024 - 2**971]
+)
+_NON_NUMBERS = st.booleans() | st.text(max_size=2) | st.none()
+_ODD_ENTRY = st.tuples(_NUMBERS, _NUMBERS) | st.lists(_NUMBERS, max_size=3) | _NUMBERS | _NON_NUMBERS
+
+
+def _pair_lists(entry):
+    return st.lists(entry, min_size=1, max_size=6)
+
+
+def _pairs(number):
+    return st.lists(number, min_size=2, max_size=2)
+
+
+def _outcome(convert):
+    try:
+        return convert().tobytes()
+    except errors.EprkitError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    _pair_lists(_pairs(_FINITE))
+    | _pair_lists(_pairs(_NUMBERS))
+    | _pair_lists(_pairs(_NUMBERS | _NON_NUMBERS))
+    | _pair_lists(_pairs(_NUMBERS) | _ODD_ENTRY)
+)
+@example([[2**1024 - 2**971, -0.0], [3, 2**70]])  # the largest finite integer; -0.0 and big ints convert as floats
+@example([[1.0, 2.0], (3.0, 4.0)])  # a tuple entry is accepted by the entry loop
+def test_matrix_one_pass_agrees_with_the_entry_loop(data):
+    # Accepted data gives the loop's bits; refused data the loop's error and message.
+    fast = _outcome(lambda: matrix_from_json({"rows": 1, "cols": len(data), "data": data}, "m"))
+    assert fast == _outcome(lambda: _pairs_by_entry(data, "m").view(np.complex128).reshape(1, len(data)))
 
 
 _SCALARS = (

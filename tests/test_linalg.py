@@ -50,6 +50,15 @@ class TestSvd:
             assert np.abs(r.v.conj().T @ r.v - np.eye(k)).max() < 1e-12
             assert np.linalg.norm(r.reconstruct() - m) < 1e-10
 
+    def test_vh_as_lapack_returns_it_and_v_its_read_only_adjoint(self):
+        rng = seeded_rng(3)
+        for shape in ((3, 5), (2, 4, 4)):
+            m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            r = svd(m)
+            assert np.array_equal(r.vh, np.linalg.svd(m, full_matrices=False)[2])
+            assert r.v.tobytes() == r.vh.conj().mT.tobytes()
+            assert not r.v.flags.writeable and not r.vh.flags.writeable
+
     def test_reconstruction_up_to_16(self):
         rng = seeded_rng(2)
         for d in (2, 8, 16):

@@ -347,6 +347,11 @@ class TestGnsCheck:
     def test_rectangular_false(self):
         assert not gns_check(random_unit_state(seeded_rng(90), 2, 3))
 
+    def test_rectangular_stack_gives_one_answer_per_member(self):
+        got = gns_check(np.ones((3, 2, 3)))
+        assert isinstance(got, np.ndarray) and got.shape == (3,) and got.dtype == bool and not got.any()
+        assert gns_check(np.ones((2, 1, 2, 3))).shape == (2, 1)
+
     def test_nearly_degenerate_still_true(self):
         psi = BipartiteVector(np.diag([np.sqrt(0.999), np.sqrt(0.001)]))
         assert gns_check(psi)

@@ -74,7 +74,7 @@ class TestSvdCounts:
 
 
 def test_modular_builders_copy_each_factor_once(monkeypatch):
-    # Each factor goes straight into the TwistedOperator or KroneckerProduct that holds it.
+    # The builders adopt every factor and phase they compute or read; only the EPR maps copy the coefficients.
     copies = []
     plain = linalg.frozen
 
@@ -87,9 +87,33 @@ def test_modular_builders_copy_each_factor_once(monkeypatch):
     phi, psi = (BipartiteVector(c) for c in pair(24, 300))
     del copies[:]
     tomita_S(phi, psi)
-    assert len(copies) == 12  # S, Delta, J 2 each; the EPR maps of psi and phi 2 each; J's phases 1 each
+    assert len(copies) == 4  # the EPR maps of psi and phi 2 each
     lift_operators(psi, phi)
-    assert len(copies) == 20  # the four lifted products 2 each
+    assert len(copies) == 4
+
+
+def test_modular_builders_check_each_caller_array_once(monkeypatch):
+    # as_matrix runs once per EPR map; finite once inside each, and once per reduction, inverse and omega_b.
+    calls = {"as_matrix": [], "finite": []}
+    plain = {name: getattr(linalg, name) for name in calls}
+
+    def counting(name):
+        def wrapped(a, *args, **kwargs):
+            calls[name].append(np.shape(a))
+            return plain[name](a, *args, **kwargs)
+        return wrapped
+
+    for module in (linalg, antilinear, bipartite, modular):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name))
+    phi, psi = (BipartiteVector(c) for c in pair(24, 300))
+    for found in calls.values():
+        del found[:]
+    tomita_S(phi, psi)
+    lift_operators(psi, phi)
+    assert len(calls["as_matrix"]) == 4  # the EPR maps of psi and phi 2 each
+    assert len(calls["finite"]) == 8  # those 4, omega_a of phi, omega_b and its inverse, and S's eta
 
 
 class TestIdentity:
