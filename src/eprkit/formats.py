@@ -54,7 +54,8 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ParseError(f"{what}: data must hold {rows * cols} [re, im] pairs")
     pairs = None
-    if set(map(type, data)) == {list} and set(map(len, data)) == {2} and set(map(type, chain.from_iterable(data))) <= {int, float}:
+    lists_of_two = set(map(type, data)) == {list} and set(map(len, data)) == {2}
+    if lists_of_two and set(map(type, chain.from_iterable(data))) <= {int, float}:
         try:
             pairs = np.array(data, dtype=np.float64)
         except OverflowError:  # an integer beyond the float64 range

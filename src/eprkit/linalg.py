@@ -157,7 +157,7 @@ def rank_mask(sigma: np.ndarray) -> np.ndarray:
 
 def numerical_rank(sigma: np.ndarray) -> int | np.ndarray:
     """Count singular values above the relative threshold."""
-    return _out(np.asarray(np.count_nonzero(rank_mask(np.asarray(sigma)), axis=-1)))
+    return _out(np.asarray(rank_mask(np.asarray(sigma)).sum(axis=-1)))
 
 
 def svd(m) -> SvdResult:
