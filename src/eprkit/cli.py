@@ -282,6 +282,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "trials", 1) < 1 or (args.tolerance is not None and not args.tolerance > 0):
             raise ParseError("trials must be >= 1 and tolerance positive")
+        if args.tolerance is not None and not np.isfinite(args.tolerance):  # Infinity is no strict JSON
+            raise ParseError(f"tolerance must be finite, got {args.tolerance}")
         if any(d < 1 for d in getattr(args, "dims", [1])):
             raise ParseError("dimensions must be positive")
         if args.seed < 0:

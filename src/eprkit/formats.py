@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +26,13 @@ from .modular import KroneckerProduct, TwistedOperator
 
 
 def matrix_to_json(m) -> dict:
-    a = np.asarray(m, dtype=np.complex128)
+    a = np.asarray(m, dtype=np.complex128, order="C")
     if a.ndim != 2:
         raise ParseError(f"matrix must be two-dimensional, got shape {a.shape}")
     return {
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
-        "data": np.stack([a.real, a.imag], -1).reshape(-1, 2).tolist(),
+        "data": a.view(np.float64).reshape(-1, 2).tolist(),  # row-major [re, im] pairs
     }
 
 
@@ -45,7 +45,7 @@ def _require(obj, keys: set[str], what: str) -> None:
 
 
 def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
-    """The matrix of a JSON object; well-formed data converts in one pass, other data is refused entry by entry."""
+    """The matrix of a JSON object, converted in one pass; data that does not convert is refused by its first bad entry."""
     _require(obj, {"rows", "cols", "data"}, what)
     rows, cols = obj["rows"], obj["cols"]
     if type(rows) is not int or type(cols) is not int or rows < 1 or cols < 1:
@@ -54,30 +54,27 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ParseError(f"{what}: data must hold {rows * cols} [re, im] pairs")
     pairs = None
-    lists_of_two = set(map(type, data)) == {list} and set(map(len, data)) == {2}
-    if lists_of_two and set(map(type, chain.from_iterable(data))) <= {int, float}:
+    pair_entries = all(map(isinstance, data, repeat((list, tuple)))) and set(map(len, data)) == {2}
+    if pair_entries and set(map(type, chain.from_iterable(data))) <= {int, float}:
         try:
             pairs = np.array(data, dtype=np.float64)
         except OverflowError:  # an integer beyond the float64 range
             pass
     if pairs is None or not np.isfinite(pairs).all():
-        pairs = _pairs_by_entry(data, what)
+        _refuse_first_bad_entry(data, what)
     return pairs.view(np.complex128).reshape(rows, cols)
 
 
-def _pairs_by_entry(data: list, what: str) -> np.ndarray:
-    """The [re, im] pairs of `data` as float64 rows, checked one entry at a time so that a refusal names data[k]."""
-    pairs = []
+def _refuse_first_bad_entry(data: list, what: str) -> None:
+    """Raise the refusal that names the first data[k] that is not a finite [re, im] pair of numbers."""
     try:
         for k, entry in enumerate(data):
             if not isinstance(entry, (list, tuple)) or len(entry) != 2 or not set(map(type, entry)) <= {int, float}:
                 raise ParseError(f"{what}: data[{k}] is not a [re, im] pair of numbers")
             if not (math.isfinite(entry[0]) and math.isfinite(entry[1])):
                 raise NonFinite(f"{what}: data[{k}] is not finite")
-            pairs += entry
     except OverflowError:  # data[k] holds an integer beyond the float64 range
         raise NonFinite(f"{what}: data[{k}] is not finite") from None
-    return np.array(pairs, dtype=np.float64).reshape(-1, 2)
 
 
 def _check_shape(what: str, field: str, m: np.ndarray, dims: tuple) -> None:
@@ -156,14 +153,14 @@ def kronecker_from_json(obj, what: str = "Kronecker product") -> KroneckerProduc
 
 
 def load_json(path) -> dict:
-    """Read a JSON object from a file, mapping every failure to ParseError."""
+    """Read a JSON object from a file, mapping every way the file can fail to be read or decoded to ParseError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL byte in the path
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # malformed, an integer beyond int()'s digit limit, or nested too deep
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError(f"{path} must hold a JSON object")

@@ -417,12 +417,24 @@ def _invalid_arguments(tmp_path, case: str) -> list[str]:
         return ["chain", _write(tmp_path, "chain.json", {"stages": {"0": bell_json, "1": bell_json}})]
     if case == "nan-tolerance":
         return ["epr", _write(tmp_path, "bell.json", bell_json), "--tolerance", "nan"]
+    if case in ("epr-not-utf8", "epr-deeply-nested", "epr-long-integer"):
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(
+            {
+                "epr-not-utf8": b"\xff\xfe" + json.dumps(bell_json).encode("utf-16-le"),
+                "epr-deeply-nested": b"[" * 100_000 + b"]" * 100_000,
+                "epr-long-integer": b'{"dim_a": 1' + b"0" * 5000 + b"}",
+            }[case]
+        )
+        return ["epr", str(path)]
     if case == "out-into-missing-directory":
         return ["random", "--out", str(tmp_path / "missing" / "state.json")]
     return {
         "random-one-dimension": ["random", "--dims", "2"],
         "verify-zero-trials": ["verify", "--trials", "0"],
         "verify-zero-tolerance": ["verify", "--tolerance", "0"],
+        "verify-infinite-tolerance": ["verify", "--trials", "2", "--dims", "2", "--tolerance", "inf"],
+        "verify-overflowing-tolerance": ["verify", "--trials", "2", "--dims", "2", "--tolerance", "1e400"],
     }[case]
 
 
@@ -446,6 +458,11 @@ def _invalid_arguments(tmp_path, case: str) -> list[str]:
         "random-one-dimension",
         "verify-zero-trials",
         "verify-zero-tolerance",
+        "epr-not-utf8",
+        "epr-deeply-nested",
+        "epr-long-integer",
+        "verify-infinite-tolerance",
+        "verify-overflowing-tolerance",
     ],
 )
 def test_invalid_input_exit_2(capsys, tmp_path, case):

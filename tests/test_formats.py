@@ -1,6 +1,8 @@
 """Tests for the JSON serialization formats."""
 
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from numpy.testing import assert_allclose
 from eprkit import errors
 from eprkit.antilinear import AntilinearMap
 from eprkit.formats import (
-    _pairs_by_entry,
     antilinear_from_json,
     antilinear_to_json,
     bipartite_from_json,
@@ -136,6 +137,21 @@ def _outcome(convert):
         return type(exc), str(exc)
 
 
+def _entry_loop(data: list, what: str) -> np.ndarray:
+    """The entry-by-entry converter that matrix_from_json replaced, kept as its reference: pairs or refusal."""
+    pairs = []
+    try:
+        for k, entry in enumerate(data):
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2 or not set(map(type, entry)) <= {int, float}:
+                raise errors.ParseError(f"{what}: data[{k}] is not a [re, im] pair of numbers")
+            if not (math.isfinite(entry[0]) and math.isfinite(entry[1])):
+                raise errors.NonFinite(f"{what}: data[{k}] is not finite")
+            pairs += entry
+    except OverflowError:  # data[k] holds an integer beyond the float64 range
+        raise errors.NonFinite(f"{what}: data[{k}] is not finite") from None
+    return np.array(pairs, dtype=np.float64).view(np.complex128).reshape(1, len(data))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     _pair_lists(_pairs(_FINITE))
@@ -145,10 +161,47 @@ def _outcome(convert):
 )
 @example([[2**1024 - 2**971, -0.0], [3, 2**70]])  # the largest finite integer; -0.0 and big ints convert as floats
 @example([[1.0, 2.0], (3.0, 4.0)])  # a tuple entry is accepted by the entry loop
+@example([(1.0, 2.0), (3, float("nan"))])  # tuples reach the refusal too
 def test_matrix_one_pass_agrees_with_the_entry_loop(data):
-    # Accepted data gives the loop's bits; refused data the loop's error and message.
+    # Accepted data gives the loop's bits; refused data the loop's error type and message.
     fast = _outcome(lambda: matrix_from_json({"rows": 1, "cols": len(data), "data": data}, "m"))
-    assert fast == _outcome(lambda: _pairs_by_entry(data, "m").view(np.complex128).reshape(1, len(data)))
+    assert fast == _outcome(lambda: _entry_loop(data, "m"))
+
+
+_CODEC_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.5e-310, 2.2250738585072014e-308, 1.7e308, -1.7e308, 1.7976931348623157e308]
+)
+
+
+@st.composite
+def _laid_out_matrices(draw):
+    """A complex matrix (or its real part) as C-ordered, Fortran-ordered, transposed or strided array."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    values = draw(st.lists(_CODEC_FLOATS, min_size=8 * rows * cols, max_size=8 * rows * cols))
+    big = np.array(values).view(np.complex128).reshape(2 * rows, 2 * cols)
+    layout = draw(st.sampled_from(["C", "F", "transposed", "strided", "reversed", "real"]))
+    return {
+        "C": lambda: np.ascontiguousarray(big[:rows, :cols]),
+        "F": lambda: np.asfortranarray(big[:rows, :cols]),
+        "transposed": lambda: big[:cols, :rows].T,
+        "strided": lambda: big[::2, 1::2],
+        "reversed": lambda: big[::-2, ::-2],
+        "real": lambda: big.real[:rows, ::2],
+    }[layout]()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_laid_out_matrices())
+def test_matrix_codec_text_and_bits(m):
+    a = np.asarray(m, dtype=np.complex128)
+    stacked = {"rows": a.shape[0], "cols": a.shape[1], "data": np.stack([a.real, a.imag], -1).reshape(-1, 2).tolist()}
+    text = json.dumps(matrix_to_json(m))
+    assert text == json.dumps(stacked)  # the same text as the np.stack encoder it replaced
+    obj = json.loads(text)
+    bits = np.ascontiguousarray(a).tobytes()
+    assert matrix_from_json(obj).tobytes() == bits  # -0.0, subnormals and the float64 extremes survive
+    obj["data"] = [tuple(pair) if k % 2 else pair for k, pair in enumerate(obj["data"])]
+    assert matrix_from_json(obj).tobytes() == bits  # tuple pairs convert in the same pass
 
 
 _SCALARS = (
@@ -277,6 +330,21 @@ def test_load_json_errors(tmp_path):
     array.write_text("[1, 2]")
     with pytest.raises(errors.ParseError):
         load_json(array)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"\xff\xfe" + '{"a": 1}'.encode("utf-16-le"),  # UTF-16 with its byte-order mark
+        b"[" * 100_000 + b"]" * 100_000,  # nested beyond the decoder's recursion limit
+    ],
+    ids=["not-utf8", "deeply-nested"],
+)
+def test_load_json_names_the_file_it_cannot_decode(tmp_path, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    with pytest.raises(errors.ParseError, match=re.escape(str(path))):
+        load_json(path)
 
 
 

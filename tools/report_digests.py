@@ -11,8 +11,9 @@ mean byte-identical reports and equal exit codes.
     PYTHONPATH=/path/to/other/src python3 tools/report_digests.py > other.txt
     diff digests.txt other.txt
 
-One line per invocation: the argv, the exit code and the report digest
-(`-` when no report was written).  The eprkit tree in use is named on stderr.
+One line per invocation: the argv, the exit code (`raised <ExceptionType>`
+when `main` raises instead of returning one) and the report digest (`-` when
+no report was written).  The eprkit tree in use is named on stderr.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import io
 import os
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,8 +59,12 @@ def main() -> int:
             for cmd in argvs:
                 out = Path("report.json")
                 out.unlink(missing_ok=True)
-                with contextlib.redirect_stderr(io.StringIO()):
-                    code = eprkit_main(cmd + ["--out", str(out)])
+                try:
+                    with contextlib.redirect_stderr(io.StringIO()):
+                        code = eprkit_main(cmd + ["--out", str(out)])
+                except (Exception, SystemExit) as exc:  # a crash shows as one differing line, not the end of the run
+                    traceback.print_exc()
+                    code = f"raised {type(exc).__name__}"
                 digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else "-"
                 print(f"{' '.join(cmd)}\t{code}\t{digest}")
         finally:
