@@ -280,10 +280,10 @@ def main(argv=None) -> int:
     """Run one subcommand; cmd_<command> is looked up at call time, so rebinding it takes effect."""
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "trials", 1) < 1 or (args.tolerance is not None and not args.tolerance > 0):
-            raise ParseError("trials must be >= 1 and tolerance positive")
-        if args.tolerance is not None and not np.isfinite(args.tolerance):  # Infinity is no strict JSON
-            raise ParseError(f"tolerance must be finite, got {args.tolerance}")
+        if getattr(args, "trials", 1) < 1:
+            raise ParseError(f"trials must be >= 1, got {args.trials}")
+        if args.tolerance is not None and not 0 < args.tolerance < np.inf:  # Infinity is no strict JSON
+            raise ParseError(f"tolerance must be positive and finite, got {args.tolerance}")
         if any(d < 1 for d in getattr(args, "dims", [1])):
             raise ParseError("dimensions must be positive")
         if args.seed < 0:

@@ -154,14 +154,15 @@ def kronecker_from_json(obj, what: str = "Kronecker product") -> KroneckerProduc
 
 def load_json(path) -> dict:
     """Read a JSON object from a file, mapping every way the file can fail to be read or decoded to ParseError."""
+    name = str(path) if str(path).isprintable() else repr(str(path))  # no raw newline, NUL or escape in messages
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL byte in the path
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise ParseError(f"cannot read {name}: {exc}") from exc
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:  # malformed, an integer beyond int()'s digit limit, or nested too deep
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+        raise ParseError(f"{name} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
-        raise ParseError(f"{path} must hold a JSON object")
+        raise ParseError(f"{name} must hold a JSON object")
     return obj

@@ -2,11 +2,11 @@
 
 Each suite runs in two phases.  The draw phase takes trial t's raw draws
 from its own sub-stream of (seed, suite tag, t), so any reported residual is
-reproducible in isolation; it does no arithmetic but one full-rank check of
-entangled candidates per dims stack, and each run of normals is one
-generator call.  The compute phase groups the trials by their dims,
-stacks the draws (n, ...), assembles them with sampling's stacked assembly
-and evaluates each identity once per group on value types that hold the
+reproducible in isolation; it does no arithmetic, and each run of normals
+is one generator call.  The compute phase groups the trials by their dims,
+stacks the draws (n, ...) in one pass, checks entangled candidates for full
+rank on that stack, assembles them with sampling's stacked assembly and
+evaluates each identity once per group on value types that hold the
 whole stack: each library function runs once per group, on the code path a
 single instance takes.  Residuals are Frobenius norms of differences
 (absolute values for scalars), one per trial; the table keeps their max and
@@ -173,50 +173,40 @@ def _draw(seed: int, stream: int, trials: Iterable[int], draw) -> list:
     return [(t, *draw(rng, t)) for t, rng in zip(trials, trial_rngs(seed, stream, trials=trials))]
 
 
-def _entangled_draw(seed: int, stream: int, trials: Iterable[int], draw) -> list:
-    """_draw where array 0 is coeff_normals(rng, d, d, entangled), dims (d,): first candidates unchecked.
-
-    gns_check then runs once per dims stack; a trial it rejects is redrawn
-    with the checking loop from a fresh generator.  An accepted candidate
-    leaves the generator where that loop would, so the bits are the loop's.
-    """
-    drawn = _draw(seed, stream, trials, partial(draw, entangled=False))
-    for dims in dict.fromkeys(dims for _, dims, _ in drawn):
-        (d,), at = dims, [i for i, (_, k, _) in enumerate(drawn) if k == dims]
-        candidates = unit(complex_from(np.stack([drawn[i][2][0] for i in at]), d, d), 2)
-        for i in np.asarray(at)[~md.gns_check(candidates)]:
-            t = drawn[i][0]
-            drawn[i] = (t, *draw(rng_for(seed, stream, t), t, entangled=True))
-    return drawn
-
-
-def _groups(table: ResidualTable, stream: int, drawn):
-    """Compute phase: the drawn trials grouped by dims, each array stacked over its group.
+def _groups(table: ResidualTable, stream: int, drawn, redraw=None):
+    """Compute phase: the drawn trials grouped by dims, each array stacked over its group in one pass.
 
     Yields (record, dims, stacks) per group in first-seen order, the trials
     of a group in trial order; record(name, values) enters one residual per
-    member, with the member's (stream, trial, dims), into the table.
+    member, with the member's (stream, trial, dims), into the table.  With
+    redraw, array 0 is a first candidate coeff_normals(rng, d, d), dims (d,),
+    checked by gns_check on its stack; a rejected row is overwritten by
+    redraw(t), the trial's arrays from the checking loop on a fresh
+    generator.  An accepted candidate leaves the generator where that loop
+    would, so the bits are the loop's.
     """
     groups: dict = {}
     for t, dims, arrays in drawn:
         groups.setdefault(dims, []).append((t, arrays))
     for dims, members in groups.items():
+        stacks = [np.array(x) for x in zip(*(a for _, a in members))]
+        if redraw is not None:
+            (d,) = dims
+            for i in np.flatnonzero(~md.gns_check(unit(complex_from(stacks[0], d, d), 2))):
+                for stack, a in zip(stacks, redraw(members[i][0]), strict=True):
+                    stack[i] = a
         origins = [(stream, t, dims) for t, _ in members]
-        yield partial(table.record, origins=origins), dims, [np.stack(x) for x in zip(*(a for _, a in members))]
-
-
-def _stacked(table: ResidualTable, seed: int, stream: int, trials: Iterable[int], draw):
-    return _groups(table, stream, _draw(seed, stream, trials, draw))
+        yield partial(table.record, origins=origins), dims, stacks
 
 
 def _complex_trials(table: ResidualTable, seed: int, stream: int, trials: Iterable[int], dims_list, shapes):
-    """_stacked for trials of normals only: dims_list[t % len] and one call for shapes(*dims); yields complex arrays."""
+    """_groups for trials of normals only: dims_list[t % len] and one call for shapes(*dims); yields complex arrays."""
     counts = [normal_count(*shapes(*dims)) for dims in dims_list]
 
     def draw(rng, t):
         return dims_list[t % len(dims_list)], (rng.standard_normal(counts[t % len(dims_list)]),)
 
-    for rec, dims, (x,) in _stacked(table, seed, stream, trials, draw):
+    for rec, dims, (x,) in _groups(table, stream, _draw(seed, stream, trials, draw)):
         yield rec, dims, split_complex(x, *shapes(*dims))
 
 
@@ -575,7 +565,7 @@ def polar_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         x = rng.standard_normal(normal_count((da, db)))
         return (da, db), (x, int(rng.integers(da)) if t % 3 == 2 and da > 1 else -1)
 
-    for rec, (da, db), (x, row) in _stacked(table, seed, 30, trials, draw):
+    for rec, (da, db), (x, row) in _groups(table, 30, _draw(seed, 30, trials, draw)):
         zeroed = np.arange(da)[:, None] == np.asarray(row)[..., None, None]
         psi = bp.BipartiteVector(unit(np.where(zeroed, 0.0, complex_from(x, da, db)), 2))
         pair = bp.epr_maps(psi)
@@ -608,11 +598,14 @@ def polar_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
 def partner_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     squares = _square_dims(dims)
 
-    def draw(rng, t, entangled):
+    def draw(rng, t, entangled=False):
         d = squares[t % len(squares)]
         return (d,), (coeff_normals(rng, d, d, entangled), rng.standard_normal(normal_count((d, d))))
 
-    for rec, (d,), (x_psi, x_op) in _groups(table, 40, _entangled_draw(seed, 40, trials, draw)):
+    def redraw(t):
+        return draw(rng_for(seed, 40, t), t, entangled=True)[1]
+
+    for rec, (d,), (x_psi, x_op) in _groups(table, 40, _draw(seed, 40, trials, draw), redraw):
         psi, a_op = bp.BipartiteVector(unit(complex_from(x_psi, d, d), 2)), complex_from(x_op, d, d)
         parts = bp.polar_of_state(psi)
         b_op = bp.partner_operator(a_op, parts)
@@ -628,7 +621,7 @@ def cloning_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         d = squares[t % len(squares)]
         return (d,), (rng.standard_normal(normal_count((d, d), (d, d))), rng.random(d), rng.random(d))
 
-    for rec, (d,), (x, p, q) in _stacked(table, seed, 50, trials, draw):
+    for rec, (d,), (x, p, q) in _groups(table, 50, _draw(seed, 50, trials, draw)):
         u_a, u_b = (haar(z) for z in split_complex(x, (d, d), (d, d)))
         diags = (np.eye(d) * np.sqrt(w / w.sum(-1, keepdims=True))[..., None, :] for w in (p + 0.05, q + 0.05))
         phi, psi = (u_a @ diag @ u_b.conj().mT for diag in diags)
@@ -677,7 +670,7 @@ def teleport_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int])
         n = normal_count((BOUND_PROBES, da))
         return (da, db, dc), (x[:-n], x[-n:].reshape(BOUND_PROBES, -1))
 
-    for rec, (da, db, dc), (x, rows) in _stacked(table, seed, 80, trials, draw):
+    for rec, (da, db, dc), (x, rows) in _groups(table, 80, _draw(seed, 80, trials, draw)):
         c_psi, c_phi, probe = split_complex(x, (da, db), (db, dc), (da,))
         tm = tp.teleport_map(bp.BipartiteVector(unit(c_psi, 2)), bp.BipartiteVector(unit(c_phi, 2)))
         rec("teleport.factorization", teleport_factorization(tm, unit(probe)))
@@ -703,7 +696,7 @@ def luders_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         return (da, db, dc, rank), (x_phi, rng.standard_normal(normal_count(*shapes(da, db, rank))))
 
     # Channels are grouped by rank as well, so each group stacks channels of one rank.
-    for rec, (da, db, dc, rank), (x_phi, x) in _stacked(table, seed, 90, trials, draw):
+    for rec, (da, db, dc, rank), (x_phi, x) in _groups(table, 90, _draw(seed, 90, trials, draw)):
         basis, probe, mix, nu, *full = split_complex(x, *shapes(da, db, rank))
         mix, nu = haar(mix), nu @ nu.conj().mT
         phi = bp.BipartiteVector(unit(complex_from(x_phi, db, dc), 2))
@@ -773,11 +766,14 @@ def twisted_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
 def modular_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     squares = [d for d in _square_dims(dims) if d >= 2] or [2]
 
-    def draw(rng, t, entangled):
+    def draw(rng, t, entangled=False):
         d = squares[t % len(squares)]
         return (d,), (coeff_normals(rng, d, d, entangled), coeff_normals(rng, d, d))
 
-    for rec, (d,), (x_psi, x_phi) in _groups(table, 120, _entangled_draw(seed, 120, trials, draw)):
+    def redraw(t):
+        return draw(rng_for(seed, 120, t), t, entangled=True)[1]
+
+    for rec, (d,), (x_psi, x_phi) in _groups(table, 120, _draw(seed, 120, trials, draw), redraw):
         psi, phi = (bp.BipartiteVector(unit(complex_from(x, d, d), 2)) for x in (x_psi, x_phi))
         triple, roots = md.tomita_S(phi, psi), modular_roots(phi, psi)
         # Each identity is checked by its factor route and, up to ORACLE_DIM, by its dense oracle too.

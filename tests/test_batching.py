@@ -43,9 +43,17 @@ def fro(x) -> float:
     return float(np.linalg.norm(np.asarray(x).reshape(-1)))
 
 
-def per_trial_groups(table, stream, drawn):
-    """The suites' compute phase one trial at a time on its unstacked draws, in place of verify._groups."""
+def per_trial_groups(table, stream, drawn, redraw=None):
+    """The suites' compute phase one trial at a time on its unstacked draws, in place of verify._groups.
+
+    With redraw, each trial's first candidate is checked on its own and, if
+    gns_check rejects it, replaced by redraw(t).
+    """
     for t, dims, arrays in drawn:
+        if redraw is not None:
+            (d,) = dims
+            if not md.gns_check(sampling.unit(sampling.complex_from(arrays[0], d, d), 2)):
+                arrays = redraw(t)
         yield partial(table.record, origins=[(stream, t, dims)]), dims, list(arrays)
 
 
@@ -93,13 +101,26 @@ def test_rejected_first_candidates_are_redrawn_with_the_checking_loop(monkeypatc
         d = 2 + t % 2
         return (d,), (coeff_normals(rng, d, d, entangled), rng.standard_normal(3))
 
-    drawn = vf._entangled_draw(5, 40, range(12), draw)
-    assert [t for t, _, _ in drawn] == list(range(12))
-    for t, dims, arrays in drawn:
-        want_dims, want = draw(rng_for(5, 40, t), t, entangled=True)
-        assert dims == want_dims and all(np.array_equal(a, b) for a, b in zip(arrays, want, strict=True)), t
-    first = [rng_for(5, 40, t).standard_normal(2 * d * d) for t, (d,), _ in drawn]
-    assert sum(not np.array_equal(x, f) for (_, _, (x, _)), f in zip(drawn, first)) >= 3
+    def redraw(t):
+        return draw(rng_for(5, 40, t), t, entangled=True)[1]
+
+    drawn = vf._draw(5, 40, range(12), partial(draw, entangled=False))
+    groups = list(vf._groups(vf.ResidualTable(), 40, drawn, redraw))
+    assert [rec.keywords["origins"] for rec, _, _ in groups] == [
+        [(40, t, (d,)) for t in range(12) if 2 + t % 2 == d] for d in (2, 3)
+    ]
+    redrawn = 0
+    for rec, dims, stacks in groups:
+        trials = [t for _, t, _ in rec.keywords["origins"]]
+        wants = [draw(rng_for(5, 40, t), t, entangled=True) for t in trials]
+        assert all(want_dims == dims for want_dims, _ in wants)
+        for k, stack in enumerate(stacks):
+            members = np.stack([want[k] for _, want in wants])
+            assert stack.flags.c_contiguous and (stack.shape, stack.dtype) == (members.shape, members.dtype), k
+            assert stack.tobytes() == members.tobytes(), k  # the bits of np.stack over the checking loop's draws
+        first = [drawn[t][2][0] for t in trials]
+        redrawn += sum(not np.array_equal(x, f) for x, f in zip(stacks[0], first))
+    assert redrawn >= 3
 
 
 def test_every_reported_worst_trial_replays_bit_for_bit():

@@ -427,6 +427,8 @@ def _invalid_arguments(tmp_path, case: str) -> list[str]:
             }[case]
         )
         return ["epr", str(path)]
+    if case == "epr-newline-in-path":
+        return ["epr", str(tmp_path / "missing\nfile.json")]
     if case == "out-into-missing-directory":
         return ["random", "--out", str(tmp_path / "missing" / "state.json")]
     return {
@@ -463,6 +465,7 @@ def _invalid_arguments(tmp_path, case: str) -> list[str]:
         "epr-long-integer",
         "verify-infinite-tolerance",
         "verify-overflowing-tolerance",
+        "epr-newline-in-path",
     ],
 )
 def test_invalid_input_exit_2(capsys, tmp_path, case):
@@ -485,6 +488,20 @@ def test_invalid_input_exit_2(capsys, tmp_path, case):
 )
 def test_overflowing_reduction_names_its_operand(capsys, tmp_path, case, message):
     # Warnings fail the suite, so this also checks that the refusal emits none.
+    assert main(_invalid_arguments(tmp_path, case)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("nan-tolerance", "tolerance must be positive and finite, got nan"),
+        ("verify-zero-trials", "trials must be >= 1, got 0"),
+        ("verify-zero-tolerance", "tolerance must be positive and finite, got 0.0"),
+        ("verify-infinite-tolerance", "tolerance must be positive and finite, got inf"),
+    ],
+)
+def test_refused_option_is_named_with_its_value(capsys, tmp_path, case, message):
     assert main(_invalid_arguments(tmp_path, case)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 

@@ -347,6 +347,11 @@ def test_load_json_names_the_file_it_cannot_decode(tmp_path, content):
         load_json(path)
 
 
+def test_load_json_names_an_unprintable_path_by_its_repr():
+    with pytest.raises(errors.ParseError) as info:
+        load_json("a\x00b")
+    assert "\x00" not in str(info.value) and str(info.value).startswith("cannot read 'a\\x00b': ")
+
 
 class TestFactoredOperators:
     @pytest.mark.parametrize("parity", ["linear", "antilinear"])

@@ -1,19 +1,20 @@
-"""Print the SHA-256 of the report and the exit code of a fixed set of eprkit invocations.
+"""Print the exit code and the SHA-256 of the report and of stderr for a fixed set of eprkit invocations.
 
 The set is `eprkit verify --seed s` for s = 1..100 and the 1765 commands of
 the seed-1 `cli-session` benchmark list (`perfbench/inputs.session_ops(1,
 353)`, read only).  Every invocation goes through `eprkit.cli.main` in
 process, with its input files and reports in a temporary directory.  Run it
 once against each of two source trees and diff the outputs: equal lines
-mean byte-identical reports and equal exit codes.
+mean equal exit codes and byte-identical reports and stderr.
 
     PYTHONPATH=src python3 tools/report_digests.py > digests.txt
     PYTHONPATH=/path/to/other/src python3 tools/report_digests.py > other.txt
     diff digests.txt other.txt
 
 One line per invocation: the argv, the exit code (`raised <ExceptionType>`
-when `main` raises instead of returning one) and the report digest (`-` when
-no report was written).  The eprkit tree in use is named on stderr.
+when `main` raises instead of returning one), the report digest (`-` when
+no report was written) and the digest of what `main` wrote to stderr (the
+summary, or the `error:` line).  The eprkit tree in use is named on stderr.
 """
 
 from __future__ import annotations
@@ -59,14 +60,16 @@ def main() -> int:
             for cmd in argvs:
                 out = Path("report.json")
                 out.unlink(missing_ok=True)
+                err = io.StringIO()
                 try:
-                    with contextlib.redirect_stderr(io.StringIO()):
+                    with contextlib.redirect_stderr(err):
                         code = eprkit_main(cmd + ["--out", str(out)])
                 except (Exception, SystemExit) as exc:  # a crash shows as one differing line, not the end of the run
                     traceback.print_exc()
                     code = f"raised {type(exc).__name__}"
                 digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else "-"
-                print(f"{' '.join(cmd)}\t{code}\t{digest}")
+                err_digest = hashlib.sha256(err.getvalue().encode("utf-8")).hexdigest()
+                print(f"{' '.join(cmd)}\t{code}\t{digest}\t{err_digest}")
         finally:
             os.chdir(home)
     return 0
