@@ -74,9 +74,9 @@ def adjoint(t: AntilinearMap) -> AntilinearMap:
 
     The defining relation is <y, t x> = <x, t* y> (both sides antilinear in
     nothing: the pairing itself supplies the conjugations).  adjoint is an
-    involution, exactly.
+    involution, exactly.  The adjoint holds a read-only view of t's matrix.
     """
-    return AntilinearMap(t.mat.mT)
+    return _adopt(AntilinearMap, mat=t.mat.mT)
 
 
 def compose_aa(t1: AntilinearMap, t2: AntilinearMap) -> np.ndarray:

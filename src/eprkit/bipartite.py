@@ -21,7 +21,7 @@ import numpy as np
 
 from .antilinear import AntilinearMap, PolarParts, adjoint, compose_aa, compose_mixed, polar
 from .errors import DimMismatch, NotIsometry, NotUnit
-from .linalg import _member, _out, as_matrix, finite, fro_norm, frozen, psd_eigh, psd_sqrt, seal, support_projection
+from .linalg import _adopt, _member, _out, _sqrt_of, _support_of, as_matrix, finite, fro_norm, frozen, psd_eigh, seal
 
 UNIT_TOL = 1e-10
 HERMITICITY_TOL = 1e-9
@@ -70,7 +70,7 @@ class BipartiteVector:
 
     @cached_property
     def _epr(self) -> EprPair:
-        return EprPair(s_ba=AntilinearMap(self.coeff.mT), s_ab=AntilinearMap(self.coeff))
+        return EprPair(s_ba=_adopt(AntilinearMap, mat=self.coeff.mT), s_ab=_adopt(AntilinearMap, mat=self.coeff))
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ class EprPair:
 
 
 def epr_maps(psi: BipartiteVector) -> EprPair:
-    """Both maps of psi, built once per state from its coefficient matrix; see the module docstring."""
+    """Both maps of psi, built once per state as read-only views of its coefficients; see the module docstring."""
     return psi._epr
 
 
@@ -190,12 +190,13 @@ def purification_from_isometry(omega_a, w: AntilinearMap) -> BipartiteVector:
     om = as_matrix(omega_a, "omega_a")
     if om.shape[-2:] != (w.dim_domain, w.dim_domain):
         raise DimMismatch(f"omega_a must be {w.dim_domain} square, got {om.shape}")
-    q = support_projection(om, "omega_a")
+    eig = psd_eigh(om, "omega_a")  # one decomposition for the support and the root
+    q = _support_of(*eig)
     gram = compose_aa(adjoint(w), w)
     off = np.abs(q @ gram @ q - q).max(axis=(-2, -1))
     if (off > ISOMETRY_TOL).any():
         raise NotIsometry(f"{_member('w', off > ISOMETRY_TOL)[0]} is not isometric on the support of omega_a")
-    s_ba = compose_mixed(psd_sqrt(om, "omega_a"), w, "right")
+    s_ba = compose_mixed(_sqrt_of(*eig), w, "right")
     return BipartiteVector(s_ba.mat.mT)
 
 

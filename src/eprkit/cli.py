@@ -22,7 +22,7 @@ from . import formats as fm
 from . import modular as md
 from . import teleport as tp
 from . import verify as vf
-from .errors import EprkitError, FactorizationFailure, ParseError, ToleranceExceeded
+from .errors import EprkitError, FactorizationFailure, NonFinite, ParseError, ToleranceExceeded
 from .sampling import complex_normal_rows, normal_count, random_state, rng_for, split_complex, unit
 
 EXIT_OK = 0
@@ -45,8 +45,13 @@ def _say(msg: str):
     print(msg, file=sys.stderr)
 
 
-def _load_state(path, what: str) -> bp.BipartiteVector:
-    return fm.bipartite_from_json(fm.load_json(path), what)
+def _state(obj, what: str, normed: bool = True) -> bp.BipartiteVector:
+    """A state from its JSON object; if normed (teleport, luders, chain), refused when its squared norm overflows."""
+    psi = fm.bipartite_from_json(obj, what)
+    with np.errstate(over="ignore"):
+        if normed and not np.isfinite(psi.norm()):
+            raise NonFinite(f"squared norm of {what} is not finite")
+    return psi
 
 
 def _probes(rng, dim: int) -> np.ndarray:
@@ -60,7 +65,7 @@ def _residuals(table: vf.ResidualTable, prefix: str) -> dict:
 
 
 def cmd_epr(args) -> tuple[dict, list[vf.IdentityResult], str]:
-    psi = _load_state(args.state, "state")
+    psi = _state(fm.load_json(args.state), "state", normed=False)  # epr names the overflowing reduction
     pair = bp.epr_maps(psi)
     omega_a = bp.reduced(psi, "a", "state")
     omega_b = bp.reduced(psi, "b", "state")
@@ -88,8 +93,7 @@ def cmd_epr(args) -> tuple[dict, list[vf.IdentityResult], str]:
 
 
 def cmd_teleport(args) -> tuple[dict, list[vf.IdentityResult], str]:
-    psi = _load_state(args.psi, "psi_ab")
-    phi = _load_state(args.phi, "phi_bc")
+    psi, phi = _state(fm.load_json(args.psi), "psi_ab"), _state(fm.load_json(args.phi), "phi_bc")
     tm = tp.teleport_map(psi, phi)
     tnf = tp.trace_norm_fidelity(tm)
     bound = tp.success_bound(tm)
@@ -117,14 +121,14 @@ def cmd_luders(args) -> tuple[dict, list[vf.IdentityResult], str]:
     if "psis" in spec:
         if not isinstance(spec["psis"], list):
             raise ParseError("channel spec 'psis' must be a list")
-        psis = [fm.bipartite_from_json(p, f"psis[{k}]") for k, p in enumerate(spec["psis"])]
+        psis = [_state(p, f"psis[{k}]") for k, p in enumerate(spec["psis"])]
     elif "psi_ab" in spec:
-        psis = [fm.bipartite_from_json(spec["psi_ab"], "psi_ab")]
+        psis = [_state(spec["psi_ab"], "psi_ab")]
     else:
         raise ParseError("channel spec needs 'psis' (list) or 'psi_ab'")
     if "phi_bc" not in spec:
         raise ParseError("channel spec needs 'phi_bc'")
-    phi = fm.bipartite_from_json(spec["phi_bc"], "phi_bc")
+    phi = _state(spec["phi_bc"], "phi_bc")
     ch = tp.luders_channel(psis, phi)
     bounds = tp.luders_bounds(ch)
 
@@ -155,7 +159,7 @@ def cmd_chain(args) -> tuple[dict, list[vf.IdentityResult], str]:
     spec = fm.load_json(args.chain)
     if "stages" not in spec or not isinstance(spec["stages"], list):
         raise ParseError("chain spec needs a 'stages' list")
-    stages = [fm.bipartite_from_json(s, f"stages[{k}]") for k, s in enumerate(spec["stages"])]
+    stages = [_state(s, f"stages[{k}]") for k, s in enumerate(spec["stages"])]
     t = tp.chain_teleport(stages)
     table = vf.ResidualTable()
     probes = _probes(rng_for(args.seed, 4), stages[0].dim_a)
@@ -167,8 +171,8 @@ def cmd_chain(args) -> tuple[dict, list[vf.IdentityResult], str]:
 
 
 def cmd_modular(args) -> tuple[dict, list[vf.IdentityResult], str]:
-    phi = _load_state(args.phi, "phi")
-    psi = _load_state(args.psi, "psi")
+    phi = _state(fm.load_json(args.phi), "phi", normed=False)  # tomita_S names the overflowing reduction
+    psi = _state(fm.load_json(args.psi), "psi", normed=False)
     triple, roots = md.tomita_S(phi, psi), vf.modular_roots(phi, psi)
     table = vf.ResidualTable()
     table.record("modular.defining", vf.modular_defining(triple, phi, psi))

@@ -88,6 +88,8 @@ def _adopt(cls, **fields):
     Each array, alone or in a tuple field, is sealed here and must be one the
     builder has just computed from checked values, or a read-only view of an
     array another value already holds, so no caller can write through it.
+    Builders that adopt: BipartiteVector's EPR maps, antilinear.adjoint,
+    PolarParts.phase, teleport_map, luders_channel, tomita_S, lift_operators.
     """
     value = object.__new__(cls)
     for name, field in fields.items():
@@ -213,14 +215,21 @@ def psd_eigh(h, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
 
 def psd_sqrt(h, name: str = "matrix") -> np.ndarray:
     """Hermitian PSD square root via eigendecomposition; errors name the operand."""
-    w, v = psd_eigh(h, name)
+    return _sqrt_of(*psd_eigh(h, name))
+
+
+def _sqrt_of(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The root from psd_eigh's (w, v); like _support_of and _fidelity_of, it lets a caller decompose once."""
     s = (v * np.sqrt(w)[..., None, :]) @ v.conj().mT
     return (s + s.conj().mT) / 2
 
 
 def support_projection(h, name: str = "matrix") -> np.ndarray:
     """Projection onto the range of a Hermitian PSD matrix; errors name the operand."""
-    w, v = psd_eigh(h, name)
+    return _support_of(*psd_eigh(h, name))
+
+
+def _support_of(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     vr = v * (w > 0)[..., None, :]
     return vr @ vr.conj().mT
 
@@ -250,11 +259,14 @@ def fidelity(rho, omega) -> float:
     eigenvalue square roots of a doubly-squared product, the accuracy killer
     near rank deficiency.
     """
-    r = as_matrix(rho, "rho")
-    o = as_matrix(omega, "omega")
+    r, o = as_matrix(rho, "rho"), as_matrix(omega, "omega")
     if r.shape != o.shape:
         raise DimMismatch(f"fidelity operands differ in shape: {r.shape} vs {o.shape}")
-    return trace_norm(psd_sqrt(r, "rho") @ psd_sqrt(o, "omega"))
+    return _fidelity_of(psd_sqrt(r, "rho"), psd_sqrt(o, "omega"))
+
+
+def _fidelity_of(root_rho: np.ndarray, root_omega: np.ndarray) -> float:
+    return trace_norm(root_rho @ root_omega)
 
 
 def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:

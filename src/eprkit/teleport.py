@@ -27,7 +27,7 @@ import numpy as np
 from .antilinear import chain, polar
 from .bipartite import BipartiteVector, _check_unit, epr_maps
 from .errors import DimMismatch, FactorizationFailure, NotOrthonormal, OddParity
-from .linalg import MatrixNorms, _check_dense, _member, _out, as_matrix, fro_norm, frozen, herm_eigh, kron, norms
+from .linalg import MatrixNorms, _adopt, _check_dense, _member, _out, as_matrix, fro_norm, frozen, herm_eigh, kron, norms
 
 ORTHO_TOL = 1e-10
 FACTOR_TOL = 1e-8
@@ -60,12 +60,17 @@ class TeleportMap:
         sqrt_omega = polar(epr_maps(self.ancilla_phi).s_ab).positive
         return norms(sqrt_rho @ sqrt_omega)
 
+    @cached_property
+    def norms(self) -> MatrixNorms:
+        """Norms of t from one SVD, shared by trace_norm_fidelity and the attained success bound."""
+        return norms(self.t)
+
 
 def teleport_map(psi_ab: BipartiteVector, phi_bc: BipartiteVector) -> TeleportMap:
     """Factorized channel matrix t = s_phi_cb ∘ s_psi_ba."""
     if psi_ab.dim_b != phi_bc.dim_a:
         raise DimMismatch(f"shared b-dimension differs: psi has {psi_ab.dim_b}, ancilla has {phi_bc.dim_a}")
-    return TeleportMap(t=phi_bc.coeff.mT @ np.conj(psi_ab.coeff.mT), source_psi=psi_ab, ancilla_phi=phi_bc)
+    return _adopt(TeleportMap, t=phi_bc.coeff.mT @ np.conj(psi_ab.coeff.mT), source_psi=psi_ab, ancilla_phi=phi_bc)
 
 
 def _project(full: np.ndarray, before: int, w: np.ndarray) -> np.ndarray:
@@ -123,7 +128,7 @@ def trace_norm_fidelity(tm: TeleportMap) -> TraceNormFidelity:
     The two numbers are equal; they are computed along independent routes
     (singular values of t versus the trace norm of sqrt(rho) sqrt(omega)).
     """
-    return TraceNormFidelity(trace_norm=norms(tm.t).trace, fidelity=tm.root_norms.trace)
+    return TraceNormFidelity(trace_norm=tm.norms.trace, fidelity=tm.root_norms.trace)
 
 
 @dataclass(frozen=True)
@@ -168,15 +173,15 @@ def luders_channel(psis: Sequence[BipartiteVector] | BipartiteVector, phi_bc: Bi
         stack = np.stack([p.coeff for p in psis], axis=-3)
     if stack.shape[-3] == 0:
         raise DimMismatch("need at least one measured vector")
-    psis = BipartiteVector(np.ascontiguousarray(stack))  # in C order each t_k below has teleport_map's bits
+    psis = _adopt(BipartiteVector, coeff=np.ascontiguousarray(stack))  # C order: each t_k has teleport_map's bits
     if psis.dim_b != phi_bc.dim_a:
         raise DimMismatch(f"shared b-dimension differs: measured vectors have {psis.dim_b}, ancilla has {phi_bc.dim_a}")
     flat = psis.to_vector()
     off = np.abs(flat @ flat.conj().mT - np.eye(flat.shape[-2])).max(axis=(-2, -1))
     if (off > ORTHO_TOL).any():
         raise NotOrthonormal(f"{_member('measured vectors', off > ORTHO_TOL)[0]} are not orthonormal within 1e-10")
-    maps = teleport_map(psis, BipartiteVector(phi_bc.coeff[..., None, :, :])).t
-    return LudersChannel(maps=maps, psis=psis, ancilla_phi=phi_bc)
+    maps = teleport_map(psis, _adopt(BipartiteVector, coeff=phi_bc.coeff[..., None, :, :])).t
+    return _adopt(LudersChannel, maps=maps, psis=psis, ancilla_phi=phi_bc)
 
 
 def projection_decomposition(p_op, dim_a: int, dim_b: int) -> BipartiteVector:

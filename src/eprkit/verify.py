@@ -487,12 +487,13 @@ def modular_intertwine_oracle(triple, roots):
 def matcore_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     sizes = sorted(set(list(dims) + [16]))
     pairs = _dim_pairs(dims)
+    head = {d: normal_count(*[(d, d)] * 4) for d in sizes}  # each count once per dims, not per trial
+    tail = {(da, db): normal_count((da * db, da * db), (da, da)) for da, db in pairs}
 
     def draw(rng, t):
         d, (da, db) = sizes[t % len(sizes)], pairs[t % len(pairs)]
-        x = rng.standard_normal(normal_count(*[(d, d)] * 4, (da * db, da * db), (da, da)))
-        n = normal_count(*[(d, d)] * 4)
-        return (d, da, db), (x[:n], x[n:])
+        x = rng.standard_normal(head[d] + tail[da, db])
+        return (d, da, db), (x[: head[d]], x[head[d] :])
 
     drawn = _draw(seed, 5, trials, draw)
     for rec, (d,), (x,) in _groups(table, 5, [(t, k[:1], a[:1]) for t, k, a in drawn]):
@@ -501,7 +502,8 @@ def matcore_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         rec("matcore.svd_reconstruct", _fro(la.svd(m).reconstruct() - m))
         s = la.psd_sqrt(h)
         rec("matcore.psd_sqrt", _fro(s @ s - h))
-        rec("matcore.fidelity_symmetry", np.abs(la.fidelity(rho, omega) - la.fidelity(omega, rho)))
+        r, o = la.psd_sqrt(rho), la.psd_sqrt(omega)  # the bits of fidelity(rho, omega) and fidelity(omega, rho)
+        rec("matcore.fidelity_symmetry", np.abs(la._fidelity_of(r, o) - la._fidelity_of(o, r)))
     for rec, (da, db), (x,) in _groups(table, 5, [(t, k[1:], a[1:]) for t, k, a in drawn]):
         big, u_a = split_complex(x, (da * db, da * db), (da, da))
         big, u = big @ big.conj().mT, la.kron(haar(u_a), np.eye(db))
@@ -571,6 +573,7 @@ def polar_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         pair = bp.epr_maps(psi)
         parts, parts_ab = al.polar(pair.s_ba), al.polar(pair.s_ab)
         omega_a, omega_b = bp.reduced(psi, "a"), bp.reduced(psi, "b")
+        eig_a, eig_b = la.psd_eigh(omega_a), la.psd_eigh(omega_b)  # shared by the root and support oracles
         rec(
             "polar.factorizations",
             _max(
@@ -578,8 +581,8 @@ def polar_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
                 _fro(pair.s_ba.mat - al.compose_mixed(parts.positive_dom, parts.phase, "right").mat),
                 _fro(pair.s_ab.mat - al.compose_mixed(parts_ab.positive, parts_ab.phase, "left").mat),
                 _fro(pair.s_ab.mat - al.compose_mixed(parts_ab.positive_dom, parts_ab.phase, "right").mat),
-                _fro(parts.positive - la.psd_sqrt(omega_b)),
-                _fro(parts.positive_dom - la.psd_sqrt(omega_a)),
+                _fro(parts.positive - la._sqrt_of(*eig_b)),
+                _fro(parts.positive_dom - la._sqrt_of(*eig_a)),
             ),
         )
         rec(
@@ -587,8 +590,8 @@ def polar_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
             _max(
                 _fro(al.compose_aa(al.adjoint(parts.phase), parts.phase) - parts.support_dom),
                 _fro(al.compose_aa(parts.phase, al.adjoint(parts.phase)) - parts.support_cod),
-                _fro(parts.support_dom - la.support_projection(omega_a)),
-                _fro(parts.support_cod - la.support_projection(omega_b)),
+                _fro(parts.support_dom - la._support_of(*eig_a)),
+                _fro(parts.support_cod - la._support_of(*eig_b)),
             ),
         )
         conjugated = al.compose_aa(al.compose_mixed(omega_a, parts.phase, "right"), al.adjoint(parts.phase))
@@ -662,13 +665,13 @@ def purification_suite(table: ResidualTable, seed: int, dims, trials: Iterable[i
 def teleport_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     small = [d for d in dims if d <= 4] or [2]
     triples = [(da, db, dc) for da in small for db in small for dc in small]
+    counts = {k: (normal_count(k[:2], k[1:], k[:1]), normal_count((BOUND_PROBES, k[0]))) for k in triples}
 
     def draw(rng, t):
         """One normal call: two states, a probe, then BOUND_PROBES rows as complex_normal_rows draws them."""
-        da, db, dc = triples[t % len(triples)]
-        x = rng.standard_normal(normal_count((da, db), (db, dc), (da,), (BOUND_PROBES, da)))
-        n = normal_count((BOUND_PROBES, da))
-        return (da, db, dc), (x[:-n], x[-n:].reshape(BOUND_PROBES, -1))
+        n, rows = counts[triples[t % len(triples)]]
+        x = rng.standard_normal(n + rows)
+        return triples[t % len(triples)], (x[:n], x[n:].reshape(BOUND_PROBES, -1))
 
     for rec, (da, db, dc), (x, rows) in _groups(table, 80, _draw(seed, 80, trials, draw)):
         c_psi, c_phi, probe = split_complex(x, (da, db), (db, dc), (da,))
@@ -676,7 +679,7 @@ def teleport_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int])
         rec("teleport.factorization", teleport_factorization(tm, unit(probe)))
         bound = tp.success_bound(tm)
         rec("teleport.bound_holds", teleport_bound_holds(tm, complex_from(rows, da), bound))
-        rec("teleport.bound_attained", np.abs(np.linalg.svd(tm.t, compute_uv=False).max(axis=-1) ** 2 - bound))
+        rec("teleport.bound_attained", np.abs(tm.norms.operator**2 - bound))
         rec("teleport.trace_fidelity", teleport_trace_fidelity(tp.trace_norm_fidelity(tm)))
 
 

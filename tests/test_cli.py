@@ -413,6 +413,14 @@ def _invalid_arguments(tmp_path, case: str) -> list[str]:
             return ["epr", extreme]
         bell_path = _write(tmp_path, "bell.json", bell_json)
         return ["modular", *((extreme, bell_path) if case == "modular-overflowing-phi" else (bell_path, extreme))]
+    if case.endswith("-overflowing-ancilla"):
+        # Every entry 1e200: the norm 2e200 is a float, the squared norm is not.
+        big = bipartite_to_json(BipartiteVector(np.full((2, 2), 1e200)))
+        if case == "teleport-overflowing-ancilla":
+            return ["teleport", _write(tmp_path, "bell.json", bell_json), _write(tmp_path, "big.json", big)]
+        if case == "luders-overflowing-ancilla":
+            return ["luders", _write(tmp_path, "channel.json", {"psi_ab": bell_json, "phi_bc": big})]
+        return ["chain", _write(tmp_path, "chain.json", {"stages": [bell_json, big]})]
     if case == "chain-stages-not-a-list":
         return ["chain", _write(tmp_path, "chain.json", {"stages": {"0": bell_json, "1": bell_json}})]
     if case == "nan-tolerance":
@@ -466,6 +474,9 @@ def _invalid_arguments(tmp_path, case: str) -> list[str]:
         "verify-infinite-tolerance",
         "verify-overflowing-tolerance",
         "epr-newline-in-path",
+        "teleport-overflowing-ancilla",
+        "luders-overflowing-ancilla",
+        "chain-overflowing-ancilla",
     ],
 )
 def test_invalid_input_exit_2(capsys, tmp_path, case):
@@ -484,6 +495,9 @@ def test_invalid_input_exit_2(capsys, tmp_path, case):
         ("modular-overflowing-psi", "omega_b of psi is not finite"),
         ("modular-underflowing-psi", "inverse of omega_b of psi is not finite"),
         ("modular-subnormal-psi", "inverse of C_psi (S's eta) of psi is not finite"),
+        ("teleport-overflowing-ancilla", "squared norm of phi_bc is not finite"),
+        ("luders-overflowing-ancilla", "squared norm of phi_bc is not finite"),
+        ("chain-overflowing-ancilla", "squared norm of stages[1] is not finite"),
     ],
 )
 def test_overflowing_reduction_names_its_operand(capsys, tmp_path, case, message):

@@ -298,4 +298,11 @@ class TestSealedResults:
             assert not np.shares_memory(a, c) and not np.shares_memory(a, lin)
         held = AntilinearMap(left.mat).mat
         assert held is not left.mat and not np.shares_memory(held, left.mat)
-        assert not np.shares_memory(pair.s_ba.mat, psi.coeff) and not np.shares_memory(pair.s_ab.mat, psi.coeff)
+        # The EPR maps are read-only views of the state's own checked coefficients, never of the caller's array.
+        for m in (pair.s_ba.mat, pair.s_ab.mat):
+            assert not m.flags.writeable
+            base = m
+            while isinstance(base.base, np.ndarray):
+                base = base.base
+            assert base is psi.coeff
+            assert not np.shares_memory(m, c)

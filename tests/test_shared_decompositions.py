@@ -10,33 +10,40 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from eprkit import antilinear, bipartite, linalg, modular
 from eprkit.antilinear import AntilinearMap, polar
-from eprkit.bipartite import BipartiteVector, epr_maps, polar_of_state
+from eprkit.bipartite import BipartiteVector, epr_maps, polar_of_state, purification_from_isometry, reduced
 from eprkit.cli import main
 from eprkit.formats import bipartite_to_json
 from eprkit.modular import KroneckerProduct, lift_operators, tomita_S, twisted_product
 from eprkit.teleport import LudersChannel, TeleportMap, teleport_map
-from eprkit.verify import modular_roots
+from eprkit.verify import modular_roots, run_all
 
 from util import bell, random_unit_state, seeded_rng
+
+
+def _count_calls(monkeypatch, name: str, counted=lambda kwargs: True) -> list:
+    """Count the np.linalg.<name> calls whose keywords `counted` accepts; a stacked call counts once."""
+    calls = []
+    plain = getattr(np.linalg, name)
+
+    def counting(a, *args, **kwargs):
+        if counted(kwargs):
+            calls.append(np.shape(a))
+        return plain(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return calls
 
 
 @pytest.fixture
 def svd_calls(monkeypatch):
     """Count np.linalg.svd calls that return singular vectors; a stacked call counts once."""
-    calls = []
-    plain = np.linalg.svd
-
-    def counting(a, *args, **kwargs):
-        if kwargs.get("compute_uv", True):
-            calls.append(np.shape(a))
-        return plain(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    return calls
+    return _count_calls(monkeypatch, "svd", lambda kwargs: kwargs.get("compute_uv", True))
 
 
 def pair(d: int, stream: int) -> tuple[np.ndarray, np.ndarray]:
@@ -73,8 +80,45 @@ class TestSvdCounts:
         assert len(svd_calls) == 5
 
 
+class TestOneDecompositionPerOperand:
+    """Each Hermitian operand is eigendecomposed once, and each teleport map's t decomposed once, per dims group."""
+
+    def test_run_all_counts(self, monkeypatch):
+        eighs, svds = _count_calls(monkeypatch, "eigh"), _count_calls(monkeypatch, "svd")
+        run_all(seed=1)
+        # One eigh per reduction in polar's oracles and per fidelity operand in matcore, one in each
+        # purification; one SVD of t per teleport group (105 eighs and 234 SVDs with these taken twice).
+        assert (len(eighs), len(svds)) == (76, 207)
+
+    def test_purification_takes_one_eigh(self, monkeypatch):
+        rng = seeded_rng(308)
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        omega = a @ a.conj().T
+        w = AntilinearMap(np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0])
+        eighs = _count_calls(monkeypatch, "eigh")
+        psi = purification_from_isometry(omega / np.trace(omega).real, w)
+        assert len(eighs) == 1  # the support and the root share it
+        assert_allclose(reduced(psi, "a"), omega / np.trace(omega).real, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), n=st.integers(1, 4), scale=st.integers(-8, 8))
+def test_psd_routes_are_their_eigh_forms(seed, d, n, scale):
+    # PSD stacks whose members have random ranks from 0 to d: psd_sqrt, support_projection and fidelity
+    # give the bits of psd_eigh followed by the private builders that share its decomposition.
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((2, n, d, d)) + 1j * rng.standard_normal((2, n, d, d))
+    z *= np.arange(d) < rng.integers(0, d + 1, size=(2, n, 1, 1))  # zero the columns beyond each rank
+    rho, omega = 10.0**scale * (z @ z.conj().mT)
+    eig = linalg.psd_eigh(rho)
+    assert _bits(linalg.psd_sqrt(rho)) == _bits(linalg._sqrt_of(*eig))
+    assert _bits(linalg.support_projection(rho)) == _bits(linalg._support_of(*eig))
+    roots = (linalg._sqrt_of(*linalg.psd_eigh(m)) for m in (rho, omega))
+    assert _bits(linalg.fidelity(rho, omega)) == _bits(linalg._fidelity_of(*roots))
+
+
 def test_modular_builders_copy_each_factor_once(monkeypatch):
-    # The builders adopt every factor and phase they compute or read; only the EPR maps copy the coefficients.
+    # The builders adopt every factor and phase they compute or read, and the EPR maps view the coefficients.
     copies = []
     plain = linalg.frozen
 
@@ -87,13 +131,13 @@ def test_modular_builders_copy_each_factor_once(monkeypatch):
     phi, psi = (BipartiteVector(c) for c in pair(24, 300))
     del copies[:]
     tomita_S(phi, psi)
-    assert len(copies) == 4  # the EPR maps of psi and phi 2 each
+    assert len(copies) == 0
     lift_operators(psi, phi)
-    assert len(copies) == 4
+    assert len(copies) == 0
 
 
 def test_modular_builders_check_each_caller_array_once(monkeypatch):
-    # as_matrix runs once per EPR map; finite once inside each, and once per reduction, inverse and omega_b.
+    # The EPR maps view the checked coefficients; finite runs once per reduction, inverse and omega_b.
     calls = {"as_matrix": [], "finite": []}
     plain = {name: getattr(linalg, name) for name in calls}
 
@@ -112,8 +156,8 @@ def test_modular_builders_check_each_caller_array_once(monkeypatch):
         del found[:]
     tomita_S(phi, psi)
     lift_operators(psi, phi)
-    assert len(calls["as_matrix"]) == 4  # the EPR maps of psi and phi 2 each
-    assert len(calls["finite"]) == 8  # those 4, omega_a of phi, omega_b and its inverse, and S's eta
+    assert len(calls["as_matrix"]) == 0
+    assert len(calls["finite"]) == 4  # omega_a of phi, omega_b and its inverse, and S's eta
 
 
 class TestIdentity:

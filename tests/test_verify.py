@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eprkit import errors
-from eprkit.antilinear import AntilinearMap
+from eprkit import antilinear, errors
+from eprkit.antilinear import AntilinearMap, adjoint
 from eprkit.linalg import kron
 from eprkit.modular import twisted_product
 from eprkit.sampling import complex_normal, complex_normal_rows, random_unit_vector, rng_for
 from eprkit.teleport import success_bound, teleport_map
-from eprkit.verify import TOLERANCES, ResidualTable, teleport_bound_holds, twisted_action
+from eprkit.verify import TOLERANCES, ResidualTable, antilinear_suite, teleport_bound_holds, twisted_action
 
 from util import random_unit_state, seeded_rng
 
@@ -34,6 +34,27 @@ class TestTeleportBoundHolds:
     def test_no_probes_gives_zero(self):
         tm = teleport_map(random_unit_state(seeded_rng(92), 2, 2), random_unit_state(seeded_rng(93), 2, 3))
         assert teleport_bound_holds(tm, np.zeros((0, 2), dtype=complex), success_bound(tm)) == 0.0
+
+
+class TestAntiInvolution:
+    """anti.involution reads exactly 0.0 on the adopted adjoint, and must catch an adjoint scaled by 1 + 1e-6."""
+
+    @staticmethod
+    def involution() -> float:
+        table = ResidualTable()
+        antilinear_suite(table, 1, [2, 3, 4], range(3))
+        return {r.name: r.residual for r in table.results()}["anti.involution"]
+
+    def test_exact_on_the_adopted_adjoint(self):
+        t = AntilinearMap(complex_normal(seeded_rng(94), 3, 2))
+        held = adjoint(t).mat
+        assert not held.flags.writeable and np.shares_memory(held, t.mat)
+        assert self.involution() == 0.0
+
+    def test_catches_a_scaled_adjoint(self, monkeypatch):
+        plain = antilinear.adjoint
+        monkeypatch.setattr(antilinear, "adjoint", lambda t: AntilinearMap(plain(t).mat * (1 + 1e-6)))
+        assert self.involution() > 10 * TOLERANCES["anti.involution"]
 
 
 def test_recording_an_unregistered_identity_raises():
