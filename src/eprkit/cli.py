@@ -23,7 +23,7 @@ from . import modular as md
 from . import teleport as tp
 from . import verify as vf
 from .errors import EprkitError, FactorizationFailure, NonFinite, ParseError, ToleranceExceeded
-from .sampling import complex_normal_rows, normal_count, random_state, rng_for, split_complex, unit
+from .sampling import normal_count, random_state, rng_for, split_complex, unit
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -54,9 +54,10 @@ def _state(obj, what: str, normed: bool = True) -> bp.BipartiteVector:
     return psi
 
 
-def _probes(rng, dim: int) -> np.ndarray:
-    """PROBE_COUNT seeded unit probe vectors, stacked: the bits of as many random_unit_vector draws."""
-    return unit(complex_normal_rows(rng, PROBE_COUNT, dim))
+def _probes(rng, *shapes) -> list[np.ndarray]:
+    """One stack of PROBE_COUNT seeded unit probes per shape; row k of the one normal call holds probe k of each."""
+    x = rng.standard_normal((PROBE_COUNT, normal_count(*shapes)))
+    return [unit(z, len(shape)) for z, shape in zip(split_complex(x, *shapes), shapes)]
 
 
 def _residuals(table: vf.ResidualTable, prefix: str) -> dict:
@@ -70,10 +71,7 @@ def cmd_epr(args) -> tuple[dict, list[vf.IdentityResult], str]:
     omega_a = bp.reduced(psi, "a", "state")
     omega_b = bp.reduced(psi, "b", "state")
 
-    # Per probe, the normals of unit vectors phi_a and phi_b and of a unit state chi, in that order.
-    shapes = (psi.dim_a,), (psi.dim_b,), (psi.dim_a, psi.dim_b)
-    x = rng_for(args.seed, 1).standard_normal((PROBE_COUNT, normal_count(*shapes)))
-    phi_a, phi_b, chi = (unit(z, len(shape)) for z, shape in zip(split_complex(x, *shapes), shapes))
+    phi_a, phi_b, chi = _probes(rng_for(args.seed, 1), (psi.dim_a,), (psi.dim_b,), (psi.dim_a, psi.dim_b))
     table = vf.ResidualTable()
     table.record("epr.projection", vf.epr_projection(psi, pair, omega_a, phi_a))
     table.record("epr.pairing", vf.epr_pairing(psi, pair, phi_a, phi_b))
@@ -98,7 +96,7 @@ def cmd_teleport(args) -> tuple[dict, list[vf.IdentityResult], str]:
     tnf = tp.trace_norm_fidelity(tm)
     bound = tp.success_bound(tm)
     table = vf.ResidualTable()
-    probes = _probes(rng_for(args.seed, 2), psi.dim_a)
+    (probes,) = _probes(rng_for(args.seed, 2), (psi.dim_a,))
     table.record("teleport.factorization", vf.teleport_factorization(tm, probes))
     table.record("teleport.trace_fidelity", vf.teleport_trace_fidelity(tnf))
     oracle_residual = _residuals(table, "teleport.")["factorization"]
@@ -132,7 +130,7 @@ def cmd_luders(args) -> tuple[dict, list[vf.IdentityResult], str]:
     ch = tp.luders_channel(psis, phi)
     bounds = tp.luders_bounds(ch)
 
-    probes = _probes(rng_for(args.seed, 3), ch.psis.dim_a)
+    (probes,) = _probes(rng_for(args.seed, 3), (ch.psis.dim_a,))
     table = vf.ResidualTable()
     table.record("luders.decoupling", vf.luders_decoupling(ch, probes))
     table.record("luders.op_bound", vf.luders_op_bound(ch, bounds))
@@ -162,7 +160,7 @@ def cmd_chain(args) -> tuple[dict, list[vf.IdentityResult], str]:
     stages = [_state(s, f"stages[{k}]") for k, s in enumerate(spec["stages"])]
     t = tp.chain_teleport(stages)
     table = vf.ResidualTable()
-    probes = _probes(rng_for(args.seed, 4), stages[0].dim_a)
+    (probes,) = _probes(rng_for(args.seed, 4), (stages[0].dim_a,))
     table.record("chain.factorization", vf.chain_factorization(stages, t, probes))
     oracle_residual = _residuals(table, "chain.")["factorization"]
     report = {"t": fm.matrix_to_json(t), "oracle_residual": oracle_residual}

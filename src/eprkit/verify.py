@@ -1,17 +1,18 @@
 """Residual suites: every analytic identity of the library re-checked on seeded random instances.
 
-Each suite runs in two phases.  The draw phase takes trial t's raw draws
-from its own sub-stream of (seed, suite tag, t), so any reported residual is
-reproducible in isolation; it does no arithmetic, and each run of normals
-is one generator call.  The compute phase groups the trials by their dims,
-stacks the draws (n, ...) in one pass, checks entangled candidates for full
-rank on that stack, assembles them with sampling's stacked assembly and
-evaluates each identity once per group on value types that hold the
-whole stack: each library function runs once per group, on the code path a
-single instance takes.  Residuals are Frobenius norms of differences
-(absolute values for scalars), one per trial; the table keeps their max and
-the trial that attained it.  Tolerances are pinned per identity; passing a
-global tolerance overrides all of them.
+Each suite names its stream tag once and passes it, with its draw, to one
+routine, _groups: trial t draws from its own sub-stream of (seed, suite
+tag, t), so any reported residual is reproducible in isolation, with no
+arithmetic and one generator call per run of normals; the trials are
+grouped by dims and stacked in one pass, and entangled candidates are
+checked for full rank on the stack and redrawn if rejected.  The suite
+assembles each group with sampling's stacked assembly and evaluates each
+identity once per group on value types that hold the whole stack: each
+library function runs once per group, on the code path a single instance
+takes.  Residuals are Frobenius norms of differences (absolute values for
+scalars), one per trial; the table keeps their max and the trial that
+attained it.  Tolerances are pinned per identity; passing a global
+tolerance overrides all of them.
 
 The identities the CLI subcommands check on their inputs are each computed
 by one residual function below.  It takes already-built operands, single
@@ -101,6 +102,12 @@ class IdentityResult:
         return self.residual <= self.tolerance
 
 
+def _rank(residual: float, origin: tuple | None = None) -> tuple:
+    """Order of recorded residuals: NaN above every number, then the larger, then the one from the lower trial."""
+    nan = residual != residual
+    return nan, 0.0 if nan else residual, -origin[1] if origin is not None else -np.inf
+
+
 class ResidualTable:
     """Running max residual per identity name, and where it was attained."""
 
@@ -110,18 +117,16 @@ class ResidualTable:
     def record(self, name: str, values, origins=None):
         """Record one residual per member of `values`; origins holds each member's (stream tag, trial, dims).
 
-        Of equal residuals the one from the lowest trial index is kept, so
-        the grouping of trials cannot change where the max sits.
+        A NaN is kept over any number and, of equal residuals, the one from
+        the lowest trial index, so the grouping of trials cannot change the max.
         """
         if name not in TOLERANCES:
             raise KeyError(f"unregistered identity {name!r}")
         v = np.atleast_1d(np.asarray(values, dtype=float))
-        k = int(np.argmax(v))  # the first of equal maxima; members come in trial order
+        k = int(np.argmax(v))  # the first NaN, else the first of equal maxima; members come in trial order
         value, origin = float(v[k]), origins[k] if origins is not None else None
-        if name in self._max:
-            old, old_origin = self._max[name]
-            if not (value > old or (value == old and origin is not None and origin[1] < old_origin[1])):
-                return
+        if name in self._max and _rank(value, origin) <= _rank(*self._max[name]):
+            return
         self._max[name] = (value, origin)
 
     def results(self, tolerance: float | None = None) -> list[IdentityResult]:
@@ -167,36 +172,33 @@ def _max(*residuals):
     return reduce(np.maximum, residuals)
 
 
-def _draw(seed: int, stream: int, trials: Iterable[int], draw) -> list:
-    """Draw phase: trial t takes its instances from its own sub-stream; draw(rng, t) returns (dims, arrays)."""
-    trials = list(trials)
-    return [(t, *draw(rng, t)) for t, rng in zip(trials, trial_rngs(seed, stream, trials=trials))]
+def _groups(table: ResidualTable, seed: int, stream: int, trials: Iterable[int], draw, entangled: bool = False):
+    """One suite's trials, drawn, grouped by dims and stacked: yields (record, dims, stacks) per group.
 
-
-def _groups(table: ResidualTable, stream: int, drawn, redraw=None):
-    """Compute phase: the drawn trials grouped by dims, each array stacked over its group in one pass.
-
-    Yields (record, dims, stacks) per group in first-seen order, the trials
-    of a group in trial order; record(name, values) enters one residual per
-    member, with the member's (stream, trial, dims), into the table.  With
-    redraw, array 0 is a first candidate coeff_normals(rng, d, d), dims (d,),
-    checked by gns_check on its stack; a rejected row is overwritten by
-    redraw(t), the trial's arrays from the checking loop on a fresh
-    generator.  An accepted candidate leaves the generator where that loop
-    would, so the bits are the loop's.
+    draw(rng, t) returns trial t's (dims, arrays) from the generator of
+    (seed, stream, t).  Groups come in first-seen order, the trials of a
+    group in trial order; record(name, values) enters one residual per
+    member, with its (stream, trial, dims), into the table.  With entangled,
+    array 0 is a first candidate coeff_normals(rng, d, d), dims (d,), checked
+    by gns_check on its stack; a rejected row is overwritten by
+    draw(rng_for(seed, stream, t), t, entangled=True), the checking loop on a
+    fresh generator.  An accepted candidate leaves the generator where that
+    loop would, so the bits are the loop's.
     """
+    trials = list(trials)
     groups: dict = {}
-    for t, dims, arrays in drawn:
+    for t, rng in zip(trials, trial_rngs(seed, stream, trials=trials)):
+        dims, arrays = draw(rng, t)
         groups.setdefault(dims, []).append((t, arrays))
     for dims, members in groups.items():
-        stacks = [np.array(x) for x in zip(*(a for _, a in members))]
-        if redraw is not None:
+        ts, drawn = zip(*members)
+        stacks = [np.array(x) for x in zip(*drawn)]
+        if entangled:
             (d,) = dims
             for i in np.flatnonzero(~md.gns_check(unit(complex_from(stacks[0], d, d), 2))):
-                for stack, a in zip(stacks, redraw(members[i][0]), strict=True):
+                for stack, a in zip(stacks, draw(rng_for(seed, stream, ts[i]), ts[i], entangled=True)[1], strict=True):
                     stack[i] = a
-        origins = [(stream, t, dims) for t, _ in members]
-        yield partial(table.record, origins=origins), dims, stacks
+        yield partial(table.record, origins=[(stream, t, dims) for t in ts]), dims, stacks
 
 
 def _complex_trials(table: ResidualTable, seed: int, stream: int, trials: Iterable[int], dims_list, shapes):
@@ -206,7 +208,7 @@ def _complex_trials(table: ResidualTable, seed: int, stream: int, trials: Iterab
     def draw(rng, t):
         return dims_list[t % len(dims_list)], (rng.standard_normal(counts[t % len(dims_list)]),)
 
-    for rec, dims, (x,) in _groups(table, stream, _draw(seed, stream, trials, draw)):
+    for rec, dims, (x,) in _groups(table, seed, stream, trials, draw):
         yield rec, dims, split_complex(x, *shapes(*dims))
 
 
@@ -489,14 +491,17 @@ def matcore_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     pairs = _dim_pairs(dims)
     head = {d: normal_count(*[(d, d)] * 4) for d in sizes}  # each count once per dims, not per trial
     tail = {(da, db): normal_count((da * db, da * db), (da, da)) for da, db in pairs}
+    groups = partial(_groups, table, seed, 5, list(trials))  # two passes over each trial's stream
 
-    def draw(rng, t):
+    def draw_square(rng, t):
+        d = sizes[t % len(sizes)]
+        return (d,), (rng.standard_normal(head[d]),)
+
+    def draw_pair(rng, t):  # the normals after the square's
         d, (da, db) = sizes[t % len(sizes)], pairs[t % len(pairs)]
-        x = rng.standard_normal(head[d] + tail[da, db])
-        return (d, da, db), (x[: head[d]], x[head[d] :])
+        return (da, db), (rng.standard_normal(head[d] + tail[da, db])[head[d] :],)
 
-    drawn = _draw(seed, 5, trials, draw)
-    for rec, (d,), (x,) in _groups(table, 5, [(t, k[:1], a[:1]) for t, k, a in drawn]):
+    for rec, (d,), (x,) in groups(draw_square):
         m, *psd = split_complex(x, *[(d, d)] * 4)
         h, rho, omega = (z @ z.conj().mT for z in psd)
         rec("matcore.svd_reconstruct", _fro(la.svd(m).reconstruct() - m))
@@ -504,7 +509,7 @@ def matcore_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         rec("matcore.psd_sqrt", _fro(s @ s - h))
         r, o = la.psd_sqrt(rho), la.psd_sqrt(omega)  # the bits of fidelity(rho, omega) and fidelity(omega, rho)
         rec("matcore.fidelity_symmetry", np.abs(la._fidelity_of(r, o) - la._fidelity_of(o, r)))
-    for rec, (da, db), (x,) in _groups(table, 5, [(t, k[1:], a[1:]) for t, k, a in drawn]):
+    for rec, (da, db), (x,) in groups(draw_pair):
         big, u_a = split_complex(x, (da * db, da * db), (da, da))
         big, u = big @ big.conj().mT, la.kron(haar(u_a), np.eye(db))
         moved = la.partial_trace(u @ big @ u.conj().mT, da, db, "b")
@@ -567,7 +572,7 @@ def polar_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         x = rng.standard_normal(normal_count((da, db)))
         return (da, db), (x, int(rng.integers(da)) if t % 3 == 2 and da > 1 else -1)
 
-    for rec, (da, db), (x, row) in _groups(table, 30, _draw(seed, 30, trials, draw)):
+    for rec, (da, db), (x, row) in _groups(table, seed, 30, trials, draw):
         zeroed = np.arange(da)[:, None] == np.asarray(row)[..., None, None]
         psi = bp.BipartiteVector(unit(np.where(zeroed, 0.0, complex_from(x, da, db)), 2))
         pair = bp.epr_maps(psi)
@@ -605,10 +610,7 @@ def partner_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         d = squares[t % len(squares)]
         return (d,), (coeff_normals(rng, d, d, entangled), rng.standard_normal(normal_count((d, d))))
 
-    def redraw(t):
-        return draw(rng_for(seed, 40, t), t, entangled=True)[1]
-
-    for rec, (d,), (x_psi, x_op) in _groups(table, 40, _draw(seed, 40, trials, draw), redraw):
+    for rec, (d,), (x_psi, x_op) in _groups(table, seed, 40, trials, draw, entangled=True):
         psi, a_op = bp.BipartiteVector(unit(complex_from(x_psi, d, d), 2)), complex_from(x_op, d, d)
         parts = bp.polar_of_state(psi)
         b_op = bp.partner_operator(a_op, parts)
@@ -624,7 +626,7 @@ def cloning_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         d = squares[t % len(squares)]
         return (d,), (rng.standard_normal(normal_count((d, d), (d, d))), rng.random(d), rng.random(d))
 
-    for rec, (d,), (x, p, q) in _groups(table, 50, _draw(seed, 50, trials, draw)):
+    for rec, (d,), (x, p, q) in _groups(table, seed, 50, trials, draw):
         u_a, u_b = (haar(z) for z in split_complex(x, (d, d), (d, d)))
         diags = (np.eye(d) * np.sqrt(w / w.sum(-1, keepdims=True))[..., None, :] for w in (p + 0.05, q + 0.05))
         phi, psi = (u_a @ diag @ u_b.conj().mT for diag in diags)
@@ -673,7 +675,7 @@ def teleport_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int])
         x = rng.standard_normal(n + rows)
         return triples[t % len(triples)], (x[:n], x[n:].reshape(BOUND_PROBES, -1))
 
-    for rec, (da, db, dc), (x, rows) in _groups(table, 80, _draw(seed, 80, trials, draw)):
+    for rec, (da, db, dc), (x, rows) in _groups(table, seed, 80, trials, draw):
         c_psi, c_phi, probe = split_complex(x, (da, db), (db, dc), (da,))
         tm = tp.teleport_map(bp.BipartiteVector(unit(c_psi, 2)), bp.BipartiteVector(unit(c_phi, 2)))
         rec("teleport.factorization", teleport_factorization(tm, unit(probe)))
@@ -699,7 +701,7 @@ def luders_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         return (da, db, dc, rank), (x_phi, rng.standard_normal(normal_count(*shapes(da, db, rank))))
 
     # Channels are grouped by rank as well, so each group stacks channels of one rank.
-    for rec, (da, db, dc, rank), (x_phi, x) in _groups(table, 90, _draw(seed, 90, trials, draw)):
+    for rec, (da, db, dc, rank), (x_phi, x) in _groups(table, seed, 90, trials, draw):
         basis, probe, mix, nu, *full = split_complex(x, *shapes(da, db, rank))
         mix, nu = haar(mix), nu @ nu.conj().mT
         phi = bp.BipartiteVector(unit(complex_from(x_phi, db, dc), 2))
@@ -773,10 +775,7 @@ def modular_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         d = squares[t % len(squares)]
         return (d,), (coeff_normals(rng, d, d, entangled), coeff_normals(rng, d, d))
 
-    def redraw(t):
-        return draw(rng_for(seed, 120, t), t, entangled=True)[1]
-
-    for rec, (d,), (x_psi, x_phi) in _groups(table, 120, _draw(seed, 120, trials, draw), redraw):
+    for rec, (d,), (x_psi, x_phi) in _groups(table, seed, 120, trials, draw, entangled=True):
         psi, phi = (bp.BipartiteVector(unit(complex_from(x, d, d), 2)) for x in (x_psi, x_phi))
         triple, roots = md.tomita_S(phi, psi), modular_roots(phi, psi)
         # Each identity is checked by its factor route and, up to ORACLE_DIM, by its dense oracle too.
@@ -832,7 +831,7 @@ def check_all(results: list[IdentityResult]):
     """Raise ToleranceExceeded naming the worst failing identity, if any."""
     failing = [r for r in results if not r.passed]
     if failing:
-        worst = max(failing, key=lambda r: r.residual / r.tolerance)
+        worst = max(failing, key=lambda r: _rank(r.residual / r.tolerance))
         raise ToleranceExceeded(
             f"{len(failing)} identities out of tolerance; worst is "
             f"{worst.name} with residual {worst.residual:.3e} > {worst.tolerance:.0e}"

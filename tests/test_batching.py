@@ -7,13 +7,13 @@ single-instance functions; both routes must give the same residuals.
 """
 
 import json
-from functools import partial
 
 import numpy as np
 import pytest
 
 from eprkit import antilinear as al
 from eprkit import bipartite as bp
+from eprkit import cli
 from eprkit import errors
 from eprkit import linalg as la
 from eprkit import modular as md
@@ -43,18 +43,14 @@ def fro(x) -> float:
     return float(np.linalg.norm(np.asarray(x).reshape(-1)))
 
 
-def per_trial_groups(table, stream, drawn, redraw=None):
-    """The suites' compute phase one trial at a time on its unstacked draws, in place of verify._groups.
+GROUPS = vf._groups  # kept for per_trial_groups, which stands in for it
 
-    With redraw, each trial's first candidate is checked on its own and, if
-    gns_check rejects it, replaced by redraw(t).
-    """
-    for t, dims, arrays in drawn:
-        if redraw is not None:
-            (d,) = dims
-            if not md.gns_check(sampling.unit(sampling.complex_from(arrays[0], d, d), 2)):
-                arrays = redraw(t)
-        yield partial(table.record, origins=[(stream, t, dims)]), dims, list(arrays)
+
+def per_trial_groups(table, seed, stream, trials, draw, entangled=False):
+    """verify._groups one trial at a time, each array unstacked: the suites' single-instance path."""
+    for t in trials:
+        for rec, dims, stacks in GROUPS(table, seed, stream, [t], draw, entangled):
+            yield rec, dims, [s[0] for s in stacks]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -97,15 +93,11 @@ def test_rejected_first_candidates_are_redrawn_with_the_checking_loop(monkeypatc
     monkeypatch.setattr(sampling, "gns_check", accept)  # coeff_normals' checking loop
     monkeypatch.setattr(md, "gns_check", accept)  # the stacked check of the draw phase
 
-    def draw(rng, t, entangled):
+    def draw(rng, t, entangled=False):
         d = 2 + t % 2
         return (d,), (coeff_normals(rng, d, d, entangled), rng.standard_normal(3))
 
-    def redraw(t):
-        return draw(rng_for(5, 40, t), t, entangled=True)[1]
-
-    drawn = vf._draw(5, 40, range(12), partial(draw, entangled=False))
-    groups = list(vf._groups(vf.ResidualTable(), 40, drawn, redraw))
+    groups = list(vf._groups(vf.ResidualTable(), 5, 40, range(12), draw, entangled=True))
     assert [rec.keywords["origins"] for rec, _, _ in groups] == [
         [(40, t, (d,)) for t in range(12) if 2 + t % 2 == d] for d in (2, 3)
     ]
@@ -118,7 +110,7 @@ def test_rejected_first_candidates_are_redrawn_with_the_checking_loop(monkeypatc
             members = np.stack([want[k] for _, want in wants])
             assert stack.flags.c_contiguous and (stack.shape, stack.dtype) == (members.shape, members.dtype), k
             assert stack.tobytes() == members.tobytes(), k  # the bits of np.stack over the checking loop's draws
-        first = [drawn[t][2][0] for t in trials]
+        first = [draw(rng_for(5, 40, t), t)[1][0] for t in trials]
         redrawn += sum(not np.array_equal(x, f) for x, f in zip(stacks[0], first))
     assert redrawn >= 3
 
@@ -139,13 +131,61 @@ def test_every_reported_worst_trial_replays_bit_for_bit():
         assert replayed.worst == (stream, trial, dims), r.name
 
 
-def test_ties_go_to_the_lowest_trial():
+def test_each_worst_stream_is_the_stream_its_trial_was_drawn_from(monkeypatch):
+    """Every reported worst (stream, trial) was seeded, and each of the 13 suites seeds its own one tag."""
+    suite, streams, seeded = [None], {}, set()
+
+    def seeding(stream, trials):
+        streams.setdefault(suite[0], set()).add(stream)
+        seeded.update((stream, t) for t in trials)
+
+    def trial_rngs(seed, *stream, trials):
+        seeding(stream, list(trials))
+        return sampling.trial_rngs(seed, *stream, trials=trials)
+
+    def rng_for(seed, *stream):
+        seeding(stream[:-1], stream[-1:])
+        return sampling.rng_for(seed, *stream)
+
+    def traced(run):
+        def traced_run(*args):
+            suite[0] = run
+            return run(*args)
+
+        return traced_run
+
+    monkeypatch.setattr(vf, "trial_rngs", trial_rngs)
+    monkeypatch.setattr(vf, "rng_for", rng_for)
+    monkeypatch.setattr(vf, "SUITES", tuple(traced(s) for s in vf.SUITES))
+    results = vf.run_all(seed=1, trials=12)
+    assert all(((r.worst[0],), r.worst[1]) in seeded for r in results)
+    assert len(streams) == 13 and all(len(tags) == 1 for tags in streams.values())
+    assert len(set().union(*streams.values())) == 13
+
+
+@pytest.mark.parametrize("order", ["finite first", "nan first"])
+def test_nan_residual_wins_in_either_order(order):
+    finite, nan = ([2e-16], [(10, 0, (2, 2))]), ([np.nan], [(10, 1, (3, 3))])
     table = vf.ResidualTable()
-    table.record("epr.pairing", [1.0, 2.0, 2.0], [(10, 5, (2, 2)), (10, 7, (2, 2)), (10, 9, (2, 2))])
-    table.record("epr.pairing", [2.0], [(10, 3, (3, 3))])
-    table.record("epr.pairing", [2.0], [(10, 4, (3, 3))])
+    for values, origins in (finite, nan) if order == "finite first" else (nan, finite):
+        table.record("epr.pairing", values, origins)
+    table.record("epr.projection", [1.0], [(10, 0, (2, 2))])  # a hundred times its tolerance
+    projection, pairing = table.results()
+    assert np.isnan(pairing.residual) and pairing.worst == (10, 1, (3, 3)) and not pairing.passed
+    with pytest.raises(errors.ToleranceExceeded, match="worst is epr.pairing with residual nan"):
+        vf.check_all([projection, pairing])
+    with pytest.raises(errors.ToleranceExceeded, match="worst is epr.pairing with residual nan"):
+        vf.check_all([pairing, projection])
+
+
+@pytest.mark.parametrize("top", [2.0, np.nan])
+def test_ties_go_to_the_lowest_trial(top):
+    table = vf.ResidualTable()
+    table.record("epr.pairing", [1.0, top, top], [(10, 5, (2, 2)), (10, 7, (2, 2)), (10, 9, (2, 2))])
+    table.record("epr.pairing", [top], [(10, 3, (3, 3))])
+    table.record("epr.pairing", [top], [(10, 4, (3, 3))])
     (result,) = table.results()
-    assert result.residual == 2.0 and result.worst == (10, 3, (3, 3))
+    assert np.array_equal(result.residual, top, equal_nan=True) and result.worst == (10, 3, (3, 3))
 
 
 def test_verify_report_names_the_worst_trial(capsys):
@@ -233,6 +273,12 @@ class TestCliProbeStacks:
     def probes(self, seed, tag, dim):
         rng = rng_for(seed, tag)
         return [random_unit_vector(rng, dim) for _ in range(PROBE_COUNT)]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 64])
+    def test_vector_probes_are_unit_complex_normal_rows(self, dim):
+        (probes,) = cli._probes(rng_for(42, 2), (dim,))
+        rows = sampling.complex_normal_rows(rng_for(42, 2), PROBE_COUNT, dim)
+        assert probes.tobytes() == sampling.unit(rows).tobytes()
 
     def test_epr(self, capsys, tmp_path):
         psi = random_state((3, 2), seed=11)
