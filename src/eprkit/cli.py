@@ -73,10 +73,7 @@ def cmd_epr(args) -> tuple[dict, list[vf.IdentityResult], str]:
 
     phi_a, phi_b, chi = _probes(rng_for(args.seed, 1), (psi.dim_a,), (psi.dim_b,), (psi.dim_a, psi.dim_b))
     table = vf.ResidualTable()
-    table.record("epr.projection", vf.epr_projection(psi, pair, omega_a, phi_a))
-    table.record("epr.pairing", vf.epr_pairing(psi, pair, phi_a, phi_b))
-    table.record("epr.inner_trace", vf.epr_inner_trace(psi, pair, bp.BipartiteVector(chi)))
-    table.record("epr.reduction", vf.epr_reduction(psi, omega_a, omega_b))
+    vf.epr_checks(table.record, psi, omega_a, omega_b, phi_a, phi_b, chi)
     residuals = _residuals(table, "epr.")
     report = {
         "s_ba": fm.antilinear_to_json(pair.s_ba),
@@ -97,8 +94,7 @@ def cmd_teleport(args) -> tuple[dict, list[vf.IdentityResult], str]:
     bound = tp.success_bound(tm)
     table = vf.ResidualTable()
     (probes,) = _probes(rng_for(args.seed, 2), (psi.dim_a,))
-    table.record("teleport.factorization", vf.teleport_factorization(tm, probes))
-    table.record("teleport.trace_fidelity", vf.teleport_trace_fidelity(tnf))
+    vf.teleport_checks(table.record, tm, probes)
     oracle_residual = _residuals(table, "teleport.")["factorization"]
     report = {
         "t": fm.matrix_to_json(tm.t),
@@ -132,8 +128,7 @@ def cmd_luders(args) -> tuple[dict, list[vf.IdentityResult], str]:
 
     (probes,) = _probes(rng_for(args.seed, 3), (ch.psis.dim_a,))
     table = vf.ResidualTable()
-    table.record("luders.decoupling", vf.luders_decoupling(ch, probes))
-    table.record("luders.op_bound", vf.luders_op_bound(ch, bounds))
+    vf.luders_checks(table.record, ch, bounds, probes)
     decoupling = _residuals(table, "luders.")["decoupling"]
     report = {
         "maps": [fm.matrix_to_json(t) for t in ch.maps],
@@ -161,7 +156,7 @@ def cmd_chain(args) -> tuple[dict, list[vf.IdentityResult], str]:
     t = tp.chain_teleport(stages)
     table = vf.ResidualTable()
     (probes,) = _probes(rng_for(args.seed, 4), (stages[0].dim_a,))
-    table.record("chain.factorization", vf.chain_factorization(stages, t, probes))
+    vf.chain_checks(table.record, stages, t, probes)
     oracle_residual = _residuals(table, "chain.")["factorization"]
     report = {"t": fm.matrix_to_json(t), "oracle_residual": oracle_residual}
     summary = f"chain map {t.shape[0]}x{t.shape[1]} over {len(stages) // 2} hops, oracle residual {oracle_residual:.3e}"
@@ -173,11 +168,7 @@ def cmd_modular(args) -> tuple[dict, list[vf.IdentityResult], str]:
     psi = _state(fm.load_json(args.psi), "psi", normed=False)
     triple, roots = md.tomita_S(phi, psi), vf.modular_roots(phi, psi)
     table = vf.ResidualTable()
-    table.record("modular.defining", vf.modular_defining(triple, phi, psi))
-    table.record("modular.delta", vf.modular_delta(triple))
-    table.record("modular.reconstruction", vf.modular_reconstruction(triple, roots))
-    table.record("modular.phase_match", vf.modular_phase_match(triple))
-    table.record("modular.intertwine", vf.modular_intertwine(triple, roots))
+    vf.modular_checks(table.record, triple, roots, phi, psi)
     residuals = _residuals(table, "modular.")
     report = {
         "S": fm.twisted_to_json(triple.s),

@@ -125,11 +125,6 @@ def random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     return unit(complex_normal(rng, dim))
 
 
-def complex_normal_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """`count` draws of complex_normal(rng, dim) stacked as rows, in one call, with their bits."""
-    return complex_from(rng.standard_normal((count, normal_count((dim,)))), dim)
-
-
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-distributed unitary via QR with the phase convention fixed."""
     return haar(complex_normal(rng, dim, dim))

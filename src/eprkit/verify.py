@@ -14,10 +14,13 @@ scalars), one per trial; the table keeps their max and the trial that
 attained it.  Tolerances are pinned per identity; passing a global
 tolerance overrides all of them.
 
-The identities the CLI subcommands check on their inputs are each computed
-by one residual function below.  It takes already-built operands, single
-or stacked, and returns one residual per member; the suites call it on
-trial stacks and the CLI on its stack of probes.
+Each CLI subcommand that checks identities on its input (epr, teleport,
+luders, chain, modular) has one routine below, <family>_checks(rec, ...).
+It takes already-built operands, single or stacked, and records every
+identity the subcommand checks through rec(name, residuals), one residual
+per member: the interface _groups yields.  The family's suite calls it on
+trial stacks with its group's rec, and the subcommand on its stack of
+probes with the record method of its own ResidualTable.
 """
 
 from __future__ import annotations
@@ -212,45 +215,44 @@ def _complex_trials(table: ResidualTable, seed: int, stream: int, trials: Iterab
         yield rec, dims, split_complex(x, *shapes(*dims))
 
 
-def epr_projection(psi, pair, omega_a, phi_a):
-    """(|phi_a><phi_a| ⊗ 1) psi = phi_a ⊗ s_ba phi_a, with squared norm <phi_a, omega_a phi_a>."""
+def epr_checks(rec, psi, omega_a, omega_b, phi_a, phi_b, chi):
+    """The identities of the epr subcommand, on the reductions of psi, probes phi_a and phi_b and coefficients chi.
+
+    projection: (|phi_a><phi_a| ⊗ 1) psi = phi_a ⊗ s_ba phi_a, with squared
+    norm <phi_a, omega_a phi_a>; pairing: <phi_b, s_ba phi_a> = <phi_a, s_ab
+    phi_b> = <phi_a ⊗ phi_b, psi>; inner_trace: <chi, psi> as a trace of
+    induced maps, on either factor; reduction: the reductions against partial
+    traces of the dense projector |psi><psi|, refused beyond DENSE_DIM_LIMIT.
+    """
+    pair = bp.epr_maps(psi)
     projected = bp.project_rank1(psi, phi_a)
-    return np.maximum(
-        _fro(projected.coeff - _outer(phi_a, al.apply(pair.s_ba, phi_a))),
-        np.abs(projected.norm() ** 2 - _vdot(phi_a, _mv(omega_a, phi_a)).real),
-    )
-
-
-def epr_pairing(psi, pair, phi_a, phi_b):
-    """<phi_b, s_ba phi_a> = <phi_a, s_ab phi_b> = <phi_a ⊗ phi_b, psi>."""
+    shape = _fro(projected.coeff - _outer(phi_a, al.apply(pair.s_ba, phi_a)))
+    norm_sq = np.abs(projected.norm() ** 2 - _vdot(phi_a, _mv(omega_a, phi_a)).real)
+    rec("epr.projection", np.maximum(shape, norm_sq))
     rhs = _vdot(la.kron(phi_a, phi_b, vectors=True), psi.to_vector())
-    return np.maximum(
-        np.abs(_vdot(phi_b, al.apply(pair.s_ba, phi_a)) - rhs),
-        np.abs(_vdot(phi_a, al.apply(pair.s_ab, phi_b)) - rhs),
-    )
-
-
-def epr_inner_trace(psi, pair, chi):
-    """<chi, psi> as a trace of induced maps, on either factor."""
+    via_ba, via_ab = _vdot(phi_b, al.apply(pair.s_ba, phi_a)), _vdot(phi_a, al.apply(pair.s_ab, phi_b))
+    rec("epr.pairing", np.maximum(np.abs(via_ba - rhs), np.abs(via_ab - rhs)))
+    chi = bp.BipartiteVector(chi)
     direct = _vdot(chi.coeff, psi.coeff, 2)
     trace_b = al.trace_product(pair.s_ba, bp.epr_maps(chi).s_ab)
-    return np.maximum(np.abs(bp.inner_via_trace(chi, psi) - direct), np.abs(trace_b - direct))
-
-
-def epr_reduction(psi, omega_a, omega_b):
-    """The reductions against partial traces of the dense projector |psi><psi|, refused beyond DENSE_DIM_LIMIT."""
+    rec("epr.inner_trace", np.maximum(np.abs(bp.inner_via_trace(chi, psi) - direct), np.abs(trace_b - direct)))
     la._check_dense(psi.dim_a * psi.dim_b, "dense oracle")
     vec = psi.to_vector()
     dense = _outer(vec, np.conj(vec))
-    return np.maximum(
-        _fro(omega_a - la.partial_trace(dense, psi.dim_a, psi.dim_b, "a")),
-        _fro(omega_b - la.partial_trace(dense, psi.dim_a, psi.dim_b, "b")),
-    )
+    on_a, on_b = (la.partial_trace(dense, psi.dim_a, psi.dim_b, side) for side in "ab")
+    rec("epr.reduction", np.maximum(_fro(omega_a - on_a), _fro(omega_b - on_b)))
 
 
-def teleport_factorization(tm, probe):
-    """Factorized channel output against the dense projection oracle."""
-    return _fro(_mv(tm.t, probe) - tp.teleport_oracle(tm.source_psi, tm.ancilla_phi, probe), 1)
+def teleport_checks(rec, tm, probe):
+    """The identities of the teleport subcommand, on tm and a probe.
+
+    factorization: the factorized output against the dense projection
+    oracle; trace_fidelity: the trace norm of the channel matrix against the
+    fidelity of the reductions.
+    """
+    rec("teleport.factorization", _fro(_mv(tm.t, probe) - tp.teleport_oracle(tm.source_psi, tm.ancilla_phi, probe), 1))
+    tnf = tp.trace_norm_fidelity(tm)
+    rec("teleport.trace_fidelity", np.abs(tnf.trace_norm - tnf.fidelity))
 
 
 def teleport_bound_holds(tm, probes, bound):
@@ -260,28 +262,23 @@ def teleport_bound_holds(tm, probes, bound):
     return np.maximum(0.0, worst - bound)
 
 
-def teleport_trace_fidelity(tnf):
-    """Trace norm of the channel matrix against the fidelity of the reductions."""
-    return np.abs(tnf.trace_norm - tnf.fidelity)
+def luders_checks(rec, ch, bounds, probe):
+    """The identities of the luders subcommand, on ch's bounds and a probe.
 
-
-def luders_decoupling(ch, probe):
-    """Dense (P ⊗ 1_c)(probe ⊗ phi) against sum_k psi_k ⊗ t_k probe."""
+    decoupling: dense (P ⊗ 1_c)(probe ⊗ phi) against sum_k psi_k ⊗ t_k probe;
+    op_bound: excess of the operator bound over the squared ancilla norm, and
+    its gap to the trace bound.
+    """
     dense = tp.luders_project(ch, probe)
     factored = la.kron(ch.psis.to_vector(), _mv(ch.maps, probe[..., None, :]), vectors=True).sum(axis=-2)
-    return _fro(dense - factored, 1)
+    rec("luders.decoupling", _fro(dense - factored, 1))
+    excess = np.maximum(0.0, bounds.op_bound - ch.ancilla_norm_sq)
+    rec("luders.op_bound", np.maximum(excess, np.abs(bounds.op_bound - bounds.trace_bound)))
 
 
-def luders_op_bound(ch, bounds):
-    """Excess of the operator bound over the squared ancilla norm, and its gap to the trace bound."""
-    return np.maximum(
-        np.maximum(0.0, bounds.op_bound - ch.ancilla_norm_sq), np.abs(bounds.op_bound - bounds.trace_bound)
-    )
-
-
-def chain_factorization(stages, t, probe):
-    """Folded chain matrix against the dense chain oracle."""
-    return _fro(_mv(t, probe) - tp.chain_oracle(probe, stages), 1)
+def chain_checks(rec, stages, t, probe):
+    """The identity of the chain subcommand: the folded chain matrix t on probe against the dense chain oracle."""
+    rec("chain.factorization", _fro(_mv(t, probe) - tp.chain_oracle(probe, stages), 1))
 
 
 def twisted_action(prod, eta, xi):
@@ -445,6 +442,15 @@ def modular_intertwine(triple, roots):
     return _kron_gap((eta @ np.conj(sqrt_b), xi), (eta_j, xi_j @ np.conj(sqrt_a)))
 
 
+def modular_checks(rec, triple, roots, phi, psi):
+    """The identities of the modular subcommand: the factor routes above, on triple = tomita_S(phi, psi)."""
+    rec("modular.defining", modular_defining(triple, phi, psi))
+    rec("modular.delta", modular_delta(triple))
+    rec("modular.reconstruction", modular_reconstruction(triple, roots))
+    rec("modular.phase_match", modular_phase_match(triple))
+    rec("modular.intertwine", modular_intertwine(triple, roots))
+
+
 def modular_defining_oracle(triple, phi, psi):
     """Dense oracle of modular_defining: the dense S on all d² matrix units at once.
 
@@ -525,13 +531,9 @@ def epr_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         c, phi_a, chi, a_psd = unit(c, 2), unit(phi_a), unit(chi, 2), a_psd @ a_psd.conj().mT
         psi = bp.BipartiteVector(c)
         pair = bp.epr_maps(psi)
-        omega_a, omega_b = bp.reduced(psi, "a"), bp.reduced(psi, "b")
-        rec("epr.projection", epr_projection(psi, pair, omega_a, phi_a))
-        rec("epr.pairing", epr_pairing(psi, pair, phi_a, phi_b))
-        rec("epr.inner_trace", epr_inner_trace(psi, pair, bp.BipartiteVector(chi)))
+        epr_checks(rec, psi, bp.reduced(psi, "a"), bp.reduced(psi, "b"), phi_a, phi_b, chi)
         rec("epr.reconstruct", _fro(bp.reconstruct(pair.s_ba, np.eye(da)).coeff - c))
         rec("epr.reconstruct", _fro(bp.reconstruct(pair.s_ba, a_psd).coeff - a_psd @ c))
-        rec("epr.reduction", epr_reduction(psi, omega_a, omega_b))
         moved = bp.epr_maps(bp.local_transform(psi, a_op, b_op))
         via_maps_ba = al.compose_mixed(b_op, al.compose_mixed(a_op.conj().mT, pair.s_ba, "right"), "left")
         via_maps_ab = al.compose_mixed(a_op, al.compose_mixed(b_op.conj().mT, pair.s_ab, "right"), "left")
@@ -670,7 +672,7 @@ def teleport_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int])
     counts = {k: (normal_count(k[:2], k[1:], k[:1]), normal_count((BOUND_PROBES, k[0]))) for k in triples}
 
     def draw(rng, t):
-        """One normal call: two states, a probe, then BOUND_PROBES rows as complex_normal_rows draws them."""
+        """One normal call: two states, a probe, then BOUND_PROBES rows as sequential complex_normal draws."""
         n, rows = counts[triples[t % len(triples)]]
         x = rng.standard_normal(n + rows)
         return triples[t % len(triples)], (x[:n], x[n:].reshape(BOUND_PROBES, -1))
@@ -678,11 +680,10 @@ def teleport_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int])
     for rec, (da, db, dc), (x, rows) in _groups(table, seed, 80, trials, draw):
         c_psi, c_phi, probe = split_complex(x, (da, db), (db, dc), (da,))
         tm = tp.teleport_map(bp.BipartiteVector(unit(c_psi, 2)), bp.BipartiteVector(unit(c_phi, 2)))
-        rec("teleport.factorization", teleport_factorization(tm, unit(probe)))
+        teleport_checks(rec, tm, unit(probe))
         bound = tp.success_bound(tm)
         rec("teleport.bound_holds", teleport_bound_holds(tm, complex_from(rows, da), bound))
         rec("teleport.bound_attained", np.abs(tm.norms.operator**2 - bound))
-        rec("teleport.trace_fidelity", teleport_trace_fidelity(tp.trace_norm_fidelity(tm)))
 
 
 def luders_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
@@ -708,11 +709,10 @@ def luders_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         ch = tp.luders_channel(bp.BipartiteVector(haar(basis)[..., :rank].mT.reshape(-1, rank, da, db)), phi)
         first = bp.BipartiteVector(ch.psis.coeff[..., 0, :, :])
         rec("luders.rank1", _fro(tp.luders_channel([first], phi).maps[..., 0, :, :] - tp.teleport_map(first, phi).t))
-        rec("luders.decoupling", luders_decoupling(ch, unit(probe)))
+        luders_checks(rec, ch, tp.luders_bounds(ch), unit(probe))
         mixed = bp.BipartiteVector((mix.mT @ ch.psis.to_vector()).reshape(ch.psis.coeff.shape))
         out = tp.luders_apply(ch, nu)
         rec("luders.independence", _fro(out - tp.luders_apply(tp.luders_channel(mixed, phi), nu)))
-        rec("luders.op_bound", luders_op_bound(ch, tp.luders_bounds(ch)))
         norm_sq = ch.ancilla_norm_sq
         rec("luders.trace_bound", np.maximum(0.0, _trace(out).real - norm_sq * _trace(nu).real))
         if full:
@@ -727,7 +727,7 @@ def chain_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
 
     for rec, _, (*coeffs, probe) in _complex_trials(table, seed, 100, trials, [(2, 2, 2, 2, 2)], shapes):
         stages = [bp.BipartiteVector(unit(c, 2)) for c in coeffs]
-        rec("chain.factorization", chain_factorization(stages, tp.chain_teleport(stages), unit(probe)))
+        chain_checks(rec, stages, tp.chain_teleport(stages), unit(probe))
 
 
 def twisted_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
@@ -778,17 +778,13 @@ def modular_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     for rec, (d,), (x_psi, x_phi) in _groups(table, seed, 120, trials, draw, entangled=True):
         psi, phi = (bp.BipartiteVector(unit(complex_from(x, d, d), 2)) for x in (x_psi, x_phi))
         triple, roots = md.tomita_S(phi, psi), modular_roots(phi, psi)
-        # Each identity is checked by its factor route and, up to ORACLE_DIM, by its dense oracle too.
-        for name, route, oracle, args in (
-            ("modular.defining", modular_defining, modular_defining_oracle, (triple, phi, psi)),
-            ("modular.delta", modular_delta, modular_delta_oracle, (triple,)),
-            ("modular.reconstruction", modular_reconstruction, modular_reconstruction_oracle, (triple, roots)),
-            ("modular.phase_match", modular_phase_match, modular_phase_match_oracle, (triple,)),
-            ("modular.intertwine", modular_intertwine, modular_intertwine_oracle, (triple, roots)),
-        ):
-            rec(name, route(*args))
-            if d <= ORACLE_DIM:
-                rec(name, oracle(*args))
+        modular_checks(rec, triple, roots, phi, psi)
+        if d <= ORACLE_DIM:  # each factor route's dense oracle
+            rec("modular.defining", modular_defining_oracle(triple, phi, psi))
+            rec("modular.delta", modular_delta_oracle(triple))
+            rec("modular.reconstruction", modular_reconstruction_oracle(triple, roots))
+            rec("modular.phase_match", modular_phase_match_oracle(triple))
+            rec("modular.intertwine", modular_intertwine_oracle(triple, roots))
 
         own = md.tomita_S(psi, psi)
         vec = psi.to_vector()

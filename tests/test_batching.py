@@ -276,28 +276,28 @@ class TestCliProbeStacks:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 7, 64])
     def test_vector_probes_are_unit_complex_normal_rows(self, dim):
+        """The probes are PROBE_COUNT sequential complex_normal draws, each made unit, stacked as rows."""
         (probes,) = cli._probes(rng_for(42, 2), (dim,))
-        rows = sampling.complex_normal_rows(rng_for(42, 2), PROBE_COUNT, dim)
+        rng = rng_for(42, 2)
+        rows = np.stack([complex_normal(rng, dim) for _ in range(PROBE_COUNT)])
         assert probes.tobytes() == sampling.unit(rows).tobytes()
 
     def test_epr(self, capsys, tmp_path):
         psi = random_state((3, 2), seed=11)
         assert main(["epr", write_state(tmp_path, "psi", psi), "--seed", "5"]) == 0
         report = json.loads(capsys.readouterr().out)
-        pair = bp.epr_maps(psi)
-        omega_a = bp.reduced(psi, "a")
+        omega_a, omega_b = bp.reduced(psi, "a"), bp.reduced(psi, "b")
         rng = rng_for(5, 1)
-        worst = {"projection": 0.0, "pairing": 0.0, "inner_trace": 0.0}
+        worst = {}
+
+        def rec(name, value):  # the max over the per-probe calls
+            key = name.removeprefix("epr.")
+            worst[key] = max(worst.get(key, 0.0), float(value))
+
         for _ in range(PROBE_COUNT):
             phi_a, phi_b = random_unit_vector(rng, 3), random_unit_vector(rng, 2)
-            chi = state_from_rng(rng, 3, 2)
-            for name, value in (
-                ("projection", vf.epr_projection(psi, pair, omega_a, phi_a)),
-                ("pairing", vf.epr_pairing(psi, pair, phi_a, phi_b)),
-                ("inner_trace", vf.epr_inner_trace(psi, pair, chi)),
-            ):
-                worst[name] = max(worst[name], float(value))
-        assert {k: report["residuals"][k] for k in worst} == worst
+            vf.epr_checks(rec, psi, omega_a, omega_b, phi_a, phi_b, state_from_rng(rng, 3, 2).coeff)
+        assert report["residuals"] == worst
 
     def test_teleport(self, capsys, tmp_path):
         psi, phi = random_state((2, 3), seed=12), random_state((3, 4), seed=13)

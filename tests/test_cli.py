@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from eprkit import verify as vf
 from eprkit.bipartite import BipartiteVector
 from eprkit.cli import main
 from eprkit.errors import DimTooLarge
@@ -366,6 +367,41 @@ def _arguments(tmp_path, command: str) -> list[str]:
     if command == "modular":
         return [_write(tmp_path, "phi.json", state(1)), _write(tmp_path, "psi.json", state(2, True))]
     return {"verify": ["--trials", "1", "--dims", "2"], "random": ["--dims", "2", "3"]}[command]
+
+
+@pytest.mark.parametrize("command", ["epr", "teleport", "luders", "chain", "modular"])
+def test_subcommand_and_suite_record_through_one_routine(capsys, tmp_path, monkeypatch, command):
+    # The subcommand calls its family's check routine once, and every name its
+    # table records comes through it; the family's suite calls the same routine.
+    routine = getattr(vf, f"{command}_checks")
+    calls, through, in_table = [], [], []
+
+    def wrapped(rec, *operands):
+        def passing(name, values, **origins):
+            through.append(name)
+            return rec(name, values, **origins)
+
+        calls.append(command)
+        return routine(passing, *operands)
+
+    plain_record = vf.ResidualTable.record
+
+    def record(table, name, values, origins=None):
+        in_table.append(name)
+        return plain_record(table, name, values, origins)
+
+    monkeypatch.setattr(vf, f"{command}_checks", wrapped)
+    monkeypatch.setattr(vf.ResidualTable, "record", record)
+    assert main([command, *_arguments(tmp_path, command)]) == 0
+    capsys.readouterr()
+    assert calls == [command]
+    assert in_table and in_table == through
+    cli_names = set(through)
+
+    calls.clear()
+    through.clear()
+    getattr(vf, f"{command}_suite")(vf.ResidualTable(), 1, [2], range(2))
+    assert calls and cli_names == set(through)
 
 
 @pytest.mark.parametrize("command", ["epr", "teleport", "luders", "chain", "modular", "verify", "random"])

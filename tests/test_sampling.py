@@ -16,7 +16,6 @@ from eprkit.sampling import (
     coeff_from_rng,
     coeff_normals,
     complex_normal,
-    complex_normal_rows,
     haar,
     normal_count,
     random_psd,
@@ -116,11 +115,6 @@ PER_CALL = {
         partial(coeff_from_rng, entangled=True),
         partial(sequential_coeff, entangled=True),
         (3, 3),
-    ),
-    "complex_normal_rows": (
-        complex_normal_rows,
-        lambda rng, count, d: np.stack([sequential_complex_normal(rng, d) for _ in range(count)]),
-        (7, 3),
     ),
 }
 

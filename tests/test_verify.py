@@ -10,7 +10,7 @@ from eprkit import antilinear, errors
 from eprkit.antilinear import AntilinearMap, adjoint
 from eprkit.linalg import kron
 from eprkit.modular import twisted_product
-from eprkit.sampling import complex_normal, complex_normal_rows, random_unit_vector, rng_for
+from eprkit.sampling import complex_from, complex_normal, normal_count, random_unit_vector, rng_for
 from eprkit.teleport import success_bound, teleport_map
 from eprkit.verify import TOLERANCES, ResidualTable, antilinear_suite, teleport_bound_holds, twisted_action
 
@@ -26,7 +26,7 @@ class TestTeleportBoundHolds:
         bound = success_bound(tm)
         # The top right-singular vector attains the bound; scale it so the check must normalize.
         top = 3.0 * np.linalg.svd(tm.t)[2][0].conj()
-        probes = np.vstack([complex_normal_rows(rng, 20, da), top])
+        probes = np.vstack([complex_normal(rng, da) for _ in range(20)] + [top])
         tol = TOLERANCES["teleport.bound_holds"]
         assert teleport_bound_holds(tm, probes, bound) <= tol
         assert teleport_bound_holds(tm, probes, bound - 1e-6) > tol
@@ -89,11 +89,13 @@ class TestTwistedAction:
 
 
 class TestStackedDraw:
+    """Rows of one normal call assembled by complex_from, as teleport_suite draws its bound probes."""
+
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_equals_sequential_draws_and_leaves_the_same_state(self, d):
         count = 100
         stacked_rng, seq_rng, unit_rng = (rng_for(7, 80, d) for _ in range(3))
-        rows = complex_normal_rows(stacked_rng, count, d)
+        rows = complex_from(stacked_rng.standard_normal((count, normal_count((d,)))), d)
         assert rows.shape == (count, d)
         seq = np.stack([complex_normal(seq_rng, d) for _ in range(count)])
         assert np.array_equal(rows, seq)

@@ -29,6 +29,10 @@ import tempfile
 import traceback
 from pathlib import Path
 
+# Before the first eprkit or perfbench import: write no bytecode caches into the source tree under
+# test or into perfbench/, since a stray cache changes the import time that perfbench's setup_s measures.
+sys.dont_write_bytecode = True
+
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = 100      # eprkit verify --seed 1..SEEDS
 SESSIONS = 353   # seed-1 cli-session ops, five commands each
@@ -36,7 +40,6 @@ SESSIONS = 353   # seed-1 cli-session ops, five commands each
 
 def invocations() -> tuple[list[list[str]], dict[str, bytes]]:
     """The argv of every invocation, and the input files the session commands read."""
-    sys.dont_write_bytecode = True  # leave no cache files in perfbench/
     sys.path.insert(0, str(ROOT / "perfbench"))
     import inputs
 
