@@ -45,6 +45,11 @@ def _say(msg: str):
     print(msg, file=sys.stderr)
 
 
+def _fixed(x: float) -> str:
+    """Six decimals, or from magnitude 1e6 on six in exponent form, not hundreds of digits."""
+    return f"{x:.6e}" if abs(x) >= 1e6 else f"{x:.6f}"
+
+
 def _state(obj, what: str, normed: bool = True) -> bp.BipartiteVector:
     """A state from its JSON object; if normed (teleport, luders, chain), refused when its squared norm overflows."""
     psi = fm.bipartite_from_json(obj, what)
@@ -104,8 +109,8 @@ def cmd_teleport(args) -> tuple[dict, list[vf.IdentityResult], str]:
         "oracle_residual": oracle_residual,
     }
     summary = (
-        f"teleport map {tm.t.shape[0]}x{tm.t.shape[1]}: trace norm {tnf.trace_norm:.6f}, "
-        f"fidelity {tnf.fidelity:.6f}, bound {bound:.6f}, oracle residual {oracle_residual:.3e}"
+        f"teleport map {tm.t.shape[0]}x{tm.t.shape[1]}: trace norm {_fixed(tnf.trace_norm)}, "
+        f"fidelity {_fixed(tnf.fidelity)}, bound {_fixed(bound)}, oracle residual {oracle_residual:.3e}"
     )
     return report, table.results(args.tolerance), summary
 
@@ -142,8 +147,8 @@ def cmd_luders(args) -> tuple[dict, list[vf.IdentityResult], str]:
         nu = fm.matrix_from_json(fm.load_json(args.nu), "nu")
         report["output"] = fm.matrix_to_json(tp.luders_apply(ch, nu))
     summary = (
-        f"channel of rank {ch.rank}: op bound {bounds.op_bound:.6f} "
-        f"(ancilla norm sq {ch.ancilla_norm_sq:.6f}), decoupling residual {decoupling:.3e}"
+        f"channel of rank {ch.rank}: op bound {_fixed(bounds.op_bound)} "
+        f"(ancilla norm sq {_fixed(ch.ancilla_norm_sq)}), decoupling residual {decoupling:.3e}"
     )
     return report, table.results(args.tolerance), summary
 

@@ -7,10 +7,11 @@ arithmetic and one generator call per run of normals; the trials are
 grouped by dims and stacked in one pass, and entangled candidates are
 checked for full rank on the stack and redrawn if rejected.  The suite
 assembles each group with sampling's stacked assembly and evaluates each
-identity once per group on value types that hold the whole stack: each
-library function runs once per group, on the code path a single instance
-takes.  Residuals are Frobenius norms of differences (absolute values for
-scalars), one per trial; the table keeps their max and the trial that
+identity once per group on value types that hold the whole stack, on the
+code path a single instance takes.  luders_suite groups by channel dims
+and splits a group by rank only for the identities whose arrays carry the
+rank axis.  Residuals are Frobenius norms of differences (absolute values
+for scalars), one per trial; the table keeps their max and the trial that
 attained it.  Tolerances are pinned per identity; passing a global
 tolerance overrides all of them.
 
@@ -125,8 +126,8 @@ class ResidualTable:
         """
         if name not in TOLERANCES:
             raise KeyError(f"unregistered identity {name!r}")
-        v = np.atleast_1d(np.asarray(values, dtype=float))
-        k = int(np.argmax(v))  # the first NaN, else the first of equal maxima; members come in trial order
+        v = np.asarray(values, float).reshape(-1)
+        k = int(v.argmax())  # the first NaN, else the first of equal maxima; members come in trial order
         value, origin = float(v[k]), origins[k] if origins is not None else None
         if name in self._max and _rank(value, origin) <= _rank(*self._max[name]):
             return
@@ -180,13 +181,13 @@ def _groups(table: ResidualTable, seed: int, stream: int, trials: Iterable[int],
 
     draw(rng, t) returns trial t's (dims, arrays) from the generator of
     (seed, stream, t).  Groups come in first-seen order, the trials of a
-    group in trial order; record(name, values) enters one residual per
-    member, with its (stream, trial, dims), into the table.  With entangled,
-    array 0 is a first candidate coeff_normals(rng, d, d), dims (d,), checked
-    by gns_check on its stack; a rejected row is overwritten by
-    draw(rng_for(seed, stream, t), t, entangled=True), the checking loop on a
-    fresh generator.  An accepted candidate leaves the generator where that
-    loop would, so the bits are the loop's.
+    group in trial order; record(name, values), partial(table.record,
+    origins=...), enters one residual per member, with its (stream, trial,
+    dims), into the table.  With entangled, array 0 is a first candidate
+    coeff_normals(rng, d, d), dims (d,), checked by gns_check on its stack;
+    a rejected row is overwritten by draw(rng_for(seed, stream, t), t,
+    entangled=True), the checking loop on a fresh generator.  An accepted
+    candidate leaves the generator where that loop would: the loop's bits.
     """
     trials = list(trials)
     groups: dict = {}
@@ -257,8 +258,9 @@ def teleport_checks(rec, tm, probe):
 
 def teleport_bound_holds(tm, probes, bound):
     """Excess of the largest squared output norm over the success bound, on the normalized probe rows."""
-    v = probes / np.linalg.norm(probes, axis=-1, keepdims=True)
-    worst = np.linalg.norm(v @ tm.t.mT, axis=-1).max(axis=-1, initial=0.0) ** 2
+    out = (probes / np.linalg.norm(probes, axis=-1, keepdims=True)) @ tm.t.mT
+    # np.linalg.norm's sums of squares, rooted once: the root of their max is the max of their roots
+    worst = np.sqrt(np.add.reduce((out.conj() * out).real, axis=-1).max(axis=-1, initial=0.0)) ** 2
     return np.maximum(0.0, worst - bound)
 
 
@@ -690,35 +692,45 @@ def luders_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     small = [d for d in dims if d <= 3] or [2]
     pairs = [(da, db) for da in small for db in small]
 
-    def shapes(da, db, rank):
-        """The Haar basis, probe, mixing unitary and operator, then a full basis when da·db <= 6."""
+    def shapes(da, db):
+        """The Haar basis, probe and operator, then a full basis when da·db <= 6."""
         n = da * db
-        return ((n, n), (da,), (rank, rank), (da, da)) + (((n, n),) if n <= 6 else ())
+        return ((n, n), (da,), (da, da)) + (((n, n),) if n <= 6 else ())
+
+    ends = {(da, db): (normal_count(*shapes(da, db)[:2]), normal_count(*shapes(da, db))) for da, db in pairs}
 
     def draw(rng, t):
+        """Ancilla, rank, basis and probe, mixing unitary, operator and full basis; x holds the unitary last, padded."""
         (da, db), dc = pairs[t % len(pairs)], small[t % len(small)]
-        x_phi = rng.standard_normal(normal_count((db, dc)))
-        rank = 1 + int(rng.integers(da * db))
-        return (da, db, dc, rank), (x_phi, rng.standard_normal(normal_count(*shapes(da, db, rank))))
+        x_phi, rank = rng.standard_normal(normal_count((db, dc))), 1 + int(rng.integers(da * db))
+        (head, end), x = ends[da, db], np.zeros(ends[da, db][1] + 2 * (da * db) ** 2)
+        for run in (x[:head], x[end : end + 2 * rank * rank], x[head:end]):
+            rng.standard_normal(out=run)
+        return (da, db, dc), (x_phi, x, rank)
 
-    # Channels are grouped by rank as well, so each group stacks channels of one rank.
-    for rec, (da, db, dc, rank), (x_phi, x) in _groups(table, seed, 90, trials, draw):
-        basis, probe, mix, nu, *full = split_complex(x, *shapes(da, db, rank))
-        mix, nu = haar(mix), nu @ nu.conj().mT
-        phi = bp.BipartiteVector(unit(complex_from(x_phi, db, dc), 2))
-        ch = tp.luders_channel(bp.BipartiteVector(haar(basis)[..., :rank].mT.reshape(-1, rank, da, db)), phi)
-        first = bp.BipartiteVector(ch.psis.coeff[..., 0, :, :])
+    # Grouped by channel dims and split by rank where the rank axis enters; origins carry (da, db, dc, rank).
+    for rec, (da, db, dc), (x_phi, x, rank) in _groups(table, seed, 90, trials, draw):
+        n, end, rank = da * db, ends[da, db][1], np.asarray(rank)
+        origins = [(s, t, (da, db, dc, int(r))) for (s, t, _), r in zip(rec.keywords["origins"], rank.reshape(-1))]
+        basis, probe, nu, *full = split_complex(x, *shapes(da, db))
+        psis, probe, nu = haar(basis).mT.reshape(-1, n, da, db), unit(probe), nu @ nu.conj().mT
+        phi, first = bp.BipartiteVector(unit(complex_from(x_phi, db, dc), 2)), bp.BipartiteVector(psis[..., 0, :, :])
+        rec = partial(table.record, origins=origins)
         rec("luders.rank1", _fro(tp.luders_channel([first], phi).maps[..., 0, :, :] - tp.teleport_map(first, phi).t))
-        luders_checks(rec, ch, tp.luders_bounds(ch), unit(probe))
-        mixed = bp.BipartiteVector((mix.mT @ ch.psis.to_vector()).reshape(ch.psis.coeff.shape))
-        out = tp.luders_apply(ch, nu)
-        rec("luders.independence", _fro(out - tp.luders_apply(tp.luders_channel(mixed, phi), nu)))
-        norm_sq = ch.ancilla_norm_sq
-        rec("luders.trace_bound", np.maximum(0.0, _trace(out).real - norm_sq * _trace(nu).real))
         if full:
-            full_basis = bp.BipartiteVector(haar(full[0]).mT.reshape(-1, da * db, da, db))
+            full_basis = bp.BipartiteVector(haar(full[0]).mT.reshape(-1, n, da, db))
             out_full = tp.luders_apply(tp.luders_channel(full_basis, phi), nu)
-            rec("luders.completeness", np.abs(_trace(out_full).real - norm_sq * _trace(nu).real))
+            rec("luders.completeness", np.abs(_trace(out_full).real - phi.norm() ** 2 * _trace(nu).real))
+        for r in np.unique(rank):
+            sel = rank == r if rank.ndim else ...  # a single trial's arrays are taken whole
+            rec_r = partial(table.record, origins=[o for o in origins if o[2][3] == r])
+            ch = tp.luders_channel(bp.BipartiteVector(psis[sel][..., :r, :, :]), bp.BipartiteVector(phi.coeff[sel]))
+            luders_checks(rec_r, ch, tp.luders_bounds(ch), probe[sel])
+            mix, nu_r = haar(complex_from(x[sel][..., end : end + 2 * r * r], r, r)), nu[sel]
+            mixed = bp.BipartiteVector((mix.mT @ ch.psis.to_vector()).reshape(ch.psis.coeff.shape))
+            out = tp.luders_apply(ch, nu_r)
+            rec_r("luders.independence", _fro(out - tp.luders_apply(tp.luders_channel(mixed, ch.ancilla_phi), nu_r)))
+            rec_r("luders.trace_bound", np.maximum(0.0, _trace(out).real - ch.ancilla_norm_sq * _trace(nu_r).real))
 
 
 def chain_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):

@@ -188,6 +188,24 @@ def test_ties_go_to_the_lowest_trial(top):
     assert np.array_equal(result.residual, top, equal_nan=True) and result.worst == (10, 3, (3, 3))
 
 
+@pytest.mark.parametrize("dims", [(2, 3, 4), (1, 2)])
+def test_luders_origins_carry_channel_dims_and_rank(dims):
+    """Every luders.* worst origin is (90, trial, (da, db, dc, rank)) with the trial's own draw, and replays alone."""
+    results = [r for r in vf.run_all(seed=1, dims=dims) if r.name.startswith("luders.")]
+    small = [d for d in dims if d <= 3] or [2]
+    pairs = [(da, db) for da in small for db in small]
+    assert len(results) == 6
+    for r in results:
+        stream, trial, (da, db, dc, rank) = r.worst
+        assert stream == 90 and (da, db) == pairs[trial % len(pairs)] and dc == small[trial % len(small)], r.name
+        rng = rng_for(1, 90, trial)
+        rng.standard_normal(sampling.normal_count((db, dc)))  # the ancilla's normals come before the rank
+        assert rank == 1 + rng.integers(da * db), r.name
+        table = vf.ResidualTable()
+        vf.luders_suite(table, 1, list(dims), [trial])
+        assert {x.name: (x.residual, x.worst) for x in table.results()}[r.name] == (r.residual, r.worst), r.name
+
+
 def test_verify_report_names_the_worst_trial(capsys):
     assert main(["verify", "--seed", "19", "--trials", "100"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from eprkit import cli
 from eprkit import verify as vf
 from eprkit.bipartite import BipartiteVector
 from eprkit.cli import main
@@ -143,6 +144,28 @@ class TestLuders:
         assert report["rank"] == 2
         out = matrix_from_json(report["output"])
         assert np.trace(out).real <= report["ancilla_norm_sq"] * 1.0 + 1e-9
+
+    def test_large_ancilla_bounds_print_in_exponent_form(self, capsys, tmp_path):
+        """A valid ancilla with every entry 1e100: the summary gives its bounds in .6e, not as 200-digit numbers."""
+        spec = {
+            "psi_ab": {"dim_a": 2, "dim_b": 2, "coeff": matrix_to_json(np.diag([1.0, 0.0]))},
+            "phi_bc": {"dim_a": 2, "dim_b": 2, "coeff": matrix_to_json(np.full((2, 2), 1e100))},
+        }
+        path = tmp_path / "channel.json"
+        path.write_text(json.dumps(spec))
+        code, report, err = run_cli(capsys, "luders", str(path))
+        assert code == 0
+        assert report["ancilla_norm_sq"] == pytest.approx(4e200)
+        want = "channel of rank 1: op bound 2.000000e+200 (ancilla norm sq 4.000000e+200), decoupling residual 0.000e+00"
+        assert err == want + "\n"
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [(0.5, "0.500000"), (999999.9999994, "999999.999999"), (1e6, "1.000000e+06"), (-2.5e7, "-2.500000e+07"),
+         (float("nan"), "nan"), (float("inf"), "inf")],
+    )
+    def test_summary_numbers_switch_to_exponent_form_at_1e6(self, value, text):
+        assert cli._fixed(value) == text
 
     def test_missing_key_exit_2(self, capsys, tmp_path):
         path = tmp_path / "channel.json"

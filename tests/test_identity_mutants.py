@@ -4,8 +4,10 @@ Each check routine runs on one seeded single instance with a recording rec.
 Unmutated, every name it records is within tolerance.  Under that name's
 mutant, a library function whose result is scaled by 1 + 1e-6 or a
 perturbed operand, the name is at least ten times its tolerance.  The
-modular factor routes have their perturbation tests in test_modular
-(TestFactorRoutes).
+Lüders identities only luders_suite checks run through the suite on seeded
+trials, under mutants of luders_apply.  luders.rank1 has no row: it
+compares teleport_map with itself.  The modular factor routes have their
+perturbation tests in test_modular (TestFactorRoutes).
 """
 
 import pytest
@@ -100,3 +102,44 @@ def test_mutant_is_caught(monkeypatch, name):
     instance, mutate = MUTANTS[name]
     routine, operands = instance()
     assert recorded(routine, mutate(monkeypatch, operands))[name] >= 10 * vf.TOLERANCES[name]
+
+
+def luders_suite_residuals() -> dict:
+    """luders_suite on seeded trials whose ranks include full ones: the residual of each identity."""
+    table = vf.ResidualTable()
+    vf.luders_suite(table, 7, [2, 3], range(16))
+    return {r.name: r.residual for r in table.results()}
+
+
+def first_term(ch, nu):
+    """t_0 nu t_0†, the first map's term of the channel action."""
+    t0 = ch.maps[..., 0, :, :]
+    return t0 @ nu @ t0.conj().mT
+
+
+# Each mutant adds a term to luders_apply's output: 1e-6 of the output itself (a scaled action), or 1e-6 of its
+# first map's term, which makes the action depend on the decomposition.
+SUITE_MUTANTS = {
+    "luders.independence": lambda ch, nu, out: (SCALE - 1) * first_term(ch, nu),
+    "luders.trace_bound": lambda ch, nu, out: (SCALE - 1) * out,
+    "luders.completeness": lambda ch, nu, out: (SCALE - 1) * out,
+}
+
+
+def test_suite_identities_unmutated_within_tolerance():
+    got = luders_suite_residuals()
+    assert set(SUITE_MUTANTS) < set(got)
+    for name in SUITE_MUTANTS:
+        assert got[name] <= vf.TOLERANCES[name], name
+
+
+@pytest.mark.parametrize("name", SUITE_MUTANTS)
+def test_suite_mutant_is_caught(monkeypatch, name):
+    plain = tp.luders_apply
+
+    def mutant(ch, nu):
+        out = plain(ch, nu)
+        return out + SUITE_MUTANTS[name](ch, nu, out)
+
+    monkeypatch.setattr(tp, "luders_apply", mutant)
+    assert luders_suite_residuals()[name] >= 10 * vf.TOLERANCES[name]

@@ -8,6 +8,7 @@ from eprkit import errors
 from eprkit.linalg import (
     HERMITIAN_TOL,
     fidelity,
+    fro_norm,
     frozen,
     norms,
     partial_trace,
@@ -244,6 +245,19 @@ class TestPartialTrace:
 def test_support_projection_rank():
     p = support_projection(np.diag([0.5, 0.0, 0.2]))
     assert_allclose(p, np.diag([1.0, 0.0, 1.0]), atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64, np.int64])
+@pytest.mark.parametrize("shape, axes", [((3, 4), 2), ((5, 3, 2), 2), ((5, 7), 1), ((2, 3, 4), 1), ((6,), 1)])
+def test_fro_norm_has_the_bits_of_numpy_norm(dtype, shape, axes):
+    """Member by member, fro_norm gives np.linalg.norm of each member's flattened entries, bit for bit."""
+    rng = seeded_rng(99, *shape)
+    x = rng.standard_normal(shape) * 10
+    x = x + 1j * rng.standard_normal(shape) if dtype is np.complex128 else x.astype(dtype)
+    members = x.reshape(-1, *shape[len(shape) - axes :])
+    want = np.array([np.linalg.norm(m.reshape(-1)) for m in members]).reshape(shape[: len(shape) - axes])
+    got = fro_norm(x, axes)
+    assert np.array_equal(got, want) and np.shape(got) == want.shape
 
 
 class TestFrozen:

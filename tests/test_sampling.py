@@ -148,6 +148,7 @@ def test_stacked_assembly_matches_the_sequential_draws(d):
         )
         assert rng.bit_generator.state == seq_rng.bit_generator.state
     u, v, a, m, c = split_complex(np.stack(raw), *shapes)
+    assert all(z.flags.c_contiguous for z in (u, v, a, m, c))  # complex_from's order: stacked products keep their bits
     got = (haar(u), unit(v), a @ a.conj().mT, m, unit(c, 2))
     for k, stack in enumerate(got):
         assert np.array_equal(stack, np.stack([w[k] for w in want])), k

@@ -1,12 +1,15 @@
 """Print the exit code and the SHA-256 of the report and of stderr for a fixed set of eprkit invocations.
 
-The set is `eprkit verify --seed s` for s = 1..100, two verify runs beyond
-the default dims (`--seed 1 --dims 16 --trials 8` and `--seed 2 --dims 1 5
---trials 9`) and the 1765 commands of the seed-1 `cli-session` benchmark
-list (`perfbench/inputs.session_ops(1, 353)`, read only): 1867 invocations.  Every invocation goes through `eprkit.cli.main` in
-process, with its input files and reports in a temporary directory.  Run it
-once against each of two source trees and diff the outputs: equal lines
-mean equal exit codes and byte-identical reports and stderr.
+The set is `eprkit verify --seed s` for s = 1..100, three verify runs beyond
+the default dims (`--seed 1 --dims 16 --trials 8`, `--seed 2 --dims 1 5
+--trials 9`, and `--seed 3 --dims 1 2 --trials 40`, whose Lüders groups mix
+full-basis and rank-one channels at da·db = 1, 2 and 4) and the 1765
+commands of the seed-1 `cli-session` benchmark list
+(`perfbench/inputs.session_ops(1, 353)`, read only): 1868 invocations.
+Every invocation goes through `eprkit.cli.main` in process, with its input
+files and reports in a temporary directory.  Run it once against each of
+two source trees and diff the outputs: equal lines mean equal exit codes and
+byte-identical reports and stderr.
 
     PYTHONPATH=src python3 tools/report_digests.py > digests.txt
     PYTHONPATH=/path/to/other/src python3 tools/report_digests.py > other.txt
@@ -47,6 +50,7 @@ def invocations() -> tuple[list[list[str]], dict[str, bytes]]:
     argvs = [["verify", "--seed", str(s)] for s in range(1, SEEDS + 1)]
     argvs += [["verify", "--seed", "1", "--dims", "16", "--trials", "8"]]
     argvs += [["verify", "--seed", "2", "--dims", "1", "5", "--trials", "9"]]
+    argvs += [["verify", "--seed", "3", "--dims", "1", "2", "--trials", "40"]]
     argvs += [argv for op in ops.ops for _, argv in op.commands]
     return argvs, ops.files
 
