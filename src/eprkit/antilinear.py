@@ -111,7 +111,7 @@ def trace_product(t1: AntilinearMap, t2: AntilinearMap):
     """
     if t1.dim_domain != t2.dim_codomain or t2.dim_domain != t1.dim_codomain:
         raise DimMismatch("trace_product needs maps composable in both orders")
-    return _out(np.trace(compose_aa(t1, t2), axis1=-2, axis2=-1))
+    return _out(compose_aa(t1, t2).trace(axis1=-2, axis2=-1))
 
 
 @dataclass(frozen=True)

@@ -116,7 +116,7 @@ def project_rank1(psi: BipartiteVector, phi_a) -> BipartiteVector:
 def inner_via_trace(phi: BipartiteVector, psi: BipartiteVector) -> complex:
     """Scalar product <phi, psi> computed as Tr_a (s_psi_ab ∘ s_phi_ba); stacks give one per member."""
     _check_same_dims(phi, psi)
-    return _out(np.trace(psi.coeff @ np.conj(phi.coeff.mT), axis1=-2, axis2=-1))
+    return _out((psi.coeff @ np.conj(phi.coeff.mT)).trace(axis1=-2, axis2=-1))
 
 
 def reconstruct(s_ba: AntilinearMap, a_op) -> BipartiteVector:

@@ -48,7 +48,7 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
 
 def finite(a: np.ndarray, name: str, what: str = "contains NaN or Inf entries") -> np.ndarray:
     """Return a matrix (or stack) if every entry is finite; else NonFinite names the operand, the member and `what`."""
-    if a.size and not np.isfinite(a).all():
+    if np.count_nonzero(np.isfinite(a)) != a.size:
         label, _ = _member(name, ~np.isfinite(a).all(axis=(-2, -1)))
         raise NonFinite(f"{label} {what}")
     return a
@@ -128,9 +128,9 @@ def _out(x: np.ndarray):
 def fro_norm(x, axes: int = 2):
     """Frobenius norm over the last `axes` axes, member by member, with the bits of np.linalg.norm."""
     x = np.asarray(x)
-    flat = x.reshape(*x.shape[: x.ndim - axes], 1, -1)
+    flat = x.reshape(*x.shape[: x.ndim - axes], -1)
     re, im = flat.real, flat.imag  # a real array's imag is zeros, which add nothing
-    return _out(np.sqrt((re @ re.mT + im @ im.mT)[..., 0, 0]))
+    return _out(np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bipartite import BipartiteVector
 from .errors import DimMismatch
-from .linalg import fro_norm, seal
+from .linalg import fro_norm
 from .modular import gns_check
 
 
@@ -93,26 +93,16 @@ def normal_count(*shapes) -> int:
     return sum(2 * math.prod(shape) for shape in shapes)
 
 
-@functools.lru_cache(maxsize=256)
-def _real_parts_first(shapes: tuple) -> tuple:
-    """The order that puts the real parts of split_complex's draws before all imaginary parts, and each draw's end."""
-    sizes = [math.prod(shape) for shape in shapes]
-    ends = tuple(accumulate(sizes, initial=0))
-    re = np.arange(ends[-1]) + np.repeat(ends[:-1], sizes)  # the draw of shape k starts at normal 2·ends[k]
-    return seal(np.concatenate([re, re + np.repeat(sizes, sizes)])), ends
-
-
 def complex_from(x: np.ndarray, *shape: int) -> np.ndarray:
     """Standard complex normals of `shape` from raw normals x (..., normal_count(shape)), real parts first."""
     n = x.shape[-1] // 2
-    return ((x[..., :n] + 1j * x[..., n:]) / np.sqrt(2.0)).reshape(*x.shape[:-1], *shape)
+    return ((x[..., :n] + 1j * x[..., n:]) / math.sqrt(2.0)).reshape(*x.shape[:-1], *shape)
 
 
 def split_complex(x: np.ndarray, *shapes) -> list[np.ndarray]:
-    """Consecutive complex draws of the given shapes from raw normals x (..., normal_count(*shapes)), in one gather."""
-    order, ends = _real_parts_first(shapes)
-    z = complex_from(x[..., order], ends[-1])  # each draw keeps the bits and the C order complex_from gives it alone
-    return [np.ascontiguousarray(z[..., a:b]).reshape(*x.shape[:-1], *s) for s, a, b in zip(shapes, ends, ends[1:])]
+    """Consecutive complex draws of the given shapes from raw normals x (..., normal_count(*shapes))."""
+    ends = list(accumulate(normal_count(shape) for shape in shapes))
+    return [complex_from(x[..., start:end], *shape) for shape, start, end in zip(shapes, [0] + ends, ends)]
 
 
 def unit(z: np.ndarray, axes: int = 1) -> np.ndarray:

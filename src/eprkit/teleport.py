@@ -223,7 +223,7 @@ def luders_bounds(ch: LudersChannel) -> LudersBounds:
     """
     w, v = herm_eigh((ch.maps.conj().mT @ ch.maps).sum(axis=-3), "K")
     top = np.take_along_axis(v, np.argmax(w, axis=-1)[..., None, None], axis=-1)
-    trace_bound = np.trace(luders_apply(ch, top @ top.conj().mT), axis1=-2, axis2=-1).real
+    trace_bound = luders_apply(ch, top @ top.conj().mT).trace(axis1=-2, axis2=-1).real
     return LudersBounds(op_bound=_out(np.maximum(w.max(axis=-1), 0.0)), trace_bound=_out(trace_bound))
 
 

@@ -169,7 +169,7 @@ def _outer(x, y):
 
 
 def _trace(m):
-    return np.trace(m, axis1=-2, axis2=-1)
+    return m.trace(axis1=-2, axis2=-1)
 
 
 def _max(*residuals):
@@ -181,13 +181,13 @@ def _groups(table: ResidualTable, seed: int, stream: int, trials: Iterable[int],
 
     draw(rng, t) returns trial t's (dims, arrays) from the generator of
     (seed, stream, t).  Groups come in first-seen order, the trials of a
-    group in trial order; record(name, values), partial(table.record,
-    origins=...), enters one residual per member, with its (stream, trial,
-    dims), into the table.  With entangled, array 0 is a first candidate
-    coeff_normals(rng, d, d), dims (d,), checked by gns_check on its stack;
-    a rejected row is overwritten by draw(rng_for(seed, stream, t), t,
-    entangled=True), the checking loop on a fresh generator.  An accepted
-    candidate leaves the generator where that loop would: the loop's bits.
+    group in trial order; record(name, values) enters one residual per
+    member, with its (stream, trial, dims), into the table.  With entangled,
+    array 0 is a first candidate coeff_normals(rng, d, d), dims (d,), checked
+    by gns_check on its stack; a rejected row is overwritten by
+    draw(rng_for(seed, stream, t), t, entangled=True), the checking loop on a
+    fresh generator.  An accepted candidate leaves the generator where that
+    loop would, so the bits are the loop's.
     """
     trials = list(trials)
     groups: dict = {}
@@ -207,10 +207,9 @@ def _groups(table: ResidualTable, seed: int, stream: int, trials: Iterable[int],
 
 def _complex_trials(table: ResidualTable, seed: int, stream: int, trials: Iterable[int], dims_list, shapes):
     """_groups for trials of normals only: dims_list[t % len] and one call for shapes(*dims); yields complex arrays."""
-    counts = [normal_count(*shapes(*dims)) for dims in dims_list]
-
     def draw(rng, t):
-        return dims_list[t % len(dims_list)], (rng.standard_normal(counts[t % len(dims_list)]),)
+        dims = dims_list[t % len(dims_list)]
+        return dims, (rng.standard_normal(normal_count(*shapes(*dims))),)
 
     for rec, dims, (x,) in _groups(table, seed, stream, trials, draw):
         yield rec, dims, split_complex(x, *shapes(*dims))
@@ -497,17 +496,16 @@ def modular_intertwine_oracle(triple, roots):
 def matcore_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     sizes = sorted(set(list(dims) + [16]))
     pairs = _dim_pairs(dims)
-    head = {d: normal_count(*[(d, d)] * 4) for d in sizes}  # each count once per dims, not per trial
-    tail = {(da, db): normal_count((da * db, da * db), (da, da)) for da, db in pairs}
     groups = partial(_groups, table, seed, 5, list(trials))  # two passes over each trial's stream
 
     def draw_square(rng, t):
         d = sizes[t % len(sizes)]
-        return (d,), (rng.standard_normal(head[d]),)
+        return (d,), (rng.standard_normal(normal_count(*[(d, d)] * 4)),)
 
     def draw_pair(rng, t):  # the normals after the square's
         d, (da, db) = sizes[t % len(sizes)], pairs[t % len(pairs)]
-        return (da, db), (rng.standard_normal(head[d] + tail[da, db])[head[d] :],)
+        head = normal_count(*[(d, d)] * 4)
+        return (da, db), (rng.standard_normal(head + normal_count((da * db, da * db), (da, da)))[head:],)
 
     for rec, (d,), (x,) in groups(draw_square):
         m, *psd = split_complex(x, *[(d, d)] * 4)
@@ -671,13 +669,13 @@ def purification_suite(table: ResidualTable, seed: int, dims, trials: Iterable[i
 def teleport_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     small = [d for d in dims if d <= 4] or [2]
     triples = [(da, db, dc) for da in small for db in small for dc in small]
-    counts = {k: (normal_count(k[:2], k[1:], k[:1]), normal_count((BOUND_PROBES, k[0]))) for k in triples}
 
     def draw(rng, t):
         """One normal call: two states, a probe, then BOUND_PROBES rows as sequential complex_normal draws."""
-        n, rows = counts[triples[t % len(triples)]]
+        k = triples[t % len(triples)]
+        n, rows = normal_count(k[:2], k[1:], k[:1]), normal_count((BOUND_PROBES, k[0]))
         x = rng.standard_normal(n + rows)
-        return triples[t % len(triples)], (x[:n], x[n:].reshape(BOUND_PROBES, -1))
+        return k, (x[:n], x[n:].reshape(BOUND_PROBES, -1))
 
     for rec, (da, db, dc), (x, rows) in _groups(table, seed, 80, trials, draw):
         c_psi, c_phi, probe = split_complex(x, (da, db), (db, dc), (da,))
@@ -690,28 +688,27 @@ def teleport_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int])
 
 def luders_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     small = [d for d in dims if d <= 3] or [2]
-    pairs = [(da, db) for da in small for db in small]
+    pairs, stream = [(da, db) for da in small for db in small], 90
 
     def shapes(da, db):
         """The Haar basis, probe and operator, then a full basis when da·db <= 6."""
         n = da * db
         return ((n, n), (da,), (da, da)) + (((n, n),) if n <= 6 else ())
 
-    ends = {(da, db): (normal_count(*shapes(da, db)[:2]), normal_count(*shapes(da, db))) for da, db in pairs}
-
     def draw(rng, t):
         """Ancilla, rank, basis and probe, mixing unitary, operator and full basis; x holds the unitary last, padded."""
         (da, db), dc = pairs[t % len(pairs)], small[t % len(small)]
         x_phi, rank = rng.standard_normal(normal_count((db, dc))), 1 + int(rng.integers(da * db))
-        (head, end), x = ends[da, db], np.zeros(ends[da, db][1] + 2 * (da * db) ** 2)
+        head, end = normal_count(*shapes(da, db)[:2]), normal_count(*shapes(da, db))
+        x = np.zeros(end + 2 * (da * db) ** 2)
         for run in (x[:head], x[end : end + 2 * rank * rank], x[head:end]):
             rng.standard_normal(out=run)
-        return (da, db, dc), (x_phi, x, rank)
+        return (da, db, dc), (x_phi, x, rank, t)
 
     # Grouped by channel dims and split by rank where the rank axis enters; origins carry (da, db, dc, rank).
-    for rec, (da, db, dc), (x_phi, x, rank) in _groups(table, seed, 90, trials, draw):
-        n, end, rank = da * db, ends[da, db][1], np.asarray(rank)
-        origins = [(s, t, (da, db, dc, int(r))) for (s, t, _), r in zip(rec.keywords["origins"], rank.reshape(-1))]
+    for _, (da, db, dc), (x_phi, x, rank, t) in _groups(table, seed, stream, trials, draw):
+        n, end, rank = da * db, normal_count(*shapes(da, db)), np.asarray(rank)
+        origins = [(stream, int(s), (da, db, dc, int(r))) for s, r in zip(np.ravel(t), np.ravel(rank))]
         basis, probe, nu, *full = split_complex(x, *shapes(da, db))
         psis, probe, nu = haar(basis).mT.reshape(-1, n, da, db), unit(probe), nu @ nu.conj().mT
         phi, first = bp.BipartiteVector(unit(complex_from(x_phi, db, dc), 2)), bp.BipartiteVector(psis[..., 0, :, :])
@@ -721,16 +718,16 @@ def luders_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
             full_basis = bp.BipartiteVector(haar(full[0]).mT.reshape(-1, n, da, db))
             out_full = tp.luders_apply(tp.luders_channel(full_basis, phi), nu)
             rec("luders.completeness", np.abs(_trace(out_full).real - phi.norm() ** 2 * _trace(nu).real))
-        for r in np.unique(rank):
+        for r in sorted(set(np.ravel(rank).tolist())):
             sel = rank == r if rank.ndim else ...  # a single trial's arrays are taken whole
-            rec_r = partial(table.record, origins=[o for o in origins if o[2][3] == r])
+            rec = partial(table.record, origins=[o for o in origins if o[2][3] == r])
             ch = tp.luders_channel(bp.BipartiteVector(psis[sel][..., :r, :, :]), bp.BipartiteVector(phi.coeff[sel]))
-            luders_checks(rec_r, ch, tp.luders_bounds(ch), probe[sel])
+            luders_checks(rec, ch, tp.luders_bounds(ch), probe[sel])
             mix, nu_r = haar(complex_from(x[sel][..., end : end + 2 * r * r], r, r)), nu[sel]
             mixed = bp.BipartiteVector((mix.mT @ ch.psis.to_vector()).reshape(ch.psis.coeff.shape))
             out = tp.luders_apply(ch, nu_r)
-            rec_r("luders.independence", _fro(out - tp.luders_apply(tp.luders_channel(mixed, ch.ancilla_phi), nu_r)))
-            rec_r("luders.trace_bound", np.maximum(0.0, _trace(out).real - ch.ancilla_norm_sq * _trace(nu_r).real))
+            rec("luders.independence", _fro(out - tp.luders_apply(tp.luders_channel(mixed, ch.ancilla_phi), nu_r)))
+            rec("luders.trace_bound", np.maximum(0.0, _trace(out).real - ch.ancilla_norm_sq * _trace(nu_r).real))
 
 
 def chain_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
