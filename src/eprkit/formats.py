@@ -91,15 +91,6 @@ def antilinear_to_json(t: AntilinearMap) -> dict:
     }
 
 
-def antilinear_from_json(obj, what: str = "antilinear map") -> AntilinearMap:
-    _require(obj, {"dim_domain", "dim_codomain", "mat", "parity"}, what)
-    if obj["parity"] != "antilinear":
-        raise ParseError(f"{what}: parity must be 'antilinear', got {obj['parity']!r}")
-    mat = matrix_from_json(obj["mat"], f"{what}.mat")
-    _check_shape(what, "mat", mat, (obj["dim_codomain"], obj["dim_domain"]))
-    return AntilinearMap(mat)
-
-
 def bipartite_to_json(psi: BipartiteVector) -> dict:
     return {
         "dim_a": psi.dim_a,

@@ -126,11 +126,15 @@ def _out(x: np.ndarray):
 
 
 def fro_norm(x, axes: int = 2):
-    """Frobenius norm over the last `axes` axes, member by member, with the bits of np.linalg.norm."""
+    """Frobenius norm over the last `axes` axes, member by member; inf, without a warning, where the squares overflow.
+
+    Equal to np.linalg.norm bit for bit, except in the last bit on a real stack with strided members (x[:, ::2]).
+    """
     x = np.asarray(x)
     flat = x.reshape(*x.shape[: x.ndim - axes], -1)
     re, im = flat.real, flat.imag  # a real array's imag is zeros, which add nothing
-    return _out(np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)))
+    with np.errstate(over="ignore"):
+        return _out(np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)))
 
 
 @dataclass(frozen=True)

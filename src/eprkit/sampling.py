@@ -106,7 +106,7 @@ def split_complex(x: np.ndarray, *shapes) -> list[np.ndarray]:
 
 
 def unit(z: np.ndarray, axes: int = 1) -> np.ndarray:
-    """z divided by its Frobenius norm over the last `axes` axes, with the bits of z / np.linalg.norm(z)."""
+    """z divided by fro_norm(z, axes): the bits of z / np.linalg.norm(z) wherever fro_norm has np.linalg.norm's."""
     return z / np.asarray(fro_norm(z, axes))[(...,) + (None,) * axes]
 
 
@@ -117,43 +117,19 @@ def haar(z: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    """IID standard complex normal entries (unit total variance per entry)."""
-    return complex_from(rng.standard_normal(normal_count(shape)), *shape)
-
-
-def random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return unit(complex_normal(rng, dim))
-
-
-def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-distributed unitary via QR with the phase convention fixed."""
-    return haar(complex_normal(rng, dim, dim))
-
-
-def random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
-    a = complex_normal(rng, dim, dim)
-    return a @ a.conj().mT
-
-
 def state_from_rng(rng: np.random.Generator, dim_a: int, dim_b: int, entangled: bool = False) -> BipartiteVector:
     """Unit random state; with entangled=True, rejection-sample full-rank reductions."""
-    return BipartiteVector(coeff_from_rng(rng, dim_a, dim_b, entangled))
+    return BipartiteVector(unit(complex_from(coeff_normals(rng, dim_a, dim_b, entangled), dim_a, dim_b), 2))
 
 
 def coeff_normals(rng: np.random.Generator, dim_a: int, dim_b: int, entangled: bool = False) -> np.ndarray:
-    """The raw normals of coeff_from_rng's accepted draw; unit(complex_from(x, dim_a, dim_b), 2) assembles them."""
+    """The raw normals of state_from_rng's accepted draw; unit(complex_from(x, dim_a, dim_b), 2) assembles them."""
     if entangled and dim_a != dim_b:
         raise DimMismatch("completely entangled states need dim_a == dim_b")
     while True:
         x = rng.standard_normal(normal_count((dim_a, dim_b)))
         if not entangled or gns_check(unit(complex_from(x, dim_a, dim_b), 2)):
             return x
-
-
-def coeff_from_rng(rng: np.random.Generator, dim_a: int, dim_b: int, entangled: bool = False) -> np.ndarray:
-    """The coefficient matrix of state_from_rng, drawn with the same bits."""
-    return unit(complex_from(coeff_normals(rng, dim_a, dim_b, entangled), dim_a, dim_b), 2)
 
 
 def random_state(dims, seed: int, entangled: bool = False) -> BipartiteVector:

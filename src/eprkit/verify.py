@@ -17,11 +17,11 @@ tolerance overrides all of them.
 
 Each CLI subcommand that checks identities on its input (epr, teleport,
 luders, chain, modular) has one routine below, <family>_checks(rec, ...).
-It takes already-built operands, single or stacked, and records every
-identity the subcommand checks through rec(name, residuals), one residual
-per member: the interface _groups yields.  The family's suite calls it on
-trial stacks with its group's rec, and the subcommand on its stack of
-probes with the record method of its own ResidualTable.
+It takes the subcommand's operands, single or stacked, builds what the
+identities derive from them, records each through rec(name, residuals), one
+residual per member (the interface _groups yields), and returns what the
+report needs.  The family's suite calls it on trial stacks with its group's
+rec, and the subcommand on its probes with its own ResidualTable's record.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ TOLERANCES = {
     "teleport.bound_holds": 1e-12,
     "teleport.bound_attained": 1e-9,
     "teleport.trace_fidelity": 1e-9,
-    "luders.rank1": 1e-12,
     "luders.decoupling": 1e-10,
     "luders.independence": 1e-9,
     "luders.trace_bound": 1e-9,
@@ -244,7 +243,7 @@ def epr_checks(rec, psi, omega_a, omega_b, phi_a, phi_b, chi):
 
 
 def teleport_checks(rec, tm, probe):
-    """The identities of the teleport subcommand, on tm and a probe.
+    """The identities of the teleport subcommand, on tm and a probe; returns trace_norm_fidelity(tm).
 
     factorization: the factorized output against the dense projection
     oracle; trace_fidelity: the trace norm of the channel matrix against the
@@ -253,6 +252,7 @@ def teleport_checks(rec, tm, probe):
     rec("teleport.factorization", _fro(_mv(tm.t, probe) - tp.teleport_oracle(tm.source_psi, tm.ancilla_phi, probe), 1))
     tnf = tp.trace_norm_fidelity(tm)
     rec("teleport.trace_fidelity", np.abs(tnf.trace_norm - tnf.fidelity))
+    return tnf
 
 
 def teleport_bound_holds(tm, probes, bound):
@@ -263,18 +263,20 @@ def teleport_bound_holds(tm, probes, bound):
     return np.maximum(0.0, worst - bound)
 
 
-def luders_checks(rec, ch, bounds, probe):
-    """The identities of the luders subcommand, on ch's bounds and a probe.
+def luders_checks(rec, ch, probe):
+    """The identities of the luders subcommand, on ch and a probe; returns luders_bounds(ch).
 
     decoupling: dense (P ⊗ 1_c)(probe ⊗ phi) against sum_k psi_k ⊗ t_k probe;
     op_bound: excess of the operator bound over the squared ancilla norm, and
     its gap to the trace bound.
     """
+    bounds = tp.luders_bounds(ch)
     dense = tp.luders_project(ch, probe)
     factored = la.kron(ch.psis.to_vector(), _mv(ch.maps, probe[..., None, :]), vectors=True).sum(axis=-2)
     rec("luders.decoupling", _fro(dense - factored, 1))
     excess = np.maximum(0.0, bounds.op_bound - ch.ancilla_norm_sq)
     rec("luders.op_bound", np.maximum(excess, np.abs(bounds.op_bound - bounds.trace_bound)))
+    return bounds
 
 
 def chain_checks(rec, stages, t, probe):
@@ -406,7 +408,8 @@ def modular_delta(triple):
     gap = _kron_gap((xi.mT @ np.conj(xi), eta.mT @ np.conj(eta)), (a, b))
     w_a, w_b = (np.linalg.eigvalsh((m + m.conj().mT) / 2) for m in (a, b))
     low = (w_a[..., :, None] * w_b[..., None, :]).min(axis=(-2, -1))
-    return np.maximum(gap, np.maximum(0.0, -low)) / (1.0 + _fro(a) * _fro(b))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing gap over an overflowing scale is NaN
+        return np.maximum(gap, np.maximum(0.0, -low)) / (1.0 + _fro(a) * _fro(b))
 
 
 def modular_reconstruction(triple, roots):
@@ -443,13 +446,15 @@ def modular_intertwine(triple, roots):
     return _kron_gap((eta @ np.conj(sqrt_b), xi), (eta_j, xi_j @ np.conj(sqrt_a)))
 
 
-def modular_checks(rec, triple, roots, phi, psi):
-    """The identities of the modular subcommand: the factor routes above, on triple = tomita_S(phi, psi)."""
+def modular_checks(rec, phi, psi):
+    """The identities of the modular subcommand: the factor routes above; returns tomita_S(phi, psi) and its roots."""
+    triple, roots = md.tomita_S(phi, psi), modular_roots(phi, psi)
     rec("modular.defining", modular_defining(triple, phi, psi))
     rec("modular.delta", modular_delta(triple))
     rec("modular.reconstruction", modular_reconstruction(triple, roots))
     rec("modular.phase_match", modular_phase_match(triple))
     rec("modular.intertwine", modular_intertwine(triple, roots))
+    return triple, roots
 
 
 def modular_defining_oracle(triple, phi, psi):
@@ -671,7 +676,7 @@ def teleport_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int])
     triples = [(da, db, dc) for da in small for db in small for dc in small]
 
     def draw(rng, t):
-        """One normal call: two states, a probe, then BOUND_PROBES rows as sequential complex_normal draws."""
+        """One normal call: two states, a probe, then the BOUND_PROBES rows, each its own run of complex normals."""
         k = triples[t % len(triples)]
         n, rows = normal_count(k[:2], k[1:], k[:1]), normal_count((BOUND_PROBES, k[0]))
         x = rng.standard_normal(n + rows)
@@ -711,18 +716,16 @@ def luders_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         origins = [(stream, int(s), (da, db, dc, int(r))) for s, r in zip(np.ravel(t), np.ravel(rank))]
         basis, probe, nu, *full = split_complex(x, *shapes(da, db))
         psis, probe, nu = haar(basis).mT.reshape(-1, n, da, db), unit(probe), nu @ nu.conj().mT
-        phi, first = bp.BipartiteVector(unit(complex_from(x_phi, db, dc), 2)), bp.BipartiteVector(psis[..., 0, :, :])
-        rec = partial(table.record, origins=origins)
-        rec("luders.rank1", _fro(tp.luders_channel([first], phi).maps[..., 0, :, :] - tp.teleport_map(first, phi).t))
+        phi = bp.BipartiteVector(unit(complex_from(x_phi, db, dc), 2))
         if full:
             full_basis = bp.BipartiteVector(haar(full[0]).mT.reshape(-1, n, da, db))
             out_full = tp.luders_apply(tp.luders_channel(full_basis, phi), nu)
-            rec("luders.completeness", np.abs(_trace(out_full).real - phi.norm() ** 2 * _trace(nu).real))
+            table.record("luders.completeness", np.abs(_trace(out_full).real - phi.norm() ** 2 * _trace(nu).real), origins)
         for r in sorted(set(np.ravel(rank).tolist())):
             sel = rank == r if rank.ndim else ...  # a single trial's arrays are taken whole
             rec = partial(table.record, origins=[o for o in origins if o[2][3] == r])
             ch = tp.luders_channel(bp.BipartiteVector(psis[sel][..., :r, :, :]), bp.BipartiteVector(phi.coeff[sel]))
-            luders_checks(rec, ch, tp.luders_bounds(ch), probe[sel])
+            luders_checks(rec, ch, probe[sel])
             mix, nu_r = haar(complex_from(x[sel][..., end : end + 2 * r * r], r, r)), nu[sel]
             mixed = bp.BipartiteVector((mix.mT @ ch.psis.to_vector()).reshape(ch.psis.coeff.shape))
             out = tp.luders_apply(ch, nu_r)
@@ -786,8 +789,7 @@ def modular_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
 
     for rec, (d,), (x_psi, x_phi) in _groups(table, seed, 120, trials, draw, entangled=True):
         psi, phi = (bp.BipartiteVector(unit(complex_from(x, d, d), 2)) for x in (x_psi, x_phi))
-        triple, roots = md.tomita_S(phi, psi), modular_roots(phi, psi)
-        modular_checks(rec, triple, roots, phi, psi)
+        triple, roots = modular_checks(rec, phi, psi)
         if d <= ORACLE_DIM:  # each factor route's dense oracle
             rec("modular.defining", modular_defining_oracle(triple, phi, psi))
             rec("modular.delta", modular_delta_oracle(triple))

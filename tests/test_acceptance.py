@@ -26,7 +26,7 @@ from eprkit.bipartite import (
 )
 from eprkit.linalg import partial_trace, psd_sqrt, support_projection
 from eprkit.modular import lift_operators, tomita_S, twisted_adjoint, twisted_compose, twisted_product
-from eprkit.sampling import complex_normal, random_unitary, rng_for, state_from_rng
+from eprkit.sampling import rng_for, state_from_rng
 from eprkit.teleport import (
     chain_oracle,
     chain_teleport,
@@ -38,7 +38,7 @@ from eprkit.teleport import (
     trace_norm_fidelity,
 )
 
-from util import bell
+from util import bell, complex_normal, random_unitary
 
 SEED = 42
 

@@ -16,9 +16,8 @@ from eprkit.antilinear import (
     trace_product,
 )
 from eprkit.linalg import rank_mask
-from eprkit.sampling import complex_normal
 
-from util import seeded_rng
+from util import complex_normal, seeded_rng
 
 
 def random_map(rng, dy, dx):

@@ -22,18 +22,9 @@ from eprkit import teleport as tp
 from eprkit import verify as vf
 from eprkit.cli import PROBE_COUNT, main
 from eprkit.formats import bipartite_to_json
-from eprkit.sampling import (
-    coeff_normals,
-    complex_normal,
-    random_psd,
-    random_state,
-    random_unit_vector,
-    random_unitary,
-    rng_for,
-    state_from_rng,
-)
+from eprkit.sampling import coeff_normals, random_state, rng_for, state_from_rng
 
-from util import seeded_rng
+from util import complex_normal, random_psd, random_unit_vector, random_unitary, seeded_rng
 
 DIMS = [2, 3, 4]
 TRIALS = 12
@@ -194,7 +185,7 @@ def test_luders_origins_carry_channel_dims_and_rank(dims):
     results = [r for r in vf.run_all(seed=1, dims=dims) if r.name.startswith("luders.")]
     small = [d for d in dims if d <= 3] or [2]
     pairs = [(da, db) for da in small for db in small]
-    assert len(results) == 6
+    assert len(results) == 5
     for r in results:
         stream, trial, (da, db, dc, rank) = r.worst
         assert stream == 90 and (da, db) == pairs[trial % len(pairs)] and dc == small[trial % len(small)], r.name

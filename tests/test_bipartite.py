@@ -21,9 +21,8 @@ from eprkit.bipartite import (
     reduced,
 )
 from eprkit.linalg import partial_trace, psd_sqrt
-from eprkit.sampling import complex_normal, random_unitary
 
-from util import basis_state, bell, random_unit_state, seeded_rng
+from util import basis_state, bell, complex_normal, random_unit_state, random_unitary, seeded_rng
 
 
 class TestEprMaps:

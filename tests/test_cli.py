@@ -73,6 +73,17 @@ class TestEpr:
         capsys.readouterr()
         assert code == 3
 
+    def test_nan_residual_is_the_summary_max(self, capsys, monkeypatch, bell_file):
+        # epr.inner_trace comes after epr.projection, and max() skips a NaN that does not come first.
+        from eprkit import bipartite as bp
+
+        plain = bp.inner_via_trace
+        monkeypatch.setattr(bp, "inner_via_trace", lambda chi, psi: plain(chi, psi) * np.nan)
+        code, report, err = run_cli(capsys, "epr", bell_file)
+        assert code == 3
+        assert np.isnan(report["residuals"]["inner_trace"]) and report["residuals"]["projection"] < 1e-12
+        assert err.splitlines()[0].endswith("max residual nan")
+
     def test_beyond_the_dense_limit_exit_2(self, capsys, tmp_path):
         # 65·64 = 4160 > DENSE_DIM_LIMIT: the dense projector |psi><psi| alone would take 277 MB.
         path = _write(tmp_path, "psi.json", bipartite_to_json(random_state((65, 64), seed=1)))
@@ -265,6 +276,21 @@ class TestModular:
         assert report["residuals"]["delta"] > 1e-9
         assert all(v < 1e-9 for k, v in report["residuals"].items() if k != "delta")
         assert "modular.delta" in err
+
+    @pytest.mark.parametrize("k", [90, 100])
+    def test_tiny_psi_gives_a_nan_summary_and_no_warning(self, capsys, tmp_path, bell_file, k):
+        # psi = 10^-k G: the squares in modular.delta overflow and it reads NaN, which the summary's max
+        # residual skipped while numpy warned twice ahead of it.  Warnings are errors under the test suite's
+        # filter, so one would fail this test.  The exit stays 3 until the modular residuals scale with psi.
+        rng = np.random.default_rng(3)
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        psi = _write(tmp_path, "psi.json", bipartite_to_json(BipartiteVector(10.0**-k * g)))
+        code, report, err = run_cli(capsys, "modular", bell_file, psi)
+        assert code == 3
+        assert np.isnan(report["residuals"]["delta"])
+        summary, error = err.splitlines()
+        assert summary == "modular triple on 2x2, max residual nan"
+        assert error.startswith("error: ") and "modular.delta with residual nan" in error
 
     def test_emitted_operators_parse_back(self, capsys, bell_file):
         _, report, _ = run_cli(capsys, "modular", bell_file, bell_file)

@@ -1,13 +1,13 @@
-"""Each identity a CLI subcommand checks must catch a mutant: the first rows of verify's mutation table.
+"""Each identity of the five subcommand families must catch a mutant: the first rows of verify's mutation table.
 
 Each check routine runs on one seeded single instance with a recording rec.
 Unmutated, every name it records is within tolerance.  Under that name's
 mutant, a library function whose result is scaled by 1 + 1e-6 or a
 perturbed operand, the name is at least ten times its tolerance.  The
-Lüders identities only luders_suite checks run through the suite on seeded
-trials, under mutants of luders_apply.  luders.rank1 has no row: it
-compares teleport_map with itself.  The modular factor routes have their
-perturbation tests in test_modular (TestFactorRoutes).
+identities only a suite checks run through their suite on 16 seeded trials
+at dims [2, 3], under mutants of the library functions the suite calls.
+The modular factor routes have their perturbation tests in test_modular
+(TestFactorRoutes).
 """
 
 import pytest
@@ -15,11 +15,12 @@ import pytest
 from eprkit import antilinear as al
 from eprkit import bipartite as bp
 from eprkit import linalg as la
+from eprkit import modular as md
 from eprkit import teleport as tp
 from eprkit import verify as vf
-from eprkit.sampling import complex_normal, random_state, random_unit_vector, random_unitary, unit
+from eprkit.sampling import random_state, unit
 
-from util import seeded_rng
+from util import complex_normal, random_unit_vector, random_unitary, seeded_rng
 
 SCALE = 1 + 1e-6
 
@@ -39,7 +40,7 @@ def luders_instance():
     u = random_unitary(seeded_rng(304), 6)
     psis = [bp.BipartiteVector.from_vector(u[:, k], 2, 3) for k in range(2)]
     ch = tp.luders_channel(psis, random_state((3, 2), seed=305))
-    return vf.luders_checks, (ch, tp.luders_bounds(ch), random_unit_vector(seeded_rng(304), 2))
+    return vf.luders_checks, (ch, random_unit_vector(seeded_rng(304), 2))
 
 
 def chain_instance():
@@ -78,7 +79,10 @@ MUTANTS = {
         perturbed(0, lambda tm: tp.TeleportMap(tm.t * SCALE, tm.source_psi, tm.ancilla_phi)),
     ),
     "luders.decoupling": (luders_instance, scaled(tp, "luders_project")),
-    "luders.op_bound": (luders_instance, perturbed(1, lambda b: b._replace(op_bound=b.op_bound * SCALE))),
+    "luders.op_bound": (
+        luders_instance,
+        scaled(tp, "luders_bounds", lambda b: b._replace(op_bound=b.op_bound * SCALE)),
+    ),
     "chain.factorization": (chain_instance, scaled(tp, "chain_oracle")),
 }
 
@@ -104,10 +108,10 @@ def test_mutant_is_caught(monkeypatch, name):
     assert recorded(routine, mutate(monkeypatch, operands))[name] >= 10 * vf.TOLERANCES[name]
 
 
-def luders_suite_residuals() -> dict:
-    """luders_suite on seeded trials whose ranks include full ones: the residual of each identity."""
+def suite_residuals(suite, seed: int) -> dict:
+    """suite on 16 seeded trials at dims [2, 3]: the residual of each identity."""
     table = vf.ResidualTable()
-    vf.luders_suite(table, 7, [2, 3], range(16))
+    suite(table, seed, [2, 3], range(16))
     return {r.name: r.residual for r in table.results()}
 
 
@@ -117,29 +121,68 @@ def first_term(ch, nu):
     return t0 @ nu @ t0.conj().mT
 
 
-# Each mutant adds a term to luders_apply's output: 1e-6 of the output itself (a scaled action), or 1e-6 of its
-# first map's term, which makes the action depend on the decomposition.
+def luders_apply_plus(term):
+    """The mutant of luders_apply that adds term(ch, nu, out) to its output."""
+
+    def mutate(monkeypatch, operands):
+        plain = tp.luders_apply
+
+        def mutant(ch, nu):
+            out = plain(ch, nu)
+            return out + term(ch, nu, out)
+
+        monkeypatch.setattr(tp, "luders_apply", mutant)
+        return operands
+
+    return mutate
+
+
+def eta_scaled(triple):
+    """The triple with S's eta factor scaled by SCALE."""
+    eta, xi = triple.s.factors
+    return md.ModularTriple(s=md.TwistedOperator((eta * SCALE, xi), triple.s.parity), delta=triple.delta, j=triple.j)
+
+
+def state_scaled(psi):
+    return bp.BipartiteVector(psi.coeff * SCALE)
+
+
+# name: (suite, seed, mutant).  The Lüders mutants add a term to luders_apply's output: 1e-6 of the output itself
+# (a scaled action), or 1e-6 of its first map's term, which makes the action depend on the decomposition.  Seed 7
+# gives Lüders trials whose ranks include full ones.
 SUITE_MUTANTS = {
-    "luders.independence": lambda ch, nu, out: (SCALE - 1) * first_term(ch, nu),
-    "luders.trace_bound": lambda ch, nu, out: (SCALE - 1) * out,
-    "luders.completeness": lambda ch, nu, out: (SCALE - 1) * out,
+    "epr.reconstruct": (vf.epr_suite, 1, scaled(bp, "reconstruct", state_scaled)),
+    "epr.local_transform": (vf.epr_suite, 1, scaled(bp, "local_transform", state_scaled)),
+    "teleport.bound_attained": (vf.teleport_suite, 1, scaled(tp, "success_bound")),
+    # One-sided: a larger bound passes by design, and the probes' outputs stay below the true bound, so only a
+    # bound cut far below it can show.
+    "teleport.bound_holds": (vf.teleport_suite, 1, scaled(tp, "success_bound", lambda bound: bound / 2)),
+    "luders.independence": (
+        vf.luders_suite,
+        7,
+        luders_apply_plus(lambda ch, nu, out: (SCALE - 1) * first_term(ch, nu)),
+    ),
+    "luders.trace_bound": (vf.luders_suite, 7, luders_apply_plus(lambda ch, nu, out: (SCALE - 1) * out)),
+    "luders.completeness": (vf.luders_suite, 7, luders_apply_plus(lambda ch, nu, out: (SCALE - 1) * out)),
+    "modular.fixed_point": (vf.modular_suite, 1, scaled(md, "tomita_S", eta_scaled)),
 }
 
 
-def test_suite_identities_unmutated_within_tolerance():
-    got = luders_suite_residuals()
-    assert set(SUITE_MUTANTS) < set(got)
-    for name in SUITE_MUTANTS:
+SUITE_RUNS = sorted({(suite.__name__, seed) for suite, seed, _ in SUITE_MUTANTS.values()})
+
+
+@pytest.mark.parametrize("suite, seed", SUITE_RUNS, ids=[f"{name}-{seed}" for name, seed in SUITE_RUNS])
+def test_suite_identities_unmutated_within_tolerance(suite, seed):
+    suite = getattr(vf, suite)
+    got = suite_residuals(suite, seed)
+    names = [name for name, (of, at, _) in SUITE_MUTANTS.items() if (of, at) == (suite, seed)]
+    assert set(names) < set(got)
+    for name in names:
         assert got[name] <= vf.TOLERANCES[name], name
 
 
 @pytest.mark.parametrize("name", SUITE_MUTANTS)
 def test_suite_mutant_is_caught(monkeypatch, name):
-    plain = tp.luders_apply
-
-    def mutant(ch, nu):
-        out = plain(ch, nu)
-        return out + SUITE_MUTANTS[name](ch, nu, out)
-
-    monkeypatch.setattr(tp, "luders_apply", mutant)
-    assert luders_suite_residuals()[name] >= 10 * vf.TOLERANCES[name]
+    suite, seed, mutate = SUITE_MUTANTS[name]
+    mutate(monkeypatch, ())
+    assert suite_residuals(suite, seed)[name] >= 10 * vf.TOLERANCES[name]

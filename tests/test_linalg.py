@@ -18,9 +18,8 @@ from eprkit.linalg import (
     svd,
 )
 
-from eprkit.sampling import random_unitary
 
-from util import bell, seeded_rng
+from util import bell, random_unitary, seeded_rng
 
 
 class TestSvd:

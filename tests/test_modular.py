@@ -27,7 +27,7 @@ from eprkit.modular import (
     twisted_compose,
     twisted_product,
 )
-from eprkit.sampling import complex_normal, random_unitary, state_from_rng
+from eprkit.sampling import state_from_rng
 from eprkit.verify import (
     TOLERANCES,
     ResidualTable,
@@ -44,7 +44,7 @@ from eprkit.verify import (
     twisted_suite,
 )
 
-from util import basis_state, bell, random_unit_state, seeded_rng
+from util import basis_state, bell, complex_normal, random_unit_state, random_unitary, seeded_rng
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 

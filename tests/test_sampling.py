@@ -13,20 +13,18 @@ from eprkit import errors
 from eprkit import sampling
 from eprkit.modular import gns_check
 from eprkit.sampling import (
-    coeff_from_rng,
     coeff_normals,
-    complex_normal,
     haar,
     normal_count,
-    random_psd,
     random_state,
-    random_unit_vector,
-    random_unitary,
     rng_for,
     split_complex,
+    state_from_rng,
     trial_rngs,
     unit,
 )
+
+from util import complex_normal, random_psd, random_unit_vector, random_unitary
 
 
 def test_random_state_deterministic():
@@ -110,9 +108,9 @@ PER_CALL = {
     "random_unit_vector": (random_unit_vector, lambda rng, d: sequential_unit(sequential_complex_normal(rng, d)), (5,)),
     "random_unitary": (random_unitary, sequential_unitary, (4,)),
     "random_psd": (random_psd, sequential_psd, (3,)),
-    "coeff_from_rng": (coeff_from_rng, sequential_coeff, (2, 3)),
-    "coeff_from_rng-entangled": (
-        partial(coeff_from_rng, entangled=True),
+    "state_from_rng": (lambda rng, *dims: state_from_rng(rng, *dims).coeff, sequential_coeff, (2, 3)),
+    "state_from_rng-entangled": (
+        lambda rng, *dims: state_from_rng(rng, *dims, entangled=True).coeff,
         partial(sequential_coeff, entangled=True),
         (3, 3),
     ),

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from eprkit import errors
 from eprkit.bipartite import BipartiteVector, reduced
-from eprkit.sampling import complex_normal, haar, random_psd, random_unitary
+from eprkit.sampling import haar
 from eprkit.teleport import (
     _factor_out,
     chain_oracle,
@@ -27,7 +27,7 @@ from eprkit.teleport import (
 )
 from eprkit.verify import TOLERANCES
 
-from util import basis_state, bell, random_unit_state, seeded_rng
+from util import basis_state, bell, complex_normal, random_psd, random_unit_state, random_unitary, seeded_rng
 
 SKEW = np.diag([np.sqrt(0.8), np.sqrt(0.2)])
 

@@ -10,11 +10,11 @@ from eprkit import antilinear, errors
 from eprkit.antilinear import AntilinearMap, adjoint
 from eprkit.linalg import kron
 from eprkit.modular import twisted_product
-from eprkit.sampling import complex_from, complex_normal, normal_count, random_unit_vector, rng_for
+from eprkit.sampling import complex_from, normal_count, rng_for
 from eprkit.teleport import success_bound, teleport_map
 from eprkit.verify import TOLERANCES, ResidualTable, antilinear_suite, teleport_bound_holds, twisted_action
 
-from util import random_unit_state, seeded_rng
+from util import complex_normal, random_unit_state, random_unit_vector, seeded_rng
 
 
 class TestTeleportBoundHolds:

@@ -1,11 +1,11 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite: reference states and per-call samplers."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from eprkit import BipartiteVector
-from eprkit.sampling import complex_normal, rng_for
+from eprkit.sampling import complex_from, haar, normal_count, rng_for, unit
 
 
 def bell(d: int = 2) -> BipartiteVector:
@@ -17,6 +17,25 @@ def basis_state(i: int, j: int, da: int, db: int) -> BipartiteVector:
     c = np.zeros((da, db), dtype=complex)
     c[i, j] = 1.0
     return BipartiteVector(c)
+
+
+def complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """IID standard complex normal entries (unit total variance per entry), from one generator call."""
+    return complex_from(rng.standard_normal(normal_count(shape)), *shape)
+
+
+def random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
+    return unit(complex_normal(rng, dim))
+
+
+def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Haar-distributed unitary via QR with the phase convention fixed."""
+    return haar(complex_normal(rng, dim, dim))
+
+
+def random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
+    a = complex_normal(rng, dim, dim)
+    return a @ a.conj().mT
 
 
 def random_unit_state(rng: np.random.Generator, da: int, db: int) -> BipartiteVector:

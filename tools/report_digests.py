@@ -3,9 +3,13 @@
 The set is `eprkit verify --seed s` for s = 1..100, three verify runs beyond
 the default dims (`--seed 1 --dims 16 --trials 8`, `--seed 2 --dims 1 5
 --trials 9`, and `--seed 3 --dims 1 2 --trials 40`, whose Lüders groups mix
-full-basis and rank-one channels at da·db = 1, 2 and 4) and the 1765
+full-basis and rank-one channels at da·db = 1, 2 and 4), the 1765
 commands of the seed-1 `cli-session` benchmark list
-(`perfbench/inputs.session_ops(1, 353)`, read only): 1868 invocations.
+(`perfbench/inputs.session_ops(1, 353)`, read only) and five hand-made edge
+inputs: `modular` on a Bell φ and ψ = 10^-k·G for k = 50, 90, 100 and 160,
+with G the complex Gaussian 2×2 of `numpy.random.default_rng(3)`, and `epr`
+on the 2×2 state with every entry 1e150.  These reach the overflow, NaN and
+refusal paths.  1873 invocations in all.
 Every invocation goes through `eprkit.cli.main` in process, with its input
 files and reports in a temporary directory.  Run it once against each of
 two source trees and diff the outputs: equal lines mean equal exit codes and
@@ -29,8 +33,11 @@ import io
 import os
 import sys
 import tempfile
+import json
 import traceback
 from pathlib import Path
+
+import numpy as np
 
 # Before the first eprkit or perfbench import: write no bytecode caches into the source tree under
 # test or into perfbench/, since a stray cache changes the import time that perfbench's setup_s measures.
@@ -39,6 +46,25 @@ sys.dont_write_bytecode = True
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = 100      # eprkit verify --seed 1..SEEDS
 SESSIONS = 353   # seed-1 cli-session ops, five commands each
+EDGE_K = (50, 90, 100, 160)  # modular's psi = 10^-k G
+
+
+def _state_json(coeff: np.ndarray) -> bytes:
+    """The bipartite vector JSON of a 2-D coefficient matrix, written without eprkit."""
+    rows, cols = coeff.shape
+    data = [[float(z.real), float(z.imag)] for z in coeff.ravel()]
+    return json.dumps({"dim_a": rows, "dim_b": cols, "coeff": {"rows": rows, "cols": cols, "data": data}}).encode()
+
+
+def edge_inputs() -> tuple[list[list[str]], dict[str, bytes]]:
+    """The hand-made edge invocations and their input files."""
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    files = {f"edge-psi-{k}.json": _state_json(10.0**-k * g) for k in EDGE_K}
+    files["edge-bell.json"] = _state_json(np.eye(2) / np.sqrt(2))
+    files["edge-big.json"] = _state_json(np.full((2, 2), 1e150))
+    argvs = [["modular", "edge-bell.json", f"edge-psi-{k}.json"] for k in EDGE_K] + [["epr", "edge-big.json"]]
+    return argvs, files
 
 
 def invocations() -> tuple[list[list[str]], dict[str, bytes]]:
@@ -52,7 +78,8 @@ def invocations() -> tuple[list[list[str]], dict[str, bytes]]:
     argvs += [["verify", "--seed", "2", "--dims", "1", "5", "--trials", "9"]]
     argvs += [["verify", "--seed", "3", "--dims", "1", "2", "--trials", "40"]]
     argvs += [argv for op in ops.ops for _, argv in op.commands]
-    return argvs, ops.files
+    edge_argvs, edge_files = edge_inputs()
+    return argvs + edge_argvs, {**ops.files, **edge_files}
 
 
 def main() -> int:
