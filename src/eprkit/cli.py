@@ -2,8 +2,9 @@
 
 Subcommands: epr, teleport, luders, chain, modular, verify, random.  Each
 returns a report, its identity results and a summary; main alone writes the
-report as one line of compact JSON (no timestamps: byte-identical for the
-same invocation) on stdout or to --out, the summary on stderr, then checks.
+report as one line of compact, strict JSON (no timestamps: byte-identical for
+the same invocation; a non-finite number is written as null) on stdout or to
+--out, the summary on stderr, then checks.
 
 Exit codes: 0 success, 2 invalid input, 3 residual beyond tolerance.
 """
@@ -272,7 +273,10 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise ParseError(f"seed must be non-negative, got {args.seed}")
         report, results, summary = globals()[f"cmd_{args.command}"](args)
-        text = json.dumps(report)
+        try:
+            text = json.dumps(report, allow_nan=False)
+        except ValueError:  # a non-finite number: written as null, and only then is the report read back
+            text = json.dumps(json.loads(json.dumps(report), parse_constant=lambda _: None))
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")

@@ -119,17 +119,12 @@ def haar(z: np.ndarray) -> np.ndarray:
 
 def state_from_rng(rng: np.random.Generator, dim_a: int, dim_b: int, entangled: bool = False) -> BipartiteVector:
     """Unit random state; with entangled=True, rejection-sample full-rank reductions."""
-    return BipartiteVector(unit(complex_from(coeff_normals(rng, dim_a, dim_b, entangled), dim_a, dim_b), 2))
-
-
-def coeff_normals(rng: np.random.Generator, dim_a: int, dim_b: int, entangled: bool = False) -> np.ndarray:
-    """The raw normals of state_from_rng's accepted draw; unit(complex_from(x, dim_a, dim_b), 2) assembles them."""
     if entangled and dim_a != dim_b:
         raise DimMismatch("completely entangled states need dim_a == dim_b")
     while True:
-        x = rng.standard_normal(normal_count((dim_a, dim_b)))
-        if not entangled or gns_check(unit(complex_from(x, dim_a, dim_b), 2)):
-            return x
+        c = unit(complex_from(rng.standard_normal(normal_count((dim_a, dim_b))), dim_a, dim_b), 2)
+        if not entangled or gns_check(c):
+            return BipartiteVector(c)
 
 
 def random_state(dims, seed: int, entangled: bool = False) -> BipartiteVector:

@@ -4,8 +4,9 @@ Each suite names its stream tag once and passes it, with its draw, to one
 routine, _groups: trial t draws from its own sub-stream of (seed, suite
 tag, t), so any reported residual is reproducible in isolation, with no
 arithmetic and one generator call per run of normals; the trials are
-grouped by dims and stacked in one pass, and entangled candidates are
-checked for full rank on the stack and redrawn if rejected.  The suite
+grouped by dims and stacked in one pass.  The draw phase only draws: a
+suite that needs a completely entangled state leaves the check to
+tomita_S, which raises NotSeparating naming the member.  The suite
 assembles each group with sampling's stacked assembly and evaluates each
 identity once per group on value types that hold the whole stack, on the
 code path a single instance takes.  luders_suite groups by channel dims
@@ -38,7 +39,7 @@ from . import linalg as la
 from . import modular as md
 from . import teleport as tp
 from .errors import ToleranceExceeded
-from .sampling import coeff_normals, complex_from, haar, normal_count, rng_for, split_complex, trial_rngs, unit
+from .sampling import complex_from, haar, normal_count, split_complex, trial_rngs, unit
 
 TOLERANCES = {
     "matcore.svd_reconstruct": 1e-10,
@@ -175,18 +176,13 @@ def _max(*residuals):
     return reduce(np.maximum, residuals)
 
 
-def _groups(table: ResidualTable, seed: int, stream: int, trials: Iterable[int], draw, entangled: bool = False):
+def _groups(table: ResidualTable, seed: int, stream: int, trials: Iterable[int], draw):
     """One suite's trials, drawn, grouped by dims and stacked: yields (record, dims, stacks) per group.
 
     draw(rng, t) returns trial t's (dims, arrays) from the generator of
     (seed, stream, t).  Groups come in first-seen order, the trials of a
     group in trial order; record(name, values) enters one residual per
-    member, with its (stream, trial, dims), into the table.  With entangled,
-    array 0 is a first candidate coeff_normals(rng, d, d), dims (d,), checked
-    by gns_check on its stack; a rejected row is overwritten by
-    draw(rng_for(seed, stream, t), t, entangled=True), the checking loop on a
-    fresh generator.  An accepted candidate leaves the generator where that
-    loop would, so the bits are the loop's.
+    member, with its (stream, trial, dims), into the table.
     """
     trials = list(trials)
     groups: dict = {}
@@ -195,13 +191,7 @@ def _groups(table: ResidualTable, seed: int, stream: int, trials: Iterable[int],
         groups.setdefault(dims, []).append((t, arrays))
     for dims, members in groups.items():
         ts, drawn = zip(*members)
-        stacks = [np.array(x) for x in zip(*drawn)]
-        if entangled:
-            (d,) = dims
-            for i in np.flatnonzero(~md.gns_check(unit(complex_from(stacks[0], d, d), 2))):
-                for stack, a in zip(stacks, draw(rng_for(seed, stream, ts[i]), ts[i], entangled=True)[1], strict=True):
-                    stack[i] = a
-        yield partial(table.record, origins=[(stream, t, dims) for t in ts]), dims, stacks
+        yield partial(table.record, origins=[(stream, t, dims) for t in ts]), dims, [np.array(x) for x in zip(*drawn)]
 
 
 def _complex_trials(table: ResidualTable, seed: int, stream: int, trials: Iterable[int], dims_list, shapes):
@@ -408,8 +398,9 @@ def modular_delta(triple):
     gap = _kron_gap((xi.mT @ np.conj(xi), eta.mT @ np.conj(eta)), (a, b))
     w_a, w_b = (np.linalg.eigvalsh((m + m.conj().mT) / 2) for m in (a, b))
     low = (w_a[..., :, None] * w_b[..., None, :]).min(axis=(-2, -1))
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing gap over an overflowing scale is NaN
-        return np.maximum(gap, np.maximum(0.0, -low)) / (1.0 + _fro(a) * _fro(b))
+    with np.errstate(over="ignore", invalid="ignore"):  # a scale that overflows gives NaN: no gap could show over it
+        scale = 1.0 + _fro(a) * _fro(b)
+        return np.where(np.isfinite(scale), np.maximum(gap, np.maximum(0.0, -low)) / scale, np.nan)
 
 
 def modular_reconstruction(triple, roots):
@@ -613,11 +604,11 @@ def polar_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
 def partner_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     squares = _square_dims(dims)
 
-    def draw(rng, t, entangled=False):
+    def draw(rng, t):
         d = squares[t % len(squares)]
-        return (d,), (coeff_normals(rng, d, d, entangled), rng.standard_normal(normal_count((d, d))))
+        return (d,), (rng.standard_normal(normal_count((d, d))), rng.standard_normal(normal_count((d, d))))
 
-    for rec, (d,), (x_psi, x_op) in _groups(table, seed, 40, trials, draw, entangled=True):
+    for rec, (d,), (x_psi, x_op) in _groups(table, seed, 40, trials, draw):
         psi, a_op = bp.BipartiteVector(unit(complex_from(x_psi, d, d), 2)), complex_from(x_op, d, d)
         parts = bp.polar_of_state(psi)
         b_op = bp.partner_operator(a_op, parts)
@@ -783,11 +774,11 @@ def twisted_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
 def modular_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     squares = [d for d in _square_dims(dims) if d >= 2] or [2]
 
-    def draw(rng, t, entangled=False):
+    def draw(rng, t):
         d = squares[t % len(squares)]
-        return (d,), (coeff_normals(rng, d, d, entangled), coeff_normals(rng, d, d))
+        return (d,), (rng.standard_normal(normal_count((d, d))), rng.standard_normal(normal_count((d, d))))
 
-    for rec, (d,), (x_psi, x_phi) in _groups(table, seed, 120, trials, draw, entangled=True):
+    for rec, (d,), (x_psi, x_phi) in _groups(table, seed, 120, trials, draw):
         psi, phi = (bp.BipartiteVector(unit(complex_from(x, d, d), 2)) for x in (x_psi, x_phi))
         triple, roots = modular_checks(rec, phi, psi)
         if d <= ORACLE_DIM:  # each factor route's dense oracle

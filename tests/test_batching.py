@@ -22,7 +22,7 @@ from eprkit import teleport as tp
 from eprkit import verify as vf
 from eprkit.cli import PROBE_COUNT, main
 from eprkit.formats import bipartite_to_json
-from eprkit.sampling import coeff_normals, random_state, rng_for, state_from_rng
+from eprkit.sampling import random_state, rng_for, state_from_rng
 
 from util import complex_normal, random_psd, random_unit_vector, random_unitary, seeded_rng
 
@@ -37,10 +37,10 @@ def fro(x) -> float:
 GROUPS = vf._groups  # kept for per_trial_groups, which stands in for it
 
 
-def per_trial_groups(table, seed, stream, trials, draw, entangled=False):
+def per_trial_groups(table, seed, stream, trials, draw):
     """verify._groups one trial at a time, each array unstacked: the suites' single-instance path."""
     for t in trials:
-        for rec, dims, stacks in GROUPS(table, seed, stream, [t], draw, entangled):
+        for rec, dims, stacks in GROUPS(table, seed, stream, [t], draw):
             yield rec, dims, [s[0] for s in stacks]
 
 
@@ -74,38 +74,6 @@ def test_vectorized_seeding_gives_the_per_trial_results(seed, monkeypatch):
     assert vf.run_all(seed=seed, trials=20) == fast
 
 
-def test_rejected_first_candidates_are_redrawn_with_the_checking_loop(monkeypatch):
-    """Under a rule that rejects about half the candidates, stacked checks and redraws give the checked draws."""
-    full_rank = md.gns_check
-
-    def accept(c):
-        return full_rank(c) & (np.asarray(c)[..., 0, 0].real > 0)
-
-    monkeypatch.setattr(sampling, "gns_check", accept)  # coeff_normals' checking loop
-    monkeypatch.setattr(md, "gns_check", accept)  # the stacked check of the draw phase
-
-    def draw(rng, t, entangled=False):
-        d = 2 + t % 2
-        return (d,), (coeff_normals(rng, d, d, entangled), rng.standard_normal(3))
-
-    groups = list(vf._groups(vf.ResidualTable(), 5, 40, range(12), draw, entangled=True))
-    assert [rec.keywords["origins"] for rec, _, _ in groups] == [
-        [(40, t, (d,)) for t in range(12) if 2 + t % 2 == d] for d in (2, 3)
-    ]
-    redrawn = 0
-    for rec, dims, stacks in groups:
-        trials = [t for _, t, _ in rec.keywords["origins"]]
-        wants = [draw(rng_for(5, 40, t), t, entangled=True) for t in trials]
-        assert all(want_dims == dims for want_dims, _ in wants)
-        for k, stack in enumerate(stacks):
-            members = np.stack([want[k] for _, want in wants])
-            assert stack.flags.c_contiguous and (stack.shape, stack.dtype) == (members.shape, members.dtype), k
-            assert stack.tobytes() == members.tobytes(), k  # the bits of np.stack over the checking loop's draws
-        first = [draw(rng_for(5, 40, t), t)[1][0] for t in trials]
-        redrawn += sum(not np.array_equal(x, f) for x, f in zip(stacks[0], first))
-    assert redrawn >= 3
-
-
 def test_every_reported_worst_trial_replays_bit_for_bit():
     results = vf.run_all(seed=1)
     suites = {}
@@ -126,17 +94,10 @@ def test_each_worst_stream_is_the_stream_its_trial_was_drawn_from(monkeypatch):
     """Every reported worst (stream, trial) was seeded, and each of the 13 suites seeds its own one tag."""
     suite, streams, seeded = [None], {}, set()
 
-    def seeding(stream, trials):
+    def trial_rngs(seed, *stream, trials):
         streams.setdefault(suite[0], set()).add(stream)
         seeded.update((stream, t) for t in trials)
-
-    def trial_rngs(seed, *stream, trials):
-        seeding(stream, list(trials))
         return sampling.trial_rngs(seed, *stream, trials=trials)
-
-    def rng_for(seed, *stream):
-        seeding(stream[:-1], stream[-1:])
-        return sampling.rng_for(seed, *stream)
 
     def traced(run):
         def traced_run(*args):
@@ -146,7 +107,6 @@ def test_each_worst_stream_is_the_stream_its_trial_was_drawn_from(monkeypatch):
         return traced_run
 
     monkeypatch.setattr(vf, "trial_rngs", trial_rngs)
-    monkeypatch.setattr(vf, "rng_for", rng_for)
     monkeypatch.setattr(vf, "SUITES", tuple(traced(s) for s in vf.SUITES))
     results = vf.run_all(seed=1, trials=12)
     assert all(((r.worst[0],), r.worst[1]) in seeded for r in results)

@@ -37,10 +37,19 @@ def skew_file(tmp_path):
     return str(path)
 
 
+def strict_json(text: str):
+    """text parsed as RFC 8259 JSON: a NaN, Infinity or -Infinity token raises."""
+
+    def refuse(token):
+        raise ValueError(f"{token} in a report")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def run_cli(capsys, *argv) -> tuple[int, dict | None, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
-    report = json.loads(captured.out) if captured.out.strip() else None
+    report = strict_json(captured.out) if captured.out.strip() else None
     return code, report, captured.err
 
 
@@ -81,7 +90,7 @@ class TestEpr:
         monkeypatch.setattr(bp, "inner_via_trace", lambda chi, psi: plain(chi, psi) * np.nan)
         code, report, err = run_cli(capsys, "epr", bell_file)
         assert code == 3
-        assert np.isnan(report["residuals"]["inner_trace"]) and report["residuals"]["projection"] < 1e-12
+        assert report["residuals"]["inner_trace"] is None and report["residuals"]["projection"] < 1e-12
         assert err.splitlines()[0].endswith("max residual nan")
 
     def test_beyond_the_dense_limit_exit_2(self, capsys, tmp_path):
@@ -282,15 +291,23 @@ class TestModular:
         # psi = 10^-k G: the squares in modular.delta overflow and it reads NaN, which the summary's max
         # residual skipped while numpy warned twice ahead of it.  Warnings are errors under the test suite's
         # filter, so one would fail this test.  The exit stays 3 until the modular residuals scale with psi.
+        # The report wrote the NaN as a bare NaN token, which run_cli's strict parse refuses; it is null now.
         rng = np.random.default_rng(3)
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         psi = _write(tmp_path, "psi.json", bipartite_to_json(BipartiteVector(10.0**-k * g)))
         code, report, err = run_cli(capsys, "modular", bell_file, psi)
         assert code == 3
-        assert np.isnan(report["residuals"]["delta"])
+        assert report["residuals"]["delta"] is None
         summary, error = err.splitlines()
         assert summary == "modular triple on 2x2, max residual nan"
         assert error.startswith("error: ") and "modular.delta with residual nan" in error
+
+    def test_delta_over_an_overflowing_scale_is_null(self, capsys, tmp_path, bell_file):
+        # phi with every entry 1e150: 1 + ||a||_F ||b||_F overflows, and modular.delta read -0.0 whatever the gap.
+        phi = _write(tmp_path, "phi.json", bipartite_to_json(BipartiteVector(np.full((2, 2), 1e150))))
+        code, report, _ = run_cli(capsys, "modular", phi, bell_file)
+        assert code == 3
+        assert report["residuals"]["delta"] is None
 
     def test_emitted_operators_parse_back(self, capsys, bell_file):
         _, report, _ = run_cli(capsys, "modular", bell_file, bell_file)

@@ -567,8 +567,12 @@ class TestTomita:
             tomita_S(stack, stack)
 
     def test_rank_deficient_psi_rejected(self):
+        """A stack member of psi that is not of full rank is named, not redrawn or pseudo-inverted."""
         with pytest.raises(errors.NotSeparating):
             tomita_S(bell(2), basis_state(0, 0, 2, 2))
+        psi = BipartiteVector(np.stack([bell(2).coeff, basis_state(0, 0, 2, 2).coeff, bell(2).coeff]))
+        with pytest.raises(errors.NotSeparating, match=r"psi\[1\]"):
+            tomita_S(psi, psi)
 
     def test_rectangular_rejected(self):
         rng = seeded_rng(98)
@@ -679,6 +683,14 @@ class TestFactorRoutes:
         bumped = replace(triple, s=twisted_product(AntilinearMap(eta * (1 + 1e-6)), AntilinearMap(xi)))
         assert modular_defining(triple, phi, psi) <= TOLERANCES["modular.defining"]
         assert modular_defining(bumped, phi, psi) > TOLERANCES["modular.defining"]
+
+    def test_delta_is_nan_once_its_scale_overflows(self):
+        # phi with every entry 1e150: ||omega_a(phi)||_F overflows, so 1 + ||a|| ||b|| is inf and the residual
+        # read -0.0 whatever the gap, even with Delta's second factor doubled.
+        triple = tomita_S(BipartiteVector(np.full((2, 2), 1e150)), bell(2))
+        a, b = triple.delta.factors
+        for delta in ((a, b), (a, 2 * b)):
+            assert np.isnan(modular_delta(replace(triple, delta=KroneckerProduct(delta))))
 
     @pytest.mark.parametrize("seed, dense", [(5, 1.0), (3, 9.66e-7)])
     def test_phase_match_graded_k6_at_d8(self, seed, dense):

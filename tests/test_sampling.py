@@ -13,7 +13,6 @@ from eprkit import errors
 from eprkit import sampling
 from eprkit.modular import gns_check
 from eprkit.sampling import (
-    coeff_normals,
     haar,
     normal_count,
     random_state,
@@ -152,7 +151,7 @@ def test_stacked_assembly_matches_the_sequential_draws(d):
         assert np.array_equal(stack, np.stack([w[k] for w in want])), k
 
 
-def test_coeff_normals_redraws_until_gns_check_accepts(monkeypatch):
+def test_entangled_state_from_rng_redraws_until_gns_check_accepts(monkeypatch):
     calls = []
 
     def reject_twice(c):
@@ -161,10 +160,10 @@ def test_coeff_normals_redraws_until_gns_check_accepts(monkeypatch):
 
     monkeypatch.setattr(sampling, "gns_check", reject_twice)
     rng, seq_rng = rng_for(4), rng_for(4)
-    x = coeff_normals(rng, 2, 2, entangled=True)
+    psi = state_from_rng(rng, 2, 2, entangled=True)
     for _ in range(3):
-        want = seq_rng.standard_normal(8)
-    assert len(calls) == 3 and np.array_equal(x, want)
+        want = sequential_coeff(seq_rng, 2, 2)
+    assert len(calls) == 3 and np.array_equal(psi.coeff, want)
     assert rng.bit_generator.state == seq_rng.bit_generator.state
 
 SRC = str(Path(sampling.__file__).resolve().parent.parent)

@@ -8,8 +8,11 @@ commands of the seed-1 `cli-session` benchmark list
 (`perfbench/inputs.session_ops(1, 353)`, read only) and five hand-made edge
 inputs: `modular` on a Bell φ and ψ = 10^-k·G for k = 50, 90, 100 and 160,
 with G the complex Gaussian 2×2 of `numpy.random.default_rng(3)`, and `epr`
-on the 2×2 state with every entry 1e150.  These reach the overflow, NaN and
-refusal paths.  1873 invocations in all.
+on, and `modular` with φ, the 2×2 state with every entry 1e150.  These reach
+the overflow, NaN and refusal paths.  Five `random` runs digest the bits of
+`sampling.state_from_rng`: `--entangled` at dims 2 2 (seed 7), 3 3 (seed 1)
+and 4 4 (seed 2), and dims 2 3 at seed 8 without it and with it (exit 2).
+1879 invocations in all.
 Every invocation goes through `eprkit.cli.main` in process, with its input
 files and reports in a temporary directory.  Run it once against each of
 two source trees and diff the outputs: equal lines mean equal exit codes and
@@ -64,6 +67,10 @@ def edge_inputs() -> tuple[list[list[str]], dict[str, bytes]]:
     files["edge-bell.json"] = _state_json(np.eye(2) / np.sqrt(2))
     files["edge-big.json"] = _state_json(np.full((2, 2), 1e150))
     argvs = [["modular", "edge-bell.json", f"edge-psi-{k}.json"] for k in EDGE_K] + [["epr", "edge-big.json"]]
+    argvs += [["modular", "edge-big.json", "edge-bell.json"]]
+    randoms = [("2 2", 7, True), ("3 3", 1, True), ("4 4", 2, True), ("2 3", 8, False), ("2 3", 8, True)]
+    for dims, seed, entangled in randoms:
+        argvs += [["random", "--dims", *dims.split(), "--seed", str(seed)] + ["--entangled"] * entangled]
     return argvs, files
 
 
