@@ -55,7 +55,11 @@ class BipartiteVector:
         return self.coeff.shape[-1]
 
     def norm(self):
-        return fro_norm(self.coeff)
+        return self._norm
+
+    @cached_property
+    def _norm(self):  # once per state, read-only for a stack, like _epr
+        return _out(seal(np.asarray(fro_norm(self.coeff))))
 
     def to_vector(self) -> np.ndarray:
         """Flatten to the a-major Kronecker basis: index (i, j) -> i*dim_b + j."""

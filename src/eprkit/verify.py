@@ -1,12 +1,13 @@
 """Residual suites: every analytic identity of the library re-checked on seeded random instances.
 
-Each suite names its stream tag once and passes it, with its draw, to one
-routine, _groups: trial t draws from its own sub-stream of (seed, suite
-tag, t), so any reported residual is reproducible in isolation, with no
-arithmetic and one generator call per run of normals; the trials are
-grouped by dims and stacked in one pass.  The draw phase only draws: a
-suite that needs a completely entangled state leaves the check to
-tomita_S, which raises NotSeparating naming the member.  The suite
+Each suite names its stream tag once and draws through one routine,
+_groups, by its shapes if its stream holds only normals (_complex_trials),
+else by a draw of its own (_groups says why): trial t draws from the
+sub-stream (seed, suite tag, t), so any reported residual is reproducible
+in isolation, with no arithmetic and one generator call per run of
+normals; the trials are grouped by dims and stacked in one pass.  A suite
+that needs a completely entangled state leaves the check to tomita_S,
+which raises NotSeparating naming the member.  The suite
 assembles each group with sampling's stacked assembly and evaluates each
 identity once per group on value types that hold the whole stack, on the
 code path a single instance takes.  luders_suite groups by channel dims
@@ -182,7 +183,11 @@ def _groups(table: ResidualTable, seed: int, stream: int, trials: Iterable[int],
     draw(rng, t) returns trial t's (dims, arrays) from the generator of
     (seed, stream, t).  Groups come in first-seen order, the trials of a
     group in trial order; record(name, values) enters one residual per
-    member, with its (stream, trial, dims), into the table.
+    member, with its (stream, trial, dims), into the table.  Five suites
+    pass a draw, not shapes: matcore reads the pair normals in a second
+    pass, after the square's; polar draws a row index with integers;
+    cloning two uniform weight vectors; teleport lays out its probe rows,
+    each its own run; luders a rank-dependent unitary run mid-stream.
     """
     trials = list(trials)
     groups: dict = {}
@@ -468,7 +473,9 @@ def modular_delta_oracle(triple):
     s, delta = triple.s.as_antilinear(), triple.delta.mat
     gap = _fro(al.compose_aa(al.adjoint(s), s) - delta)
     eigs = np.linalg.eigvalsh((delta + delta.conj().mT) / 2)
-    return np.maximum(gap, np.maximum(0.0, -eigs.min(axis=-1))) / (1.0 + _fro(delta))
+    with np.errstate(over="ignore", invalid="ignore"):  # modular_delta's rule: NaN where the scale overflows
+        scale = 1.0 + _fro(delta)
+        return np.where(np.isfinite(scale), np.maximum(gap, np.maximum(0.0, -eigs.min(axis=-1))) / scale, np.nan)
 
 
 def modular_reconstruction_oracle(triple, roots):
@@ -546,7 +553,7 @@ def antilinear_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int
     for rec, _, (m1, m2, x, y, lin_cod, lin_dom) in _complex_trials(table, seed, 20, trials, _dim_pairs(dims), shapes):
         t1, t2 = al.AntilinearMap(m1), al.AntilinearMap(m2)
         rec("anti.adjoint_pairing", np.abs(_vdot(y, al.apply(t1, x)) - _vdot(x, al.apply(al.adjoint(t1), y))))
-        rec("anti.involution", _fro(al.adjoint(al.adjoint(t1)).mat - t1.mat))
+        rec("anti.involution", _fro(al.adjoint(al.adjoint(t1)).mat - t1.mat))  # 0.0: two transposes are exact
         rec(
             "anti.compose_adjoint",
             _fro(al.compose_aa(t1, t2).conj().mT - al.compose_aa(al.adjoint(t2), al.adjoint(t1))),
@@ -602,14 +609,9 @@ def polar_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
 
 
 def partner_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
-    squares = _square_dims(dims)
-
-    def draw(rng, t):
-        d = squares[t % len(squares)]
-        return (d,), (rng.standard_normal(normal_count((d, d))), rng.standard_normal(normal_count((d, d))))
-
-    for rec, (d,), (x_psi, x_op) in _groups(table, seed, 40, trials, draw):
-        psi, a_op = bp.BipartiteVector(unit(complex_from(x_psi, d, d), 2)), complex_from(x_op, d, d)
+    squares = [(d,) for d in _square_dims(dims)]
+    for rec, _, (c_psi, a_op) in _complex_trials(table, seed, 40, trials, squares, lambda d: ((d, d), (d, d))):
+        psi = bp.BipartiteVector(unit(c_psi, 2))
         parts = bp.polar_of_state(psi)
         b_op = bp.partner_operator(a_op, parts)
         rec("partner.trace", np.abs(_trace(bp.reduced(psi, "a") @ a_op) - _trace(bp.reduced(psi, "b") @ b_op)))
@@ -651,11 +653,8 @@ def crossgram_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]
 
 
 def purification_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
-    def shapes(d):
-        return (d, d), (d, d)
-
     squares = [(d,) for d in _square_dims(dims)]
-    for rec, _, (a, w) in _complex_trials(table, seed, 70, trials, squares, shapes):
+    for rec, _, (a, w) in _complex_trials(table, seed, 70, trials, squares, lambda d: ((d, d), (d, d))):
         omega = a @ a.conj().mT
         omega = omega / np.asarray(_trace(omega).real)[..., None, None]
         psi = bp.purification_from_isometry(omega, al.AntilinearMap(haar(w)))
@@ -678,6 +677,7 @@ def teleport_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int])
         tm = tp.teleport_map(bp.BipartiteVector(unit(c_psi, 2)), bp.BipartiteVector(unit(c_phi, 2)))
         teleport_checks(rec, tm, unit(probe))
         bound = tp.success_bound(tm)
+        # 0.0 while the bound holds: the excess is one-sided, so only a bound cut below the probes' norms shows
         rec("teleport.bound_holds", teleport_bound_holds(tm, complex_from(rows, da), bound))
         rec("teleport.bound_attained", np.abs(tm.norms.operator**2 - bound))
 
@@ -743,6 +743,7 @@ def twisted_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         eta, xi, eta2, xi2 = (al.AntilinearMap(m) for m in (m_eta, m_xi, m_eta2, m_xi2))
         prod, prod2 = md.twisted_product(eta, xi), md.twisted_product(eta2, xi2)
         lin_prod = md.twisted_product(lin_eta, lin_xi)
+        # 0.0: the action and prod.mat form the same entry products eta[i, q]·xi[k, p], exactly
         rec("twisted.action", np.maximum(twisted_action(prod, eta, xi), twisted_action(lin_prod, lin_eta, lin_xi)))
         rec(
             "twisted.adjoint",
@@ -772,14 +773,9 @@ def twisted_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
 
 
 def modular_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
-    squares = [d for d in _square_dims(dims) if d >= 2] or [2]
-
-    def draw(rng, t):
-        d = squares[t % len(squares)]
-        return (d,), (rng.standard_normal(normal_count((d, d))), rng.standard_normal(normal_count((d, d))))
-
-    for rec, (d,), (x_psi, x_phi) in _groups(table, seed, 120, trials, draw):
-        psi, phi = (bp.BipartiteVector(unit(complex_from(x, d, d), 2)) for x in (x_psi, x_phi))
+    squares = [(d,) for d in _square_dims(dims) if d >= 2] or [(2,)]
+    for rec, (d,), coeffs in _complex_trials(table, seed, 120, trials, squares, lambda d: ((d, d), (d, d))):
+        psi, phi = (bp.BipartiteVector(unit(c, 2)) for c in coeffs)
         triple, roots = modular_checks(rec, phi, psi)
         if d <= ORACLE_DIM:  # each factor route's dense oracle
             rec("modular.defining", modular_defining_oracle(triple, phi, psi))

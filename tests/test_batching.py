@@ -37,11 +37,20 @@ def fro(x) -> float:
 GROUPS = vf._groups  # kept for per_trial_groups, which stands in for it
 
 
-def per_trial_groups(table, seed, stream, trials, draw):
-    """verify._groups one trial at a time, each array unstacked: the suites' single-instance path."""
-    for t in trials:
-        for rec, dims, stacks in GROUPS(table, seed, stream, [t], draw):
-            yield rec, dims, [s[0] for s in stacks]
+def per_trial_groups(seen):
+    """verify._groups one trial at a time, each array unstacked: the suites' single-instance path.
+
+    Each call appends to `seen` the list of trials it drew.
+    """
+
+    def groups(table, seed, stream, trials, draw):
+        seen.append([])
+        for t in trials:
+            for rec, dims, stacks in GROUPS(table, seed, stream, [t], draw):
+                seen[-1].append(t)
+                yield rec, dims, [s[0] for s in stacks]
+
+    return groups
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -52,10 +61,13 @@ def test_batched_suite_equals_per_trial_loop(suite, seed, monkeypatch):
     batched = {r.name: r for r in table.results()}
     # The same suite code on each trial's own draws, without a stack axis:
     # every library call is then the public single-instance call.
-    monkeypatch.setattr(vf, "_groups", per_trial_groups)
+    seen = []
+    monkeypatch.setattr(vf, "_groups", per_trial_groups(seen))
     looped = vf.ResidualTable()
     suite(looped, seed, DIMS, range(TRIALS))
     single = {r.name: r for r in looped.results()}
+    # A suite that draws around _groups would compare its batched path with itself.
+    assert seen and all(ts == list(range(TRIALS)) for ts in seen), seen
     assert batched.keys() == single.keys()
     for name, r in batched.items():
         assert r.residual == single[name].residual, name

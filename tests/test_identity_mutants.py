@@ -5,10 +5,13 @@ Unmutated, every name it records is within tolerance.  Under that name's
 mutant, a library function whose result is scaled by 1 + 1e-6 or a
 perturbed operand, the name is at least ten times its tolerance.  The
 identities only a suite checks run through their suite on 16 seeded trials
-at dims [2, 3], under mutants of the library functions the suite calls.
-The modular factor routes have their perturbation tests in test_modular
-(TestFactorRoutes).
+at dims [2, 3], under mutants of the library functions the suite calls; a
+symmetric identity gets a mutant that breaks its symmetry (a dropped
+conjugation or transpose, a swapped argument).  The modular factor routes
+have their perturbation tests in test_modular (TestFactorRoutes).
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -48,15 +51,19 @@ def chain_instance():
     return vf.chain_checks, (stages, tp.chain_teleport(stages), random_unit_vector(seeded_rng(306), 2))
 
 
-def scaled(module, attr, wrap=lambda out: out * SCALE):
-    """The mutant module.attr whose result goes through wrap, by default scaled by SCALE."""
+def replaced(module, attr, mutant):
+    """The mutant module.attr = mutant(plain), plain the unmutated function."""
 
     def mutate(monkeypatch, operands):
-        plain = getattr(module, attr)
-        monkeypatch.setattr(module, attr, lambda *args: wrap(plain(*args)))
+        monkeypatch.setattr(module, attr, mutant(getattr(module, attr)))
         return operands
 
     return mutate
+
+
+def scaled(module, attr, wrap=lambda out: out * SCALE):
+    """The mutant module.attr whose result goes through wrap, by default scaled by SCALE."""
+    return replaced(module, attr, lambda plain: lambda *args, **kwargs: wrap(plain(*args, **kwargs)))
 
 
 def perturbed(k, change):
@@ -124,17 +131,14 @@ def first_term(ch, nu):
 def luders_apply_plus(term):
     """The mutant of luders_apply that adds term(ch, nu, out) to its output."""
 
-    def mutate(monkeypatch, operands):
-        plain = tp.luders_apply
-
-        def mutant(ch, nu):
+    def mutant(plain):
+        def luders_apply(ch, nu):
             out = plain(ch, nu)
             return out + term(ch, nu, out)
 
-        monkeypatch.setattr(tp, "luders_apply", mutant)
-        return operands
+        return luders_apply
 
-    return mutate
+    return replaced(tp, "luders_apply", mutant)
 
 
 def eta_scaled(triple):
@@ -145,6 +149,51 @@ def eta_scaled(triple):
 
 def state_scaled(psi):
     return bp.BipartiteVector(psi.coeff * SCALE)
+
+
+def anti_scaled(t):
+    return al.AntilinearMap(t.mat * SCALE)
+
+
+def twisted_scaled(op):
+    """The twisted product op with its first factor scaled by SCALE."""
+    eta, xi = op.factors
+    return md.TwistedOperator((eta * SCALE, xi), op.parity)
+
+
+def kronecker_scaled(op):
+    first, second = op.factors
+    return md.KroneckerProduct((first * SCALE, second))
+
+
+def fidelity_of_first(plain):
+    """_fidelity_of(r, o) that reads r twice: fidelity(rho, omega) becomes fidelity(rho, rho)."""
+    return lambda r, o: plain(r, r)
+
+
+def second_conj_dropped(plain):
+    """compose_aa without the conjugation of its second factor: M1 @ M2."""
+    return lambda t1, t2: t1.mat @ t2.mat
+
+
+def other_side_kept(plain):
+    """partial_trace keeping the factor it was asked to trace out."""
+    return lambda m, dim_a, dim_b, side: plain(m, dim_a, dim_b, {"a": "b", "b": "a"}[side])
+
+
+def a_side_shifted(plain):
+    """reduced with 1e-6 added to every entry of an a-side reduction: two of them no longer commute."""
+    return lambda psi, side, *rest: plain(psi, side, *rest) + 1e-6 * (side == "a")
+
+
+def phase_untransposed(plain):
+    """_phases with j_phi_ab left as the phase of s_phi_ba, its transpose dropped."""
+
+    def phases(phi, psi):
+        j_phi_ab, j_psi_ba = plain(phi, psi)
+        return j_phi_ab.mT, j_psi_ba
+
+    return phases
 
 
 # name: (suite, seed, mutant).  The Lüders mutants add a term to luders_apply's output: 1e-6 of the output itself
@@ -170,6 +219,27 @@ SUITE_MUTANTS = {
     "crossgram.singulars": (vf.crossgram_suite, 1, scaled(bp, "cross_gram")),
     "crossgram.trace": (vf.crossgram_suite, 1, scaled(bp, "cross_gram")),
     "purification.roundtrip": (vf.purification_suite, 1, scaled(bp, "purification_from_isometry", state_scaled)),
+    "matcore.svd_reconstruct": (vf.matcore_suite, 1, scaled(la, "svd", lambda r: replace(r, sigma=r.sigma * SCALE))),
+    "matcore.psd_sqrt": (vf.matcore_suite, 1, scaled(la, "psd_sqrt")),
+    # The symmetric identities need mutants that break their symmetry: a scaled fidelity, a scaled compose_aa or
+    # a trace_product that commutes with conjugation would leave each of them unchanged.
+    "matcore.fidelity_symmetry": (vf.matcore_suite, 1, replaced(la, "_fidelity_of", fidelity_of_first)),
+    "matcore.partial_trace_invariance": (vf.matcore_suite, 1, replaced(la, "partial_trace", other_side_kept)),
+    "anti.adjoint_pairing": (vf.antilinear_suite, 1, scaled(al, "adjoint", anti_scaled)),
+    "anti.involution": (vf.antilinear_suite, 1, scaled(al, "adjoint", anti_scaled)),
+    "anti.compose_adjoint": (vf.antilinear_suite, 1, replaced(al, "compose_aa", second_conj_dropped)),
+    "anti.mixed_compose": (vf.antilinear_suite, 1, scaled(al, "compose_mixed", anti_scaled)),
+    "anti.trace_conjugation": (vf.antilinear_suite, 1, scaled(al, "trace_product", lambda z: z * (1 + 1e-6j))),
+    "polar.factorizations": (vf.polar_suite, 1, scaled(al, "compose_mixed", anti_scaled)),
+    "polar.supports": (vf.polar_suite, 1, scaled(la, "_support_of")),
+    "polar.conjugate_reduction": (vf.polar_suite, 1, scaled(al, "compose_aa")),
+    "cloning.commutator": (vf.cloning_suite, 1, replaced(bp, "reduced", a_side_shifted)),
+    "twisted.action": (vf.twisted_suite, 1, scaled(md, "twisted_product", twisted_scaled)),
+    "twisted.adjoint": (vf.twisted_suite, 1, scaled(md, "twisted_adjoint", twisted_scaled)),
+    "twisted.compose": (vf.twisted_suite, 1, scaled(md, "twisted_compose", kronecker_scaled)),
+    "twisted.adjoint_exchange": (vf.twisted_suite, 1, replaced(md, "_phases", phase_untransposed)),
+    "twisted.reductions": (vf.twisted_suite, 1, scaled(bp, "reduced")),
+    "twisted.polar": (vf.twisted_suite, 1, scaled(la, "kron")),
 }
 
 
@@ -191,3 +261,12 @@ def test_suite_mutant_is_caught(monkeypatch, name):
     suite, seed, mutate = SUITE_MUTANTS[name]
     mutate(monkeypatch, ())
     assert suite_residuals(suite, seed)[name] >= 10 * vf.TOLERANCES[name]
+
+
+FACTOR_ROUTES = {f"modular.{route}" for route in ("defining", "delta", "reconstruction", "phase_match", "intertwine")}
+
+
+def test_every_identity_has_a_mutant():
+    """The table and test_modular's TestFactorRoutes cover every name in TOLERANCES, each once."""
+    assert not set(MUTANTS) & set(SUITE_MUTANTS) and not (set(MUTANTS) | set(SUITE_MUTANTS)) & FACTOR_ROUTES
+    assert set(MUTANTS) | set(SUITE_MUTANTS) | FACTOR_ROUTES == set(vf.TOLERANCES)

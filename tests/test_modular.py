@@ -33,6 +33,7 @@ from eprkit.verify import (
     ResidualTable,
     modular_defining,
     modular_delta,
+    modular_delta_oracle,
     modular_intertwine,
     modular_phase_match,
     modular_phase_match_oracle,
@@ -691,6 +692,11 @@ class TestFactorRoutes:
         a, b = triple.delta.factors
         for delta in ((a, b), (a, 2 * b)):
             assert np.isnan(modular_delta(replace(triple, delta=KroneckerProduct(delta))))
+
+    def test_delta_oracle_is_nan_by_the_same_rule(self):
+        # The gap and 1 + ||Delta||_F both overflow: NaN by rule, with no numpy warning (an error under this suite).
+        triple = tomita_S(BipartiteVector(np.full((2, 2), 1e150)), bell(2))
+        assert np.isnan(modular_delta_oracle(triple))
 
     @pytest.mark.parametrize("seed, dense", [(5, 1.0), (3, 9.66e-7)])
     def test_phase_match_graded_k6_at_d8(self, seed, dense):

@@ -20,8 +20,8 @@ from eprkit.bipartite import BipartiteVector, epr_maps, polar_of_state, purifica
 from eprkit.cli import main
 from eprkit.formats import bipartite_to_json
 from eprkit.modular import KroneckerProduct, lift_operators, tomita_S, twisted_product
-from eprkit.teleport import LudersChannel, TeleportMap, teleport_map
-from eprkit.verify import modular_roots, run_all
+from eprkit.teleport import LudersChannel, TeleportMap, success_bound, teleport_map
+from eprkit.verify import modular_roots, run_all, teleport_checks
 
 from util import bell, random_unit_state, seeded_rng
 
@@ -161,6 +161,21 @@ def test_modular_builders_check_each_caller_array_once(monkeypatch):
     assert len(calls["finite"]) == 4  # omega_a of phi, omega_b and its inverse, and S's eta
 
 
+def test_teleport_checks_take_each_state_norm_once(monkeypatch):
+    # chain_oracle and root_norms both check the measured vector's norm; success_bound reads root_norms again.
+    c_psi, c_phi = pair(3, 309)
+    want = (linalg.fro_norm(c_psi), linalg.fro_norm(c_phi))
+    calls = []
+    plain = bipartite.fro_norm
+    monkeypatch.setattr(bipartite, "fro_norm", lambda x, *args: calls.append(x) or plain(x, *args))
+    psi, phi = BipartiteVector(c_psi), BipartiteVector(c_phi)
+    tm = teleport_map(psi, phi)
+    teleport_checks(lambda name, values: None, tm, np.eye(3)[0])
+    success_bound(tm)
+    assert [sum(x is s.coeff for x in calls) for s in (psi, phi)] == [1, 1]
+    assert (psi.norm(), phi.norm()) == want
+
+
 class TestIdentity:
     def test_polar_and_epr_maps_are_cached(self, svd_calls):
         psi = BipartiteVector(pair(3, 302)[0])
@@ -230,7 +245,7 @@ VALUE_TYPES = {
     "BipartiteVector": (
         BipartiteVector,
         lambda psi: [psi.coeff],
-        lambda psi: [epr_maps(psi).s_ba.mat, epr_maps(psi).s_ab.mat, *_parts(polar_of_state(psi))],
+        lambda psi: [epr_maps(psi).s_ba.mat, epr_maps(psi).s_ab.mat, *_parts(polar_of_state(psi)), psi.norm()],
     ),
     "TwistedOperator": (lambda x: twisted_product(x, x), lambda op: list(op.factors), lambda op: [op.mat]),
     "KroneckerProduct": (lambda x: KroneckerProduct((x, x)), lambda op: list(op.factors), lambda op: [op.mat]),
