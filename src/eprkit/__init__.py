@@ -7,6 +7,7 @@ from .bipartite import (
     cloning_check,
     cross_gram,
     epr_maps,
+    gns_check,
     inner_via_trace,
     local_transform,
     partner_operator,
@@ -22,7 +23,6 @@ from .modular import (
     LiftedOperators,
     ModularTriple,
     TwistedOperator,
-    gns_check,
     lift_operators,
     tomita_S,
     twisted_adjoint,

@@ -238,3 +238,16 @@ def cloning_check(phi: BipartiteVector, psi: BipartiteVector) -> tuple[bool, flo
 def polar_of_state(psi: BipartiteVector) -> PolarParts:
     """Polar parts of s_ba: positive factors are the square roots of the reductions."""
     return polar(epr_maps(psi).s_ba)
+
+
+def gns_check(psi: BipartiteVector | np.ndarray):
+    """Whether both reductions of psi (a BipartiteVector or its coefficient matrix) have full rank.
+
+    True also certifies cyclicity: the vectors (E_ij ⊗ 1) psi then span the
+    whole product space; it needs square dimensions.  The rank is that of the
+    state's cached polar SVD, tomita_S's.  A stack gives one answer per member.
+    """
+    psi = psi if isinstance(psi, BipartiteVector) else BipartiteVector(psi)
+    if psi.dim_a != psi.dim_b:
+        return _out(np.zeros(psi.coeff.shape[:-2], dtype=bool))
+    return _out(np.asarray(polar_of_state(psi).svd.rank == psi.dim_b))

@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: epr, teleport, luders, chain, modular, verify, random.  Each
-returns a report, its identity results and a summary; main alone writes the
-report as one line of compact, strict JSON (no timestamps: byte-identical for
-the same invocation; a non-finite number is written as null) on stdout or to
---out, the summary on stderr, then checks.
+returns a report, its identity results and a summary.  The five checking
+subcommands (all but verify and random) read their operands, then run their
+family's verify.<family>_checks once through _checked: one ResidualTable,
+the seeded probes, the residuals named without the family prefix.  main
+alone writes the report as one line of compact, strict JSON (no timestamps:
+byte-identical for the same invocation; a non-finite number is written as
+null) on stdout or to --out, the summary on stderr, then checks.
 
 Exit codes: 0 success, 2 invalid input, 3 residual beyond tolerance.
 """
@@ -32,10 +35,6 @@ EXIT_TOLERANCE = 3
 PROBE_COUNT = 8  # seeded probe vectors per residual check
 
 
-def _say(msg: str):
-    print(msg, file=sys.stderr)
-
-
 def _fixed(x: float) -> str:
     """Six decimals, or from magnitude 1e6 on six in exponent form, not hundreds of digits."""
     return f"{x:.6e}" if abs(x) >= 1e6 else f"{x:.6f}"
@@ -55,9 +54,12 @@ def _probes(rng, *shapes) -> list[np.ndarray]:
     return [unit(z, len(shape)) for z, shape in zip(split_complex(x, *shapes), shapes)]
 
 
-def _residuals(table: vf.ResidualTable, prefix: str) -> dict:
-    """Worst residual per identity, named without the subcommand's prefix."""
-    return {r.name.removeprefix(prefix): r.residual for r in table.results()}
+def _checked(args, stream: int | None, checks, operands, shapes=()) -> tuple:
+    """One check run, checks(rec, *operands, *probes of shapes): its result, short-named residuals and results."""
+    table = vf.ResidualTable()
+    out = checks(table.record, *operands, *(_probes(rng_for(args.seed, stream), *shapes) if shapes else ()))
+    results = table.results(args.tolerance)
+    return out, {r.name.partition(".")[2]: r.residual for r in results}, results
 
 
 def cmd_epr(args) -> tuple[dict, list[vf.IdentityResult], str]:
@@ -65,11 +67,8 @@ def cmd_epr(args) -> tuple[dict, list[vf.IdentityResult], str]:
     pair = bp.epr_maps(psi)
     omega_a = bp.reduced(psi, "a", "state")
     omega_b = bp.reduced(psi, "b", "state")
-
-    phi_a, phi_b, chi = _probes(rng_for(args.seed, 1), (psi.dim_a,), (psi.dim_b,), (psi.dim_a, psi.dim_b))
-    table = vf.ResidualTable()
-    vf.epr_checks(table.record, psi, omega_a, omega_b, phi_a, phi_b, chi)
-    residuals = _residuals(table, "epr.")
+    shapes = [(psi.dim_a,), (psi.dim_b,), (psi.dim_a, psi.dim_b)]
+    _, residuals, results = _checked(args, 1, vf.epr_checks, (psi, omega_a, omega_b), shapes)
     report = {
         "s_ba": fm.antilinear_to_json(pair.s_ba),
         "s_ab": fm.antilinear_to_json(pair.s_ab),
@@ -79,29 +78,25 @@ def cmd_epr(args) -> tuple[dict, list[vf.IdentityResult], str]:
         "residuals": residuals,
     }
     summary = f"state ({psi.dim_a}x{psi.dim_b}), max residual {max(residuals.values(), key=vf._rank):.3e}"
-    return report, table.results(args.tolerance), summary
+    return report, results, summary
 
 
 def cmd_teleport(args) -> tuple[dict, list[vf.IdentityResult], str]:
     psi, phi = _state(fm.load_json(args.psi), "psi_ab"), _state(fm.load_json(args.phi), "phi_bc")
     tm = tp.teleport_map(psi, phi)
-    bound = tp.success_bound(tm)  # first, so a non-unit psi is named "measured vector", not "measured vector stages[0]"
-    table = vf.ResidualTable()
-    (probes,) = _probes(rng_for(args.seed, 2), (psi.dim_a,))
-    tnf = vf.teleport_checks(table.record, tm, probes)
-    oracle_residual = _residuals(table, "teleport.")["factorization"]
+    (bound, tnf), residuals, results = _checked(args, 2, vf.teleport_checks, (tm,), [(psi.dim_a,)])
     report = {
         "t": fm.matrix_to_json(tm.t),
         "trace_norm": tnf.trace_norm,
         "fidelity": tnf.fidelity,
         "op_bound": bound,
-        "oracle_residual": oracle_residual,
+        "oracle_residual": residuals["factorization"],
     }
     summary = (
         f"teleport map {tm.t.shape[0]}x{tm.t.shape[1]}: trace norm {_fixed(tnf.trace_norm)}, "
-        f"fidelity {_fixed(tnf.fidelity)}, bound {_fixed(bound)}, oracle residual {oracle_residual:.3e}"
+        f"fidelity {_fixed(tnf.fidelity)}, bound {_fixed(bound)}, oracle residual {residuals['factorization']:.3e}"
     )
-    return report, table.results(args.tolerance), summary
+    return report, results, summary
 
 
 def cmd_luders(args) -> tuple[dict, list[vf.IdentityResult], str]:
@@ -118,10 +113,8 @@ def cmd_luders(args) -> tuple[dict, list[vf.IdentityResult], str]:
         raise ParseError("channel spec needs 'phi_bc'")
     phi = _state(spec["phi_bc"], "phi_bc")
     ch = tp.luders_channel(psis, phi)
-    (probes,) = _probes(rng_for(args.seed, 3), (ch.psis.dim_a,))
-    table = vf.ResidualTable()
-    bounds = vf.luders_checks(table.record, ch, probes)
-    decoupling = _residuals(table, "luders.")["decoupling"]
+    bounds, residuals, results = _checked(args, 3, vf.luders_checks, (ch,), [(ch.psis.dim_a,)])
+    decoupling = residuals["decoupling"]
     report = {
         "maps": [fm.matrix_to_json(t) for t in ch.maps],
         "rank": ch.rank,
@@ -137,7 +130,7 @@ def cmd_luders(args) -> tuple[dict, list[vf.IdentityResult], str]:
         f"channel of rank {ch.rank}: op bound {_fixed(bounds.op_bound)} "
         f"(ancilla norm sq {_fixed(ch.ancilla_norm_sq)}), decoupling residual {decoupling:.3e}"
     )
-    return report, table.results(args.tolerance), summary
+    return report, results, summary
 
 
 def cmd_chain(args) -> tuple[dict, list[vf.IdentityResult], str]:
@@ -146,21 +139,17 @@ def cmd_chain(args) -> tuple[dict, list[vf.IdentityResult], str]:
         raise ParseError("chain spec needs a 'stages' list")
     stages = [_state(s, f"stages[{k}]") for k, s in enumerate(spec["stages"])]
     t = tp.chain_teleport(stages)
-    table = vf.ResidualTable()
-    (probes,) = _probes(rng_for(args.seed, 4), (stages[0].dim_a,))
-    vf.chain_checks(table.record, stages, t, probes)
-    oracle_residual = _residuals(table, "chain.")["factorization"]
+    _, residuals, results = _checked(args, 4, vf.chain_checks, (stages, t), [(stages[0].dim_a,)])
+    oracle_residual = residuals["factorization"]
     report = {"t": fm.matrix_to_json(t), "oracle_residual": oracle_residual}
     summary = f"chain map {t.shape[0]}x{t.shape[1]} over {len(stages) // 2} hops, oracle residual {oracle_residual:.3e}"
-    return report, table.results(args.tolerance), summary
+    return report, results, summary
 
 
 def cmd_modular(args) -> tuple[dict, list[vf.IdentityResult], str]:
     phi = _state(fm.load_json(args.phi), "phi", normed=False)  # tomita_S names the overflowing reduction
     psi = _state(fm.load_json(args.psi), "psi", normed=False)
-    table = vf.ResidualTable()
-    triple, _ = vf.modular_checks(table.record, phi, psi)
-    residuals = _residuals(table, "modular.")
+    (triple, _), residuals, results = _checked(args, None, vf.modular_checks, (phi, psi))
     report = {
         "S": fm.twisted_to_json(triple.s),
         "Delta": fm.kronecker_to_json(triple.delta),
@@ -168,7 +157,7 @@ def cmd_modular(args) -> tuple[dict, list[vf.IdentityResult], str]:
         "residuals": residuals,
     }
     summary = f"modular triple on {psi.dim_a}x{psi.dim_a}, max residual {max(residuals.values(), key=vf._rank):.3e}"
-    return report, table.results(args.tolerance), summary
+    return report, results, summary
 
 
 def cmd_verify(args) -> tuple[dict, list[vf.IdentityResult], str]:
@@ -282,11 +271,11 @@ def main(argv=None) -> int:
                 fh.write(text + "\n")
         else:
             print(text)
-        _say(summary)
+        print(summary, file=sys.stderr)
         vf.check_all(results)
         return EXIT_OK
     except (EprkitError, OSError) as exc:
-        _say(f"error: {exc}")
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE if isinstance(exc, (ToleranceExceeded, FactorizationFailure)) else EXIT_INVALID
 
 

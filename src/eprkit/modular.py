@@ -31,9 +31,9 @@ from functools import cached_property
 import numpy as np
 
 from .antilinear import AntilinearMap
-from .bipartite import BipartiteVector, _check_same_dims, epr_maps, polar_of_state, reduced
+from .bipartite import BipartiteVector, _check_same_dims, epr_maps, gns_check, polar_of_state, reduced
 from .errors import DimMismatch, MixedParity, NotSeparating
-from .linalg import _adopt, _check_dense, _member, _out, as_matrix, finite, frozen, kron, numerical_rank, seal
+from .linalg import _adopt, _check_dense, _member, as_matrix, finite, frozen, kron, seal
 
 
 @dataclass(frozen=True)
@@ -197,19 +197,6 @@ def lift_operators(phi: BipartiteVector, psi: BipartiteVector) -> LiftedOperator
     )
 
 
-def gns_check(psi: BipartiteVector | np.ndarray):
-    """Whether both reductions of psi (a BipartiteVector or its coefficient matrix) have full rank.
-
-    True also certifies cyclicity: the vectors (E_ij ⊗ 1) psi then span the
-    whole product space.  Requires square dimensions to be attainable at all.
-    A stack gives one answer per member.
-    """
-    c = psi.coeff if isinstance(psi, BipartiteVector) else np.asarray(psi)
-    if c.shape[-2] != c.shape[-1]:
-        return _out(np.zeros(c.shape[:-2], dtype=bool))
-    return _out(np.asarray(numerical_rank(np.linalg.svd(c, compute_uv=False)) == c.shape[-1]))
-
-
 @dataclass(frozen=True)
 class ModularTriple:
     """Closed operators S = J Delta^(1/2) of the finite-dimensional modular setup, held by their factors.
@@ -232,8 +219,8 @@ def tomita_S(phi: BipartiteVector, psi: BipartiteVector) -> ModularTriple:
     relation with X = A C_psi.  J is the twisted product of the phase maps of
     (psi, phi), in that order, the same operator as lift_operators(psi, phi).j:
     the polar phase of S, taken factor by factor.  One SVD C_psi^T = U Σ V†,
-    J's (C_psi is its adjoint), decides that psi is completely entangled
-    (square, full numerical rank) and gives C_psi^(-†) = conj(V) Σ^(-1) U^T,
+    J's (C_psi is its adjoint), decides (gns_check) that psi is completely
+    entangled (square, full rank) and gives C_psi^(-†) = conj(V) Σ^(-1) U^T,
     not an LU solve.  Delta = omega_a(phi) ⊗ inverse(omega_b(psi)), and since
     omega_b(psi) = U Σ² U† the inverse is U Σ^(-2) U† from the same SVD: an
     eigendecomposition of omega_b would square the condition number of C_psi.
@@ -251,11 +238,11 @@ def tomita_S(phi: BipartiteVector, psi: BipartiteVector) -> ModularTriple:
     SVD of S.
     """
     _check_same_dims(phi, psi)
-    res = polar_of_state(psi).svd
-    entangled = np.asarray(psi.dim_a == psi.dim_b and res.rank == psi.dim_b)
+    entangled = np.asarray(gns_check(psi))
     if not entangled.all():
         label, _ = _member("psi", ~entangled)
         raise NotSeparating(f"{label} must be completely entangled (square, full-rank reductions)")
+    res = polar_of_state(psi).svd
     u, sigma, vh = res.u, res.sigma[..., None, :], res.vh
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         sq = sigma**2  # the eigenvalues of omega_b(psi) = U Σ² U†

@@ -19,10 +19,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from .bipartite import BipartiteVector
+from .bipartite import BipartiteVector, gns_check
 from .errors import DimMismatch
 from .linalg import fro_norm
-from .modular import gns_check
 
 
 # numpy's SeedSequence (numpy.random.bit_generator): pool size, running-hash constants, mixing multipliers.
@@ -121,10 +120,10 @@ def state_from_rng(rng: np.random.Generator, dim_a: int, dim_b: int, entangled: 
     """Unit random state; with entangled=True, rejection-sample full-rank reductions."""
     if entangled and dim_a != dim_b:
         raise DimMismatch("completely entangled states need dim_a == dim_b")
-    while True:
-        c = unit(complex_from(rng.standard_normal(normal_count((dim_a, dim_b))), dim_a, dim_b), 2)
-        if not entangled or gns_check(c):
-            return BipartiteVector(c)
+    while True:  # each candidate wrapped once: the state returned holds the SVD gns_check took
+        psi = BipartiteVector(unit(complex_from(rng.standard_normal(normal_count((dim_a, dim_b))), dim_a, dim_b), 2))
+        if not entangled or gns_check(psi):
+            return psi
 
 
 def random_state(dims, seed: int, entangled: bool = False) -> BipartiteVector:

@@ -22,8 +22,8 @@ luders, chain, modular) has one routine below, <family>_checks(rec, ...).
 It takes the subcommand's operands, single or stacked, builds what the
 identities derive from them, records each through rec(name, residuals), one
 residual per member (the interface _groups yields), and returns what the
-report needs.  The family's suite calls it on trial stacks with its group's
-rec, and the subcommand on its probes with its own ResidualTable's record.
+report needs (teleport's the success bound too).  The suite calls it on
+trial stacks with its group's rec, the subcommand once via cli._checked.
 """
 
 from __future__ import annotations
@@ -238,16 +238,17 @@ def epr_checks(rec, psi, omega_a, omega_b, phi_a, phi_b, chi):
 
 
 def teleport_checks(rec, tm, probe):
-    """The identities of the teleport subcommand, on tm and a probe; returns trace_norm_fidelity(tm).
+    """The teleport subcommand's identities, on tm and a probe; returns (success_bound(tm), trace_norm_fidelity(tm)).
 
     factorization: the factorized output against the dense projection
     oracle; trace_fidelity: the trace norm of the channel matrix against the
     fidelity of the reductions.
     """
+    bound = tp.success_bound(tm)  # first, so a non-unit psi is named "measured vector", not "measured vector stages[0]"
     rec("teleport.factorization", _fro(_mv(tm.t, probe) - tp.teleport_oracle(tm.source_psi, tm.ancilla_phi, probe), 1))
     tnf = tp.trace_norm_fidelity(tm)
     rec("teleport.trace_fidelity", np.abs(tnf.trace_norm - tnf.fidelity))
-    return tnf
+    return bound, tnf
 
 
 def teleport_bound_holds(tm, probes, bound):
@@ -675,8 +676,7 @@ def teleport_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int])
     for rec, (da, db, dc), (x, rows) in _groups(table, seed, 80, trials, draw):
         c_psi, c_phi, probe = split_complex(x, (da, db), (db, dc), (da,))
         tm = tp.teleport_map(bp.BipartiteVector(unit(c_psi, 2)), bp.BipartiteVector(unit(c_phi, 2)))
-        teleport_checks(rec, tm, unit(probe))
-        bound = tp.success_bound(tm)
+        bound, _ = teleport_checks(rec, tm, unit(probe))
         # 0.0 while the bound holds: the excess is one-sided, so only a bound cut below the probes' norms shows
         rec("teleport.bound_holds", teleport_bound_holds(tm, complex_from(rows, da), bound))
         rec("teleport.bound_attained", np.abs(tm.norms.operator**2 - bound))

@@ -17,7 +17,7 @@ from eprkit.errors import DimTooLarge
 from eprkit.formats import bipartite_to_json, kronecker_from_json, matrix_from_json, matrix_to_json, twisted_from_json
 from eprkit.sampling import random_state
 
-from util import bell
+from util import bell, strict_json
 
 
 @pytest.fixture
@@ -35,15 +35,6 @@ def skew_file(tmp_path):
         json.dumps({"dim_a": 2, "dim_b": 2, "coeff": matrix_to_json(skew)})
     )
     return str(path)
-
-
-def strict_json(text: str):
-    """text parsed as RFC 8259 JSON: a NaN, Infinity or -Infinity token raises."""
-
-    def refuse(token):
-        raise ValueError(f"{token} in a report")
-
-    return json.loads(text, parse_constant=refuse)
 
 
 def run_cli(capsys, *argv) -> tuple[int, dict | None, str]:
@@ -124,6 +115,14 @@ class TestTeleport:
         assert code == 0
         assert report["fidelity"] == pytest.approx(0.948683, abs=1e-6)
         assert report["op_bound"] == pytest.approx(0.4, abs=1e-9)
+
+    def test_non_unit_psi_is_named_measured_vector(self, capsys, bell_file, tmp_path):
+        # The success bound checks psi's norm before the oracle, which would name it "measured vector stages[0]".
+        path = tmp_path / "double.json"
+        path.write_text(json.dumps(bipartite_to_json(BipartiteVector(2 * bell(2).coeff))))
+        code, report, err = run_cli(capsys, "teleport", str(path), bell_file)
+        assert (code, report) == (2, None)
+        assert re.fullmatch(r"error: measured vector has norm \S+, expected 1 within 1e-10\n", err), err
 
     def test_dim_mismatch_exit_2(self, capsys, bell_file, tmp_path):
         psi3 = random_state((3, 3), seed=1)

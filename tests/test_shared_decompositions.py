@@ -20,6 +20,7 @@ from eprkit.bipartite import BipartiteVector, epr_maps, polar_of_state, purifica
 from eprkit.cli import main
 from eprkit.formats import bipartite_to_json
 from eprkit.modular import KroneckerProduct, lift_operators, tomita_S, twisted_product
+from eprkit.sampling import random_state
 from eprkit.teleport import LudersChannel, TeleportMap, success_bound, teleport_map
 from eprkit.verify import modular_roots, run_all, teleport_checks
 
@@ -69,6 +70,12 @@ class TestSvdCounts:
         phi, psi = (BipartiteVector(c) for c in pair(5, 300))
         tomita_S(phi, psi)
         assert "_polar" in vars(epr_maps(psi).s_ba) and "_polar" not in vars(epr_maps(psi).s_ab)
+
+    def test_entangled_draw_shares_its_svd_with_tomita(self, monkeypatch):
+        # gns_check reads the polar SVD of C_psi^T that the drawn state keeps, and tomita_S reuses it.
+        svds = _count_calls(monkeypatch, "svd")
+        tomita_S(random_state((3, 3), 8), random_state((3, 3), 7, entangled=True))
+        assert len(svds) == 2  # C_psi^T and C_phi^T
 
     def test_cli_modular_takes_five(self, svd_calls, tmp_path):
         paths = []

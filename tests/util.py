@@ -1,6 +1,8 @@
-"""Shared helpers for the test suite: reference states and per-call samplers."""
+"""Shared helpers for the test suite: reference states, per-call samplers and a strict JSON reader."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -45,3 +47,12 @@ def random_unit_state(rng: np.random.Generator, da: int, db: int) -> BipartiteVe
 
 def seeded_rng(*stream: int) -> np.random.Generator:
     return rng_for(20260809, *stream)
+
+
+def strict_json(text: str):
+    """text parsed as RFC 8259 JSON: a NaN, Infinity or -Infinity token raises."""
+
+    def refuse(token):
+        raise ValueError(f"{token} in a report")
+
+    return json.loads(text, parse_constant=refuse)

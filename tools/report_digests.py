@@ -5,16 +5,17 @@ the default dims (`--seed 1 --dims 16 --trials 8`, `--seed 2 --dims 1 5
 --trials 9`, and `--seed 3 --dims 1 2 --trials 40`, whose Lüders groups mix
 full-basis and rank-one channels at da·db = 1, 2 and 4), the 1765
 commands of the seed-1 `cli-session` benchmark list
-(`perfbench/inputs.session_ops(1, 353)`, read only) and eight hand-made edge
+(`perfbench/inputs.session_ops(1, 353)`, read only) and nine hand-made edge
 inputs: `modular` on a Bell φ and ψ = 10^-k·G for k = 50, 90, 100 and 160,
 with G the complex Gaussian 2×2 of `numpy.random.default_rng(3)`, and `epr`
-on, and `modular` with φ, the 2×2 state with every entry 1e150; and two
+on, and `modular` with φ, the 2×2 state with every entry 1e150; two
 large-ancilla inputs, `luders` with a Bell ψ and the 2×2 ancilla with every
-entry 1e100, and `chain` on [Bell, that ancilla].  These reach the overflow,
-NaN and refusal paths.  Five `random` runs digest the bits of
-`sampling.state_from_rng`: `--entangled` at dims 2 2 (seed 7), 3 3 (seed 1)
-and 4 4 (seed 2), and dims 2 3 at seed 8 without it and with it (exit 2).
-1881 invocations in all.
+entry 1e100, and `chain` on [Bell, that ancilla]; and `modular` on a Bell φ
+and the product ψ = e₀⊗e₀ (exit 2, not completely entangled).  These reach
+the overflow, NaN and refusal paths.  Six `random` runs digest the bits of
+`sampling.state_from_rng` and its entanglement check: `--entangled` at dims
+1 1 (seed 5), 2 2 (seed 7), 3 3 (seed 1) and 4 4 (seed 2), and dims 2 3 at
+seed 8 without it and with it (exit 2).  1883 invocations in all.
 Every invocation goes through `eprkit.cli.main` in process, with its input
 files and reports in a temporary directory.  Run it once against each of
 two source trees and diff the outputs: equal lines mean equal exit codes and
@@ -75,10 +76,12 @@ def edge_inputs() -> tuple[list[list[str]], dict[str, bytes]]:
     files["edge-big.json"] = _json(_state(np.full((2, 2), 1e150)))
     files["edge-luders.json"] = _json({"psi_ab": bell, "phi_bc": ancilla})
     files["edge-chain.json"] = _json({"stages": [bell, ancilla]})
+    files["edge-product.json"] = _json(_state(np.diag([1.0, 0.0])))
     argvs = [["modular", "edge-bell.json", f"edge-psi-{k}.json"] for k in EDGE_K] + [["epr", "edge-big.json"]]
-    argvs += [["modular", "edge-big.json", "edge-bell.json"]]
+    argvs += [["modular", "edge-big.json", "edge-bell.json"], ["modular", "edge-bell.json", "edge-product.json"]]
     argvs += [["luders", "edge-luders.json"], ["chain", "edge-chain.json"]]
-    randoms = [("2 2", 7, True), ("3 3", 1, True), ("4 4", 2, True), ("2 3", 8, False), ("2 3", 8, True)]
+    randoms = [("1 1", 5, True), ("2 2", 7, True), ("3 3", 1, True), ("4 4", 2, True)]
+    randoms += [("2 3", 8, False), ("2 3", 8, True)]
     for dims, seed, entangled in randoms:
         argvs += [["random", "--dims", *dims.split(), "--seed", str(seed)] + ["--entangled"] * entangled]
     return argvs, files
