@@ -5,17 +5,18 @@ _groups, by its shapes if its stream holds only normals (_complex_trials),
 else by a draw of its own (_groups says why): trial t draws from the
 sub-stream (seed, suite tag, t), so any reported residual is reproducible
 in isolation, with no arithmetic and one generator call per run of
-normals; the trials are grouped by dims and stacked in one pass.  A suite
-that needs a completely entangled state leaves the check to tomita_S,
-which raises NotSeparating naming the member.  The suite
-assembles each group with sampling's stacked assembly and evaluates each
-identity once per group on value types that hold the whole stack, on the
-code path a single instance takes.  luders_suite groups by channel dims
-and splits a group by rank only for the identities whose arrays carry the
-rank axis.  Residuals are Frobenius norms of differences (absolute values
-for scalars), one per trial; the table keeps their max and the trial that
-attained it.  Tolerances are pinned per identity; passing a global
-tolerance overrides all of them.
+normals.  The trials are grouped by dims and stacked in one pass; the six
+suites whose identities hold exactly on zero-bordered operands (epr,
+antilinear, polar, crossgram, teleport, luders) pad every trial within
+PAD_DIM into one stack, luders splitting it by rank only for the
+identities whose arrays carry the rank axis.  A suite that needs a
+completely entangled state leaves the check to tomita_S, which raises
+NotSeparating naming the member.  Each identity is evaluated once per
+group on value types that hold the whole stack, on the code path a single
+instance takes.  Residuals are Frobenius norms of differences (absolute
+values for scalars), one per trial; the table keeps their max and the
+trial that attained it.  Tolerances are pinned per identity; passing a
+global tolerance overrides all of them.
 
 Each CLI subcommand that checks identities on its input (epr, teleport,
 luders, chain, modular) has one routine below, <family>_checks(rec, ...).
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial, reduce
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -93,6 +94,7 @@ TOLERANCES = {
 
 BOUND_PROBES = 100  # random inputs per teleport trial that the success bound must dominate
 ORACLE_DIM = 4  # modular_suite also runs the dense d²×d² oracles up to this d
+PAD_DIM = 4  # a padded suite stacks its trials with every d up to this one, zero-padded, as one group
 
 
 @dataclass(frozen=True)
@@ -177,36 +179,59 @@ def _max(*residuals):
     return reduce(np.maximum, residuals)
 
 
-def _groups(table: ResidualTable, seed: int, stream: int, trials: Iterable[int], draw):
-    """One suite's trials, drawn, grouped by dims and stacked: yields (record, dims, stacks) per group.
+class Pad(NamedTuple):
+    dims: list  # the dims a padded suite draws, [] for none: those within PAD_DIM pad to the largest on each axis
+    shapes: Callable  # shapes(*dims): the shape of each array split returns, per trial
+    split: Callable  # split(dims, stacks): the stacked draws of trials at dims as the arrays the suite reads
+
+
+def _groups(table: ResidualTable, seed: int, stream: int, trials: Iterable[int], draw, pad: Pad | None = None):
+    """One suite's trials, drawn, grouped and stacked: yields (record, dims, stacks) per group.
 
     draw(rng, t) returns trial t's (dims, arrays) from the generator of
-    (seed, stream, t).  Groups come in first-seen order, the trials of a
-    group in trial order; record(name, values) enters one residual per
-    member, with its (stream, trial, dims), into the table.  Five suites
-    pass a draw, not shapes: matcore reads the pair normals in a second
-    pass, after the square's; polar draws a row index with integers;
+    (seed, stream, t).  Trials group by dims; a group's stacks are its draws
+    stacked, or pad.split of them.  With pad.dims, the dims the suite draws,
+    every trial whose dims are all within PAD_DIM joins one group whose
+    dims, the target, are the largest such on each axis: a function of the
+    suite's dims argument alone, so a trial replayed alone pads the same.
+    Each dims' split arrays are zero-padded to pad.shapes(*target) and
+    scattered, in trial order, into one C-contiguous stack per array.
+    Groups come in first-seen order, the trials of a group in trial order;
+    record(name, values) enters one residual per member, with its (stream,
+    trial, real dims), into the table.
+    Five suites pass a draw, not shapes: matcore reads the pair normals in a
+    second pass, after the square's; polar draws a row index with integers;
     cloning two uniform weight vectors; teleport lays out its probe rows,
     each its own run; luders a rank-dependent unitary run mid-stream.
     """
-    trials = list(trials)
-    groups: dict = {}
+    small = [d for d in (pad.dims if pad else []) if max(d) <= PAD_DIM]
+    trials, groups, target = list(trials), {}, tuple(map(max, zip(*small))) if small else None
     for t, rng in zip(trials, trial_rngs(seed, stream, trials=trials)):
         dims, arrays = draw(rng, t)
-        groups.setdefault(dims, []).append((t, arrays))
-    for dims, members in groups.items():
-        ts, drawn = zip(*members)
-        yield partial(table.record, origins=[(stream, t, dims) for t in ts]), dims, [np.array(x) for x in zip(*drawn)]
+        groups.setdefault(target if target and max(dims) <= PAD_DIM else dims, []).append((t, dims, arrays))
+    for key, members in groups.items():
+        stacks, origins = None, [(stream, t, dims) for t, dims, _ in members]
+        for dims in dict.fromkeys(o[2] for o in origins):
+            at = [i for i, o in enumerate(origins) if o[2] == dims]
+            parts = [np.array(x) for x in zip(*(members[i][2] for i in at))]
+            parts = pad.split(dims, parts) if pad else parts
+            if dims == key and len(at) == len(members):  # nothing to pad
+                stacks = parts
+            else:
+                stacks = stacks or [np.zeros((len(members), *s), p.dtype) for s, p in zip(pad.shapes(*key), parts)]
+                for out, p in zip(stacks, parts):
+                    out[(at, *map(slice, p.shape[1:]))] = p
+        yield partial(table.record, origins=origins), key, stacks
 
 
-def _complex_trials(table: ResidualTable, seed: int, stream: int, trials: Iterable[int], dims_list, shapes):
+def _complex_trials(table, seed: int, stream: int, trials: Iterable[int], dims_list, shapes, padded: bool = False):
     """_groups for trials of normals only: dims_list[t % len] and one call for shapes(*dims); yields complex arrays."""
     def draw(rng, t):
         dims = dims_list[t % len(dims_list)]
         return dims, (rng.standard_normal(normal_count(*shapes(*dims))),)
 
-    for rec, dims, (x,) in _groups(table, seed, stream, trials, draw):
-        yield rec, dims, split_complex(x, *shapes(*dims))
+    pad = Pad(dims_list if padded else [], shapes, lambda dims, x: split_complex(x[0], *shapes(*dims)))
+    return _groups(table, seed, stream, trials, draw, pad)
 
 
 def epr_checks(rec, psi, omega_a, omega_b, phi_a, phi_b, chi):
@@ -530,7 +555,7 @@ def epr_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     def shapes(da, db):
         return (da, db), (da,), (db,), (da, db), (da, da), (da, da), (db, db)
 
-    for rec, (da, _), draws in _complex_trials(table, seed, 10, trials, _dim_pairs(dims), shapes):
+    for rec, (da, _), draws in _complex_trials(table, seed, 10, trials, _dim_pairs(dims), shapes, padded=True):
         c, phi_a, phi_b, chi, a_psd, a_op, b_op = draws
         c, phi_a, chi, a_psd = unit(c, 2), unit(phi_a), unit(chi, 2), a_psd @ a_psd.conj().mT
         psi = bp.BipartiteVector(c)
@@ -551,10 +576,13 @@ def antilinear_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int
     def shapes(da, db):
         return (db, da), (da, db), (da,), (db,), (db, db), (da, da)
 
-    for rec, _, (m1, m2, x, y, lin_cod, lin_dom) in _complex_trials(table, seed, 20, trials, _dim_pairs(dims), shapes):
+    draws = _complex_trials(table, seed, 20, trials, _dim_pairs(dims), shapes, padded=True)
+    for rec, _, (m1, m2, x, y, lin_cod, lin_dom) in draws:
         t1, t2 = al.AntilinearMap(m1), al.AntilinearMap(m2)
         rec("anti.adjoint_pairing", np.abs(_vdot(y, al.apply(t1, x)) - _vdot(x, al.apply(al.adjoint(t1), y))))
         rec("anti.involution", _fro(al.adjoint(al.adjoint(t1)).mat - t1.mat))  # 0.0: two transposes are exact
+        # 0.0 at the default dims, padded to d = 4: both sides form the same entry products, conjugate to
+        # each other, and at that size numpy's OpenBLAS 0.3.31 sums them in one order; d_b < 4 reads ~1e-15
         rec(
             "anti.compose_adjoint",
             _fro(al.compose_aa(t1, t2).conj().mT - al.compose_aa(al.adjoint(t2), al.adjoint(t1))),
@@ -578,9 +606,10 @@ def polar_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         x = rng.standard_normal(normal_count((da, db)))
         return (da, db), (x, int(rng.integers(da)) if t % 3 == 2 and da > 1 else -1)
 
-    for rec, (da, db), (x, row) in _groups(table, seed, 30, trials, draw):
+    pad = Pad(pairs, lambda da, db: ((da, db), ()), lambda dims, xr: (complex_from(xr[0], *dims), xr[1]))
+    for rec, (da, _), (c, row) in _groups(table, seed, 30, trials, draw, pad):
         zeroed = np.arange(da)[:, None] == np.asarray(row)[..., None, None]
-        psi = bp.BipartiteVector(unit(np.where(zeroed, 0.0, complex_from(x, da, db)), 2))
+        psi = bp.BipartiteVector(unit(np.where(zeroed, 0.0, c), 2))
         pair = bp.epr_maps(psi)
         parts, parts_ab = al.polar(pair.s_ba), al.polar(pair.s_ab)
         omega_a, omega_b = bp.reduced(psi, "a"), bp.reduced(psi, "b")
@@ -639,7 +668,8 @@ def crossgram_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]
     def shapes(da, db):
         return (da, db), (da, db), (db, db)
 
-    for rec, (da, db), (c_phi, c_psi, b_op) in _complex_trials(table, seed, 60, trials, _dim_pairs(dims), shapes):
+    draws = _complex_trials(table, seed, 60, trials, _dim_pairs(dims), shapes, padded=True)
+    for rec, (da, db), (c_phi, c_psi, b_op) in draws:
         c_phi, c_psi = unit(c_phi, 2), unit(c_psi, 2)
         phi, psi = bp.BipartiteVector(c_phi), bp.BipartiteVector(c_psi)
         cross = bp.cross_gram(phi, psi)
@@ -673,12 +703,15 @@ def teleport_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int])
         x = rng.standard_normal(n + rows)
         return k, (x[:n], x[n:].reshape(BOUND_PROBES, -1))
 
-    for rec, (da, db, dc), (x, rows) in _groups(table, seed, 80, trials, draw):
-        c_psi, c_phi, probe = split_complex(x, (da, db), (db, dc), (da,))
+    def shapes(da, db, dc):
+        return (da, db), (db, dc), (da,), (BOUND_PROBES, da)
+
+    pad = Pad(triples, shapes, lambda k, xr: (*split_complex(xr[0], *shapes(*k)[:3]), complex_from(xr[1], k[0])))
+    for rec, _, (c_psi, c_phi, probe, rows) in _groups(table, seed, 80, trials, draw, pad):
         tm = tp.teleport_map(bp.BipartiteVector(unit(c_psi, 2)), bp.BipartiteVector(unit(c_phi, 2)))
         bound, _ = teleport_checks(rec, tm, unit(probe))
         # 0.0 while the bound holds: the excess is one-sided, so only a bound cut below the probes' norms shows
-        rec("teleport.bound_holds", teleport_bound_holds(tm, complex_from(rows, da), bound))
+        rec("teleport.bound_holds", teleport_bound_holds(tm, rows, bound))
         rec("teleport.bound_attained", np.abs(tm.norms.operator**2 - bound))
 
 
@@ -686,7 +719,7 @@ def luders_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     small = [d for d in dims if d <= 3] or [2]
     pairs, stream = [(da, db) for da in small for db in small], 90
 
-    def shapes(da, db):
+    def layout(da, db):
         """The Haar basis, probe and operator, then a full basis when da·db <= 6."""
         n = da * db
         return ((n, n), (da,), (da, da)) + (((n, n),) if n <= 6 else ())
@@ -695,29 +728,40 @@ def luders_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         """Ancilla, rank, basis and probe, mixing unitary, operator and full basis; x holds the unitary last, padded."""
         (da, db), dc = pairs[t % len(pairs)], small[t % len(small)]
         x_phi, rank = rng.standard_normal(normal_count((db, dc))), 1 + int(rng.integers(da * db))
-        head, end = normal_count(*shapes(da, db)[:2]), normal_count(*shapes(da, db))
+        head, end = normal_count(*layout(da, db)[:2]), normal_count(*layout(da, db))
         x = np.zeros(end + 2 * (da * db) ** 2)
         for run in (x[:head], x[end : end + 2 * rank * rank], x[head:end]):
             rng.standard_normal(out=run)
         return (da, db, dc), (x_phi, x, rank, t)
 
-    # Grouped by channel dims and split by rank where the rank axis enters; origins carry (da, db, dc, rank).
-    for _, (da, db, dc), (x_phi, x, rank, t) in _groups(table, seed, stream, trials, draw):
-        n, end, rank = da * db, normal_count(*shapes(da, db)), np.asarray(rank)
-        origins = [(stream, int(s), (da, db, dc, int(r))) for s, r in zip(np.ravel(t), np.ravel(rank))]
-        basis, probe, nu, *full = split_complex(x, *shapes(da, db))
-        psis, probe, nu = haar(basis).mT.reshape(-1, n, da, db), unit(probe), nu @ nu.conj().mT
-        phi = bp.BipartiteVector(unit(complex_from(x_phi, db, dc), 2))
+    def shapes(da, db, dc):
+        """Ancilla, basis, probe, operator, unitary normals, rank, completeness residual."""
+        return (db, dc), (da * db, da, db), (da,), (da, da), (2 * (da * db) ** 2,), (), ()
+
+    def split(k, stacks):
+        """The arrays at the trial's dims, and completeness there: zero vectors would pad no basis on the rank axis."""
+        (da, db, dc), (x_phi, x, rank, t), n = k, stacks, k[0] * k[1]
+        basis, probe, nu, *full = split_complex(x, *layout(da, db))
+        phi, nu = bp.BipartiteVector(unit(complex_from(x_phi, db, dc), 2)), nu @ nu.conj().mT
+        complete = np.full(t.shape, -1.0)  # -1: no full basis past da·db = 6
         if full:
-            full_basis = bp.BipartiteVector(haar(full[0]).mT.reshape(-1, n, da, db))
-            out_full = tp.luders_apply(tp.luders_channel(full_basis, phi), nu)
-            table.record("luders.completeness", np.abs(_trace(out_full).real - phi.norm() ** 2 * _trace(nu).real), origins)
+            ch = tp.luders_channel(bp.BipartiteVector(haar(full[0]).mT.reshape(-1, n, da, db)), phi)
+            complete = np.abs(_trace(tp.luders_apply(ch, nu)).real - phi.norm() ** 2 * _trace(nu).real)
+        return phi.coeff, haar(basis).mT.reshape(-1, n, da, db), unit(probe), nu, x[..., -2 * n * n :], rank, complete
+
+    # One padded group, split by rank where the rank axis enters; origins carry (da, db, dc, rank).
+    pad = Pad([(*p, dc) for p in pairs for dc in small], shapes, split)
+    for rec, _, (c_phi, psis, probe, nu, x_mix, rank, complete) in _groups(table, seed, stream, trials, draw, pad):
+        rank, complete = np.asarray(rank), np.asarray(complete)
+        origins = [(s, t, (*d, int(r))) for (s, t, d), r in zip(rec.keywords["origins"], np.ravel(rank))]
+        if (full := complete >= 0).any():
+            table.record("luders.completeness", complete[full], [o for o, f in zip(origins, np.ravel(full)) if f])
         for r in sorted(set(np.ravel(rank).tolist())):
             sel = rank == r if rank.ndim else ...  # a single trial's arrays are taken whole
             rec = partial(table.record, origins=[o for o in origins if o[2][3] == r])
-            ch = tp.luders_channel(bp.BipartiteVector(psis[sel][..., :r, :, :]), bp.BipartiteVector(phi.coeff[sel]))
+            ch = tp.luders_channel(bp.BipartiteVector(psis[sel][..., :r, :, :]), bp.BipartiteVector(c_phi[sel]))
             luders_checks(rec, ch, probe[sel])
-            mix, nu_r = haar(complex_from(x[sel][..., end : end + 2 * r * r], r, r)), nu[sel]
+            mix, nu_r = haar(complex_from(x_mix[sel][..., : 2 * r * r], r, r)), nu[sel]
             mixed = bp.BipartiteVector((mix.mT @ ch.psis.to_vector()).reshape(ch.psis.coeff.shape))
             out = tp.luders_apply(ch, nu_r)
             rec("luders.independence", _fro(out - tp.luders_apply(tp.luders_channel(mixed, ch.ancilla_phi), nu_r)))

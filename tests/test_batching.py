@@ -40,13 +40,14 @@ GROUPS = vf._groups  # kept for per_trial_groups, which stands in for it
 def per_trial_groups(seen):
     """verify._groups one trial at a time, each array unstacked: the suites' single-instance path.
 
-    Each call appends to `seen` the list of trials it drew.
+    Each call appends to `seen` the list of trials it drew.  A padded suite's
+    trial is padded alone to the shapes its batch pads to.
     """
 
-    def groups(table, seed, stream, trials, draw):
+    def groups(table, seed, stream, trials, draw, pad=None):
         seen.append([])
         for t in trials:
-            for rec, dims, stacks in GROUPS(table, seed, stream, [t], draw):
+            for rec, dims, stacks in GROUPS(table, seed, stream, [t], draw, pad):
                 seen[-1].append(t)
                 yield rec, dims, [s[0] for s in stacks]
 
@@ -72,6 +73,57 @@ def test_batched_suite_equals_per_trial_loop(suite, seed, monkeypatch):
     for name, r in batched.items():
         assert r.residual == single[name].residual, name
         assert r.worst == single[name].worst, name
+
+
+PADDED = (vf.epr_suite, vf.antilinear_suite, vf.polar_suite, vf.crossgram_suite, vf.teleport_suite, vf.luders_suite)
+
+
+def unpadded_groups(table, seed, stream, trials, draw, pad=None):
+    """verify._groups with every trial grouped by its own dims: a padded suite as it ran before padding."""
+    return GROUPS(table, seed, stream, trials, draw, pad and pad._replace(dims=[]))
+
+
+def spied_groups(seen):
+    """verify._groups that appends to `seen` each group's dims and the dims of its members."""
+
+    def groups(table, seed, stream, trials, draw, pad=None):
+        for rec, dims, stacks in GROUPS(table, seed, stream, trials, draw, pad):
+            seen.append((dims, [o[2] for o in rec.keywords["origins"]]))
+            yield rec, dims, stacks
+
+    return groups
+
+
+@pytest.mark.parametrize("seed", [1, 2, 42])
+@pytest.mark.parametrize("suite", PADDED, ids=lambda s: s.__name__)
+def test_padding_keeps_each_residual_at_roundoff(suite, seed, monkeypatch):
+    """Each padded suite against its trials grouped by real dims: no residual rises past 4 times, or 1% of tolerance."""
+    padded = vf.ResidualTable()
+    suite(padded, seed, DIMS, range(100))
+    monkeypatch.setattr(vf, "_groups", unpadded_groups)
+    grouped = vf.ResidualTable()
+    suite(grouped, seed, DIMS, range(100))
+    by_dims = {r.name: r.residual for r in grouped.results()}
+    results = padded.results()
+    assert results and {r.name for r in results} == by_dims.keys()
+    for r in results:
+        assert r.residual <= min(4 * by_dims[r.name], 0.01 * r.tolerance), (r.name, r.residual, by_dims[r.name])
+
+
+@pytest.mark.parametrize("suite", PADDED, ids=lambda s: s.__name__)
+def test_trials_past_the_pad_cap_keep_their_own_groups(suite, monkeypatch):
+    """At dims (2, 3, 24) a trial with a d above 4 runs in a group of its own dims, and none pads past 4."""
+    seen = []
+    monkeypatch.setattr(vf, "_groups", spied_groups(seen))
+    table = vf.ResidualTable()
+    suite(table, 1, [2, 3, 24], range(18))
+    assert table.results() and all(r.passed for r in table.results())
+    for dims, members in seen:
+        if max(dims) > 4:  # past the cap: unpadded, with its own dims
+            assert set(members) == {dims}, (dims, members)
+        else:  # every member within the cap, and padded to no more than 4
+            assert all(max(m) <= 4 and all(a <= b for a, b in zip(m, dims)) for m in members), (dims, members)
+    assert sum(len(set(members)) > 1 for _, members in seen) == 1  # one stack holds the trials of several dims
 
 
 def per_trial_rngs(seed, *stream, trials):

@@ -319,10 +319,11 @@ class TestTwistedResiduals:
         assert np.max(twisted_reductions(fwd, bwd, phi, psi)) <= 1e-12
         assert np.max(twisted_polar(fwd, phi, psi)) <= 1e-12
 
-    @pytest.mark.parametrize("suite, svds", [(twisted_suite, 6), (verify.crossgram_suite, 18)])
+    @pytest.mark.parametrize("suite, svds", [(twisted_suite, 6), (verify.crossgram_suite, 2)])
     def test_suites_take_roots_and_supports_from_svds(self, suite, svds, decompositions):
-        # Two SVDs per dims group, of C_phi^T and C_psi^T: in twisted_suite the
-        # ones J's phases take.  The eigen route took 30 and 18 eigensolves.
+        # Two SVDs per group, of C_phi^T and C_psi^T: in twisted_suite the ones
+        # J's phases take, 3 dims groups; crossgram_suite pads its 9 into one.
+        # The eigen route took 30 and 18 eigensolves.
         suite(ResidualTable(), 42, [2, 3, 4], range(100))
         assert decompositions == {"eigh": 0, "svd": svds}
 

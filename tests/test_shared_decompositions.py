@@ -94,9 +94,10 @@ class TestOneDecompositionPerOperand:
         eighs, svds = _count_calls(monkeypatch, "eigh"), _count_calls(monkeypatch, "svd")
         run_all(seed=1)
         # One eigh per reduction in polar's oracles and per fidelity operand in matcore, one in each
-        # purification; one SVD of t per teleport group (105 eighs and 234 SVDs with these taken twice).
-        # The draw phase takes none.
-        assert (len(eighs), len(svds)) == (76, 201)
+        # purification and Lüders rank; one SVD of t per teleport group.  The six padded suites run one
+        # group each (Lüders split by rank), where grouping by dims took 76 eighs and 201 SVDs.  The
+        # draw phase takes none.
+        assert (len(eighs), len(svds)) == (28, 49)
 
     def test_purification_takes_one_eigh(self, monkeypatch):
         rng = seeded_rng(308)

@@ -1,0 +1,150 @@
+"""Print every verify residual, worst origin and tolerance, and a digest of every trial's draw, over a fixed grid.
+
+The grid is `verify.run_all(seed, dims)` at its default 100 trials for the
+seeds 1, 2, 5, 19, 23 and 42, each at the dims (2, 3, 4), (1, 2), (1, 5),
+(3,) and (1, 2, 3): 30 runs, about 5 s on a 2-core host.  Two kinds of
+line, tab-separated:
+
+    residual  <seed>  <dims>  <identity>  <repr(residual)>  <repr(worst origin)>  <repr(tolerance)>
+    draw      <seed>  <dims>  <stream>  <trial>  <sha256>
+
+The draw digest of (stream, trial) hashes, in call order, the dtype, shape
+and bytes of everything that trial's draw returns, over every pass a suite
+makes.  It is taken by wrapping the `draw` each suite hands to
+`verify._groups`, from outside the package, so it does not depend on how
+`_groups` groups, pads or stacks the trials: equal digests mean that every
+stream drew the same bits.  Run it once per source tree and compare:
+
+    PYTHONPATH=src python3 tools/residual_digests.py > new.txt
+    PYTHONPATH=/path/to/other/src python3 tools/residual_digests.py > old.txt
+    python3 tools/residual_digests.py --compare old.txt new.txt
+
+`--compare A B` lists each residual whose repr moved from A to B with the
+ratio B/A and B's share of its tolerance, each moved worst origin, each
+changed tolerance, each changed draw digest and each line present on one
+side only, then a summary whose `rises` counts the residuals that grew.
+The eprkit tree in use is named on stderr.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+
+import numpy as np
+
+sys.dont_write_bytecode = True  # before the first eprkit import: no bytecode caches in the tree under test
+
+SEEDS = (1, 2, 5, 19, 23, 42)
+DIMS = ((2, 3, 4), (1, 2), (1, 5), (3,), (1, 2, 3))
+
+
+def _update(h, value) -> None:
+    """Hash one draw's output: tuples and lists item by item, anything else as a numpy array."""
+    if isinstance(value, (tuple, list)):
+        h.update(f"({len(value)}".encode())
+        for item in value:
+            _update(h, item)
+        return
+    a = np.asarray(value)
+    h.update(f"{a.dtype.str}{a.shape}".encode())
+    h.update(np.ascontiguousarray(a).tobytes())
+
+
+def digesting(groups, digests: dict):
+    """verify._groups with each draw it is handed wrapped to hash its output into digests[(stream, trial)]."""
+
+    def wrapped(table, seed, stream, trials, draw, *args, **kwargs):
+        def hashed(rng, t):
+            out = draw(rng, t)
+            _update(digests.setdefault((stream, t), hashlib.sha256()), out)
+            return out
+
+        return groups(table, seed, stream, trials, hashed, *args, **kwargs)
+
+    return wrapped
+
+
+def dump(out) -> None:
+    import eprkit
+    from eprkit import verify as vf
+
+    print(f"eprkit from {eprkit.__file__}", file=sys.stderr)
+    plain = vf._groups
+    try:
+        for seed in SEEDS:
+            for dims in DIMS:
+                digests: dict = {}
+                vf._groups = digesting(plain, digests)
+                key = f"{seed}\t{dims}"
+                for r in vf.run_all(seed=seed, dims=dims):
+                    out.write(f"residual\t{key}\t{r.name}\t{r.residual!r}\t{r.worst!r}\t{r.tolerance!r}\n")
+                for (stream, t), h in sorted(digests.items()):
+                    out.write(f"draw\t{key}\t{stream}\t{t}\t{h.hexdigest()}\n")
+    finally:
+        vf._groups = plain
+
+
+def _read(path: str) -> tuple[dict, dict]:
+    """(residuals, draws) of one output: residuals[(seed, dims, name)] = (residual, worst, tolerance) reprs."""
+    residuals, draws = {}, {}
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            kind, *fields = line.rstrip("\n").split("\t")
+            if kind == "residual":
+                residuals[tuple(fields[:3])] = tuple(fields[3:])
+            elif kind == "draw":
+                draws[tuple(fields[:4])] = fields[4]
+    return residuals, draws
+
+
+def compare(path_a: str, path_b: str, out) -> None:
+    res_a, draws_a = _read(path_a)
+    res_b, draws_b = _read(path_b)
+    moved = origins = rises = 0
+    worst_rise, worst_share = 1.0, 0.0
+    for key in sorted(res_a.keys() | res_b.keys()):
+        label = "\t".join(key)
+        if key not in res_a or key not in res_b:
+            out.write(f"only in {'A' if key in res_a else 'B'}\t{label}\n")
+            continue
+        (ra, wa, ta), (rb, wb, tb) = res_a[key], res_b[key]
+        a, b, tol = float(ra), float(rb), float(tb)
+        worst_share = max(worst_share, b / tol)
+        if ra != rb:
+            moved += 1
+            rises += b > a
+            ratio = b / a if a else float("inf")
+            worst_rise = max(worst_rise, ratio)
+            out.write(f"moved\t{label}\t{ra} -> {rb}\tratio {ratio:.3g}\t{b / tol:.2e} of tolerance\n")
+        if wa != wb:
+            origins += 1
+            out.write(f"origin\t{label}\t{wa} -> {wb}\n")
+        if ta != tb:
+            out.write(f"tolerance\t{label}\t{ta} -> {tb}\n")
+    changed = 0
+    for key in sorted(draws_a.keys() | draws_b.keys(), key=lambda k: (k[0], k[1], int(k[2]), int(k[3]))):
+        if draws_a.get(key) != draws_b.get(key):
+            changed += 1
+            out.write(f"draw\t{chr(9).join(key)}\t{draws_a.get(key, '-')} -> {draws_b.get(key, '-')}\n")
+    out.write(
+        f"summary\t{len(res_b)} residuals, {moved} moved, {origins} origins moved, {rises} rises, "
+        f"largest rise factor {worst_rise:.3g}, largest share of tolerance {worst_share:.2e}; "
+        f"{len(draws_b)} draw digests, {changed} changed\n"
+    )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two outputs of this tool")
+    args = parser.parse_args(argv)
+    if args.compare:
+        compare(*args.compare, sys.stdout)
+    else:
+        dump(sys.stdout)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
