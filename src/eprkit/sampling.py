@@ -4,11 +4,11 @@ All randomness flows through numpy's PCG64 generator seeded from an integer
 sequence (seed, *stream): distinct stream paths (for instance per trial index)
 give independent, platform-stable draws, so any reported residual can be
 reproduced from its seed alone; rng_for defines that generator, and
-trial_rngs seeds the generators of many trials (seed, *stream, t) at once
-with the same states, bit for bit.  Draws are raw and assembly is stacked: a
-sampler takes its standard normals in one call, real parts first, and
-complex_from, unit and haar assemble them over any leading stack axes: the
-per-call samplers run them on one draw, verify on a stack of per-trial draws.
+trial_rngs seeds those of many (seed, stream, t) in one vectorized pass, bit
+for bit, each built as its trial is reached.  Draws are raw and assembly is
+stacked: a sampler takes its standard normals in one call, real parts first,
+and complex_from, unit and haar assemble them over any leading stack axes:
+the per-call samplers run them on one draw, verify on a stack of per-trial draws.
 """
 
 from __future__ import annotations
@@ -58,22 +58,24 @@ def _hash(v, const: int, mult: int, steps: int):
     return v ^ v >> _SHIFT, int(c[-1])
 
 
-def trial_rngs(seed: int, *stream: int, trials) -> list[np.random.Generator]:
-    """The generators rng_for(seed, *stream, t) for t in trials, bit for bit, seeded in one vectorized pass.
+def trial_rngs(seed: int, streams, trials) -> dict:
+    """{stream: the generators rng_for(seed, stream, t) for t in trials}, bit for bit, seeded in one vectorized pass.
 
-    numpy's SeedSequence steps run on uint32 rows with one column per trial:
-    hash four entropy words (zero words past its end) into the pool, mix
-    each pool word into the other three, then each remaining word into all
-    four, and hash the pool out into the four uint64 words PCG64 takes.  A
-    negative value, which rng_for refuses, or a trial from 2^32 on sends
-    every trial through rng_for.
+    numpy's SeedSequence steps run on uint32 rows with one column per
+    (stream, trial): hash four entropy words (zero words past its end) into
+    the pool, mix each pool word into the other three, then each remaining
+    word into all four, and hash the pool out into the four uint64 words
+    PCG64 takes.  Each generator is built when its trial is reached.  A
+    negative value, which rng_for refuses, or a stream or trial from 2^32 on
+    sends every column through rng_for.
     """
-    head, trials = [int(v) for v in (seed, *stream)], [int(t) for t in trials]
-    if min(head) < 0 or not all(0 <= t < 1 << 32 for t in trials):
-        return [rng_for(seed, *stream, t) for t in trials]
-    words = [v >> 32 * k & 0xFFFFFFFF for v in head for k in range(max(1, (v.bit_length() + 31) // 32))]
-    entropy = np.zeros((max(_POOL, len(words) + 1), len(trials)), np.uint32)
-    entropy[: len(words)], entropy[len(words)] = np.array(words, np.uint32)[:, None], trials
+    seed, streams, trials = int(seed), [int(s) for s in streams], [int(t) for t in trials]
+    if seed < 0 or not all(0 <= v < 1 << 32 for v in streams + trials):
+        return {s: map(functools.partial(rng_for, seed, s), trials) for s in streams}
+    words = [seed >> 32 * k & 0xFFFFFFFF for k in range(max(1, (seed.bit_length() + 31) // 32))]
+    entropy = np.zeros((max(_POOL, len(words) + 2), len(streams) * len(trials)), np.uint32)
+    entropy[: len(words)] = np.array(words, np.uint32)[:, None]
+    entropy[len(words)], entropy[len(words) + 1] = np.repeat(streams, len(trials)), np.tile(trials, len(streams))
     pool, const = _hash(entropy[:_POOL], _INIT_A, _MULT_A, _POOL)
     for s in range(len(entropy)):
         dst = [d for d in range(_POOL) if d != s]
@@ -82,8 +84,8 @@ def trial_rngs(seed: int, *stream: int, trials) -> list[np.random.Generator]:
         pool[dst] = r ^ r >> _SHIFT
     out, _ = _hash(pool[np.arange(2 * _POOL) % _POOL], _INIT_B, _MULT_B, 2 * _POOL)
     states = np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64)
-    seed_sequence = _precomputed_seed_sequence()
-    return [np.random.Generator(np.random.PCG64(seed_sequence(w))) for w in states]
+    seq, states = _precomputed_seed_sequence(), states.reshape(len(streams), len(trials), 4)
+    return {s: (np.random.Generator(np.random.PCG64(seq(w))) for w in rows) for s, rows in zip(streams, states)}
 
 
 @functools.lru_cache(maxsize=256)
@@ -94,8 +96,11 @@ def normal_count(*shapes) -> int:
 
 def complex_from(x: np.ndarray, *shape: int) -> np.ndarray:
     """Standard complex normals of `shape` from raw normals x (..., normal_count(shape)), real parts first."""
-    n = x.shape[-1] // 2
-    return ((x[..., :n] + 1j * x[..., n:]) / math.sqrt(2.0)).reshape(*x.shape[:-1], *shape)
+    # the bits of (re + 1j·im) / √2: numpy divides a complex array by a real scalar as a multiply by 1/√2
+    n, y = x.shape[-1] // 2, x * (1.0 / math.sqrt(2.0))
+    out = np.empty((*x.shape[:-1], n), complex)
+    out.real, out.imag = y[..., :n], y[..., n:]
+    return out.reshape(*x.shape[:-1], *shape)
 
 
 def split_complex(x: np.ndarray, *shapes) -> list[np.ndarray]:

@@ -1,22 +1,22 @@
 """Residual suites: every analytic identity of the library re-checked on seeded random instances.
 
-Each suite names its stream tag once and draws through one routine,
-_groups, by its shapes if its stream holds only normals (_complex_trials),
-else by a draw of its own (_groups says why): trial t draws from the
-sub-stream (seed, suite tag, t), so any reported residual is reproducible
-in isolation, with no arithmetic and one generator call per run of
-normals.  The trials are grouped by dims and stacked in one pass; the six
-suites whose identities hold exactly on zero-bordered operands (epr,
-antilinear, polar, crossgram, teleport, luders) pad every trial within
-PAD_DIM into one stack, luders splitting it by rank only for the
-identities whose arrays carry the rank axis.  A suite that needs a
+Each suite draws through one routine, _groups, by its shapes if its stream
+holds only normals (_complex_trials), else by a draw of its own (_groups
+says why): trial t draws from the sub-stream (seed, suite tag, t), the tags
+in STREAMS, so any reported residual is reproducible in isolation, with no
+arithmetic and one generator call per run of normals; the run's table seeds
+all 13 streams in one pass.  The trials are grouped by dims and stacked in
+one pass; the six suites whose identities hold exactly on zero-bordered
+operands (epr, antilinear, polar, crossgram, teleport, luders) pad every
+trial within PAD_DIM into one stack, luders splitting it by rank only for
+the identities whose arrays carry the rank axis.  A suite that needs a
 completely entangled state leaves the check to tomita_S, which raises
 NotSeparating naming the member.  Each identity is evaluated once per
 group on value types that hold the whole stack, on the code path a single
 instance takes.  Residuals are Frobenius norms of differences (absolute
-values for scalars), one per trial; the table keeps their max and the
-trial that attained it.  Tolerances are pinned per identity; passing a
-global tolerance overrides all of them.
+values for scalars, a few relative to an operand's norm where they say so),
+one per trial; the table keeps their max and the trial that attained it.
+Tolerances are pinned per identity; a global tolerance overrides them all.
 
 Each CLI subcommand that checks identities on its input (epr, teleport,
 luders, chain, modular) has one routine below, <family>_checks(rec, ...).
@@ -30,8 +30,8 @@ trial stacks with its group's rec, the subcommand once via cli._checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
-from typing import Callable, Iterable, NamedTuple
+from functools import reduce
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -95,6 +95,9 @@ TOLERANCES = {
 BOUND_PROBES = 100  # random inputs per teleport trial that the success bound must dominate
 ORACLE_DIM = 4  # modular_suite also runs the dense d²×d² oracles up to this d
 PAD_DIM = 4  # a padded suite stacks its trials with every d up to this one, zero-padded, as one group
+# Each suite's stream tag: trial t of the suite draws from the sub-stream (seed, tag, t).
+STREAMS = dict(matcore=5, epr=10, antilinear=20, polar=30, partner=40, cloning=50, crossgram=60, purification=70,
+               teleport=80, luders=90, chain=100, twisted=110, modular=120)
 
 
 @dataclass(frozen=True)
@@ -116,10 +119,11 @@ def _rank(residual: float, origin: tuple | None = None) -> tuple:
 
 
 class ResidualTable:
-    """Running max residual per identity name, and where it was attained."""
+    """Running max residual per identity name, and where it was attained; the run's trial generators."""
 
     def __init__(self):
         self._max: dict[str, tuple[float, tuple | None]] = {}
+        self._rngs: tuple = (None, {})  # ((seed, trials), {stream: generators not yet handed out})
 
     def record(self, name: str, values, origins=None):
         """Record one residual per member of `values`; origins holds each member's (stream tag, trial, dims).
@@ -135,6 +139,12 @@ class ResidualTable:
         if name in self._max and _rank(value, origin) <= _rank(*self._max[name]):
             return
         self._max[name] = (value, origin)
+
+    def rngs(self, seed: int, stream: int, trials) -> Iterator[np.random.Generator]:
+        """rng_for(seed, stream, t) per t, built as reached; unless they wait unclaimed, seeds STREAMS in one pass."""
+        if self._rngs[0] != (key := (seed, tuple(trials))) or stream not in self._rngs[1]:
+            self._rngs = key, trial_rngs(seed, dict.fromkeys([*STREAMS.values(), stream]), key[1])
+        return self._rngs[1].pop(stream)
 
     def results(self, tolerance: float | None = None) -> list[IdentityResult]:
         return [
@@ -179,6 +189,15 @@ def _max(*residuals):
     return reduce(np.maximum, residuals)
 
 
+class Record(NamedTuple):
+    """A group's rec: rec(name, values) enters one residual per member, with that member's origin, into the table."""
+    table: ResidualTable
+    origins: list  # (stream tag, trial, dims) per member, in trial order
+
+    def __call__(self, name: str, values):
+        self.table.record(name, values, self.origins)
+
+
 class Pad(NamedTuple):
     dims: list  # the dims a padded suite draws, [] for none: those within PAD_DIM pad to the largest on each axis
     shapes: Callable  # shapes(*dims): the shape of each array split returns, per trial
@@ -186,28 +205,34 @@ class Pad(NamedTuple):
 
 
 def _groups(table: ResidualTable, seed: int, stream: int, trials: Iterable[int], draw, pad: Pad | None = None):
-    """One suite's trials, drawn, grouped and stacked: yields (record, dims, stacks) per group.
+    """One suite's trials, drawn, grouped and stacked: yields (rec, dims, stacks) per group.
 
-    draw(rng, t) returns trial t's (dims, arrays) from the generator of
-    (seed, stream, t).  Trials group by dims; a group's stacks are its draws
-    stacked, or pad.split of them.  With pad.dims, the dims the suite draws,
-    every trial whose dims are all within PAD_DIM joins one group whose
-    dims, the target, are the largest such on each axis: a function of the
-    suite's dims argument alone, so a trial replayed alone pads the same.
+    draw(rng, t) returns trial t's (dims, arrays) from the generator of (seed,
+    stream, t), built by table.rngs.  Trials group by dims; a group's stacks
+    are its draws stacked, or pad.split of them.  With pad.dims, the dims the
+    suite draws, every trial whose dims are all within PAD_DIM joins one group
+    whose dims, the target, are the largest such on each axis: a function of
+    the suite's dims argument alone, so a trial replayed alone pads the same.
     Each dims' split arrays are zero-padded to pad.shapes(*target) and
     scattered, in trial order, into one C-contiguous stack per array.
     Groups come in first-seen order, the trials of a group in trial order;
-    record(name, values) enters one residual per member, with its (stream,
-    trial, real dims), into the table.
-    Five suites pass a draw, not shapes: matcore reads the pair normals in a
-    second pass, after the square's; polar draws a row index with integers;
+    rec, a Record, holds each member's (stream, trial, real dims) as
+    rec.origins and enters one residual per member into the table.
+    Five suites pass a draw, not shapes: matcore keeps its pair's normals,
+    after the square's, for _stack; polar draws a row index with integers;
     cloning two uniform weight vectors; teleport lays out its probe rows,
     each its own run; luders a rank-dependent unitary run mid-stream.
     """
+    trials = list(trials)
+    yield from _stack(table, stream, [(t, *draw(rng, t)) for t, rng in zip(trials, table.rngs(seed, stream, trials))],
+                      pad)
+
+
+def _stack(table: ResidualTable, stream: int, members, pad: Pad | None = None):
+    """_groups' grouping and stacking of drawn members (t, dims, arrays), given in trial order."""
     small = [d for d in (pad.dims if pad else []) if max(d) <= PAD_DIM]
-    trials, groups, target = list(trials), {}, tuple(map(max, zip(*small))) if small else None
-    for t, rng in zip(trials, trial_rngs(seed, stream, trials=trials)):
-        dims, arrays = draw(rng, t)
+    groups, target = {}, tuple(map(max, zip(*small))) if small else None
+    for t, dims, arrays in members:
         groups.setdefault(target if target and max(dims) <= PAD_DIM else dims, []).append((t, dims, arrays))
     for key, members in groups.items():
         stacks, origins = None, [(stream, t, dims) for t, dims, _ in members]
@@ -221,7 +246,7 @@ def _groups(table: ResidualTable, seed: int, stream: int, trials: Iterable[int],
                 stacks = stacks or [np.zeros((len(members), *s), p.dtype) for s, p in zip(pad.shapes(*key), parts)]
                 for out, p in zip(stacks, parts):
                     out[(at, *map(slice, p.shape[1:]))] = p
-        yield partial(table.record, origins=origins), key, stacks
+        yield Record(table, origins), key, stacks
 
 
 def _complex_trials(table, seed: int, stream: int, trials: Iterable[int], dims_list, shapes, padded: bool = False):
@@ -523,20 +548,17 @@ def modular_intertwine_oracle(triple, roots):
 
 
 def matcore_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
-    sizes = sorted(set(list(dims) + [16]))
-    pairs = _dim_pairs(dims)
-    groups = partial(_groups, table, seed, 5, list(trials))  # two passes over each trial's stream
+    sizes, pairs, tails = sorted(set(list(dims) + [16])), _dim_pairs(dims), []
 
-    def draw_square(rng, t):
-        d = sizes[t % len(sizes)]
-        return (d,), (rng.standard_normal(normal_count(*[(d, d)] * 4)),)
-
-    def draw_pair(rng, t):  # the normals after the square's
+    def draw(rng, t):
+        """One run: the square's normals, then the pair's, kept in tails as the pair identity's member."""
         d, (da, db) = sizes[t % len(sizes)], pairs[t % len(pairs)]
         head = normal_count(*[(d, d)] * 4)
-        return (da, db), (rng.standard_normal(head + normal_count((da * db, da * db), (da, da)))[head:],)
+        x = rng.standard_normal(head + normal_count((da * db, da * db), (da, da)))
+        tails.append((t, (da, db), (x[head:],)))
+        return (d,), (x[:head],)
 
-    for rec, (d,), (x,) in groups(draw_square):
+    for rec, (d,), (x,) in _groups(table, seed, STREAMS["matcore"], trials, draw):
         m, *psd = split_complex(x, *[(d, d)] * 4)
         h, rho, omega = (z @ z.conj().mT for z in psd)
         rec("matcore.svd_reconstruct", _fro(la.svd(m).reconstruct() - m))
@@ -544,18 +566,20 @@ def matcore_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         rec("matcore.psd_sqrt", _fro(s @ s - h))
         r, o = la.psd_sqrt(rho), la.psd_sqrt(omega)  # the bits of fidelity(rho, omega) and fidelity(omega, rho)
         rec("matcore.fidelity_symmetry", np.abs(la._fidelity_of(r, o) - la._fidelity_of(o, r)))
-    for rec, (da, db), (x,) in groups(draw_pair):
+    for rec, (da, db), (x,) in _stack(table, STREAMS["matcore"], tails):
         big, u_a = split_complex(x, (da * db, da * db), (da, da))
         big, u = big @ big.conj().mT, la.kron(haar(u_a), np.eye(db))
         moved = la.partial_trace(u @ big @ u.conj().mT, da, db, "b")
-        rec("matcore.partial_trace_invariance", _fro(moved - la.partial_trace(big, da, db, "b")))
+        # relative to the Gram matrix: the rounding of u @ big @ u† grows with ||big||_F, ~n^1.5 at n = d_a·d_b
+        rec("matcore.partial_trace_invariance", _fro(moved - la.partial_trace(big, da, db, "b")) / _fro(big))
 
 
 def epr_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     def shapes(da, db):
         return (da, db), (da,), (db,), (da, db), (da, da), (da, da), (db, db)
 
-    for rec, (da, _), draws in _complex_trials(table, seed, 10, trials, _dim_pairs(dims), shapes, padded=True):
+    groups = _complex_trials(table, seed, STREAMS["epr"], trials, _dim_pairs(dims), shapes, padded=True)
+    for rec, (da, _), draws in groups:
         c, phi_a, phi_b, chi, a_psd, a_op, b_op = draws
         c, phi_a, chi, a_psd = unit(c, 2), unit(phi_a), unit(chi, 2), a_psd @ a_psd.conj().mT
         psi = bp.BipartiteVector(c)
@@ -576,7 +600,7 @@ def antilinear_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int
     def shapes(da, db):
         return (db, da), (da, db), (da,), (db,), (db, db), (da, da)
 
-    draws = _complex_trials(table, seed, 20, trials, _dim_pairs(dims), shapes, padded=True)
+    draws = _complex_trials(table, seed, STREAMS["antilinear"], trials, _dim_pairs(dims), shapes, padded=True)
     for rec, _, (m1, m2, x, y, lin_cod, lin_dom) in draws:
         t1, t2 = al.AntilinearMap(m1), al.AntilinearMap(m2)
         rec("anti.adjoint_pairing", np.abs(_vdot(y, al.apply(t1, x)) - _vdot(x, al.apply(al.adjoint(t1), y))))
@@ -607,7 +631,7 @@ def polar_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         return (da, db), (x, int(rng.integers(da)) if t % 3 == 2 and da > 1 else -1)
 
     pad = Pad(pairs, lambda da, db: ((da, db), ()), lambda dims, xr: (complex_from(xr[0], *dims), xr[1]))
-    for rec, (da, _), (c, row) in _groups(table, seed, 30, trials, draw, pad):
+    for rec, (da, _), (c, row) in _groups(table, seed, STREAMS["polar"], trials, draw, pad):
         zeroed = np.arange(da)[:, None] == np.asarray(row)[..., None, None]
         psi = bp.BipartiteVector(unit(np.where(zeroed, 0.0, c), 2))
         pair = bp.epr_maps(psi)
@@ -639,8 +663,8 @@ def polar_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
 
 
 def partner_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
-    squares = [(d,) for d in _square_dims(dims)]
-    for rec, _, (c_psi, a_op) in _complex_trials(table, seed, 40, trials, squares, lambda d: ((d, d), (d, d))):
+    squares, shapes = [(d,) for d in _square_dims(dims)], lambda d: ((d, d), (d, d))
+    for rec, _, (c_psi, a_op) in _complex_trials(table, seed, STREAMS["partner"], trials, squares, shapes):
         psi = bp.BipartiteVector(unit(c_psi, 2))
         parts = bp.polar_of_state(psi)
         b_op = bp.partner_operator(a_op, parts)
@@ -656,7 +680,7 @@ def cloning_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         d = squares[t % len(squares)]
         return (d,), (rng.standard_normal(normal_count((d, d), (d, d))), rng.random(d), rng.random(d))
 
-    for rec, (d,), (x, p, q) in _groups(table, seed, 50, trials, draw):
+    for rec, (d,), (x, p, q) in _groups(table, seed, STREAMS["cloning"], trials, draw):
         u_a, u_b = (haar(z) for z in split_complex(x, (d, d), (d, d)))
         diags = (np.eye(d) * np.sqrt(w / w.sum(-1, keepdims=True))[..., None, :] for w in (p + 0.05, q + 0.05))
         phi, psi = (u_a @ diag @ u_b.conj().mT for diag in diags)
@@ -668,7 +692,7 @@ def crossgram_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]
     def shapes(da, db):
         return (da, db), (da, db), (db, db)
 
-    draws = _complex_trials(table, seed, 60, trials, _dim_pairs(dims), shapes, padded=True)
+    draws = _complex_trials(table, seed, STREAMS["crossgram"], trials, _dim_pairs(dims), shapes, padded=True)
     for rec, (da, db), (c_phi, c_psi, b_op) in draws:
         c_phi, c_psi = unit(c_phi, 2), unit(c_psi, 2)
         phi, psi = bp.BipartiteVector(c_phi), bp.BipartiteVector(c_psi)
@@ -684,8 +708,8 @@ def crossgram_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]
 
 
 def purification_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
-    squares = [(d,) for d in _square_dims(dims)]
-    for rec, _, (a, w) in _complex_trials(table, seed, 70, trials, squares, lambda d: ((d, d), (d, d))):
+    squares, shapes = [(d,) for d in _square_dims(dims)], lambda d: ((d, d), (d, d))
+    for rec, _, (a, w) in _complex_trials(table, seed, STREAMS["purification"], trials, squares, shapes):
         omega = a @ a.conj().mT
         omega = omega / np.asarray(_trace(omega).real)[..., None, None]
         psi = bp.purification_from_isometry(omega, al.AntilinearMap(haar(w)))
@@ -707,7 +731,7 @@ def teleport_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int])
         return (da, db), (db, dc), (da,), (BOUND_PROBES, da)
 
     pad = Pad(triples, shapes, lambda k, xr: (*split_complex(xr[0], *shapes(*k)[:3]), complex_from(xr[1], k[0])))
-    for rec, _, (c_psi, c_phi, probe, rows) in _groups(table, seed, 80, trials, draw, pad):
+    for rec, _, (c_psi, c_phi, probe, rows) in _groups(table, seed, STREAMS["teleport"], trials, draw, pad):
         tm = tp.teleport_map(bp.BipartiteVector(unit(c_psi, 2)), bp.BipartiteVector(unit(c_phi, 2)))
         bound, _ = teleport_checks(rec, tm, unit(probe))
         # 0.0 while the bound holds: the excess is one-sided, so only a bound cut below the probes' norms shows
@@ -717,7 +741,7 @@ def teleport_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int])
 
 def luders_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     small = [d for d in dims if d <= 3] or [2]
-    pairs, stream = [(da, db) for da in small for db in small], 90
+    pairs = [(da, db) for da in small for db in small]
 
     def layout(da, db):
         """The Haar basis, probe and operator, then a full basis when da·db <= 6."""
@@ -751,14 +775,15 @@ def luders_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
 
     # One padded group, split by rank where the rank axis enters; origins carry (da, db, dc, rank).
     pad = Pad([(*p, dc) for p in pairs for dc in small], shapes, split)
-    for rec, _, (c_phi, psis, probe, nu, x_mix, rank, complete) in _groups(table, seed, stream, trials, draw, pad):
+    groups = _groups(table, seed, STREAMS["luders"], trials, draw, pad)
+    for rec, _, (c_phi, psis, probe, nu, x_mix, rank, complete) in groups:
         rank, complete = np.asarray(rank), np.asarray(complete)
-        origins = [(s, t, (*d, int(r))) for (s, t, d), r in zip(rec.keywords["origins"], np.ravel(rank))]
+        origins = [(s, t, (*d, int(r))) for (s, t, d), r in zip(rec.origins, np.ravel(rank))]
         if (full := complete >= 0).any():
             table.record("luders.completeness", complete[full], [o for o, f in zip(origins, np.ravel(full)) if f])
         for r in sorted(set(np.ravel(rank).tolist())):
             sel = rank == r if rank.ndim else ...  # a single trial's arrays are taken whole
-            rec = partial(table.record, origins=[o for o in origins if o[2][3] == r])
+            rec = Record(table, [o for o in origins if o[2][3] == r])
             ch = tp.luders_channel(bp.BipartiteVector(psis[sel][..., :r, :, :]), bp.BipartiteVector(c_phi[sel]))
             luders_checks(rec, ch, probe[sel])
             mix, nu_r = haar(complex_from(x_mix[sel][..., : 2 * r * r], r, r)), nu[sel]
@@ -772,7 +797,7 @@ def chain_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     def shapes(*_):
         return (2, 2), (2, 2), (2, 2), (2, 2), (2,)
 
-    for rec, _, (*coeffs, probe) in _complex_trials(table, seed, 100, trials, [(2, 2, 2, 2, 2)], shapes):
+    for rec, _, (*coeffs, probe) in _complex_trials(table, seed, STREAMS["chain"], trials, [(2, 2, 2, 2, 2)], shapes):
         stages = [bp.BipartiteVector(unit(c, 2)) for c in coeffs]
         chain_checks(rec, stages, tp.chain_teleport(stages), unit(probe))
 
@@ -782,7 +807,7 @@ def twisted_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         return ((d, d),) * 8
 
     squares = [(d,) for d in _square_dims(dims)]
-    for rec, _, draws in _complex_trials(table, seed, 110, trials, squares, shapes):
+    for rec, _, draws in _complex_trials(table, seed, STREAMS["twisted"], trials, squares, shapes):
         m_eta, m_xi, lin_eta, lin_xi, m_eta2, m_xi2, c_phi, c_psi = draws
         eta, xi, eta2, xi2 = (al.AntilinearMap(m) for m in (m_eta, m_xi, m_eta2, m_xi2))
         prod, prod2 = md.twisted_product(eta, xi), md.twisted_product(eta2, xi2)
@@ -817,8 +842,8 @@ def twisted_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
 
 
 def modular_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
-    squares = [(d,) for d in _square_dims(dims) if d >= 2] or [(2,)]
-    for rec, (d,), coeffs in _complex_trials(table, seed, 120, trials, squares, lambda d: ((d, d), (d, d))):
+    squares, shapes = [(d,) for d in _square_dims(dims) if d >= 2] or [(2,)], lambda d: ((d, d), (d, d))
+    for rec, (d,), coeffs in _complex_trials(table, seed, STREAMS["modular"], trials, squares, shapes):
         psi, phi = (bp.BipartiteVector(unit(c, 2)) for c in coeffs)
         triple, roots = modular_checks(rec, phi, psi)
         if d <= ORACLE_DIM:  # each factor route's dense oracle

@@ -7,6 +7,7 @@ single-instance functions; both routes must give the same residuals.
 """
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -34,24 +35,24 @@ def fro(x) -> float:
     return float(np.linalg.norm(np.asarray(x).reshape(-1)))
 
 
-GROUPS = vf._groups  # kept for per_trial_groups, which stands in for it
+GROUPS, STACK = vf._groups, vf._stack  # kept for the stand-ins below
 
 
-def per_trial_groups(seen):
-    """verify._groups one trial at a time, each array unstacked: the suites' single-instance path.
+def per_trial_stack(seen):
+    """verify._stack one member at a time, each array unstacked: the suites' single-instance path.
 
-    Each call appends to `seen` the list of trials it drew.  A padded suite's
-    trial is padded alone to the shapes its batch pads to.
+    Each call appends to `seen` the list of trials it was handed.  A padded
+    suite's trial is padded alone to the shapes its batch pads to.
     """
 
-    def groups(table, seed, stream, trials, draw, pad=None):
+    def stack(table, stream, members, pad=None):
         seen.append([])
-        for t in trials:
-            for rec, dims, stacks in GROUPS(table, seed, stream, [t], draw, pad):
-                seen[-1].append(t)
+        for member in members:
+            for rec, dims, stacks in STACK(table, stream, [member], pad):
+                seen[-1].append(member[0])
                 yield rec, dims, [s[0] for s in stacks]
 
-    return groups
+    return stack
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -63,12 +64,13 @@ def test_batched_suite_equals_per_trial_loop(suite, seed, monkeypatch):
     # The same suite code on each trial's own draws, without a stack axis:
     # every library call is then the public single-instance call.
     seen = []
-    monkeypatch.setattr(vf, "_groups", per_trial_groups(seen))
+    monkeypatch.setattr(vf, "_stack", per_trial_stack(seen))
     looped = vf.ResidualTable()
     suite(looped, seed, DIMS, range(TRIALS))
     single = {r.name: r for r in looped.results()}
-    # A suite that draws around _groups would compare its batched path with itself.
+    # A suite that stacks around _stack would compare its batched path with itself.
     assert seen and all(ts == list(range(TRIALS)) for ts in seen), seen
+    assert len(seen) == 1 + (suite is vf.matcore_suite), seen  # matcore stacks its pair identity's members apart
     assert batched.keys() == single.keys()
     for name, r in batched.items():
         assert r.residual == single[name].residual, name
@@ -88,7 +90,7 @@ def spied_groups(seen):
 
     def groups(table, seed, stream, trials, draw, pad=None):
         for rec, dims, stacks in GROUPS(table, seed, stream, trials, draw, pad):
-            seen.append((dims, [o[2] for o in rec.keywords["origins"]]))
+            seen.append((dims, [o[2] for o in rec.origins]))
             yield rec, dims, stacks
 
     return groups
@@ -126,9 +128,9 @@ def test_trials_past_the_pad_cap_keep_their_own_groups(suite, monkeypatch):
     assert sum(len(set(members)) > 1 for _, members in seen) == 1  # one stack holds the trials of several dims
 
 
-def per_trial_rngs(seed, *stream, trials):
-    """One rng_for call per trial, in place of the vectorized seeding of verify's draw phase."""
-    return [rng_for(seed, *stream, t) for t in trials]
+def per_trial_rngs(seed, streams, trials):
+    """One rng_for call per trial, each made as its trial is reached, in place of the vectorized seeding."""
+    return {s: map(partial(rng_for, seed, s), trials) for s in streams}
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -155,13 +157,19 @@ def test_every_reported_worst_trial_replays_bit_for_bit():
 
 
 def test_each_worst_stream_is_the_stream_its_trial_was_drawn_from(monkeypatch):
-    """Every reported worst (stream, trial) was seeded, and each of the 13 suites seeds its own one tag."""
-    suite, streams, seeded = [None], {}, set()
+    """Every reported worst (stream, trial) was drawn, each of the 13 suites draws from its own one tag in
+    verify.STREAMS, and one trial_rngs pass seeds them all."""
+    suite, streams, drawn, passes = [None], {}, set(), []
+    plain_rngs, plain_trial_rngs = vf.ResidualTable.rngs, vf.trial_rngs
 
-    def trial_rngs(seed, *stream, trials):
+    def rngs(table, seed, stream, trials):
         streams.setdefault(suite[0], set()).add(stream)
-        seeded.update((stream, t) for t in trials)
-        return sampling.trial_rngs(seed, *stream, trials=trials)
+        drawn.update((stream, t) for t in trials)
+        return plain_rngs(table, seed, stream, trials)
+
+    def trial_rngs(seed, streams, trials):
+        passes.append(list(streams))
+        return plain_trial_rngs(seed, streams, trials)
 
     def traced(run):
         def traced_run(*args):
@@ -170,12 +178,61 @@ def test_each_worst_stream_is_the_stream_its_trial_was_drawn_from(monkeypatch):
 
         return traced_run
 
+    monkeypatch.setattr(vf.ResidualTable, "rngs", rngs)
     monkeypatch.setattr(vf, "trial_rngs", trial_rngs)
     monkeypatch.setattr(vf, "SUITES", tuple(traced(s) for s in vf.SUITES))
     results = vf.run_all(seed=1, trials=12)
-    assert all(((r.worst[0],), r.worst[1]) in seeded for r in results)
+    assert all(r.worst[:2] in drawn for r in results)
     assert len(streams) == 13 and all(len(tags) == 1 for tags in streams.values())
-    assert len(set().union(*streams.values())) == 13
+    assert set().union(*streams.values()) == set(vf.STREAMS.values()) and len(vf.STREAMS) == 13
+    assert passes == [list(vf.STREAMS.values())]
+
+
+def test_a_suite_run_twice_on_one_table_draws_the_same_trials():
+    """A stream handed out once is seeded again for a second call with the same (seed, trials)."""
+    once, twice = vf.ResidualTable(), vf.ResidualTable()
+    vf.antilinear_suite(once, 1, DIMS, range(5))
+    for _ in range(2):
+        vf.antilinear_suite(twice, 1, DIMS, range(5))
+    assert once.results() == twice.results()
+
+
+def test_a_tag_outside_streams_draws_its_own_sub_stream():
+    got = [rng.standard_normal(3) for rng in vf.ResidualTable().rngs(1, 999, range(3))]
+    assert all(np.array_equal(x, rng_for(1, 999, t).standard_normal(3)) for t, x in enumerate(got))
+
+
+def test_matcore_draws_each_trial_once_with_the_parent_two_draws(monkeypatch):
+    """matcore draws each trial once and stacks two members of it: the square's normals, then the tail of one draw
+    of the square's and the pair's normals, the normals the earlier two passes over each trial's stream read."""
+    calls, members = {}, {}
+
+    def groups(table, seed, stream, trials, draw, pad=None):
+        def counted(rng, t):
+            calls[t] = calls.get(t, 0) + 1
+            return draw(rng, t)
+
+        return GROUPS(table, seed, stream, trials, counted, pad)
+
+    def stack(table, stream, drawn, pad=None):
+        for t, dims, arrays in drawn:
+            members.setdefault(t, []).append((dims, arrays))
+        return STACK(table, stream, drawn, pad)
+
+    monkeypatch.setattr(vf, "_groups", groups)
+    monkeypatch.setattr(vf, "_stack", stack)
+    for dims in [(2, 3, 4), (1, 5)]:
+        calls.clear(), members.clear()
+        vf.matcore_suite(vf.ResidualTable(), 3, list(dims), range(100))
+        assert calls == dict.fromkeys(range(100), 1)
+        sizes, pairs = sorted(set(dims) | {16}), [(da, db) for da in dims for db in dims]
+        for t in range(100):
+            ((square, (x,)), (pair, (y,))) = members[t]
+            d, (da, db) = sizes[t % len(sizes)], pairs[t % len(pairs)]
+            head, tail = sampling.normal_count(*[(d, d)] * 4), sampling.normal_count((da * db, da * db), (da, da))
+            assert square == (d,) and pair == (da, db)
+            assert np.array_equal(x, rng_for(3, 5, t).standard_normal(head))
+            assert np.array_equal(y, rng_for(3, 5, t).standard_normal(head + tail)[head:])
 
 
 @pytest.mark.parametrize("order", ["finite first", "nan first"])

@@ -7,6 +7,14 @@ dims 1-4; unit Gaussian states and graded Schmidt spectra logspace(0, -k, m),
 k in {2, 4}; Lüders channels on 1 to d_a·d_b columns of a Haar basis;
 two-hop chains; and for modular a full-rank square psi.  Four large-norm
 inputs that still exit 3 are marked as expected failures of ROADMAP item 1.
+
+Invalid inputs, the same valid inputs made wrong in one place (a state's
+declared shape or one [re, im] pair, a NaN or Infinity token, a truncated
+file, bytes that are not UTF-8, an odd-length chain, operands whose dims do
+not fit together), must exit 2 with nothing on stdout, no report and one
+"error:" line on stderr that names the file or the operand.  Three dims
+mismatches that are refused without naming an operand are marked as
+expected failures of ROADMAP item 15.
 """
 
 from __future__ import annotations
@@ -76,20 +84,25 @@ def inputs(draw, command: str) -> list[dict]:
     return [draw(states(da, da)), full_rank]
 
 
-def run(command: str, objs: list) -> tuple[int, str, str, str | None]:
-    """main on the objects written to files: the exit code, stdout, stderr and the report text."""
+def encoded(objs: list) -> list[bytes]:
+    return [json.dumps(obj).encode() for obj in objs]
+
+
+def run(command: str, texts: list[bytes]) -> tuple[int, str, str, str | None]:
+    """main on the texts written to files <dir>/input0.json, ...: the exit code, stdout, stderr and the report text."""
     with tempfile.TemporaryDirectory() as work:
-        paths = [Path(work, f"input{k}.json") for k in range(len(objs))]
-        for path, obj in zip(paths, objs):
-            path.write_text(json.dumps(obj))
+        paths = [Path(work, f"input{k}.json") for k in range(len(texts))]
+        for path, text in zip(paths, texts):
+            path.write_bytes(text)
         report, out, err = Path(work, "report.json"), io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, *map(str, paths), "--out", str(report)])
-        return code, out.getvalue(), err.getvalue(), report.read_text() if report.exists() else None
+        text = report.read_text() if report.exists() else None
+        return code, out.getvalue(), err.getvalue().replace(work, "<dir>"), text
 
 
 def assert_contract(command: str, objs: list):
-    code, out, err, report = run(command, objs)
+    code, out, err, report = run(command, encoded(objs))
     assert (code, out) == (0, ""), err
     assert err.startswith(SUMMARY[command]) and err.count("\n") == 1 and err.endswith("\n"), err
     assert isinstance(strict_json(report), dict)
@@ -118,3 +131,138 @@ LARGE_NORMS = {
 @pytest.mark.parametrize("name", list(LARGE_NORMS))
 def test_large_norm_input_exits_0(name):
     assert_contract(*LARGE_NORMS[name])
+
+
+# Invalid inputs (ROADMAP item 15): each must exit 2 with one "error:" line naming the file or the operand.
+def operands(command: str, objs: list) -> list[tuple[int, list, str]]:
+    """Each state of a valid invocation as (file index, key path within the file's object, its name in messages)."""
+    if command == "epr":
+        return [(0, [], "state")]
+    if command == "teleport":
+        return [(0, [], "psi_ab"), (1, [], "phi_bc")]
+    if command == "luders":
+        return [(0, ["psis", k], f"psis[{k}]") for k in range(len(objs[0]["psis"]))] + [(0, ["phi_bc"], "phi_bc")]
+    if command == "chain":
+        return [(0, ["stages", k], f"stages[{k}]") for k in range(len(objs[0]["stages"]))]
+    return [(0, [], "phi"), (1, [], "psi")]
+
+
+def state_at(objs: list, where: tuple) -> dict:
+    obj = objs[where[0]]
+    for key in where[1]:
+        obj = obj[key]
+    return obj
+
+
+@st.composite
+def misshapen(draw, command: str) -> tuple[list, str]:
+    """A valid invocation with one state's declared dims, row count or one [re, im] pair made wrong; its name."""
+    objs = draw(inputs(command))
+    where = draw(st.sampled_from(operands(command, objs)))
+    state = state_at(objs, where)
+    how = draw(st.sampled_from(["dim_a", "dim_b", "rows", "pair"]))
+    if how == "rows":
+        state["coeff"]["rows"] += draw(st.integers(1, 3))
+    elif how == "pair":
+        k = draw(st.integers(0, len(state["coeff"]["data"]) - 1))
+        state["coeff"]["data"][k] = (state["coeff"]["data"][k] + [0.0])[: draw(st.sampled_from([1, 3]))]
+    else:
+        state[how] += draw(st.sampled_from([-1, 1, 2]))
+    return objs, where[2]
+
+
+@st.composite
+def non_finite(draw, command: str) -> tuple[list, str]:
+    """A valid invocation with one real or imaginary part of one state written as a NaN or Infinity token."""
+    objs = draw(inputs(command))
+    where = draw(st.sampled_from(operands(command, objs)))
+    data = state_at(objs, where)["coeff"]["data"]
+    k = draw(st.integers(0, len(data) - 1))
+    data[k][draw(st.integers(0, 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return objs, where[2]
+
+
+def assert_refused(command: str, texts: list[bytes], named: str):
+    """Exit 2, nothing on stdout, no report, and one stderr line, "error: ...", that holds `named`."""
+    code, out, err, report = run(command, texts)
+    assert (code, out, report) == (2, "", None), err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    assert named in err, (named, err)
+
+
+INVALID = settings(max_examples=15, deadline=None, derandomize=True, database=None)
+
+
+@pytest.mark.parametrize("command", list(SUMMARY))
+@INVALID
+@given(data=st.data())
+def test_misshapen_state_exits_2_naming_it(command, data):
+    objs, name = data.draw(misshapen(command))
+    assert_refused(command, encoded(objs), name)
+
+
+@pytest.mark.parametrize("command", list(SUMMARY))
+@INVALID
+@given(data=st.data())
+def test_nan_or_infinity_token_exits_2_naming_the_state(command, data):
+    objs, name = data.draw(non_finite(command))
+    texts = encoded(objs)
+    assert any(token in text for text in texts for token in (b"NaN", b"Infinity"))
+    assert_refused(command, texts, name)
+
+
+@pytest.mark.parametrize("command", list(SUMMARY))
+@INVALID
+@given(data=st.data())
+def test_truncated_json_exits_2_naming_the_file(command, data):
+    texts = encoded(data.draw(inputs(command)))
+    k = data.draw(st.integers(0, len(texts) - 1))
+    texts[k] = texts[k][: data.draw(st.integers(0, len(texts[k]) - 1))]
+    assert_refused(command, texts, f"<dir>/input{k}.json")
+
+
+@pytest.mark.parametrize("command", list(SUMMARY))
+@INVALID
+@given(data=st.data())
+def test_non_utf8_bytes_exit_2_naming_the_file(command, data):
+    texts = encoded(data.draw(inputs(command)))
+    k = data.draw(st.integers(0, len(texts) - 1))
+    at = data.draw(st.integers(0, len(texts[k])))
+    bad = data.draw(st.sampled_from([b"\xff", b"\xfe", b"\x80", b"\xc3(", b"\xed\xa0\x80"]))
+    texts[k] = texts[k][:at] + bad + texts[k][at:]
+    assert_refused(command, texts, f"<dir>/input{k}.json")
+
+
+@INVALID
+@given(data=st.data())
+def test_odd_length_chain_exits_2_naming_the_stages(data):
+    (spec,) = data.draw(inputs("chain"))
+    spec["stages"] = spec["stages"][: data.draw(st.sampled_from([1, 3]))]
+    assert_refused("chain", encoded([spec]), "stages")
+
+
+MISMATCHED = {  # states of dims that each fit alone but not together, and what the refusal must name
+    "teleport-psi-phi": ("teleport", [BELL, bipartite_to_json(bell(3))], "psi"),
+    "luders-psis": ("luders", [{"psis": [BELL, bipartite_to_json(BipartiteVector(np.eye(2, 3)))], "phi_bc": BELL}],
+                    "psis[1]"),
+}
+MISMATCHED_UNNAMED = {  # the same, refused with exit 2 by messages that name neither operand
+    "luders-psis-phi": ("luders", [{"psis": [BELL], "phi_bc": bipartite_to_json(bell(3))}], "phi_bc"),
+    "chain-stages": ("chain", [{"stages": [BELL, bipartite_to_json(bell(3))]}], "stages[1]"),
+    "modular-phi-psi": ("modular", [BELL, bipartite_to_json(bell(3))], "psi"),
+}
+
+
+@pytest.mark.parametrize("name", list(MISMATCHED))
+def test_mismatched_dims_exit_2_naming_the_operand(name):
+    command, objs, named = MISMATCHED[name]
+    assert_refused(command, encoded(objs), named)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="ROADMAP item 15: a dims mismatch between operands is not named"
+)
+@pytest.mark.parametrize("name", list(MISMATCHED_UNNAMED))
+def test_mismatched_dims_exit_2_naming_the_operand_unnamed(name):
+    command, objs, named = MISMATCHED_UNNAMED[name]
+    assert_refused(command, encoded(objs), named)

@@ -13,6 +13,7 @@ from eprkit import errors
 from eprkit import sampling
 from eprkit.modular import gns_check
 from eprkit.sampling import (
+    complex_from,
     haar,
     normal_count,
     random_state,
@@ -169,31 +170,74 @@ def test_entangled_state_from_rng_redraws_until_gns_check_accepts(monkeypatch):
 SRC = str(Path(sampling.__file__).resolve().parent.parent)
 
 
-# Seeds of one to three uint32 words, streams of zero to three, trials up to the last one-word index.
+# Seeds of one to three uint32 words; zero to three stream tags per call, the last list past one word;
+# trials up to the last one-word index.
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**20]
 STREAMS = [(), (120,), (40, 7), (1, 2, 3), (5, 2**32 + 1)]
 TRIALS = [0, 1, 99, 2**32 - 1]
 
 
+def assert_rng_for_draws(rngs, seed, streams, trials):
+    """rngs, trial_rngs(seed, streams, trials), against rng_for draw for draw: the same draws, then the same state."""
+    assert list(rngs) == list(dict.fromkeys(streams))
+    for s in streams:
+        got = list(rngs[s])
+        assert len(got) == len(trials)
+        for t, rng in zip(trials, got):
+            want = rng_for(seed, s, t)
+            assert np.array_equal(rng.standard_normal(5), want.standard_normal(5))
+            assert rng.bit_generator.state == want.bit_generator.state
+
+
 @pytest.mark.parametrize("stream", STREAMS, ids=str)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_trial_rngs_equal_rng_for(seed, stream):
-    """The vectorized seeding against the one-call definition: the same draws, then the same state."""
-    rngs = trial_rngs(seed, *stream, trials=TRIALS)
-    assert len(rngs) == len(TRIALS)
-    for t, rng in zip(TRIALS, rngs):
-        want = rng_for(seed, *stream, t)
-        assert np.array_equal(rng.standard_normal(5), want.standard_normal(5))
-        assert rng.bit_generator.state == want.bit_generator.state
+    """The vectorized seeding of every (stream, trial) column in one call against the one-call definition."""
+    assert_rng_for_draws(trial_rngs(seed, stream, TRIALS), seed, stream, TRIALS)
 
 
 def test_trial_rngs_outside_one_word_trials():
-    (rng,) = trial_rngs(3, 40, trials=[2**32])
-    assert rng.bit_generator.state == rng_for(3, 40, 2**32).bit_generator.state
-    assert trial_rngs(3, 40, trials=[]) == []
+    assert_rng_for_draws(trial_rngs(3, [40, 90], [7, 2**32, 0]), 3, [40, 90], [7, 2**32, 0])
+    assert [list(v) for v in trial_rngs(3, [40], []).values()] == [[]]
+    assert trial_rngs(3, [], [0, 1]) == {}
     for seed, stream, trial in [(-1, 40, 0), (3, -40, 0), (3, 40, -1)]:
         with pytest.raises(ValueError, match="non-negative"):
-            trial_rngs(seed, stream, trials=[trial])
+            next(trial_rngs(seed, [stream], [trial])[stream])
+
+
+def test_trial_rngs_build_each_generator_as_its_trial_is_reached(monkeypatch):
+    built, plain = [], np.random.PCG64
+    monkeypatch.setattr(np.random, "PCG64", lambda seq: built.append(seq) or plain(seq))
+    rngs = trial_rngs(1, [5, 10], range(100))
+    assert built == []
+    first = next(rngs[10])
+    assert len(built) == 1 and first.bit_generator.state == rng_for(1, 10, 0).bit_generator.state
+
+
+def old_complex_from(x, *shape):
+    """complex_from as it was: the two halves assembled as re + 1j·im, then divided by sqrt(2)."""
+    n = x.shape[-1] // 2
+    return ((x[..., :n] + 1j * x[..., n:]) / np.sqrt(2.0)).reshape(*x.shape[:-1], *shape)
+
+
+def raw_stacks():
+    """Random finite normals in C order, Fortran order, as a strided view, in 1-D, and empty; with their shapes."""
+    rng = rng_for(7, 31)
+    c = rng.standard_normal((6, 3, 18)) * np.exp(rng.uniform(-30, 30, (6, 3, 18)))
+    yield "C", c, (3, 3)
+    yield "Fortran", np.asfortranarray(c), (9,)
+    yield "strided", rng.standard_normal((12, 5, 40))[::3, 1:4, 4::2], (3, 1, 3)
+    yield "1-D", rng.standard_normal(32), (4, 4)
+    yield "empty stack", np.zeros((0, 8)), (2, 2)
+    yield "empty shape", np.zeros((4, 0)), (0,)
+
+
+@pytest.mark.parametrize("case", [name for name, *_ in raw_stacks()])
+def test_complex_from_has_the_bits_of_the_old_formula(case):
+    (x, shape), = [(x, shape) for name, x, shape in raw_stacks() if name == case]
+    got, want = complex_from(x, *shape), old_complex_from(x, *shape)
+    assert got.dtype == np.complex128 and got.flags.c_contiguous and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_importing_eprkit_leaves_numpy_random_unimported():

@@ -1,0 +1,44 @@
+"""Smoke test of tools/residual_digests.py on a one-seed, one-dims grid."""
+
+import importlib.util
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "residual_digests.py"
+
+
+@pytest.fixture
+def digests(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)  # the tool sets it on import
+    spec = importlib.util.spec_from_file_location("residual_digests", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(tool, "SEEDS", (1,))
+    monkeypatch.setattr(tool, "DIMS", ((1, 2),))
+    return tool
+
+
+def test_dumps_repeat_and_compare_reports_one_edited_residual(digests, tmp_path):
+    first, second = io.StringIO(), io.StringIO()
+    digests.dump(first)
+    digests.dump(second)
+    lines = first.getvalue().splitlines(keepends=True)
+    assert lines and first.getvalue() == second.getvalue()
+    assert {line.split("\t")[0] for line in lines} == {"residual", "draw"}
+
+    k, line = next((k, line) for k, line in enumerate(lines) if line.startswith("residual\t"))
+    kind, seed, dims, name, residual, *rest = line.rstrip("\n").split("\t")
+    edited = list(lines)
+    edited[k] = "\t".join([kind, seed, dims, name, repr(2 * float(residual) + 1e-300), *rest]) + "\n"
+    old, new = tmp_path / "old.txt", tmp_path / "new.txt"
+    old.write_text("".join(lines))
+    new.write_text("".join(edited))
+    out = io.StringIO()
+    digests.compare(str(old), str(new), out)
+    report = out.getvalue().splitlines()
+    assert [r.split("\t")[:4] for r in report[:-1]] == [["moved", seed, dims, name]]
+    assert report[-1].startswith("summary\t") and ", 1 moved, 0 origins moved, 1 rises," in report[-1]
+    assert report[-1].endswith(" draw digests, 0 changed")

@@ -9,14 +9,16 @@ line, tab-separated:
     draw      <seed>  <dims>  <stream>  <trial>  <sha256>
 
 The draw digest of (stream, trial) hashes, in call order, the dtype, shape
-and bytes of everything that trial's draw returns, over every pass a suite
-makes.  It is taken by wrapping the `draw` each suite hands to
-`verify._groups`, from outside the package, so it does not depend on how
-`_groups` groups, pads or stacks the trials: equal digests mean that every
-stream drew the same bits.  Run it once per source tree and compare:
+and bytes of each (dims, arrays) member that trial hands to
+`verify._stack`: its draw's output, and matcore's pair normals as a second
+member.  It is taken by wrapping `_stack` from outside the package, before
+any grouping, padding or stacking: equal digests mean that every stream
+drew the same bits.  A tree from before `_stack` hashes the same members by
+wrapping each draw handed to `verify._groups` (its own copy of this tool
+does that).  Run each tree's own copy once and compare:
 
     PYTHONPATH=src python3 tools/residual_digests.py > new.txt
-    PYTHONPATH=/path/to/other/src python3 tools/residual_digests.py > old.txt
+    (cd /path/to/other && PYTHONPATH=src python3 tools/residual_digests.py) > old.txt
     python3 tools/residual_digests.py --compare old.txt new.txt
 
 `--compare A B` lists each residual whose repr moved from A to B with the
@@ -52,16 +54,14 @@ def _update(h, value) -> None:
     h.update(np.ascontiguousarray(a).tobytes())
 
 
-def digesting(groups, digests: dict):
-    """verify._groups with each draw it is handed wrapped to hash its output into digests[(stream, trial)]."""
+def digesting(stack, digests: dict):
+    """verify._stack hashing each member (t, dims, arrays) handed to it as (dims, arrays), into digests[(stream, t)]."""
 
-    def wrapped(table, seed, stream, trials, draw, *args, **kwargs):
-        def hashed(rng, t):
-            out = draw(rng, t)
-            _update(digests.setdefault((stream, t), hashlib.sha256()), out)
-            return out
-
-        return groups(table, seed, stream, trials, hashed, *args, **kwargs)
+    def wrapped(table, stream, members, *args, **kwargs):
+        members = list(members)
+        for t, *drawn in members:
+            _update(digests.setdefault((stream, t), hashlib.sha256()), tuple(drawn))
+        return stack(table, stream, members, *args, **kwargs)
 
     return wrapped
 
@@ -71,19 +71,19 @@ def dump(out) -> None:
     from eprkit import verify as vf
 
     print(f"eprkit from {eprkit.__file__}", file=sys.stderr)
-    plain = vf._groups
+    plain = vf._stack
     try:
         for seed in SEEDS:
             for dims in DIMS:
                 digests: dict = {}
-                vf._groups = digesting(plain, digests)
+                vf._stack = digesting(plain, digests)
                 key = f"{seed}\t{dims}"
                 for r in vf.run_all(seed=seed, dims=dims):
                     out.write(f"residual\t{key}\t{r.name}\t{r.residual!r}\t{r.worst!r}\t{r.tolerance!r}\n")
                 for (stream, t), h in sorted(digests.items()):
                     out.write(f"draw\t{key}\t{stream}\t{t}\t{h.hexdigest()}\n")
     finally:
-        vf._groups = plain
+        vf._stack = plain
 
 
 def _read(path: str) -> tuple[dict, dict]:
