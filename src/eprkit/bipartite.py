@@ -90,9 +90,9 @@ def epr_maps(psi: BipartiteVector) -> EprPair:
     return psi._epr
 
 
-def _check_same_dims(x: BipartiteVector, y: BipartiteVector):
-    if (x.dim_a, x.dim_b) != (y.dim_a, y.dim_b):
-        raise DimMismatch(f"bipartite dimensions differ: {(x.dim_a, x.dim_b)} vs {(y.dim_a, y.dim_b)}")
+def _check_same_dims(phi: BipartiteVector, psi: BipartiteVector):
+    if (phi.dim_a, phi.dim_b) != (psi.dim_a, psi.dim_b):
+        raise DimMismatch(f"bipartite dimensions differ: phi {(phi.dim_a, phi.dim_b)}, psi {(psi.dim_a, psi.dim_b)}")
 
 
 def _check_unit(n, what: str):

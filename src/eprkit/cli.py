@@ -2,9 +2,10 @@
 
 Subcommands: epr, teleport, luders, chain, modular, verify, random.  Each
 returns a report, its identity results and a summary.  The five checking
-subcommands (all but verify and random) read their operands, then run their
-family's verify.<family>_checks once through _checked: one ResidualTable,
-the seeded probes, the residuals named without the family prefix.  main
+subcommands (all but verify and random) only read their operands: the
+family's verify.<family>_checks, run once through _checked (one ResidualTable,
+the seeded probes, the residuals named without the family prefix), builds
+and checks every operand derived from them.  main
 alone writes the report as one line of compact, strict JSON (no timestamps:
 byte-identical for the same invocation; a non-finite number is written as
 null) on stdout or to --out, the summary on stderr, then checks.
@@ -21,11 +22,10 @@ import sys
 
 import numpy as np
 
-from . import bipartite as bp
 from . import formats as fm
 from . import teleport as tp
 from . import verify as vf
-from .errors import EprkitError, FactorizationFailure, NonFinite, ParseError, ToleranceExceeded
+from .errors import EprkitError, FactorizationFailure, ParseError, ToleranceExceeded
 from .sampling import normal_count, random_state, rng_for, split_complex, unit
 
 EXIT_OK = 0
@@ -38,14 +38,6 @@ PROBE_COUNT = 8  # seeded probe vectors per residual check
 def _fixed(x: float) -> str:
     """Six decimals, or from magnitude 1e6 on six in exponent form, not hundreds of digits."""
     return f"{x:.6e}" if abs(x) >= 1e6 else f"{x:.6f}"
-
-
-def _state(obj, what: str, normed: bool = True) -> bp.BipartiteVector:
-    """A state from its JSON object; if normed (teleport, luders, chain), refused when its squared norm overflows."""
-    psi = fm.bipartite_from_json(obj, what)
-    if normed and not np.isfinite(psi.norm()):
-        raise NonFinite(f"squared norm of {what} is not finite")
-    return psi
 
 
 def _probes(rng, *shapes) -> list[np.ndarray]:
@@ -63,12 +55,9 @@ def _checked(args, stream: int | None, checks, operands, shapes=()) -> tuple:
 
 
 def cmd_epr(args) -> tuple[dict, list[vf.IdentityResult], str]:
-    psi = _state(fm.load_json(args.state), "state", normed=False)  # epr names the overflowing reduction
-    pair = bp.epr_maps(psi)
-    omega_a = bp.reduced(psi, "a", "state")
-    omega_b = bp.reduced(psi, "b", "state")
+    psi = fm.bipartite_from_json(fm.load_json(args.state), "state")
     shapes = [(psi.dim_a,), (psi.dim_b,), (psi.dim_a, psi.dim_b)]
-    _, residuals, results = _checked(args, 1, vf.epr_checks, (psi, omega_a, omega_b), shapes)
+    (pair, omega_a, omega_b), residuals, results = _checked(args, 1, vf.epr_checks, (psi,), shapes)
     report = {
         "s_ba": fm.antilinear_to_json(pair.s_ba),
         "s_ab": fm.antilinear_to_json(pair.s_ab),
@@ -82,9 +71,9 @@ def cmd_epr(args) -> tuple[dict, list[vf.IdentityResult], str]:
 
 
 def cmd_teleport(args) -> tuple[dict, list[vf.IdentityResult], str]:
-    psi, phi = _state(fm.load_json(args.psi), "psi_ab"), _state(fm.load_json(args.phi), "phi_bc")
-    tm = tp.teleport_map(psi, phi)
-    (bound, tnf), residuals, results = _checked(args, 2, vf.teleport_checks, (tm,), [(psi.dim_a,)])
+    psi = fm.bipartite_from_json(fm.load_json(args.psi), "psi_ab")
+    phi = fm.bipartite_from_json(fm.load_json(args.phi), "phi_bc")
+    (tm, bound, tnf), residuals, results = _checked(args, 2, vf.teleport_checks, (psi, phi), [(psi.dim_a,)])
     report = {
         "t": fm.matrix_to_json(tm.t),
         "trace_norm": tnf.trace_norm,
@@ -102,18 +91,17 @@ def cmd_teleport(args) -> tuple[dict, list[vf.IdentityResult], str]:
 def cmd_luders(args) -> tuple[dict, list[vf.IdentityResult], str]:
     spec = fm.load_json(args.channel)
     if "psis" in spec:
-        if not isinstance(spec["psis"], list):
-            raise ParseError("channel spec 'psis' must be a list")
-        psis = [_state(p, f"psis[{k}]") for k, p in enumerate(spec["psis"])]
+        if not isinstance(spec["psis"], list) or not spec["psis"]:
+            raise ParseError("channel spec 'psis' must be a non-empty list")
+        psis = [fm.bipartite_from_json(p, f"psis[{k}]") for k, p in enumerate(spec["psis"])]
     elif "psi_ab" in spec:
-        psis = [_state(spec["psi_ab"], "psi_ab")]
+        psis = [fm.bipartite_from_json(spec["psi_ab"], "psi_ab")]
     else:
         raise ParseError("channel spec needs 'psis' (list) or 'psi_ab'")
     if "phi_bc" not in spec:
         raise ParseError("channel spec needs 'phi_bc'")
-    phi = _state(spec["phi_bc"], "phi_bc")
-    ch = tp.luders_channel(psis, phi)
-    bounds, residuals, results = _checked(args, 3, vf.luders_checks, (ch,), [(ch.psis.dim_a,)])
+    phi = fm.bipartite_from_json(spec["phi_bc"], "phi_bc")
+    (ch, bounds), residuals, results = _checked(args, 3, vf.luders_checks, (psis, phi), [(psis[0].dim_a,)])
     decoupling = residuals["decoupling"]
     report = {
         "maps": [fm.matrix_to_json(t) for t in ch.maps],
@@ -134,12 +122,11 @@ def cmd_luders(args) -> tuple[dict, list[vf.IdentityResult], str]:
 
 
 def cmd_chain(args) -> tuple[dict, list[vf.IdentityResult], str]:
-    spec = fm.load_json(args.chain)
-    if "stages" not in spec or not isinstance(spec["stages"], list):
-        raise ParseError("chain spec needs a 'stages' list")
-    stages = [_state(s, f"stages[{k}]") for k, s in enumerate(spec["stages"])]
-    t = tp.chain_teleport(stages)
-    _, residuals, results = _checked(args, 4, vf.chain_checks, (stages, t), [(stages[0].dim_a,)])
+    raw = fm.load_json(args.chain).get("stages")
+    if not isinstance(raw, list) or not raw:
+        raise ParseError("chain spec needs a non-empty 'stages' list")
+    stages = [fm.bipartite_from_json(s, f"stages[{k}]") for k, s in enumerate(raw)]
+    t, residuals, results = _checked(args, 4, vf.chain_checks, (stages,), [(stages[0].dim_a,)])
     oracle_residual = residuals["factorization"]
     report = {"t": fm.matrix_to_json(t), "oracle_residual": oracle_residual}
     summary = f"chain map {t.shape[0]}x{t.shape[1]} over {len(stages) // 2} hops, oracle residual {oracle_residual:.3e}"
@@ -147,8 +134,7 @@ def cmd_chain(args) -> tuple[dict, list[vf.IdentityResult], str]:
 
 
 def cmd_modular(args) -> tuple[dict, list[vf.IdentityResult], str]:
-    phi = _state(fm.load_json(args.phi), "phi", normed=False)  # tomita_S names the overflowing reduction
-    psi = _state(fm.load_json(args.psi), "psi", normed=False)
+    phi, psi = (fm.bipartite_from_json(fm.load_json(f), what) for f, what in ((args.phi, "phi"), (args.psi, "psi")))
     (triple, _), residuals, results = _checked(args, None, vf.modular_checks, (phi, psi))
     report = {
         "S": fm.twisted_to_json(triple.s),

@@ -26,7 +26,7 @@ import numpy as np
 
 from .antilinear import chain, polar
 from .bipartite import BipartiteVector, _check_unit, epr_maps
-from .errors import DimMismatch, FactorizationFailure, NotOrthonormal, OddParity
+from .errors import DimMismatch, FactorizationFailure, NonFinite, NotOrthonormal, OddParity
 from .linalg import MatrixNorms, _adopt, _check_dense, _member, _out, as_matrix, fro_norm, frozen, herm_eigh, kron, norms
 
 ORTHO_TOL = 1e-10
@@ -54,8 +54,8 @@ class TeleportMap:
         matrices: eigh of rho would square their condition number and floor
         singular values up to 1e-6 times the largest.
         """
-        _check_unit(self.source_psi.norm(), "measured vector")
-        _check_unit(self.ancilla_phi.norm(), "ancilla")
+        _check_unit(self.source_psi.norm(), "psi_ab")
+        _check_unit(self.ancilla_phi.norm(), "phi_bc")
         sqrt_rho = polar(epr_maps(self.source_psi).s_ba).positive
         sqrt_omega = polar(epr_maps(self.ancilla_phi).s_ab).positive
         return norms(sqrt_rho @ sqrt_omega)
@@ -66,10 +66,18 @@ class TeleportMap:
         return norms(self.t)
 
 
+def _check_norms(states: dict[str, BipartiteVector]):
+    """Raise NonFinite naming the first member of the first of {name: state} whose squared norm overflows float64."""
+    for name, psi in states.items():
+        if (bad := ~np.isfinite(np.asarray(psi.norm()))).any():
+            raise NonFinite(f"squared norm of {_member(name, bad)[0]} is not finite")
+
+
 def teleport_map(psi_ab: BipartiteVector, phi_bc: BipartiteVector) -> TeleportMap:
-    """Factorized channel matrix t = s_phi_cb ∘ s_psi_ba."""
+    """Factorized channel matrix t = s_phi_cb ∘ s_psi_ba; refuses a squared norm that overflows."""
+    _check_norms({"psi_ab": psi_ab, "phi_bc": phi_bc})
     if psi_ab.dim_b != phi_bc.dim_a:
-        raise DimMismatch(f"shared b-dimension differs: psi has {psi_ab.dim_b}, ancilla has {phi_bc.dim_a}")
+        raise DimMismatch(f"shared b-dimension differs: psi_ab has {psi_ab.dim_b}, phi_bc has {phi_bc.dim_a}")
     return _adopt(TeleportMap, t=phi_bc.coeff.mT @ np.conj(psi_ab.coeff.mT), source_psi=psi_ab, ancilla_phi=phi_bc)
 
 
@@ -165,22 +173,21 @@ def luders_channel(psis: Sequence[BipartiteVector] | BipartiteVector, phi_bc: Bi
         stack = psis.coeff
     else:
         psis = list(psis)
-        if not psis:
-            raise DimMismatch("need at least one measured vector")
         for k, p in enumerate(psis):
             if (p.dim_a, p.dim_b) != (psis[0].dim_a, psis[0].dim_b):
                 raise DimMismatch(f"psis[{k}] lives on {(p.dim_a, p.dim_b)}, psis[0] on {(psis[0].dim_a, psis[0].dim_b)}")
-        stack = np.stack([p.coeff for p in psis], axis=-3)
+        stack = np.stack([p.coeff for p in psis], axis=-3) if psis else np.empty((0, 1, 1))  # refused just below
     if stack.shape[-3] == 0:
         raise DimMismatch("need at least one measured vector")
     psis = _adopt(BipartiteVector, coeff=np.ascontiguousarray(stack))  # C order: each t_k has teleport_map's bits
+    _check_norms({"psis": psis, "phi_bc": phi_bc})
     if psis.dim_b != phi_bc.dim_a:
-        raise DimMismatch(f"shared b-dimension differs: measured vectors have {psis.dim_b}, ancilla has {phi_bc.dim_a}")
+        raise DimMismatch(f"shared b-dimension differs: psis have {psis.dim_b}, phi_bc has {phi_bc.dim_a}")
     flat = psis.to_vector()
     off = np.abs(flat @ flat.conj().mT - np.eye(flat.shape[-2])).max(axis=(-2, -1))
     if (off > ORTHO_TOL).any():
-        raise NotOrthonormal(f"{_member('measured vectors', off > ORTHO_TOL)[0]} are not orthonormal within 1e-10")
-    maps = teleport_map(psis, _adopt(BipartiteVector, coeff=phi_bc.coeff[..., None, :, :])).t
+        raise NotOrthonormal(f"{_member('psis', off > ORTHO_TOL)[0]} are not orthonormal within 1e-10")
+    maps = phi_bc.coeff[..., None, :, :].mT @ np.conj(psis.coeff.mT)  # teleport_map's t, broadcast on the rank axis
     return _adopt(LudersChannel, maps=maps, psis=psis, ancilla_phi=phi_bc)
 
 
@@ -242,17 +249,31 @@ def luders_project(ch: LudersChannel, phi_a) -> np.ndarray:
     return _project(kron(v_a, ch.ancilla_phi.to_vector(), vectors=True), 1, ch.psis.to_vector().mT)
 
 
+def _check_stages(stages: Sequence[BipartiteVector], dim_in: int | None = None) -> list[BipartiteVector]:
+    """The stages as a list: one hop or more, an even count, each first dimension the second before it (or dim_in)."""
+    stages = list(stages)
+    if not stages:
+        raise DimMismatch("stages holds no hop")
+    if len(stages) % 2 == 1:
+        raise OddParity(f"{len(stages)} stages give an antilinear composite")
+    for k, (prev, s) in enumerate(zip(stages, stages[1:]), 1):
+        if s.dim_a != prev.dim_b:
+            raise DimMismatch(f"stages[{k}] has first dimension {s.dim_a}, stages[{k - 1}] second {prev.dim_b}")
+    if dim_in is not None and stages[0].dim_a != dim_in:
+        raise DimMismatch(f"stages[0] has first dimension {stages[0].dim_a}, phi_a has length {dim_in}")
+    return stages
+
+
 def chain_teleport(stages: Sequence[BipartiteVector]) -> np.ndarray:
     """Distributed multi-hop channel: fold the induced maps of all stages into one matrix.
 
     `stages` is the chain [psi_ab, phi_bc, psi_cd, phi_de, ...]: measured
     vectors at even positions, ancillae at odd ones.  An even number of
     antilinear factors gives a linear composite from the first subsystem to
-    the last; odd counts would be antilinear and are rejected.
+    the last; an odd count (antilinear) or an overflowing squared norm is refused.
     """
-    stages = list(stages)
-    if len(stages) % 2 == 1:
-        raise OddParity(f"{len(stages)} stages give an antilinear composite")
+    stages = _check_stages(stages)
+    _check_norms({f"stages[{k}]": s for k, s in enumerate(stages)})
     return chain(epr_maps(s).s_ba for s in stages)
 
 
@@ -268,16 +289,9 @@ def chain_oracle(phi_a, stages: Sequence[BipartiteVector]) -> np.ndarray:
     (..., d_1) of inputs and each stage a stacked BipartiteVector; stack axes
     broadcast.
     """
-    stages = list(stages)
-    if not stages:
-        raise DimMismatch("chain_oracle needs at least one hop")
-    if len(stages) % 2 == 1:
-        raise OddParity(f"{len(stages)} stages give an antilinear composite")
     v_a = np.atleast_1d(np.asarray(phi_a, dtype=np.complex128))
+    stages = _check_stages(stages, v_a.shape[-1])
     dims = [v_a.shape[-1]] + [s.dim_b for s in stages]
-    for k, s in enumerate(stages):
-        if s.dim_a != dims[k]:
-            raise DimMismatch(f"stages[{k}] has first dimension {s.dim_a}, the chain has {dims[k]} there")
     _check_dense(int(np.prod(dims)), "dense oracle")
     for k, s in enumerate(stages[0::2]):
         _check_unit(s.norm(), f"measured vector stages[{2 * k}]")

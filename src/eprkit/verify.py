@@ -20,11 +20,11 @@ Tolerances are pinned per identity; a global tolerance overrides them all.
 
 Each CLI subcommand that checks identities on its input (epr, teleport,
 luders, chain, modular) has one routine below, <family>_checks(rec, ...).
-It takes the subcommand's operands, single or stacked, builds what the
-identities derive from them, records each through rec(name, residuals), one
-residual per member (the interface _groups yields), and returns what the
-report needs (teleport's the success bound too).  The suite calls it on
-trial stacks with its group's rec, the subcommand once via cli._checked.
+It takes the operands the subcommand reads, single or stacked, and probes,
+builds each derived operand once, records each identity through rec(name,
+residuals), one residual per member (the interface _groups yields), and
+returns what the report needs.  The suite calls it on trial stacks with its
+group's rec, the subcommand once via cli._checked.
 """
 
 from __future__ import annotations
@@ -218,10 +218,9 @@ def _groups(table: ResidualTable, seed: int, stream: int, trials: Iterable[int],
     Groups come in first-seen order, the trials of a group in trial order;
     rec, a Record, holds each member's (stream, trial, real dims) as
     rec.origins and enters one residual per member into the table.
-    Five suites pass a draw, not shapes: matcore keeps its pair's normals,
-    after the square's, for _stack; polar draws a row index with integers;
-    cloning two uniform weight vectors; teleport lays out its probe rows,
-    each its own run; luders a rank-dependent unitary run mid-stream.
+    Four suites pass a draw, not shapes: matcore keeps its pair's normals
+    for _stack, polar draws a row index with integers, cloning two uniform
+    weight vectors, and luders a rank-dependent unitary run mid-stream.
     """
     trials = list(trials)
     yield from _stack(table, stream, [(t, *draw(rng, t)) for t, rng in zip(trials, table.rngs(seed, stream, trials))],
@@ -259,46 +258,49 @@ def _complex_trials(table, seed: int, stream: int, trials: Iterable[int], dims_l
     return _groups(table, seed, stream, trials, draw, pad)
 
 
-def epr_checks(rec, psi, omega_a, omega_b, phi_a, phi_b, chi):
-    """The identities of the epr subcommand, on the reductions of psi, probes phi_a and phi_b and coefficients chi.
+def epr_checks(rec, state, phi_a, phi_b, chi):
+    """The epr subcommand's identities on state, probes phi_a and phi_b and coefficients chi; returns maps, reductions.
 
-    projection: (|phi_a><phi_a| ⊗ 1) psi = phi_a ⊗ s_ba phi_a, with squared
+    projection: (|phi_a><phi_a| ⊗ 1) state = phi_a ⊗ s_ba phi_a, with squared
     norm <phi_a, omega_a phi_a>; pairing: <phi_b, s_ba phi_a> = <phi_a, s_ab
-    phi_b> = <phi_a ⊗ phi_b, psi>; inner_trace: <chi, psi> as a trace of
+    phi_b> = <phi_a ⊗ phi_b, state>; inner_trace: <chi, state> as a trace of
     induced maps, on either factor; reduction: the reductions against partial
-    traces of the dense projector |psi><psi|, refused beyond DENSE_DIM_LIMIT.
+    traces of the dense projector |state><state|, refused beyond DENSE_DIM_LIMIT.
     """
-    pair = bp.epr_maps(psi)
-    projected = bp.project_rank1(psi, phi_a)
+    omega_a, omega_b = bp.reduced(state, "a", "state"), bp.reduced(state, "b", "state")
+    pair = bp.epr_maps(state)
+    projected = bp.project_rank1(state, phi_a)
     shape = _fro(projected.coeff - _outer(phi_a, al.apply(pair.s_ba, phi_a)))
     norm_sq = np.abs(projected.norm() ** 2 - _vdot(phi_a, _mv(omega_a, phi_a)).real)
     rec("epr.projection", np.maximum(shape, norm_sq))
-    rhs = _vdot(la.kron(phi_a, phi_b, vectors=True), psi.to_vector())
+    rhs = _vdot(la.kron(phi_a, phi_b, vectors=True), state.to_vector())
     via_ba, via_ab = _vdot(phi_b, al.apply(pair.s_ba, phi_a)), _vdot(phi_a, al.apply(pair.s_ab, phi_b))
     rec("epr.pairing", np.maximum(np.abs(via_ba - rhs), np.abs(via_ab - rhs)))
     chi = bp.BipartiteVector(chi)
-    direct = _vdot(chi.coeff, psi.coeff, 2)
+    direct = _vdot(chi.coeff, state.coeff, 2)
     trace_b = al.trace_product(pair.s_ba, bp.epr_maps(chi).s_ab)
-    rec("epr.inner_trace", np.maximum(np.abs(bp.inner_via_trace(chi, psi) - direct), np.abs(trace_b - direct)))
-    la._check_dense(psi.dim_a * psi.dim_b, "dense oracle")
-    vec = psi.to_vector()
+    rec("epr.inner_trace", np.maximum(np.abs(bp.inner_via_trace(chi, state) - direct), np.abs(trace_b - direct)))
+    la._check_dense(state.dim_a * state.dim_b, "dense oracle")
+    vec = state.to_vector()
     dense = _outer(vec, np.conj(vec))
-    on_a, on_b = (la.partial_trace(dense, psi.dim_a, psi.dim_b, side) for side in "ab")
+    on_a, on_b = (la.partial_trace(dense, state.dim_a, state.dim_b, side) for side in "ab")
     rec("epr.reduction", np.maximum(_fro(omega_a - on_a), _fro(omega_b - on_b)))
+    return pair, omega_a, omega_b
 
 
-def teleport_checks(rec, tm, probe):
-    """The teleport subcommand's identities, on tm and a probe; returns (success_bound(tm), trace_norm_fidelity(tm)).
+def teleport_checks(rec, psi_ab, phi_bc, probe):
+    """The teleport subcommand's identities on tm = teleport_map(psi_ab, phi_bc) and a probe.
 
     factorization: the factorized output against the dense projection
-    oracle; trace_fidelity: the trace norm of the channel matrix against the
-    fidelity of the reductions.
+    oracle; trace_fidelity: the trace norm of tm.t against the fidelity of
+    the reductions.  Returns tm, success_bound(tm) and trace_norm_fidelity(tm).
     """
-    bound = tp.success_bound(tm)  # first, so a non-unit psi is named "measured vector", not "measured vector stages[0]"
-    rec("teleport.factorization", _fro(_mv(tm.t, probe) - tp.teleport_oracle(tm.source_psi, tm.ancilla_phi, probe), 1))
+    tm = tp.teleport_map(psi_ab, phi_bc)
+    bound = tp.success_bound(tm)  # first, so a non-unit psi_ab is named psi_ab, not "measured vector stages[0]"
+    rec("teleport.factorization", _fro(_mv(tm.t, probe) - tp.teleport_oracle(psi_ab, phi_bc, probe), 1))
     tnf = tp.trace_norm_fidelity(tm)
     rec("teleport.trace_fidelity", np.abs(tnf.trace_norm - tnf.fidelity))
-    return bound, tnf
+    return tm, bound, tnf
 
 
 def teleport_bound_holds(tm, probes, bound):
@@ -309,25 +311,28 @@ def teleport_bound_holds(tm, probes, bound):
     return np.maximum(0.0, worst - bound)
 
 
-def luders_checks(rec, ch, probe):
-    """The identities of the luders subcommand, on ch and a probe; returns luders_bounds(ch).
+def luders_checks(rec, psis, phi_bc, probe):
+    """The luders subcommand's identities on ch = luders_channel(psis, phi_bc) and a probe; returns ch and its bounds.
 
     decoupling: dense (P ⊗ 1_c)(probe ⊗ phi) against sum_k psi_k ⊗ t_k probe;
     op_bound: excess of the operator bound over the squared ancilla norm, and
     its gap to the trace bound.
     """
+    ch = tp.luders_channel(psis, phi_bc)
     bounds = tp.luders_bounds(ch)
     dense = tp.luders_project(ch, probe)
     factored = la.kron(ch.psis.to_vector(), _mv(ch.maps, probe[..., None, :]), vectors=True).sum(axis=-2)
     rec("luders.decoupling", _fro(dense - factored, 1))
     excess = np.maximum(0.0, bounds.op_bound - ch.ancilla_norm_sq)
     rec("luders.op_bound", np.maximum(excess, np.abs(bounds.op_bound - bounds.trace_bound)))
-    return bounds
+    return ch, bounds
 
 
-def chain_checks(rec, stages, t, probe):
-    """The identity of the chain subcommand: the folded chain matrix t on probe against the dense chain oracle."""
+def chain_checks(rec, stages, probe):
+    """The chain subcommand's identity: t = chain_teleport(stages) on probe against the dense oracle; returns t."""
+    t = tp.chain_teleport(stages)
     rec("chain.factorization", _fro(_mv(t, probe) - tp.chain_oracle(probe, stages), 1))
+    return t
 
 
 def twisted_action(prod, eta, xi):
@@ -438,6 +443,13 @@ def modular_defining(triple, phi, psi):
     return _fro(r_j[..., None, :, :, :] @ r_i[..., :, None, :, :].mT).max(axis=(-2, -1))
 
 
+def _relative(residual, *norms):
+    """residual / (1 + the product of the norms), NaN where that scale overflows: no residual could show over it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = 1.0 + reduce(np.multiply, norms)
+        return np.where(np.isfinite(scale), residual / scale, np.nan)
+
+
 def modular_delta(triple):
     """S* ∘ S = Delta and Delta >= 0, relative to 1 + ||Delta||, from the factors.
 
@@ -454,20 +466,19 @@ def modular_delta(triple):
     gap = _kron_gap((xi.mT @ np.conj(xi), eta.mT @ np.conj(eta)), (a, b))
     w_a, w_b = (np.linalg.eigvalsh((m + m.conj().mT) / 2) for m in (a, b))
     low = (w_a[..., :, None] * w_b[..., None, :]).min(axis=(-2, -1))
-    with np.errstate(over="ignore", invalid="ignore"):  # a scale that overflows gives NaN: no gap could show over it
-        scale = 1.0 + _fro(a) * _fro(b)
-        return np.where(np.isfinite(scale), np.maximum(gap, np.maximum(0.0, -low)) / scale, np.nan)
+    return _relative(np.maximum(gap, np.maximum(0.0, -low)), _fro(a), _fro(b))
 
 
 def modular_reconstruction(triple, roots):
-    """S = J Delta^(1/2), with Delta^(1/2) = omega_a(phi)^(1/2) ⊗ omega_b(psi)^(-1/2), from the factors.
+    """S = J Delta^(1/2), with Delta^(1/2) = omega_a(phi)^(1/2) ⊗ omega_b(psi)^(-1/2), relative to 1 + ||S||_F.
 
     J ∘ (P ⊗ Q) = (eta_J conj(Q)) ⊗̃ (xi_J conj(P)) for linear P, Q, so both
-    sides are twisted products.  `roots` is modular_roots(phi, psi).
+    sides are twisted products; storing S in float64 alone errs by about
+    u·||S||_F = u·||eta||_F ||xi||_F.  `roots` is modular_roots(phi, psi).
     """
     sqrt_a, _, inv_sqrt_b = roots
-    eta_j, xi_j = triple.j.factors
-    return _kron_gap(triple.s.factors, (eta_j @ np.conj(inv_sqrt_b), xi_j @ np.conj(sqrt_a)))
+    (eta, xi), (eta_j, xi_j) = triple.s.factors, triple.j.factors
+    return _relative(_kron_gap((eta, xi), (eta_j @ np.conj(inv_sqrt_b), xi_j @ np.conj(sqrt_a))), _fro(eta), _fro(xi))
 
 
 def modular_phase_match(triple):
@@ -524,15 +535,13 @@ def modular_delta_oracle(triple):
     s, delta = triple.s.as_antilinear(), triple.delta.mat
     gap = _fro(al.compose_aa(al.adjoint(s), s) - delta)
     eigs = np.linalg.eigvalsh((delta + delta.conj().mT) / 2)
-    with np.errstate(over="ignore", invalid="ignore"):  # modular_delta's rule: NaN where the scale overflows
-        scale = 1.0 + _fro(delta)
-        return np.where(np.isfinite(scale), np.maximum(gap, np.maximum(0.0, -eigs.min(axis=-1))) / scale, np.nan)
+    return _relative(np.maximum(gap, np.maximum(0.0, -eigs.min(axis=-1))), _fro(delta))
 
 
 def modular_reconstruction_oracle(triple, roots):
-    """Dense oracle of modular_reconstruction: S against J conj(Delta^(1/2)) as d²×d² matrices."""
+    """Dense oracle of modular_reconstruction: S against J conj(Delta^(1/2)) as d²×d² matrices, relative alike."""
     sqrt_a, _, inv_sqrt_b = roots
-    return _fro(triple.s.mat - triple.j.mat @ np.conj(la.kron(sqrt_a, inv_sqrt_b)))
+    return _relative(_fro(triple.s.mat - triple.j.mat @ np.conj(la.kron(sqrt_a, inv_sqrt_b))), _fro(triple.s.mat))
 
 
 def modular_phase_match_oracle(triple):
@@ -583,8 +592,7 @@ def epr_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         c, phi_a, phi_b, chi, a_psd, a_op, b_op = draws
         c, phi_a, chi, a_psd = unit(c, 2), unit(phi_a), unit(chi, 2), a_psd @ a_psd.conj().mT
         psi = bp.BipartiteVector(c)
-        pair = bp.epr_maps(psi)
-        epr_checks(rec, psi, bp.reduced(psi, "a"), bp.reduced(psi, "b"), phi_a, phi_b, chi)
+        pair, _, _ = epr_checks(rec, psi, phi_a, phi_b, chi)
         rec("epr.reconstruct", _fro(bp.reconstruct(pair.s_ba, np.eye(da)).coeff - c))
         rec("epr.reconstruct", _fro(bp.reconstruct(pair.s_ba, a_psd).coeff - a_psd @ c))
         moved = bp.epr_maps(bp.local_transform(psi, a_op, b_op))
@@ -720,20 +728,13 @@ def teleport_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int])
     small = [d for d in dims if d <= 4] or [2]
     triples = [(da, db, dc) for da in small for db in small for dc in small]
 
-    def draw(rng, t):
-        """One normal call: two states, a probe, then the BOUND_PROBES rows, each its own run of complex normals."""
-        k = triples[t % len(triples)]
-        n, rows = normal_count(k[:2], k[1:], k[:1]), normal_count((BOUND_PROBES, k[0]))
-        x = rng.standard_normal(n + rows)
-        return k, (x[:n], x[n:].reshape(BOUND_PROBES, -1))
-
     def shapes(da, db, dc):
         return (da, db), (db, dc), (da,), (BOUND_PROBES, da)
 
-    pad = Pad(triples, shapes, lambda k, xr: (*split_complex(xr[0], *shapes(*k)[:3]), complex_from(xr[1], k[0])))
-    for rec, _, (c_psi, c_phi, probe, rows) in _groups(table, seed, STREAMS["teleport"], trials, draw, pad):
-        tm = tp.teleport_map(bp.BipartiteVector(unit(c_psi, 2)), bp.BipartiteVector(unit(c_phi, 2)))
-        bound, _ = teleport_checks(rec, tm, unit(probe))
+    groups = _complex_trials(table, seed, STREAMS["teleport"], trials, triples, shapes, padded=True)
+    for rec, _, (c_psi, c_phi, probe, rows) in groups:
+        psi, phi = bp.BipartiteVector(unit(c_psi, 2)), bp.BipartiteVector(unit(c_phi, 2))
+        tm, bound, _ = teleport_checks(rec, psi, phi, unit(probe))
         # 0.0 while the bound holds: the excess is one-sided, so only a bound cut below the probes' norms shows
         rec("teleport.bound_holds", teleport_bound_holds(tm, rows, bound))
         rec("teleport.bound_attained", np.abs(tm.norms.operator**2 - bound))
@@ -784,8 +785,8 @@ def luders_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         for r in sorted(set(np.ravel(rank).tolist())):
             sel = rank == r if rank.ndim else ...  # a single trial's arrays are taken whole
             rec = Record(table, [o for o in origins if o[2][3] == r])
-            ch = tp.luders_channel(bp.BipartiteVector(psis[sel][..., :r, :, :]), bp.BipartiteVector(c_phi[sel]))
-            luders_checks(rec, ch, probe[sel])
+            psis_r, phi = bp.BipartiteVector(psis[sel][..., :r, :, :]), bp.BipartiteVector(c_phi[sel])
+            ch, _ = luders_checks(rec, psis_r, phi, probe[sel])
             mix, nu_r = haar(complex_from(x_mix[sel][..., : 2 * r * r], r, r)), nu[sel]
             mixed = bp.BipartiteVector((mix.mT @ ch.psis.to_vector()).reshape(ch.psis.coeff.shape))
             out = tp.luders_apply(ch, nu_r)
@@ -799,7 +800,7 @@ def chain_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
 
     for rec, _, (*coeffs, probe) in _complex_trials(table, seed, STREAMS["chain"], trials, [(2, 2, 2, 2, 2)], shapes):
         stages = [bp.BipartiteVector(unit(c, 2)) for c in coeffs]
-        chain_checks(rec, stages, tp.chain_teleport(stages), unit(probe))
+        chain_checks(rec, stages, unit(probe))
 
 
 def twisted_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):

@@ -376,7 +376,6 @@ class TestCliProbeStacks:
         psi = random_state((3, 2), seed=11)
         assert main(["epr", write_state(tmp_path, "psi", psi), "--seed", "5"]) == 0
         report = json.loads(capsys.readouterr().out)
-        omega_a, omega_b = bp.reduced(psi, "a"), bp.reduced(psi, "b")
         rng = rng_for(5, 1)
         worst = {}
 
@@ -386,7 +385,7 @@ class TestCliProbeStacks:
 
         for _ in range(PROBE_COUNT):
             phi_a, phi_b = random_unit_vector(rng, 3), random_unit_vector(rng, 2)
-            vf.epr_checks(rec, psi, omega_a, omega_b, phi_a, phi_b, state_from_rng(rng, 3, 2).coeff)
+            vf.epr_checks(rec, psi, phi_a, phi_b, state_from_rng(rng, 3, 2).coeff)
         assert report["residuals"] == worst
 
     def test_teleport(self, capsys, tmp_path):

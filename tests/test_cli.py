@@ -116,13 +116,13 @@ class TestTeleport:
         assert report["fidelity"] == pytest.approx(0.948683, abs=1e-6)
         assert report["op_bound"] == pytest.approx(0.4, abs=1e-9)
 
-    def test_non_unit_psi_is_named_measured_vector(self, capsys, bell_file, tmp_path):
+    def test_non_unit_psi_is_named_psi_ab(self, capsys, bell_file, tmp_path):
         # The success bound checks psi's norm before the oracle, which would name it "measured vector stages[0]".
         path = tmp_path / "double.json"
         path.write_text(json.dumps(bipartite_to_json(BipartiteVector(2 * bell(2).coeff))))
         code, report, err = run_cli(capsys, "teleport", str(path), bell_file)
         assert (code, report) == (2, None)
-        assert re.fullmatch(r"error: measured vector has norm \S+, expected 1 within 1e-10\n", err), err
+        assert re.fullmatch(r"error: psi_ab has norm \S+, expected 1 within 1e-10\n", err), err
 
     def test_dim_mismatch_exit_2(self, capsys, bell_file, tmp_path):
         psi3 = random_state((3, 3), seed=1)
@@ -198,6 +198,14 @@ class TestLuders:
         code, report, err = run_cli(capsys, "luders", str(path))
         assert (code, report) == (2, None)
         assert "psis[1] lives on (3, 3), psis[0] on (2, 2)" in err
+
+    def test_non_orthonormal_psis_are_named_psis(self, capsys, tmp_path):
+        path = tmp_path / "channel.json"
+        spec = {"psis": [bipartite_to_json(bell(2))] * 2, "phi_bc": bipartite_to_json(bell(2))}
+        path.write_text(json.dumps(spec))
+        code, report, err = run_cli(capsys, "luders", str(path))
+        assert (code, report) == (2, None)
+        assert err == "error: psis are not orthonormal within 1e-10\n"
 
 
 class TestChain:
@@ -522,6 +530,10 @@ def _invalid_arguments(tmp_path, case: str) -> list[str]:
         if case == "luders-overflowing-ancilla":
             return ["luders", _write(tmp_path, "channel.json", {"psi_ab": bell_json, "phi_bc": big})]
         return ["chain", _write(tmp_path, "chain.json", {"stages": [bell_json, big]})]
+    if case == "luders-empty-psis":
+        return ["luders", _write(tmp_path, "channel.json", {"psis": [], "phi_bc": bell_json})]
+    if case == "chain-empty-stages":
+        return ["chain", _write(tmp_path, "chain.json", {"stages": []})]
     if case == "chain-stages-not-a-list":
         return ["chain", _write(tmp_path, "chain.json", {"stages": {"0": bell_json, "1": bell_json}})]
     if case == "nan-tolerance":
@@ -559,6 +571,8 @@ def _invalid_arguments(tmp_path, case: str) -> list[str]:
         "luders-psis-null",
         "luders-psis-true",
         "chain-stages-not-a-list",
+        "luders-empty-psis",
+        "chain-empty-stages",
         "epr-overflowing-reduction",
         "modular-overflowing-phi",
         "modular-overflowing-psi",
@@ -603,6 +617,18 @@ def test_invalid_input_exit_2(capsys, tmp_path, case):
 )
 def test_overflowing_reduction_names_its_operand(capsys, tmp_path, case, message):
     # Warnings fail the suite, so this also checks that the refusal emits none.
+    assert main(_invalid_arguments(tmp_path, case)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("luders-empty-psis", "channel spec 'psis' must be a non-empty list"),
+        ("chain-empty-stages", "chain spec needs a non-empty 'stages' list"),
+    ],
+)
+def test_empty_list_is_refused_naming_the_field(capsys, tmp_path, case, message):
     assert main(_invalid_arguments(tmp_path, case)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 

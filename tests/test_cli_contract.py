@@ -12,9 +12,8 @@ Invalid inputs, the same valid inputs made wrong in one place (a state's
 declared shape or one [re, im] pair, a NaN or Infinity token, a truncated
 file, bytes that are not UTF-8, an odd-length chain, operands whose dims do
 not fit together), must exit 2 with nothing on stdout, no report and one
-"error:" line on stderr that names the file or the operand.  Three dims
-mismatches that are refused without naming an operand are marked as
-expected failures of ROADMAP item 15.
+"error:" line on stderr that names the file or the operand; a dims mismatch
+names the operands on both sides.
 """
 
 from __future__ import annotations
@@ -182,12 +181,12 @@ def non_finite(draw, command: str) -> tuple[list, str]:
     return objs, where[2]
 
 
-def assert_refused(command: str, texts: list[bytes], named: str):
-    """Exit 2, nothing on stdout, no report, and one stderr line, "error: ...", that holds `named`."""
+def assert_refused(command: str, texts: list[bytes], *named: str):
+    """Exit 2, nothing on stdout, no report, and one stderr line, "error: ...", that holds every name in `named`."""
     code, out, err, report = run(command, texts)
     assert (code, out, report) == (2, "", None), err
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
-    assert named in err, (named, err)
+    assert all(name in err for name in named), (named, err)
 
 
 INVALID = settings(max_examples=15, deadline=None, derandomize=True, database=None)
@@ -241,28 +240,17 @@ def test_odd_length_chain_exits_2_naming_the_stages(data):
     assert_refused("chain", encoded([spec]), "stages")
 
 
-MISMATCHED = {  # states of dims that each fit alone but not together, and what the refusal must name
-    "teleport-psi-phi": ("teleport", [BELL, bipartite_to_json(bell(3))], "psi"),
+MISMATCHED = {  # states of dims that each fit alone but not together, and the operands the refusal must name
+    "teleport-psi-phi": ("teleport", [BELL, bipartite_to_json(bell(3))], ("psi_ab", "phi_bc")),
     "luders-psis": ("luders", [{"psis": [BELL, bipartite_to_json(BipartiteVector(np.eye(2, 3)))], "phi_bc": BELL}],
-                    "psis[1]"),
-}
-MISMATCHED_UNNAMED = {  # the same, refused with exit 2 by messages that name neither operand
-    "luders-psis-phi": ("luders", [{"psis": [BELL], "phi_bc": bipartite_to_json(bell(3))}], "phi_bc"),
-    "chain-stages": ("chain", [{"stages": [BELL, bipartite_to_json(bell(3))]}], "stages[1]"),
-    "modular-phi-psi": ("modular", [BELL, bipartite_to_json(bell(3))], "psi"),
+                    ("psis[1]", "psis[0]")),
+    "luders-psis-phi": ("luders", [{"psis": [BELL], "phi_bc": bipartite_to_json(bell(3))}], ("psis", "phi_bc")),
+    "chain-stages": ("chain", [{"stages": [BELL, bipartite_to_json(bell(3))]}], ("stages[1]", "stages[0]")),
+    "modular-phi-psi": ("modular", [BELL, bipartite_to_json(bell(3))], ("phi", "psi")),
 }
 
 
 @pytest.mark.parametrize("name", list(MISMATCHED))
 def test_mismatched_dims_exit_2_naming_the_operand(name):
     command, objs, named = MISMATCHED[name]
-    assert_refused(command, encoded(objs), named)
-
-
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError, reason="ROADMAP item 15: a dims mismatch between operands is not named"
-)
-@pytest.mark.parametrize("name", list(MISMATCHED_UNNAMED))
-def test_mismatched_dims_exit_2_naming_the_operand_unnamed(name):
-    command, objs, named = MISMATCHED_UNNAMED[name]
-    assert_refused(command, encoded(objs), named)
+    assert_refused(command, encoded(objs), *named)

@@ -6,6 +6,7 @@ import pytest
 from eprkit import errors
 from eprkit.antilinear import AntilinearMap, chain, compose_mixed
 from eprkit.bipartite import (
+    BipartiteVector,
     cross_gram,
     inner_via_trace,
     local_transform,
@@ -25,6 +26,7 @@ from eprkit.teleport import (
     luders_apply,
     luders_channel,
     projection_decomposition,
+    teleport_map,
     teleport_oracle,
 )
 
@@ -161,8 +163,45 @@ def test_projection_decomposition_wrong_shape():
 def test_chain_teleport_broken_dims():
     rng = seeded_rng(200)
     stages = [bell(2), random_unit_state(rng, 3, 2), bell(2), bell(2)]
-    with pytest.raises(errors.DimMismatch):
+    with pytest.raises(errors.DimMismatch, match=r"^stages\[1\] has first dimension 3, stages\[0\] second 2$"):
         chain_teleport(stages)
+    with pytest.raises(errors.DimMismatch, match=r"^stages\[1\] has first dimension 3, stages\[0\] second 2$"):
+        chain_oracle([1.0, 0.0], stages)
+
+
+def test_chain_oracle_input_that_does_not_fit_names_phi_a():
+    with pytest.raises(errors.DimMismatch, match=r"^stages\[0\] has first dimension 2, phi_a has length 3$"):
+        chain_oracle([1.0, 0.0, 0.0], [bell(2), bell(2)])
+
+
+@pytest.mark.parametrize("stages", [[], [bell(2)] * 3])
+def test_chain_functions_share_the_count_check(stages):
+    for build in (chain_teleport, lambda s: chain_oracle([1.0, 0.0], s)):
+        with pytest.raises(errors.OddParity if stages else errors.DimMismatch, match="stages"):
+            build(stages)
+
+
+def test_squared_norm_that_overflows_is_refused_naming_the_operand():
+    big = BipartiteVector(np.full((2, 2), 1e200))  # the norm 2e200 is a float, its square is not
+    cases = [
+        (lambda: teleport_map(big, bell(2)), "psi_ab"),
+        (lambda: teleport_map(bell(2), big), "phi_bc"),
+        (lambda: luders_channel([bell(2)], big), "phi_bc"),
+        (lambda: luders_channel([big], bell(2)), r"psis\[0\]"),
+        (lambda: chain_teleport([bell(2), big]), r"stages\[1\]"),
+    ]
+    for build, name in cases:
+        with pytest.raises(errors.NonFinite, match=rf"^squared norm of {name} is not finite$"):
+            build()
+
+
+def test_mismatched_pairs_name_both_operands():
+    with pytest.raises(errors.DimMismatch, match=r"^shared b-dimension differs: psi_ab has 2, phi_bc has 3$"):
+        teleport_map(bell(2), bell(3))
+    with pytest.raises(errors.DimMismatch, match=r"^shared b-dimension differs: psis have 2, phi_bc has 3$"):
+        luders_channel([bell(2)], bell(3))
+    with pytest.raises(errors.DimMismatch, match=r"^bipartite dimensions differ: phi \(2, 2\), psi \(3, 3\)$"):
+        cross_gram(bell(2), bell(3))
 
 
 def test_chain_oracle_wrong_counts():

@@ -667,6 +667,38 @@ class TestFactorRoutes:
             for name in names:
                 assert residuals[name] > 10 * TOLERANCES[f"modular.{name}"], (names, name)
 
+    @pytest.mark.parametrize("family", ["gaussian", "graded-k4", "graded-k6"])
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    def test_relative_reconstruction_still_fails_a_relative_perturbation(self, family, d):
+        # Measured relative to 1 + ||S||_F, reconstruction must still see 1e-6 of the norm of S's eta, of J's xi
+        # or of either root of Delta, moved in a random direction.
+        phi, psi = modular_pair(family, d)
+        triple, roots = tomita_S(phi, psi), modular_roots(phi, psi)
+        rng = seeded_rng(109, d, len(family))
+
+        def nudge(m):
+            e = complex_normal(rng, *m.shape)
+            return m + 1e-6 * np.linalg.norm(m) / np.linalg.norm(e) * e
+
+        (eta, xi), (eta_j, xi_j) = triple.s.factors, triple.j.factors
+        sqrt_a, sqrt_b, inv_sqrt_b = roots
+        tol = TOLERANCES["modular.reconstruction"]
+        assert modular_reconstruction(triple, roots) <= tol
+        for bumped, bumped_roots in [
+            (replace(triple, s=twisted_product(AntilinearMap(nudge(eta)), AntilinearMap(xi))), roots),
+            (replace(triple, j=twisted_product(AntilinearMap(eta_j), AntilinearMap(nudge(xi_j)))), roots),
+            (triple, (nudge(sqrt_a), sqrt_b, inv_sqrt_b)),
+            (triple, (sqrt_a, sqrt_b, nudge(inv_sqrt_b))),
+        ]:
+            assert modular_reconstruction(bumped, bumped_roots) > 10 * tol
+
+    def test_reconstruction_is_nan_once_its_scale_overflows(self):
+        # ||xi||_F = ||C_phi||_F = 1.8e154 and ||eta||_F = ||C_psi^(-1)||_F = 1.7e154 are finite, and so are S,
+        # Delta and J; 1 + ||eta||_F ||xi||_F is not, so the residual is NaN by modular.delta's rule.
+        phi, psi = BipartiteVector(np.full((2, 2), 9e153)), BipartiteVector(1.2e-154 * bell(2).coeff)
+        triple = tomita_S(phi, psi)
+        assert np.isnan(modular_reconstruction(triple, modular_roots(phi, psi)))
+
     @pytest.mark.parametrize("c", [3.0, 1e-3, 2.0 - 1.0j])
     def test_rescaled_factors_pass(self, c):
         # (c eta) ⊗̃ (xi / c) is the same operator; no identity may see the scale.

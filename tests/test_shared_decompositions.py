@@ -177,8 +177,7 @@ def test_teleport_checks_take_each_state_norm_once(monkeypatch):
     plain = bipartite.fro_norm
     monkeypatch.setattr(bipartite, "fro_norm", lambda x, *args: calls.append(x) or plain(x, *args))
     psi, phi = BipartiteVector(c_psi), BipartiteVector(c_phi)
-    tm = teleport_map(psi, phi)
-    teleport_checks(lambda name, values: None, tm, np.eye(3)[0])
+    tm, _, _ = teleport_checks(lambda name, values: None, psi, phi, np.eye(3)[0])
     success_bound(tm)
     assert [sum(x is s.coeff for x in calls) for s in (psi, phi)] == [1, 1]
     assert (psi.norm(), phi.norm()) == want

@@ -12,10 +12,17 @@ on, and `modular` with φ, the 2×2 state with every entry 1e150; two
 large-ancilla inputs, `luders` with a Bell ψ and the 2×2 ancilla with every
 entry 1e100, and `chain` on [Bell, that ancilla]; and `modular` on a Bell φ
 and the product ψ = e₀⊗e₀ (exit 2, not completely entangled).  These reach
-the overflow, NaN and refusal paths.  Six `random` runs digest the bits of
-`sampling.state_from_rng` and its entanglement check: `--entangled` at dims
-1 1 (seed 5), 2 2 (seed 7), 3 3 (seed 1) and 4 4 (seed 2), and dims 2 3 at
-seed 8 without it and with it (exit 2).  1883 invocations in all.
+the overflow, NaN and refusal paths.  Nine refusals (exit 2) digest the
+`error:` lines that name operands: operands of dims that do not fit together
+(`luders` with a 2×2 Bell `psis` and a 3×3 `phi_bc`, `chain` on [2×2 Bell,
+3×3 Bell], `modular` on that pair), a `teleport` whose `psi_ab` is twice a
+Bell state, a `luders` whose `psis` holds one Bell state twice, an empty
+`psis` and an empty `stages`, and a `teleport` `phi_bc` and a `chain`
+`stages[1]` with every entry 1e200, whose squared norms overflow.  Six
+`random` runs digest the bits of `sampling.state_from_rng` and its
+entanglement check: `--entangled` at dims 1 1 (seed 5), 2 2 (seed 7), 3 3
+(seed 1) and 4 4 (seed 2), and dims 2 3 at seed 8 without it and with it
+(exit 2).  1892 invocations in all.
 Every invocation goes through `eprkit.cli.main` in process, with its input
 files and reports in a temporary directory.  Run it once against each of
 two source trees and diff the outputs: equal lines mean equal exit codes and
@@ -80,6 +87,21 @@ def edge_inputs() -> tuple[list[list[str]], dict[str, bytes]]:
     argvs = [["modular", "edge-bell.json", f"edge-psi-{k}.json"] for k in EDGE_K] + [["epr", "edge-big.json"]]
     argvs += [["modular", "edge-big.json", "edge-bell.json"], ["modular", "edge-bell.json", "edge-product.json"]]
     argvs += [["luders", "edge-luders.json"], ["chain", "edge-chain.json"]]
+    bell3, overflowing = _state(np.eye(3) / np.sqrt(3)), _state(np.full((2, 2), 1e200))
+    refused = {
+        "luders-mismatch": {"psis": [bell], "phi_bc": bell3},
+        "chain-mismatch": {"stages": [bell, bell3]},
+        "luders-not-orthonormal": {"psis": [bell, bell], "phi_bc": bell},
+        "luders-empty": {"psis": [], "phi_bc": bell},
+        "chain-empty": {"stages": []},
+        "chain-overflowing": {"stages": [bell, overflowing]},
+    }
+    files.update({f"edge-{name}.json": _json(obj) for name, obj in refused.items()})
+    files["edge-bell3.json"], files["edge-overflowing.json"] = _json(bell3), _json(overflowing)
+    files["edge-double.json"] = _json(_state(2 * np.eye(2) / np.sqrt(2)))
+    argvs += [[name.partition("-")[0], f"edge-{name}.json"] for name in refused]
+    argvs += [["modular", "edge-bell.json", "edge-bell3.json"], ["teleport", "edge-double.json", "edge-bell.json"]]
+    argvs += [["teleport", "edge-bell.json", "edge-overflowing.json"]]
     randoms = [("1 1", 5, True), ("2 2", 7, True), ("3 3", 1, True), ("4 4", 2, True)]
     randoms += [("2 3", 8, False), ("2 3", 8, True)]
     for dims, seed, entangled in randoms:
