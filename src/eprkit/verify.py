@@ -220,7 +220,8 @@ def _groups(table: ResidualTable, seed: int, stream: int, trials: Iterable[int],
     rec.origins and enters one residual per member into the table.
     Four suites pass a draw, not shapes: matcore keeps its pair's normals
     for _stack, polar draws a row index with integers, cloning two uniform
-    weight vectors, and luders a rank-dependent unitary run mid-stream.
+    weight vectors, and luders its rank with integers between its ancilla's
+    normals and its run.
     """
     trials = list(trials)
     yield from _stack(table, stream, [(t, *draw(rng, t)) for t, rng in zip(trials, table.rngs(seed, stream, trials))],
@@ -409,7 +410,8 @@ def _kron_gap(f1, f2):
     def flat(m):
         return m.reshape(*m.shape[:-2], -1)
 
-    return _fro(_r(flat(x1 - x2), flat(x2)) @ _r(flat(y1), flat(y1 - y2)).mT)
+    with np.errstate(over="ignore", invalid="ignore"):  # factors past float64's range give inf or NaN, as in fro_norm
+        return _fro(_r(flat(x1 - x2), flat(x2)) @ _r(flat(y1), flat(y1 - y2)).mT)
 
 
 def modular_roots(phi, psi):
@@ -464,7 +466,8 @@ def modular_delta(triple):
     eta, xi = triple.s.factors
     a, b = triple.delta.factors
     gap = _kron_gap((xi.mT @ np.conj(xi), eta.mT @ np.conj(eta)), (a, b))
-    w_a, w_b = (np.linalg.eigvalsh((m + m.conj().mT) / 2) for m in (a, b))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_a, w_b = (np.linalg.eigvalsh((m + m.conj().mT) / 2) for m in (a, b))
     low = (w_a[..., :, None] * w_b[..., None, :]).min(axis=(-2, -1))
     return _relative(np.maximum(gap, np.maximum(0.0, -low)), _fro(a), _fro(b))
 
@@ -745,50 +748,43 @@ def luders_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     pairs = [(da, db) for da in small for db in small]
 
     def layout(da, db):
-        """The Haar basis, probe and operator, then a full basis when da·db <= 6."""
-        n = da * db
-        return ((n, n), (da,), (da, da)) + (((n, n),) if n <= 6 else ())
+        """The Haar basis, probe, mixing block and operator: one run of normals."""
+        return (da * db, da * db), (da,), (da * db, da * db), (da, da)
 
     def draw(rng, t):
-        """Ancilla, rank, basis and probe, mixing unitary, operator and full basis; x holds the unitary last, padded."""
+        """Ancilla, rank, then the layout's run."""
         (da, db), dc = pairs[t % len(pairs)], small[t % len(small)]
         x_phi, rank = rng.standard_normal(normal_count((db, dc))), 1 + int(rng.integers(da * db))
-        head, end = normal_count(*layout(da, db)[:2]), normal_count(*layout(da, db))
-        x = np.zeros(end + 2 * (da * db) ** 2)
-        for run in (x[:head], x[end : end + 2 * rank * rank], x[head:end]):
-            rng.standard_normal(out=run)
-        return (da, db, dc), (x_phi, x, rank, t)
+        return (da, db, dc), (x_phi, rng.standard_normal(normal_count(*layout(da, db))), rank)
 
     def shapes(da, db, dc):
-        """Ancilla, basis, probe, operator, unitary normals, rank, completeness residual."""
-        return (db, dc), (da * db, da, db), (da,), (da, da), (2 * (da * db) ** 2,), (), ()
+        """Ancilla, basis, probe, mixing block, operator, rank, completeness residual."""
+        return (db, dc), (da * db, da, db), (da,), (da * db, da * db), (da, da), (), ()
 
     def split(k, stacks):
         """The arrays at the trial's dims, and completeness there: zero vectors would pad no basis on the rank axis."""
-        (da, db, dc), (x_phi, x, rank, t), n = k, stacks, k[0] * k[1]
-        basis, probe, nu, *full = split_complex(x, *layout(da, db))
-        phi, nu = bp.BipartiteVector(unit(complex_from(x_phi, db, dc), 2)), nu @ nu.conj().mT
-        complete = np.full(t.shape, -1.0)  # -1: no full basis past da·db = 6
-        if full:
-            ch = tp.luders_channel(bp.BipartiteVector(haar(full[0]).mT.reshape(-1, n, da, db)), phi)
-            complete = np.abs(_trace(tp.luders_apply(ch, nu)).real - phi.norm() ** 2 * _trace(nu).real)
-        return phi.coeff, haar(basis).mT.reshape(-1, n, da, db), unit(probe), nu, x[..., -2 * n * n :], rank, complete
+        (da, db, dc), (x_phi, x, rank), n = k, stacks, k[0] * k[1]
+        basis, probe, mix, nu = split_complex(x, *layout(da, db))
+        phi, psis = bp.BipartiteVector(unit(complex_from(x_phi, db, dc), 2)), haar(basis).mT.reshape(-1, n, da, db)
+        nu = nu @ nu.conj().mT
+        ch = tp.luders_channel(bp.BipartiteVector(psis), phi)
+        complete = np.abs(_trace(tp.luders_apply(ch, nu)).real - phi.norm() ** 2 * _trace(nu).real)
+        return phi.coeff, psis, unit(probe), mix, nu, rank, complete
 
     # One padded group, split by rank where the rank axis enters; origins carry (da, db, dc, rank).
     pad = Pad([(*p, dc) for p in pairs for dc in small], shapes, split)
     groups = _groups(table, seed, STREAMS["luders"], trials, draw, pad)
-    for rec, _, (c_phi, psis, probe, nu, x_mix, rank, complete) in groups:
-        rank, complete = np.asarray(rank), np.asarray(complete)
+    for rec, _, (c_phi, psis, probe, mix, nu, rank, complete) in groups:
+        rank = np.asarray(rank)
         origins = [(s, t, (*d, int(r))) for (s, t, d), r in zip(rec.origins, np.ravel(rank))]
-        if (full := complete >= 0).any():
-            table.record("luders.completeness", complete[full], [o for o, f in zip(origins, np.ravel(full)) if f])
+        table.record("luders.completeness", complete, origins)
         for r in sorted(set(np.ravel(rank).tolist())):
             sel = rank == r if rank.ndim else ...  # a single trial's arrays are taken whole
             rec = Record(table, [o for o in origins if o[2][3] == r])
             psis_r, phi = bp.BipartiteVector(psis[sel][..., :r, :, :]), bp.BipartiteVector(c_phi[sel])
             ch, _ = luders_checks(rec, psis_r, phi, probe[sel])
-            mix, nu_r = haar(complex_from(x_mix[sel][..., : 2 * r * r], r, r)), nu[sel]
-            mixed = bp.BipartiteVector((mix.mT @ ch.psis.to_vector()).reshape(ch.psis.coeff.shape))
+            mix_r, nu_r = haar(mix[sel][..., :r, :r]), nu[sel]
+            mixed = bp.BipartiteVector((mix_r.mT @ ch.psis.to_vector()).reshape(ch.psis.coeff.shape))
             out = tp.luders_apply(ch, nu_r)
             rec("luders.independence", _fro(out - tp.luders_apply(tp.luders_channel(mixed, ch.ancilla_phi), nu_r)))
             rec("luders.trace_bound", np.maximum(0.0, _trace(out).real - ch.ancilla_norm_sq * _trace(nu_r).real))

@@ -289,3 +289,9 @@ class TestChain:
         t1 = random_map(rng, 3, 2)
         t2 = random_map(rng, 4, 3)
         assert_allclose(chain([t1, t2]), compose_aa(t2, t1), atol=1e-15)
+
+    def test_maps_that_do_not_compose_are_refused(self):
+        rng = seeded_rng(21)
+        t1, t2 = random_map(rng, 3, 2), random_map(rng, 4, 2)  # t1 lands in C^3, t2 takes C^2
+        with pytest.raises(errors.DimMismatch, match=r"^chain break: map wants 2, has 3$"):
+            chain([t1, t2])

@@ -235,6 +235,55 @@ def test_matcore_draws_each_trial_once_with_the_parent_two_draws(monkeypatch):
             assert np.array_equal(y, rng_for(3, 5, t).standard_normal(head + tail)[head:])
 
 
+class LoggedRng:
+    """A generator that appends (method, first argument) to `log` on each call before making it."""
+
+    def __init__(self, rng, log):
+        self.rng, self.log = rng, log
+
+    def __getattr__(self, name):
+        def call(arg, *args, **kwargs):
+            self.log.append((name, arg))
+            return getattr(self.rng, name)(arg, *args, **kwargs)
+
+        return call
+
+
+def test_luders_draws_its_ancilla_its_rank_and_one_run(monkeypatch):
+    """Each Lüders trial draws its ancilla's normals, its rank with one integers call and one run of normals laid
+    out as (Haar basis n×n, probe d_a, mixing block n×n, operator d_a×d_a), n = d_a·d_b, and nothing more."""
+    calls, members = {}, {}
+
+    def groups(table, seed, stream, trials, draw, pad=None):
+        def logged(rng, t):
+            calls[t] = []
+            return draw(LoggedRng(rng, calls[t]), t)
+
+        return GROUPS(table, seed, stream, trials, logged, pad)
+
+    def stack(table, stream, drawn, pad=None):
+        members.update((t, (dims, arrays)) for t, dims, arrays in drawn)
+        return STACK(table, stream, drawn, pad)
+
+    monkeypatch.setattr(vf, "_groups", groups)
+    monkeypatch.setattr(vf, "_stack", stack)
+    for dims in [(2, 3, 4), (1, 2), (3,)]:
+        calls.clear(), members.clear()
+        vf.luders_suite(vf.ResidualTable(), 3, list(dims), range(100))
+        small = [d for d in dims if d <= 3] or [2]
+        pairs = [(da, db) for da in small for db in small]
+        for t in range(100):
+            (da, db), dc = pairs[t % len(pairs)], small[t % len(small)]
+            n, head = da * db, sampling.normal_count((db, dc))
+            run = sampling.normal_count((n, n), (da,), (n, n), (da, da))
+            assert calls[t] == [("standard_normal", head), ("integers", n), ("standard_normal", run)]
+            rng = rng_for(3, 90, t)
+            x_phi, rank, x = rng.standard_normal(head), 1 + int(rng.integers(n)), rng.standard_normal(run)
+            got_dims, (y_phi, y, r) = members[t]
+            assert got_dims == (da, db, dc) and r == rank
+            assert np.array_equal(y_phi, x_phi) and np.array_equal(y, x)
+
+
 @pytest.mark.parametrize("order", ["finite first", "nan first"])
 def test_nan_residual_wins_in_either_order(order):
     finite, nan = ([2e-16], [(10, 0, (2, 2))]), ([np.nan], [(10, 1, (3, 3))])
@@ -260,9 +309,12 @@ def test_ties_go_to_the_lowest_trial(top):
     assert np.array_equal(result.residual, top, equal_nan=True) and result.worst == (10, 3, (3, 3))
 
 
-@pytest.mark.parametrize("dims", [(2, 3, 4), (1, 2)])
+@pytest.mark.parametrize("dims", [(2, 3, 4), (1, 2), (3,)])
 def test_luders_origins_carry_channel_dims_and_rank(dims):
-    """Every luders.* worst origin is (90, trial, (da, db, dc, rank)) with the trial's own draw, and replays alone."""
+    """Every luders.* worst origin is (90, trial, (da, db, dc, rank)) with the trial's own draw, and replays alone.
+
+    All five identities report at every dims: at (3,) each channel has d_a·d_b = 9 and completeness still runs.
+    """
     results = [r for r in vf.run_all(seed=1, dims=dims) if r.name.startswith("luders.")]
     small = [d for d in dims if d <= 3] or [2]
     pairs = [(da, db) for da in small for db in small]

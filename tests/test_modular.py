@@ -699,6 +699,16 @@ class TestFactorRoutes:
         triple = tomita_S(phi, psi)
         assert np.isnan(modular_reconstruction(triple, modular_roots(phi, psi)))
 
+    def test_factor_routes_past_float64_range_warn_nothing(self):
+        # The same pair: its Delta factors overflow in their Hermitian parts and the Kronecker gap of S* ∘ S
+        # meets inf - inf.  The suite turns warnings into errors, so every factor route must compute in silence.
+        phi, psi = BipartiteVector(np.full((2, 2), 9e153)), BipartiteVector(1.2e-154 * bell(2).coeff)
+        table = ResidualTable()
+        verify.modular_checks(verify.Record(table, [None]), phi, psi)
+        residuals = {r.name: r.residual for r in table.results()}
+        assert set(residuals) == {n for n in TOLERANCES if n.startswith("modular.") and n != "modular.fixed_point"}
+        assert np.isnan(residuals["modular.delta"]) and np.isnan(residuals["modular.reconstruction"])
+
     @pytest.mark.parametrize("c", [3.0, 1e-3, 2.0 - 1.0j])
     def test_rescaled_factors_pass(self, c):
         # (c eta) ⊗̃ (xi / c) is the same operator; no identity may see the scale.

@@ -5,14 +5,16 @@ the default dims (`--seed 1 --dims 16 --trials 8`, `--seed 2 --dims 1 5
 --trials 9`, and `--seed 3 --dims 1 2 --trials 40`, whose Lüders groups mix
 full-basis and rank-one channels at da·db = 1, 2 and 4), the 1765
 commands of the seed-1 `cli-session` benchmark list
-(`perfbench/inputs.session_ops(1, 353)`, read only) and nine hand-made edge
+(`perfbench/inputs.session_ops(1, 353)`, read only) and ten hand-made edge
 inputs: `modular` on a Bell φ and ψ = 10^-k·G for k = 50, 90, 100 and 160,
 with G the complex Gaussian 2×2 of `numpy.random.default_rng(3)`, and `epr`
 on, and `modular` with φ, the 2×2 state with every entry 1e150; two
 large-ancilla inputs, `luders` with a Bell ψ and the 2×2 ancilla with every
-entry 1e100, and `chain` on [Bell, that ancilla]; and `modular` on a Bell φ
-and the product ψ = e₀⊗e₀ (exit 2, not completely entangled).  These reach
-the overflow, NaN and refusal paths.  Nine refusals (exit 2) digest the
+entry 1e100, and `chain` on [Bell, that ancilla]; `modular` on a Bell φ
+and the product ψ = e₀⊗e₀ (exit 2, not completely entangled); and `modular`
+on φ with every entry 9e153 and ψ = 1.2e-154·Bell, whose finite factors
+overflow in the factor routes.  These reach the overflow, NaN and refusal
+paths.  Nine refusals (exit 2) digest the
 `error:` lines that name operands: operands of dims that do not fit together
 (`luders` with a 2×2 Bell `psis` and a 3×3 `phi_bc`, `chain` on [2×2 Bell,
 3×3 Bell], `modular` on that pair), a `teleport` whose `psi_ab` is twice a
@@ -22,7 +24,7 @@ Bell state, a `luders` whose `psis` holds one Bell state twice, an empty
 `random` runs digest the bits of `sampling.state_from_rng` and its
 entanglement check: `--entangled` at dims 1 1 (seed 5), 2 2 (seed 7), 3 3
 (seed 1) and 4 4 (seed 2), and dims 2 3 at seed 8 without it and with it
-(exit 2).  1892 invocations in all.
+(exit 2).  1893 invocations in all.
 Every invocation goes through `eprkit.cli.main` in process, with its input
 files and reports in a temporary directory.  Run it once against each of
 two source trees and diff the outputs: equal lines mean equal exit codes and
@@ -87,6 +89,9 @@ def edge_inputs() -> tuple[list[list[str]], dict[str, bytes]]:
     argvs = [["modular", "edge-bell.json", f"edge-psi-{k}.json"] for k in EDGE_K] + [["epr", "edge-big.json"]]
     argvs += [["modular", "edge-big.json", "edge-bell.json"], ["modular", "edge-bell.json", "edge-product.json"]]
     argvs += [["luders", "edge-luders.json"], ["chain", "edge-chain.json"]]
+    files["edge-9e153.json"] = _json(_state(np.full((2, 2), 9e153)))
+    files["edge-small-bell.json"] = _json(_state(1.2e-154 * np.eye(2) / np.sqrt(2)))
+    argvs += [["modular", "edge-9e153.json", "edge-small-bell.json"]]
     bell3, overflowing = _state(np.eye(3) / np.sqrt(3)), _state(np.full((2, 2), 1e200))
     refused = {
         "luders-mismatch": {"psis": [bell], "phi_bc": bell3},
