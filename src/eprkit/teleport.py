@@ -95,10 +95,15 @@ def _project(full: np.ndarray, before: int, w: np.ndarray) -> np.ndarray:
 
 
 def _factor_out(result: np.ndarray, measured: np.ndarray, dim_rest: int, what: str) -> np.ndarray:
-    """Extract x from result = measured ⊗ x, checking the rank-one residual of every member."""
+    """Extract x from result = measured ⊗ x, checking every member's rank-one residual relative to max(1, ||result||).
+
+    A result whose squares overflow gives a NaN or 0 ratio, which passes: the caller's identity reports the result.
+    """
     r = result.reshape(*result.shape[:-1], measured.shape[-1], dim_rest)
-    x = (np.conj(measured)[..., None, :] @ r)[..., 0, :]
-    residual = np.asarray(fro_norm(r - measured[..., :, None] * x[..., None, :]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = (np.conj(measured)[..., None, :] @ r)[..., 0, :]
+        rank_one = fro_norm(r - measured[..., :, None] * x[..., None, :])
+        residual = np.asarray(rank_one / np.maximum(1.0, fro_norm(result, 1)))
     if (residual > FACTOR_TOL).any():
         label, i = _member(what, residual > FACTOR_TOL)
         raise FactorizationFailure(f"{label}: residual {residual[i]:.3e} exceeds {FACTOR_TOL:.0e}")

@@ -1,15 +1,15 @@
 """Residual suites: every analytic identity of the library re-checked on seeded random instances.
 
-Each suite draws through one routine, _groups, by its shapes if its stream
-holds only normals (_complex_trials), else by a draw of its own (_groups
-says why): trial t draws from the sub-stream (seed, suite tag, t), the tags
-in STREAMS, so any reported residual is reproducible in isolation, with no
-arithmetic and one generator call per run of normals; the run's table seeds
-all 13 streams in one pass.  The trials are grouped by dims and stacked in
-one pass; the six suites whose identities hold exactly on zero-bordered
-operands (epr, antilinear, polar, crossgram, teleport, luders) pad every
-trial within PAD_DIM into one stack, luders splitting it by rank only for
-the identities whose arrays carry the rank axis.  A suite that needs a
+Each suite draws through one routine, _groups: trial t, at the dims
+dims_list[t % len(dims_list)], draws one run of normal_count(*shapes(*dims))
+standard normals from the sub-stream (seed, suite tag, t), the tags in
+STREAMS, so (seed, tag, t, dims) and the suite's shapes alone redraw any
+reported residual; the run's table seeds all 14 streams in one pass.  The
+trials are grouped by dims and stacked in one pass; the six suites whose
+identities hold exactly on zero-bordered operands (epr, antilinear, polar,
+crossgram, teleport, luders) pad every trial within PAD_DIM into one stack,
+luders splitting it by rank only for the identities whose arrays carry the
+rank axis.  A suite that needs a
 completely entangled state leaves the check to tomita_S, which raises
 NotSeparating naming the member.  Each identity is evaluated once per
 group on value types that hold the whole stack, on the code path a single
@@ -41,7 +41,7 @@ from . import linalg as la
 from . import modular as md
 from . import teleport as tp
 from .errors import ToleranceExceeded
-from .sampling import complex_from, haar, normal_count, split_complex, trial_rngs, unit
+from .sampling import haar, normal_count, split_complex, trial_rngs, unit
 
 TOLERANCES = {
     "matcore.svd_reconstruct": 1e-10,
@@ -95,9 +95,9 @@ TOLERANCES = {
 BOUND_PROBES = 100  # random inputs per teleport trial that the success bound must dominate
 ORACLE_DIM = 4  # modular_suite also runs the dense d²×d² oracles up to this d
 PAD_DIM = 4  # a padded suite stacks its trials with every d up to this one, zero-padded, as one group
-# Each suite's stream tag: trial t of the suite draws from the sub-stream (seed, tag, t).
-STREAMS = dict(matcore=5, epr=10, antilinear=20, polar=30, partner=40, cloning=50, crossgram=60, purification=70,
-               teleport=80, luders=90, chain=100, twisted=110, modular=120)
+# Each suite's stream tag, and matcore's pair identity's: trial t draws from the sub-stream (seed, tag, t).
+STREAMS = dict(matcore=5, matcore_pair=6, epr=10, antilinear=20, polar=30, partner=40, cloning=50, crossgram=60,
+               purification=70, teleport=80, luders=90, chain=100, twisted=110, modular=120)
 
 
 @dataclass(frozen=True)
@@ -201,15 +201,18 @@ class Record(NamedTuple):
 class Pad(NamedTuple):
     dims: list  # the dims a padded suite draws, [] for none: those within PAD_DIM pad to the largest on each axis
     shapes: Callable  # shapes(*dims): the shape of each array split returns, per trial
-    split: Callable  # split(dims, stacks): the stacked draws of trials at dims as the arrays the suite reads
+    split: Callable  # split(dims, stacks): the stacked runs of the trials at dims as the arrays the suite reads
 
 
-def _groups(table: ResidualTable, seed: int, stream: int, trials: Iterable[int], draw, pad: Pad | None = None):
+def _groups(table: ResidualTable, seed: int, stream: int, trials: Iterable[int], dims_list, shapes,
+            padded: bool = False, pad: Pad | None = None):
     """One suite's trials, drawn, grouped and stacked: yields (rec, dims, stacks) per group.
 
-    draw(rng, t) returns trial t's (dims, arrays) from the generator of (seed,
-    stream, t), built by table.rngs.  Trials group by dims; a group's stacks
-    are its draws stacked, or pad.split of them.  With pad.dims, the dims the
+    Trial t, at dims = dims_list[t % len(dims_list)], draws one run of
+    normal_count(*shapes(*dims)) standard normals from the generator of
+    (seed, stream, t), built by table.rngs.  Trials group by dims; a group's
+    stacks are pad.split of its runs, by default the complex arrays of
+    shapes(*dims) in order.  With padded, or a pad whose dims are the dims the
     suite draws, every trial whose dims are all within PAD_DIM joins one group
     whose dims, the target, are the largest such on each axis: a function of
     the suite's dims argument alone, so a trial replayed alone pads the same.
@@ -218,14 +221,13 @@ def _groups(table: ResidualTable, seed: int, stream: int, trials: Iterable[int],
     Groups come in first-seen order, the trials of a group in trial order;
     rec, a Record, holds each member's (stream, trial, real dims) as
     rec.origins and enters one residual per member into the table.
-    Four suites pass a draw, not shapes: matcore keeps its pair's normals
-    for _stack, polar draws a row index with integers, cloning two uniform
-    weight vectors, and luders its rank with integers between its ancilla's
-    normals and its run.
     """
-    trials = list(trials)
-    yield from _stack(table, stream, [(t, *draw(rng, t)) for t, rng in zip(trials, table.rngs(seed, stream, trials))],
-                      pad)
+    trials, members = list(trials), []
+    for t, rng in zip(trials, table.rngs(seed, stream, trials)):
+        dims = dims_list[t % len(dims_list)]
+        members.append((t, dims, (rng.standard_normal(normal_count(*shapes(*dims))),)))
+    pad = pad or Pad(dims_list if padded else [], shapes, lambda dims, x: split_complex(x[0], *shapes(*dims)))
+    yield from _stack(table, stream, members, pad)
 
 
 def _stack(table: ResidualTable, stream: int, members, pad: Pad | None = None):
@@ -247,16 +249,6 @@ def _stack(table: ResidualTable, stream: int, members, pad: Pad | None = None):
                 for out, p in zip(stacks, parts):
                     out[(at, *map(slice, p.shape[1:]))] = p
         yield Record(table, origins), key, stacks
-
-
-def _complex_trials(table, seed: int, stream: int, trials: Iterable[int], dims_list, shapes, padded: bool = False):
-    """_groups for trials of normals only: dims_list[t % len] and one call for shapes(*dims); yields complex arrays."""
-    def draw(rng, t):
-        dims = dims_list[t % len(dims_list)]
-        return dims, (rng.standard_normal(normal_count(*shapes(*dims))),)
-
-    pad = Pad(dims_list if padded else [], shapes, lambda dims, x: split_complex(x[0], *shapes(*dims)))
-    return _groups(table, seed, stream, trials, draw, pad)
 
 
 def epr_checks(rec, state, phi_a, phi_b, chi):
@@ -560,26 +552,16 @@ def modular_intertwine_oracle(triple, roots):
 
 
 def matcore_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
-    sizes, pairs, tails = sorted(set(list(dims) + [16])), _dim_pairs(dims), []
-
-    def draw(rng, t):
-        """One run: the square's normals, then the pair's, kept in tails as the pair identity's member."""
-        d, (da, db) = sizes[t % len(sizes)], pairs[t % len(pairs)]
-        head = normal_count(*[(d, d)] * 4)
-        x = rng.standard_normal(head + normal_count((da * db, da * db), (da, da)))
-        tails.append((t, (da, db), (x[head:],)))
-        return (d,), (x[:head],)
-
-    for rec, (d,), (x,) in _groups(table, seed, STREAMS["matcore"], trials, draw):
-        m, *psd = split_complex(x, *[(d, d)] * 4)
+    trials, squares = list(trials), [(d,) for d in sorted(set(list(dims) + [16]))]
+    for rec, _, (m, *psd) in _groups(table, seed, STREAMS["matcore"], trials, squares, lambda d: ((d, d),) * 4):
         h, rho, omega = (z @ z.conj().mT for z in psd)
         rec("matcore.svd_reconstruct", _fro(la.svd(m).reconstruct() - m))
         s = la.psd_sqrt(h)
         rec("matcore.psd_sqrt", _fro(s @ s - h))
         r, o = la.psd_sqrt(rho), la.psd_sqrt(omega)  # the bits of fidelity(rho, omega) and fidelity(omega, rho)
         rec("matcore.fidelity_symmetry", np.abs(la._fidelity_of(r, o) - la._fidelity_of(o, r)))
-    for rec, (da, db), (x,) in _stack(table, STREAMS["matcore"], tails):
-        big, u_a = split_complex(x, (da * db, da * db), (da, da))
+    pairs, shapes = _dim_pairs(dims), lambda da, db: ((da * db, da * db), (da, da))
+    for rec, (da, db), (big, u_a) in _groups(table, seed, STREAMS["matcore_pair"], trials, pairs, shapes):
         big, u = big @ big.conj().mT, la.kron(haar(u_a), np.eye(db))
         moved = la.partial_trace(u @ big @ u.conj().mT, da, db, "b")
         # relative to the Gram matrix: the rounding of u @ big @ u† grows with ||big||_F, ~n^1.5 at n = d_a·d_b
@@ -590,7 +572,7 @@ def epr_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     def shapes(da, db):
         return (da, db), (da,), (db,), (da, db), (da, da), (da, da), (db, db)
 
-    groups = _complex_trials(table, seed, STREAMS["epr"], trials, _dim_pairs(dims), shapes, padded=True)
+    groups = _groups(table, seed, STREAMS["epr"], trials, _dim_pairs(dims), shapes, padded=True)
     for rec, (da, _), draws in groups:
         c, phi_a, phi_b, chi, a_psd, a_op, b_op = draws
         c, phi_a, chi, a_psd = unit(c, 2), unit(phi_a), unit(chi, 2), a_psd @ a_psd.conj().mT
@@ -611,7 +593,7 @@ def antilinear_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int
     def shapes(da, db):
         return (db, da), (da, db), (da,), (db,), (db, db), (da, da)
 
-    draws = _complex_trials(table, seed, STREAMS["antilinear"], trials, _dim_pairs(dims), shapes, padded=True)
+    draws = _groups(table, seed, STREAMS["antilinear"], trials, _dim_pairs(dims), shapes, padded=True)
     for rec, _, (m1, m2, x, y, lin_cod, lin_dom) in draws:
         t1, t2 = al.AntilinearMap(m1), al.AntilinearMap(m2)
         rec("anti.adjoint_pairing", np.abs(_vdot(y, al.apply(t1, x)) - _vdot(x, al.apply(al.adjoint(t1), y))))
@@ -633,17 +615,11 @@ def antilinear_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int
 
 
 def polar_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
-    pairs = _dim_pairs(dims)
-
-    def draw(rng, t):
-        """Random unit coefficient matrix; every third trial has one row zeroed (row -1: none)."""
-        da, db = pairs[t % len(pairs)]
-        x = rng.standard_normal(normal_count((da, db)))
-        return (da, db), (x, int(rng.integers(da)) if t % 3 == 2 and da > 1 else -1)
-
-    pad = Pad(pairs, lambda da, db: ((da, db), ()), lambda dims, xr: (complex_from(xr[0], *dims), xr[1]))
-    for rec, (da, _), (c, row) in _groups(table, seed, STREAMS["polar"], trials, draw, pad):
-        zeroed = np.arange(da)[:, None] == np.asarray(row)[..., None, None]
+    groups = _groups(table, seed, STREAMS["polar"], trials, _dim_pairs(dims), lambda da, db: ((da, db),), padded=True)
+    for rec, (da, _), (c,) in groups:
+        # a random unit coefficient matrix; trial t = 2 mod 3 with d_a > 1 zeroes its row t // 3 mod d_a (-1: none)
+        rows = [t // 3 % a if t % 3 == 2 and a > 1 else -1 for _, t, (a, _) in rec.origins]
+        zeroed = np.arange(da)[:, None] == np.reshape(rows, np.shape(c)[:-2])[..., None, None]
         psi = bp.BipartiteVector(unit(np.where(zeroed, 0.0, c), 2))
         pair = bp.epr_maps(psi)
         parts, parts_ab = al.polar(pair.s_ba), al.polar(pair.s_ab)
@@ -675,7 +651,7 @@ def polar_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
 
 def partner_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     squares, shapes = [(d,) for d in _square_dims(dims)], lambda d: ((d, d), (d, d))
-    for rec, _, (c_psi, a_op) in _complex_trials(table, seed, STREAMS["partner"], trials, squares, shapes):
+    for rec, _, (c_psi, a_op) in _groups(table, seed, STREAMS["partner"], trials, squares, shapes):
         psi = bp.BipartiteVector(unit(c_psi, 2))
         parts = bp.polar_of_state(psi)
         b_op = bp.partner_operator(a_op, parts)
@@ -685,15 +661,10 @@ def partner_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
 
 
 def cloning_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
-    squares = _square_dims(dims)
-
-    def draw(rng, t):
-        d = squares[t % len(squares)]
-        return (d,), (rng.standard_normal(normal_count((d, d), (d, d))), rng.random(d), rng.random(d))
-
-    for rec, (d,), (x, p, q) in _groups(table, seed, STREAMS["cloning"], trials, draw):
-        u_a, u_b = (haar(z) for z in split_complex(x, (d, d), (d, d)))
-        diags = (np.eye(d) * np.sqrt(w / w.sum(-1, keepdims=True))[..., None, :] for w in (p + 0.05, q + 0.05))
+    squares, shapes = [(d,) for d in _square_dims(dims)], lambda d: ((d, d), (d, d), (d,), (d,))
+    for rec, (d,), (a, b, p, q) in _groups(table, seed, STREAMS["cloning"], trials, squares, shapes):
+        u_a, u_b, weights = haar(a), haar(b), (np.abs(z) + 0.05 for z in (p, q))
+        diags = (np.eye(d) * np.sqrt(w / w.sum(-1, keepdims=True))[..., None, :] for w in weights)
         phi, psi = (u_a @ diag @ u_b.conj().mT for diag in diags)
         hermitian, commutator = bp.cloning_check(bp.BipartiteVector(phi), bp.BipartiteVector(psi))
         rec("cloning.commutator", np.where(hermitian, commutator, 1.0))
@@ -703,7 +674,7 @@ def crossgram_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]
     def shapes(da, db):
         return (da, db), (da, db), (db, db)
 
-    draws = _complex_trials(table, seed, STREAMS["crossgram"], trials, _dim_pairs(dims), shapes, padded=True)
+    draws = _groups(table, seed, STREAMS["crossgram"], trials, _dim_pairs(dims), shapes, padded=True)
     for rec, (da, db), (c_phi, c_psi, b_op) in draws:
         c_phi, c_psi = unit(c_phi, 2), unit(c_psi, 2)
         phi, psi = bp.BipartiteVector(c_phi), bp.BipartiteVector(c_psi)
@@ -720,7 +691,7 @@ def crossgram_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]
 
 def purification_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     squares, shapes = [(d,) for d in _square_dims(dims)], lambda d: ((d, d), (d, d))
-    for rec, _, (a, w) in _complex_trials(table, seed, STREAMS["purification"], trials, squares, shapes):
+    for rec, _, (a, w) in _groups(table, seed, STREAMS["purification"], trials, squares, shapes):
         omega = a @ a.conj().mT
         omega = omega / np.asarray(_trace(omega).real)[..., None, None]
         psi = bp.purification_from_isometry(omega, al.AntilinearMap(haar(w)))
@@ -734,7 +705,7 @@ def teleport_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int])
     def shapes(da, db, dc):
         return (da, db), (db, dc), (da,), (BOUND_PROBES, da)
 
-    groups = _complex_trials(table, seed, STREAMS["teleport"], trials, triples, shapes, padded=True)
+    groups = _groups(table, seed, STREAMS["teleport"], trials, triples, shapes, padded=True)
     for rec, _, (c_psi, c_phi, probe, rows) in groups:
         psi, phi = bp.BipartiteVector(unit(c_psi, 2)), bp.BipartiteVector(unit(c_phi, 2))
         tm, bound, _ = teleport_checks(rec, psi, phi, unit(probe))
@@ -745,37 +716,31 @@ def teleport_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int])
 
 def luders_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     small = [d for d in dims if d <= 3] or [2]
-    pairs = [(da, db) for da in small for db in small]
+    combos = [(da, db, small[k % len(small)]) for k, (da, db) in enumerate(_dim_pairs(small))]
 
-    def layout(da, db):
-        """The Haar basis, probe, mixing block and operator: one run of normals."""
-        return (da * db, da * db), (da,), (da * db, da * db), (da, da)
-
-    def draw(rng, t):
-        """Ancilla, rank, then the layout's run."""
-        (da, db), dc = pairs[t % len(pairs)], small[t % len(small)]
-        x_phi, rank = rng.standard_normal(normal_count((db, dc))), 1 + int(rng.integers(da * db))
-        return (da, db, dc), (x_phi, rng.standard_normal(normal_count(*layout(da, db))), rank)
+    def layout(da, db, dc):
+        """One run: the ancilla, Haar basis, probe, mixing block and operator."""
+        return (db, dc), (da * db, da * db), (da,), (da * db, da * db), (da, da)
 
     def shapes(da, db, dc):
-        """Ancilla, basis, probe, mixing block, operator, rank, completeness residual."""
-        return (db, dc), (da * db, da, db), (da,), (da * db, da * db), (da, da), (), ()
+        """Ancilla, basis, probe, mixing block, operator, completeness residual."""
+        return (db, dc), (da * db, da, db), (da,), (da * db, da * db), (da, da), ()
 
     def split(k, stacks):
         """The arrays at the trial's dims, and completeness there: zero vectors would pad no basis on the rank axis."""
-        (da, db, dc), (x_phi, x, rank), n = k, stacks, k[0] * k[1]
-        basis, probe, mix, nu = split_complex(x, *layout(da, db))
-        phi, psis = bp.BipartiteVector(unit(complex_from(x_phi, db, dc), 2)), haar(basis).mT.reshape(-1, n, da, db)
+        da, db, _ = k
+        c_phi, basis, probe, mix, nu = split_complex(stacks[0], *layout(*k))
+        phi, psis = bp.BipartiteVector(unit(c_phi, 2)), haar(basis).mT.reshape(-1, da * db, da, db)
         nu = nu @ nu.conj().mT
         ch = tp.luders_channel(bp.BipartiteVector(psis), phi)
         complete = np.abs(_trace(tp.luders_apply(ch, nu)).real - phi.norm() ** 2 * _trace(nu).real)
-        return phi.coeff, psis, unit(probe), mix, nu, rank, complete
+        return phi.coeff, psis, unit(probe), mix, nu, complete
 
     # One padded group, split by rank where the rank axis enters; origins carry (da, db, dc, rank).
-    pad = Pad([(*p, dc) for p in pairs for dc in small], shapes, split)
-    groups = _groups(table, seed, STREAMS["luders"], trials, draw, pad)
-    for rec, _, (c_phi, psis, probe, mix, nu, rank, complete) in groups:
-        rank = np.asarray(rank)
+    groups = _groups(table, seed, STREAMS["luders"], trials, combos, layout, pad=Pad(combos, shapes, split))
+    for rec, _, (c_phi, psis, probe, mix, nu, complete) in groups:
+        # trial t's rank cycles through 1 ... d_a·d_b over the trials at its dims
+        rank = np.reshape([1 + t // len(combos) % (d[0] * d[1]) for _, t, d in rec.origins], np.shape(complete))
         origins = [(s, t, (*d, int(r))) for (s, t, d), r in zip(rec.origins, np.ravel(rank))]
         table.record("luders.completeness", complete, origins)
         for r in sorted(set(np.ravel(rank).tolist())):
@@ -794,7 +759,7 @@ def chain_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     def shapes(*_):
         return (2, 2), (2, 2), (2, 2), (2, 2), (2,)
 
-    for rec, _, (*coeffs, probe) in _complex_trials(table, seed, STREAMS["chain"], trials, [(2, 2, 2, 2, 2)], shapes):
+    for rec, _, (*coeffs, probe) in _groups(table, seed, STREAMS["chain"], trials, [(2, 2, 2, 2, 2)], shapes):
         stages = [bp.BipartiteVector(unit(c, 2)) for c in coeffs]
         chain_checks(rec, stages, unit(probe))
 
@@ -804,7 +769,7 @@ def twisted_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         return ((d, d),) * 8
 
     squares = [(d,) for d in _square_dims(dims)]
-    for rec, _, draws in _complex_trials(table, seed, STREAMS["twisted"], trials, squares, shapes):
+    for rec, _, draws in _groups(table, seed, STREAMS["twisted"], trials, squares, shapes):
         m_eta, m_xi, lin_eta, lin_xi, m_eta2, m_xi2, c_phi, c_psi = draws
         eta, xi, eta2, xi2 = (al.AntilinearMap(m) for m in (m_eta, m_xi, m_eta2, m_xi2))
         prod, prod2 = md.twisted_product(eta, xi), md.twisted_product(eta2, xi2)
@@ -840,7 +805,7 @@ def twisted_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
 
 def modular_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
     squares, shapes = [(d,) for d in _square_dims(dims) if d >= 2] or [(2,)], lambda d: ((d, d), (d, d))
-    for rec, (d,), coeffs in _complex_trials(table, seed, STREAMS["modular"], trials, squares, shapes):
+    for rec, (d,), coeffs in _groups(table, seed, STREAMS["modular"], trials, squares, shapes):
         psi, phi = (bp.BipartiteVector(unit(c, 2)) for c in coeffs)
         triple, roots = modular_checks(rec, phi, psi)
         if d <= ORACLE_DIM:  # each factor route's dense oracle

@@ -70,7 +70,7 @@ def test_batched_suite_equals_per_trial_loop(suite, seed, monkeypatch):
     single = {r.name: r for r in looped.results()}
     # A suite that stacks around _stack would compare its batched path with itself.
     assert seen and all(ts == list(range(TRIALS)) for ts in seen), seen
-    assert len(seen) == 1 + (suite is vf.matcore_suite), seen  # matcore stacks its pair identity's members apart
+    assert len(seen) == 1 + (suite is vf.matcore_suite), seen  # matcore draws its pair identity from its own tag
     assert batched.keys() == single.keys()
     for name, r in batched.items():
         assert r.residual == single[name].residual, name
@@ -80,16 +80,16 @@ def test_batched_suite_equals_per_trial_loop(suite, seed, monkeypatch):
 PADDED = (vf.epr_suite, vf.antilinear_suite, vf.polar_suite, vf.crossgram_suite, vf.teleport_suite, vf.luders_suite)
 
 
-def unpadded_groups(table, seed, stream, trials, draw, pad=None):
+def unpadded_groups(table, seed, stream, trials, dims_list, shapes, padded=False, pad=None):
     """verify._groups with every trial grouped by its own dims: a padded suite as it ran before padding."""
-    return GROUPS(table, seed, stream, trials, draw, pad and pad._replace(dims=[]))
+    return GROUPS(table, seed, stream, trials, dims_list, shapes, False, pad and pad._replace(dims=[]))
 
 
 def spied_groups(seen):
     """verify._groups that appends to `seen` each group's dims and the dims of its members."""
 
-    def groups(table, seed, stream, trials, draw, pad=None):
-        for rec, dims, stacks in GROUPS(table, seed, stream, trials, draw, pad):
+    def groups(*args, **kwargs):
+        for rec, dims, stacks in GROUPS(*args, **kwargs):
             seen.append((dims, [o[2] for o in rec.origins]))
             yield rec, dims, stacks
 
@@ -157,8 +157,8 @@ def test_every_reported_worst_trial_replays_bit_for_bit():
 
 
 def test_each_worst_stream_is_the_stream_its_trial_was_drawn_from(monkeypatch):
-    """Every reported worst (stream, trial) was drawn, each of the 13 suites draws from its own one tag in
-    verify.STREAMS, and one trial_rngs pass seeds them all."""
+    """Every reported worst (stream, trial) was drawn, each of the 13 suites draws from its own tags in
+    verify.STREAMS, one each but matcore's two, and one trial_rngs pass seeds all 14."""
     suite, streams, drawn, passes = [None], {}, set(), []
     plain_rngs, plain_trial_rngs = vf.ResidualTable.rngs, vf.trial_rngs
 
@@ -183,8 +183,8 @@ def test_each_worst_stream_is_the_stream_its_trial_was_drawn_from(monkeypatch):
     monkeypatch.setattr(vf, "SUITES", tuple(traced(s) for s in vf.SUITES))
     results = vf.run_all(seed=1, trials=12)
     assert all(r.worst[:2] in drawn for r in results)
-    assert len(streams) == 13 and all(len(tags) == 1 for tags in streams.values())
-    assert set().union(*streams.values()) == set(vf.STREAMS.values()) and len(vf.STREAMS) == 13
+    assert len(streams) == 13 and [len(tags) for tags in streams.values()] == [2] + [1] * 12
+    assert set().union(*streams.values()) == set(vf.STREAMS.values()) and len(vf.STREAMS) == 14
     assert passes == [list(vf.STREAMS.values())]
 
 
@@ -202,39 +202,6 @@ def test_a_tag_outside_streams_draws_its_own_sub_stream():
     assert all(np.array_equal(x, rng_for(1, 999, t).standard_normal(3)) for t, x in enumerate(got))
 
 
-def test_matcore_draws_each_trial_once_with_the_parent_two_draws(monkeypatch):
-    """matcore draws each trial once and stacks two members of it: the square's normals, then the tail of one draw
-    of the square's and the pair's normals, the normals the earlier two passes over each trial's stream read."""
-    calls, members = {}, {}
-
-    def groups(table, seed, stream, trials, draw, pad=None):
-        def counted(rng, t):
-            calls[t] = calls.get(t, 0) + 1
-            return draw(rng, t)
-
-        return GROUPS(table, seed, stream, trials, counted, pad)
-
-    def stack(table, stream, drawn, pad=None):
-        for t, dims, arrays in drawn:
-            members.setdefault(t, []).append((dims, arrays))
-        return STACK(table, stream, drawn, pad)
-
-    monkeypatch.setattr(vf, "_groups", groups)
-    monkeypatch.setattr(vf, "_stack", stack)
-    for dims in [(2, 3, 4), (1, 5)]:
-        calls.clear(), members.clear()
-        vf.matcore_suite(vf.ResidualTable(), 3, list(dims), range(100))
-        assert calls == dict.fromkeys(range(100), 1)
-        sizes, pairs = sorted(set(dims) | {16}), [(da, db) for da in dims for db in dims]
-        for t in range(100):
-            ((square, (x,)), (pair, (y,))) = members[t]
-            d, (da, db) = sizes[t % len(sizes)], pairs[t % len(pairs)]
-            head, tail = sampling.normal_count(*[(d, d)] * 4), sampling.normal_count((da * db, da * db), (da, da))
-            assert square == (d,) and pair == (da, db)
-            assert np.array_equal(x, rng_for(3, 5, t).standard_normal(head))
-            assert np.array_equal(y, rng_for(3, 5, t).standard_normal(head + tail)[head:])
-
-
 class LoggedRng:
     """A generator that appends (method, first argument) to `log` on each call before making it."""
 
@@ -249,39 +216,32 @@ class LoggedRng:
         return call
 
 
-def test_luders_draws_its_ancilla_its_rank_and_one_run(monkeypatch):
-    """Each Lüders trial draws its ancilla's normals, its rank with one integers call and one run of normals laid
-    out as (Haar basis n×n, probe d_a, mixing block n×n, operator d_a×d_a), n = d_a·d_b, and nothing more."""
+@pytest.mark.parametrize("dims", [(2, 3, 4), (1, 5), (3,)])
+def test_each_trial_draws_one_run_of_normals_that_is_its_member(dims, monkeypatch):
+    """Every (stream, trial) of every tag in verify.STREAMS makes one generator call, a standard_normal run of its
+    member's size, and hands that run alone to _stack: (seed, tag, trial, dims) and the suite's shapes redraw it."""
     calls, members = {}, {}
+    plain_rngs = vf.ResidualTable.rngs
 
-    def groups(table, seed, stream, trials, draw, pad=None):
-        def logged(rng, t):
-            calls[t] = []
-            return draw(LoggedRng(rng, calls[t]), t)
-
-        return GROUPS(table, seed, stream, trials, logged, pad)
+    def rngs(table, seed, stream, trials):
+        trials = list(trials)
+        logs = [calls.setdefault((stream, t), []) for t in trials]
+        return map(LoggedRng, plain_rngs(table, seed, stream, trials), logs)
 
     def stack(table, stream, drawn, pad=None):
-        members.update((t, (dims, arrays)) for t, dims, arrays in drawn)
+        for t, _, arrays in drawn:
+            assert (stream, t) not in members
+            members[stream, t] = arrays
         return STACK(table, stream, drawn, pad)
 
-    monkeypatch.setattr(vf, "_groups", groups)
+    monkeypatch.setattr(vf.ResidualTable, "rngs", rngs)
     monkeypatch.setattr(vf, "_stack", stack)
-    for dims in [(2, 3, 4), (1, 2), (3,)]:
-        calls.clear(), members.clear()
-        vf.luders_suite(vf.ResidualTable(), 3, list(dims), range(100))
-        small = [d for d in dims if d <= 3] or [2]
-        pairs = [(da, db) for da in small for db in small]
-        for t in range(100):
-            (da, db), dc = pairs[t % len(pairs)], small[t % len(small)]
-            n, head = da * db, sampling.normal_count((db, dc))
-            run = sampling.normal_count((n, n), (da,), (n, n), (da, da))
-            assert calls[t] == [("standard_normal", head), ("integers", n), ("standard_normal", run)]
-            rng = rng_for(3, 90, t)
-            x_phi, rank, x = rng.standard_normal(head), 1 + int(rng.integers(n)), rng.standard_normal(run)
-            got_dims, (y_phi, y, r) = members[t]
-            assert got_dims == (da, db, dc) and r == rank
-            assert np.array_equal(y_phi, x_phi) and np.array_equal(y, x)
+    vf.run_all(seed=3, dims=dims)
+    assert calls.keys() == members.keys() == {(s, t) for s in vf.STREAMS.values() for t in range(100)}
+    for (stream, t), arrays in members.items():
+        (x,) = arrays
+        assert calls[stream, t] == [("standard_normal", x.size)], (stream, t)
+        assert np.array_equal(x, rng_for(3, stream, t).standard_normal(x.size)), (stream, t)
 
 
 @pytest.mark.parametrize("order", ["finite first", "nan first"])
@@ -322,9 +282,7 @@ def test_luders_origins_carry_channel_dims_and_rank(dims):
     for r in results:
         stream, trial, (da, db, dc, rank) = r.worst
         assert stream == 90 and (da, db) == pairs[trial % len(pairs)] and dc == small[trial % len(small)], r.name
-        rng = rng_for(1, 90, trial)
-        rng.standard_normal(sampling.normal_count((db, dc)))  # the ancilla's normals come before the rank
-        assert rank == 1 + rng.integers(da * db), r.name
+        assert rank == 1 + trial // len(pairs) % (da * db), r.name  # each dims' trials cycle through the ranks
         table = vf.ResidualTable()
         vf.luders_suite(table, 1, list(dims), [trial])
         assert {x.name: (x.residual, x.worst) for x in table.results()}[r.name] == (r.residual, r.worst), r.name

@@ -3,12 +3,13 @@
 Valid inputs, written with formats.bipartite_to_json and run through
 cli.main in process, must exit 0 with exactly one summary line on stderr,
 nothing on stdout and a report that parses as strict JSON.  The inputs:
-dims 1-4; unit Gaussian states and graded Schmidt spectra logspace(0, -k, m),
+dims 1-6; unit Gaussian states and graded Schmidt spectra logspace(0, -k, m),
 k in {2, 4}; Lüders channels on 1 to d_a·d_b columns of a Haar basis;
 two-hop chains; and for modular a full-rank square psi.  Four large-norm
-inputs that still exit 3 are marked as expected failures of ROADMAP item 1.
-Those inputs and two tiny modular psi, all of which exit 3, must print the
-summary line and then one "error:" line that names an identity.
+inputs that still exit 3 are marked as expected failures of ROADMAP item 1,
+and a chain whose dense oracle passes its size limit as one of item 4.
+Those four inputs and two tiny modular psi, all of which exit 3, must print
+the summary line and then one "error:" line that names an identity.
 
 Invalid inputs, the same valid inputs made wrong in one place (a state's
 declared shape or one [re, im] pair, a NaN or Infinity token, a truncated
@@ -45,7 +46,7 @@ SUMMARY = {  # how each subcommand's summary line starts
     "chain": "chain map ",
     "modular": "modular triple on ",
 }
-DIMS = st.integers(1, 4)
+DIMS = st.integers(1, 6)
 SPECTRA = st.sampled_from([None, 2, 4])  # a unit Gaussian state, or the graded spectrum logspace(0, -k, m)
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -135,6 +136,13 @@ def test_large_norm_input_exits_0(name):
     assert_contract(*LARGE_NORMS[name])
 
 
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="ROADMAP item 4: the chain oracle refuses total dimension 6^5 > 4096"
+)
+def test_chain_beyond_the_dense_oracle_limit_exits_0():
+    assert_contract("chain", [{"stages": [bipartite_to_json(bell(6))] * 4}])
+
+
 def small_psi(k: int) -> dict:
     """10^-k·G, with G the complex Gaussian 2×2 of numpy.random.default_rng(3): tiny, but completely entangled."""
     rng = np.random.default_rng(3)
@@ -144,12 +152,9 @@ def small_psi(k: int) -> dict:
 
 EXIT_3 = {**LARGE_NORMS, "modular-psi-1e-90": ("modular", [BELL, small_psi(90)]),
           "modular-psi-1e-100": ("modular", [BELL, small_psi(100)])}
-FACTOR_TOL_XFAIL = pytest.mark.xfail(
-    strict=True, raises=AssertionError, reason="ROADMAP item 1: chain's factor check holds the absolute FACTOR_TOL"
-)
 
 
-@pytest.mark.parametrize("name", [pytest.param(n, marks=FACTOR_TOL_XFAIL) if "chain" in n else n for n in EXIT_3])
+@pytest.mark.parametrize("name", list(EXIT_3))
 def test_exit_3_prints_the_summary_then_names_an_identity(name):
     """Exit 3: one summary line, then one "error:" line naming an identity; a null residual makes the max nan."""
     command, objs = EXIT_3[name]

@@ -512,6 +512,16 @@ class TestChain:
         with pytest.raises(errors.FactorizationFailure, match="oracle"):
             _factor_out(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2), np.array([1.0, 0.0]), 2, "oracle")
 
+    def test_factor_out_residual_is_relative_to_the_result(self):
+        # At norm 1e100 a product's rounding alone is ~1e84 absolute, yet it factors; an entangled result does not.
+        rng = seeded_rng(85)
+        measured, x = random_unitary(rng, 4)[:, 0], 1e100 * complex_normal(rng, 3)
+        got = _factor_out(np.kron(measured, x), measured, 3, "oracle")
+        assert np.linalg.norm(got - x) <= 1e-14 * np.linalg.norm(x)
+        entangled = 1e100 * np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
+        with pytest.raises(errors.FactorizationFailure, match="oracle"):
+            _factor_out(entangled, np.array([1.0, 0.0]), 2, "oracle")
+
     def test_oracle_guards_dimension(self):
         big = BipartiteVector(np.ones((8, 8)) / 8)
         with pytest.raises(errors.DimTooLarge):

@@ -42,3 +42,20 @@ def test_dumps_repeat_and_compare_reports_one_edited_residual(digests, tmp_path)
     assert [r.split("\t")[:4] for r in report[:-1]] == [["moved", seed, dims, name]]
     assert report[-1].startswith("summary\t") and ", 1 moved, 0 origins moved, 1 rises," in report[-1]
     assert report[-1].endswith(" draw digests, 0 changed")
+
+    # One draw digest edited, one gone and one of a new stream tag: each counted under its tag.
+    at = [k for k, line in enumerate(lines) if line.startswith("draw\t")]
+    low, high = (lines[k].rstrip("\n").split("\t") for k in (at[0], at[-1]))  # the lowest tag's, the highest's
+    edited = [line for k, line in enumerate(lines) if k != at[-1]]
+    edited[at[0]] = "\t".join([*low[:5], "0" * len(low[5])]) + "\n"
+    edited.append("\t".join(["draw", seed, dims, "999", "0", low[5]]) + "\n")
+    new.write_text("".join(edited))
+    out = io.StringIO()
+    digests.compare(str(old), str(new), out)
+    report = out.getvalue().splitlines()
+    assert [r.split("\t")[1:] for r in report if r.startswith("stream\t")] == [
+        [low[3], "1 changed, 0 new, 0 gone"],
+        [high[3], "0 changed, 0 new, 1 gone"],
+        ["999", "0 changed, 1 new, 0 gone"],
+    ]
+    assert sum(r.startswith("draw\t") for r in report) == 3 and report[-1].endswith(" draw digests, 3 changed")

@@ -10,10 +10,9 @@ line, tab-separated:
 
 The draw digest of (stream, trial) hashes, in call order, the dtype, shape
 and bytes of each (dims, arrays) member that trial hands to
-`verify._stack`: its draw's output, and matcore's pair normals as a second
-member.  It is taken by wrapping `_stack` from outside the package, before
-any grouping, padding or stacking: equal digests mean that every stream
-drew the same bits.  A tree from before `_stack` hashes the same members by
+`verify._stack`: its one run of standard normals.  It is taken by wrapping
+`_stack` from outside the package, before any grouping, padding or
+stacking: equal digests mean that every stream drew the same bits.  A tree from before `_stack` hashes the same members by
 wrapping each draw handed to `verify._groups` (its own copy of this tool
 does that).  Run each tree's own copy once and compare:
 
@@ -24,7 +23,9 @@ does that).  Run each tree's own copy once and compare:
 `--compare A B` lists each residual whose repr moved from A to B with the
 ratio B/A and B's share of its tolerance, each moved worst origin, each
 changed tolerance, each changed draw digest and each line present on one
-side only, then a summary whose `rises` counts the residuals that grew.
+side only; then, per stream tag with any such digest, how many changed,
+how many are new in B and how many are gone from A; then a summary whose
+`rises` counts the residuals that grew.
 The eprkit tree in use is named on stderr.
 """
 
@@ -123,11 +124,16 @@ def compare(path_a: str, path_b: str, out) -> None:
             out.write(f"origin\t{label}\t{wa} -> {wb}\n")
         if ta != tb:
             out.write(f"tolerance\t{label}\t{ta} -> {tb}\n")
-    changed = 0
+    changed, tags = 0, {}
     for key in sorted(draws_a.keys() | draws_b.keys(), key=lambda k: (k[0], k[1], int(k[2]), int(k[3]))):
-        if draws_a.get(key) != draws_b.get(key):
+        a, b = draws_a.get(key, "-"), draws_b.get(key, "-")
+        if a != b:
             changed += 1
-            out.write(f"draw\t{chr(9).join(key)}\t{draws_a.get(key, '-')} -> {draws_b.get(key, '-')}\n")
+            counts = tags.setdefault(int(key[2]), dict.fromkeys(("changed", "new", "gone"), 0))
+            counts["new" if a == "-" else "gone" if b == "-" else "changed"] += 1
+            out.write(f"draw\t{chr(9).join(key)}\t{a} -> {b}\n")
+    for tag, counts in sorted(tags.items()):
+        out.write(f"stream\t{tag}\t" + ", ".join(f"{n} {kind}" for kind, n in counts.items()) + "\n")
     out.write(
         f"summary\t{len(res_b)} residuals, {moved} moved, {origins} origins moved, {rises} rises, "
         f"largest rise factor {worst_rise:.3g}, largest share of tolerance {worst_share:.2e}; "
