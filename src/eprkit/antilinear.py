@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimMismatch
-from .linalg import SvdResult, _adopt, _out, _svd, as_matrix, frozen, rank_mask, seal
+from .linalg import SvdResult, _adopt, _out, _svd, as_matrix, as_vector, frozen, rank_mask, seal
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,7 @@ class AntilinearMap:
 
 def apply(t: AntilinearMap, v) -> np.ndarray:
     """Apply t to a vector, or to a stack (..., dim_domain) of them: mat @ conj(v)."""
-    vec = np.asarray(v, dtype=np.complex128)
-    if vec.ndim == 0 or vec.shape[-1] != t.dim_domain:
-        raise DimMismatch(f"vector length {vec.shape[-1:]} != domain dimension {t.dim_domain}")
-    return (t.mat @ np.conj(vec)[..., None])[..., 0]
+    return (t.mat @ np.conj(as_vector(v, t.dim_domain, "v"))[..., None])[..., 0]
 
 
 def adjoint(t: AntilinearMap) -> AntilinearMap:

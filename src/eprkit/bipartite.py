@@ -21,10 +21,11 @@ import numpy as np
 
 from .antilinear import AntilinearMap, PolarParts, adjoint, compose_aa, compose_mixed, polar
 from .errors import DimMismatch, NotIsometry, NotUnit
-from .linalg import _adopt, _member, _out, _sqrt_of, _support_of, as_matrix, finite, fro_norm, frozen, psd_eigh, seal
+from .linalg import _adopt, _member, _out, _sqrt_of, _support_of, as_matrix, as_square, as_vector, finite, fro_norm
+from .linalg import frozen, psd_eigh, seal
 
 UNIT_TOL = 1e-10
-HERMITICITY_TOL = 1e-9
+HERMITICITY_TOL = 1e-9  # cloning_check's bound on max |X - X†|, times max |X_ij|
 ISOMETRY_TOL = 1e-9
 
 
@@ -110,9 +111,7 @@ def project_rank1(psi: BipartiteVector, phi_a) -> BipartiteVector:
     The result equals phi_a ⊗ (s_ba phi_a); this is the identity that makes
     the induced maps independent of how psi is decomposed into product terms.
     """
-    v = np.asarray(phi_a, dtype=np.complex128)
-    if v.ndim == 0 or v.shape[-1] != psi.dim_a:
-        raise DimMismatch(f"phi_a length {v.shape[-1:]} != dim_a {psi.dim_a}")
+    v = as_vector(phi_a, psi.dim_a, "phi_a")
     _check_unit(np.linalg.norm(v, axis=-1), "phi_a")
     return BipartiteVector((v[..., :, None] * np.conj(v)[..., None, :]) @ psi.coeff)
 
@@ -130,10 +129,7 @@ def reconstruct(s_ba: AntilinearMap, a_op) -> BipartiteVector:
     the result is sum_k phi_k ⊗ (s_ba phi_k) for phi_k = sqrt(l_k) v_k.
     With A = 1 this returns psi itself.
     """
-    a = as_matrix(a_op, "A")
-    if a.shape[-2:] != (s_ba.dim_domain, s_ba.dim_domain):
-        raise DimMismatch(f"A must be {s_ba.dim_domain} square, got {a.shape}")
-    w, vecs = psd_eigh(a, "A")
+    w, vecs = psd_eigh(as_square(a_op, s_ba.dim_domain, "A"), "A")
     phis = vecs * np.sqrt(w)[..., None, :]
     return BipartiteVector(phis @ (s_ba.mat @ np.conj(phis)).mT)
 
@@ -159,12 +155,7 @@ def local_transform(psi: BipartiteVector, a_op, b_op) -> BipartiteVector:
     The maps transform covariantly: the new s_ba is B ∘ s_ba ∘ A* and the new
     s_ab is A ∘ s_ab ∘ B*.
     """
-    a = as_matrix(a_op, "A")
-    b = as_matrix(b_op, "B")
-    if a.shape[-2:] != (psi.dim_a, psi.dim_a):
-        raise DimMismatch(f"A must be {psi.dim_a} square, got {a.shape}")
-    if b.shape[-2:] != (psi.dim_b, psi.dim_b):
-        raise DimMismatch(f"B must be {psi.dim_b} square, got {b.shape}")
+    a, b = as_square(a_op, psi.dim_a, "A"), as_square(b_op, psi.dim_b, "B")
     return BipartiteVector(a @ psi.coeff @ b.mT)
 
 
@@ -177,9 +168,7 @@ def partner_operator(a_op, polar_of_psi: PolarParts) -> np.ndarray:
     B is zero.
     """
     j_ba = polar_of_psi.phase
-    a = as_matrix(a_op, "A")
-    if a.shape[-2:] != (j_ba.dim_domain, j_ba.dim_domain):
-        raise DimMismatch(f"A must be {j_ba.dim_domain} square, got {a.shape}")
+    a = as_square(a_op, j_ba.dim_domain, "A")
     inner = compose_aa(j_ba, compose_mixed(a, adjoint(j_ba), "left"))
     return inner.conj().mT
 
@@ -191,10 +180,7 @@ def purification_from_isometry(omega_a, w: AntilinearMap) -> BipartiteVector:
     w must be isometric on the support of omega_a (its behavior off the
     support never enters).
     """
-    om = as_matrix(omega_a, "omega_a")
-    if om.shape[-2:] != (w.dim_domain, w.dim_domain):
-        raise DimMismatch(f"omega_a must be {w.dim_domain} square, got {om.shape}")
-    eig = psd_eigh(om, "omega_a")  # one decomposition for the support and the root
+    eig = psd_eigh(as_square(omega_a, w.dim_domain, "omega_a"), "omega_a")  # one eigh for the support and the root
     q = _support_of(*eig)
     gram = compose_aa(adjoint(w), w)
     off = np.abs(q @ gram @ q - q).max(axis=(-2, -1))
@@ -219,17 +205,16 @@ def cloning_check(phi: BipartiteVector, psi: BipartiteVector) -> tuple[bool, flo
     """Hermiticity of the two cross products, and the reduction commutator norm.
 
     Returns (hermitian, commutator_norm) where hermitian says whether both
-    s_phi_ba ∘ s_psi_ab and s_phi_ab ∘ s_psi_ba are Hermitian within 1e-9,
-    and commutator_norm is the Frobenius norm of
-    [omega_psi_a, omega_phi_a].  Hermiticity forces the reductions to
+    s_phi_ba ∘ s_psi_ab and s_phi_ab ∘ s_psi_ba are Hermitian, max |X - X†|
+    within 1e-9 times max |X_ij| for each (a verdict on the value at any
+    state norm, with no floor of 1), and commutator_norm is the Frobenius
+    norm of [omega_psi_a, omega_phi_a].  Hermiticity forces the reductions to
     commute; the converse is not claimed.  Stacks give one pair of values
     per member.
     """
-    x_b = cross_gram(phi, psi)
-    x_a = phi.coeff @ np.conj(psi.coeff.mT)
-    hermitian = (np.abs(x_b - x_b.conj().mT).max(axis=(-2, -1)) <= HERMITICITY_TOL) & (
-        np.abs(x_a - x_a.conj().mT).max(axis=(-2, -1)) <= HERMITICITY_TOL
-    )
+    hermitian = True
+    for x in (cross_gram(phi, psi), phi.coeff @ np.conj(psi.coeff.mT)):
+        hermitian &= np.abs(x - x.conj().mT).max(axis=(-2, -1)) <= HERMITICITY_TOL * np.abs(x).max(axis=(-2, -1))
     om_psi, om_phi = reduced(psi, "a"), reduced(phi, "a")
     commutator_norm = fro_norm(om_psi @ om_phi - om_phi @ om_psi)
     return _out(hermitian), commutator_norm

@@ -7,6 +7,10 @@ checked entrywise at 1e-10 relative to max(1, max |H_ij|), rank decided
 relative to the largest singular value at 1e-12.
 The kernels also take stacks (..., m, n), member by member with the same
 LAPACK and BLAS calls; every check runs on every member and names its index.
+Every operand passes as_matrix, as_square or as_vector: complex128, the shape
+it must have and no NaN or Inf; a refusal names the operand, the member and
+the numbers.  A public value type holds frozen(as_matrix(x, field)); builders
+hand over arrays they computed from checked values through _adopt.
 """
 
 from __future__ import annotations
@@ -46,10 +50,26 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return finite(a, name)
 
 
-def finite(a: np.ndarray, name: str, what: str = "contains NaN or Inf entries") -> np.ndarray:
-    """Return a matrix (or stack) if every entry is finite; else NonFinite names the operand, the member and `what`."""
+def as_square(m, dim: int, name: str) -> np.ndarray:
+    """Coerce to a finite complex128 dim×dim matrix or a stack (..., dim, dim) of them."""
+    a = as_matrix(m, name)
+    if a.shape[-2:] != (dim, dim):
+        raise DimMismatch(f"{name} must be {dim} square, got {a.shape}")
+    return a
+
+
+def as_vector(v, dim: int, name: str) -> np.ndarray:
+    """Coerce to a finite complex128 vector of length dim or a stack (..., dim) of them."""
+    a = np.asarray(v, dtype=np.complex128)
+    if a.shape[-1:] != (dim,):
+        raise DimMismatch(f"{name} must have length {dim}, got shape {a.shape}")
+    return finite(a, name, axes=1)
+
+
+def finite(a: np.ndarray, name: str, what: str = "contains NaN or Inf entries", axes: int = 2) -> np.ndarray:
+    """a if every entry is finite; else NonFinite names the operand, the member (over the last `axes` axes), `what`."""
     if np.count_nonzero(np.isfinite(a)) != a.size:
-        label, _ = _member(name, ~np.isfinite(a).all(axis=(-2, -1)))
+        label, _ = _member(name, ~np.isfinite(a).all(axis=tuple(range(-axes, 0))))
         raise NonFinite(f"{label} {what}")
     return a
 
@@ -89,7 +109,8 @@ def _adopt(cls, **fields):
     builder has just computed from checked values, or a read-only view of an
     array another value already holds, so no caller can write through it.
     Builders that adopt: BipartiteVector's EPR maps, antilinear.adjoint,
-    PolarParts.phase, teleport_map, luders_channel, tomita_S, lift_operators.
+    PolarParts.phase, teleport_map, luders_channel, tomita_S, lift_operators,
+    twisted_adjoint, twisted_compose.
     """
     value = object.__new__(cls)
     for name, field in fields.items():

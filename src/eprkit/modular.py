@@ -33,7 +33,7 @@ import numpy as np
 from .antilinear import AntilinearMap
 from .bipartite import BipartiteVector, _check_same_dims, epr_maps, gns_check, polar_of_state, reduced
 from .errors import DimMismatch, MixedParity, NotSeparating
-from .linalg import _adopt, _check_dense, _member, as_matrix, finite, frozen, kron, seal
+from .linalg import _adopt, _check_dense, _member, as_matrix, as_vector, finite, frozen, kron, seal
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,8 @@ class TwistedOperator:
     def __post_init__(self):
         if self.parity not in ("linear", "antilinear"):
             raise MixedParity(f"parity must be 'linear' or 'antilinear', got {self.parity!r}")
-        eta, xi = (frozen(f) for f in self.factors)
-        if eta.ndim < 2 or xi.shape[-2:] != eta.shape[:-3:-1]:
+        eta, xi = (frozen(as_matrix(f, name)) for f, name in zip(self.factors, ("eta", "xi")))
+        if xi.shape[-2:] != eta.shape[:-3:-1]:
             raise DimMismatch(f"eta (..., dim_a, dim_b) needs xi (..., dim_b, dim_a), got {eta.shape} and {xi.shape}")
         object.__setattr__(self, "factors", (eta, xi))
 
@@ -66,10 +66,8 @@ class TwistedOperator:
 
     def __call__(self, v) -> np.ndarray:
         """Act on a vector (or a stack of them) through the factors, never the dense matrix."""
-        vec = np.asarray(v, dtype=np.complex128)
         n = self.dim_a * self.dim_b
-        if vec.ndim == 0 or vec.shape[-1] != n:
-            raise DimMismatch(f"vector length {vec.shape[-1:]} != {n}")
+        vec = as_vector(v, n, "v")
         x = vec.reshape(*vec.shape[:-1], self.dim_a, self.dim_b)
         eta, xi = self.factors
         out = eta @ (np.conj(x) if self.parity == "antilinear" else x).mT @ xi.mT
@@ -101,8 +99,8 @@ class KroneckerProduct:
     factors: tuple[np.ndarray, np.ndarray]    # (a on H_a, b on H_b)
 
     def __post_init__(self):
-        factors = tuple(frozen(f) for f in self.factors)
-        if any(f.ndim < 2 or f.shape[-1] != f.shape[-2] for f in factors):
+        factors = tuple(frozen(as_matrix(f, name)) for f, name in zip(self.factors, ("a", "b")))
+        if any(f.shape[-1] != f.shape[-2] for f in factors):
             raise DimMismatch(f"Kronecker factors must be square, got shapes {[f.shape for f in factors]}")
         object.__setattr__(self, "factors", factors)
 
@@ -130,17 +128,16 @@ def twisted_product(eta_ab, xi_ba) -> TwistedOperator:
     eta_anti, xi_anti = isinstance(eta_ab, AntilinearMap), isinstance(xi_ba, AntilinearMap)
     if eta_anti != xi_anti:
         raise MixedParity("twisted product of a linear and an antilinear factor is ill defined")
-    eta = eta_ab.mat if eta_anti else as_matrix(eta_ab, "eta")
-    xi = xi_ba.mat if xi_anti else as_matrix(xi_ba, "xi")
-    return TwistedOperator(factors=(eta, xi), parity="antilinear" if eta_anti else "linear")
+    factors = (eta_ab.mat, xi_ba.mat) if eta_anti else (eta_ab, xi_ba)
+    return TwistedOperator(factors=factors, parity="antilinear" if eta_anti else "linear")
 
 
 def twisted_adjoint(p: TwistedOperator) -> TwistedOperator:
     """Hermitian adjoint: exchange and adjoin the factors, xi* ⊗̃ eta*."""
     eta, xi = p.factors
     if p.parity == "antilinear":
-        return TwistedOperator((xi.mT, eta.mT), p.parity)
-    return TwistedOperator((xi.conj().mT, eta.conj().mT), p.parity)
+        return _adopt(TwistedOperator, factors=(xi.mT, eta.mT), parity=p.parity)
+    return _adopt(TwistedOperator, factors=(xi.conj().mT, eta.conj().mT), parity=p.parity)
 
 
 def twisted_compose(p1: TwistedOperator, p2: TwistedOperator) -> KroneckerProduct:
@@ -156,7 +153,7 @@ def twisted_compose(p1: TwistedOperator, p2: TwistedOperator) -> KroneckerProduc
     (eta1, xi1), (eta2, xi2) = p1.factors, p2.factors
     if p1.parity == "antilinear":
         eta2, xi2 = np.conj(eta2), np.conj(xi2)
-    return KroneckerProduct((eta1 @ xi2, xi1 @ eta2))
+    return _adopt(KroneckerProduct, factors=(eta1 @ xi2, xi1 @ eta2))
 
 
 @dataclass(frozen=True)

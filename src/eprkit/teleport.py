@@ -27,7 +27,8 @@ import numpy as np
 from .antilinear import chain, polar
 from .bipartite import BipartiteVector, _check_unit, epr_maps
 from .errors import DimMismatch, FactorizationFailure, NonFinite, NotOrthonormal, OddParity
-from .linalg import MatrixNorms, _adopt, _check_dense, _member, _out, as_matrix, fro_norm, frozen, herm_eigh, kron, norms
+from .linalg import MatrixNorms, _adopt, _check_dense, _member, _out, as_matrix, as_square, as_vector, finite, fro_norm
+from .linalg import frozen, herm_eigh, kron, norms
 
 ORTHO_TOL = 1e-10
 FACTOR_TOL = 1e-8
@@ -42,7 +43,7 @@ class TeleportMap:
     ancilla_phi: BipartiteVector   # ancilla in H_b ⊗ H_c
 
     def __post_init__(self):
-        object.__setattr__(self, "t", frozen(self.t))
+        object.__setattr__(self, "t", frozen(as_matrix(self.t, "t")))
 
     @cached_property
     def root_norms(self) -> MatrixNorms:
@@ -159,7 +160,7 @@ class LudersChannel:
     ancilla_phi: BipartiteVector
 
     def __post_init__(self):
-        object.__setattr__(self, "maps", frozen(self.maps))
+        object.__setattr__(self, "maps", frozen(as_matrix(self.maps, "maps")))
 
     @property
     def rank(self) -> int:
@@ -212,10 +213,7 @@ def projection_decomposition(p_op, dim_a: int, dim_b: int) -> BipartiteVector:
 
 def luders_apply(ch: LudersChannel, nu_a) -> np.ndarray:
     """Channel action on an operator: sum_k t_k nu t_k†."""
-    nu = as_matrix(nu_a, "nu")
-    da = ch.maps.shape[-1]
-    if nu.shape[-2:] != (da, da):
-        raise DimMismatch(f"nu must be {da} square, got {nu.shape}")
+    nu = as_square(nu_a, ch.maps.shape[-1], "nu")
     return (ch.maps @ nu[..., None, :, :] @ ch.maps.conj().mT).sum(axis=-3)
 
 
@@ -247,9 +245,7 @@ def luders_project(ch: LudersChannel, phi_a) -> np.ndarray:
     guard of chain_oracle; phi_a may be a stack (..., dim_a) of inputs.  The
     factorized form of the same vector is sum_k psi_k ⊗ (t_k phi_a).
     """
-    v_a = np.asarray(phi_a, dtype=np.complex128)
-    if v_a.ndim == 0 or v_a.shape[-1] != ch.psis.dim_a:
-        raise DimMismatch(f"phi_a length {v_a.shape[-1:]} != dim_a {ch.psis.dim_a}")
+    v_a = as_vector(phi_a, ch.psis.dim_a, "phi_a")
     _check_dense(ch.psis.dim_a * ch.psis.dim_b * ch.ancilla_phi.dim_b, "dense oracle")
     return _project(kron(v_a, ch.ancilla_phi.to_vector(), vectors=True), 1, ch.psis.to_vector().mT)
 
@@ -294,7 +290,7 @@ def chain_oracle(phi_a, stages: Sequence[BipartiteVector]) -> np.ndarray:
     (..., d_1) of inputs and each stage a stacked BipartiteVector; stack axes
     broadcast.
     """
-    v_a = np.atleast_1d(np.asarray(phi_a, dtype=np.complex128))
+    v_a = finite(np.atleast_1d(np.asarray(phi_a, dtype=np.complex128)), "phi_a", axes=1)
     stages = _check_stages(stages, v_a.shape[-1])
     dims = [v_a.shape[-1]] + [s.dim_b for s in stages]
     _check_dense(int(np.prod(dims)), "dense oracle")

@@ -230,9 +230,9 @@ def _groups(table: ResidualTable, seed: int, stream: int, trials: Iterable[int],
     yield from _stack(table, stream, members, pad)
 
 
-def _stack(table: ResidualTable, stream: int, members, pad: Pad | None = None):
+def _stack(table: ResidualTable, stream: int, members, pad: Pad):
     """_groups' grouping and stacking of drawn members (t, dims, arrays), given in trial order."""
-    small = [d for d in (pad.dims if pad else []) if max(d) <= PAD_DIM]
+    small = [d for d in pad.dims if max(d) <= PAD_DIM]
     groups, target = {}, tuple(map(max, zip(*small))) if small else None
     for t, dims, arrays in members:
         groups.setdefault(target if target and max(dims) <= PAD_DIM else dims, []).append((t, dims, arrays))
@@ -240,8 +240,7 @@ def _stack(table: ResidualTable, stream: int, members, pad: Pad | None = None):
         stacks, origins = None, [(stream, t, dims) for t, dims, _ in members]
         for dims in dict.fromkeys(o[2] for o in origins):
             at = [i for i, o in enumerate(origins) if o[2] == dims]
-            parts = [np.array(x) for x in zip(*(members[i][2] for i in at))]
-            parts = pad.split(dims, parts) if pad else parts
+            parts = pad.split(dims, [np.array(x) for x in zip(*(members[i][2] for i in at))])
             if dims == key and len(at) == len(members):  # nothing to pad
                 stacks = parts
             else:

@@ -45,7 +45,7 @@ def per_trial_stack(seen):
     suite's trial is padded alone to the shapes its batch pads to.
     """
 
-    def stack(table, stream, members, pad=None):
+    def stack(table, stream, members, pad):
         seen.append([])
         for member in members:
             for rec, dims, stacks in STACK(table, stream, [member], pad):
@@ -228,7 +228,7 @@ def test_each_trial_draws_one_run_of_normals_that_is_its_member(dims, monkeypatc
         logs = [calls.setdefault((stream, t), []) for t in trials]
         return map(LoggedRng, plain_rngs(table, seed, stream, trials), logs)
 
-    def stack(table, stream, drawn, pad=None):
+    def stack(table, stream, drawn, pad):
         for t, _, arrays in drawn:
             assert (stream, t) not in members
             members[stream, t] = arrays

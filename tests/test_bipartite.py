@@ -353,6 +353,20 @@ class TestCloning:
             assert hermitian
             assert comm < 1e-9
 
+    def test_hermiticity_cut_is_relative_to_each_cross_product(self):
+        # A non-commuting unit pair scaled by 1e-5: cross products of about 1e-10, skew of the same size.
+        rng = np.random.default_rng(1)
+        phi, psi = (BipartiteVector(1e-5 * random_unit_state(rng, 3, 3).coeff) for _ in range(2))
+        assert not cloning_check(phi, psi)[0]
+        # A commuting pair (shared Schmidt bases) scaled by 1e4: a rounding skew of 5.6e-9 on entries of 3.6e7.
+        rng = np.random.default_rng(4)
+        u, v = random_unitary(rng, 3), random_unitary(rng, 3)
+        p, q = rng.random(3) + 0.1, rng.random(3) + 0.1
+        phi, psi = (BipartiteVector(1e4 * u @ np.diag(np.sqrt(w / w.sum())) @ v.conj().T) for w in (p, q))
+        x = cross_gram(phi, psi)
+        assert np.abs(x - x.conj().T).max() > 1e-9
+        assert cloning_check(phi, psi)[0]
+
 
 def test_bipartite_vector_validation():
     with pytest.raises(errors.NonFinite):

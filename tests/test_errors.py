@@ -1,10 +1,12 @@
 """Error-path coverage: every named failure mode raises its declared exception."""
 
+import re
+
 import numpy as np
 import pytest
 
 from eprkit import errors
-from eprkit.antilinear import AntilinearMap, chain, compose_mixed
+from eprkit.antilinear import AntilinearMap, apply, chain, compose_mixed
 from eprkit.bipartite import (
     BipartiteVector,
     cross_gram,
@@ -19,12 +21,15 @@ from eprkit.bipartite import (
     epr_maps,
 )
 from eprkit.linalg import partial_trace, psd_sqrt, svd
-from eprkit.modular import twisted_compose, twisted_product
+from eprkit.modular import KroneckerProduct, TwistedOperator, twisted_compose, twisted_product
 from eprkit.teleport import (
+    LudersChannel,
+    TeleportMap,
     chain_oracle,
     chain_teleport,
     luders_apply,
     luders_channel,
+    luders_project,
     projection_decomposition,
     teleport_map,
     teleport_oracle,
@@ -254,3 +259,71 @@ def test_exception_hierarchy():
     assert issubclass(errors.DimMismatch, ValueError)
     assert issubclass(errors.ToleranceExceeded, ArithmeticError)
     assert issubclass(errors.ParseError, errors.EprkitError)
+
+
+
+def _channel():
+    return luders_channel([bell(2)], bell(2))
+
+
+VECTOR = r"^{name} must have length 2, got shape \(3,\)$"
+SQUARE = r"^{name} must be 2 square, got \(3, 3\)$"
+STAGES = r"^stages\[0\] has first dimension 2, {name} has length 3$"  # chain_oracle's check names both sides
+
+# Every entry point that takes a vector or a square operator: (id, operand name, a valid operand, the call, the refusal
+# of one a size too large).
+OPERANDS = [
+    ("apply", "v", np.ones(2), lambda x: apply(AntilinearMap(np.eye(2)), x), VECTOR),
+    ("TwistedOperator.__call__", "v", np.ones(4), lambda x: twisted_product(np.eye(2), np.eye(2))(x),
+     r"^v must have length 4, got shape \(5,\)$"),
+    ("project_rank1", "phi_a", np.array([1.0, 0.0]), lambda x: project_rank1(bell(2), x), VECTOR),
+    ("luders_project", "phi_a", np.array([1.0, 0.0]), lambda x: luders_project(_channel(), x), VECTOR),
+    ("chain_oracle", "phi_a", np.array([1.0, 0.0]), lambda x: chain_oracle(x, [bell(2), bell(2)]), STAGES),
+    ("teleport_oracle", "phi_a", np.array([1.0, 0.0]), lambda x: teleport_oracle(bell(2), bell(2), x), STAGES),
+    ("reconstruct", "A", np.eye(2), lambda x: reconstruct(epr_maps(bell(2)).s_ba, x), SQUARE),
+    ("local_transform.A", "A", np.eye(2), lambda x: local_transform(bell(2), x, np.eye(2)), SQUARE),
+    ("local_transform.B", "B", np.eye(2), lambda x: local_transform(bell(2), np.eye(2), x), SQUARE),
+    ("partner_operator", "A", np.eye(2), lambda x: partner_operator(x, polar_of_state(bell(2))), SQUARE),
+    ("purification_from_isometry", "omega_a", np.eye(2) / 2,
+     lambda x: purification_from_isometry(x, AntilinearMap(np.eye(2))), SQUARE),
+    ("luders_apply", "nu", np.eye(2) / 2, lambda x: luders_apply(_channel(), x), SQUARE),
+]
+
+
+@pytest.mark.parametrize("name, good, call, too_large", [c[1:] for c in OPERANDS], ids=[c[0] for c in OPERANDS])
+def test_every_operand_is_refused_naming_it_and_its_member(name, good, call, too_large):
+    """A valid operand passes; one a size too large raises DimMismatch naming it; a NaN in member (1, 2) of a
+    stack raises NonFinite naming it and that member."""
+    call(good)
+    with pytest.raises(errors.DimMismatch, match=too_large.format(name=name)):
+        call(np.pad(good, [(0, 1)] * good.ndim))
+    stack = np.broadcast_to(good, (2, 3, *good.shape)).copy()
+    stack[(1, 2) + (0,) * good.ndim] = np.nan
+    with pytest.raises(errors.NonFinite, match=rf"^{name}\[1, 2\] contains NaN or Inf entries$"):
+        call(stack)
+
+
+
+# Every public value type's array fields: (id, the name a refusal gives the field, a valid array, the constructor on it).
+FIELDS = [
+    ("BipartiteVector.coeff", "coeff", bell(2).coeff, BipartiteVector),
+    ("AntilinearMap.mat", "mat", np.eye(2), AntilinearMap),
+    ("TwistedOperator.eta", "eta", np.eye(2), lambda x: TwistedOperator((x, np.eye(2)), "linear")),
+    ("TwistedOperator.xi", "xi", np.eye(2), lambda x: TwistedOperator((np.eye(2), x), "linear")),
+    ("KroneckerProduct.a", "a", np.eye(2), lambda x: KroneckerProduct((x, np.eye(3)))),
+    ("KroneckerProduct.b", "b", np.eye(3), lambda x: KroneckerProduct((np.eye(2), x))),
+    ("TeleportMap.t", "t", np.eye(2) / 2, lambda x: TeleportMap(x, bell(2), bell(2))),
+    ("LudersChannel.maps", "maps", np.eye(2)[None] / 2, lambda x: LudersChannel(x, _channel().psis, bell(2))),
+]
+
+
+@pytest.mark.parametrize("name, good, build", [f[1:] for f in FIELDS], ids=[f[0] for f in FIELDS])
+def test_every_value_type_refuses_a_non_finite_or_flat_array_naming_the_field(name, good, build):
+    build(good)
+    bad = good.astype(complex)
+    bad[(0,) * bad.ndim] = np.nan
+    label = name + ("[0]" if bad.ndim == 3 else "")  # maps' rank axis is a stack axis
+    with pytest.raises(errors.NonFinite, match=f"^{re.escape(label)} contains NaN or Inf entries$"):
+        build(bad)
+    with pytest.raises(errors.DimMismatch, match=rf"^{name} must be at least two-dimensional, got shape \(2,\)$"):
+        build(np.ones(2))

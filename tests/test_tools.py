@@ -1,4 +1,4 @@
-"""Smoke test of tools/residual_digests.py on a one-seed, one-dims grid."""
+"""Smoke tests of tools/residual_digests.py on a one-seed, one-dims grid and of tools/report_digests.py cut down."""
 
 import importlib.util
 import io
@@ -7,15 +7,21 @@ from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "residual_digests.py"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def load(name: str, monkeypatch):
+    """tools/<name>.py as a fresh module; sys.dont_write_bytecode, which the tool sets on import, is restored after."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 @pytest.fixture
 def digests(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)  # the tool sets it on import
-    spec = importlib.util.spec_from_file_location("residual_digests", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = load("residual_digests", monkeypatch)
     monkeypatch.setattr(tool, "SEEDS", (1,))
     monkeypatch.setattr(tool, "DIMS", ((1, 2),))
     return tool
@@ -59,3 +65,21 @@ def test_dumps_repeat_and_compare_reports_one_edited_residual(digests, tmp_path)
         ["999", "0 changed, 1 new, 0 gone"],
     ]
     assert sum(r.startswith("draw\t") for r in report) == 3 and report[-1].endswith(" draw digests, 3 changed")
+
+
+def test_report_digests_repeat_with_one_line_per_invocation(monkeypatch, capsys):
+    tool = load("report_digests", monkeypatch)
+    monkeypatch.setattr(tool, "SEEDS", 1)
+    monkeypatch.setattr(tool, "SESSIONS", 1)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # invocations() puts perfbench/ first
+    monkeypatch.setitem(sys.modules, "inputs", None)  # put back as it was after the test, absent or not
+    monkeypatch.delitem(sys.modules, "inputs")  # so invocations() imports perfbench's inputs.py
+    outputs = []
+    for _ in range(2):
+        assert tool.main() == 0
+        outputs.append(capsys.readouterr().out)
+    argvs, _ = tool.invocations()
+    lines = outputs[0].splitlines()
+    assert outputs[0] == outputs[1]
+    assert [line.split("\t")[0] for line in lines] == [" ".join(argv) for argv in argvs]
+    assert all(len(line.split("\t")) == 4 and not line.split("\t")[1].startswith("raised") for line in lines)
