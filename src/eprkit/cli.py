@@ -189,14 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, checks=True):
         p.add_argument("--seed", type=int, default=42, help="seed for probe vectors (default 42)")
-        p.add_argument(
-            "--tolerance",
-            type=float,
-            default=None,
-            help="one residual tolerance for every identity (default: each identity's own)",
-        )
+        if checks:
+            p.add_argument(
+                "--tolerance", type=float, help="one tolerance for every identity (default: each identity's own)"
+            )
         p.add_argument("--out", default=None, help="write the JSON report to this file")
 
     p = sub.add_parser("epr", help="induced maps, reductions, and residuals of one state")
@@ -228,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100, help="trials per suite (default 100)")
 
     p = sub.add_parser("random", help="emit a seeded random bipartite vector")
-    common(p)
+    common(p, checks=False)
     p.add_argument("--dims", type=int, nargs="+", default=(2, 2), help="dim_a dim_b")
     p.add_argument("--entangled", action="store_true", help="rejection-sample until both reductions have full rank")
 
@@ -241,8 +239,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "trials", 1) < 1:
             raise ParseError(f"trials must be >= 1, got {args.trials}")
-        if args.tolerance is not None and not 0 < args.tolerance < np.inf:  # Infinity is no strict JSON
-            raise ParseError(f"tolerance must be positive and finite, got {args.tolerance}")
+        if (tol := getattr(args, "tolerance", None)) is not None and not 0 < tol < np.inf:  # Infinity is no strict JSON
+            raise ParseError(f"tolerance must be positive and finite, got {tol}")
         if any(d < 1 for d in getattr(args, "dims", [1])):
             raise ParseError("dimensions must be positive")
         if args.seed < 0:

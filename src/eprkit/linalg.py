@@ -9,8 +9,8 @@ The kernels also take stacks (..., m, n), member by member with the same
 LAPACK and BLAS calls; every check runs on every member and names its index.
 Every operand passes as_matrix, as_square or as_vector: complex128, the shape
 it must have and no NaN or Inf; a refusal names the operand, the member and
-the numbers.  A public value type holds frozen(as_matrix(x, field)); builders
-hand over arrays they computed from checked values through _adopt.
+the numbers.  A value type holds frozen(as_matrix(x, field)); a channel holds
+its states alone.  Builders hand over arrays they computed through _adopt.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def _adopt(cls, **fields):
     builder has just computed from checked values, or a read-only view of an
     array another value already holds, so no caller can write through it.
     Builders that adopt: BipartiteVector's EPR maps, antilinear.adjoint,
-    PolarParts.phase, teleport_map, luders_channel, tomita_S, lift_operators,
+    PolarParts.phase, luders_channel's psis stack, tomita_S, lift_operators,
     twisted_adjoint, twisted_compose.
     """
     value = object.__new__(cls)
@@ -300,10 +300,7 @@ def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
     `m` must be (dim_a*dim_b) square in the a-major Kronecker basis;
     `keep` selects the surviving factor, "a" or "b".
     """
-    a = as_matrix(m)
-    n = dim_a * dim_b
-    if a.shape[-2:] != (n, n):
-        raise DimMismatch(f"expected shape {(n, n)} for dims ({dim_a}, {dim_b}), got {a.shape}")
+    a = as_square(m, dim_a * dim_b, "m")
     t = a.reshape(*a.shape[:-2], dim_a, dim_b, dim_a, dim_b)
     if keep == "a":
         return np.einsum("...ijkj->...ik", t)

@@ -28,7 +28,7 @@ from .antilinear import chain, polar
 from .bipartite import BipartiteVector, _check_unit, epr_maps
 from .errors import DimMismatch, FactorizationFailure, NonFinite, NotOrthonormal, OddParity
 from .linalg import MatrixNorms, _adopt, _check_dense, _member, _out, as_matrix, as_square, as_vector, finite, fro_norm
-from .linalg import frozen, herm_eigh, kron, norms
+from .linalg import herm_eigh, kron, norms, seal
 
 ORTHO_TOL = 1e-10
 FACTOR_TOL = 1e-8
@@ -36,14 +36,21 @@ FACTOR_TOL = 1e-8
 
 @dataclass(frozen=True)
 class TeleportMap:
-    """Conditional input-output map of one rank-one-triggered channel (or a stack of them)."""
+    """Conditional input-output map of one rank-one-triggered channel (or a stack of them): its two states fix t."""
 
-    t: np.ndarray                  # (dim_c, dim_a)
     source_psi: BipartiteVector    # measured vector in H_a ⊗ H_b
     ancilla_phi: BipartiteVector   # ancilla in H_b ⊗ H_c
 
     def __post_init__(self):
-        object.__setattr__(self, "t", frozen(as_matrix(self.t, "t")))
+        psi_ab, phi_bc = self.source_psi, self.ancilla_phi
+        _check_norms({"psi_ab": psi_ab, "phi_bc": phi_bc})
+        if psi_ab.dim_b != phi_bc.dim_a:
+            raise DimMismatch(f"shared b-dimension differs: psi_ab has {psi_ab.dim_b}, phi_bc has {phi_bc.dim_a}")
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        """The channel matrix s_phi_cb ∘ s_psi_ba, (..., dim_c, dim_a), built once and read-only."""
+        return seal(self.ancilla_phi.coeff.mT @ np.conj(self.source_psi.coeff.mT))
 
     @cached_property
     def root_norms(self) -> MatrixNorms:
@@ -76,10 +83,7 @@ def _check_norms(states: dict[str, BipartiteVector]):
 
 def teleport_map(psi_ab: BipartiteVector, phi_bc: BipartiteVector) -> TeleportMap:
     """Factorized channel matrix t = s_phi_cb ∘ s_psi_ba; refuses a squared norm that overflows."""
-    _check_norms({"psi_ab": psi_ab, "phi_bc": phi_bc})
-    if psi_ab.dim_b != phi_bc.dim_a:
-        raise DimMismatch(f"shared b-dimension differs: psi_ab has {psi_ab.dim_b}, phi_bc has {phi_bc.dim_a}")
-    return _adopt(TeleportMap, t=phi_bc.coeff.mT @ np.conj(psi_ab.coeff.mT), source_psi=psi_ab, ancilla_phi=phi_bc)
+    return TeleportMap(psi_ab, phi_bc)
 
 
 def _project(full: np.ndarray, before: int, w: np.ndarray) -> np.ndarray:
@@ -149,22 +153,37 @@ def trace_norm_fidelity(tm: TeleportMap) -> TraceNormFidelity:
 class LudersChannel:
     """Channel triggered by a projection of arbitrary rank.
 
-    Holds one factorized map per vector of an orthonormal rank-one
-    decomposition of the projection; the channel action and all bounds are
-    invariant under the choice of decomposition.  Axis -3 of both fields is
-    the rank axis; axes before it stack channels, one per member.
+    Holds an orthonormal rank-one decomposition of the projection and
+    derives one factorized map per vector; the channel action and all bounds
+    are invariant under the choice of decomposition.  Axis -3 of psis and
+    maps is the rank axis; axes before it stack channels, one per member.
     """
 
-    maps: np.ndarray               # (..., rank, dim_c, dim_a)
     psis: BipartiteVector          # (..., rank, dim_a, dim_b)
-    ancilla_phi: BipartiteVector
+    ancilla_phi: BipartiteVector   # (..., dim_b, dim_c)
 
     def __post_init__(self):
-        object.__setattr__(self, "maps", frozen(as_matrix(self.maps, "maps")))
+        psis, phi_bc = self.psis, self.ancilla_phi
+        if psis.coeff.ndim < 3:
+            raise DimMismatch(f"a stack of measured vectors needs a rank axis -3, got shape {psis.coeff.shape}")
+        if psis.coeff.shape[-3] == 0:
+            raise DimMismatch("need at least one measured vector")
+        _check_norms({"psis": psis, "phi_bc": phi_bc})
+        if psis.dim_b != phi_bc.dim_a:
+            raise DimMismatch(f"shared b-dimension differs: psis have {psis.dim_b}, phi_bc has {phi_bc.dim_a}")
+        flat = psis.to_vector()
+        off = np.abs(flat @ flat.conj().mT - np.eye(flat.shape[-2])).max(axis=(-2, -1))
+        if (off > ORTHO_TOL).any():
+            raise NotOrthonormal(f"{_member('psis', off > ORTHO_TOL)[0]} are not orthonormal within 1e-10")
+
+    @cached_property
+    def maps(self) -> np.ndarray:
+        """Each measured vector's t as teleport_map builds it, (..., rank, dim_c, dim_a); built once and read-only."""
+        return seal(self.ancilla_phi.coeff[..., None, :, :].mT @ np.conj(self.psis.coeff.mT))
 
     @property
     def rank(self) -> int:
-        return self.maps.shape[-3]
+        return self.psis.coeff.shape[-3]
 
     @property
     def ancilla_norm_sq(self):
@@ -174,27 +193,15 @@ class LudersChannel:
 def luders_channel(psis: Sequence[BipartiteVector] | BipartiteVector, phi_bc: BipartiteVector) -> LudersChannel:
     """Build the channel from one ancilla and orthonormal measured vectors: a list, or a stack on axis -3."""
     if isinstance(psis, BipartiteVector):
-        if psis.coeff.ndim < 3:
-            raise DimMismatch(f"a stack of measured vectors needs a rank axis -3, got shape {psis.coeff.shape}")
         stack = psis.coeff
     else:
         psis = list(psis)
         for k, p in enumerate(psis):
             if (p.dim_a, p.dim_b) != (psis[0].dim_a, psis[0].dim_b):
                 raise DimMismatch(f"psis[{k}] lives on {(p.dim_a, p.dim_b)}, psis[0] on {(psis[0].dim_a, psis[0].dim_b)}")
-        stack = np.stack([p.coeff for p in psis], axis=-3) if psis else np.empty((0, 1, 1))  # refused just below
-    if stack.shape[-3] == 0:
-        raise DimMismatch("need at least one measured vector")
+        stack = np.stack([p.coeff for p in psis], axis=-3) if psis else np.empty((0, 1, 1))  # refused on construction
     psis = _adopt(BipartiteVector, coeff=np.ascontiguousarray(stack))  # C order: each t_k has teleport_map's bits
-    _check_norms({"psis": psis, "phi_bc": phi_bc})
-    if psis.dim_b != phi_bc.dim_a:
-        raise DimMismatch(f"shared b-dimension differs: psis have {psis.dim_b}, phi_bc has {phi_bc.dim_a}")
-    flat = psis.to_vector()
-    off = np.abs(flat @ flat.conj().mT - np.eye(flat.shape[-2])).max(axis=(-2, -1))
-    if (off > ORTHO_TOL).any():
-        raise NotOrthonormal(f"{_member('psis', off > ORTHO_TOL)[0]} are not orthonormal within 1e-10")
-    maps = phi_bc.coeff[..., None, :, :].mT @ np.conj(psis.coeff.mT)  # teleport_map's t, broadcast on the rank axis
-    return _adopt(LudersChannel, maps=maps, psis=psis, ancilla_phi=phi_bc)
+    return LudersChannel(psis, phi_bc)
 
 
 def projection_decomposition(p_op, dim_a: int, dim_b: int) -> BipartiteVector:

@@ -298,9 +298,7 @@ def teleport_checks(rec, psi_ab, phi_bc, probe):
 def teleport_bound_holds(tm, probes, bound):
     """Excess of the largest squared output norm over the success bound, on the normalized probe rows."""
     out = (probes / np.linalg.norm(probes, axis=-1, keepdims=True)) @ tm.t.mT
-    # np.linalg.norm's sums of squares, rooted once: the root of their max is the max of their roots
-    worst = np.sqrt(np.add.reduce((out.conj() * out).real, axis=-1).max(axis=-1, initial=0.0)) ** 2
-    return np.maximum(0.0, worst - bound)
+    return np.maximum(0.0, np.linalg.norm(out, axis=-1).max(axis=-1, initial=0.0) ** 2 - bound)
 
 
 def luders_checks(rec, psis, phi_bc, probe):

@@ -673,6 +673,13 @@ class TestRandom:
     def test_bad_dims_exit_2(self, capsys):
         assert main(["random", "--dims", "2", "0"]) == 2
 
+    def test_tolerance_is_not_an_option(self, capsys):
+        # random checks no identity, so a tolerance would be read by nothing
+        with pytest.raises(SystemExit) as exit_info:
+            main(["random", "--dims", "2", "2", "--tolerance", "1e-3"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --tolerance 1e-3" in capsys.readouterr().err
+
 
 def test_module_entry_point():
     proc = subprocess.run(

@@ -1,5 +1,6 @@
 """Error-path coverage: every named failure mode raises its declared exception."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -152,6 +153,56 @@ def test_luders_channel_stack_without_rank_axis():
 def test_luders_channel_ancilla_mismatch():
     with pytest.raises(errors.DimMismatch):
         luders_channel([bell(2)], bell(3))
+
+
+BIG = BipartiteVector(np.full((2, 2), 1e200))  # the norm 2e200 is a float, its square is not
+
+# Each channel's builder and its public constructor on operands the builder refuses: (id, builder, constructor,
+# the exception class and the exact message both raise).
+REFUSED_CHANNELS = [
+    ("teleport-b-dims", lambda: teleport_map(bell(2), bell(3)), lambda: TeleportMap(bell(2), bell(3)),
+     errors.DimMismatch, "shared b-dimension differs: psi_ab has 2, phi_bc has 3"),
+    ("teleport-psi-norm", lambda: teleport_map(BIG, bell(2)), lambda: TeleportMap(BIG, bell(2)),
+     errors.NonFinite, "squared norm of psi_ab is not finite"),
+    ("teleport-phi-norm", lambda: teleport_map(bell(2), BIG), lambda: TeleportMap(bell(2), BIG),
+     errors.NonFinite, "squared norm of phi_bc is not finite"),
+    ("luders-b-dims", lambda: luders_channel([bell(2)], bell(3)), lambda: LudersChannel(_stack(bell(2)), bell(3)),
+     errors.DimMismatch, "shared b-dimension differs: psis have 2, phi_bc has 3"),
+    ("luders-psis-norm", lambda: luders_channel([BIG], bell(2)), lambda: LudersChannel(_stack(BIG), bell(2)),
+     errors.NonFinite, "squared norm of psis[0] is not finite"),
+    ("luders-phi-norm", lambda: luders_channel([bell(2)], BIG), lambda: LudersChannel(_stack(bell(2)), BIG),
+     errors.NonFinite, "squared norm of phi_bc is not finite"),
+    ("luders-2d-psis", lambda: luders_channel(bell(2), bell(2)), lambda: LudersChannel(bell(2), bell(2)),
+     errors.DimMismatch, "a stack of measured vectors needs a rank axis -3, got shape (2, 2)"),
+    ("luders-empty-psis", lambda: luders_channel([], bell(2)),
+     lambda: LudersChannel(BipartiteVector(np.empty((0, 2, 2))), bell(2)),
+     errors.DimMismatch, "need at least one measured vector"),
+    ("luders-not-orthonormal", lambda: luders_channel([bell(2)] * 2, bell(2)),
+     lambda: LudersChannel(_stack(bell(2), bell(2)), bell(2)),
+     errors.NotOrthonormal, "psis are not orthonormal within 1e-10"),
+]
+
+
+def _stack(*psis):
+    """The measured vectors as one BipartiteVector, stacked on the rank axis -3."""
+    return BipartiteVector(np.stack([p.coeff for p in psis], axis=-3))
+
+
+@pytest.mark.parametrize("builder, constructor, exc, message", [c[1:] for c in REFUSED_CHANNELS],
+                         ids=[c[0] for c in REFUSED_CHANNELS])
+def test_channel_constructors_refuse_what_their_builders_refuse(builder, constructor, exc, message):
+    for build in (builder, constructor):
+        with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+            build()
+
+
+def test_channels_hold_only_their_states():
+    assert [f.name for f in dataclasses.fields(TeleportMap)] == ["source_psi", "ancilla_phi"]
+    assert [f.name for f in dataclasses.fields(LudersChannel)] == ["psis", "ancilla_phi"]
+    # The former (matrix, states) form, which took a t or maps that no state fixes, is gone.
+    for build in (lambda: TeleportMap(np.eye(3), bell(2), bell(2)), lambda: LudersChannel(np.eye(2), bell(2), bell(2))):
+        with pytest.raises(TypeError):
+            build()
 
 
 def test_luders_apply_wrong_size():
@@ -312,8 +363,6 @@ FIELDS = [
     ("TwistedOperator.xi", "xi", np.eye(2), lambda x: TwistedOperator((np.eye(2), x), "linear")),
     ("KroneckerProduct.a", "a", np.eye(2), lambda x: KroneckerProduct((x, np.eye(3)))),
     ("KroneckerProduct.b", "b", np.eye(3), lambda x: KroneckerProduct((np.eye(2), x))),
-    ("TeleportMap.t", "t", np.eye(2) / 2, lambda x: TeleportMap(x, bell(2), bell(2))),
-    ("LudersChannel.maps", "maps", np.eye(2)[None] / 2, lambda x: LudersChannel(x, _channel().psis, bell(2))),
 ]
 
 

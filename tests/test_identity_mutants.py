@@ -73,7 +73,7 @@ MUTANTS = {
     "teleport.factorization": (teleport_instance, scaled(tp, "teleport_oracle")),
     "teleport.trace_fidelity": (
         teleport_instance,
-        scaled(tp, "teleport_map", lambda tm: tp.TeleportMap(tm.t * SCALE, tm.source_psi, tm.ancilla_phi)),
+        replaced(tp.TeleportMap, "t", lambda plain: property(lambda tm: plain.func(tm) * SCALE)),
     ),
     "luders.decoupling": (luders_instance, scaled(tp, "luders_project")),
     "luders.op_bound": (

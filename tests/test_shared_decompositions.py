@@ -257,14 +257,14 @@ VALUE_TYPES = {
     "TwistedOperator": (lambda x: twisted_product(x, x), lambda op: list(op.factors), lambda op: [op.mat]),
     "KroneckerProduct": (lambda x: KroneckerProduct((x, x)), lambda op: list(op.factors), lambda op: [op.mat]),
     "TeleportMap": (
-        lambda x: TeleportMap(t=x, source_psi=BipartiteVector(x), ancilla_phi=BipartiteVector(x)),
-        lambda tm: [tm.t, tm.source_psi.coeff, tm.ancilla_phi.coeff],
-        lambda tm: list(tm.root_norms),
+        lambda x: TeleportMap(source_psi=BipartiteVector(x), ancilla_phi=BipartiteVector(x)),
+        lambda tm: [tm.source_psi.coeff, tm.ancilla_phi.coeff],
+        lambda tm: [tm.t, *tm.root_norms],
     ),
-    "LudersChannel": (
-        lambda x: LudersChannel(maps=x, psis=BipartiteVector(x), ancilla_phi=BipartiteVector(x)),
-        lambda ch: [ch.maps, ch.psis.coeff, ch.ancilla_phi.coeff],
-        lambda ch: [epr_maps(ch.psis).s_ba.mat],
+    "LudersChannel": (  # two channels of rank one: x[:, None] puts each unit member on its own rank axis
+        lambda x: LudersChannel(psis=BipartiteVector(x[:, None]), ancilla_phi=BipartiteVector(x)),
+        lambda ch: [ch.psis.coeff, ch.ancilla_phi.coeff],
+        lambda ch: [ch.maps, epr_maps(ch.psis).s_ba.mat],
     ),
 }
 

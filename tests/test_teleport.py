@@ -1,5 +1,6 @@
 """Tests for teleportation channels, their oracles, bounds, and chains."""
 
+import dataclasses
 import itertools
 import tracemalloc
 from functools import reduce
@@ -253,6 +254,19 @@ def bell_basis() -> list[BipartiteVector]:
         np.array([[0.0, 1.0], [-1.0, 0.0]]),
     ]
     return [BipartiteVector(m / np.sqrt(2)) for m in mats]
+
+
+def test_t_and_maps_are_read_only_and_built_once():
+    for value, name in ((teleport_map(bell(2), bell(2)), "t"), (luders_channel(bell_basis(), bell(2)), "maps")):
+        first = getattr(value, name)
+        assert getattr(value, name) is first and not first.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first[...] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, np.zeros_like(first))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, name)
+        assert getattr(value, name) is first
 
 
 class TestLudersChannel:

@@ -67,6 +67,22 @@ def test_dumps_repeat_and_compare_reports_one_edited_residual(digests, tmp_path)
     assert sum(r.startswith("draw\t") for r in report) == 3 and report[-1].endswith(" draw digests, 3 changed")
 
 
+def test_compare_exits_1_when_a_residual_moved_and_0_on_equal_outputs(monkeypatch, tmp_path, capsys):
+    tool = load("residual_digests", monkeypatch)
+    lines = [
+        "residual\t1\t(1, 2)\tepr.projection\t1.5e-16\t(0, 1)\t1e-10\n",
+        "residual\t1\t(1, 2)\tepr.pairing\t0.0\t(0, 0)\t1e-10\n",
+        "draw\t1\t(1, 2)\t3\t0\t" + "ab" * 32 + "\n",
+    ]
+    same, moved = tmp_path / "same.txt", tmp_path / "moved.txt"
+    same.write_text("".join(lines))
+    moved.write_text("".join([lines[0].replace("1.5e-16", "3e-16"), *lines[1:]]))
+    assert tool.main(["--compare", str(same), str(same)]) == 0
+    assert capsys.readouterr().out.startswith("summary\t2 residuals, 0 moved,")
+    assert tool.main(["--compare", str(same), str(moved)]) == 1
+    assert capsys.readouterr().out.startswith("moved\t1\t(1, 2)\tepr.projection\t1.5e-16 -> 3e-16\t")
+
+
 def test_report_digests_repeat_with_one_line_per_invocation(monkeypatch, capsys):
     tool = load("report_digests", monkeypatch)
     monkeypatch.setattr(tool, "SEEDS", 1)

@@ -25,7 +25,8 @@ ratio B/A and B's share of its tolerance, each moved worst origin, each
 changed tolerance, each changed draw digest and each line present on one
 side only; then, per stream tag with any such digest, how many changed,
 how many are new in B and how many are gone from A; then a summary whose
-`rises` counts the residuals that grew.
+`rises` counts the residuals that grew.  It exits 1 if it listed anything
+before the summary, 0 if the two outputs hold the same lines.
 The eprkit tree in use is named on stderr.
 """
 
@@ -100,14 +101,16 @@ def _read(path: str) -> tuple[dict, dict]:
     return residuals, draws
 
 
-def compare(path_a: str, path_b: str, out) -> None:
+def compare(path_a: str, path_b: str, out) -> bool:
+    """Write the differences of two outputs and their summary to out; True if there is any."""
     res_a, draws_a = _read(path_a)
     res_b, draws_b = _read(path_b)
-    moved = origins = rises = 0
+    moved = origins = tolerances = one_side = rises = 0
     worst_rise, worst_share = 1.0, 0.0
     for key in sorted(res_a.keys() | res_b.keys()):
         label = "\t".join(key)
         if key not in res_a or key not in res_b:
+            one_side += 1
             out.write(f"only in {'A' if key in res_a else 'B'}\t{label}\n")
             continue
         (ra, wa, ta), (rb, wb, tb) = res_a[key], res_b[key]
@@ -123,6 +126,7 @@ def compare(path_a: str, path_b: str, out) -> None:
             origins += 1
             out.write(f"origin\t{label}\t{wa} -> {wb}\n")
         if ta != tb:
+            tolerances += 1
             out.write(f"tolerance\t{label}\t{ta} -> {tb}\n")
     changed, tags = 0, {}
     for key in sorted(draws_a.keys() | draws_b.keys(), key=lambda k: (k[0], k[1], int(k[2]), int(k[3]))):
@@ -139,6 +143,7 @@ def compare(path_a: str, path_b: str, out) -> None:
         f"largest rise factor {worst_rise:.3g}, largest share of tolerance {worst_share:.2e}; "
         f"{len(draws_b)} draw digests, {changed} changed\n"
     )
+    return bool(moved or origins or tolerances or one_side or changed)
 
 
 def main(argv=None) -> int:
@@ -146,9 +151,8 @@ def main(argv=None) -> int:
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two outputs of this tool")
     args = parser.parse_args(argv)
     if args.compare:
-        compare(*args.compare, sys.stdout)
-    else:
-        dump(sys.stdout)
+        return int(compare(*args.compare, sys.stdout))
+    dump(sys.stdout)
     return 0
 
 
