@@ -21,16 +21,15 @@ rejected; mixing them silently is how conjugations get lost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DimMismatch
-from .linalg import SvdResult, _adopt, _out, _svd, as_matrix, as_vector, frozen, rank_mask, seal
+from .linalg import SvdResult, _adopt, _out, _svd, as_matrix, as_vector, frozen, rank_mask, seal, value
 
 
-@dataclass(frozen=True)
+@value
 class AntilinearMap:
     """Antilinear map represented by its matrix in the standard basis.
 
@@ -111,7 +110,7 @@ def trace_product(t1: AntilinearMap, t2: AntilinearMap):
     return _out(compose_aa(t1, t2).trace(axis1=-2, axis2=-1))
 
 
-@dataclass(frozen=True)
+@value
 class PolarParts:
     """Polar decomposition t = positive ∘ phase = phase ∘ positive_dom, built from the SVD of t's matrix.
 

@@ -14,7 +14,6 @@ C.T @ conj(C).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -22,14 +21,14 @@ import numpy as np
 from .antilinear import AntilinearMap, PolarParts, adjoint, compose_aa, compose_mixed, polar
 from .errors import DimMismatch, NotIsometry, NotUnit
 from .linalg import _adopt, _member, _out, _sqrt_of, _support_of, as_matrix, as_square, as_vector, finite, fro_norm
-from .linalg import frozen, psd_eigh, seal
+from .linalg import frozen, psd_eigh, seal, value
 
 UNIT_TOL = 1e-10
 HERMITICITY_TOL = 1e-9  # cloning_check's bound on max |X - X†|, times max |X_ij|
 ISOMETRY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@value
 class BipartiteVector:
     """Vector in H_a ⊗ H_b held as its (dim_a x dim_b) coefficient matrix.
 
@@ -78,7 +77,7 @@ class BipartiteVector:
         return EprPair(s_ba=_adopt(AntilinearMap, mat=self.coeff.mT), s_ab=_adopt(AntilinearMap, mat=self.coeff))
 
 
-@dataclass(frozen=True)
+@value
 class EprPair:
     """The two antilinear maps of one bipartite vector; s_ab = adjoint(s_ba) exactly."""
 

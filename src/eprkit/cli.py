@@ -237,14 +237,9 @@ def main(argv=None) -> int:
     """Run one subcommand; cmd_<command> is looked up at call time, so rebinding it takes effect."""
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "trials", 1) < 1:
-            raise ParseError(f"trials must be >= 1, got {args.trials}")
-        if (tol := getattr(args, "tolerance", None)) is not None and not 0 < tol < np.inf:  # Infinity is no strict JSON
-            raise ParseError(f"tolerance must be positive and finite, got {tol}")
-        if any(d < 1 for d in getattr(args, "dims", [1])):
-            raise ParseError("dimensions must be positive")
-        if args.seed < 0:
-            raise ParseError(f"seed must be non-negative, got {args.seed}")
+        vf.check_arguments(
+            args.seed, getattr(args, "dims", (1,)), getattr(args, "trials", 1), getattr(args, "tolerance", None)
+        )
         report, results, summary = globals()[f"cmd_{args.command}"](args)
         try:
             text = json.dumps(report, allow_nan=False)

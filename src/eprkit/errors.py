@@ -33,6 +33,10 @@ class NotOrthonormal(EprkitError, ValueError):
     """A family of vectors required to be orthonormal is not."""
 
 
+class NotProjection(EprkitError, ValueError):
+    """An operator required to be an orthogonal projection has an eigenvalue away from 0 and 1."""
+
+
 class NotSeparating(EprkitError, ValueError):
     """A state whose reductions must have full rank is rank deficient."""
 

@@ -9,13 +9,13 @@ The kernels also take stacks (..., m, n), member by member with the same
 LAPACK and BLAS calls; every check runs on every member and names its index.
 Every operand passes as_matrix, as_square or as_vector: complex128, the shape
 it must have and no NaN or Inf; a refusal names the operand, the member and
-the numbers.  A value type holds frozen(as_matrix(x, field)); a channel holds
+the numbers.  A `value` type holds frozen(as_matrix(x, field)); a channel holds
 its states alone.  Builders hand over arrays they computed through _adopt.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -102,8 +102,19 @@ def seal(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def value(cls):
+    """A frozen dataclass equal only to itself, whose copies and unpickled values pass its checks: cls(*fields)."""
+    cls = dataclass(frozen=True, eq=False)(cls)
+    cls.__reduce__ = _reduce
+    return cls
+
+
+def _reduce(v):
+    return type(v), tuple(getattr(v, f.name) for f in fields(v))
+
+
 def _adopt(cls, **fields):
-    """A value of the frozen dataclass `cls` that holds a builder's arrays as given: no copy, check or finiteness scan.
+    """A value of the value type `cls` that holds a builder's arrays as given: no copy, check or finiteness scan.
 
     Each array, alone or in a tuple field, is sealed here and must be one the
     builder has just computed from checked values, or a read-only view of an
@@ -158,7 +169,7 @@ def fro_norm(x, axes: int = 2):
         return _out(np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)))
 
 
-@dataclass(frozen=True)
+@value
 class SvdResult:
     """Thin SVD with the rank decided by the package-wide threshold; every field stacks."""
 
@@ -166,6 +177,10 @@ class SvdResult:
     sigma: np.ndarray   # nonincreasing, nonnegative
     vh: np.ndarray      # isometry rows, as LAPACK returns them; input = u @ diag(sigma) @ vh
     rank: int | np.ndarray
+
+    def __post_init__(self):  # read-only however built: by _svd, by a copy or by pickle
+        for a in (self.u, self.sigma, self.vh, np.asarray(self.rank)):
+            seal(a)
 
     @property
     def v(self) -> np.ndarray:
@@ -194,7 +209,7 @@ def svd(m) -> SvdResult:
 def _svd(a: np.ndarray) -> SvdResult:
     """svd of a complex128 matrix or stack that is already checked finite."""
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    return SvdResult(u=seal(u), sigma=seal(s), vh=seal(vh), rank=numerical_rank(s))
+    return SvdResult(u=u, sigma=s, vh=vh, rank=numerical_rank(s))
 
 
 def _scale(a: np.ndarray) -> np.ndarray:

@@ -25,7 +25,6 @@ beyond DENSE_DIM_LIMIT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -33,10 +32,10 @@ import numpy as np
 from .antilinear import AntilinearMap
 from .bipartite import BipartiteVector, _check_same_dims, epr_maps, gns_check, polar_of_state, reduced
 from .errors import DimMismatch, MixedParity, NotSeparating
-from .linalg import _adopt, _check_dense, _member, as_matrix, as_vector, finite, frozen, kron, seal
+from .linalg import _adopt, _check_dense, _member, as_matrix, as_vector, finite, frozen, kron, seal, value
 
 
-@dataclass(frozen=True)
+@value
 class TwistedOperator:
     """Operator on H_a ⊗ H_b held as the twisted product of two factor maps (or a stack of them).
 
@@ -88,7 +87,7 @@ class TwistedOperator:
         return AntilinearMap(self.mat)
 
 
-@dataclass(frozen=True)
+@value
 class KroneckerProduct:
     """Linear operator a ⊗ b on H_a ⊗ H_b held by its factors (a, b), or stacks of them.
 
@@ -156,7 +155,7 @@ def twisted_compose(p1: TwistedOperator, p2: TwistedOperator) -> KroneckerProduc
     return _adopt(KroneckerProduct, factors=(eta1 @ xi2, xi1 @ eta2))
 
 
-@dataclass(frozen=True)
+@value
 class LiftedOperators:
     """The four twisted products of the maps induced by an ordered state pair."""
 
@@ -194,7 +193,7 @@ def lift_operators(phi: BipartiteVector, psi: BipartiteVector) -> LiftedOperator
     )
 
 
-@dataclass(frozen=True)
+@value
 class ModularTriple:
     """Closed operators S = J Delta^(1/2) of the finite-dimensional modular setup, held by their factors.
 

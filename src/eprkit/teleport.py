@@ -18,7 +18,6 @@ whole point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from typing import NamedTuple, Sequence
 
@@ -26,15 +25,15 @@ import numpy as np
 
 from .antilinear import chain, polar
 from .bipartite import BipartiteVector, _check_unit, epr_maps
-from .errors import DimMismatch, FactorizationFailure, NonFinite, NotOrthonormal, OddParity
+from .errors import DimMismatch, FactorizationFailure, NonFinite, NotOrthonormal, NotProjection, OddParity
 from .linalg import MatrixNorms, _adopt, _check_dense, _member, _out, as_matrix, as_square, as_vector, finite, fro_norm
-from .linalg import herm_eigh, kron, norms, seal
+from .linalg import herm_eigh, kron, norms, seal, value
 
 ORTHO_TOL = 1e-10
 FACTOR_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@value
 class TeleportMap:
     """Conditional input-output map of one rank-one-triggered channel (or a stack of them): its two states fix t."""
 
@@ -149,7 +148,7 @@ def trace_norm_fidelity(tm: TeleportMap) -> TraceNormFidelity:
     return TraceNormFidelity(trace_norm=tm.norms.trace, fidelity=tm.root_norms.trace)
 
 
-@dataclass(frozen=True)
+@value
 class LudersChannel:
     """Channel triggered by a projection of arbitrary rank.
 
@@ -207,14 +206,16 @@ def luders_channel(psis: Sequence[BipartiteVector] | BipartiteVector, phi_bc: Bi
 def projection_decomposition(p_op, dim_a: int, dim_b: int) -> BipartiteVector:
     """Orthonormal rank-one decomposition of a projection on H_a ⊗ H_b, stacked as (rank, dim_a, dim_b).
 
-    Eigenvectors with eigenvalue above 0.5 span the range; any orthonormal
-    basis of it defines the same channel.
+    Each eigenvalue must lie within ORTHO_TOL of 0 or 1; the eigenvectors of those
+    above 0.5 span the range, and any orthonormal basis of it defines the same channel.
     """
     p = as_matrix(p_op, "P")
     n = dim_a * dim_b
     if p.shape != (n, n):
         raise DimMismatch(f"P must be {n} square for dims ({dim_a}, {dim_b}), got {p.shape}")
     w, v = herm_eigh(p, "P")
+    if (off := np.minimum(np.abs(w), np.abs(w - 1.0))).max(initial=0.0) > ORTHO_TOL:
+        raise NotProjection(f"P has eigenvalue {float(w[off.argmax()])!r}, farther than {ORTHO_TOL:.0e} from 0 and 1")
     return BipartiteVector(v[:, w > 0.5].T.reshape(-1, dim_a, dim_b))
 
 

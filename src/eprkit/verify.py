@@ -40,7 +40,7 @@ from . import bipartite as bp
 from . import linalg as la
 from . import modular as md
 from . import teleport as tp
-from .errors import ToleranceExceeded
+from .errors import ParseError, ToleranceExceeded
 from .sampling import haar, normal_count, split_complex, trial_rngs, unit
 
 TOLERANCES = {
@@ -834,6 +834,18 @@ SUITES = (
 )
 
 
+def check_arguments(seed: int, dims, trials: int, tolerance: float | None):
+    """Refuse with ParseError, in this order, what every eprkit subcommand and run_all refuse."""
+    if trials < 1:
+        raise ParseError(f"trials must be >= 1, got {trials}")
+    if tolerance is not None and not 0 < tolerance < np.inf:  # Infinity is no strict JSON
+        raise ParseError(f"tolerance must be positive and finite, got {tolerance}")
+    if min(dims, default=0) < 1:  # no dims at all too
+        raise ParseError("dimensions must be positive")
+    if seed < 0:
+        raise ParseError(f"seed must be non-negative, got {seed}")
+
+
 def run_all(
     seed: int = 42,
     dims=(2, 3, 4),
@@ -842,6 +854,7 @@ def run_all(
 ) -> list[IdentityResult]:
     """Run every suite; returns one result per identity, worst residual over trials."""
     dims = [int(d) for d in dims]
+    check_arguments(seed, dims, trials, tolerance)
     la._check_dense(max(dims) ** 2, f"dims {max(dims)}: the dense {max(dims)}·{max(dims)} pair operator")
     table = ResidualTable()
     for suite in SUITES:

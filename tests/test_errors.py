@@ -216,6 +216,26 @@ def test_projection_decomposition_wrong_shape():
         projection_decomposition(np.eye(3), 2, 2)
 
 
+@pytest.mark.parametrize(
+    "p, worst",
+    [(0.7 * np.eye(4), 0.7), (np.diag([1.0, 1.0, 0.4, 0.0]), 0.4), (np.diag([1.0, -1e-9, 0.5, 1.0]), 0.5)],
+    ids=["scaled-identity", "one-off-eigenvalue", "worst-named"],
+)
+def test_projection_decomposition_refuses_a_non_projection(p, worst):
+    with pytest.raises(errors.NotProjection) as info:
+        projection_decomposition(p, 2, 2)
+    assert str(info.value) == f"P has eigenvalue {worst!r}, farther than 1e-10 from 0 and 1"
+
+
+def test_projection_decomposition_takes_roundoff_and_refuses_after_the_shape_and_hermiticity():
+    assert projection_decomposition(np.diag([1.0, 1 + 1e-12, 1e-12, 0.0]), 2, 2).coeff.shape == (2, 2, 2)
+    with pytest.raises(errors.DimMismatch):
+        projection_decomposition(0.7 * np.eye(3), 2, 2)
+    lower = np.tril(np.full((4, 4), 0.7))
+    with pytest.raises(errors.NotHermitian):
+        projection_decomposition(lower, 2, 2)
+
+
 def test_chain_teleport_broken_dims():
     rng = seeded_rng(200)
     stages = [bell(2), random_unit_state(rng, 3, 2), bell(2), bell(2)]

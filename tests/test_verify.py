@@ -12,7 +12,7 @@ from eprkit.linalg import kron
 from eprkit.modular import twisted_product
 from eprkit.sampling import complex_from, normal_count, rng_for
 from eprkit.teleport import success_bound, teleport_map
-from eprkit.verify import TOLERANCES, ResidualTable, antilinear_suite, teleport_bound_holds, twisted_action
+from eprkit.verify import TOLERANCES, ResidualTable, antilinear_suite, run_all, teleport_bound_holds, twisted_action
 
 from util import complex_normal, random_unit_state, random_unit_vector, seeded_rng
 
@@ -128,3 +128,23 @@ class TestKron:
     def test_mixed_ranks_rejected(self):
         with pytest.raises(errors.DimMismatch):
             kron(np.ones(2), np.ones((2, 2)))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(trials=0), "trials must be >= 1, got 0"),
+        (dict(dims=()), "dimensions must be positive"),
+        (dict(dims=[0]), "dimensions must be positive"),
+        (dict(dims=[2, -1]), "dimensions must be positive"),
+        (dict(seed=-1), "seed must be non-negative, got -1"),
+        (dict(tolerance=float("nan")), "tolerance must be positive and finite, got nan"),
+        (dict(tolerance=0.0), "tolerance must be positive and finite, got 0.0"),
+        (dict(tolerance=np.inf), "tolerance must be positive and finite, got inf"),
+    ],
+    ids=["trials-0", "dims-empty", "dims-0", "dims-negative", "seed", "tolerance-nan", "tolerance-0", "tolerance-inf"],
+)
+def test_run_all_refuses_what_the_cli_refuses(kwargs, message):
+    with pytest.raises(errors.ParseError) as info:
+        run_all(**kwargs)
+    assert str(info.value) == message
