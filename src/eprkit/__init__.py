@@ -3,10 +3,8 @@
 from .antilinear import AntilinearMap, PolarParts, adjoint, apply, chain, compose_aa, compose_mixed, polar, trace_product
 from .bipartite import (
     BipartiteVector,
-    EprPair,
     cloning_check,
     cross_gram,
-    epr_maps,
     gns_check,
     inner_via_trace,
     local_transform,
@@ -17,7 +15,7 @@ from .bipartite import (
     reconstruct,
     reduced,
 )
-from .linalg import MatrixNorms, SvdResult, fidelity, norms, partial_trace, psd_sqrt, svd, trace_norm
+from .linalg import MatrixNorms, SvdResult, fidelity, norms, partial_trace, psd_sqrt, svd
 from .modular import (
     KroneckerProduct,
     LiftedOperators,

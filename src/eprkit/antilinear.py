@@ -52,9 +52,6 @@ class AntilinearMap:
     def dim_codomain(self) -> int:
         return self.mat.shape[-2]
 
-    def __call__(self, v) -> np.ndarray:
-        return apply(self, v)
-
     @cached_property
     def _polar(self) -> PolarParts:
         return PolarParts(_svd(self.mat))
@@ -62,7 +59,7 @@ class AntilinearMap:
 
 def apply(t: AntilinearMap, v) -> np.ndarray:
     """Apply t to a vector, or to a stack (..., dim_domain) of them: mat @ conj(v)."""
-    return (t.mat @ np.conj(as_vector(v, t.dim_domain, "v"))[..., None])[..., 0]
+    return np.matvec(t.mat, np.conj(as_vector(v, t.dim_domain, "v")))
 
 
 def adjoint(t: AntilinearMap) -> AntilinearMap:
@@ -127,7 +124,8 @@ class PolarParts:
     phase* ∘ phase and phase ∘ phase* are the two support projections, and
     the adjoint of the phase is again its transpose, by construction.  The
     phase is unique only on the support: with degenerate singular values the
-    off-support extension is a free choice, fixed here as zero.
+    off-support extension is a free choice, fixed here as zero.  The
+    constructor takes ``svd`` as given and checks nothing, by design.
     """
 
     svd: SvdResult

@@ -58,36 +58,22 @@ class BipartiteVector:
         return self._norm
 
     @cached_property
-    def _norm(self):  # once per state, read-only for a stack, like _epr
+    def _norm(self):  # once per state, read-only for a stack, like s_ba and s_ab
         return _out(seal(np.asarray(fro_norm(self.coeff))))
 
     def to_vector(self) -> np.ndarray:
         """Flatten to the a-major Kronecker basis: index (i, j) -> i*dim_b + j."""
         return self.coeff.reshape(*self.coeff.shape[:-2], -1).copy()
 
-    @classmethod
-    def from_vector(cls, vec, dim_a: int, dim_b: int) -> "BipartiteVector":
-        v = np.asarray(vec, dtype=np.complex128).reshape(-1)
-        if v.shape[0] != dim_a * dim_b:
-            raise DimMismatch(f"vector length {v.shape[0]} != {dim_a}*{dim_b}")
-        return cls(v.reshape(dim_a, dim_b))
+    @cached_property
+    def s_ba(self) -> AntilinearMap:
+        """The map H_a -> H_b, matrix coeff.T: a read-only view of the coefficients, built once per state."""
+        return _adopt(AntilinearMap, mat=self.coeff.mT)
 
     @cached_property
-    def _epr(self) -> EprPair:
-        return EprPair(s_ba=_adopt(AntilinearMap, mat=self.coeff.mT), s_ab=_adopt(AntilinearMap, mat=self.coeff))
-
-
-@value
-class EprPair:
-    """The two antilinear maps of one bipartite vector; s_ab = adjoint(s_ba) exactly."""
-
-    s_ba: AntilinearMap  # H_a -> H_b
-    s_ab: AntilinearMap  # H_b -> H_a
-
-
-def epr_maps(psi: BipartiteVector) -> EprPair:
-    """Both maps of psi, built once per state as read-only views of its coefficients; see the module docstring."""
-    return psi._epr
+    def s_ab(self) -> AntilinearMap:
+        """The map H_b -> H_a, matrix coeff, the adjoint of s_ba exactly: a read-only view like s_ba's."""
+        return _adopt(AntilinearMap, mat=self.coeff.view())
 
 
 def _check_same_dims(phi: BipartiteVector, psi: BipartiteVector):
@@ -221,17 +207,16 @@ def cloning_check(phi: BipartiteVector, psi: BipartiteVector) -> tuple[bool, flo
 
 def polar_of_state(psi: BipartiteVector) -> PolarParts:
     """Polar parts of s_ba: positive factors are the square roots of the reductions."""
-    return polar(epr_maps(psi).s_ba)
+    return polar(psi.s_ba)
 
 
-def gns_check(psi: BipartiteVector | np.ndarray):
-    """Whether both reductions of psi (a BipartiteVector or its coefficient matrix) have full rank.
+def gns_check(psi: BipartiteVector):
+    """Whether both reductions of psi have full rank.
 
     True also certifies cyclicity: the vectors (E_ij ⊗ 1) psi then span the
     whole product space; it needs square dimensions.  The rank is that of the
     state's cached polar SVD, tomita_S's.  A stack gives one answer per member.
     """
-    psi = psi if isinstance(psi, BipartiteVector) else BipartiteVector(psi)
     if psi.dim_a != psi.dim_b:
         return _out(np.zeros(psi.coeff.shape[:-2], dtype=bool))
     return _out(np.asarray(polar_of_state(psi).svd.rank == psi.dim_b))

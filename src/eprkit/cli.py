@@ -57,10 +57,10 @@ def _checked(args, stream: int | None, checks, operands, shapes=()) -> tuple:
 def cmd_epr(args) -> tuple[dict, list[vf.IdentityResult], str]:
     psi = fm.bipartite_from_json(fm.load_json(args.state), "state")
     shapes = [(psi.dim_a,), (psi.dim_b,), (psi.dim_a, psi.dim_b)]
-    (pair, omega_a, omega_b), residuals, results = _checked(args, 1, vf.epr_checks, (psi,), shapes)
+    (omega_a, omega_b), residuals, results = _checked(args, 1, vf.epr_checks, (psi,), shapes)
     report = {
-        "s_ba": fm.antilinear_to_json(pair.s_ba),
-        "s_ab": fm.antilinear_to_json(pair.s_ab),
+        "s_ba": fm.antilinear_to_json(psi.s_ba),
+        "s_ab": fm.antilinear_to_json(psi.s_ab),
         "omega_a": fm.matrix_to_json(omega_a),
         "omega_b": fm.matrix_to_json(omega_b),
         "norm_sq": psi.norm() ** 2,

@@ -119,7 +119,7 @@ def _adopt(cls, **fields):
     Each array, alone or in a tuple field, is sealed here and must be one the
     builder has just computed from checked values, or a read-only view of an
     array another value already holds, so no caller can write through it.
-    Builders that adopt: BipartiteVector's EPR maps, antilinear.adjoint,
+    Builders that adopt: _svd, BipartiteVector's s_ba and s_ab, antilinear.adjoint,
     PolarParts.phase, luders_channel's psis stack, tomita_S, lift_operators,
     twisted_adjoint, twisted_compose.
     """
@@ -178,9 +178,10 @@ class SvdResult:
     vh: np.ndarray      # isometry rows, as LAPACK returns them; input = u @ diag(sigma) @ vh
     rank: int | np.ndarray
 
-    def __post_init__(self):  # read-only however built: by _svd, by a copy or by pickle
-        for a in (self.u, self.sigma, self.vh, np.asarray(self.rank)):
-            seal(a)
+    def __post_init__(self):  # read-only copies of what a caller, a copy or pickle gives; _svd adopts LAPACK's arrays
+        sigma, rank = seal(np.array(self.sigma, dtype=np.float64)), _out(seal(np.array(self.rank)))
+        for name, a in (("u", frozen(self.u)), ("sigma", sigma), ("vh", frozen(self.vh)), ("rank", rank)):
+            object.__setattr__(self, name, a)
 
     @property
     def v(self) -> np.ndarray:
@@ -209,7 +210,7 @@ def svd(m) -> SvdResult:
 def _svd(a: np.ndarray) -> SvdResult:
     """svd of a complex128 matrix or stack that is already checked finite."""
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    return SvdResult(u=u, sigma=s, vh=vh, rank=numerical_rank(s))
+    return _adopt(SvdResult, u=u, sigma=s, vh=vh, rank=numerical_rank(s))
 
 
 def _scale(a: np.ndarray) -> np.ndarray:
@@ -287,10 +288,6 @@ def norms(m) -> MatrixNorms:
     return MatrixNorms(*(_out(seal(np.asarray(v))) for v in values))
 
 
-def trace_norm(m) -> float:
-    return norms(m).trace
-
-
 def fidelity(rho, omega) -> float:
     """Fidelity Tr (sqrt(omega) rho sqrt(omega))^(1/2) of two PSD matrices.
 
@@ -306,7 +303,7 @@ def fidelity(rho, omega) -> float:
 
 
 def _fidelity_of(root_rho: np.ndarray, root_omega: np.ndarray) -> float:
-    return trace_norm(root_rho @ root_omega)
+    return norms(root_rho @ root_omega).trace
 
 
 def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:

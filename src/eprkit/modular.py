@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .antilinear import AntilinearMap
-from .bipartite import BipartiteVector, _check_same_dims, epr_maps, gns_check, polar_of_state, reduced
+from .bipartite import BipartiteVector, _check_same_dims, gns_check, polar_of_state, reduced
 from .errors import DimMismatch, MixedParity, NotSeparating
 from .linalg import _adopt, _check_dense, _member, as_matrix, as_vector, finite, frozen, kron, seal, value
 
@@ -157,7 +157,7 @@ def twisted_compose(p1: TwistedOperator, p2: TwistedOperator) -> KroneckerProduc
 
 @value
 class LiftedOperators:
-    """The four twisted products of the maps induced by an ordered state pair."""
+    """The four twisted products of the maps of an ordered state pair; its constructor checks none, by design."""
 
     s_tilde: TwistedOperator      # j_phi ⊗̃ s_psi
     f_tilde: TwistedOperator      # s_phi ⊗̃ j_psi
@@ -184,7 +184,7 @@ def lift_operators(phi: BipartiteVector, psi: BipartiteVector) -> LiftedOperator
     """
     _check_same_dims(phi, psi)
     j_phi_ab, j_psi_ba = _phases(phi, psi)
-    s_phi_ab, s_psi_ba = epr_maps(phi).s_ab.mat, epr_maps(psi).s_ba.mat
+    s_phi_ab, s_psi_ba = phi.s_ab.mat, psi.s_ba.mat
     return LiftedOperators(
         s_tilde=_adopted(j_phi_ab, s_psi_ba),
         f_tilde=_adopted(s_phi_ab, j_psi_ba),
@@ -199,7 +199,10 @@ class ModularTriple:
 
     S is antilinear with S (A ⊗ 1) psi = (A* ⊗ 1) phi; Delta is the positive
     operator omega_a(phi) ⊗ inverse(omega_b(psi)); J is the antilinear phase
-    of S, antiunitary whenever phi has full-rank reductions too.
+    of S, antiunitary whenever phi has full-rank reductions too.  The
+    constructor takes the three as given and checks nothing, by design: the
+    mutation table (tests/test_identity_mutants.py), TestFactorRoutes and
+    perfbench's self-check build perturbed triples through ModularTriple(s=, delta=, j=).
     """
 
     s: TwistedOperator

@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .antilinear import chain, polar
-from .bipartite import BipartiteVector, _check_unit, epr_maps
+from .bipartite import BipartiteVector, _check_unit
 from .errors import DimMismatch, FactorizationFailure, NonFinite, NotOrthonormal, NotProjection, OddParity
 from .linalg import MatrixNorms, _adopt, _check_dense, _member, _out, as_matrix, as_square, as_vector, finite, fro_norm
 from .linalg import herm_eigh, kron, norms, seal, value
@@ -63,8 +63,8 @@ class TeleportMap:
         """
         _check_unit(self.source_psi.norm(), "psi_ab")
         _check_unit(self.ancilla_phi.norm(), "phi_bc")
-        sqrt_rho = polar(epr_maps(self.source_psi).s_ba).positive
-        sqrt_omega = polar(epr_maps(self.ancilla_phi).s_ab).positive
+        sqrt_rho = polar(self.source_psi.s_ba).positive
+        sqrt_omega = polar(self.ancilla_phi.s_ab).positive
         return norms(sqrt_rho @ sqrt_omega)
 
     @cached_property
@@ -283,7 +283,7 @@ def chain_teleport(stages: Sequence[BipartiteVector]) -> np.ndarray:
     """
     stages = _check_stages(stages)
     _check_norms({f"stages[{k}]": s for k, s in enumerate(stages)})
-    return chain(epr_maps(s).s_ba for s in stages)
+    return chain(s.s_ba for s in stages)
 
 
 def chain_oracle(phi_a, stages: Sequence[BipartiteVector]) -> np.ndarray:

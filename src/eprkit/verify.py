@@ -164,19 +164,6 @@ def _square_dims(dims) -> list[int]:
     return sorted(set(int(d) for d in dims))
 
 
-def _vdot(x, y, axes: int = 1):
-    """<x, y> over the last `axes` axes, member by member, with the bits of np.vdot."""
-    x, y = np.asarray(x), np.asarray(y)
-    fx = x.reshape(*x.shape[: x.ndim - axes], 1, -1)
-    fy = y.reshape(*y.shape[: y.ndim - axes], -1, 1)
-    return (np.conj(fx) @ fy)[..., 0, 0]
-
-
-def _mv(m, v):
-    """Matrix times vector, member by member."""
-    return (m @ v[..., None])[..., 0]
-
-
 def _outer(x, y):
     return x[..., :, None] * y[..., None, :]
 
@@ -251,7 +238,7 @@ def _stack(table: ResidualTable, stream: int, members, pad: Pad):
 
 
 def epr_checks(rec, state, phi_a, phi_b, chi):
-    """The epr subcommand's identities on state, probes phi_a and phi_b and coefficients chi; returns maps, reductions.
+    """The epr subcommand's identities on state, probes phi_a and phi_b and coefficients chi; returns the reductions.
 
     projection: (|phi_a><phi_a| ⊗ 1) state = phi_a ⊗ s_ba phi_a, with squared
     norm <phi_a, omega_a phi_a>; pairing: <phi_b, s_ba phi_a> = <phi_a, s_ab
@@ -260,24 +247,23 @@ def epr_checks(rec, state, phi_a, phi_b, chi):
     traces of the dense projector |state><state|, refused beyond DENSE_DIM_LIMIT.
     """
     omega_a, omega_b = bp.reduced(state, "a", "state"), bp.reduced(state, "b", "state")
-    pair = bp.epr_maps(state)
     projected = bp.project_rank1(state, phi_a)
-    shape = _fro(projected.coeff - _outer(phi_a, al.apply(pair.s_ba, phi_a)))
-    norm_sq = np.abs(projected.norm() ** 2 - _vdot(phi_a, _mv(omega_a, phi_a)).real)
+    shape = _fro(projected.coeff - _outer(phi_a, al.apply(state.s_ba, phi_a)))
+    norm_sq = np.abs(projected.norm() ** 2 - np.vecdot(phi_a, np.matvec(omega_a, phi_a)).real)
     rec("epr.projection", np.maximum(shape, norm_sq))
-    rhs = _vdot(la.kron(phi_a, phi_b, vectors=True), state.to_vector())
-    via_ba, via_ab = _vdot(phi_b, al.apply(pair.s_ba, phi_a)), _vdot(phi_a, al.apply(pair.s_ab, phi_b))
+    vec = state.to_vector()
+    rhs = np.vecdot(la.kron(phi_a, phi_b, vectors=True), vec)
+    via_ba, via_ab = np.vecdot(phi_b, al.apply(state.s_ba, phi_a)), np.vecdot(phi_a, al.apply(state.s_ab, phi_b))
     rec("epr.pairing", np.maximum(np.abs(via_ba - rhs), np.abs(via_ab - rhs)))
     chi = bp.BipartiteVector(chi)
-    direct = _vdot(chi.coeff, state.coeff, 2)
-    trace_b = al.trace_product(pair.s_ba, bp.epr_maps(chi).s_ab)
+    direct = np.vecdot(chi.to_vector(), vec)
+    trace_b = al.trace_product(state.s_ba, chi.s_ab)
     rec("epr.inner_trace", np.maximum(np.abs(bp.inner_via_trace(chi, state) - direct), np.abs(trace_b - direct)))
     la._check_dense(state.dim_a * state.dim_b, "dense oracle")
-    vec = state.to_vector()
     dense = _outer(vec, np.conj(vec))
     on_a, on_b = (la.partial_trace(dense, state.dim_a, state.dim_b, side) for side in "ab")
     rec("epr.reduction", np.maximum(_fro(omega_a - on_a), _fro(omega_b - on_b)))
-    return pair, omega_a, omega_b
+    return omega_a, omega_b
 
 
 def teleport_checks(rec, psi_ab, phi_bc, probe):
@@ -289,7 +275,7 @@ def teleport_checks(rec, psi_ab, phi_bc, probe):
     """
     tm = tp.teleport_map(psi_ab, phi_bc)
     bound = tp.success_bound(tm)  # first, so a non-unit psi_ab is named psi_ab, not "measured vector stages[0]"
-    rec("teleport.factorization", _fro(_mv(tm.t, probe) - tp.teleport_oracle(psi_ab, phi_bc, probe), 1))
+    rec("teleport.factorization", _fro(np.matvec(tm.t, probe) - tp.teleport_oracle(psi_ab, phi_bc, probe), 1))
     tnf = tp.trace_norm_fidelity(tm)
     rec("teleport.trace_fidelity", np.abs(tnf.trace_norm - tnf.fidelity))
     return tm, bound, tnf
@@ -311,7 +297,7 @@ def luders_checks(rec, psis, phi_bc, probe):
     ch = tp.luders_channel(psis, phi_bc)
     bounds = tp.luders_bounds(ch)
     dense = tp.luders_project(ch, probe)
-    factored = la.kron(ch.psis.to_vector(), _mv(ch.maps, probe[..., None, :]), vectors=True).sum(axis=-2)
+    factored = la.kron(ch.psis.to_vector(), np.matvec(ch.maps, probe[..., None, :]), vectors=True).sum(axis=-2)
     rec("luders.decoupling", _fro(dense - factored, 1))
     excess = np.maximum(0.0, bounds.op_bound - ch.ancilla_norm_sq)
     rec("luders.op_bound", np.maximum(excess, np.abs(bounds.op_bound - bounds.trace_bound)))
@@ -321,7 +307,7 @@ def luders_checks(rec, psis, phi_bc, probe):
 def chain_checks(rec, stages, probe):
     """The chain subcommand's identity: t = chain_teleport(stages) on probe against the dense oracle; returns t."""
     t = tp.chain_teleport(stages)
-    rec("chain.factorization", _fro(_mv(t, probe) - tp.chain_oracle(probe, stages), 1))
+    rec("chain.factorization", _fro(np.matvec(t, probe) - tp.chain_oracle(probe, stages), 1))
     return t
 
 
@@ -413,7 +399,7 @@ def modular_roots(phi, psi):
     on psi's map, is the one tomita_S builds S's eta, Delta's inverse factor
     and J's phase from, the bits a second SVD would give.
     """
-    root_a, root_b = al.polar(bp.epr_maps(phi).s_ab), al.polar(bp.epr_maps(psi).s_ba)
+    root_a, root_b = al.polar(phi.s_ab), al.polar(psi.s_ba)
     u_b, sigma_b = root_b.svd.u, root_b.svd.sigma
     return root_a.positive, root_b.positive, (u_b / sigma_b[..., None, :]) @ u_b.conj().mT
 
@@ -574,12 +560,12 @@ def epr_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         c, phi_a, phi_b, chi, a_psd, a_op, b_op = draws
         c, phi_a, chi, a_psd = unit(c, 2), unit(phi_a), unit(chi, 2), a_psd @ a_psd.conj().mT
         psi = bp.BipartiteVector(c)
-        pair, _, _ = epr_checks(rec, psi, phi_a, phi_b, chi)
-        rec("epr.reconstruct", _fro(bp.reconstruct(pair.s_ba, np.eye(da)).coeff - c))
-        rec("epr.reconstruct", _fro(bp.reconstruct(pair.s_ba, a_psd).coeff - a_psd @ c))
-        moved = bp.epr_maps(bp.local_transform(psi, a_op, b_op))
-        via_maps_ba = al.compose_mixed(b_op, al.compose_mixed(a_op.conj().mT, pair.s_ba, "right"), "left")
-        via_maps_ab = al.compose_mixed(a_op, al.compose_mixed(b_op.conj().mT, pair.s_ab, "right"), "left")
+        epr_checks(rec, psi, phi_a, phi_b, chi)
+        rec("epr.reconstruct", _fro(bp.reconstruct(psi.s_ba, np.eye(da)).coeff - c))
+        rec("epr.reconstruct", _fro(bp.reconstruct(psi.s_ba, a_psd).coeff - a_psd @ c))
+        moved = bp.local_transform(psi, a_op, b_op)
+        via_maps_ba = al.compose_mixed(b_op, al.compose_mixed(a_op.conj().mT, psi.s_ba, "right"), "left")
+        via_maps_ab = al.compose_mixed(a_op, al.compose_mixed(b_op.conj().mT, psi.s_ab, "right"), "left")
         rec(
             "epr.local_transform",
             np.maximum(_fro(moved.s_ba.mat - via_maps_ba.mat), _fro(moved.s_ab.mat - via_maps_ab.mat)),
@@ -593,7 +579,7 @@ def antilinear_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int
     draws = _groups(table, seed, STREAMS["antilinear"], trials, _dim_pairs(dims), shapes, padded=True)
     for rec, _, (m1, m2, x, y, lin_cod, lin_dom) in draws:
         t1, t2 = al.AntilinearMap(m1), al.AntilinearMap(m2)
-        rec("anti.adjoint_pairing", np.abs(_vdot(y, al.apply(t1, x)) - _vdot(x, al.apply(al.adjoint(t1), y))))
+        rec("anti.adjoint_pairing", np.abs(np.vecdot(y, al.apply(t1, x)) - np.vecdot(x, al.apply(al.adjoint(t1), y))))
         rec("anti.involution", _fro(al.adjoint(al.adjoint(t1)).mat - t1.mat))  # 0.0: two transposes are exact
         # 0.0 at the default dims, padded to d = 4: both sides form the same entry products, conjugate to
         # each other, and at that size numpy's OpenBLAS 0.3.31 sums them in one order; d_b < 4 reads ~1e-15
@@ -604,8 +590,8 @@ def antilinear_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int
         rec(
             "anti.mixed_compose",
             np.maximum(
-                _fro(_mv(lin_cod, al.apply(t1, x)) - al.apply(al.compose_mixed(lin_cod, t1, "left"), x), 1),
-                _fro(al.apply(t1, _mv(lin_dom, x)) - al.apply(al.compose_mixed(lin_dom, t1, "right"), x), 1),
+                _fro(np.matvec(lin_cod, al.apply(t1, x)) - al.apply(al.compose_mixed(lin_cod, t1, "left"), x), 1),
+                _fro(al.apply(t1, np.matvec(lin_dom, x)) - al.apply(al.compose_mixed(lin_dom, t1, "right"), x), 1),
             ),
         )
         rec("anti.trace_conjugation", np.abs(al.trace_product(t1, t2) - np.conj(al.trace_product(t2, t1))))
@@ -618,17 +604,16 @@ def polar_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):
         rows = [t // 3 % a if t % 3 == 2 and a > 1 else -1 for _, t, (a, _) in rec.origins]
         zeroed = np.arange(da)[:, None] == np.reshape(rows, np.shape(c)[:-2])[..., None, None]
         psi = bp.BipartiteVector(unit(np.where(zeroed, 0.0, c), 2))
-        pair = bp.epr_maps(psi)
-        parts, parts_ab = al.polar(pair.s_ba), al.polar(pair.s_ab)
+        parts, parts_ab = al.polar(psi.s_ba), al.polar(psi.s_ab)
         omega_a, omega_b = bp.reduced(psi, "a"), bp.reduced(psi, "b")
         eig_a, eig_b = la.psd_eigh(omega_a), la.psd_eigh(omega_b)  # shared by the root and support oracles
         rec(
             "polar.factorizations",
             _max(
-                _fro(pair.s_ba.mat - al.compose_mixed(parts.positive, parts.phase, "left").mat),
-                _fro(pair.s_ba.mat - al.compose_mixed(parts.positive_dom, parts.phase, "right").mat),
-                _fro(pair.s_ab.mat - al.compose_mixed(parts_ab.positive, parts_ab.phase, "left").mat),
-                _fro(pair.s_ab.mat - al.compose_mixed(parts_ab.positive_dom, parts_ab.phase, "right").mat),
+                _fro(psi.s_ba.mat - al.compose_mixed(parts.positive, parts.phase, "left").mat),
+                _fro(psi.s_ba.mat - al.compose_mixed(parts.positive_dom, parts.phase, "right").mat),
+                _fro(psi.s_ab.mat - al.compose_mixed(parts_ab.positive, parts_ab.phase, "left").mat),
+                _fro(psi.s_ab.mat - al.compose_mixed(parts_ab.positive_dom, parts_ab.phase, "right").mat),
                 _fro(parts.positive - la._sqrt_of(*eig_b)),
                 _fro(parts.positive_dom - la._sqrt_of(*eig_a)),
             ),
@@ -683,7 +668,8 @@ def crossgram_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]
         pad = [(0, 0)] * (sv.ndim - 1)
         gap = np.pad(sv, pad + [(0, n - db)]) - np.pad(oracle, pad + [(0, n - da)])
         rec("crossgram.singulars", np.abs(gap).max(axis=-1))
-        rec("crossgram.trace", np.abs(_trace(cross @ b_op) - _vdot(c_psi, c_phi @ b_op.mT, 2)))
+        vec = psi.to_vector()
+        rec("crossgram.trace", np.abs(_trace(cross @ b_op) - np.vecdot(vec, (c_phi @ b_op.mT).reshape(vec.shape))))
 
 
 def purification_suite(table: ResidualTable, seed: int, dims, trials: Iterable[int]):

@@ -15,7 +15,6 @@ from eprkit.antilinear import AntilinearMap, adjoint, apply, compose_aa, compose
 from eprkit.bipartite import (
     BipartiteVector,
     cloning_check,
-    epr_maps,
     inner_via_trace,
     local_transform,
     partner_operator,
@@ -62,24 +61,23 @@ def test_criterion_1_epr_identity_suite(acceptance_report):
         da, db = pairs[trial % len(pairs)]
         rng = rng_for(SEED, 201, trial)
         psi = state_from_rng(rng, da, db)
-        pair = epr_maps(psi)
         phi_a = complex_normal(rng, da)
         phi_a /= np.linalg.norm(phi_a)
         phi_b = complex_normal(rng, db)
 
         worst = max(
             worst,
-            fro(project_rank1(psi, phi_a).coeff - np.outer(phi_a, apply(pair.s_ba, phi_a))),
+            fro(project_rank1(psi, phi_a).coeff - np.outer(phi_a, apply(psi.s_ba, phi_a))),
         )
         target = np.vdot(np.kron(phi_a, phi_b), psi.to_vector())
         worst = max(
             worst,
-            abs(np.vdot(phi_b, apply(pair.s_ba, phi_a)) - target),
-            abs(np.vdot(phi_a, apply(pair.s_ab, phi_b)) - target),
+            abs(np.vdot(phi_b, apply(psi.s_ba, phi_a)) - target),
+            abs(np.vdot(phi_a, apply(psi.s_ab, phi_b)) - target),
         )
         chi = state_from_rng(rng, da, db)
         worst = max(worst, abs(inner_via_trace(chi, psi) - np.vdot(chi.coeff, psi.coeff)))
-        worst = max(worst, fro(reconstruct(pair.s_ba, np.eye(da)).coeff - psi.coeff))
+        worst = max(worst, fro(reconstruct(psi.s_ba, np.eye(da)).coeff - psi.coeff))
         dense = np.outer(psi.to_vector(), np.conj(psi.to_vector()))
         worst = max(
             worst,
@@ -88,9 +86,9 @@ def test_criterion_1_epr_identity_suite(acceptance_report):
         )
         a_op = complex_normal(rng, da, da)
         b_op = complex_normal(rng, db, db)
-        moved = epr_maps(local_transform(psi, a_op, b_op))
-        want_ba = compose_mixed(b_op, compose_mixed(a_op.conj().T, pair.s_ba, "right"), "left")
-        want_ab = compose_mixed(a_op, compose_mixed(b_op.conj().T, pair.s_ab, "right"), "left")
+        moved = local_transform(psi, a_op, b_op)
+        want_ba = compose_mixed(b_op, compose_mixed(a_op.conj().T, psi.s_ba, "right"), "left")
+        want_ab = compose_mixed(a_op, compose_mixed(b_op.conj().T, psi.s_ab, "right"), "left")
         worst = max(worst, fro(moved.s_ba.mat - want_ba.mat), fro(moved.s_ab.mat - want_ab.mat))
     elapsed = time.perf_counter() - start
     verdict(acceptance_report, 1, "EPR identity suite (100 states)", worst, 1e-10, f"{elapsed:.2f} s")
@@ -170,12 +168,11 @@ def test_criterion_5_polar_suite(acceptance_report):
         if trial % 3 == 2 and da > 1:
             c[int(rng.integers(da))] = 0.0  # rank-deficient case
         psi = BipartiteVector(c / np.linalg.norm(c))
-        pair = epr_maps(psi)
-        parts = polar(pair.s_ba)
+        parts = polar(psi.s_ba)
         worst = max(
             worst,
-            fro(pair.s_ba.mat - parts.positive @ parts.phase.mat),
-            fro(pair.s_ba.mat - parts.phase.mat @ np.conj(parts.positive_dom)),
+            fro(psi.s_ba.mat - parts.positive @ parts.phase.mat),
+            fro(psi.s_ba.mat - parts.phase.mat @ np.conj(parts.positive_dom)),
             fro(compose_aa(adjoint(parts.phase), parts.phase) - parts.support_dom),
             fro(compose_aa(parts.phase, adjoint(parts.phase)) - parts.support_cod),
             fro(
@@ -235,12 +232,12 @@ def test_criterion_8_luders_suite(acceptance_report):
         phi = state_from_rng(rng, db, dc)
         u = random_unitary(rng, da * db)
         rank = 1 + int(rng.integers(da * db))
-        psis = [BipartiteVector.from_vector(u[:, k], da, db) for k in range(rank)]
+        psis = [BipartiteVector(u[:, k].reshape(da, db)) for k in range(rank)]
         ch = luders_channel(psis, phi)
 
         mix = random_unitary(rng, rank)
         flat = np.stack([p.to_vector() for p in psis])
-        psis2 = [BipartiteVector.from_vector(w, da, db) for w in mix.T @ flat]
+        psis2 = [BipartiteVector(w.reshape(da, db)) for w in mix.T @ flat]
         ch2 = luders_channel(psis2, phi)
         nu_raw = complex_normal(rng, da, da)
         nu = nu_raw @ nu_raw.conj().T

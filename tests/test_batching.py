@@ -347,7 +347,7 @@ class TestStackChecks:
         (lambda x, y: bp.inner_via_trace(bp.BipartiteVector(x), bp.BipartiteVector(y)), complex),
         (lambda x, y: bp.cloning_check(bp.BipartiteVector(x), bp.BipartiteVector(y))[0], bool),
         (lambda x, y: la.numerical_rank(np.linalg.svd(x, compute_uv=False)), int),
-        (lambda x, y: md.gns_check(x), bool),
+        (lambda x, y: md.gns_check(bp.BipartiteVector(x)), bool),
     ],
     ids=["trace_product", "inner_via_trace", "cloning_check", "numerical_rank", "gns_check"],
 )
@@ -409,7 +409,7 @@ class TestCliProbeStacks:
 
     def test_luders(self, capsys, tmp_path):
         u = random_unitary(seeded_rng(204), 6)
-        psis = [bp.BipartiteVector.from_vector(u[:, k], 2, 3) for k in range(3)]
+        psis = [bp.BipartiteVector(u[:, k].reshape(2, 3)) for k in range(3)]
         phi = random_state((3, 2), seed=14)
         path = tmp_path / "channel.json"
         path.write_text(json.dumps({"psis": [bipartite_to_json(p) for p in psis], "phi_bc": bipartite_to_json(phi)}))

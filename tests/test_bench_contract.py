@@ -4,13 +4,17 @@ The tracer wraps the public functions of the nine layer modules from outside
 the package, re-binds them wherever eprkit holds them, and replaces
 ``verify.SUITES`` by a tuple of wrapped suites.  A refactor that renames a
 layer module, drops a suite from SUITES or hides a suite from it breaks the
-per-layer metrics without failing any other test.  The modular-dense
+per-layer metrics without failing any other test, and so would deleting a
+function that a per-layer metric of BENCHMARK.json names.  The modular-dense
 workload checks each result from outside the package; a builder change that
 fails those checks would void the benchmark without failing a unit test.
 """
 
+import importlib
 import importlib.util
+import inspect
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -75,6 +79,26 @@ def test_tracer_records_every_suite_and_restores_the_package(tmp_path, capsys):
     after = package_bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is obj for key, obj in before.items())
+
+
+def test_every_function_a_per_layer_metric_names_is_a_public_function_of_its_layer():
+    """<layer>.<function>.calls, .self_ref and .d<k>_s read the tracer's spans of that function, which must exist."""
+    spans = load_spans()
+    metrics = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
+    named = set()
+    for metric in metrics:
+        layer, *function, kind = metric["name"].split(".")
+        if layer == "bench" or not function or f"{layer}.{function[0]}" == spans.REPORT_ENCODE:
+            continue
+        assert layer in spans.LAYERS and len(function) == 1, metric["name"]
+        assert kind in ("calls", "self_ref") or re.fullmatch(r"d\d+_s", kind), metric["name"]
+        named.add((layer, function[0]))
+    assert len(named) > 20
+    for layer, function in sorted(named):
+        module = importlib.import_module(f"eprkit.{layer}")
+        obj = vars(module).get(function)
+        assert not function.startswith("_") and inspect.isfunction(obj), f"{layer}.{function}"
+        assert obj.__module__ == module.__name__, f"{layer}.{function}"
 
 
 def test_modular_runner_outside_checks_pass(monkeypatch):

@@ -5,12 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from eprkit import errors
-from eprkit.antilinear import AntilinearMap, adjoint, apply, compose_aa, compose_mixed
+from eprkit.antilinear import AntilinearMap, adjoint, apply, compose_aa, compose_mixed, polar
 from eprkit.bipartite import (
     BipartiteVector,
     cloning_check,
     cross_gram,
-    epr_maps,
     inner_via_trace,
     local_transform,
     partner_operator,
@@ -27,37 +26,45 @@ from util import basis_state, bell, complex_normal, random_unit_state, random_un
 
 class TestEprMaps:
     def test_single_term_state(self):
-        pair = epr_maps(basis_state(0, 1, 2, 2))
-        assert_allclose(pair.s_ba.mat, [[0.0, 0.0], [1.0, 0.0]])
+        psi = basis_state(0, 1, 2, 2)
+        assert_allclose(psi.s_ba.mat, [[0.0, 0.0], [1.0, 0.0]])
 
     def test_bell(self):
-        pair = epr_maps(bell(2))
-        assert_allclose(pair.s_ba.mat, np.eye(2) / np.sqrt(2))
-        assert_allclose(pair.s_ab.mat, np.eye(2) / np.sqrt(2))
+        psi = bell(2)
+        assert_allclose(psi.s_ba.mat, np.eye(2) / np.sqrt(2))
+        assert_allclose(psi.s_ab.mat, np.eye(2) / np.sqrt(2))
 
     def test_adjoint_pair_exact(self):
         rng = seeded_rng(30)
         psi = random_unit_state(rng, 3, 4)
-        pair = epr_maps(psi)
-        assert np.array_equal(pair.s_ab.mat, adjoint(pair.s_ba).mat)
+        assert np.array_equal(psi.s_ab.mat, adjoint(psi.s_ba).mat)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (4, 3, 2)], ids=["single", "stack"])
+    def test_maps_are_cached_read_only_views_of_the_coefficients(self, shape):
+        rng = seeded_rng(39)
+        psi = BipartiteVector(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        assert psi.s_ba is psi.s_ba and psi.s_ab is psi.s_ab
+        for m in (psi.s_ba.mat, psi.s_ab.mat):
+            assert m.base is psi.coeff and not m.flags.writeable
+        assert np.array_equal(psi.s_ab.mat, psi.s_ba.mat.mT)
+        assert polar(psi.s_ba) is polar_of_state(psi)
 
     def test_maps_depend_only_on_coefficients(self):
         # two different sum decompositions of the same vector share one coeff matrix
         u = np.array([1.0, 1.0]) / np.sqrt(2)
         w = np.array([1.0, -1.0]) / np.sqrt(2)
         coeff = 0.5 * (np.outer(u, u) + np.outer(w, w))  # equals I/2 again
-        assert_allclose(epr_maps(BipartiteVector(coeff)).s_ba.mat, np.eye(2).T / 2, atol=1e-15)
+        assert_allclose(BipartiteVector(coeff).s_ba.mat, np.eye(2).T / 2, atol=1e-15)
 
     def test_pairing_identity(self):
         rng = seeded_rng(31)
         psi = random_unit_state(rng, 3, 2)
-        pair = epr_maps(psi)
         for _ in range(100):
             phi_a = complex_normal(rng, 3)
             phi_b = complex_normal(rng, 2)
             target = np.vdot(np.kron(phi_a, phi_b), psi.to_vector())
-            assert abs(np.vdot(phi_b, apply(pair.s_ba, phi_a)) - target) < 1e-12
-            assert abs(np.vdot(phi_a, apply(pair.s_ab, phi_b)) - target) < 1e-12
+            assert abs(np.vdot(phi_b, apply(psi.s_ba, phi_a)) - target) < 1e-12
+            assert abs(np.vdot(phi_a, apply(psi.s_ab, phi_b)) - target) < 1e-12
 
 
 class TestProjectRank1:
@@ -81,11 +88,10 @@ class TestProjectRank1:
     def test_matches_induced_map(self):
         rng = seeded_rng(33)
         psi = random_unit_state(rng, 4, 3)
-        pair = epr_maps(psi)
         phi = complex_normal(rng, 4)
         phi /= np.linalg.norm(phi)
         got = project_rank1(psi, phi)
-        assert np.linalg.norm(got.coeff - np.outer(phi, apply(pair.s_ba, phi))) < 1e-10
+        assert np.linalg.norm(got.coeff - np.outer(phi, apply(psi.s_ba, phi))) < 1e-10
 
     def test_output_norm_is_expectation(self):
         rng = seeded_rng(34)
@@ -120,7 +126,7 @@ class TestInnerViaTrace:
         psi = random_unit_state(rng, 3, 2)
         direct = np.vdot(phi.coeff, psi.coeff)
         assert abs(inner_via_trace(phi, psi) - direct) < 1e-12
-        other = np.trace(compose_aa(epr_maps(psi).s_ba, epr_maps(phi).s_ab))
+        other = np.trace(compose_aa(psi.s_ba, phi.s_ab))
         assert abs(other - direct) < 1e-12
 
 
@@ -128,15 +134,15 @@ class TestReconstruct:
     def test_identity_returns_state(self):
         rng = seeded_rng(37)
         psi = random_unit_state(rng, 3, 2)
-        got = reconstruct(epr_maps(psi).s_ba, np.eye(3))
+        got = reconstruct(psi.s_ba, np.eye(3))
         assert np.linalg.norm(got.coeff - psi.coeff) < 1e-10
 
     def test_rank_one_projector_matches_projection(self):
-        got = reconstruct(epr_maps(bell(2)).s_ba, np.diag([1.0, 0.0]))
+        got = reconstruct(bell(2).s_ba, np.diag([1.0, 0.0]))
         assert_allclose(got.coeff, project_rank1(bell(2), [1.0, 0.0]).coeff, atol=1e-12)
 
     def test_zero_operator(self):
-        got = reconstruct(epr_maps(bell(2)).s_ba, np.zeros((2, 2)))
+        got = reconstruct(bell(2).s_ba, np.zeros((2, 2)))
         assert np.all(got.coeff == 0)
 
     def test_general_psd_matches_direct_action(self):
@@ -144,12 +150,12 @@ class TestReconstruct:
         psi = random_unit_state(rng, 4, 3)
         a = complex_normal(rng, 4, 4)
         a = a @ a.conj().T
-        got = reconstruct(epr_maps(psi).s_ba, a)
+        got = reconstruct(psi.s_ba, a)
         assert np.linalg.norm(got.coeff - a @ psi.coeff) < 1e-10
 
     def test_not_positive(self):
         with pytest.raises(errors.NotPositive):
-            reconstruct(epr_maps(bell(2)).s_ba, np.diag([1.0, -1.0]))
+            reconstruct(bell(2).s_ba, np.diag([1.0, -1.0]))
 
 
 class TestReduced:
@@ -201,11 +207,10 @@ class TestLocalTransform:
         a = complex_normal(rng, 3, 3)
         b = complex_normal(rng, 2, 2)
         moved = local_transform(psi, a, b)
-        pair = epr_maps(psi)
-        want_ba = compose_mixed(b, compose_mixed(a.conj().T, pair.s_ba, "right"), "left")
-        want_ab = compose_mixed(a, compose_mixed(b.conj().T, pair.s_ab, "right"), "left")
-        assert np.linalg.norm(epr_maps(moved).s_ba.mat - want_ba.mat) < 1e-10
-        assert np.linalg.norm(epr_maps(moved).s_ab.mat - want_ab.mat) < 1e-10
+        want_ba = compose_mixed(b, compose_mixed(a.conj().T, psi.s_ba, "right"), "left")
+        want_ab = compose_mixed(a, compose_mixed(b.conj().T, psi.s_ab, "right"), "left")
+        assert np.linalg.norm(moved.s_ba.mat - want_ba.mat) < 1e-10
+        assert np.linalg.norm(moved.s_ab.mat - want_ab.mat) < 1e-10
 
     def test_kronecker_action(self):
         rng = seeded_rng(43)
@@ -371,8 +376,6 @@ class TestCloning:
 def test_bipartite_vector_validation():
     with pytest.raises(errors.NonFinite):
         BipartiteVector([[np.inf, 0.0]])
-    with pytest.raises(errors.DimMismatch):
-        BipartiteVector.from_vector([1.0, 0.0, 0.0], 2, 2)
     with pytest.raises(errors.DimMismatch, match="positive"):
         BipartiteVector(np.zeros((0, 2)))
 

@@ -19,7 +19,6 @@ from eprkit.bipartite import (
     purification_from_isometry,
     reconstruct,
     reduced,
-    epr_maps,
 )
 from eprkit.linalg import partial_trace, psd_sqrt, svd
 from eprkit.modular import KroneckerProduct, TwistedOperator, twisted_compose, twisted_product
@@ -94,7 +93,7 @@ def test_inner_via_trace_dim_mismatch():
 
 def test_reconstruct_wrong_operator_size():
     with pytest.raises(errors.DimMismatch):
-        reconstruct(epr_maps(bell(2)).s_ba, np.eye(3))
+        reconstruct(bell(2).s_ba, np.eye(3))
 
 
 def test_local_transform_wrong_sizes():
@@ -351,7 +350,7 @@ OPERANDS = [
     ("luders_project", "phi_a", np.array([1.0, 0.0]), lambda x: luders_project(_channel(), x), VECTOR),
     ("chain_oracle", "phi_a", np.array([1.0, 0.0]), lambda x: chain_oracle(x, [bell(2), bell(2)]), STAGES),
     ("teleport_oracle", "phi_a", np.array([1.0, 0.0]), lambda x: teleport_oracle(bell(2), bell(2), x), STAGES),
-    ("reconstruct", "A", np.eye(2), lambda x: reconstruct(epr_maps(bell(2)).s_ba, x), SQUARE),
+    ("reconstruct", "A", np.eye(2), lambda x: reconstruct(bell(2).s_ba, x), SQUARE),
     ("local_transform.A", "A", np.eye(2), lambda x: local_transform(bell(2), x, np.eye(2)), SQUARE),
     ("local_transform.B", "B", np.eye(2), lambda x: local_transform(bell(2), np.eye(2), x), SQUARE),
     ("partner_operator", "A", np.eye(2), lambda x: partner_operator(x, polar_of_state(bell(2))), SQUARE),

@@ -41,7 +41,7 @@ def teleport_instance():
 
 def luders_instance():
     u = random_unitary(seeded_rng(304), 6)
-    psis = [bp.BipartiteVector.from_vector(u[:, k], 2, 3) for k in range(2)]
+    psis = [bp.BipartiteVector(u[:, k].reshape(2, 3)) for k in range(2)]
     return vf.luders_checks, (psis, random_state((3, 2), seed=305), random_unit_vector(seeded_rng(304), 2))
 
 

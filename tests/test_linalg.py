@@ -294,16 +294,15 @@ class TestSealedResults:
 
     def test_polar_compose_mixed_epr_maps_and_reduced(self):
         from eprkit.antilinear import AntilinearMap, compose_mixed, polar
-        from eprkit.bipartite import BipartiteVector, epr_maps, reduced
+        from eprkit.bipartite import BipartiteVector, reduced
 
         rng = seeded_rng(11)
         c = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
         lin = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         psi = BipartiteVector(c / np.linalg.norm(c))
-        pair = epr_maps(psi)
-        parts = polar(pair.s_ba)
-        left = compose_mixed(lin, pair.s_ba, "left")
-        arrays = [pair.s_ba.mat, pair.s_ab.mat, reduced(psi, "a"), reduced(psi, "b"), left.mat]
+        parts = polar(psi.s_ba)
+        left = compose_mixed(lin, psi.s_ba, "left")
+        arrays = [psi.s_ba.mat, psi.s_ab.mat, reduced(psi, "a"), reduced(psi, "b"), left.mat]
         arrays += [parts.positive, parts.phase.mat, parts.support_dom, parts.support_cod, parts.positive_dom]
         for a in arrays:
             assert not a.flags.writeable
@@ -312,7 +311,7 @@ class TestSealedResults:
         held = AntilinearMap(left.mat).mat
         assert held is not left.mat and not np.shares_memory(held, left.mat)
         # The EPR maps are read-only views of the state's own checked coefficients, never of the caller's array.
-        for m in (pair.s_ba.mat, pair.s_ab.mat):
+        for m in (psi.s_ba.mat, psi.s_ab.mat):
             assert not m.flags.writeable
             base = m
             while isinstance(base.base, np.ndarray):

@@ -11,6 +11,7 @@ import pytest
 
 from eprkit import errors
 from eprkit import sampling
+from eprkit.bipartite import BipartiteVector
 from eprkit.modular import gns_check
 from eprkit.sampling import (
     complex_from,
@@ -99,7 +100,7 @@ def sequential_psd(rng, dim):
 def sequential_coeff(rng, dim_a, dim_b, entangled=False):
     while True:
         c = sequential_unit(sequential_complex_normal(rng, dim_a, dim_b))
-        if not entangled or gns_check(c):
+        if not entangled or gns_check(BipartiteVector(c)):
             return c
 
 

@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 
 from eprkit import antilinear, bipartite, linalg, modular
 from eprkit.antilinear import AntilinearMap, polar
-from eprkit.bipartite import BipartiteVector, epr_maps, polar_of_state, purification_from_isometry, reduced
+from eprkit.bipartite import BipartiteVector, polar_of_state, purification_from_isometry, reduced
 from eprkit.cli import main
 from eprkit.formats import bipartite_to_json
 from eprkit.modular import KroneckerProduct, lift_operators, tomita_S, twisted_product
@@ -69,7 +69,7 @@ class TestSvdCounts:
         # s_ab(psi) = C_psi is the adjoint of s_ba(psi): S and Delta read the SVD of C_psi^T.
         phi, psi = (BipartiteVector(c) for c in pair(5, 300))
         tomita_S(phi, psi)
-        assert "_polar" in vars(epr_maps(psi).s_ba) and "_polar" not in vars(epr_maps(psi).s_ab)
+        assert "_polar" in vars(psi.s_ba) and "_polar" not in vars(psi.s_ab)
 
     def test_entangled_draw_shares_its_svd_with_tomita(self, monkeypatch):
         # gns_check reads the polar SVD of C_psi^T that the drawn state keeps, and tomita_S reuses it.
@@ -187,16 +187,15 @@ class TestIdentity:
     def test_polar_and_epr_maps_are_cached(self, svd_calls):
         psi = BipartiteVector(pair(3, 302)[0])
         t = AntilinearMap(pair(3, 303)[1])
-        assert epr_maps(psi) is epr_maps(psi)
+        assert psi.s_ba is psi.s_ba and psi.s_ab is psi.s_ab
         assert polar(t) is polar(t)
-        assert polar_of_state(psi) is polar(epr_maps(psi).s_ba)
+        assert polar_of_state(psi) is polar(psi.s_ba)
         assert len(svd_calls) == 2
 
     def test_equal_arrays_do_not_share_results(self):
         c = pair(3, 304)[0]
         for psi1, psi2 in ((BipartiteVector(c), BipartiteVector(c)), (bell(3), bell(3))):
-            assert epr_maps(psi1) is not epr_maps(psi2)
-            assert epr_maps(psi1).s_ba is not epr_maps(psi2).s_ba
+            assert psi1.s_ba is not psi2.s_ba and psi1.s_ab is not psi2.s_ab
             assert polar_of_state(psi1) is not polar_of_state(psi2)
         t1 = AntilinearMap(c)
         t2 = AntilinearMap(t1.mat)
@@ -233,7 +232,7 @@ class TestSameBits:
         fresh = teleport_map(BipartiteVector(c_psi), BipartiteVector(c_phi)).root_norms
         psi, phi = BipartiteVector(c_psi), BipartiteVector(c_phi)
         polar_of_state(psi).phase
-        polar(epr_maps(phi).s_ab).positive_dom
+        polar(phi.s_ab).positive_dom
         assert teleport_map(psi, phi).root_norms == fresh
 
 
@@ -248,11 +247,16 @@ def _parts(p) -> list[np.ndarray]:
 # Each value type built from one caller array x, a stack of two unit 3×3 matrices: the arrays it
 # holds (the one made from x first) and the results it caches.
 VALUE_TYPES = {
+    "SvdResult": (  # u, sigma and vh all read x's memory: sigma is a real view of its first column
+        lambda x: linalg.SvdResult(u=x, sigma=x.real[..., 0], vh=x, rank=np.full(2, 3)),
+        lambda r: [r.u, r.sigma, r.vh],
+        lambda r: [r.v],
+    ),
     "AntilinearMap": (AntilinearMap, lambda t: [t.mat], lambda t: _parts(polar(t))),
     "BipartiteVector": (
         BipartiteVector,
         lambda psi: [psi.coeff],
-        lambda psi: [epr_maps(psi).s_ba.mat, epr_maps(psi).s_ab.mat, *_parts(polar_of_state(psi)), psi.norm()],
+        lambda psi: [psi.s_ba.mat, psi.s_ab.mat, *_parts(polar_of_state(psi)), psi.norm()],
     ),
     "TwistedOperator": (lambda x: twisted_product(x, x), lambda op: list(op.factors), lambda op: [op.mat]),
     "KroneckerProduct": (lambda x: KroneckerProduct((x, x)), lambda op: list(op.factors), lambda op: [op.mat]),
@@ -264,7 +268,7 @@ VALUE_TYPES = {
     "LudersChannel": (  # two channels of rank one: x[:, None] puts each unit member on its own rank axis
         lambda x: LudersChannel(psis=BipartiteVector(x[:, None]), ancilla_phi=BipartiteVector(x)),
         lambda ch: [ch.psis.coeff, ch.ancilla_phi.coeff],
-        lambda ch: [ch.maps, epr_maps(ch.psis).s_ba.mat],
+        lambda ch: [ch.maps, ch.psis.s_ba.mat],
     ),
 }
 
@@ -284,7 +288,7 @@ class TestCallerArrays:
         x[0, 0], x[1, 1] = 0.8, 0.6
         want = np.diag([0.6, 0.8])
         assert np.array_equal(psi.coeff, want)
-        assert np.array_equal(epr_maps(psi).s_ab.mat, want) and np.array_equal(epr_maps(psi).s_ba.mat, want)
+        assert np.array_equal(psi.s_ab.mat, want) and np.array_equal(psi.s_ba.mat, want)
         assert np.array_equal(polar_of_state(psi).positive, positive)
         assert np.array_equal(polar_of_state(psi).phase.mat, phase)
         assert_allclose(polar_of_state(psi).positive @ polar_of_state(psi).positive, psi.coeff.mT @ psi.coeff.conj())

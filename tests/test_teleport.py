@@ -294,7 +294,7 @@ class TestLudersChannel:
     def test_decoupling_against_dense_projection(self):
         rng = seeded_rng(67)
         u = random_unitary(rng, 4)
-        psis = [BipartiteVector.from_vector(u[:, k], 2, 2) for k in range(3)]
+        psis = [BipartiteVector(u[:, k].reshape(2, 2)) for k in range(3)]
         phi = random_unit_state(rng, 2, 2)
         ch = luders_channel(psis, phi)
         for _ in range(10):
@@ -308,10 +308,10 @@ class TestLudersChannel:
     def test_decomposition_independence(self):
         rng = seeded_rng(68)
         u = random_unitary(rng, 4)
-        psis = [BipartiteVector.from_vector(u[:, k], 2, 2) for k in range(2)]
+        psis = [BipartiteVector(u[:, k].reshape(2, 2)) for k in range(2)]
         mix = random_unitary(rng, 2)
         flat = np.stack([p.to_vector() for p in psis])
-        psis2 = [BipartiteVector.from_vector(v, 2, 2) for v in mix.T @ flat]
+        psis2 = [BipartiteVector(v.reshape(2, 2)) for v in mix.T @ flat]
         phi = random_unit_state(rng, 2, 2)
         ch1 = luders_channel(psis, phi)
         ch2 = luders_channel(psis2, phi)
@@ -400,7 +400,7 @@ class TestLudersBounds:
         for _ in range(20):
             u = random_unitary(rng, 4)
             k = 1 + int(rng.integers(4))
-            psis = [BipartiteVector.from_vector(u[:, i], 2, 2) for i in range(k)]
+            psis = [BipartiteVector(u[:, i].reshape(2, 2)) for i in range(k)]
             scale = float(rng.random() + 0.5)
             phi = BipartiteVector(scale * random_unit_state(rng, 2, 2).coeff)
             ch = luders_channel(psis, phi)

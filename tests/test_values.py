@@ -1,6 +1,6 @@
 """The value-type rule: every value is equal only to itself, and a copy or an unpickled value is rebuilt.
 
-The eleven types that hold arrays (or values that hold them) are declared
+The ten types that hold arrays (or values that hold them) are declared
 through `linalg.value`.  Equality and hashing are by identity, so comparing,
 hashing or looking up a value never compares arrays.  `copy.copy`,
 `copy.deepcopy` and `pickle` rebuild a value through its constructor from its
@@ -22,7 +22,7 @@ import pytest
 import eprkit
 from eprkit import errors, linalg
 from eprkit.antilinear import AntilinearMap, polar
-from eprkit.bipartite import BipartiteVector, epr_maps
+from eprkit.bipartite import BipartiteVector
 from eprkit.modular import KroneckerProduct, lift_operators, tomita_S, twisted_product
 from eprkit.teleport import LudersChannel, TeleportMap
 from eprkit.verify import IdentityResult
@@ -54,9 +54,8 @@ VALUES = {
     "PolarParts": (lambda k: polar(AntilinearMap(_mat(420 + k, 3, 3))), lambda p: [p.positive, p.phase.mat]),
     "BipartiteVector": (
         lambda k: _states(430 + k, 2, 3)[0],
-        lambda psi: [np.asarray(psi.norm()), epr_maps(psi).s_ba.mat, polar(epr_maps(psi).s_ba).svd.sigma],
+        lambda psi: [np.asarray(psi.norm()), psi.s_ba.mat, psi.s_ab.mat, polar(psi.s_ba).svd.sigma],
     ),
-    "EprPair": (lambda k: epr_maps(_states(440 + k, 3, 2)[0]), lambda e: [e.s_ba.mat, e.s_ab.mat]),
     "TwistedOperator": (lambda k: twisted_product(_mat(450 + k, 2, 3), _mat(451 + k, 3, 2)), lambda op: [op.mat]),
     "KroneckerProduct": (lambda k: KroneckerProduct((_mat(460 + k, 2, 2), _mat(461 + k, 3, 3))), lambda op: [op.mat]),
     "LiftedOperators": (lambda k: lift_operators(*_states(470 + k, 3, 3)), lambda lo: [lo.s_tilde.mat, lo.j.mat]),
@@ -65,7 +64,7 @@ VALUES = {
         lambda k: TeleportMap(_states(490 + k, 2, 3)[0], _states(491 + k, 3, 2)[0]),
         lambda tm: [tm.t, *map(np.asarray, tm.norms), *map(np.asarray, tm.root_norms)],
     ),
-    "LudersChannel": (_luders, lambda ch: [ch.maps, epr_maps(ch.psis).s_ba.mat]),
+    "LudersChannel": (_luders, lambda ch: [ch.maps, ch.psis.s_ba.mat]),
 }
 COPIES = {
     "copy": copy.copy,
